@@ -1,19 +1,17 @@
-//! Fleet-telemetry fast path: the fused single-pass kernel vs the legacy
-//! trace-materialising pipeline, end to end and per stage.
+//! Fleet telemetry pipeline: the fused single-pass kernel vs its oracle
+//! (`LinkAnalysis::new` over materialised traces), end to end and per
+//! stage.
 //!
 //! `fleet/paper_fiber` is the acceptance benchmark: one fiber of
 //! `FleetConfig::paper()` at the full 913-day horizon (40 links ×
-//! 87,600 samples), generated + analysed per iteration on each path. The
+//! 87,600 samples), generated + analysed per iteration on each side. The
 //! per-stage groups isolate where the time goes: analysis with the trace
 //! already in hand, the sort under the HDR, and sample generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rwc_optics::ModulationTable;
 use rwc_telemetry::analysis::LinkAnalysis;
-use rwc_telemetry::{
-    BatchScratch, FleetAccumulator, FleetConfig, FleetGenerator, FleetKernel, GenMode,
-};
-use rwc_util::rng::Xoshiro256;
+use rwc_telemetry::{BatchScratch, FleetAccumulator, FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::stats::{hdi_of_unsorted, sort_f64_with_scratch};
 use rwc_util::time::SimTime;
 
@@ -28,7 +26,7 @@ fn bench_fleet_paper(c: &mut Criterion) {
     let gen = paper_fiber();
     let table = ModulationTable::paper_default();
     let mut group = c.benchmark_group("fleet/paper_fiber");
-    group.bench_function("legacy", |b| {
+    group.bench_function("oracle", |b| {
         b.iter(|| {
             let mut acc = FleetAccumulator::new();
             for i in 0..gen.n_links() {
@@ -55,7 +53,7 @@ fn bench_analysis_only(c: &mut Criterion) {
     let table = ModulationTable::paper_default();
     let trace = gen.link(7).trace;
     let mut group = c.benchmark_group("fleet/analysis_only_913d");
-    group.bench_function("legacy", |b| {
+    group.bench_function("oracle", |b| {
         b.iter(|| LinkAnalysis::new(&trace, &table))
     });
     let mut kernel = FleetKernel::new();
@@ -114,55 +112,33 @@ fn bench_hdi(c: &mut Criterion) {
 }
 
 fn bench_generation(c: &mut Criterion) {
+    // Pure generation throughput, one 913-day link, no analysis.
     let gen = paper_fiber();
     let cfg = gen.config().clone();
     let profile = gen.link_profile(11);
+    let rng = gen.batch_rng(11);
     let mut group = c.benchmark_group("fleet/generate_913d");
     group.bench_function("trace", |b| {
         b.iter(|| {
-            let mut rng = Xoshiro256::seed_from_u64(42);
             profile
                 .process
-                .generate(SimTime::EPOCH, cfg.horizon, cfg.tick, &profile.events, &mut rng)
+                .generate_batch(SimTime::EPOCH, cfg.horizon, cfg.tick, &profile.events, &rng)
                 .len()
         })
     });
+    let mut scratch = BatchScratch::default();
     let mut buf: Vec<f64> = Vec::new();
     group.bench_function("streamed", |b| {
         b.iter(|| {
-            let mut rng = Xoshiro256::seed_from_u64(42);
-            profile.process.generate_into(
+            profile.process.generate_batch_into(
                 SimTime::EPOCH,
                 cfg.horizon,
                 cfg.tick,
                 &profile.events,
-                &mut rng,
+                &rng,
+                &mut scratch,
                 &mut buf,
             );
-            buf.len()
-        })
-    });
-    group.finish();
-}
-
-fn bench_generation_only(c: &mut Criterion) {
-    // Pure generation throughput, one 913-day link, no analysis: the
-    // tentpole comparison. `legacy` is the serial Xoshiro path; `batch` is
-    // the counter-based SIMD pipeline (target ≥5× on this stage).
-    let legacy_gen = paper_fiber();
-    let batch_gen = paper_fiber().with_gen_mode(GenMode::Batch);
-    let mut group = c.benchmark_group("fleet/generation_only_913d");
-    let mut scratch = BatchScratch::default();
-    let mut buf: Vec<f64> = Vec::new();
-    group.bench_function("legacy", |b| {
-        b.iter(|| {
-            legacy_gen.generate_link_into(11, &mut scratch, &mut buf);
-            buf.len()
-        })
-    });
-    group.bench_function("batch", |b| {
-        b.iter(|| {
-            batch_gen.generate_link_into(11, &mut scratch, &mut buf);
             buf.len()
         })
     });
@@ -175,7 +151,6 @@ criterion_group!(
     bench_analysis_only,
     bench_sort,
     bench_hdi,
-    bench_generation,
-    bench_generation_only
+    bench_generation
 );
 criterion_main!(benches);

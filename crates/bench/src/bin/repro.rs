@@ -1,9 +1,8 @@
 //! Figure-reproduction CLI.
 //!
 //! ```text
-//! repro [--quick|--full|--scale N] [--legacy-analysis] [--gen-mode legacy|batch]
-//!       [--quiet] [--obs-json FILE] [--checkpoint FILE] [--resume FILE]
-//!       [--out DIR] <id>... | all
+//! repro [--quick|--full|--scale N] [--quiet] [--obs-json FILE]
+//!       [--checkpoint FILE] [--resume FILE] [--out DIR] <id>... | all
 //! repro --bench-json [--perf-baseline FILE] [--quick|--full|--scale N] [--out DIR]
 //! ```
 //!
@@ -26,30 +25,20 @@
 //! `--quiet` suppresses progress lines and the `[obs]` event echo;
 //! experiment findings and errors still print.
 //!
-//! `--legacy-analysis` re-runs fleet experiments on the original
-//! trace-materialising analysis path instead of the fused kernel — the
-//! escape hatch for bisecting or re-checking equivalence.
-//!
-//! `--gen-mode batch` switches trace *generation* to the counter-based
-//! batch pipeline (blockwise OU + vectorised composition, DESIGN.md §13).
-//! The batch fleet is statistically equivalent to the legacy fleet but
-//! not byte-identical to it, so checkpoints fingerprint the generation
-//! mode: a `--resume` across `--gen-mode` values is rejected up front.
-//!
 //! `--checkpoint FILE` makes every fleet sweep crash-safe: progress is
 //! checkpointed to `FILE` every few chunks (atomically, temp + rename),
 //! so a killed run can be continued with `--resume FILE`. The resume file
 //! is verified up front — envelope checksum, format version, and sweep
-//! fingerprint against this invocation's fleet/seed/analysis mode — and a
+//! fingerprint against this invocation's fleet/seed/pipeline label — and a
 //! bad file exits with a distinct code (see [`rwc_bench::cli`]) instead
 //! of silently starting over. A resumed run reproduces the uninterrupted
 //! run's reports byte for byte. `--resume FILE` alone keeps writing
 //! updated checkpoints back to the same file.
 //!
 //! `--bench-json` times the scenario round engine (full-rebuild vs
-//! incremental, cold vs warm exact LP) and the fleet-analysis pipeline
-//! (fused vs legacy), writing `BENCH_scenario.json` and `BENCH_fleet.json`
-//! to the output directory. With `--perf-baseline FILE` it additionally
+//! incremental, cold vs warm exact LP) and the fleet telemetry pipeline
+//! (fused sweep, generation only), writing `BENCH_scenario.json` and
+//! `BENCH_fleet.json` to the output directory. With `--perf-baseline FILE` it additionally
 //! exits non-zero when incremental rounds/sec or fused links/sec falls
 //! below half the committed baseline — the CI perf-smoke gate. Failure
 //! classes map to stable exit codes, documented in [`rwc_bench::cli`].
@@ -57,9 +46,8 @@
 use rwc_bench::experiments::{self, CheckpointState};
 use rwc_bench::perf::PerfBaseline;
 use rwc_bench::{cli, Scale};
-use rwc_harness::{checkpoint, HarnessError, SweepFingerprint};
+use rwc_harness::{checkpoint, HarnessError, SweepFingerprint, SWEEP_MODE};
 use rwc_obs::{ConsoleSink, MetricsObserver};
-use rwc_telemetry::{AnalysisMode, FleetGenerator, GenMode};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -79,8 +67,6 @@ fn main() -> ExitCode {
     let mut checkpoint_path: Option<PathBuf> = None;
     let mut resume_path: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut mode = AnalysisMode::Fused;
-    let mut gen_mode = GenMode::Legacy;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -89,11 +75,6 @@ fn main() -> ExitCode {
             "--scale" => match args.next().and_then(|n| n.parse::<u32>().ok()) {
                 Some(n) if n > 0 => scale = Scale::Scaled(n),
                 _ => return usage_error("--scale needs a positive integer fleet multiplier"),
-            },
-            "--legacy-analysis" => mode = AnalysisMode::Legacy,
-            "--gen-mode" => match args.next().and_then(|m| m.parse::<GenMode>().ok()) {
-                Some(m) => gen_mode = m,
-                None => return usage_error("--gen-mode needs 'legacy' or 'batch'"),
             },
             "--bench-json" => bench_json = true,
             "--quiet" => quiet = true,
@@ -119,8 +100,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--quick|--full|--scale N] [--legacy-analysis] \
-                     [--gen-mode legacy|batch] [--quiet] \
+                    "usage: repro [--quick|--full|--scale N] [--quiet] \
                      [--obs-json FILE] [--checkpoint FILE] [--resume FILE] [--out DIR] \
                      <id>... | all"
                 );
@@ -132,8 +112,6 @@ fn main() -> ExitCode {
         }
     }
     let sink = ConsoleSink::new(quiet);
-    experiments::set_analysis_mode(mode);
-    experiments::set_gen_mode(gen_mode);
     if obs_path.is_some() {
         // Install before any experiment dispatches: every pipeline built
         // from here on publishes into this registry, with the salient
@@ -148,7 +126,7 @@ fn main() -> ExitCode {
     }
     if checkpoint_path.is_some() || resume_path.is_some() {
         if let Err(code) =
-            install_checkpoint_plan(checkpoint_path, resume_path, scale, mode, gen_mode, &sink)
+            install_checkpoint_plan(checkpoint_path, resume_path, scale, &sink)
         {
             return code;
         }
@@ -182,16 +160,14 @@ fn main() -> ExitCode {
 }
 
 /// Loads and verifies the `--resume` file (envelope checksum, format
-/// version, fingerprint against this invocation's fleet/seed/analysis
-/// mode) and installs the process-wide checkpoint plan. Failures map to
+/// version, fingerprint against this invocation's fleet/seed/pipeline
+/// label) and installs the process-wide checkpoint plan. Failures map to
 /// the exit codes documented in [`cli`] — notably [`cli::EXIT_CHECKPOINT`]
 /// for corrupt, version-mismatched, or foreign checkpoints.
 fn install_checkpoint_plan(
     checkpoint_path: Option<PathBuf>,
     resume_path: Option<PathBuf>,
     scale: Scale,
-    mode: AnalysisMode,
-    gen_mode: GenMode,
     sink: &ConsoleSink,
 ) -> Result<(), ExitCode> {
     let resume = match &resume_path {
@@ -203,23 +179,14 @@ fn install_checkpoint_plan(
             // Fail fast on a checkpoint from a different sweep, before any
             // experiment dispatches. Chunk size comes from the checkpoint
             // itself (resume replays the original chunk boundaries no
-            // matter the thread count), so only fleet size, seed, analysis
-            // mode and generation mode are pinned by this invocation. The
-            // labels match the executor's fingerprinting: legacy-generation
-            // labels keep their historical spelling so pre-batch
-            // checkpoints still resume.
+            // matter the thread count), so only fleet size, seed and the
+            // pipeline label are pinned by this invocation.
             let fleet = scale.fleet();
             let expected = SweepFingerprint {
-                n_links: FleetGenerator::new(scale.fleet()).n_links() as u64,
+                n_links: fleet.n_links() as u64,
                 chunk_size: cp.fingerprint.chunk_size,
                 seed: fleet.seed,
-                mode: match (mode, gen_mode) {
-                    (AnalysisMode::Fused, GenMode::Legacy) => "fused",
-                    (AnalysisMode::Legacy, GenMode::Legacy) => "legacy",
-                    (AnalysisMode::Fused, GenMode::Batch) => "fused+batchgen",
-                    (AnalysisMode::Legacy, GenMode::Batch) => "legacy+batchgen",
-                }
-                .into(),
+                mode: SWEEP_MODE.into(),
             };
             expected.verify(&cp.fingerprint).map_err(|e| {
                 sink.error(&format!("--resume {}: {e}", path.display()));
@@ -340,23 +307,17 @@ fn run_bench_json(
     }
     let fleet = rwc_bench::perf::fleet_perf(scale);
     sink.result(&format!(
-        "fleet analysis ({} links, {} threads): legacy {:.1} links/sec -> fused {:.1} links/sec \
-         ({:.2}x, {:.1}x fewer allocated bytes, accumulators identical: {})",
+        "fleet analysis ({} links, {} threads): {:.1} links/sec, {:.2e} samples/sec, \
+         {:.1} MB allocated",
         fleet.fused.links,
         fleet.n_threads,
-        fleet.legacy.links_per_sec,
         fleet.fused.links_per_sec,
-        fleet.speedup,
-        fleet.alloc_ratio,
-        fleet.accumulators_identical,
+        fleet.fused.samples_per_sec,
+        fleet.fused.alloc_bytes as f64 / 1e6,
     ));
     sink.result(&format!(
-        "generation only ({} links, 1 thread): legacy {:.2e} samples/sec -> batch {:.2e} \
-         samples/sec ({:.2}x)",
-        fleet.generation.legacy.links,
-        fleet.generation.legacy.samples_per_sec,
-        fleet.generation.batch.samples_per_sec,
-        fleet.generation.speedup,
+        "generation only ({} links, 1 thread): {:.2e} samples/sec",
+        fleet.generation.links, fleet.generation.samples_per_sec,
     ));
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         sink.error(&format!("cannot create {}: {e}", out_dir.display()));

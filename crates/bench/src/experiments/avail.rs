@@ -72,7 +72,7 @@ pub fn run(scale: Scale) -> Report {
     // --- Controller replay ---------------------------------------------
     let mut fleet_cfg = scale.fleet();
     fleet_cfg.n_fibers = fleet_cfg.n_fibers.min(2); // a 2-fiber sample is plenty
-    let gen = super::fleet_generator(fleet_cfg);
+    let gen = FleetGenerator::new(fleet_cfg);
     let procedures = [ReconfigProcedure::Efficient, ReconfigProcedure::Legacy];
     // Each procedure replays the same traces independently — run both
     // arms concurrently; results come back in `procedures` order.

@@ -48,7 +48,7 @@ fn chaos_fleet(scale: Scale) -> FleetGenerator {
     cfg.n_fibers = cfg.n_fibers.min(4);
     cfg.wavelengths_per_fiber = cfg.wavelengths_per_fiber.min(10);
     cfg.horizon = SimDuration::from_days(30);
-    super::fleet_generator(cfg)
+    FleetGenerator::new(cfg)
 }
 
 struct Verdict {
@@ -62,13 +62,7 @@ fn spec<'a>(
     table: &'a ModulationTable,
     n_threads: usize,
 ) -> SweepSpec<'a> {
-    SweepSpec {
-        gen,
-        table,
-        mode: super::analysis_mode(),
-        n_threads,
-        collect_metrics: true,
-    }
+    SweepSpec { gen, table, n_threads, collect_metrics: true }
 }
 
 fn completed_bytes(outcome: SweepOutcome) -> (String, Option<String>) {

@@ -4,6 +4,7 @@
 use crate::report::series_csv;
 use crate::{Report, Scale};
 use rwc_optics::Modulation;
+use rwc_telemetry::FleetGenerator;
 use rwc_util::stats::Summary;
 use std::fmt::Write as _;
 
@@ -12,7 +13,7 @@ pub fn run(scale: Scale) -> Report {
     let mut report = Report::new("fig1", "SNR of 40 wavelengths on one fiber vs time");
     let mut cfg = scale.fleet();
     cfg.wavelengths_per_fiber = 40; // Fig. 1's cable regardless of scale
-    let gen = super::fleet_generator(cfg);
+    let gen = FleetGenerator::new(cfg);
     let fiber = gen.fiber(0);
 
     report.line(format!(

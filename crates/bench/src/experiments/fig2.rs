@@ -5,11 +5,11 @@
 use crate::report::series_csv;
 use crate::{Report, Scale};
 use rwc_optics::ModulationTable;
-use rwc_telemetry::FleetAccumulator;
+use rwc_telemetry::{FleetAccumulator, FleetGenerator};
 use rwc_util::units::{Db, Gbps};
 
 fn fleet_analysis(scale: Scale) -> (FleetAccumulator, usize) {
-    let gen = super::fleet_generator(scale.fleet());
+    let gen = FleetGenerator::new(scale.fleet());
     let table = ModulationTable::paper_default();
     // The shared crash-safe sweep: panic-retrying workers, plus interval
     // checkpoint/resume when `repro --checkpoint/--resume` installed one.

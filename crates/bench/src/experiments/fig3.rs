@@ -8,9 +8,7 @@
 
 use crate::{Report, Scale};
 use rwc_optics::{Modulation, ModulationTable};
-use rwc_telemetry::{
-    analysis::LinkAnalysis, AnalysisMode, FleetConfig, FleetKernel,
-};
+use rwc_telemetry::{analysis::LinkAnalysis, FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::stats::Summary;
 use std::fmt::Write as _;
 
@@ -38,19 +36,12 @@ fn high_quality_fiber(scale: Scale) -> Vec<LinkAnalysis> {
     if scale == Scale::Quick {
         cfg.horizon = rwc_util::time::SimDuration::from_days(120);
     }
-    let gen = super::fleet_generator(cfg);
+    let gen = FleetGenerator::new(cfg);
     let table = ModulationTable::paper_default();
-    match super::analysis_mode() {
-        AnalysisMode::Fused => {
-            let mut kernel = FleetKernel::with_observer(super::observer());
-            (0..gen.n_links())
-                .map(|i| kernel.analyze_generated(&gen, i, &table))
-                .collect()
-        }
-        AnalysisMode::Legacy => (0..gen.n_links())
-            .map(|i| LinkAnalysis::new(&gen.link(i).trace, &table))
-            .collect(),
-    }
+    let mut kernel = FleetKernel::with_observer(super::observer());
+    (0..gen.n_links())
+        .map(|i| kernel.analyze_generated(&gen, i, &table))
+        .collect()
 }
 
 /// Fig. 3a.
@@ -88,7 +79,7 @@ pub fn run_3a(scale: Scale) -> Report {
 pub fn run_3b(scale: Scale) -> Report {
     let mut report =
         Report::new("fig3b", "duration of hypothetical link failures vs capacity (whole WAN)");
-    let gen = super::fleet_generator(scale.fleet());
+    let gen = FleetGenerator::new(scale.fleet());
     let table = ModulationTable::paper_default();
     let acc = super::fleet_sweep(&gen, &table);
     let mut csv = String::from("capacity_gbps,mean_h,p25_h,median_h,p75_h,max_h,episodes\n");

@@ -23,20 +23,15 @@ use crate::{Report, Scale};
 use rwc_harness::{CheckpointConfig, ExecutorConfig, SweepCheckpoint};
 use rwc_obs::{MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::ModulationTable;
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetConfig, FleetGenerator, GenMode};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-static LEGACY_ANALYSIS: AtomicBool = AtomicBool::new(false);
-static BATCH_GEN: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide observability sink for experiment runs, mirroring the
-/// [`set_analysis_mode`] pattern: `repro --obs-json` installs a
-/// [`MetricsObserver`] before dispatching and every experiment routes the
-/// pipelines it builds through [`observer`]. Unset (the default), the
-/// shared [`rwc_obs::noop`] observer is handed out and the hot paths stay
-/// branchless no-ops.
+/// Process-wide observability sink for experiment runs: `repro
+/// --obs-json` installs a [`MetricsObserver`] before dispatching and every
+/// experiment routes the pipelines it builds through [`observer`]. Unset
+/// (the default), the shared [`rwc_obs::noop`] observer is handed out and
+/// the hot paths stay branchless no-ops.
 static OBSERVER: OnceLock<Arc<MetricsObserver>> = OnceLock::new();
 
 /// Installs the process-wide metrics observer. First call wins (the
@@ -66,46 +61,6 @@ pub fn registry() -> Option<&'static rwc_obs::MetricsRegistry> {
 /// is off.
 pub fn metrics() -> Option<MetricsSnapshot> {
     OBSERVER.get().map(|obs| obs.snapshot())
-}
-
-/// Selects the fleet-analysis path for every experiment in this process.
-/// Defaults to the fused kernel; the `repro --legacy-analysis` flag flips
-/// it back to the trace-materialising path for bisection and equivalence
-/// re-checks.
-pub fn set_analysis_mode(mode: AnalysisMode) {
-    LEGACY_ANALYSIS.store(mode == AnalysisMode::Legacy, Ordering::Relaxed);
-}
-
-/// The analysis path experiments should use.
-pub fn analysis_mode() -> AnalysisMode {
-    if LEGACY_ANALYSIS.load(Ordering::Relaxed) {
-        AnalysisMode::Legacy
-    } else {
-        AnalysisMode::Fused
-    }
-}
-
-/// Selects the trace-generation path for every experiment in this
-/// process. Defaults to the serial legacy generator; the `repro
-/// --gen-mode batch` flag switches to the counter-based batch pipeline
-/// (statistically equivalent fleet, different bytes — see DESIGN.md §13).
-pub fn set_gen_mode(mode: GenMode) {
-    BATCH_GEN.store(mode == GenMode::Batch, Ordering::Relaxed);
-}
-
-/// The trace-generation path experiments should use.
-pub fn gen_mode() -> GenMode {
-    if BATCH_GEN.load(Ordering::Relaxed) {
-        GenMode::Batch
-    } else {
-        GenMode::Legacy
-    }
-}
-
-/// The generator every experiment should build from a fleet config:
-/// [`FleetGenerator::new`] with the process-wide [`gen_mode`] applied.
-pub(crate) fn fleet_generator(cfg: FleetConfig) -> FleetGenerator {
-    FleetGenerator::new(cfg).with_gen_mode(gen_mode())
 }
 
 /// Checkpoints are written after this many fresh chunk completions. The
@@ -159,7 +114,6 @@ pub(crate) fn fleet_sweep(gen: &FleetGenerator, table: &ModulationTable) -> Flee
         gen,
         table,
         crate::parallel::default_workers(),
-        analysis_mode(),
         registry(),
         &cfg,
         resume,

@@ -29,54 +29,44 @@ use rwc_harness::{
 };
 use rwc_obs::MetricsRegistry;
 use rwc_optics::ModulationTable;
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetGenerator};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 /// Analyses the whole fleet across `n_threads` workers pulling chunks
-/// from a shared queue, on the fused fast path. The merged result is
-/// identical to a sequential sweep for every thread count.
+/// from a shared queue. Each worker owns one [`FleetKernel`], so a sweep's
+/// steady-state allocations are `n_threads` sample buffers — not a trace
+/// per link. The merged result is identical to a sequential sweep for
+/// every thread count.
+///
+/// [`FleetKernel`]: rwc_telemetry::FleetKernel
 pub fn parallel_fleet_analysis(
     gen: &FleetGenerator,
     table: &ModulationTable,
     n_threads: usize,
 ) -> FleetAccumulator {
-    parallel_fleet_analysis_with(gen, table, n_threads, AnalysisMode::Fused)
+    parallel_fleet_analysis_observed(gen, table, n_threads, None)
 }
 
-/// [`parallel_fleet_analysis`] with an explicit analysis path. Each worker
-/// owns one [`FleetKernel`], so on the fused path a sweep's steady-state
-/// allocations are `n_threads` sample buffers — not a trace per link.
-pub fn parallel_fleet_analysis_with(
-    gen: &FleetGenerator,
-    table: &ModulationTable,
-    n_threads: usize,
-    mode: AnalysisMode,
-) -> FleetAccumulator {
-    parallel_fleet_analysis_observed(gen, table, n_threads, mode, None)
-}
-
-/// [`parallel_fleet_analysis_with`] with observability: each worker owns a
-/// private [`MetricsObserver`] wired into its [`FleetKernel`] (no shared
-/// atomics on the per-sample hot path), and the per-worker snapshots are
-/// absorbed into `registry` once the pool drains. Counter and histogram-
-/// bucket addition commute, so the merged metrics are identical to a
-/// sequential sweep's regardless of thread count or chunk scheduling —
-/// the same contract the accumulator merge already keeps. The legacy
-/// (trace-materialising) path predates the kernel instrumentation and
-/// publishes nothing.
+/// [`parallel_fleet_analysis`] with observability: each chunk runs under a
+/// private [`MetricsObserver`] wired into the worker's kernel (no shared
+/// atomics on the per-sample hot path), and the snapshots are absorbed
+/// into `registry` once the pool drains. Counter and histogram-bucket
+/// addition commute, so the merged metrics are identical to a sequential
+/// sweep's regardless of thread count or chunk scheduling — the same
+/// contract the accumulator merge already keeps.
+///
+/// [`MetricsObserver`]: rwc_obs::MetricsObserver
 pub fn parallel_fleet_analysis_observed(
     gen: &FleetGenerator,
     table: &ModulationTable,
     n_threads: usize,
-    mode: AnalysisMode,
     registry: Option<&MetricsRegistry>,
 ) -> FleetAccumulator {
     match parallel_fleet_analysis_hardened(
         gen,
         table,
         n_threads,
-        mode,
         registry,
         &ExecutorConfig::default(),
         None,
@@ -103,7 +93,6 @@ pub fn parallel_fleet_analysis_hardened(
     gen: &FleetGenerator,
     table: &ModulationTable,
     n_threads: usize,
-    mode: AnalysisMode,
     registry: Option<&MetricsRegistry>,
     cfg: &ExecutorConfig,
     resume: Option<&SweepCheckpoint>,
@@ -113,13 +102,7 @@ pub fn parallel_fleet_analysis_hardened(
         cfg.chaos.as_ref().is_none_or(|p| p.kill_after_chunks.is_none()),
         "kill plans belong to the chaos experiment, not the bench sweep"
     );
-    let spec = SweepSpec {
-        gen,
-        table,
-        mode,
-        n_threads,
-        collect_metrics: registry.is_some(),
-    };
+    let spec = SweepSpec { gen, table, n_threads, collect_metrics: registry.is_some() };
     match rwc_harness::run_fleet_sweep(&spec, cfg, resume)? {
         SweepOutcome::Completed(result) => {
             if let (Some(registry), Some(metrics)) = (registry, &result.metrics) {
@@ -199,7 +182,7 @@ pub fn default_workers() -> usize {
 mod tests {
     use super::*;
     use rwc_obs::{MetricsObserver, Observer};
-    use rwc_telemetry::{FleetConfig, FleetKernel};
+    use rwc_telemetry::{FleetConfig, FleetKernel, LinkAnalysis};
     use rwc_util::time::SimDuration;
     use rwc_util::units::{Db, Gbps};
     use std::sync::Arc;
@@ -253,7 +236,6 @@ mod tests {
                 &gen,
                 &table,
                 threads,
-                AnalysisMode::Fused,
                 Some(&registry),
             );
             assert_eq!(
@@ -270,15 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_legacy_modes_are_byte_identical() {
+    fn parallel_sweep_matches_link_analysis_oracle() {
         let gen = small();
         let table = ModulationTable::paper_default();
-        let fused = parallel_fleet_analysis_with(&gen, &table, 3, AnalysisMode::Fused);
-        let legacy = parallel_fleet_analysis_with(&gen, &table, 3, AnalysisMode::Legacy);
+        let fused = parallel_fleet_analysis(&gen, &table, 3);
+        let mut oracle = FleetAccumulator::new();
+        for link_id in 0..gen.n_links() {
+            oracle.push(&LinkAnalysis::new(&gen.link(link_id).trace, &table));
+        }
         assert_eq!(
             serde_json::to_string(&fused).expect("accumulator serializes"),
-            serde_json::to_string(&legacy).expect("accumulator serializes"),
-            "fused parallel sweep diverged from the legacy path"
+            serde_json::to_string(&oracle).expect("accumulator serializes"),
+            "fused parallel sweep diverged from LinkAnalysis::new"
         );
     }
 
@@ -295,7 +280,6 @@ mod tests {
             &gen,
             &table,
             3,
-            AnalysisMode::Fused,
             Some(&clean_registry),
         );
         let chaotic_registry = MetricsRegistry::new();
@@ -307,7 +291,6 @@ mod tests {
             &gen,
             &table,
             3,
-            AnalysisMode::Fused,
             Some(&chaotic_registry),
             &cfg,
             None,
@@ -333,7 +316,6 @@ mod tests {
             &gen,
             &table,
             2,
-            AnalysisMode::Fused,
             None,
             &cfg,
             None,

@@ -646,7 +646,8 @@ impl ScenarioPerf {
     }
 }
 
-/// Timing + allocation digest of one fleet-analysis arm (fused or legacy).
+/// Timing + allocation digest of one fleet pass (fused sweep or
+/// generation only).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetArmPerf {
     /// Links analysed.
@@ -667,91 +668,30 @@ pub struct FleetArmPerf {
     pub peak_live_bytes: u64,
 }
 
-/// Generation-only stage of the fleet digest: single-threaded trace
-/// synthesis with no analysis attached, serial legacy generator vs the
-/// counter-based batch pipeline (DESIGN.md §13). The tentpole target is
-/// `speedup >= 5`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GenerationPerf {
-    /// Serial Xoshiro generation (the pre-batch path).
-    pub legacy: FleetArmPerf,
-    /// Counter-based blockwise generation.
-    pub batch: FleetArmPerf,
-    /// `legacy.elapsed_secs / batch.elapsed_secs`, single-threaded.
-    pub speedup: f64,
-}
-
-/// The `BENCH_fleet.json` payload: fused vs legacy fleet analysis of the
-/// scale's fleet, plus the byte-identity verdict between the two paths
-/// and the generation-only legacy-vs-batch stage.
+/// The `BENCH_fleet.json` payload: the fused fleet sweep of the scale's
+/// fleet plus the generation-only stage.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetPerf {
     /// Experiment id (always `"fleet"`).
     pub experiment: String,
     /// `"quick"`, `"full"`, or `"fleet_xN"`.
     pub scale: String,
-    /// Worker threads used by both arms.
+    /// Worker threads used by the fused sweep.
     pub n_threads: u64,
-    /// Fused single-pass kernel sweep.
+    /// Fused single-pass kernel sweep (generation + analysis).
     pub fused: FleetArmPerf,
-    /// Legacy trace-materialising sweep.
-    pub legacy: FleetArmPerf,
-    /// `legacy.elapsed_secs / fused.elapsed_secs`.
-    pub speedup: f64,
-    /// `legacy.alloc_bytes / fused.alloc_bytes`.
-    pub alloc_ratio: f64,
-    /// Whether the two accumulators serialized byte-identically.
-    pub accumulators_identical: bool,
-    /// Generation-only stage, legacy vs batch.
-    pub generation: GenerationPerf,
+    /// Generation only: single-threaded trace synthesis with no analysis
+    /// attached (DESIGN.md §13).
+    pub generation: FleetArmPerf,
 }
 
-fn fleet_arm(
-    gen: &rwc_telemetry::FleetGenerator,
-    table: &rwc_optics::ModulationTable,
-    n_threads: usize,
-    mode: rwc_telemetry::AnalysisMode,
-) -> (rwc_telemetry::FleetAccumulator, FleetArmPerf) {
-    let samples_per_link = gen.config().horizon.ticks(gen.config().tick);
+/// Times one pass over `gen`'s fleet under the counting allocator.
+fn measure_arm<T>(gen: &rwc_telemetry::FleetGenerator, pass: impl FnOnce() -> T) -> FleetArmPerf {
     let started = std::time::Instant::now();
-    let (acc, alloc) = crate::alloc::measure(|| {
-        crate::parallel::parallel_fleet_analysis_with(gen, table, n_threads, mode)
-    });
+    let (_, alloc) = crate::alloc::measure(pass);
     let elapsed = started.elapsed().as_secs_f64();
     let links = gen.n_links() as u64;
-    let samples = links * samples_per_link;
-    let perf = FleetArmPerf {
-        links,
-        samples,
-        elapsed_secs: elapsed,
-        links_per_sec: links as f64 / elapsed,
-        samples_per_sec: samples as f64 / elapsed,
-        alloc_bytes: alloc.bytes,
-        alloc_count: alloc.count,
-        peak_live_bytes: alloc.peak_live_bytes,
-    };
-    (acc, perf)
-}
-
-/// One single-threaded generation-only pass over the fleet: every link's
-/// trace synthesised into a reused buffer, no analysis attached. The
-/// generator's own [`rwc_telemetry::GenMode`] decides the path.
-fn generation_arm(gen: &rwc_telemetry::FleetGenerator) -> FleetArmPerf {
-    let samples_per_link = gen.config().horizon.ticks(gen.config().tick);
-    let started = std::time::Instant::now();
-    let (_, alloc) = crate::alloc::measure(|| {
-        let mut scratch = rwc_telemetry::BatchScratch::default();
-        let mut buf: Vec<f64> = Vec::new();
-        let mut sink = 0.0f64;
-        for link in 0..gen.n_links() {
-            gen.generate_link_into(link, &mut scratch, &mut buf);
-            sink += buf[buf.len() - 1];
-        }
-        sink
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let links = gen.n_links() as u64;
-    let samples = links * samples_per_link;
+    let samples = links * gen.config().horizon.ticks(gen.config().tick);
     FleetArmPerf {
         links,
         samples,
@@ -764,42 +704,42 @@ fn generation_arm(gen: &rwc_telemetry::FleetGenerator) -> FleetArmPerf {
     }
 }
 
-/// Runs the generation-only pair (serial legacy vs counter-based batch,
-/// both single-threaded on the same fleet) and assembles the stage.
-pub fn generation_perf(cfg: FleetConfig) -> GenerationPerf {
-    let legacy_gen = rwc_telemetry::FleetGenerator::new(cfg.clone());
-    let batch_gen =
-        rwc_telemetry::FleetGenerator::new(cfg).with_gen_mode(rwc_telemetry::GenMode::Batch);
-    let legacy = generation_arm(&legacy_gen);
-    let batch = generation_arm(&batch_gen);
-    let speedup =
-        if batch.elapsed_secs == 0.0 { 0.0 } else { legacy.elapsed_secs / batch.elapsed_secs };
-    GenerationPerf { legacy, batch, speedup }
+/// The fused sweep: generation + analysis across `n_threads` workers.
+fn fleet_arm(
+    gen: &rwc_telemetry::FleetGenerator,
+    table: &rwc_optics::ModulationTable,
+    n_threads: usize,
+) -> FleetArmPerf {
+    measure_arm(gen, || crate::parallel::parallel_fleet_analysis(gen, table, n_threads))
 }
 
-/// Runs the fused and legacy fleet sweeps back to back (same fleet, same
-/// worker count), plus the generation-only stage, and assembles the
-/// digest.
+/// One single-threaded generation-only pass over the fleet: every link's
+/// trace synthesised into a reused buffer, no analysis attached.
+fn generation_arm(gen: &rwc_telemetry::FleetGenerator) -> FleetArmPerf {
+    measure_arm(gen, || {
+        let mut scratch = rwc_telemetry::BatchScratch::default();
+        let mut buf: Vec<f64> = Vec::new();
+        let mut sink = 0.0f64;
+        for link in 0..gen.n_links() {
+            gen.generate_link_into(link, &mut scratch, &mut buf);
+            sink += buf[buf.len() - 1];
+        }
+        sink
+    })
+}
+
+/// Runs the fused fleet sweep and the generation-only stage on the
+/// scale's fleet and assembles the digest.
 pub fn fleet_perf(scale: Scale) -> FleetPerf {
     let gen = rwc_telemetry::FleetGenerator::new(scale.fleet());
     let table = rwc_optics::ModulationTable::paper_default();
     let n_threads = crate::parallel::default_workers();
-    let (fused_acc, fused) = fleet_arm(&gen, &table, n_threads, rwc_telemetry::AnalysisMode::Fused);
-    let (legacy_acc, legacy) =
-        fleet_arm(&gen, &table, n_threads, rwc_telemetry::AnalysisMode::Legacy);
-    let accumulators_identical = serde_json::to_string(&fused_acc).expect("accumulator serializes")
-        == serde_json::to_string(&legacy_acc).expect("accumulator serializes");
-    let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
     FleetPerf {
         experiment: "fleet".into(),
         scale: scale.label(),
         n_threads: n_threads as u64,
-        speedup: ratio(legacy.elapsed_secs, fused.elapsed_secs),
-        alloc_ratio: ratio(legacy.alloc_bytes as f64, fused.alloc_bytes as f64),
-        fused,
-        legacy,
-        accumulators_identical,
-        generation: generation_perf(scale.fleet()),
+        fused: fleet_arm(&gen, &table, n_threads),
+        generation: generation_arm(&gen),
     }
 }
 
@@ -814,10 +754,9 @@ impl FleetPerf {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
-    /// CI regression gate: errors when fused fleet throughput or batch
+    /// CI regression gate: errors when fused fleet throughput or
     /// generation throughput has fallen below half the committed
-    /// baseline, or the fused path has diverged from legacy. Same 2×
-    /// noise band as the scenario gate.
+    /// baseline. Same 2× noise band as the scenario gate.
     pub fn check_against_baseline(&self, baseline: &FleetPerf) -> Result<(), String> {
         let floor = baseline.fused.links_per_sec / 2.0;
         if self.fused.links_per_sec < floor {
@@ -827,15 +766,12 @@ impl FleetPerf {
                 self.fused.links_per_sec, baseline.fused.links_per_sec
             ));
         }
-        if !self.accumulators_identical {
-            return Err("fused fleet analysis diverged from the legacy path".into());
-        }
-        let gen_floor = baseline.generation.batch.samples_per_sec / 2.0;
-        if self.generation.batch.samples_per_sec < gen_floor {
+        let gen_floor = baseline.generation.samples_per_sec / 2.0;
+        if self.generation.samples_per_sec < gen_floor {
             return Err(format!(
-                "perf regression: batch generation at {:.3e} samples/sec, \
+                "perf regression: generation at {:.3e} samples/sec, \
                  below half the baseline {:.3e}",
-                self.generation.batch.samples_per_sec, baseline.generation.batch.samples_per_sec
+                self.generation.samples_per_sec, baseline.generation.samples_per_sec
             ));
         }
         Ok(())
@@ -958,56 +894,30 @@ mod tests {
         let mut cfg = quick.fleet();
         cfg.n_fibers = 2;
         cfg.horizon = rwc_util::time::SimDuration::from_days(60);
-        let gen = rwc_telemetry::FleetGenerator::new(cfg.clone());
+        let gen = rwc_telemetry::FleetGenerator::new(cfg);
         let table = rwc_optics::ModulationTable::paper_default();
-        let (fused_acc, fused) =
-            fleet_arm(&gen, &table, 2, rwc_telemetry::AnalysisMode::Fused);
-        let (legacy_acc, legacy) =
-            fleet_arm(&gen, &table, 2, rwc_telemetry::AnalysisMode::Legacy);
-        assert_eq!(fused.links, legacy.links);
-        assert_eq!(fused.samples, legacy.samples);
+        let fused = fleet_arm(&gen, &table, 2);
         assert!(fused.links_per_sec > 0.0);
-        assert_eq!(
-            serde_json::to_string(&fused_acc).unwrap(),
-            serde_json::to_string(&legacy_acc).unwrap(),
-            "fused arm diverged from legacy"
-        );
-        // The fused path must allocate far less: no per-link trace clone,
-        // no per-call HDR clone.
-        assert!(
-            fused.alloc_bytes * 2 < legacy.alloc_bytes,
-            "fused {} bytes vs legacy {} bytes",
-            fused.alloc_bytes,
-            legacy.alloc_bytes
-        );
-        let generation = generation_perf(cfg);
-        assert_eq!(generation.legacy.samples, generation.batch.samples);
-        assert!(generation.batch.samples_per_sec > 0.0);
+        let generation = generation_arm(&gen);
+        assert_eq!(generation.samples, fused.samples);
+        assert!(generation.samples_per_sec > 0.0);
         let perf = FleetPerf {
             experiment: "fleet".into(),
             scale: quick.label(),
             n_threads: 2,
-            speedup: legacy.elapsed_secs / fused.elapsed_secs,
-            alloc_ratio: legacy.alloc_bytes as f64 / fused.alloc_bytes as f64,
             fused,
-            legacy,
-            accumulators_identical: true,
             generation,
         };
         let json = perf.to_json();
         let back = FleetPerf::from_json(&json).expect("digest parses back");
         assert_eq!(json, back.to_json(), "digest must round-trip");
         perf.check_against_baseline(&back).expect("self-comparison passes");
-        let mut fast = back.clone();
+        let mut fast = back;
         fast.fused.links_per_sec = perf.fused.links_per_sec * 10.0;
         assert!(perf.check_against_baseline(&fast).is_err());
         let mut gen_fast = perf.clone();
-        gen_fast.generation.batch.samples_per_sec =
-            perf.generation.batch.samples_per_sec * 10.0;
+        gen_fast.generation.samples_per_sec = perf.generation.samples_per_sec * 10.0;
         assert!(perf.check_against_baseline(&gen_fast).is_err());
-        let mut diverged = back;
-        diverged.accumulators_identical = false;
-        assert!(diverged.check_against_baseline(&perf).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! whose payload captures sweep progress at **chunk granularity**: the
-//! fingerprint of the run (fleet size, seed, chunk size, analysis mode),
+//! fingerprint of the run (fleet size, seed, chunk size, pipeline label),
 //! every completed chunk's [`FleetAccumulator`] partial and per-chunk
 //! metrics snapshot, plus the scenario round index and RNG/link cursors
 //! for stream-resumable callers. Because links are generated independently
@@ -65,7 +65,7 @@ pub enum CheckpointError {
         expected: u64,
     },
     /// The checkpoint is valid but belongs to a different run (fingerprint
-    /// disagrees — different fleet, seed, chunk size or analysis mode).
+    /// disagrees — different fleet, seed, chunk size or pipeline label).
     ConfigMismatch(String),
 }
 
@@ -87,6 +87,13 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+/// The [`SweepFingerprint::mode`] of every fleet sweep this build runs:
+/// fused analysis over counter-based generation, the only telemetry
+/// pipeline. Checkpoints written under the retired serial sampler say
+/// `"fused"` or `"legacy"` and fail [`SweepFingerprint::verify`] — resuming
+/// one would merge byte-different traces.
+pub const SWEEP_MODE: &str = "fused+batchgen";
+
 /// Identity of a sweep: a checkpoint may only resume a run whose
 /// fingerprint matches exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,7 +106,7 @@ pub struct SweepFingerprint {
     pub chunk_size: u64,
     /// Master fleet seed.
     pub seed: u64,
-    /// Analysis path label (`"fused"` / `"legacy"`).
+    /// Telemetry pipeline label: [`SWEEP_MODE`] on every fleet sweep.
     pub mode: String,
 }
 
@@ -137,9 +144,8 @@ pub struct SweepCheckpoint {
     /// Scenario TE-round cursor (0 for pure fleet sweeps); carried so the
     /// same envelope serves scenario-driver resume.
     pub round_index: u64,
-    /// RNG stream state for stream-resumable generation (see
-    /// [`rwc_telemetry::SnrCursor`]); fleet sweeps regenerate links from
-    /// `(seed, link_id)` and leave this `None`.
+    /// RNG stream state for stream-resumable callers; fleet sweeps
+    /// regenerate links from `(seed, link_id)` and leave this `None`.
     pub rng_state: Option<[u64; 4]>,
     /// First link id not covered by a completed chunk — the link cursor.
     pub next_link: u64,
@@ -393,9 +399,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn envelope_text() -> String {
+    /// The on-disk text of a sample checkpoint. Tests run on parallel
+    /// threads of one process, so each caller passes its own `tag`: a
+    /// shared path lets one test remove the temp file another is renaming.
+    fn envelope_text(tag: &str) -> String {
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("rwc_cp_envelope_{}.json", std::process::id()));
+        let path = dir.join(format!("rwc_cp_envelope_{tag}_{}.json", std::process::id()));
         write_atomic(&path, &sample_checkpoint()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -404,7 +413,7 @@ mod tests {
 
     #[test]
     fn bit_flip_is_rejected() {
-        let text = envelope_text();
+        let text = envelope_text("bit_flip");
         let mut bytes = text.clone().into_bytes();
         // Flip a bit inside the payload (past the envelope prelude).
         let idx = text.find("payload").unwrap() + 20;
@@ -416,7 +425,7 @@ mod tests {
 
     #[test]
     fn truncation_is_rejected() {
-        let text = envelope_text();
+        let text = envelope_text("truncation");
         for cut in [1, text.len() / 2, text.len() - 1] {
             assert!(load_str(&text[..cut]).is_err(), "truncation at {cut} must not load");
         }
@@ -424,7 +433,7 @@ mod tests {
 
     #[test]
     fn version_bump_is_rejected() {
-        let text = envelope_text();
+        let text = envelope_text("version_bump");
         let bumped = text.replacen(
             &format!("\"version\":{CHECKPOINT_VERSION}"),
             &format!("\"version\":{}", CHECKPOINT_VERSION + 1),
@@ -441,7 +450,7 @@ mod tests {
 
     #[test]
     fn checksum_tamper_is_rejected() {
-        let text = envelope_text();
+        let text = envelope_text("checksum_tamper");
         // Retarget the recorded checksum without touching the payload.
         let tampered = text.replacen("fnv1a64:", "fnv1a64:0", 1);
         assert!(matches!(load_str(&tampered), Err(CheckpointError::Corrupt(_))));

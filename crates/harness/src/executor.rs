@@ -26,13 +26,11 @@
 
 use crate::chaos::ChaosPlan;
 use crate::checkpoint::{
-    self, CheckpointError, ChunkCheckpoint, SweepCheckpoint, SweepFingerprint,
+    self, CheckpointError, ChunkCheckpoint, SweepCheckpoint, SweepFingerprint, SWEEP_MODE,
 };
 use rwc_obs::{Event, MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::ModulationTable;
-use rwc_telemetry::{
-    AnalysisMode, FleetAccumulator, FleetGenerator, FleetKernel, GenMode, LinkAnalysis,
-};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator, FleetKernel};
 use rwc_util::rng::Xoshiro256;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,8 +46,6 @@ pub struct SweepSpec<'a> {
     pub gen: &'a FleetGenerator,
     /// Ladder the links are analysed against.
     pub table: &'a ModulationTable,
-    /// Fused or legacy per-link analysis.
-    pub mode: AnalysisMode,
     /// Worker threads.
     pub n_threads: usize,
     /// Collect per-chunk metrics snapshots (kernel counters/events).
@@ -217,20 +213,6 @@ pub fn chunk_size_for(n_links: usize, n_threads: usize) -> usize {
     n_links.div_ceil(n_threads.max(1) * 4).max(1)
 }
 
-/// The fingerprint's mode string covers both the analysis path and the
-/// generation pipeline: resuming a checkpoint under a different generation
-/// mode would merge byte-different traces, so the pair must match exactly.
-/// Legacy-generation labels keep their pre-batch spelling, so checkpoints
-/// written before `GenMode` existed still resume.
-fn mode_label(mode: AnalysisMode, gen_mode: GenMode) -> &'static str {
-    match (mode, gen_mode) {
-        (AnalysisMode::Fused, GenMode::Legacy) => "fused",
-        (AnalysisMode::Legacy, GenMode::Legacy) => "legacy",
-        (AnalysisMode::Fused, GenMode::Batch) => "fused+batchgen",
-        (AnalysisMode::Legacy, GenMode::Batch) => "legacy+batchgen",
-    }
-}
-
 struct ChunkDone {
     acc: FleetAccumulator,
     metrics: Option<MetricsSnapshot>,
@@ -270,15 +252,7 @@ fn process_chunk(
     let hi = (lo + chunk_size).min(spec.gen.n_links());
     let mut acc = FleetAccumulator::new();
     for link_id in lo..hi {
-        match spec.mode {
-            AnalysisMode::Fused => {
-                acc.push(&kernel.analyze_generated(spec.gen, link_id, spec.table));
-            }
-            AnalysisMode::Legacy => {
-                let link = spec.gen.link(link_id);
-                acc.push(&LinkAnalysis::new(&link.trace, spec.table));
-            }
-        }
+        acc.push(&kernel.analyze_generated(spec.gen, link_id, spec.table));
     }
     ChunkDone { acc, metrics: chunk_obs.map(|o| o.snapshot()) }
 }
@@ -336,7 +310,7 @@ pub fn run_fleet_sweep(
         n_links: n_links as u64,
         chunk_size: chunk_size as u64,
         seed: spec.gen.config().seed,
-        mode: mode_label(spec.mode, spec.gen.gen_mode()).into(),
+        mode: SWEEP_MODE.into(),
     };
     let n_chunks = n_links.div_ceil(chunk_size);
     let mut slots: Vec<Option<ChunkDone>> = (0..n_chunks).map(|_| None).collect();
@@ -564,7 +538,7 @@ mod tests {
         table: &'a ModulationTable,
         threads: usize,
     ) -> SweepSpec<'a> {
-        SweepSpec { gen, table, mode: AnalysisMode::Fused, n_threads: threads, collect_metrics: true }
+        SweepSpec { gen, table, n_threads: threads, collect_metrics: true }
     }
 
     fn completed(outcome: SweepOutcome) -> SweepResult {
@@ -579,7 +553,7 @@ mod tests {
         let gen = tiny_fleet();
         let table = ModulationTable::paper_default();
         let sequential = gen.fleet_analysis(&table);
-        for threads in [1, 3] {
+        for threads in [1, 2, 3, 5] {
             let out = run_fleet_sweep(&spec(&gen, &table, threads), &ExecutorConfig::default(), None)
                 .unwrap();
             let result = completed(out);
@@ -678,47 +652,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_gen_sweep_is_thread_count_invariant() {
-        // Batch generation must be byte-identical across thread counts —
-        // the sweep-level half of the batch identity contract.
-        let gen = tiny_fleet().with_gen_mode(GenMode::Batch);
+    fn resume_rejects_serial_generation_checkpoints() {
+        // A checkpoint written under the retired serial sampler says
+        // "fused" or "legacy"; its chunks carry byte-different traces, so
+        // it must not resume even when fleet, seed and chunking all match.
+        let gen = tiny_fleet();
         let table = ModulationTable::paper_default();
-        let sequential = gen.fleet_analysis(&table);
-        for threads in [1, 2, 5] {
-            let out = run_fleet_sweep(&spec(&gen, &table, threads), &ExecutorConfig::default(), None)
-                .unwrap();
-            let result = completed(out);
-            assert_eq!(
-                serde_json::to_string(&result.accumulator).unwrap(),
-                serde_json::to_string(&sequential).unwrap(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn resume_rejects_cross_gen_mode_checkpoint() {
-        // A checkpoint written under legacy generation must not resume a
-        // batch-generation sweep: the remaining chunks would carry
-        // byte-different traces.
-        let legacy_gen = tiny_fleet();
-        let table = ModulationTable::paper_default();
-        let n_links = legacy_gen.n_links() as u64;
+        let n_links = gen.n_links() as u64;
         let chunk_size = chunk_size_for(n_links as usize, 2) as u64;
-        let cp = SweepCheckpoint::new(SweepFingerprint {
+        let fingerprint = |mode: &str| SweepFingerprint {
             n_links,
             chunk_size,
-            seed: legacy_gen.config().seed,
-            mode: "fused".into(),
-        });
-        // Same fingerprint resumes fine under legacy generation…
-        run_fleet_sweep(&spec(&legacy_gen, &table, 2), &ExecutorConfig::default(), Some(&cp))
-            .expect("legacy-gen resume accepts a legacy fingerprint");
-        // …but is rejected under batch generation.
-        let batch_gen = tiny_fleet().with_gen_mode(GenMode::Batch);
-        match run_fleet_sweep(&spec(&batch_gen, &table, 2), &ExecutorConfig::default(), Some(&cp)) {
-            Err(HarnessError::Checkpoint(CheckpointError::ConfigMismatch(_))) => {}
-            other => panic!("expected ConfigMismatch, got {other:?}"),
+            seed: gen.config().seed,
+            mode: mode.into(),
+        };
+        let cp = SweepCheckpoint::new(fingerprint(SWEEP_MODE));
+        run_fleet_sweep(&spec(&gen, &table, 2), &ExecutorConfig::default(), Some(&cp))
+            .expect("the current label resumes");
+        for mode in ["fused", "legacy"] {
+            let cp = SweepCheckpoint::new(fingerprint(mode));
+            match run_fleet_sweep(&spec(&gen, &table, 2), &ExecutorConfig::default(), Some(&cp)) {
+                Err(HarnessError::Checkpoint(CheckpointError::ConfigMismatch(_))) => {}
+                other => panic!("{mode}: expected ConfigMismatch, got {other:?}"),
+            }
         }
     }
 
@@ -730,7 +686,7 @@ mod tests {
             n_links: 999,
             chunk_size: 3,
             seed: 1,
-            mode: "fused".into(),
+            mode: SWEEP_MODE.into(),
         });
         cp.chunks.clear();
         match run_fleet_sweep(&spec(&gen, &table, 2), &ExecutorConfig::default(), Some(&cp)) {

@@ -30,7 +30,7 @@ pub mod executor;
 pub use chaos::{corrupt_bit_flip, corrupt_truncate, corrupt_version_bump, ChaosPlan};
 pub use checkpoint::{
     CheckpointEpoch, CheckpointError, CheckpointStore, ChunkCheckpoint, StoreLoad,
-    SweepCheckpoint, SweepFingerprint, CHECKPOINT_VERSION,
+    SweepCheckpoint, SweepFingerprint, CHECKPOINT_VERSION, SWEEP_MODE,
 };
 pub use executor::{
     chunk_size_for, run_fleet_sweep, CheckpointConfig, ExecutorConfig, HarnessError, RetryPolicy,

@@ -19,7 +19,7 @@ use rwc_harness::{
 };
 use rwc_obs::MetricsSnapshot;
 use rwc_optics::ModulationTable;
-use rwc_telemetry::{AnalysisMode, FleetConfig, FleetGenerator};
+use rwc_telemetry::{FleetConfig, FleetGenerator};
 use rwc_util::time::SimDuration;
 
 /// Small randomized fleets: enough links for several chunks, short
@@ -41,7 +41,7 @@ fn spec<'a>(
     table: &'a ModulationTable,
     n_threads: usize,
 ) -> SweepSpec<'a> {
-    SweepSpec { gen, table, mode: AnalysisMode::Fused, n_threads, collect_metrics: true }
+    SweepSpec { gen, table, n_threads, collect_metrics: true }
 }
 
 fn tmp_path(tag: &str, seed: u64) -> std::path::PathBuf {

@@ -40,7 +40,7 @@ pub const COUNTERS: &[&str] = &[
     "te.augment.full_rebuilds",
     "te.augment.in_place_patches",
     "te.augment.suffix_rebuilds",
-    // warm-started exact LP (IncrementalExactTe).
+    // warm-started exact LP (`rwc_te::TeSolver`).
     "lp.cold_solves",
     "lp.warm_attempts",
     "lp.warm_hits",

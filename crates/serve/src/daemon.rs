@@ -44,10 +44,10 @@ use crate::shard::{
 };
 use rwc_harness::{
     CheckpointEpoch, CheckpointStore, ChunkCheckpoint, StoreLoad, SweepCheckpoint,
-    SweepFingerprint,
+    SweepFingerprint, SWEEP_MODE,
 };
 use rwc_obs::{Event, MetricsObserver, MetricsSnapshot, Observer};
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetGenerator, FleetKernel, GenMode};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator, FleetKernel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -161,18 +161,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Combined `(analysis mode, generation mode)` checkpoint fingerprint
-/// label. Legacy-generation labels keep their historical spelling so
-/// pre-batch shard checkpoints still resume.
-fn mode_label(mode: AnalysisMode, gen_mode: GenMode) -> &'static str {
-    match (mode, gen_mode) {
-        (AnalysisMode::Fused, GenMode::Legacy) => "fused",
-        (AnalysisMode::Legacy, GenMode::Legacy) => "legacy",
-        (AnalysisMode::Fused, GenMode::Batch) => "fused+batchgen",
-        (AnalysisMode::Legacy, GenMode::Batch) => "legacy+batchgen",
     }
 }
 
@@ -475,13 +463,12 @@ impl Daemon {
         cfg.validate()?;
         let n_links = cfg.n_links();
         let n_shards = cfg.n_shards;
-        let gen =
-            Arc::new(FleetGenerator::new(cfg.fleet.clone()).with_gen_mode(cfg.gen_mode));
+        let gen = Arc::new(FleetGenerator::new(cfg.fleet.clone()));
         let fingerprint = SweepFingerprint {
             n_links: n_links as u64,
             chunk_size: 1,
             seed: cfg.fleet.seed,
-            mode: mode_label(cfg.mode, cfg.gen_mode).into(),
+            mode: SWEEP_MODE.into(),
         };
         let stores = match &cfg.checkpoint {
             None => Vec::new(),

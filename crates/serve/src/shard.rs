@@ -1,6 +1,6 @@
 //! Per-link shard processing: the pure function every shard executes.
 //!
-//! A link's result depends only on `(fleet seed, link id, table, mode)` —
+//! A link's result depends only on `(fleet seed, link id, table)` —
 //! never on which shard processed it, how often it was requeued, or what
 //! ran before it. That purity is the whole determinism story: the daemon
 //! can shed, reroute, restart and resume freely, and the slot-ordered
@@ -12,7 +12,7 @@ use crate::config::ServeConfig;
 use rwc_core::controller::{Controller, Decision};
 use rwc_obs::{MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::Modulation;
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetGenerator, FleetKernel, LinkAnalysis};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator, FleetKernel};
 use rwc_topology::wan::LinkId;
 use rwc_util::time::SimTime;
 use std::sync::Arc;
@@ -49,10 +49,7 @@ pub(crate) fn process_link(
     let obs = Arc::new(MetricsObserver::new());
     kernel.set_observer(obs.clone());
     let table = &cfg.controller.table;
-    let analysis = match cfg.mode {
-        AnalysisMode::Fused => kernel.analyze_generated(gen, link, table),
-        AnalysisMode::Legacy => LinkAnalysis::new(&gen.link(link).trace, table),
-    };
+    let analysis = kernel.analyze_generated(gen, link, table);
     // The run/walk/crawl decision at the link's observed feasibility
     // floor, from the fleet's static 100 G default. `decide` is `&self`
     // over untouched link state, so the outcome is a pure function of the
@@ -95,7 +92,7 @@ pub(crate) fn fresh_controller(cfg: &ServeConfig) -> Controller {
 /// regardless of shard count, interleaving, shedding, panics, or resume
 /// cycles.
 pub fn batch_reference(cfg: &ServeConfig) -> (FleetAccumulator, MetricsSnapshot) {
-    let gen = FleetGenerator::new(cfg.fleet.clone()).with_gen_mode(cfg.gen_mode);
+    let gen = FleetGenerator::new(cfg.fleet.clone());
     let mut kernel = FleetKernel::new();
     let controller = fresh_controller(cfg);
     let mut acc = FleetAccumulator::new();
@@ -121,8 +118,8 @@ mod tests {
             c
         };
         let (acc, metrics) = batch_reference(&cfg);
-        let gen = FleetGenerator::new(cfg.fleet.clone()).with_gen_mode(cfg.gen_mode);
-        let plain = gen.fleet_analysis_with(&cfg.controller.table, cfg.mode);
+        let gen = FleetGenerator::new(cfg.fleet.clone());
+        let plain = gen.fleet_analysis(&cfg.controller.table);
         assert_eq!(
             serde_json::to_string(&acc).unwrap(),
             serde_json::to_string(&plain).unwrap(),
@@ -139,7 +136,7 @@ mod tests {
     #[test]
     fn process_link_is_shard_agnostic() {
         let cfg = ServeConfig::small();
-        let gen = FleetGenerator::new(cfg.fleet.clone()).with_gen_mode(cfg.gen_mode);
+        let gen = FleetGenerator::new(cfg.fleet.clone());
         let ctrl_a = fresh_controller(&cfg);
         let ctrl_b = fresh_controller(&cfg);
         let mut k_a = FleetKernel::new();

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use rwc_serve::{batch_reference, Daemon, ServeConfig, ShedPolicy};
-use rwc_telemetry::{FleetConfig, GenMode};
+use rwc_telemetry::FleetConfig;
 use rwc_util::rng::Xoshiro256;
 use rwc_util::time::SimDuration;
 use std::time::{Duration, Instant};
@@ -55,7 +55,6 @@ proptest! {
         n_shards in 1usize..6,
         queue_capacity in 1usize..9,
         shed_oldest in proptest::bool::ANY,
-        batch_gen in proptest::bool::ANY,
         order_seed in 0u64..1_000_000,
     ) {
         let mut cfg = ServeConfig::for_fleet(fleet);
@@ -63,7 +62,6 @@ proptest! {
         cfg.queue_capacity = queue_capacity;
         cfg.shed_policy =
             if shed_oldest { ShedPolicy::ShedOldest } else { ShedPolicy::RejectNewest };
-        cfg.gen_mode = if batch_gen { GenMode::Batch } else { GenMode::Legacy };
         let (want_acc, want_metrics) = batch_reference(&cfg);
 
         let daemon = Daemon::start(cfg).expect("valid config starts");
@@ -97,15 +95,14 @@ proptest! {
     }
 }
 
-/// Counter-based batch generation through the daemon: the accumulator is
-/// byte-identical across shard counts and to the single-threaded batch
-/// reference — shard placement never perturbs the counter streams.
+/// The accumulator is byte-identical across shard counts and to the
+/// single-threaded batch reference — shard placement never perturbs the
+/// counter streams.
 #[test]
 fn batch_gen_serving_is_shard_count_invariant() {
     let mut cfg = ServeConfig::small();
     cfg.fleet.n_fibers = 2;
     cfg.fleet.wavelengths_per_fiber = 3;
-    cfg.gen_mode = GenMode::Batch;
     let (want_acc, want_metrics) = batch_reference(&cfg);
     for n_shards in [1, 3, 5] {
         let mut c = cfg.clone();

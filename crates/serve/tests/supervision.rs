@@ -7,7 +7,7 @@
 //! shard. Because the per-link attempt counter is global (not per shard),
 //! the failure scripts below are fully deterministic.
 
-use rwc_harness::{chaos, ChaosPlan, RetryPolicy};
+use rwc_harness::{chaos, checkpoint, ChaosPlan, RetryPolicy};
 use rwc_serve::{
     batch_reference, Daemon, ServeCheckpointConfig, ServeConfig, ServeError, ShedPolicy,
 };
@@ -216,34 +216,56 @@ fn corrupt_checkpoints_fall_back_to_previous_epoch() {
 
 #[test]
 fn foreign_fingerprint_rejects_both_epochs_and_starts_fresh() {
-    let dir = tmp_dir("foreign", 15);
-    let mut cfg = tiny_config(15);
-    cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 1 });
-    let daemon = Daemon::start(cfg.clone()).unwrap();
-    drive_to_completion(&daemon);
-    daemon.drain().unwrap();
-    let daemon = Daemon::start(cfg.clone()).unwrap();
-    daemon.drain().unwrap(); // both epochs populated
+    // `None`: same directory, different fleet seed. `Some(label)`: same
+    // fleet, but both epochs relabelled as written under the retired
+    // serial sampler — their partials carry byte-different traces.
+    for (seed, stale_mode) in [(15, None), (17, Some("fused")), (18, Some("legacy"))] {
+        let dir = tmp_dir("foreign", seed);
+        let mut cfg = tiny_config(seed);
+        cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 1 });
+        let daemon = Daemon::start(cfg.clone()).unwrap();
+        drive_to_completion(&daemon);
+        daemon.drain().unwrap();
+        let daemon = Daemon::start(cfg.clone()).unwrap();
+        daemon.drain().unwrap(); // both epochs populated
 
-    // Same directory, different fleet seed: ConfigMismatch on every file.
-    let mut foreign = cfg.clone();
-    foreign.fleet.seed = 999;
-    let daemon = Daemon::start(foreign.clone()).unwrap();
-    assert_eq!(daemon.completed_links(), 0, "nothing restores from a foreign sweep");
-    let metrics = daemon.serve_metrics();
-    assert_eq!(
-        metrics.counters["serve.checkpoints_rejected"],
-        2 * cfg.n_shards as u64,
-        "both epochs of every shard are rejected"
-    );
-    drive_to_completion(&daemon);
-    let report = daemon.drain().unwrap();
-    let (want_acc, _) = batch_reference(&foreign);
-    assert_eq!(
-        serde_json::to_string(&report.accumulator).unwrap(),
-        serde_json::to_string(&want_acc).unwrap()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let mut foreign = cfg.clone();
+        match stale_mode {
+            None => foreign.fleet.seed = 999,
+            Some(label) => {
+                for shard in 0..cfg.n_shards {
+                    for file in [format!("shard-{shard}.ckpt"), format!("shard-{shard}.ckpt.prev")] {
+                        let path = dir.join(file);
+                        let mut cp = checkpoint::load(&path).unwrap();
+                        cp.fingerprint.mode = label.into();
+                        checkpoint::write_atomic(&path, &cp).unwrap();
+                    }
+                }
+            }
+        }
+        // ConfigMismatch on every file.
+        let daemon = Daemon::start(foreign.clone()).unwrap();
+        assert_eq!(
+            daemon.completed_links(),
+            0,
+            "{stale_mode:?}: nothing restores from a foreign sweep"
+        );
+        let metrics = daemon.serve_metrics();
+        assert_eq!(
+            metrics.counters["serve.checkpoints_rejected"],
+            2 * cfg.n_shards as u64,
+            "{stale_mode:?}: both epochs of every shard are rejected"
+        );
+        drive_to_completion(&daemon);
+        let report = daemon.drain().unwrap();
+        let (want_acc, _) = batch_reference(&foreign);
+        assert_eq!(
+            serde_json::to_string(&report.accumulator).unwrap(),
+            serde_json::to_string(&want_acc).unwrap(),
+            "{stale_mode:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -322,17 +322,7 @@ impl LoweredTe<'_> {
 
     /// Translates a dense-backend outcome back to the original problem.
     pub fn extract_dense(&self, outcome: LpOutcome) -> Result<TeSolve, TeError> {
-        self.extract_dense_as(outcome, self.name)
-    }
-
-    /// [`LoweredTe::extract_dense`] with an explicit algorithm name in
-    /// error contexts — for front-ends (the deprecated `ExactTe` shims)
-    /// that report under their own name.
-    pub fn extract_dense_as(
-        &self,
-        outcome: LpOutcome,
-        algorithm: &'static str,
-    ) -> Result<TeSolve, TeError> {
+        let algorithm = self.name;
         let rp = self.routing_problem();
         let k = rp.commodities.len();
         let m = rp.net.n_edges();
@@ -375,20 +365,10 @@ impl LoweredTe<'_> {
     /// Translates a sparse-backend outcome: reorders the edge-major point
     /// into the dense commodity-major layout, then extracts identically.
     pub fn extract_sparse(&self, outcome: LpOutcome) -> Result<TeSolve, TeError> {
-        self.extract_sparse_as(outcome, self.name)
-    }
-
-    /// [`LoweredTe::extract_sparse`] with an explicit algorithm name in
-    /// error contexts.
-    pub fn extract_sparse_as(
-        &self,
-        outcome: LpOutcome,
-        algorithm: &'static str,
-    ) -> Result<TeSolve, TeError> {
         let rp = self.routing_problem();
         let k = rp.commodities.len();
         let m = rp.net.n_edges();
-        self.extract_dense_as(remap_edge_major(outcome, self.scalar_vars(), k, m), algorithm)
+        self.extract_dense(remap_edge_major(outcome, self.scalar_vars(), k, m))
     }
 }
 
@@ -614,8 +594,8 @@ fn push_entry(entries: &mut Vec<(usize, f64)>, row: usize, v: f64) {
     }
 }
 
-/// The deterministic fake-edge tie-break epsilon (see the module docs of
-/// [`crate::exact`] for the full rationale): prefers earlier-appended fake
+/// The deterministic fake-edge tie-break epsilon (see the module docs for
+/// the full rationale): prefers earlier-appended fake
 /// edges among cost-tied optima so translated upgrade/reduction sets are
 /// backend-independent.
 fn fake_tie_break(rp: &TeProblem, ei: usize) -> f64 {
@@ -663,8 +643,7 @@ fn push_flow_col(
     b.push_col(objective, upper, &entries);
 }
 
-/// The original `build_sparse_lp` shape (see [`crate::exact`]'s docs):
-/// edge-major columns, `[conservation][demand][capacity (k>1)]` rows,
+/// The max-throughput sparse shape: edge-major columns, `[conservation][demand][capacity (k>1)]` rows,
 /// single-commodity capacities as column bounds.
 fn sparse_throughput(rp: &TeProblem, weight: f64) -> SparseLp {
     let net = &rp.net;
@@ -1271,24 +1250,5 @@ mod tests {
         let wrong_k =
             TeFormulation::new(TeObjective::MinMlu { traffic_matrices: vec![vec![1.0]] });
         assert!(matches!(wrong_k.lower(&p), Err(TeError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn max_throughput_lowering_matches_legacy_builders() {
-        // The formulation's MaxThroughput shape must be *identical* to the
-        // PR-9 `build_lp`/`build_sparse_lp` output — warm-start keys and
-        // the committed perf baselines depend on it.
-        let mut p = fig7_two_commodities();
-        add_fake(&mut p, 0, true, 50.0, 2.0);
-        let lowered = TeFormulation::default().lower(&p).unwrap();
-        #[allow(deprecated)]
-        {
-            assert_eq!(lowered.dense_lp(), crate::exact::build_lp(&p, 1e6));
-            let a = lowered.sparse_lp();
-            let b = crate::exact::build_sparse_lp(&p, 1e6);
-            assert_eq!(a.objective, b.objective);
-            assert_eq!(a.rhs, b.rhs);
-            assert_eq!(a.upper, b.upper);
-        }
     }
 }

@@ -20,8 +20,6 @@
 //!   each lowered to both LP backends;
 //! - [`solver`]: the unified [`solver::TeSolver`] front-end (builder,
 //!   warm-start policy, watchdog, observer) over the whole zoo;
-//! - [`exact`]: the legacy LP-exact entry points, now deprecated shims
-//!   over [`formulation`]/[`solver`];
 //! - [`demand`]: demand matrices and a gravity-model generator;
 //! - [`problem`]: the topology→flow-network bridge all solvers share;
 //! - [`updates`]: a consistent-update planner for draining links whose
@@ -34,7 +32,6 @@
 pub mod b4;
 pub mod cspf;
 pub mod demand;
-pub mod exact;
 pub mod formulation;
 pub mod metrics;
 pub mod problem;

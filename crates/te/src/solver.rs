@@ -1,9 +1,8 @@
 //! The unified TE solver front-end.
 //!
-//! [`TeSolver::builder()`] replaces the scattered PR-3/PR-9 configuration
-//! dance (`ExactTe.backend` field pokes, the `IncrementalExactTe::with_backend`
-//! / `set_solve_timeout` / `set_observer` call sequences) with one
-//! validating builder:
+//! [`TeSolver::builder()`] collects every knob (objective, backend,
+//! weight, watchdog, warm-start policy, observer) in one validating
+//! builder:
 //!
 //! ```
 //! use rwc_te::solver::{TeSolver, WarmStartPolicy};
@@ -23,8 +22,7 @@
 //!
 //! One `TeSolver` owns both simplex engines (dense tableau + sparse
 //! revised) and the warm-start state that persists across `try_solve`
-//! calls, exactly like the deprecated `IncrementalExactTe` — plus the
-//! whole objective zoo of [`crate::formulation`].
+//! calls, across the whole objective zoo of [`crate::formulation`].
 
 use crate::formulation::{TeFormulation, TeObjective, TeSolve};
 use crate::problem::{TeProblem, TeSolution};
@@ -329,13 +327,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_legacy_exact_te() {
-        let p = fig7_problem(300.0);
-        let new = TeSolver::default().solve(&p);
-        #[allow(deprecated)]
-        let old = crate::exact::ExactTe::default().solve(&p);
-        assert_eq!(new, old, "default TeSolver must reproduce ExactTe exactly");
-        assert!((new.total - 200.0).abs() < 1e-6);
+    fn default_solver_saturates_caps_and_handles_empty() {
+        // A's outgoing capacity is 200 (A-B + A-C): demand above it
+        // saturates at exactly 200, demand below it is fully routed, and
+        // an empty matrix routes nothing.
+        for (volume, want) in [(300.0, 200.0), (30.0, 30.0)] {
+            let p = fig7_problem(volume);
+            let sol = TeSolver::default().solve(&p);
+            sol.validate(&p).unwrap();
+            assert!((sol.total - want).abs() < 1e-6, "volume {volume}: total={}", sol.total);
+        }
+        let empty = TeProblem::from_wan(&builders::fig7_example(), &DemandMatrix::new());
+        assert_eq!(TeSolver::default().solve(&empty).total, 0.0);
     }
 
     #[test]
@@ -409,6 +412,7 @@ mod tests {
         let snap = metrics.snapshot();
         assert!(snap.counters["lp.refactorizations"] >= 1, "{snap:?}");
         assert!(snap.counters.contains_key("lp.eta_updates"), "{snap:?}");
+        assert!(snap.counters.contains_key("lp.pricing_scans"), "{snap:?}");
     }
 
     #[test]

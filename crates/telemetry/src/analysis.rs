@@ -300,7 +300,7 @@ impl FleetAccumulator {
 /// stay out of the serialized form (and the vendored `serde_derive` has no
 /// `#[serde(skip)]`). Serializes exactly the accumulated data fields, so
 /// two accumulators with equal contents — however their caches differ —
-/// produce identical bytes. That is what the fused-vs-legacy byte-identity
+/// produce identical bytes. That is what the kernel-vs-oracle byte-identity
 /// tests compare.
 impl Serialize for FleetAccumulator {
     fn to_content(&self) -> Content {

@@ -112,20 +112,19 @@ mod tests {
     use super::*;
     use crate::process::SnrProcess;
     use crate::events::EventLog;
-    use rwc_util::rng::Xoshiro256;
+    use rwc_util::rng::{CounterRng, Xoshiro256};
     use rwc_util::time::{SimDuration, SimTime};
 
     #[test]
     fn converges_to_stationary_level() {
         let mut f = SnrForecaster::telemetry_default();
         let process = SnrProcess { diurnal_amp_db: 0.0, ..SnrProcess::default() };
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        let trace = process.generate(
+        let trace = process.generate_batch(
             SimTime::EPOCH,
             SimDuration::from_days(30),
             SimDuration::TELEMETRY_TICK,
             &EventLog::new(),
-            &mut rng,
+            &CounterRng::keyed(1, 0, 5),
         );
         for (_, snr) in trace.iter() {
             f.observe(snr);

@@ -16,9 +16,9 @@
 //! - **link-level** events hit a single wavelength (transponder/amplifier
 //!   hardware trouble, aging).
 
-use crate::analysis::{FleetAccumulator, LinkAnalysis};
+use crate::analysis::FleetAccumulator;
 use crate::events::{Event, EventKind, EventLog};
-use crate::kernel::{AnalysisMode, FleetKernel};
+use crate::kernel::FleetKernel;
 use crate::process::{BatchScratch, SnrProcess};
 use crate::trace::SnrTrace;
 use rwc_optics::ModulationTable;
@@ -168,50 +168,10 @@ pub struct LinkTelemetry {
     pub trace: SnrTrace,
 }
 
-/// Which trace-sampling pipeline a fleet sweep uses.
-///
-/// `Legacy` is the original serial path: one `Xoshiro256` stream per link,
-/// advanced one tick at a time. `Batch` is the counter-based pipeline
-/// ([`SnrProcess::generate_batch_into`]): every sample is a pure function
-/// of `(seed, link, tick)`, generated blockwise through the SIMD normal
-/// kernel — ~5× faster single-thread and windowable/parallel by
-/// construction. The two modes are *statistically* equivalent but not
-/// byte-identical (different RNG, different FP association); batch output
-/// is byte-identical to itself across any window/thread/shard split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GenMode {
-    /// Serial per-link `Xoshiro256` stream (the original path).
-    #[default]
-    Legacy,
-    /// Counter-based blockwise pipeline (the fast path).
-    Batch,
-}
-
-impl std::str::FromStr for GenMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "legacy" => Ok(Self::Legacy),
-            "batch" => Ok(Self::Batch),
-            other => Err(format!("unknown gen mode {other:?} (expected legacy|batch)")),
-        }
-    }
-}
-
-impl std::fmt::Display for GenMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Legacy => "legacy",
-            Self::Batch => "batch",
-        })
-    }
-}
-
 /// Deterministic, streaming fleet generator.
 #[derive(Debug, Clone)]
 pub struct FleetGenerator {
     config: FleetConfig,
-    gen_mode: GenMode,
     /// Per-fiber `(baseline, events)` memo: `link_profile` is called once
     /// per wavelength, but the fiber schedule and baseline depend only on
     /// the fiber, so without the cache every cable re-runs its
@@ -230,18 +190,7 @@ impl FleetGenerator {
         assert!((0.0..=1.0).contains(&config.noisy_link_fraction));
         assert!(config.baseline_clamp_db.0 < config.baseline_clamp_db.1);
         let fiber_cache = Arc::new((0..config.n_fibers).map(|_| OnceLock::new()).collect());
-        Self { config, gen_mode: GenMode::default(), fiber_cache }
-    }
-
-    /// Selects the trace-sampling pipeline (builder style).
-    pub fn with_gen_mode(mut self, gen_mode: GenMode) -> Self {
-        self.gen_mode = gen_mode;
-        self
-    }
-
-    /// The trace-sampling pipeline in use.
-    pub fn gen_mode(&self) -> GenMode {
-        self.gen_mode
+        Self { config, fiber_cache }
     }
 
     /// The configuration in use.
@@ -321,26 +270,17 @@ impl FleetGenerator {
             .clamp(cfg.baseline_clamp_db.0 + 0.5, cfg.baseline_clamp_db.1 - 0.5))
     }
 
-    /// The trace-sampling RNG stream of a link — the same stream
-    /// [`link`](Self::link) uses, exposed so the fused kernel can generate
-    /// samples without materialising the link.
-    pub(crate) fn trace_rng(&self, link_id: usize) -> Xoshiro256 {
-        let fiber_id = link_id / self.config.wavelengths_per_fiber;
-        let wavelength_index = link_id % self.config.wavelengths_per_fiber;
-        self.stream(4, fiber_id as u64, wavelength_index as u64)
-    }
-
-    /// The counter-RNG of a link on the batch path. Domain 5 keeps the
-    /// keying disjoint from the Xoshiro stream domains 1–4; within it, the
-    /// batch pipeline derives its own innovation/jump/floor sub-streams.
+    /// The counter-RNG a link's trace is sampled from. Domain 5 keeps the
+    /// keying disjoint from the Xoshiro stream domains 1–3 that derive
+    /// profiles; within it, the sampler derives its own
+    /// innovation/jump/floor sub-streams.
     pub fn batch_rng(&self, link_id: usize) -> CounterRng {
         CounterRng::keyed(self.config.seed, link_id as u64, 5)
     }
 
-    /// Streams link `link_id`'s full trace into `out` (cleared first) on
-    /// the configured [`GenMode`] — the generation half of the fused fleet
-    /// path. `scratch` is only touched by the batch pipeline; pass one
-    /// instance per worker to amortise its buffers across links.
+    /// Streams link `link_id`'s full trace into `out` (cleared first) —
+    /// the generation half of the fused fleet path. Pass one `scratch` per
+    /// worker to amortise its buffers across links.
     pub fn generate_link_into(
         &self,
         link_id: usize,
@@ -349,30 +289,15 @@ impl FleetGenerator {
     ) {
         let cfg = &self.config;
         let profile = self.link_profile(link_id);
-        match self.gen_mode {
-            GenMode::Legacy => {
-                let mut rng = self.trace_rng(link_id);
-                profile.process.generate_into(
-                    SimTime::EPOCH,
-                    cfg.horizon,
-                    cfg.tick,
-                    &profile.events,
-                    &mut rng,
-                    out,
-                );
-            }
-            GenMode::Batch => {
-                profile.process.generate_batch_into(
-                    SimTime::EPOCH,
-                    cfg.horizon,
-                    cfg.tick,
-                    &profile.events,
-                    &self.batch_rng(link_id),
-                    scratch,
-                    out,
-                );
-            }
-        }
+        profile.process.generate_batch_into(
+            SimTime::EPOCH,
+            cfg.horizon,
+            cfg.tick,
+            &profile.events,
+            &self.batch_rng(link_id),
+            scratch,
+            out,
+        );
     }
 
     /// Derives one link's profile — identity, baseline, process parameters
@@ -433,25 +358,18 @@ impl FleetGenerator {
         LinkProfile { link_id, fiber_id, wavelength_index, baseline, process, events }
     }
 
-    /// Materialises one link (deterministic in `link_id`), sampling its
-    /// trace on the configured [`GenMode`].
+    /// Materialises one link (deterministic in `link_id`), trace included.
     pub fn link(&self, link_id: usize) -> LinkTelemetry {
         let cfg = &self.config;
         let LinkProfile { link_id, fiber_id, wavelength_index, baseline, process, events } =
             self.link_profile(link_id);
-        let trace = match self.gen_mode {
-            GenMode::Legacy => {
-                let mut trace_rng = self.trace_rng(link_id);
-                process.generate(SimTime::EPOCH, cfg.horizon, cfg.tick, &events, &mut trace_rng)
-            }
-            GenMode::Batch => process.generate_batch(
-                SimTime::EPOCH,
-                cfg.horizon,
-                cfg.tick,
-                &events,
-                &self.batch_rng(link_id),
-            ),
-        };
+        let trace = process.generate_batch(
+            SimTime::EPOCH,
+            cfg.horizon,
+            cfg.tick,
+            &events,
+            &self.batch_rng(link_id),
+        );
         LinkTelemetry { link_id, fiber_id, wavelength_index, baseline, process, events, trace }
     }
 
@@ -461,36 +379,14 @@ impl FleetGenerator {
         (0..wpf).map(|w| self.link(fiber_id * wpf + w)).collect()
     }
 
-    /// Streams the whole fleet through per-link analysis into a
-    /// [`FleetAccumulator`] on the fused fast path (one reused sample
-    /// buffer, never a materialised trace).
+    /// Streams the whole fleet through the fused kernel into a
+    /// [`FleetAccumulator`] (one reused sample buffer, never a
+    /// materialised trace).
     pub fn fleet_analysis(&self, table: &ModulationTable) -> FleetAccumulator {
-        self.fleet_analysis_with(table, AnalysisMode::Fused)
-    }
-
-    /// [`fleet_analysis`](Self::fleet_analysis) with an explicit analysis
-    /// path — `AnalysisMode::Legacy` re-runs the original per-trace
-    /// pipeline (the `--legacy-analysis` escape hatch). Both modes produce
-    /// byte-identical accumulators.
-    pub fn fleet_analysis_with(
-        &self,
-        table: &ModulationTable,
-        mode: AnalysisMode,
-    ) -> FleetAccumulator {
         let mut acc = FleetAccumulator::new();
-        match mode {
-            AnalysisMode::Fused => {
-                let mut kernel = FleetKernel::new();
-                for link_id in 0..self.n_links() {
-                    acc.push(&kernel.analyze_generated(self, link_id, table));
-                }
-            }
-            AnalysisMode::Legacy => {
-                for link_id in 0..self.n_links() {
-                    let link = self.link(link_id);
-                    acc.push(&LinkAnalysis::new(&link.trace, table));
-                }
-            }
+        let mut kernel = FleetKernel::new();
+        for link_id in 0..self.n_links() {
+            acc.push(&kernel.analyze_generated(self, link_id, table));
         }
         acc
     }
@@ -499,6 +395,7 @@ impl FleetGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::LinkAnalysis;
     use crate::events::EventKind;
 
     fn small_gen() -> FleetGenerator {
@@ -658,79 +555,36 @@ mod tests {
     }
 
     #[test]
-    fn gen_mode_round_trips_and_defaults_to_legacy() {
-        assert_eq!(GenMode::default(), GenMode::Legacy);
-        assert_eq!("legacy".parse::<GenMode>().unwrap(), GenMode::Legacy);
-        assert_eq!("batch".parse::<GenMode>().unwrap(), GenMode::Batch);
-        assert!("fast".parse::<GenMode>().is_err());
-        assert_eq!(GenMode::Batch.to_string(), "batch");
-        assert_eq!(small_gen().gen_mode(), GenMode::Legacy);
-    }
-
-    #[test]
-    fn batch_links_are_deterministic_and_differ_from_legacy_bytes() {
-        let legacy = small_gen();
-        let batch = small_gen().with_gen_mode(GenMode::Batch);
-        let a = batch.link(7);
-        let b = batch.link(7);
-        assert_eq!(a, b);
-        // Identity/profile fields are gen-mode independent…
-        let l = legacy.link(7);
-        assert_eq!((a.fiber_id, a.wavelength_index, a.baseline), (l.fiber_id, l.wavelength_index, l.baseline));
-        assert_eq!(a.events, l.events);
-        assert_eq!(a.process, l.process);
-        // …but the sampled bytes come from a different RNG.
-        assert_ne!(a.trace, l.trace);
-        assert_eq!(a.trace.len(), l.trace.len());
-    }
-
-    #[test]
-    fn generate_link_into_matches_link_trace_on_both_modes() {
-        use crate::process::BatchScratch;
-        for mode in [GenMode::Legacy, GenMode::Batch] {
-            let g = small_gen().with_gen_mode(mode);
-            let mut scratch = BatchScratch::default();
-            let mut buf = Vec::new();
-            for id in [0, 13, 39] {
-                g.generate_link_into(id, &mut scratch, &mut buf);
-                let trace = g.link(id).trace;
-                assert_eq!(buf.len(), trace.len(), "{mode} link {id}");
-                let same = buf
-                    .iter()
-                    .zip(trace.values())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{mode} link {id}: streamed bytes diverged from trace");
-            }
+    fn generate_link_into_matches_link_trace() {
+        let g = small_gen();
+        let mut scratch = BatchScratch::default();
+        let mut buf = Vec::new();
+        for id in [0, 13, 39] {
+            g.generate_link_into(id, &mut scratch, &mut buf);
+            let trace = g.link(id).trace;
+            assert_eq!(buf.len(), trace.len(), "link {id}");
+            let same = buf
+                .iter()
+                .zip(trace.values())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "link {id}: streamed bytes diverged from trace");
         }
     }
 
     #[test]
-    fn fused_batch_analysis_matches_legacy_analysis_of_batch_traces() {
-        // Kernel equivalence holds per gen mode: the fused kernel over
-        // batch-generated samples equals LinkAnalysis::new over the
-        // materialised batch trace.
-        let g = small_gen().with_gen_mode(GenMode::Batch);
+    fn fleet_analysis_matches_link_analysis_of_materialised_traces() {
+        // The fused fleet fold equals LinkAnalysis::new over each
+        // materialised trace, pushed in link order.
+        let g = small_gen();
         let table = ModulationTable::paper_default();
-        let fused = g.fleet_analysis_with(&table, AnalysisMode::Fused);
-        let legacy = g.fleet_analysis_with(&table, AnalysisMode::Legacy);
+        let mut oracle = FleetAccumulator::new();
+        for link_id in 0..g.n_links() {
+            oracle.push(&LinkAnalysis::new(&g.link(link_id).trace, &table));
+        }
         assert_eq!(
-            serde_json::to_string(&fused).unwrap(),
-            serde_json::to_string(&legacy).unwrap(),
-            "fused/legacy analysis diverged on batch-generated traces"
+            serde_json::to_string(&g.fleet_analysis(&table)).unwrap(),
+            serde_json::to_string(&oracle).unwrap(),
+            "fused fleet analysis diverged from the per-trace oracle"
         );
-    }
-
-    #[test]
-    fn batch_fleet_matches_legacy_fleet_statistics() {
-        // The two pipelines must agree on the paper's fleet aggregates.
-        let table = ModulationTable::paper_default();
-        let legacy = small_gen().fleet_analysis(&table);
-        let batch = small_gen().with_gen_mode(GenMode::Batch).fleet_analysis(&table);
-        let l = legacy.fraction_hdr_below(rwc_util::units::Db(2.0));
-        let b = batch.fraction_hdr_below(rwc_util::units::Db(2.0));
-        assert!((l - b).abs() < 0.1, "hdr fractions: legacy {l} batch {b}");
-        let l = legacy.fraction_feasible_at_least(rwc_util::units::Gbps(100.0));
-        let b = batch.fraction_feasible_at_least(rwc_util::units::Gbps(100.0));
-        assert!((l - b).abs() < 0.1, "feasible fractions: legacy {l} batch {b}");
     }
 }

@@ -7,9 +7,9 @@
 //! links. [`FleetKernel`] computes the identical result in **one data pass
 //! plus one O(n) sort**:
 //!
-//! - samples stream straight from [`SnrProcess::generate_into`] into a
-//!   buffer the kernel reuses across links — no per-link [`SnrTrace`], no
-//!   per-call `to_vec()`;
+//! - samples stream straight from
+//!   [`FleetGenerator::generate_link_into`] into a buffer the kernel reuses
+//!   across links — no per-link [`SnrTrace`], no per-call `to_vec()`;
 //! - mean/min/max/range fold into the generation-order scan;
 //! - failure episodes for **all** rungs come out of that same scan: the
 //!   threshold ladder is strictly ascending, so the rungs a sample fails
@@ -22,20 +22,17 @@
 //!   order, so two `select_nth` partitions plus tail sorts replace the
 //!   full sort of a fresh clone — still exact, never a full O(n log n).
 //!
-//! Every arithmetic step reproduces the legacy operation order (same
-//! left-fold sums, same `f64::min`/`max` folds, same strict `<` threshold
-//! test, same sorted sequence feeding the HDI), so fused output is
-//! **bit-identical** to [`LinkAnalysis::new`] — pinned by tests here and
-//! by the byte-identity proptests in `tests/kernel_equivalence.rs`.
-//!
-//! [`AnalysisMode`] is the escape hatch: every fleet-path caller threads
-//! it through so `--legacy-analysis` can re-run any experiment on the
-//! original per-trace path.
+//! Every arithmetic step reproduces [`LinkAnalysis::new`]'s operation
+//! order (same left-fold sums, same `f64::min`/`max` folds, same strict
+//! `<` threshold test, same sorted sequence feeding the HDI), so fused
+//! output is **bit-identical** to it. `LinkAnalysis::new` stays as the
+//! test oracle — pinned by tests here and by the byte-identity proptests
+//! in `tests/kernel_equivalence.rs` — but no fleet path calls it.
 
 use crate::analysis::{FailureEpisode, LinkAnalysis, STATIC_CAPACITY};
 use crate::generator::FleetGenerator;
 use crate::hdr::{Hdr, PAPER_COVERAGE};
-use crate::process::{BatchScratch, SnrProcess};
+use crate::process::BatchScratch;
 use crate::trace::SnrTrace;
 use rwc_obs::{Event as ObsEvent, Observer};
 use rwc_optics::{Modulation, ModulationTable};
@@ -43,21 +40,6 @@ use rwc_util::stats::hdi_of_unsorted;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::{Db, Gbps};
 use std::sync::Arc;
-
-/// Which per-link analysis path a fleet sweep uses.
-///
-/// `Fused` is the default everywhere; `Legacy` re-runs the original
-/// trace-materialising path (`FleetGenerator::link` + `LinkAnalysis::new`)
-/// and exists so regressions can be bisected and equivalence re-checked at
-/// any time (`repro --legacy-analysis`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalysisMode {
-    /// Single-pass kernel over streamed samples (the fast path).
-    #[default]
-    Fused,
-    /// Materialise an [`SnrTrace`] per link and run [`LinkAnalysis::new`].
-    Legacy,
-}
 
 /// Reusable scratch state for fused per-link analysis.
 ///
@@ -74,8 +56,8 @@ pub struct FleetKernel {
     thresholds: Vec<f64>,
     /// Per-rung open episode: `(start index, running floor)`.
     open: Vec<Option<(usize, f64)>>,
-    /// Batch-pipeline scratch (innovation block, event segments), reused
-    /// across links when the generator runs in `GenMode::Batch`.
+    /// Generation scratch (innovation block, event segments), reused
+    /// across links.
     batch_scratch: BatchScratch,
     /// Observability hooks (episode events, fleet counters).
     obs: Arc<dyn Observer>,
@@ -119,8 +101,7 @@ impl FleetKernel {
     /// Fused analysis of link `link_id`: streams the link's samples from
     /// the generator into the kernel's buffer and analyses them in place.
     /// Produces exactly what `LinkAnalysis::new(&gen.link(id).trace, table)`
-    /// produces, without materialising the link. Generation runs on the
-    /// generator's configured [`GenMode`](crate::generator::GenMode).
+    /// produces, without materialising the link.
     pub fn analyze_generated(
         &mut self,
         gen: &FleetGenerator,
@@ -140,27 +121,6 @@ impl FleetKernel {
     /// [`LinkAnalysis::new`] when the caller needs the trace anyway).
     pub fn analyze_trace(&mut self, trace: &SnrTrace, table: &ModulationTable) -> LinkAnalysis {
         self.analyze(trace.start(), trace.tick(), trace.values(), table)
-    }
-
-    /// Fused analysis of a raw sample buffer generated by `process` under
-    /// `events` — the streaming entry point for callers that drive
-    /// [`SnrProcess::generate_into`] themselves.
-    #[allow(clippy::too_many_arguments)] // mirrors `generate_into`'s parameter list
-    pub fn analyze_process(
-        &mut self,
-        process: &SnrProcess,
-        events: &crate::events::EventLog,
-        start: SimTime,
-        horizon: SimDuration,
-        tick: SimDuration,
-        rng: &mut rwc_util::rng::Xoshiro256,
-        table: &ModulationTable,
-    ) -> LinkAnalysis {
-        let mut samples = std::mem::take(&mut self.samples);
-        process.generate_into(start, horizon, tick, events, rng, &mut samples);
-        let analysis = self.analyze(start, tick, &samples, table);
-        self.samples = samples;
-        analysis
     }
 
     /// The fused pass itself. `values` is borrowed so the caller can hand
@@ -271,8 +231,8 @@ impl FleetKernel {
         }
 
         // One O(n) selection feeds the HDR: only the two tails the window
-        // scan reads get sorted, and they carry the same values as the
-        // legacy full comparison sort (traces are finite and positive, so
+        // scan reads get sorted, and they carry the same values as a
+        // full comparison sort (traces are finite and positive, so
         // comparison order and IEEE total order agree).
         self.sorted.clear();
         self.sorted.extend_from_slice(values);
@@ -300,7 +260,6 @@ impl FleetKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{Event, EventKind, EventLog};
     use crate::generator::FleetConfig;
 
     fn trace(samples: Vec<f64>) -> SnrTrace {
@@ -396,36 +355,6 @@ mod tests {
         let clean = trace(vec![13.0; 60]);
         let fused = kernel.analyze_trace(&clean, &table);
         let legacy = LinkAnalysis::new(&clean, &table);
-        assert_eq!(
-            serde_json::to_string(&fused).unwrap(),
-            serde_json::to_string(&legacy).unwrap()
-        );
-    }
-
-    #[test]
-    fn analyze_process_streams_without_a_trace() {
-        let mut events = EventLog::new();
-        events.push(Event {
-            kind: EventKind::LossOfLight,
-            start: SimTime::EPOCH + SimDuration::from_days(1),
-            duration: SimDuration::from_hours(5),
-        });
-        let p = SnrProcess::default();
-        let table = ModulationTable::paper_default();
-        let horizon = SimDuration::from_days(5);
-        let mut rng = rwc_util::rng::Xoshiro256::seed_from_u64(9);
-        let fused = FleetKernel::new().analyze_process(
-            &p,
-            &events,
-            SimTime::EPOCH,
-            horizon,
-            SimDuration::TELEMETRY_TICK,
-            &mut rng,
-            &table,
-        );
-        let mut rng = rwc_util::rng::Xoshiro256::seed_from_u64(9);
-        let t = p.generate(SimTime::EPOCH, horizon, SimDuration::TELEMETRY_TICK, &events, &mut rng);
-        let legacy = LinkAnalysis::new(&t, &table);
         assert_eq!(
             serde_json::to_string(&fused).unwrap(),
             serde_json::to_string(&legacy).unwrap()

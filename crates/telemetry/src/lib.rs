@@ -36,7 +36,7 @@ pub mod process;
 pub mod trace;
 
 pub use analysis::{FleetAccumulator, LinkAnalysis};
-pub use generator::{FleetConfig, FleetGenerator, GenMode, LinkProfile, LinkTelemetry};
-pub use kernel::{AnalysisMode, FleetKernel};
-pub use process::{BatchCursor, BatchScratch, SnrCursor, SnrProcess};
+pub use generator::{FleetConfig, FleetGenerator, LinkProfile, LinkTelemetry};
+pub use kernel::FleetKernel;
+pub use process::{BatchCursor, BatchScratch, SnrProcess};
 pub use trace::SnrTrace;

@@ -16,9 +16,9 @@
 
 use crate::events::EventLog;
 use crate::trace::SnrTrace;
-use rwc_util::rng::{CounterRng, Xoshiro256};
+use rwc_util::rng::CounterRng;
 use rwc_util::simd::fill_normal_pairs;
-use rwc_util::time::{SimDuration, SimTime, Ticks};
+use rwc_util::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one link's SNR process.
@@ -52,152 +52,6 @@ impl Default for SnrProcess {
     }
 }
 
-/// A resumable position in one link's SNR stream: the OU state plus the
-/// active-set event sweep. Together with the RNG state
-/// ([`rwc_util::rng::Xoshiro256::state`]) this is everything a checkpoint
-/// needs to continue generation mid-trace — windows generated through a
-/// cursor are bit-identical to one-shot generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SnrCursor {
-    /// Current OU micro-noise value, dB.
-    ou: f64,
-    /// Time of the next sample to generate.
-    t: SimTime,
-    /// First event in the schedule whose start is still in the future.
-    upcoming: usize,
-    /// Indices of currently active events, in log order.
-    active: Vec<usize>,
-}
-
-impl SnrCursor {
-    /// Time of the next sample this cursor will generate.
-    pub fn next_sample_at(&self) -> SimTime {
-        self.t
-    }
-}
-
-impl SnrProcess {
-    /// Generates a trace of `[start, start + horizon)` at the given tick,
-    /// applying the event schedule.
-    pub fn generate(
-        &self,
-        start: SimTime,
-        horizon: SimDuration,
-        tick: SimDuration,
-        events: &EventLog,
-        rng: &mut Xoshiro256,
-    ) -> SnrTrace {
-        let mut samples = Vec::new();
-        self.generate_into(start, horizon, tick, events, rng, &mut samples);
-        SnrTrace::new(start, tick, samples)
-    }
-
-    /// Streams the same series as [`generate`](Self::generate) into a
-    /// caller-owned buffer (cleared first) — the fleet fast path, which
-    /// analyses links without materialising an [`SnrTrace`] per link and
-    /// reuses one allocation across the whole sweep.
-    ///
-    /// Events are applied with an **active-set sweep** instead of scanning
-    /// the full schedule at every tick: the log is ordered by start, so a
-    /// cursor admits events as time reaches them and drops them when they
-    /// end. Inactive events contribute an exact `0.0` to the offset sum, so
-    /// skipping them leaves every sample *bit-identical* to the full scan
-    /// (adding `0.0` never changes an f64 total that cannot be `-0.0`, and
-    /// active events keep their log order).
-    pub fn generate_into(
-        &self,
-        start: SimTime,
-        horizon: SimDuration,
-        tick: SimDuration,
-        events: &EventLog,
-        rng: &mut Xoshiro256,
-        out: &mut Vec<f64>,
-    ) {
-        let n = horizon.ticks(tick);
-        assert!(n > 0, "horizon shorter than one tick");
-        out.clear();
-        out.reserve(n as usize);
-        let mut cursor = self.start_cursor(start, rng);
-        self.generate_window(&mut cursor, n, tick, events, rng, out);
-    }
-
-    /// Opens a resumable cursor at `start`, drawing the stationary OU init
-    /// from `rng`. Feed it to [`generate_window`](Self::generate_window).
-    pub fn start_cursor(&self, start: SimTime, rng: &mut Xoshiro256) -> SnrCursor {
-        SnrCursor {
-            ou: self.ou_sigma_db * rng.standard_normal(), // stationary init
-            t: start,
-            upcoming: 0,
-            active: Vec::new(),
-        }
-    }
-
-    /// Generates the next `n` ticks of the stream, **appending** to `out`
-    /// and advancing the cursor. Splitting a horizon into windows — with
-    /// the RNG state checkpointed between them via
-    /// [`Xoshiro256::state`](rwc_util::rng::Xoshiro256::state) — produces
-    /// the same bytes as one [`generate_into`](Self::generate_into) call:
-    /// the loop body is shared, only the iteration bounds differ.
-    pub fn generate_window(
-        &self,
-        cursor: &mut SnrCursor,
-        n: u64,
-        tick: SimDuration,
-        events: &EventLog,
-        rng: &mut Xoshiro256,
-        out: &mut Vec<f64>,
-    ) {
-        assert!(self.ou_sigma_db >= 0.0, "sigma must be non-negative");
-        assert!(self.ou_relaxation > SimDuration::ZERO, "relaxation must be positive");
-
-        // Exact OU update: x' = x·ρ + σ·sqrt(1−ρ²)·ξ with ρ = exp(−Δt/τ).
-        let rho = (-(tick.as_secs_f64() / self.ou_relaxation.as_secs_f64())).exp();
-        let innovation = self.ou_sigma_db * (1.0 - rho * rho).sqrt();
-        let mut ou = cursor.ou;
-
-        let day = SimDuration::from_days(1).as_secs_f64();
-        let schedule = events.events();
-        let mut upcoming = cursor.upcoming; // first event still in the future
-        let mut active = std::mem::take(&mut cursor.active); // log order
-        let end = cursor.t + tick * n;
-        for t in Ticks::new(cursor.t, end, tick) {
-            while upcoming < schedule.len() && schedule[upcoming].start <= t {
-                active.push(upcoming); // increasing index ⇒ log order preserved
-                upcoming += 1;
-            }
-            active.retain(|&i| schedule[i].end() > t);
-            let mut offset = Some(0.0);
-            for &i in &active {
-                offset = match (offset, schedule[i].snr_effect_at(t)) {
-                    (Some(total), Some(o)) => Some(total + o),
-                    _ => None, // an active loss-of-light blanks the sample
-                };
-                if offset.is_none() {
-                    break;
-                }
-            }
-            let phase = std::f64::consts::TAU * (t.since_epoch().as_secs_f64() / day)
-                + self.diurnal_phase;
-            let diurnal = self.diurnal_amp_db * phase.sin();
-            let sample = match offset {
-                None => {
-                    // Loss of light: a jittered noise-floor reading.
-                    (self.noise_floor_db + 0.05 * rng.standard_normal()).max(0.01)
-                }
-                Some(offset) => {
-                    (self.baseline_db + ou + diurnal + offset).max(0.01)
-                }
-            };
-            out.push(sample);
-            ou = ou * rho + innovation * rng.standard_normal();
-        }
-        cursor.ou = ou;
-        cursor.t = end;
-        cursor.upcoming = upcoming;
-        cursor.active = active;
-    }
-}
-
 /// Ticks per OU block in the batch pipeline. Block boundaries are chained
 /// with the closed-form `ρ^B` jump (`S_{b+1} = ρ_B·S_b + σ√(1−ρ_B²)·z`), so
 /// the OU state at any boundary costs `O(tick / BATCH_BLOCK)` instead of
@@ -223,14 +77,12 @@ const DOM_INNOV: u64 = 0;
 const DOM_JUMP: u64 = 1;
 const DOM_FLOOR: u64 = 2;
 
-/// A resumable position in a link's **batch** SNR stream.
+/// A resumable position in a link's SNR stream.
 ///
-/// Unlike [`SnrCursor`], which must carry the serial OU value and the
-/// active-event sweep, a batch cursor is *just a tick index*: every sample
-/// of the batch pipeline is a pure function of `(process, events, rng,
-/// absolute tick)`, so resuming needs no generator state at all. Windows
-/// generated through a cursor are bit-identical to one-shot batch
-/// generation regardless of how the horizon is split.
+/// A cursor is *just a tick index*: every sample is a pure function of
+/// `(process, events, rng, absolute tick)`, so resuming needs no generator
+/// state at all. Windows generated through a cursor are bit-identical to
+/// one-shot generation regardless of how the horizon is split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchCursor {
     /// Absolute index (from the trace origin) of the next tick to generate.
@@ -265,8 +117,9 @@ pub struct BatchScratch {
 }
 
 impl SnrProcess {
-    /// Batch analogue of [`generate`](Self::generate): same trace layout,
-    /// driven by a counter-based RNG instead of a serial stream.
+    /// Generates a trace of `[start, start + horizon)` at the given tick,
+    /// applying the event schedule. Every sample is drawn from the
+    /// counter-based `rng`, indexed by absolute tick.
     pub fn generate_batch(
         &self,
         start: SimTime,
@@ -281,8 +134,10 @@ impl SnrProcess {
         SnrTrace::new(start, tick, samples)
     }
 
-    /// Batch analogue of [`generate_into`](Self::generate_into): clears
-    /// `out` and fills it with the whole horizon in one shot.
+    /// Streams the same series as [`generate_batch`](Self::generate_batch)
+    /// into a caller-owned buffer (cleared first) — the fleet path, which
+    /// analyses links without materialising an [`SnrTrace`] per link and
+    /// reuses one allocation across the whole sweep.
     #[allow(clippy::too_many_arguments)]
     pub fn generate_batch_into(
         &self,
@@ -341,7 +196,7 @@ impl SnrProcess {
         let base = out.len();
         out.reserve(n as usize);
 
-        // Same OU discretisation as the legacy path.
+        // Exact OU update: x' = x·ρ + σ·sqrt(1−ρ²)·ξ with ρ = exp(−Δt/τ).
         let rho = (-(tick.as_secs_f64() / self.ou_relaxation.as_secs_f64())).exp();
         let innovation = self.ou_sigma_db * (1.0 - rho * rho).sqrt();
         let rho_block = rho.powi(BATCH_BLOCK as i32);
@@ -423,7 +278,7 @@ impl SnrProcess {
         // segments tiling [t0, t_end), then patch each run in one pass.
         // Segment boundaries are the event start/end ticks, so the offset
         // (evaluated at the run's first tick, summing `snr_effect_at` in log
-        // order exactly like the legacy sweep) is constant over the run.
+        // order) is constant over the run.
         let floor_rng = rng.derive(DOM_FLOOR);
         let bounds = &mut scratch.bounds;
         bounds.clear();
@@ -486,251 +341,6 @@ impl SnrProcess {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::events::{Event, EventKind};
-    use rwc_util::stats::Summary;
-
-    fn quiet_process() -> SnrProcess {
-        SnrProcess { diurnal_amp_db: 0.0, ..SnrProcess::default() }
-    }
-
-    fn telemetry_trace(
-        process: &SnrProcess,
-        events: &EventLog,
-        days: u64,
-        seed: u64,
-    ) -> SnrTrace {
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        process.generate(
-            SimTime::EPOCH,
-            SimDuration::from_days(days),
-            SimDuration::TELEMETRY_TICK,
-            events,
-            &mut rng,
-        )
-    }
-
-    #[test]
-    fn stationary_mean_and_sd() {
-        let p = quiet_process();
-        let trace = telemetry_trace(&p, &EventLog::new(), 365, 1);
-        let s = Summary::of(trace.values());
-        assert!((s.mean - p.baseline_db).abs() < 0.1, "{s}");
-        assert!((s.std_dev - p.ou_sigma_db).abs() < 0.12, "{s}");
-    }
-
-    #[test]
-    fn healthy_link_hdr_is_narrow() {
-        // The paper: 83% of links keep 95% of samples within < 2 dB.
-        // A healthy (event-free) link with default noise must satisfy that.
-        let trace = telemetry_trace(&SnrProcess::default(), &EventLog::new(), 365, 2);
-        let hdr = crate::hdr::Hdr::paper(&trace);
-        assert!(hdr.width().value() < 2.0, "hdr width = {}", hdr.width());
-    }
-
-    #[test]
-    fn generate_into_matches_generate_bitwise() {
-        // The streaming path must be the same function as the trace path,
-        // sample for sample, including around event boundaries.
-        let mut events = EventLog::new();
-        events.push(Event {
-            kind: EventKind::Dip { depth_db: 4.0 },
-            start: SimTime::EPOCH + SimDuration::from_hours(5),
-            duration: SimDuration::from_hours(9),
-        });
-        events.push(Event {
-            kind: EventKind::LossOfLight,
-            start: SimTime::EPOCH + SimDuration::from_days(2),
-            duration: SimDuration::from_hours(3),
-        });
-        events.push(Event {
-            kind: EventKind::Step { delta_db: 1.0 },
-            start: SimTime::EPOCH + SimDuration::from_hours(7),
-            duration: SimDuration::from_days(4),
-        });
-        let p = SnrProcess::default();
-        let trace = telemetry_trace(&p, &events, 7, 11);
-        let mut rng = Xoshiro256::seed_from_u64(11);
-        let mut streamed = vec![0.0; 3]; // dirty buffer must be cleared
-        p.generate_into(
-            SimTime::EPOCH,
-            SimDuration::from_days(7),
-            SimDuration::TELEMETRY_TICK,
-            &events,
-            &mut rng,
-            &mut streamed,
-        );
-        assert_eq!(streamed.len(), trace.len());
-        let same = streamed
-            .iter()
-            .zip(trace.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "streamed generation diverged from trace generation");
-    }
-
-    #[test]
-    fn windowed_generation_matches_one_shot_bitwise() {
-        // Chop the horizon into uneven windows, round-tripping both the
-        // cursor and the RNG state through serialization between windows —
-        // exactly what a checkpoint/resume cycle does — and demand the
-        // concatenation equals the one-shot stream bit for bit.
-        let mut events = EventLog::new();
-        events.push(Event {
-            kind: EventKind::Dip { depth_db: 4.0 },
-            start: SimTime::EPOCH + SimDuration::from_hours(5),
-            duration: SimDuration::from_hours(9),
-        });
-        events.push(Event {
-            kind: EventKind::LossOfLight,
-            start: SimTime::EPOCH + SimDuration::from_days(2),
-            duration: SimDuration::from_hours(3),
-        });
-        let p = SnrProcess::default();
-        let trace = telemetry_trace(&p, &events, 7, 13);
-        let n = trace.len() as u64;
-
-        let mut rng = Xoshiro256::seed_from_u64(13);
-        let mut cursor = p.start_cursor(SimTime::EPOCH, &mut rng);
-        let mut streamed = Vec::new();
-        let mut left = n;
-        for window in [1u64, 96, 7, 200, u64::MAX] {
-            let take = window.min(left);
-            // Simulate a kill/resume between windows.
-            let json = serde_json::to_string(&cursor).unwrap();
-            cursor = serde_json::from_str(&json).expect("cursor round trip");
-            rng = Xoshiro256::from_state(rng.state());
-            p.generate_window(
-                &mut cursor,
-                take,
-                SimDuration::TELEMETRY_TICK,
-                &events,
-                &mut rng,
-                &mut streamed,
-            );
-            left -= take;
-            if left == 0 {
-                break;
-            }
-        }
-        assert_eq!(streamed.len(), trace.len());
-        let same = streamed
-            .iter()
-            .zip(trace.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "windowed generation diverged from one-shot generation");
-    }
-
-    #[test]
-    fn loss_of_light_reads_noise_floor() {
-        let mut events = EventLog::new();
-        events.push(Event {
-            kind: EventKind::LossOfLight,
-            start: SimTime::EPOCH + SimDuration::from_days(1),
-            duration: SimDuration::from_hours(6),
-        });
-        let trace = telemetry_trace(&quiet_process(), &events, 3, 3);
-        // Samples within the outage window must sit near the floor.
-        let day1 = SimDuration::from_days(1).ticks(SimDuration::TELEMETRY_TICK) as usize;
-        let six_h = SimDuration::from_hours(6).ticks(SimDuration::TELEMETRY_TICK) as usize;
-        for i in day1..day1 + six_h {
-            assert!(trace.values()[i] < 1.0, "sample {i} = {}", trace.values()[i]);
-        }
-        // And the neighbours must be healthy.
-        assert!(trace.values()[day1 - 1] > 10.0);
-        assert!(trace.values()[day1 + six_h + 1] > 10.0);
-    }
-
-    #[test]
-    fn dip_depth_is_respected() {
-        let mut events = EventLog::new();
-        events.push(Event {
-            kind: EventKind::Dip { depth_db: 5.0 },
-            start: SimTime::EPOCH + SimDuration::from_hours(10),
-            duration: SimDuration::from_hours(5),
-        });
-        let p = quiet_process();
-        let trace = telemetry_trace(&p, &events, 1, 4);
-        let idx = SimDuration::from_hours(12).ticks(SimDuration::TELEMETRY_TICK) as usize;
-        let dipped = trace.values()[idx];
-        assert!((dipped - (p.baseline_db - 5.0)).abs() < 2.0, "dipped={dipped}");
-    }
-
-    #[test]
-    fn diurnal_ripple_visible_in_spectrum() {
-        // With a large diurnal amplitude and tiny noise, samples 12 h apart
-        // should anti-correlate.
-        let p = SnrProcess {
-            diurnal_amp_db: 1.0,
-            ou_sigma_db: 0.01,
-            ..SnrProcess::default()
-        };
-        let trace = telemetry_trace(&p, &EventLog::new(), 30, 5);
-        let half_day = SimDuration::from_hours(12).ticks(SimDuration::TELEMETRY_TICK) as usize;
-        let vals = trace.values();
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let mut cov = 0.0;
-        let mut var = 0.0;
-        for i in 0..vals.len() - half_day {
-            cov += (vals[i] - mean) * (vals[i + half_day] - mean);
-            var += (vals[i] - mean).powi(2);
-        }
-        assert!(cov / var < -0.8, "correlation = {}", cov / var);
-    }
-
-    #[test]
-    fn snr_never_negative() {
-        let mut events = EventLog::new();
-        events.push(Event {
-            kind: EventKind::Dip { depth_db: 50.0 },
-            start: SimTime::EPOCH,
-            duration: SimDuration::from_days(1),
-        });
-        let trace = telemetry_trace(&quiet_process(), &events, 1, 6);
-        assert!(trace.values().iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let p = SnrProcess::default();
-        let a = telemetry_trace(&p, &EventLog::new(), 10, 7);
-        let b = telemetry_trace(&p, &EventLog::new(), 10, 7);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ou_relaxation_controls_correlation() {
-        // Long relaxation → neighbouring samples highly correlated; short →
-        // nearly independent.
-        let correlated = SnrProcess {
-            ou_relaxation: SimDuration::from_hours(24),
-            diurnal_amp_db: 0.0,
-            ..SnrProcess::default()
-        };
-        let uncorrelated = SnrProcess {
-            ou_relaxation: SimDuration::from_minutes(1),
-            diurnal_amp_db: 0.0,
-            ..SnrProcess::default()
-        };
-        let lag1 = |trace: &SnrTrace| {
-            let v = trace.values();
-            let mean = v.iter().sum::<f64>() / v.len() as f64;
-            let mut cov = 0.0;
-            let mut var = 0.0;
-            for i in 0..v.len() - 1 {
-                cov += (v[i] - mean) * (v[i + 1] - mean);
-                var += (v[i] - mean).powi(2);
-            }
-            cov / var
-        };
-        let c = lag1(&telemetry_trace(&correlated, &EventLog::new(), 60, 8));
-        let u = lag1(&telemetry_trace(&uncorrelated, &EventLog::new(), 60, 9));
-        assert!(c > 0.8, "correlated lag-1 = {c}");
-        assert!(u.abs() < 0.1, "uncorrelated lag-1 = {u}");
-    }
-}
-
-#[cfg(test)]
 mod batch_tests {
     use super::*;
     use crate::events::{Event, EventKind};
@@ -778,8 +388,7 @@ mod batch_tests {
 
     #[test]
     fn batch_windowed_matches_one_shot_bitwise() {
-        // The batch analogue of windowed_generation_matches_one_shot_bitwise:
-        // uneven windows with a serde round trip of the cursor between them
+        // Uneven windows with a serde round trip of the cursor between them
         // (all the state a resume needs) concatenate to the one-shot bytes.
         let p = SnrProcess::default();
         let events = eventful_log();
@@ -852,8 +461,6 @@ mod batch_tests {
 
     #[test]
     fn batch_stationary_mean_and_sd() {
-        // Statistical equivalence with the legacy path: same stationary
-        // moments, same tolerance as stationary_mean_and_sd.
         let p = quiet_process();
         let trace = batch_trace(&p, &EventLog::new(), 365, 1);
         let s = Summary::of(trace.values());
@@ -968,30 +575,5 @@ mod batch_tests {
         let u = lag1(&batch_trace(&uncorrelated, &EventLog::new(), 60, 9));
         assert!(c > 0.8, "correlated lag-1 = {c}");
         assert!(u.abs() < 0.1, "uncorrelated lag-1 = {u}");
-    }
-
-    #[test]
-    fn batch_matches_legacy_statistics() {
-        // Direct legacy-vs-batch comparison on the same process: the two
-        // pipelines draw from different RNGs so the bytes differ, but the
-        // stationary moments and the healthy-link HDR must agree closely.
-        let p = SnrProcess::default();
-        let mut rng = Xoshiro256::seed_from_u64(21);
-        let legacy = p.generate(
-            SimTime::EPOCH,
-            SimDuration::from_days(365),
-            SimDuration::TELEMETRY_TICK,
-            &EventLog::new(),
-            &mut rng,
-        );
-        let batch = batch_trace(&p, &EventLog::new(), 365, 21);
-        let (ls, bs) = (Summary::of(legacy.values()), Summary::of(batch.values()));
-        assert!((ls.mean - bs.mean).abs() < 0.05, "means: legacy {ls} batch {bs}");
-        assert!((ls.std_dev - bs.std_dev).abs() < 0.05, "sds: legacy {ls} batch {bs}");
-        let (lh, bh) = (
-            crate::hdr::Hdr::paper(&legacy).width().value(),
-            crate::hdr::Hdr::paper(&batch).width().value(),
-        );
-        assert!((lh - bh).abs() < 0.3, "hdr widths: legacy {lh} batch {bh}");
     }
 }

@@ -10,7 +10,7 @@
 //! `kernel_equivalence` suite's JSON-bytes oracle).
 
 use proptest::prelude::*;
-use rwc_telemetry::{BatchCursor, BatchScratch, FleetConfig, FleetGenerator, GenMode};
+use rwc_telemetry::{BatchCursor, BatchScratch, FleetConfig, FleetGenerator};
 use rwc_util::time::{SimDuration, SimTime};
 
 /// Tiny randomized fleets with boosted event rates so short horizons
@@ -74,7 +74,7 @@ proptest! {
         link_pick in 0usize..64,
         units in proptest::collection::vec(0.0f64..1.0, 0..8),
     ) {
-        let gen = FleetGenerator::new(fleet).with_gen_mode(GenMode::Batch);
+        let gen = FleetGenerator::new(fleet);
         let link = link_pick % gen.n_links();
         let want = one_shot(&gen, link);
         let n = want.len() as u64;
@@ -123,7 +123,7 @@ proptest! {
         units in proptest::collection::vec(0.0f64..1.0, 0..6),
         order_seed in 0u64..1_000_000,
     ) {
-        let gen = FleetGenerator::new(fleet).with_gen_mode(GenMode::Batch);
+        let gen = FleetGenerator::new(fleet);
         let link = link_pick % gen.n_links();
         let want = one_shot(&gen, link);
         let n = want.len() as u64;

@@ -1,8 +1,8 @@
-//! Byte-identity of the fused fleet kernel against the legacy path.
+//! Byte-identity of the fused fleet kernel against its oracle.
 //!
 //! The fused kernel ([`rwc_telemetry::FleetKernel`]) promises *bit-for-bit*
-//! the same `LinkAnalysis`/`FleetAccumulator` as the legacy
-//! trace-materialising pipeline. These properties pin that promise on
+//! the same `LinkAnalysis`/`FleetAccumulator` as `LinkAnalysis::new` over
+//! materialised traces. These properties pin that promise on
 //! randomized inputs — including loss-of-light floors, all-failing and
 //! never-failing links, and episodes still open at trace end — with
 //! serialized JSON bytes as the equality oracle, so every field (episode
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rwc_optics::ModulationTable;
 use rwc_telemetry::analysis::LinkAnalysis;
 use rwc_telemetry::trace::SnrTrace;
-use rwc_telemetry::{AnalysisMode, FleetConfig, FleetGenerator, FleetKernel};
+use rwc_telemetry::{FleetAccumulator, FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::time::{SimDuration, SimTime};
 
 /// Sample vectors spanning the kernel's episode-geometry edge cases. The
@@ -60,7 +60,7 @@ fn fleet_strategy() -> impl Strategy<Value = FleetConfig> {
 
 proptest! {
     /// Per-trace: fused analysis of a crafted trace serializes to the very
-    /// bytes the legacy constructor produces.
+    /// bytes `LinkAnalysis::new` produces.
     #[test]
     fn fused_link_analysis_is_byte_identical(samples in samples_strategy()) {
         let trace = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, samples);
@@ -75,14 +75,17 @@ proptest! {
     }
 
     /// Per-fleet: a generated fleet swept by the fused kernel accumulates
-    /// to the same bytes as the legacy trace path, with the kernel's
-    /// buffers reused across every link of the fleet.
+    /// to the same bytes as `LinkAnalysis::new` over each materialised
+    /// trace, with the kernel's buffers reused across every link.
     #[test]
     fn fused_fleet_accumulator_is_byte_identical(cfg in fleet_strategy()) {
         let gen = FleetGenerator::new(cfg);
         let table = ModulationTable::paper_default();
-        let fused = gen.fleet_analysis_with(&table, AnalysisMode::Fused);
-        let legacy = gen.fleet_analysis_with(&table, AnalysisMode::Legacy);
+        let fused = gen.fleet_analysis(&table);
+        let mut legacy = FleetAccumulator::new();
+        for link_id in 0..gen.n_links() {
+            legacy.push(&LinkAnalysis::new(&gen.link(link_id).trace, &table));
+        }
         prop_assert_eq!(
             serde_json::to_string(&fused).expect("fused serializes"),
             serde_json::to_string(&legacy).expect("legacy serializes")

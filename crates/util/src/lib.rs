@@ -6,10 +6,10 @@
 //! This crate deliberately has no heavy dependencies; it provides:
 //!
 //! - [`rng`]: deterministic, seedable PRNGs — the serial [`rng::Xoshiro256`]
-//!   used by the legacy generation path, and the counter-based
-//!   [`rng::CounterRng`] (Philox-2×64) whose sample *k* is a pure function of
-//!   `(seed, stream, domain, k)`, enabling embarrassingly parallel batch
-//!   generation — plus the sampling routines the simulators need (normal,
+//!   behind link profiles, tickets, demands and channels, and the
+//!   counter-based [`rng::CounterRng`] (Philox-2×64) whose sample *k* is a
+//!   pure function of `(seed, stream, domain, k)`, which makes SNR trace
+//!   generation embarrassingly parallel — plus the sampling routines the simulators need (normal,
 //!   lognormal, exponential, Poisson, Pareto). The stochastic SNR processes
 //!   and failure generators must be bit-reproducible across machines and
 //!   crate upgrades, so the generators and all distributions are implemented

@@ -52,7 +52,8 @@
 //! // Algorithm 1: augment, hand to an unmodified TE algorithm, translate.
 //! let cfg = AugmentConfig { penalty: PenaltyPolicy::paper_example(), ..Default::default() };
 //! let aug = augment(&wan, &demands, &cfg, &[]);
-//! let solution = rwc::te::exact::ExactTe::default().solve(&aug.problem);
+//! let te = rwc::te::TeSolver::builder().build().expect("default configuration");
+//! let solution = te.solve(&aug.problem);
 //! let result = translate(&aug, &wan, &solution).expect("translation");
 //!
 //! assert!((solution.total - 250.0).abs() < 1e-6, "all demand routed");
