@@ -122,8 +122,8 @@ pub const GAUGES: &[&str] = &[
 
 /// Log-linear histograms, fed via [`crate::Observer::record`] (and
 /// [`crate::Span`] for the wall-clock ones). Simulated-time series record
-/// `SimDuration` millis; `te.solve_micros` and `te.round_micros` record
-/// wall-clock micros.
+/// `SimDuration` millis; `te.solve_micros`, `te.round_micros` and the
+/// `serve.*_micros` series record wall-clock micros.
 pub const HISTOGRAMS: &[&str] = &[
     "bvt.phase_millis.laser_power_down",
     "bvt.phase_millis.dsp_reprogram",
@@ -134,4 +134,9 @@ pub const HISTOGRAMS: &[&str] = &[
     "te.solve_micros",
     "te.round_micros",
     "fleet.episode_ticks",
+    // serve: one sample per link (time queued before a shard popped it),
+    // per connection (accept to reply) and per shard checkpoint written.
+    "serve.queue_wait_micros",
+    "serve.http_handler_micros",
+    "serve.checkpoint_write_micros",
 ];

@@ -7,19 +7,25 @@
 //!        │  route = link % n_shards          │  catch_unwind(shard loop)
 //!        ▼                                   │  restart w/ jittered backoff
 //!   BoundedQueue[shard]  ──pop──▶  shard loop (kernel + controller)
+//!                                            │ publishes capacities[link]
 //!                                            │ mpsc (poison-free handoff)
 //!                                            ▼
 //!                                      collector thread
 //!                                  slots · pipeline metrics ·
-//!                                  capacities · per-shard checkpoints
+//!                                  per-shard checkpoints
 //! ```
 //!
-//! Exactly one thread (the collector) owns the result slots and the
-//! checkpoint files, mirroring PR 6's executor: a panicking shard can
-//! never poison state another thread will later lock. Each link is
-//! processed by [`crate::shard::process_link`], which is a pure function
-//! of `(seed, link)` — so the slot-ordered final merge is byte-identical
-//! to [`crate::batch_reference`] no matter how work was sharded, shed,
+//! The shard publishes, the collector owns. A link's feasible capacity is
+//! a pure function of `(seed, link)` held in a write-once `OnceLock`, so
+//! the shard that computed it sets it before the hand-off and `/capacity`
+//! never waits for a slot merge or a checkpoint write. Everything that is
+//! merged or written to disk — result slots, pipeline metrics, checkpoint
+//! files — has exactly one owner (the collector), mirroring PR 6's
+//! executor: a panicking shard can never poison state another thread
+//! will later lock. Each link is processed by
+//! [`crate::shard::process_link`], which is a pure function of
+//! `(seed, link)` — so the slot-ordered final merge is byte-identical to
+//! [`crate::batch_reference`] no matter how work was sharded, shed,
 //! requeued, restarted, or resumed.
 //!
 //! ## Overload ledger
@@ -46,7 +52,7 @@ use rwc_harness::{
     CheckpointEpoch, CheckpointStore, ChunkCheckpoint, StoreLoad, SweepCheckpoint,
     SweepFingerprint, SWEEP_MODE,
 };
-use rwc_obs::{Event, MetricsObserver, MetricsSnapshot, Observer};
+use rwc_obs::{Event, MetricsObserver, MetricsSnapshot, Observer, Span};
 use rwc_telemetry::{FleetAccumulator, FleetGenerator, FleetKernel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -56,7 +62,8 @@ use std::time::Duration;
 
 /// Sentinel for "no link in flight" in a shard's current-link cell.
 const NO_LINK: usize = usize::MAX;
-/// How long a shard blocks in one pop before re-polling flags.
+/// How long a shard blocks in one pop before re-polling the external
+/// shutdown flag (drain, kill and drop wake it through the queue instead).
 const POP_WAIT: Duration = Duration::from_millis(5);
 /// Sleep while processing is paused (tests stage deterministic overload).
 const PAUSE_WAIT: Duration = Duration::from_millis(1);
@@ -274,6 +281,8 @@ impl DaemonInner {
                     }
                 }
                 PopKind::Item(link) => {
+                    self.obs
+                        .record("serve.queue_wait_micros", popped.queue_wait.as_micros() as f64);
                     if self.kill.load(Ordering::Acquire) {
                         self.states[link].store(LINK_PENDING, Ordering::Release);
                         self.obs.incr("serve.inflight_drops", 1);
@@ -290,6 +299,9 @@ impl DaemonInner {
                         }
                     }
                     let done = process_link(&mut kernel, &controller, &self.gen, &self.cfg, link);
+                    // Visible to `/capacity` from here on; the collector's
+                    // merge and checkpoint happen behind it.
+                    self.capacities[link].set(done.feasible_gbps).ok();
                     self.states[link].store(LINK_DONE, Ordering::Release);
                     self.currents[shard].store(NO_LINK, Ordering::Release);
                     tx.send(done).ok();
@@ -374,8 +386,8 @@ impl DaemonInner {
         }
     }
 
-    /// Collector: sole owner of slots, pipeline merge, capacities, and
-    /// checkpoint writes. Ends when every shard sender is gone.
+    /// Collector: sole owner of slots, pipeline merge, and checkpoint
+    /// writes. Ends when every shard sender is gone.
     fn collector_loop(&self, rx: mpsc::Receiver<LinkDone>) {
         let n_shards = self.cfg.n_shards;
         let mut pending_per_shard = vec![0u64; n_shards];
@@ -387,7 +399,6 @@ impl DaemonInner {
                 if slots[link].is_some() {
                     continue; // already restored or completed
                 }
-                self.capacities[link].set(done.feasible_gbps).ok();
                 lock(&self.pipeline).merge(&done.metrics);
                 slots[link] = Some(SlotDone { acc: done.acc, metrics: done.metrics });
             }
@@ -410,6 +421,7 @@ impl DaemonInner {
     /// (chunk id = link id, chunk size 1), rotated through the two-epoch
     /// store.
     fn write_shard_checkpoint(&self, shard: usize) -> Result<(), rwc_harness::CheckpointError> {
+        let _span = Span::start(&*self.obs, "serve.checkpoint_write_micros");
         let mut cp = SweepCheckpoint::new(self.fingerprint.clone());
         {
             let slots = lock(&self.slots);
@@ -640,6 +652,11 @@ impl Daemon {
         self.inner.obs.incr("serve.http_requests", 1);
     }
 
+    /// Records how long one connection took from accept to reply.
+    pub(crate) fn note_http_handled(&self, took: Duration) {
+        self.inner.obs.record("serve.http_handler_micros", took.as_micros() as f64);
+    }
+
     /// Holds shards off the queues (deterministic overload staging for
     /// tests and chaos drills). Ingest keeps running and backpressure
     /// applies exactly.
@@ -656,7 +673,12 @@ impl Daemon {
         lock(&self.inner.fatal).take()
     }
 
+    /// Joins every thread. The caller has just raised `draining` or `kill`;
+    /// idle shards are woken to see it rather than sitting out `POP_WAIT`.
     fn join_all(&mut self) {
+        for q in &self.inner.queues {
+            q.stop_waiting();
+        }
         for h in self.shard_handles.drain(..) {
             h.join().ok();
         }

@@ -35,6 +35,9 @@ struct Enqueued<T> {
 struct Inner<T> {
     items: VecDeque<Enqueued<T>>,
     closed: bool,
+    /// Set by [`BoundedQueue::stop_waiting`]: an empty queue times out at
+    /// once instead of blocking.
+    no_wait: bool,
 }
 
 /// A bounded MPMC queue (mutex + condvar; the workspace is std-only).
@@ -91,6 +94,9 @@ pub struct Popped<T> {
     pub expired: Vec<T>,
     /// The pop outcome after expiry filtering.
     pub kind: PopKind<T>,
+    /// How long the returned item sat in the queue (zero unless `kind` is
+    /// [`PopKind::Item`]).
+    pub queue_wait: Duration,
 }
 
 impl<T> BoundedQueue<T> {
@@ -98,7 +104,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
+            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false, no_wait: false }),
             ready: Condvar::new(),
         }
     }
@@ -160,14 +166,14 @@ impl<T> BoundedQueue<T> {
                     continue;
                 }
                 let e = inner.items.pop_front().expect("front exists");
-                return Popped { expired, kind: PopKind::Item(e.item) };
+                return Popped { expired, kind: PopKind::Item(e.item), queue_wait: lived };
             }
             if inner.closed {
-                return Popped { expired, kind: PopKind::Closed };
+                return Popped { expired, kind: PopKind::Closed, queue_wait: Duration::ZERO };
             }
             let waited = start.elapsed();
-            if waited >= wait {
-                return Popped { expired, kind: PopKind::TimedOut };
+            if waited >= wait || inner.no_wait {
+                return Popped { expired, kind: PopKind::TimedOut, queue_wait: Duration::ZERO };
             }
             let (guard, _timeout) = self
                 .ready
@@ -181,6 +187,15 @@ impl<T> BoundedQueue<T> {
     /// drain the remaining items and then report [`PopKind::Closed`].
     pub fn close(&self) {
         self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Ends blocking pops for good: a pop that finds (or is waiting on) an
+    /// empty queue returns [`PopKind::TimedOut`] immediately, so a consumer
+    /// told to drain or die re-reads its flags now instead of sitting out
+    /// its wait. Queued items are still handed out and offers still land.
+    pub fn stop_waiting(&self) {
+        self.lock().no_wait = true;
         self.ready.notify_all();
     }
 
@@ -242,6 +257,35 @@ mod tests {
         assert_eq!(p.kind, PopKind::Item(5));
         let p = q.pop_timeout(None, Duration::from_millis(1));
         assert_eq!(p.kind, PopKind::Closed);
+    }
+
+    #[test]
+    fn pop_reports_how_long_the_item_was_queued() {
+        let q = BoundedQueue::new(4);
+        q.offer(1, ShedPolicy::RejectNewest);
+        std::thread::sleep(Duration::from_millis(3));
+        let p = q.pop_timeout(None, Duration::ZERO);
+        assert_eq!(p.kind, PopKind::Item(1));
+        assert!(p.queue_wait >= Duration::from_millis(3), "waited {:?}", p.queue_wait);
+        assert_eq!(q.pop_timeout(None, Duration::ZERO).queue_wait, Duration::ZERO);
+    }
+
+    #[test]
+    fn stop_waiting_releases_a_blocked_pop_and_keeps_items_flowing() {
+        let q = BoundedQueue::new(4);
+        let long = Duration::from_secs(30);
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            // Whether the pop blocks before or after the call, it must come
+            // back at once rather than after `long`.
+            let popper = scope.spawn(|| q.pop_timeout(None, long));
+            q.stop_waiting();
+            assert_eq!(popper.join().unwrap().kind, PopKind::TimedOut);
+        });
+        assert!(start.elapsed() < long / 2, "pop sat out its wait");
+        assert_eq!(q.offer(9, ShedPolicy::RejectNewest), Offer::Accepted);
+        assert_eq!(q.pop_timeout(None, long).kind, PopKind::Item(9));
+        assert_eq!(q.pop_timeout(None, long).kind, PopKind::TimedOut);
     }
 
     #[test]

@@ -70,12 +70,12 @@ pub(crate) fn process_link(
     );
     let mut acc = FleetAccumulator::new();
     acc.push(&analysis);
-    LinkDone {
-        link,
-        feasible_gbps: analysis.feasible_capacity.value(),
-        acc,
-        metrics: obs.snapshot(),
-    }
+    // One link touches one or two of the catalogue's histograms. The empty
+    // ones merge as nothing, and the daemon holds (and checkpoints) one of
+    // these snapshots per link — so they are not carried along.
+    let mut metrics = obs.snapshot();
+    metrics.histograms.retain(|_, h| h.count > 0);
+    LinkDone { link, feasible_gbps: analysis.feasible_capacity.value(), acc, metrics }
 }
 
 /// A controller whose per-link state is untouched — the shared starting

@@ -11,7 +11,7 @@ use rwc_harness::{chaos, checkpoint, ChaosPlan, RetryPolicy};
 use rwc_serve::{
     batch_reference, Daemon, ServeCheckpointConfig, ServeConfig, ServeError, ShedPolicy,
 };
-use rwc_telemetry::FleetConfig;
+use rwc_telemetry::{FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::time::SimDuration;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -159,6 +159,84 @@ fn losing_every_shard_is_a_typed_failure() {
         Err(ServeError::ShardFailed { .. }) => {}
         other => panic!("expected ShardFailed, got {other:?}"),
     }
+}
+
+fn ledger_closes(counters: &std::collections::BTreeMap<String, u64>) -> bool {
+    counters["serve.ingested"]
+        == counters["serve.links_completed"]
+            + counters["serve.shed_oldest"]
+            + counters["serve.shed_deadline"]
+            + counters["serve.inflight_drops"]
+}
+
+/// The shard publishes a capacity before the collector has merged or
+/// checkpointed the link, so a kill can land between the two. What was
+/// served must still be the direct analysis, bit for bit, before the kill
+/// and after the resume, and both ledgers must close.
+#[test]
+fn capacities_published_before_a_kill_are_re_served_bit_identical_after_resume() {
+    let dir = tmp_dir("publish", 21);
+    let mut cfg = tiny_config(21);
+    // 64 links of 90 days each: slow enough for the kill to land mid-fleet.
+    cfg.fleet.wavelengths_per_fiber = 32;
+    cfg.fleet.horizon = SimDuration::from_days(90);
+    cfg.queue_capacity = 64;
+    // Five completions per checkpoint: most kills strand published links
+    // that no checkpoint holds yet.
+    cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 5 });
+    let gen = FleetGenerator::new(cfg.fleet.clone());
+    let mut kernel = FleetKernel::new();
+    let direct: Vec<u64> = (0..cfg.n_links())
+        .map(|l| {
+            kernel.analyze_generated(&gen, l, &cfg.controller.table).feasible_capacity.value().to_bits()
+        })
+        .collect();
+    let served = |daemon: &Daemon| -> Vec<Option<u64>> {
+        (0..daemon.n_links()).map(|l| daemon.capacity(l).map(f64::to_bits)).collect()
+    };
+    let assert_direct = |served: &[Option<u64>], when: &str| {
+        for (link, bits) in served.iter().enumerate() {
+            if let Some(bits) = bits {
+                assert_eq!(*bits, direct[link], "{when}: link {link} differs from direct analysis");
+            }
+        }
+    };
+
+    let daemon = Daemon::start(cfg.clone()).unwrap();
+    daemon.ingest(&all_links(&daemon)).unwrap();
+    // Spin, not sleep: the kill should land while most of the fleet is
+    // still queued, a checkpoint or two in.
+    let start = Instant::now();
+    let before_kill = loop {
+        let now = served(&daemon);
+        if now.iter().flatten().count() >= 8 {
+            break now;
+        }
+        assert!(start.elapsed() < Duration::from_secs(20), "no capacities published");
+        std::hint::spin_loop();
+    };
+    let killed = daemon.kill();
+    assert_direct(&before_kill, "before the kill");
+    assert!(ledger_closes(&killed.counters), "kill ledger open: {:?}", killed.counters);
+
+    // Resume on the same stores: whatever a checkpoint kept is served at
+    // once, the rest is analysed again, and nothing ever changes value.
+    let daemon = Daemon::start(cfg.clone()).unwrap();
+    assert_direct(&served(&daemon), "restored");
+    drive_to_completion(&daemon);
+    let after = served(&daemon);
+    assert!(after.iter().all(Option::is_some));
+    assert_direct(&after, "after the resume");
+    let report = daemon.drain().unwrap();
+    assert!(ledger_closes(&report.serve_metrics.counters), "drain ledger open");
+    assert_eq!(report.links_completed, direct.len() as u64);
+    let (want_acc, want_metrics) = batch_reference(&cfg);
+    assert_eq!(
+        serde_json::to_string(&report.accumulator).unwrap(),
+        serde_json::to_string(&want_acc).unwrap()
+    );
+    assert_eq!(report.pipeline_metrics.to_json(), want_metrics.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every [`rwc_harness::CheckpointError`] variant, exercised through the
