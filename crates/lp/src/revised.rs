@@ -21,9 +21,22 @@
 //! Dantzig scan.
 //!
 //! Warm starts key on the *structural sparsity pattern* (per-column
-//! FNV hashes), not on variable count: dirty-link augmentation that
-//! appends fake-edge columns maps the saved basis through the unchanged
-//! prefix and keeps the factorisation instead of falling back cold.
+//! FNV hashes), not on variable count: augmentation that appends
+//! fake-edge columns — and, with more than one commodity, their capacity
+//! rows — maps the saved basis through the unchanged prefix and hosts
+//! every appended row on its own logical. With the appended columns at
+//! zero that basis is the previous optimum itself (Theorem 1: G ⊆ G′), so
+//! the augmented solve is one refactorisation plus Phase II, not a cold
+//! start.
+//!
+//! A solve makes one warm attempt, then goes cold. Dual repair inside it
+//! is bounded by `m` pivots (repairs that converge take a few dozen; one
+//! that has not is wandering through dual-degenerate ties and a cold
+//! solve is cheaper), computes the reduced costs once and updates them
+//! from each pivot row, and forms that row from a row-major index of `A`
+//! over the rows `rho` touches. Why an attempt was refused is counted:
+//! [`SolverStats::warm_singular`], [`SolverStats::repair_aborts`],
+//! [`SolverStats::repair_pivots`].
 
 use crate::model::{LinearProgram, Relation};
 use crate::lu::{Eta, LuFactors};
@@ -139,19 +152,25 @@ pub struct SparseSimplexSolver {
     y_rows: Vec<f64>,
     /// btran image of a unit slot vector (dual repair), row space.
     rho_rows: Vec<f64>,
+    /// Dual repair: reduced costs and the pivot row, column space.
+    d_cols: Vec<f64>,
+    alpha_cols: Vec<f64>,
+    /// Row-major index of the structural columns, see `ensure_row_major`.
+    row_ptr: Vec<usize>,
+    row_cols: Vec<u32>,
+    row_ents: Vec<u32>,
+    rows_built: bool,
     fact_ptr: Vec<usize>,
     fact_rows: Vec<usize>,
     fact_vals: Vec<f64>,
     pricing: CandidateList,
     // --- warm-start state ----------------------------------------------
     saved: Option<SavedBasis>,
-    /// Matrix values / objective of the last solved LP — with the saved
-    /// pattern they form the fast-resolve fingerprint (rhs and bounds
-    /// excluded on purpose: capacity drift moves those every round).
-    saved_vals: Vec<f64>,
-    saved_obj: Vec<f64>,
     /// True while `basis`/`vstat`/`lu`/`etas` still describe the final
-    /// state of the last optimal solve.
+    /// state of the last optimal solve — and, until the next `load`,
+    /// `col_vals`/`obj_real` its matrix values and objective: with the
+    /// saved pattern they form the fast-resolve fingerprint (rhs and
+    /// bounds excluded on purpose: capacity drift moves those every round).
     fact_valid: bool,
     stats: SolverStats,
     // --- watchdog -------------------------------------------------------
@@ -255,24 +274,21 @@ impl SparseSimplexSolver {
         // basis, so skip loading a fresh basis entirely.
         let fast = self.fast_resolve_applicable(lp, &hashes);
         self.load(lp);
-        if fast {
+        // A fast resolve sees the matrix of the last solve bit for bit.
+        self.rows_built &= fast;
+        // One warm attempt per solve — the retained factorisation if it
+        // still fits, else the saved basis mapped onto the new program
+        // (the same basis, were both to apply) — then cold.
+        let plan = if fast { None } else { self.warm_plan(lp, &hashes) };
+        if fast || plan.is_some() {
             self.arm_deadline();
             self.stats.warm_attempts += 1;
-            match self.try_fast_resolve(lp, &hashes, max_pivots) {
-                // Watchdog-aborted fast resolve: fall through to the
-                // warm/cold paths, each of which re-arms its deadline.
-                Some(LpOutcome::Stalled) if self.deadline_hit => {}
-                Some(outcome) => {
-                    self.stats.warm_hits += 1;
-                    return outcome;
-                }
-                None => self.stats.warm_attempts -= 1, // retry via warm path
-            }
-        }
-        if let Some(plan) = self.warm_plan(lp, &hashes) {
-            self.arm_deadline();
-            self.stats.warm_attempts += 1;
-            match self.try_warm(lp, &hashes, plan, max_pivots) {
+            let outcome = match plan {
+                None => self.try_fast_resolve(lp, &hashes, max_pivots),
+                Some(plan) => self.try_warm(lp, &hashes, plan, max_pivots),
+            };
+            match outcome {
+                // Watchdog-aborted attempt: the cold path re-arms.
                 Some(LpOutcome::Stalled) if self.deadline_hit => {}
                 Some(outcome) => {
                     self.stats.warm_hits += 1;
@@ -424,13 +440,17 @@ impl SparseSimplexSolver {
 
     // --- primal simplex -------------------------------------------------
 
+    /// Nonbasic, enterable and not fixed (Eq logicals, frozen artificials).
+    fn may_enter(&self, j: usize) -> bool {
+        self.vstat[j] != VStat::Basic
+            && self.enterable[j]
+            && self.upper[j] - self.lower[j] > 0.0
+    }
+
     /// Violation magnitude of column `j` if it is eligible to enter.
     fn entering_violation(&self, j: usize) -> Option<f64> {
-        if self.vstat[j] == VStat::Basic || !self.enterable[j] {
+        if !self.may_enter(j) {
             return None;
-        }
-        if self.upper[j] - self.lower[j] <= 0.0 {
-            return None; // fixed (Eq logicals, frozen artificials)
         }
         let d = self.reduced_cost(j);
         match self.vstat[j] {
@@ -603,30 +623,93 @@ impl SparseSimplexSolver {
         }
     }
 
+    /// Reduced costs of every column against fresh duals of the phase
+    /// cost in flight, into `d_cols` (zero on basic columns).
+    fn compute_reduced_costs(&mut self) {
+        self.compute_duals();
+        self.d_cols.resize(self.n_total, 0.0);
+        for j in 0..self.n_total {
+            self.d_cols[j] =
+                if self.vstat[j] == VStat::Basic { 0.0 } else { self.reduced_cost(j) };
+        }
+    }
+
+    /// Row-major index of the structural columns (logicals are unit
+    /// columns and need none): per row, each entry's column and its
+    /// position in `col_vals`, ascending by column — 8 bytes an entry, not
+    /// a second copy of the values. Dual repair forms a pivot row from the
+    /// rows `rho` touches instead of one dot product per column. Built on
+    /// first use per loaded matrix.
+    fn ensure_row_major(&mut self) {
+        if self.rows_built {
+            return;
+        }
+        let m = self.m;
+        let nnz = self.col_ptr[self.n];
+        assert!(nnz <= u32::MAX as usize, "matrix too large for the row index");
+        self.row_ptr.clear();
+        self.row_ptr.resize(m + 1, 0);
+        for &r in &self.col_rows[..nnz] {
+            self.row_ptr[r + 1] += 1;
+        }
+        for r in 0..m {
+            self.row_ptr[r + 1] += self.row_ptr[r];
+        }
+        self.row_cols.resize(nnz, 0);
+        self.row_ents.resize(nnz, 0);
+        // Fill with `row_ptr[r]` as row r's cursor, then shift it back.
+        for j in 0..self.n {
+            for e in self.col_ptr[j]..self.col_ptr[j + 1] {
+                let at = &mut self.row_ptr[self.col_rows[e]];
+                self.row_cols[*at] = j as u32;
+                self.row_ents[*at] = e as u32;
+                *at += 1;
+            }
+        }
+        self.row_ptr.copy_within(0..m, 1);
+        self.row_ptr[0] = 0;
+        self.rows_built = true;
+    }
+
     /// Bounded dual simplex: restores primal feasibility of a warm basis
     /// whose reduced costs are still optimal. Returns `false` when the
-    /// basis is not dual-feasible, no pivot is available, or the budget /
-    /// watchdog runs out — callers fall back to a cold solve.
+    /// basis is not dual-feasible or the repair gives up (counted in
+    /// `repair_aborts`) — the caller goes cold.
     fn dual_repair(&mut self, max_pivots: u64) -> bool {
         self.cost.copy_from_slice(&self.obj_real);
-        self.compute_duals();
+        self.compute_reduced_costs();
         // Dual-feasibility precheck against the real costs: a violated
         // reduced cost means the matrix/objective changed, not just the
         // rhs — repair would chase a moving target, go cold instead.
         for j in 0..self.n_total {
-            if self.vstat[j] == VStat::Basic || !self.enterable[j] {
+            if !self.may_enter(j) {
                 continue;
             }
-            if self.upper[j] - self.lower[j] <= 0.0 {
-                continue;
-            }
-            let d = self.reduced_cost(j);
+            let d = self.d_cols[j];
             match self.vstat[j] {
                 VStat::AtLower if d > DUAL_FEAS_TOL => return false,
                 VStat::AtUpper if d < -DUAL_FEAS_TOL => return false,
                 _ => {}
             }
         }
+        self.ensure_row_major();
+        self.alpha_cols.clear();
+        self.alpha_cols.resize(self.n_total, 0.0);
+        let before = self.stats.pivots;
+        // A repair that works takes a few dozen pivots; one that has not
+        // finished after `m` is stalling, and a cold solve is cheaper.
+        let repaired = self.repair_pivots(max_pivots.min(self.m as u64));
+        self.stats.repair_pivots += self.stats.pivots - before;
+        if !repaired {
+            self.stats.repair_aborts += 1;
+        }
+        repaired
+    }
+
+    /// The pivot loop of [`Self::dual_repair`], on reduced costs computed
+    /// once (`d_cols`) and updated from each pivot row. `false` = no
+    /// eligible pivot, `max_pivots` spent, or the watchdog fired.
+    fn repair_pivots(&mut self, max_pivots: u64) -> bool {
         let mut pivots = 0u64;
         loop {
             // Leaving slot: worst bound violation; none left = repaired.
@@ -663,7 +746,6 @@ impl SparseSimplexSolver {
             {
                 return false;
             }
-            self.compute_duals();
             // Row of B⁻¹ for the leaving slot: rho = B⁻ᵀ e_p.
             for v in &mut self.work_slots {
                 *v = 0.0;
@@ -673,6 +755,19 @@ impl SparseSimplexSolver {
                 eta.btran(&mut self.work_slots);
             }
             self.lu.btran(&self.work_slots, &mut self.rho_rows, &mut self.step_buf);
+            // Pivot row alpha_j = rho·A_j, scattered from the rows rho
+            // touches (same summation order as the per-column dot product).
+            for r in 0..self.m {
+                let rho = self.rho_rows[r];
+                if rho == 0.0 {
+                    continue;
+                }
+                self.alpha_cols[self.n + r] = rho;
+                for i in self.row_ptr[r]..self.row_ptr[r + 1] {
+                    self.alpha_cols[self.row_cols[i] as usize] +=
+                        rho * self.col_vals[self.row_ents[i] as usize];
+                }
+            }
             // Dual ratio test: entering candidates whose alpha sign moves
             // the leaving variable toward its violated bound while the
             // entering one moves off its own bound feasibly.
@@ -680,15 +775,9 @@ impl SparseSimplexSolver {
             let mut best_abs = 0.0f64;
             let mut enter = usize::MAX;
             for j in 0..self.n_total {
-                if self.vstat[j] == VStat::Basic || !self.enterable[j] {
+                let alpha = self.alpha_cols[j];
+                if alpha == 0.0 || !self.may_enter(j) {
                     continue;
-                }
-                if self.upper[j] - self.lower[j] <= 0.0 {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                for e in self.col_ptr[j]..self.col_ptr[j + 1] {
-                    alpha += self.rho_rows[self.col_rows[e]] * self.col_vals[e];
                 }
                 let eligible = if below {
                     (self.vstat[j] == VStat::AtLower && alpha < -PIVOT_TOL)
@@ -700,7 +789,7 @@ impl SparseSimplexSolver {
                 if !eligible {
                     continue;
                 }
-                let ratio = (self.reduced_cost(j) / alpha).max(0.0);
+                let ratio = (self.d_cols[j] / alpha).max(0.0);
                 if ratio < best_ratio - TOL
                     || (ratio < best_ratio + TOL && alpha.abs() > best_abs)
                 {
@@ -712,6 +801,17 @@ impl SparseSimplexSolver {
             if enter == usize::MAX {
                 return false;
             }
+            // Dual step: d_j −= θ·alpha_j zeroes the entering column's
+            // reduced cost and leaves −θ on the leaving one.
+            let theta = self.d_cols[enter] / self.alpha_cols[enter];
+            for j in 0..self.n_total {
+                let alpha = std::mem::take(&mut self.alpha_cols[j]);
+                if alpha != 0.0 && self.vstat[j] != VStat::Basic {
+                    self.d_cols[j] -= theta * alpha;
+                }
+            }
+            self.d_cols[enter] = 0.0;
+            self.d_cols[self.basis[p]] = -theta;
             self.ftran_col(enter);
             let alpha = self.w_col[p];
             if alpha.abs() < PIVOT_TOL {
@@ -738,6 +838,7 @@ impl SparseSimplexSolver {
                     return false;
                 }
                 self.compute_xb();
+                self.compute_reduced_costs();
             }
         }
     }
@@ -746,7 +847,8 @@ impl SparseSimplexSolver {
 
     /// True when the retained factorisation still factors this LP's final
     /// basis: saved pattern, relations, matrix values and objective all
-    /// identical (rhs/bounds may drift — that is the point).
+    /// identical (rhs/bounds may drift — that is the point). Called before
+    /// `load`, while the column arrays still hold the last solved LP.
     fn fast_resolve_applicable(&self, lp: &SparseLp, hashes: &[u64]) -> bool {
         self.fact_valid
             && self.saved.as_ref().is_some_and(|s| {
@@ -755,13 +857,13 @@ impl SparseSimplexSolver {
                     && s.col_hashes == hashes
                     && s.rels == lp.rel
             })
-            && self.saved_vals == lp.a.values
-            && self.saved_obj == lp.objective
+            && self.col_vals[..self.col_ptr[self.n]] == lp.a.values[..]
+            && self.obj_real[..self.n] == lp.objective[..]
     }
 
     /// Resolves an rhs/bounds-only change on the retained basis: recompute
     /// `xb`, dual-repair any drift-induced infeasibility, Phase II
-    /// (usually zero pivots). `None` = repair failed, caller goes warm/cold.
+    /// (usually zero pivots). `None` = repair failed, caller goes cold.
     fn try_fast_resolve(
         &mut self,
         lp: &SparseLp,
@@ -821,8 +923,10 @@ impl SparseSimplexSolver {
                 }
             }
         }
-        // Uncovered slots host their row's logical.
-        for r in 0..m {
+        // Uncovered slots host a logical: appended rows their own first
+        // (with the appended columns at zero that is the saved vertex
+        // itself — Theorem 1's G ⊆ G′), then the lowest free ones.
+        for r in (saved.m..m).chain(0..m) {
             if basis.len() >= m {
                 break;
             }
@@ -870,6 +974,7 @@ impl SparseSimplexSolver {
         }
         self.basis = basis_cols;
         if self.refactorize().is_err() {
+            self.stats.warm_singular += 1;
             return None;
         }
         self.compute_xb();
@@ -1022,10 +1127,6 @@ impl SparseSimplexSolver {
             basics,
             at_upper,
         });
-        self.saved_vals.clear();
-        self.saved_vals.extend_from_slice(&lp.a.values);
-        self.saved_obj.clear();
-        self.saved_obj.extend_from_slice(&lp.objective);
         self.fact_valid = true;
     }
 }
@@ -1368,6 +1469,170 @@ mod tests {
         assert_eq!(stats.cold_solves, 1, "augmentation must not fall back cold: {stats:?}");
         assert_eq!(stats.warm_attempts, 1);
         assert_eq!(stats.warm_hits, 1);
+    }
+
+    /// Max-throughput multi-commodity flow on the complete digraph over
+    /// `nodes` nodes, in the TE lowering's shape: conservation rows, one
+    /// demand row per commodity, one shared `≤` capacity row per edge and
+    /// `demands.len()` columns per edge, nearly all of them zero-cost.
+    /// `fakes` appends parallel edges `(edge, extra capacity)` at a small
+    /// cost — Algorithm 1's augmentation for K > 1: columns *and* rows
+    /// appended, the prefix untouched.
+    fn mcf(nodes: usize, demands: &[f64], caps: &[f64], fakes: &[(usize, f64)]) -> SparseLp {
+        let k = demands.len();
+        let mut edges: Vec<(usize, usize, f64)> = Vec::new();
+        for a in 0..nodes {
+            for b in (0..nodes).filter(|&b| b != a) {
+                edges.push((a, b, caps[edges.len()]));
+            }
+        }
+        let real = edges.len();
+        for &(e, extra) in fakes {
+            edges.push((edges[e].0, edges[e].1, extra));
+        }
+        let ends = |c: usize| (c % nodes, (c + 1 + c / nodes + nodes / 2) % nodes);
+        // Row layout: conservation (commodity-major, source and sink
+        // skipped), demands, capacities.
+        let interior = nodes - 2;
+        let cons = |c: usize, v: usize| {
+            let (s, t) = ends(c);
+            (v != s && v != t).then(|| c * interior + v - (v > s) as usize - (v > t) as usize)
+        };
+        let dem = k * interior;
+        let cap = dem + k;
+        let mut b = SparseLpBuilder::new(cap + edges.len());
+        for r in 0..dem {
+            b.set_row(r, Relation::Eq, 0.0);
+        }
+        for (c, &d) in demands.iter().enumerate() {
+            b.set_row(dem + c, Relation::Le, d);
+        }
+        for (e, &(from, to, capacity)) in edges.iter().enumerate() {
+            b.set_row(cap + e, Relation::Le, capacity);
+            for c in 0..k {
+                let (s, _) = ends(c);
+                let out = (from == s) as i32 as f64 - (to == s) as i32 as f64;
+                let mut entries = Vec::new();
+                entries.extend(cons(c, from).map(|r| (r, 1.0)));
+                entries.extend(cons(c, to).map(|r| (r, -1.0)));
+                entries.sort_by_key(|&(r, _)| r);
+                if out != 0.0 {
+                    entries.push((dem + c, out));
+                }
+                entries.push((cap + e, 1.0));
+                let cost = if e < real { 0.0 } else { 0.01 + 1e-5 * e as f64 };
+                b.push_col(out - cost, capacity, &entries);
+            }
+        }
+        b.build()
+    }
+
+    /// Seeded capacities over the modulation rungs and demands for
+    /// [`mcf`], plus a fake edge up to 200 for every link below it.
+    fn mcf_inputs(nodes: usize, k: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<(usize, f64)>) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let caps: Vec<f64> = (0..nodes * (nodes - 1))
+            .map(|_| [50.0, 100.0, 150.0, 200.0][(next() * 4.0) as usize])
+            .collect();
+        let demands = (0..k).map(|_| 100.0 + 400.0 * next()).collect();
+        let fakes = (0..caps.len())
+            .filter(|&e| caps[e] < 200.0)
+            .map(|e| (e, 200.0 - caps[e]))
+            .collect();
+        (demands, caps, fakes)
+    }
+
+    #[test]
+    fn appended_rows_and_columns_keep_warm_start() {
+        // The K > 1 augmentation shape: every fake edge appends its
+        // columns and a capacity row. The appended rows must host their
+        // own logicals — with the fake flows at zero that is the static
+        // optimum itself, a feasible vertex of the augmented program
+        // (Theorem 1), so the solve is a refactorisation plus Phase II.
+        let (demands, caps, fakes) = mcf_inputs(5, 3, 1);
+        assert!(!fakes.is_empty());
+        let base = mcf(5, &demands, &caps, &[]);
+        let augmented = mcf(5, &demands, &caps, &fakes);
+        assert!(augmented.n_rows() > base.n_rows() && augmented.n_vars() > base.n_vars());
+        let mut solver = SparseSimplexSolver::new();
+        let first = solver.solve_sparse(&base).expect_optimal();
+        let warm = solver.solve_sparse(&augmented).expect_optimal();
+        let cold = SparseSimplexSolver::new().solve_sparse(&augmented).expect_optimal();
+        assert_near(warm.objective, cold.objective);
+        assert!(warm.objective >= first.objective - 1e-6, "G ⊆ G′");
+        let stats = solver.stats();
+        assert_eq!(stats.cold_solves, 1, "augmentation must not fall back cold: {stats:?}");
+        assert_eq!(stats.warm_hits, 1);
+        assert_eq!(stats.warm_singular, 0);
+        assert_eq!(stats.repair_pivots, 0, "the mapped basis is primal-feasible: {stats:?}");
+    }
+
+    #[test]
+    fn dropped_rows_and_columns_keep_warm_start() {
+        // The reverse step, augmented → base (the next round's static
+        // solve): basic fake columns and the appended rows' logicals map
+        // to nothing and the lowest free logicals fill in. That basis can
+        // be singular (a third to a half of the seeds of this generator;
+        // counted in `warm_singular`, then solved cold); on this one it
+        // factorises and the chain stays warm in both directions.
+        let (demands, caps, fakes) = mcf_inputs(5, 3, 2);
+        let base = mcf(5, &demands, &caps, &[]);
+        let augmented = mcf(5, &demands, &caps, &fakes);
+        let mut solver = SparseSimplexSolver::new();
+        for lp in [&base, &augmented, &base, &augmented] {
+            let warm = solver.solve_sparse(lp).expect_optimal();
+            let cold = SparseSimplexSolver::new().solve_sparse(lp).expect_optimal();
+            assert_near(warm.objective, cold.objective);
+        }
+        let stats = solver.stats();
+        assert_eq!(stats.cold_solves, 1, "{stats:?}");
+        assert_eq!(stats.warm_hits, 3);
+        assert_eq!(stats.warm_singular, 0);
+    }
+
+    #[test]
+    fn singular_mapped_basis_is_counted_and_solved_cold() {
+        let (demands, caps, fakes) = mcf_inputs(5, 3, 1);
+        let base = mcf(5, &demands, &caps, &[]);
+        let mut solver = SparseSimplexSolver::new();
+        solver.solve_sparse(&mcf(5, &demands, &caps, &fakes)).expect_optimal();
+        let refused = solver.solve_sparse(&base).expect_optimal();
+        let cold = SparseSimplexSolver::new().solve_sparse(&base).expect_optimal();
+        assert_near(refused.objective, cold.objective);
+        let stats = solver.stats();
+        assert_eq!((stats.warm_attempts, stats.warm_singular, stats.cold_solves), (1, 1, 2));
+        assert_eq!(stats.warm_hits, 0);
+    }
+
+    #[test]
+    fn stalling_repair_gives_up_within_m_pivots() {
+        // Dual-degenerate (nearly every column is zero-cost, so nearly
+        // every dual ratio is zero) and drifted hard: a tenth of the
+        // capacities are redrawn and every demand grows by half. The warm
+        // basis is dual-feasible and primal-infeasible; without the bound
+        // the worst-violation rule wandered for 691 pivots here (5.8 m),
+        // twice what the cold solve takes.
+        let (nodes, k) = (8, 9);
+        let (demands, caps, fakes) = mcf_inputs(nodes, k, 80);
+        let (_, redrawn, _) = mcf_inputs(nodes, k, 1080);
+        let drifted: Vec<f64> = (0..caps.len())
+            .map(|e| if e % 10 == 0 { redrawn[e] } else { caps[e] })
+            .collect();
+        let grown: Vec<f64> = demands.iter().map(|d| d * 1.5).collect();
+        let mut solver = SparseSimplexSolver::new();
+        solver.solve_sparse(&mcf(nodes, &demands, &caps, &fakes)).expect_optimal();
+        let lp = mcf(nodes, &grown, &drifted, &[]);
+        let handed_over = solver.solve_sparse(&lp).expect_optimal();
+        let cold = SparseSimplexSolver::new().solve_sparse(&lp).expect_optimal();
+        assert_near(handed_over.objective, cold.objective);
+        let stats = solver.stats();
+        assert_eq!(stats.repair_pivots, lp.n_rows() as u64, "the bound is m: {stats:?}");
+        assert_eq!(stats.repair_aborts, 1);
+        assert_eq!((stats.warm_attempts, stats.warm_hits, stats.cold_solves), (1, 0, 2));
     }
 
     #[test]

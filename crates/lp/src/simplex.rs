@@ -109,6 +109,16 @@ pub struct SolverStats {
     /// Candidate-list refill scans over the full column set (sparse
     /// backend only; each scan prices up to the whole matrix once).
     pub pricing_scans: u64,
+    /// Warm attempts refused because the mapped basis did not factorise
+    /// (sparse backend only).
+    pub warm_singular: u64,
+    /// Dual repairs that started from a dual-feasible basis and gave up —
+    /// pivot bound, no eligible pivot, watchdog — after which the solve
+    /// goes cold (sparse backend only).
+    pub repair_aborts: u64,
+    /// Pivots spent inside dual repair; a subset of `pivots` (sparse
+    /// backend only).
+    pub repair_pivots: u64,
 }
 
 impl SolverStats {

@@ -32,16 +32,44 @@ impl McfInstance {
     /// edge; pass `&[]` for unscaled). Multipliers only touch rhs values,
     /// never the sparsity pattern — exactly what TE capacity drift does.
     fn lower(&self, cap_scale: &[f64]) -> LinearProgram {
-        let m = self.edges.len();
+        self.lower_edges(&self.edges, cap_scale, false)
+    }
+
+    /// The TE round's pair of programs in one call: `fakes` appends a
+    /// parallel edge `(edge, extra capacity)` after the real ones, at a
+    /// small cost — its columns and, with two or more commodities, its
+    /// capacity row land at the end, the prefix untouched (Algorithm 1's
+    /// augmentation). Every flow is also bounded by its edge's capacity,
+    /// as the TE lowering bounds its columns, so `cap_scale` drifts
+    /// bounds as well as rhs values.
+    fn lower_augmented(&self, cap_scale: &[f64], fakes: &[(usize, f64)]) -> LinearProgram {
+        let mut edges = self.edges.clone();
+        for &(e, extra) in fakes {
+            let (from, to, _) = self.edges[e % self.edges.len()];
+            edges.push((from, to, extra));
+        }
+        self.lower_edges(&edges, cap_scale, true)
+    }
+
+    /// Lowers `edges` — `self.edges` plus any fake ones, which cost 0.01
+    /// per unit — with per-flow bound rows when `bounded`.
+    fn lower_edges(
+        &self,
+        edges: &[(usize, usize, f64)],
+        cap_scale: &[f64],
+        bounded: bool,
+    ) -> LinearProgram {
+        let m = edges.len();
         let k = self.commodities.len();
         let mut b = LpBuilder::new();
         // x[e*k + c]: flow of commodity c on edge e, rewarded at the
         // source so total delivery is maximised.
         let mut vars = Vec::with_capacity(m * k);
-        for (ei, &(from, _, _)) in self.edges.iter().enumerate() {
+        for (ei, &(from, _, _)) in edges.iter().enumerate() {
             for &(src, _, _) in &self.commodities {
                 let reward = if from == src { 1.0 } else { 0.0 };
-                vars.push(b.add_var(reward - 0.001 * (ei % 3) as f64));
+                let fake_cost = if ei < self.edges.len() { 0.0 } else { 0.01 };
+                vars.push(b.add_var(reward - 0.001 * (ei % 3) as f64 - fake_cost));
             }
         }
         let var = |ei: usize, ci: usize| vars[ei * k + ci];
@@ -52,7 +80,7 @@ impl McfInstance {
                     continue;
                 }
                 let mut terms = Vec::new();
-                for (ei, &(from, to, _)) in self.edges.iter().enumerate() {
+                for (ei, &(from, to, _)) in edges.iter().enumerate() {
                     if to == node {
                         terms.push((var(ei, ci), 1.0));
                     } else if from == node {
@@ -67,7 +95,7 @@ impl McfInstance {
         // Demand cap: net outflow at each source is at most the demand.
         for (ci, &(src, _, demand)) in self.commodities.iter().enumerate() {
             let mut terms = Vec::new();
-            for (ei, &(from, to, _)) in self.edges.iter().enumerate() {
+            for (ei, &(from, to, _)) in edges.iter().enumerate() {
                 if from == src {
                     terms.push((var(ei, ci), 1.0));
                 } else if to == src {
@@ -79,10 +107,19 @@ impl McfInstance {
             }
         }
         // Shared capacity per edge.
-        for (ei, &(_, _, cap)) in self.edges.iter().enumerate() {
+        for (ei, &(_, _, cap)) in edges.iter().enumerate() {
             let scale = cap_scale.get(ei).copied().unwrap_or(1.0);
             let terms: Vec<(usize, f64)> = (0..k).map(|ci| (var(ei, ci), 1.0)).collect();
             b.add_constraint(&terms, Relation::Le, cap * scale);
+        }
+        if bounded {
+            // Singleton rows: the sparse lowering turns them into bounds.
+            for (ei, &(_, _, cap)) in edges.iter().enumerate() {
+                let scale = cap_scale.get(ei).copied().unwrap_or(1.0);
+                for ci in 0..k {
+                    b.add_constraint(&[(var(ei, ci), 1.0)], Relation::Le, cap * scale);
+                }
+            }
         }
         b.build()
     }
@@ -222,6 +259,68 @@ proptest! {
         let sparse = sparse_objective(&mut SparseSimplexSolver::new(), &doubled);
         prop_assert!((dense - sparse).abs() <= 1e-6 * (1.0 + dense.abs()),
             "dense {dense} vs sparse {sparse} on degenerate instance");
+    }
+
+    /// The round engine's warm chain on one solver: each round drifts
+    /// capacities (rhs and bounds), solves the base program, then the
+    /// same state augmented with fake edges — columns and `≤` rows
+    /// appended. Every step matches the dense oracle; the augmented step
+    /// is always a warm hit without a single repair pivot (the base
+    /// optimum is a feasible vertex of the augmented program, Theorem 1);
+    /// no step spends more than `m` pivots in dual repair; and every
+    /// solve without a warm attempt is the first one or a structural
+    /// change the generator injected.
+    #[test]
+    fn warm_chain_alternates_base_and_row_augmented_programs(
+        inst in mcf_instances(),
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec(0.5f64..1.5, 12),
+             proptest::collection::vec((0usize..12, 1.0f64..10.0), 1..4),
+             0usize..4),
+            2..6),
+    ) {
+        let mut inst = inst;
+        if inst.commodities.len() < 2 {
+            // One commodity lowers capacity rows to bounds: no row append.
+            let (s, t, d) = inst.commodities[0];
+            inst.commodities.push((t, s, d));
+        }
+        let mut warm = SparseSimplexSolver::new();
+        let (mut solves, mut injected) = (0u64, 0u64);
+        for (scales, fakes, inject) in &rounds {
+            if *inject == 0 && solves > 0 {
+                // In-place structural change: commodity 0 gets another
+                // sink, its conservation rows move, the prefix diverges.
+                let (s, t, d) = inst.commodities[0];
+                let moved = (t + 1) % inst.n_nodes;
+                let moved = if moved == s { (moved + 1) % inst.n_nodes } else { moved };
+                inst.commodities[0] = (s, moved, d);
+                injected += 1;
+            }
+            for fakes in [&[][..], &fakes[..]] {
+                let lp = inst.lower_augmented(scales, fakes);
+                let before = warm.stats();
+                let sparse = sparse_objective(&mut warm, &lp);
+                let after = warm.stats();
+                solves += 1;
+                let dense = dense_objective(&lp);
+                prop_assert!((dense - sparse).abs() <= 1e-6 * (1.0 + dense.abs()),
+                    "dense {dense} vs warm sparse {sparse}");
+                let rows = rwc_lp::sparse::SparseLp::from_dense(&lp).n_rows() as u64;
+                let repair = after.repair_pivots - before.repair_pivots;
+                prop_assert!(repair <= rows, "{repair} repair pivots on {rows} rows");
+                if !fakes.is_empty() {
+                    prop_assert_eq!(after.warm_hits, before.warm_hits + 1,
+                        "augmented step went cold: {:?}", after);
+                    prop_assert_eq!(repair, 0);
+                }
+            }
+        }
+        let stats = warm.stats();
+        prop_assert_eq!(stats.cold_solves + stats.warm_hits, solves);
+        prop_assert!(solves - stats.warm_attempts <= 1 + injected,
+            "{} solves without a warm attempt, {} injected: {:?}",
+            solves - stats.warm_attempts, injected, stats);
     }
 
     /// An expired deadline plus a per-pivot delay makes the stride-64

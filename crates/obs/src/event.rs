@@ -28,6 +28,25 @@ pub enum FaultDomain {
     Optical,
 }
 
+/// Why the exact LP solved cold instead of reusing its retained basis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum ColdReason {
+    /// Nothing to reuse: first solve, a reset, or the LP's structure
+    /// changed in place.
+    NoBasis,
+    /// The saved basis, mapped onto the new program, did not factorise.
+    Singular,
+    /// Dual repair of the warm basis gave up (pivot bound, no eligible
+    /// pivot).
+    RepairAborted,
+    /// The warm basis was neither primal- nor dual-feasible: the matrix
+    /// or objective moved, not just rhs and bounds. Also every refusal of
+    /// the dense backend, which keeps no finer counter.
+    NotDualFeasible,
+    /// The solve-deadline watchdog aborted the warm attempt.
+    Watchdog,
+}
+
 /// One pipeline state transition.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Event {
@@ -78,8 +97,10 @@ pub enum Event {
     },
     /// The incremental exact LP abandoned its basis and solved cold.
     ColdFallback {
-        /// Pivots the cold solve spent.
+        /// Pivots the solve spent, refused warm attempt included.
         pivots: u64,
+        /// Why the basis was not reused.
+        reason: ColdReason,
     },
     /// The fault plan injected a fault this tick/round.
     FaultInjected {
@@ -197,7 +218,7 @@ mod tests {
             Event::ReconfigAborted { link: 0, to_gbps: 150.0, rolled_back: true },
             Event::Quarantine { link: 0, until_millis: 1 },
             Event::WarmSolve { pivots: 3 },
-            Event::ColdFallback { pivots: 40 },
+            Event::ColdFallback { pivots: 40, reason: ColdReason::Singular },
             Event::FaultInjected { link: Some(2), domain: FaultDomain::Bvt },
             Event::EpisodeOpened { link: 1, rung_gbps: 200.0, at_tick: 5 },
             Event::EpisodeClosed { link: 1, rung_gbps: 200.0, ticks: 9 },

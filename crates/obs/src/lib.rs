@@ -32,7 +32,7 @@ pub mod observer;
 pub mod sink;
 pub mod span;
 
-pub use event::{Event, FaultDomain};
+pub use event::{ColdReason, Event, FaultDomain};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use observer::{noop, MetricsObserver, NoopObserver, Observer};
 pub use sink::ConsoleSink;

@@ -49,6 +49,9 @@ pub const COUNTERS: &[&str] = &[
     "lp.eta_updates",
     "lp.refactorizations",
     "lp.pricing_scans",
+    "lp.warm_singular",
+    "lp.repair_aborts",
+    "lp.repair_pivots",
     // harness: crash-safe sweep runtime (rwc-harness).
     "harness.chunk_retries",
     "harness.chunk_failures",

@@ -134,7 +134,7 @@ mod tests {
         assert!(o.enabled());
         o.event(&Event::WarmSolve { pivots: 4 });
         o.event(&Event::WarmSolve { pivots: 2 });
-        o.event(&Event::ColdFallback { pivots: 60 });
+        o.event(&Event::ColdFallback { pivots: 60, reason: crate::ColdReason::NoBasis });
         let s = o.snapshot();
         assert_eq!(s.counters["events.warm_solve"], 2);
         assert_eq!(s.counters["events.cold_fallback"], 1);

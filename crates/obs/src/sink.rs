@@ -58,8 +58,8 @@ impl Observer for ConsoleSink {
             Event::Quarantine { link, until_millis } => {
                 println!("  [obs] link {link} quarantined until t={until_millis}ms");
             }
-            Event::ColdFallback { pivots } => {
-                println!("  [obs] warm LP fell back cold ({pivots} pivots)");
+            Event::ColdFallback { pivots, reason } => {
+                println!("  [obs] warm LP fell back cold ({pivots} pivots, {reason:?})");
             }
             _ => {}
         }

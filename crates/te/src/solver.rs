@@ -29,7 +29,7 @@ use crate::problem::{TeProblem, TeSolution};
 use crate::{TeAlgorithm, TeError};
 use rwc_lp::simplex::{LpBackend, SimplexSolver, SolverStats};
 use rwc_lp::SparseSimplexSolver;
-use rwc_obs::{Event, Observer};
+use rwc_obs::{ColdReason, Event, Observer};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
@@ -266,12 +266,28 @@ impl TeSolver {
         self.obs.incr("lp.eta_updates", after.eta_updates - before.eta_updates);
         self.obs.incr("lp.refactorizations", after.refactorizations - before.refactorizations);
         self.obs.incr("lp.pricing_scans", after.pricing_scans - before.pricing_scans);
+        self.obs.incr("lp.warm_singular", after.warm_singular - before.warm_singular);
+        self.obs.incr("lp.repair_aborts", after.repair_aborts - before.repair_aborts);
+        self.obs.incr("lp.repair_pivots", after.repair_pivots - before.repair_pivots);
+        let aborts = after.watchdog_aborts - before.watchdog_aborts;
         if after.warm_hits > before.warm_hits {
             self.obs.event(&Event::WarmSolve { pivots });
         } else if after.cold_solves > before.cold_solves {
-            self.obs.event(&Event::ColdFallback { pivots });
+            // The refusals leave one counter each; the precheck of dual
+            // repair leaves none, so it is what remains of a warm attempt.
+            let reason = if after.warm_attempts == before.warm_attempts {
+                ColdReason::NoBasis
+            } else if aborts > 0 {
+                ColdReason::Watchdog
+            } else if after.warm_singular > before.warm_singular {
+                ColdReason::Singular
+            } else if after.repair_aborts > before.repair_aborts {
+                ColdReason::RepairAborted
+            } else {
+                ColdReason::NotDualFeasible
+            };
+            self.obs.event(&Event::ColdFallback { pivots, reason });
         }
-        let aborts = after.watchdog_aborts - before.watchdog_aborts;
         if aborts > 0 {
             self.obs.incr("lp.watchdog_aborts", aborts);
             self.obs.event(&Event::WatchdogAbort { pivots });
@@ -413,6 +429,76 @@ mod tests {
         assert!(snap.counters["lp.refactorizations"] >= 1, "{snap:?}");
         assert!(snap.counters.contains_key("lp.eta_updates"), "{snap:?}");
         assert!(snap.counters.contains_key("lp.pricing_scans"), "{snap:?}");
+    }
+
+    #[test]
+    fn static_then_augmented_solve_is_one_warm_chain() {
+        // A TE round's two solves on one solver: the static problem, then
+        // the same state with a fake edge pair on every link. With more
+        // than one commodity each fake edge appends a capacity row as well
+        // as its columns; the static optimum is a vertex of the augmented
+        // LP (Theorem 1), so the second solve must start from it.
+        let wan = builders::scaled_mesh(2, 500.0);
+        let dm = DemandMatrix::gravity(&wan, Gbps(4000.0), 7);
+        assert!(dm.demands().len() > 1);
+        let base = TeProblem::from_wan(&wan, &dm);
+        let mut augmented = base.clone();
+        for (id, _) in wan.links() {
+            for forward in [true, false] {
+                let real = base.net.edge(2 * id.0 + usize::from(!forward));
+                augmented.net.add_edge(real.from, real.to, real.capacity, real.cost + 1.0);
+                augmented.origins.push(crate::problem::EdgeOrigin::Fake { link: id, forward });
+            }
+        }
+        let metrics = Arc::new(rwc_obs::MetricsObserver::new());
+        let chained = TeSolver::builder().observer(metrics.clone()).build().unwrap();
+        let static_total = chained.solve(&base).total;
+        let warm = chained.solve(&augmented);
+        let cold = TeSolver::default().solve(&augmented);
+        assert!((warm.total - cold.total).abs() < 1e-6, "{} vs {}", warm.total, cold.total);
+        assert!(warm.total > static_total + 1.0, "the fake capacity is worth using");
+        let stats = chained.warm_stats().unwrap();
+        assert_eq!(stats.cold_solves, 1, "augmented solve went cold: {stats:?}");
+        assert_eq!((stats.warm_hits, stats.warm_singular, stats.repair_pivots), (1, 0, 0));
+        let snap = metrics.snapshot();
+        for name in ["lp.warm_singular", "lp.repair_aborts", "lp.repair_pivots"] {
+            assert_eq!(snap.counters[name], 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn cold_fallback_carries_its_reason() {
+        #[derive(Debug, Default)]
+        struct Reasons(std::sync::Mutex<Vec<ColdReason>>);
+        impl Observer for Reasons {
+            fn event(&self, event: &Event) {
+                if let Event::ColdFallback { reason, .. } = event {
+                    self.0.lock().unwrap().push(*reason);
+                }
+            }
+        }
+        let reasons = Arc::new(Reasons::default());
+        let solver = TeSolver::builder().observer(reasons.clone()).build().unwrap();
+        let cold = SolverStats { cold_solves: 1, ..SolverStats::default() };
+        let refused = SolverStats { warm_attempts: 1, ..cold };
+        let cases = [
+            (cold, ColdReason::NoBasis),
+            (SolverStats { warm_singular: 1, ..refused }, ColdReason::Singular),
+            (SolverStats { repair_aborts: 1, repair_pivots: 9, ..refused }, ColdReason::RepairAborted),
+            (refused, ColdReason::NotDualFeasible),
+            // A watchdog abort inside repair also counts a repair abort.
+            (SolverStats { watchdog_aborts: 1, repair_aborts: 1, ..refused }, ColdReason::Watchdog),
+        ];
+        for (after, _) in &cases {
+            solver.publish_solve(SolverStats::default(), *after);
+        }
+        // A warm hit reports no fallback at all.
+        solver.publish_solve(
+            SolverStats::default(),
+            SolverStats { warm_attempts: 1, warm_hits: 1, ..SolverStats::default() },
+        );
+        let want: Vec<ColdReason> = cases.iter().map(|&(_, reason)| reason).collect();
+        assert_eq!(*reasons.0.lock().unwrap(), want);
     }
 
     #[test]
