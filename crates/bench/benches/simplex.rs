@@ -1,19 +1,19 @@
-//! Cold vs warm simplex on a drifting TE LP, and sparse vs dense backends
-//! across topology scales.
+//! Cold vs warm simplex on a drifting TE LP, and the warm solver across
+//! topology scales.
 //!
-//! The drift workload mirrors what the round engine does: the same
-//! augmented TE problem re-solved as its capacities drift a few percent
-//! per round. `cold` allocates a fresh solver per solve (Phase I every
-//! time); `warm` reuses one [`SimplexSolver`], so successive solves either
-//! fast-resolve (rhs-only change) or refactorise the saved basis.
+//! The drift workload mirrors what the round engine does: the same TE
+//! problem re-solved as its capacities drift a few percent per round.
+//! `cold` allocates a fresh solver per solve (Phase I every time); `warm`
+//! reuses one [`SparseSimplexSolver`], so successive solves either
+//! fast-resolve (rhs/bounds-only change) or refactorise the saved basis.
 //!
-//! The `backend` group pits the sparse revised simplex against the dense
-//! tableau on [`builders::scaled_mesh`] replicas of increasing size; after
-//! each timed arm it prints the sparse solver's eta-update chain length
-//! per refactorisation, the PFI health metric from DESIGN.md §14.
+//! The `mesh` group runs the warm solver on [`builders::scaled_mesh`]
+//! replicas of increasing size; after each timed arm it prints the
+//! eta-update chain length per refactorisation, the PFI health metric
+//! from DESIGN.md §14.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rwc_lp::{SimplexSolver, SparseSimplexSolver};
+use rwc_lp::{SparseLp, SparseSimplexSolver};
 use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::problem::TeProblem;
 use rwc_te::TeFormulation;
@@ -22,7 +22,7 @@ use rwc_topology::wan::LinkId;
 use rwc_util::units::Gbps;
 
 /// The abilene TE LP with every link's capacity drifted by round.
-fn drifted_lp(round: usize) -> rwc_lp::LinearProgram {
+fn drifted_lp(round: usize) -> SparseLp {
     let wan = builders::abilene();
     let dm = DemandMatrix::gravity(&wan, Gbps(1_000.0), 11);
     let mut problem = TeProblem::from_wan(&wan, &dm);
@@ -33,7 +33,7 @@ fn drifted_lp(round: usize) -> rwc_lp::LinearProgram {
         let id = LinkId(l);
         problem.override_link_capacity(id, wan.link(id).capacity().0 * factor);
     }
-    lowering(&problem).dense_lp()
+    lowering(&problem).sparse_lp()
 }
 
 /// Max-throughput lowering with the benches' historical unit weight.
@@ -48,15 +48,15 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     c.bench_function("simplex/cold_abilene_drift", |b| {
         b.iter(|| {
             for lp in &lps {
-                std::hint::black_box(SimplexSolver::new().solve(lp));
+                std::hint::black_box(SparseSimplexSolver::new().solve_sparse(lp));
             }
         })
     });
     c.bench_function("simplex/warm_abilene_drift", |b| {
-        let mut solver = SimplexSolver::new();
+        let mut solver = SparseSimplexSolver::new();
         b.iter(|| {
             for lp in &lps {
-                std::hint::black_box(solver.solve(lp));
+                std::hint::black_box(solver.solve_sparse(lp));
             }
         })
     });
@@ -96,11 +96,10 @@ fn scaled_problems(factor: usize, rounds: usize) -> (TeProblem, Vec<TeProblem>) 
     (base, drifted)
 }
 
-fn bench_sparse_vs_dense(c: &mut Criterion) {
+fn bench_mesh_scales(c: &mut Criterion) {
     for factor in [1usize, 2, 4] {
         let (_, rounds) = scaled_problems(factor, 4);
         let sparse_rounds: Vec<_> = rounds.iter().map(|p| lowering(p).sparse_lp()).collect();
-        let dense_rounds: Vec<_> = rounds.iter().map(|p| lowering(p).dense_lp()).collect();
         c.bench_function(&format!("simplex/sparse_mesh_x{factor}"), |b| {
             let mut solver = SparseSimplexSolver::new();
             b.iter(|| {
@@ -127,16 +126,8 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
             stats.refactorizations,
             probe.eta_chain_len(),
         );
-        c.bench_function(&format!("simplex/dense_mesh_x{factor}"), |b| {
-            let mut solver = SimplexSolver::new();
-            b.iter(|| {
-                for lp in &dense_rounds {
-                    std::hint::black_box(solver.solve(lp));
-                }
-            })
-        });
     }
 }
 
-criterion_group!(benches, bench_cold_vs_warm, bench_sparse_vs_dense);
+criterion_group!(benches, bench_cold_vs_warm, bench_mesh_scales);
 criterion_main!(benches);

@@ -246,13 +246,11 @@ fn run_bench_json(
 ) -> ExitCode {
     let perf = rwc_bench::perf::scenario_perf(scale);
     sink.result(&format!(
-        "round engine ({} scale): full {:.1} rounds/sec -> incremental {:.1} rounds/sec \
-         ({:.2}x solve speedup, reports identical: {})",
+        "round engine ({} scale): {:.1} rounds/sec (SWAN, solve p50 {} us / p99 {} us)",
         perf.scale,
-        perf.full.rounds_per_sec,
         perf.incremental.rounds_per_sec,
-        perf.solve_speedup,
-        perf.reports_identical,
+        perf.incremental.solve_p50_micros,
+        perf.incremental.solve_p99_micros,
     ));
     sink.result(&format!(
         "exact LP: cold p50 {} us / p99 {} us -> warm p50 {} us / p99 {} us \
@@ -266,18 +264,9 @@ fn run_bench_json(
         perf.max_throughput_delta,
     ));
     if let Some(lt) = &perf.large_te {
-        let dense_arm = if lt.dense.rounds == 0 {
-            "dense skipped (topology beyond the tableau's reach)".to_string()
-        } else {
-            format!(
-                "dense {:.1} rounds/sec -> sparse at {:.1}x",
-                lt.dense.rounds_per_sec, lt.sparse_speedup
-            )
-        };
         sink.result(&format!(
             "large TE (scale x{}, {} links, {} commodities, LP {}x{}): \
-             sparse {:.1} rounds/sec (p50 {} us / p99 {} us, \
-             {:.1} eta updates/refactor); {dense_arm}",
+             {:.1} rounds/sec (p50 {} us / p99 {} us, {:.1} eta updates/refactor)",
             lt.scale_factor,
             lt.links,
             lt.commodities,
@@ -292,17 +281,16 @@ fn run_bench_json(
     if let Some(obj) = &perf.objectives {
         sink.result(&format!(
             "objective zoo (mesh x{}, {} fake edges): {}/{} objectives solved, \
-             worst backend disagreement {:.2e}; min-MLU envelope {:.3} >= \
-             max single-TM {:.3}, drift warm hit rate {:.0}%, sparse {:.1}x dense",
+             worst certificate gap {:.2e}; min-MLU envelope {:.3} >= \
+             max single-TM {:.3}, drift warm hit rate {:.0}%",
             obj.scale_factor,
             obj.fake_edges,
             obj.arms.iter().filter(|a| a.solved).count(),
             obj.arms.len(),
-            obj.max_agreement_delta,
+            obj.max_certificate_gap,
             obj.min_mlu.envelope_mlu,
             obj.min_mlu.max_single_tm_mlu,
             100.0 * obj.min_mlu.warm_hit_rate,
-            obj.min_mlu.sparse_speedup,
         ));
     }
     let fleet = rwc_bench::perf::fleet_perf(scale);

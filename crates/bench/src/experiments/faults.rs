@@ -20,14 +20,6 @@ use rwc_telemetry::FleetConfig;
 use rwc_topology::builders;
 
 fn build(scale: Scale) -> (Scenario, SimDuration, FaultPlan) {
-    build_arm(scale, false)
-}
-
-/// Builds the fault campaign with the round engine pinned to either the
-/// incremental path or the `full_rebuild` escape hatch — the two must
-/// produce byte-identical reports (see the `incremental` integration
-/// test), so both are exposed.
-pub fn build_arm(scale: Scale, full_rebuild: bool) -> (Scenario, SimDuration, FaultPlan) {
     let wan = builders::fig7_example();
     let n_links = wan.n_links();
     let a = wan.node_by_name("A").unwrap();
@@ -67,7 +59,6 @@ pub fn build_arm(scale: Scale, full_rebuild: bool) -> (Scenario, SimDuration, Fa
     .generate();
     let config = ScenarioConfig {
         fault_plan: Some(plan.clone()),
-        full_rebuild,
         ..ScenarioConfig::default()
     };
     let scenario = Scenario::builder(wan, fleet, dm)

@@ -1,5 +1,6 @@
 //! TE objective zoo on the augmented scaled mesh: every [`rwc_te::TeObjective`]
-//! solved by both LP backends on the identical problem, plus the min-MLU
+//! solved on the identical problem, each optimum with its certificate
+//! (primal / dual residual and duality gap), plus the min-MLU
 //! envelope-dominance and warm-drift sub-stage. The printed table is the
 //! human twin of the `objectives` stage in `BENCH_scenario.json` (and the
 //! data behind the CI jq gates).
@@ -13,24 +14,25 @@ fn render(report: &mut Report, perf: &ObjectivesPerf) {
         perf.scale_factor, perf.commodities, perf.fake_edges
     ));
     report.line(
-        "objective                        sparse        dense        |delta|   sparse/dense us"
+        "objective                          headline   certificate gap   residual   solve us"
             .to_string(),
     );
     for arm in &perf.arms {
         report.line(format!(
-            "{:<32} {:>10.4} {:>12.4} {:>12.3e}   {:>6} / {:>6}{}",
+            "{:<32} {:>10.4} {:>17.3e} {:>10.3e}   {:>8}{}",
             arm.objective,
-            arm.sparse_headline,
-            arm.dense_headline,
-            arm.agreement_delta,
-            arm.sparse_solve_micros,
-            arm.dense_solve_micros,
+            arm.headline,
+            arm.certificate_gap,
+            arm.certificate_residual,
+            arm.solve_micros,
             if arm.solved { "" } else { "  [FAILED]" },
         ));
     }
     report.line(format!(
-        "all objectives solved: {}; worst cross-backend disagreement {:.3e} (gate 1e-6)",
-        perf.all_solved, perf.max_agreement_delta
+        "all objectives solved: {}; worst certificate gap {:.3e} (gate {:.0e})",
+        perf.all_solved,
+        perf.max_certificate_gap,
+        rwc_lp::CERTIFICATE_TOL
     ));
     let mm = &perf.min_mlu;
     report.line(format!(
@@ -38,22 +40,17 @@ fn render(report: &mut Report, perf: &ObjectivesPerf) {
         mm.envelope_mlu, mm.max_single_tm_mlu
     ));
     report.line(format!(
-        "min-MLU rhs-only TM drift ({} rounds): warm hit rate {:.0}% \
-         ({}/{} attempts), sparse {:.1}x faster than dense",
+        "min-MLU rhs-only TM drift ({} rounds): warm hit rate {:.0}% ({}/{} attempts)",
         mm.rounds,
         100.0 * mm.warm_hit_rate,
         mm.warm_hits,
         mm.warm_attempts,
-        mm.sparse_speedup,
     ));
     report.csv(
         "objectives.csv",
-        std::iter::once("objective,solved,sparse,dense,delta".to_string())
+        std::iter::once("objective,solved,headline,certificate_gap".to_string())
             .chain(perf.arms.iter().map(|a| {
-                format!(
-                    "{},{},{},{},{}",
-                    a.objective, a.solved, a.sparse_headline, a.dense_headline, a.agreement_delta
-                )
+                format!("{},{},{},{}", a.objective, a.solved, a.headline, a.certificate_gap)
             }))
             .collect::<Vec<_>>()
             .join("\n")
@@ -64,7 +61,7 @@ fn render(report: &mut Report, perf: &ObjectivesPerf) {
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
     let mut report =
-        Report::new("objectives", "TE objective zoo: five formulations, two LP backends");
+        Report::new("objectives", "TE objective zoo: five formulations, each optimum certified");
     let perf = objectives_perf(scale);
     render(&mut report, &perf);
     report
@@ -75,11 +72,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn objective_zoo_solves_and_backends_agree() {
+    fn objective_zoo_solves_and_certifies() {
         let perf = objectives_perf(Scale::Scaled(2));
         assert_eq!(perf.arms.len(), 5, "all five objectives run");
         assert!(perf.all_solved, "{perf:?}");
-        assert!(perf.max_agreement_delta <= 1e-6, "{perf:?}");
+        assert!(perf.max_certificate_gap <= rwc_lp::CERTIFICATE_TOL, "{perf:?}");
         assert!(perf.fake_edges > 0, "augmentation produced no fake edges");
         let mm = &perf.min_mlu;
         assert!(

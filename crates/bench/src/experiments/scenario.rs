@@ -12,15 +12,6 @@ use rwc_telemetry::FleetConfig;
 use rwc_topology::builders;
 
 fn build(scale: Scale) -> (Scenario, SimDuration) {
-    build_arm(scale, false)
-}
-
-/// Builds the scenario with the round engine pinned to either the
-/// incremental path (`full_rebuild = false`, the default) or the
-/// rebuild-everything escape hatch. Exposed so the perf harness and the
-/// byte-identity integration tests drive the exact experiment
-/// configuration rather than an approximation of it.
-pub fn build_arm(scale: Scale, full_rebuild: bool) -> (Scenario, SimDuration) {
     let wan = builders::fig7_example();
     let a = wan.node_by_name("A").unwrap();
     let b = wan.node_by_name("B").unwrap();
@@ -42,9 +33,7 @@ pub fn build_arm(scale: Scale, full_rebuild: bool) -> (Scenario, SimDuration) {
         wavelength_jitter_sd_db: 0.4,
         ..FleetConfig::paper()
     };
-    let config = ScenarioConfig { full_rebuild, ..ScenarioConfig::default() };
     let scenario = Scenario::builder(wan, fleet, dm)
-        .config(config)
         .observer(super::observer())
         .build()
         .expect("scenario experiment wiring is valid");

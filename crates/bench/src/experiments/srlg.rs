@@ -30,17 +30,6 @@ use rwc_topology::builders;
 /// Fig. 7 fleet with links 0 and 2 sharing one fiber segment — the SRLG
 /// an amplifier event takes down in a single shot.
 fn build(scale: Scale, make_before_break: bool) -> (Scenario, SimDuration, FaultPlan) {
-    build_arm(scale, make_before_break, false)
-}
-
-/// Builds one SRLG arm with the round engine pinned to either the
-/// incremental path or the `full_rebuild` escape hatch; exposed for the
-/// byte-identity integration tests.
-pub fn build_arm(
-    scale: Scale,
-    make_before_break: bool,
-    full_rebuild: bool,
-) -> (Scenario, SimDuration, FaultPlan) {
     let mut wan = builders::fig7_example();
     let shared = wan.link(LinkId(0)).fiber_id;
     wan.link_mut(LinkId(2)).fiber_id = shared;
@@ -87,7 +76,6 @@ pub fn build_arm(
     let config = ScenarioConfig {
         fault_plan: Some(plan.clone()),
         make_before_break,
-        full_rebuild,
         ..ScenarioConfig::default()
     };
     let scenario = Scenario::builder(wan, fleet, dm)

@@ -1,28 +1,27 @@
 //! Machine-readable performance digest of the scenario round engine —
 //! the payload behind `repro --bench-json` and the CI perf-smoke gate.
 //!
-//! Four arms of the *same* week-in-the-life scenario:
+//! Three arms of the *same* week-in-the-life scenario, all on the one
+//! round engine (dirty-link augmentation + memo):
 //!
-//! | arm           | round engine            | TE solver            |
-//! |---------------|-------------------------|----------------------|
-//! | `full`        | rebuild everything      | SWAN (stateless)     |
-//! | `incremental` | dirty-link + memo       | SWAN (stateless)     |
-//! | `exact_cold`  | rebuild everything      | exact LP, cold       |
-//! | `exact_warm`  | dirty-link + memo       | exact LP, warm-start |
+//! | arm           | TE solver                                   |
+//! |---------------|---------------------------------------------|
+//! | `incremental` | SWAN (stateless)                            |
+//! | `exact_cold`  | exact LP, `WarmStartPolicy::AlwaysCold`     |
+//! | `exact_warm`  | exact LP, warm-start                        |
 //!
-//! The SWAN pair must produce **byte-identical** reports (the incremental
-//! engine is an optimisation, not an approximation) and is where the
-//! headline `solve_speedup` comes from. The exact pair exercises the
-//! warm-started flat simplex: objectives agree to solver tolerance, so
-//! the digest reports the worst per-round throughput delta alongside the
-//! warm-start hit rate.
+//! The exact pair differs in the warm-start policy and nothing else, so
+//! `exact_solve_speedup` is what warm starts buy; both reach an optimum of
+//! the same LP each round, so the digest reports the worst per-round
+//! throughput delta alongside the warm-start hit rate. Then two stages on
+//! the replicated mesh: drifting rounds at scale (`large_te`) and the
+//! objective zoo, where every solve carries its optimality certificate.
 //!
 //! Timing lives in [`ScenarioTiming`] sidecars and never in the reports
 //! themselves, so the determinism comparisons stay meaningful.
 
 use crate::Scale;
-use rwc_core::scenario::{Scenario, ScenarioConfig, ScenarioReport, ScenarioTiming};
-use rwc_lp::LpBackend;
+use rwc_core::scenario::{Scenario, ScenarioReport, ScenarioTiming};
 use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::problem::TeProblem;
 use rwc_te::swan::SwanTe;
@@ -70,21 +69,18 @@ pub struct ScenarioPerf {
     pub experiment: String,
     /// `"quick"` or `"full"`.
     pub scale: String,
-    /// Full-rebuild engine, SWAN solver.
-    pub full: ArmPerf,
-    /// Incremental engine, SWAN solver.
+    /// SWAN solver.
     pub incremental: ArmPerf,
-    /// `full.total_solve_micros / incremental.total_solve_micros`.
-    pub solve_speedup: f64,
-    /// Whether the SWAN pair's reports serialized byte-identically.
-    pub reports_identical: bool,
-    /// Full-rebuild engine, cold exact LP.
+    /// Exact LP, reset before every solve.
     pub exact_cold: ArmPerf,
-    /// Incremental engine, warm-started exact LP.
+    /// Exact LP, warm-started.
     pub exact_warm: ArmPerf,
     /// `exact_cold.total_solve_micros / exact_warm.total_solve_micros`.
+    /// The two arms run the same round engine (both get the static memo
+    /// and the counterfactual cache) and differ only by
+    /// [`WarmStartPolicy::AlwaysCold`], so this isolates the warm start.
     pub exact_solve_speedup: f64,
-    /// Warm starts attempted by the incremental exact arm.
+    /// Warm starts attempted by the warm exact arm.
     pub warm_attempts: u64,
     /// Warm starts that reached optimality without a cold fallback.
     pub warm_hits: u64,
@@ -94,18 +90,19 @@ pub struct ScenarioPerf {
     /// the exact arms — bounded by LP tolerance, not zero, because warm
     /// and cold may land on different optimal vertices.
     pub max_throughput_delta: f64,
-    /// Large-topology TE stage: both LP backends on a `--scale`-multiplied
-    /// replicated mesh. `Option` so baselines from before the sparse
-    /// backend still parse (the shim reads a missing field as `None`).
+    /// Large-topology TE stage: drifting exact rounds on a
+    /// `--scale`-multiplied replicated mesh. `Option` so baselines from
+    /// before the stage existed still parse (the shim reads a missing
+    /// field as `None`).
     pub large_te: Option<LargeTePerf>,
-    /// Objective-zoo stage: every [`TeObjective`] solved on the augmented
-    /// scaled mesh by both LP backends, plus the min-MLU envelope/drift
+    /// Objective-zoo stage: every [`TeObjective`] solved and certified on
+    /// the augmented scaled mesh, plus the min-MLU envelope/drift
     /// sub-stage. `Option` for the same baseline-compatibility reason as
     /// `large_te`.
     pub objectives: Option<ObjectivesPerf>,
 }
 
-/// One LP backend's arm of the [`LargeTePerf`] stage.
+/// Timing of the [`LargeTePerf`] stage's rounds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LargeTeArm {
     /// Drifted TE rounds solved.
@@ -122,9 +119,8 @@ pub struct LargeTeArm {
 
 /// The `large_te` stage of `BENCH_scenario.json`: the same drifting
 /// sequence of exact TE rounds on a replicated-mesh topology
-/// ([`builders::scaled_mesh`]), solved once per LP backend. This is where
-/// the sparse revised simplex earns its keep — the CI gate asserts
-/// `sparse_speedup >= 5` at the smoke scale.
+/// ([`builders::scaled_mesh`]) on one warm `TeSolver` — the regime
+/// (≥ 10k links at `--scale 300`) a dense tableau cannot enter.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LargeTePerf {
     /// Mesh replication factor used for this run.
@@ -138,14 +134,11 @@ pub struct LargeTePerf {
     /// Constraint rows of the lowered sparse LP (capacities are bounds
     /// for single-commodity programs and rows otherwise).
     pub lp_rows: u64,
-    /// Sparse revised-simplex backend.
+    /// The rounds' timing. (Named for the solver, as the baseline file
+    /// and the CI gates know it.)
     pub sparse: LargeTeArm,
-    /// Dense tableau backend (the escape hatch).
-    pub dense: LargeTeArm,
-    /// `sparse.rounds_per_sec / dense.rounds_per_sec`.
-    pub sparse_speedup: f64,
-    /// Mean product-form eta updates between basis refactorisations in
-    /// the sparse arm — the refactorisation-policy health metric.
+    /// Mean product-form eta updates between basis refactorisations —
+    /// the refactorisation-policy health metric.
     pub eta_updates_per_refactor: f64,
 }
 
@@ -157,8 +150,8 @@ fn percentile_micros(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn large_te_arm(rounds: &[TeProblem], backend: LpBackend) -> (LargeTeArm, rwc_lp::SolverStats) {
-    let te = TeSolver::builder().backend(backend).build().expect("default TE solver");
+fn large_te_arm(rounds: &[TeProblem]) -> (LargeTeArm, rwc_lp::SolverStats) {
+    let te = TeSolver::default();
     let mut micros: Vec<u64> = Vec::with_capacity(rounds.len());
     for p in rounds {
         let t0 = Instant::now();
@@ -178,10 +171,9 @@ fn large_te_arm(rounds: &[TeProblem], backend: LpBackend) -> (LargeTeArm, rwc_lp
     (arm, te.warm_stats().unwrap_or_default())
 }
 
-/// Runs the large-topology TE stage: a replicated mesh at the scale's
+/// The large-topology TE instance: a replicated mesh at the given
 /// replication factor, one cross-replica commodity per replica plus an
-/// end-to-end long haul, capacities drifting every round — solved by the
-/// sparse backend and then the dense escape hatch on identical inputs.
+/// end-to-end long haul.
 fn large_te_instance(factor: usize) -> (WanTopology, DemandMatrix) {
     let wan = builders::scaled_mesh(factor, 500.0);
     let pick = |name: String| wan.node_by_name(&name).expect("scaled mesh site");
@@ -206,6 +198,8 @@ fn large_te_instance(factor: usize) -> (WanTopology, DemandMatrix) {
     (wan, dm)
 }
 
+/// Runs the large-topology TE stage: [`large_te_instance`] with
+/// capacities drifting every round, solved on one warm solver.
 pub fn large_te_perf(scale: Scale) -> LargeTePerf {
     let factor = match scale {
         Scale::Quick => 6,
@@ -219,8 +213,7 @@ pub fn large_te_perf(scale: Scale) -> LargeTePerf {
         .map(|round| {
             let mut p = base.clone();
             for l in 0..wan.n_links() {
-                // Deterministic ±9% capacity drift, same pattern for both
-                // backends.
+                // Deterministic ±9% capacity drift.
                 let phase = (round * (l + 3)) % 7;
                 let factor = 0.91 + 0.03 * phase as f64;
                 p.override_link_capacity(LinkId(l), wan.link(LinkId(l)).capacity().value() * factor);
@@ -232,60 +225,39 @@ pub fn large_te_perf(scale: Scale) -> LargeTePerf {
         .lower(&base)
         .expect("max-throughput lowering is always valid")
         .sparse_lp();
-    let (sparse, sparse_stats) = large_te_arm(&rounds, LpBackend::Sparse);
-    // The dense tableau grows as rows × (cols + rows) with O(rows · cols)
-    // work per pivot: beyond this factor it needs minutes per round (and
-    // gigabytes at --scale 300), which is the regime this stage exists to
-    // show the sparse backend escaping. Skip it rather than hang the
-    // digest; a zeroed arm (rounds == 0) marks the skip in the JSON.
-    const DENSE_ARM_MAX_FACTOR: usize = 16;
-    let dense = if factor <= DENSE_ARM_MAX_FACTOR {
-        large_te_arm(&rounds, LpBackend::Dense).0
-    } else {
-        LargeTeArm {
-            rounds: 0,
-            rounds_per_sec: 0.0,
-            solve_p50_micros: 0,
-            solve_p99_micros: 0,
-            total_solve_micros: 0,
-        }
-    };
-    let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
+    let (sparse, stats) = large_te_arm(&rounds);
     LargeTePerf {
         scale_factor: factor as u64,
         links: base.net.n_edges() as u64,
         commodities: base.commodities.len() as u64,
         lp_cols: lowered.n_vars() as u64,
         lp_rows: lowered.n_rows() as u64,
-        sparse_speedup: ratio(sparse.rounds_per_sec, dense.rounds_per_sec),
-        eta_updates_per_refactor: ratio(
-            sparse_stats.eta_updates as f64,
-            sparse_stats.refactorizations as f64,
-        ),
+        eta_updates_per_refactor: if stats.refactorizations == 0 {
+            0.0
+        } else {
+            stats.eta_updates as f64 / stats.refactorizations as f64
+        },
         sparse,
-        dense,
     }
 }
 
-/// One objective's arm of the [`ObjectivesPerf`] stage: the same lowered
-/// problem solved by both LP backends, compared on the objective's
-/// headline value (total throughput, MLU, or the concurrency factor λ).
+/// One objective's arm of the [`ObjectivesPerf`] stage: a cold solve of
+/// the lowered problem, its headline value (total throughput, MLU, or the
+/// concurrency factor λ) and its optimality certificate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObjectiveArm {
     /// The formulation's algorithm name (e.g. `"exact-lp:min-mlu"`).
     pub objective: String,
-    /// Whether both backends reached optimality.
+    /// Whether the solve reached an optimum that certified.
     pub solved: bool,
-    /// Headline value from the sparse revised simplex.
-    pub sparse_headline: f64,
-    /// Headline value from the dense tableau.
-    pub dense_headline: f64,
-    /// `|sparse_headline - dense_headline|` — gated at 1e-6 in CI.
-    pub agreement_delta: f64,
-    /// Sparse-backend solve time, microseconds.
-    pub sparse_solve_micros: u64,
-    /// Dense-backend solve time, microseconds.
-    pub dense_solve_micros: u64,
+    /// The objective's headline value (NaN when unsolved).
+    pub headline: f64,
+    /// Solve time, microseconds (certificate check included).
+    pub solve_micros: u64,
+    /// Relative duality gap of the certificate — gated at 1e-9 in CI.
+    pub certificate_gap: f64,
+    /// The larger of the certificate's primal and dual residuals.
+    pub certificate_residual: f64,
 }
 
 /// The min-MLU sub-stage: envelope dominance plus warm-start behaviour
@@ -299,22 +271,20 @@ pub struct MinMluPerf {
     /// Must be `<= envelope_mlu + 1e-6`: routing that works for every
     /// matrix at once can never beat routing tuned to one matrix.
     pub max_single_tm_mlu: f64,
-    /// Drift rounds solved by each backend.
+    /// Drift rounds solved.
     pub rounds: u64,
-    /// Warm starts attempted by the sparse arm across the drift rounds.
+    /// Warm starts attempted across the drift rounds.
     pub warm_attempts: u64,
     /// Warm starts that reached optimality without a cold fallback.
     pub warm_hits: u64,
     /// `warm_hits / warm_attempts` in `[0, 1]`.
     pub warm_hit_rate: f64,
-    /// Dense total drift time / sparse total drift time.
-    pub sparse_speedup: f64,
 }
 
 /// The `objectives` stage of `BENCH_scenario.json`: the whole
 /// [`TeObjective`] zoo on one augmented scaled-mesh instance (fake
 /// upgrade edges included, so the unsplittable gadget and the reduction
-/// readout have real work to do), each objective solved by both backends.
+/// readout have real work to do), each objective solved and certified.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObjectivesPerf {
     /// Mesh replication factor used for this stage.
@@ -325,17 +295,15 @@ pub struct ObjectivesPerf {
     pub fake_edges: u64,
     /// One arm per objective, in declaration order.
     pub arms: Vec<ObjectiveArm>,
-    /// Whether every arm solved on both backends.
+    /// Whether every arm solved and certified.
     pub all_solved: bool,
-    /// Worst cross-backend headline disagreement across the arms.
-    pub max_agreement_delta: f64,
+    /// Worst certificate duality gap across the arms.
+    pub max_certificate_gap: f64,
     /// The min-MLU envelope/drift sub-stage.
     pub min_mlu: MinMluPerf,
 }
 
-/// Headline value of a solve under an objective: the quantity the two
-/// backends must agree on at 1e-6 (LP objectives differ by the sparse
-/// tie-break epsilon, so the comparison happens at the solution level).
+/// Headline value of a solve under an objective.
 fn headline(objective: &TeObjective, solve: &rwc_te::TeSolve) -> f64 {
     match objective {
         TeObjective::MinMlu { .. } => solve.mlu.expect("min-MLU solve reports MLU"),
@@ -344,13 +312,7 @@ fn headline(objective: &TeObjective, solve: &rwc_te::TeSolve) -> f64 {
     }
 }
 
-fn timed_solve(solver: &TeSolver, problem: &TeProblem) -> (Option<rwc_te::TeSolve>, u64) {
-    let t0 = Instant::now();
-    let solve = solver.solve_detailed(problem).ok();
-    (solve, t0.elapsed().as_micros().max(1) as u64)
-}
-
-/// Optimal MLU of one traffic-matrix set on `problem`, sparse backend.
+/// Optimal MLU of one traffic-matrix set on `problem`.
 fn min_mlu_of(problem: &TeProblem, traffic_matrices: Vec<Vec<f64>>) -> f64 {
     let solver = TeSolver::builder()
         .objective(TeObjective::MinMlu { traffic_matrices })
@@ -361,9 +323,9 @@ fn min_mlu_of(problem: &TeProblem, traffic_matrices: Vec<Vec<f64>>) -> f64 {
 }
 
 /// Runs the objective-zoo stage: augments the scaled mesh (some links get
-/// SNR headroom so fake upgrade rungs exist), then solves every objective
-/// with both backends on the identical augmented problem, plus the
-/// min-MLU envelope-dominance check and warm-start drift sub-stage.
+/// SNR headroom so fake upgrade rungs exist), then solves and certifies
+/// every objective on the augmented problem, plus the min-MLU
+/// envelope-dominance check and warm-start drift sub-stage.
 pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
     use rwc_core::{augment, AugmentConfig};
     use rwc_util::units::Db;
@@ -371,8 +333,8 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
     let factor = match scale {
         Scale::Quick => 4,
         Scale::Full => 6,
-        // Every arm runs the dense backend, so this stage stays at
-        // tableau-reachable sizes regardless of `--scale`.
+        // Cold min-MLU is the slow arm (ROADMAP item 2): the stage stays
+        // at a size it finishes regardless of `--scale`.
         Scale::Scaled(n) => (n as usize).clamp(1, 8),
     };
     let (mut wan, dm) = large_te_instance(factor);
@@ -412,32 +374,28 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
     ];
     let mut arms = Vec::with_capacity(objectives.len());
     for objective in &objectives {
-        let build = |backend| {
-            TeSolver::builder()
-                .objective(objective.clone())
-                .backend(backend)
-                .build()
-                .expect("objective-zoo solver config is valid")
-        };
-        let (sparse, sparse_micros) = timed_solve(&build(LpBackend::Sparse), problem);
-        let (dense, dense_micros) = timed_solve(&build(LpBackend::Dense), problem);
-        let (sparse_headline, dense_headline) = (
-            sparse.as_ref().map_or(f64::NAN, |s| headline(objective, s)),
-            dense.as_ref().map_or(f64::NAN, |s| headline(objective, s)),
+        let solver = TeSolver::builder()
+            .objective(objective.clone())
+            .build()
+            .expect("objective-zoo solver config is valid");
+        let t0 = Instant::now();
+        let certified = solver.solve_certified(problem).ok();
+        let solve_micros = t0.elapsed().as_micros().max(1) as u64;
+        let (value, gap, residual) = certified.as_ref().map_or(
+            (f64::NAN, f64::NAN, f64::NAN),
+            |(solve, cert)| (headline(objective, solve), cert.gap, cert.primal.max(cert.dual)),
         );
         arms.push(ObjectiveArm {
             objective: objective.algorithm_name().to_string(),
-            solved: sparse.is_some() && dense.is_some(),
-            sparse_headline,
-            dense_headline,
-            agreement_delta: (sparse_headline - dense_headline).abs(),
-            sparse_solve_micros: sparse_micros,
-            dense_solve_micros: dense_micros,
+            solved: certified.is_some(),
+            headline: value,
+            solve_micros,
+            certificate_gap: gap,
+            certificate_residual: residual,
         });
     }
     let all_solved = arms.iter().all(|a| a.solved);
-    let max_agreement_delta =
-        arms.iter().map(|a| a.agreement_delta).fold(0.0f64, f64::max);
+    let max_certificate_gap = arms.iter().map(|a| a.certificate_gap).fold(0.0f64, f64::max);
 
     // Envelope dominance: the envelope optimum must cover every member
     // matrix's own optimum.
@@ -448,32 +406,24 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
         .fold(0.0f64, f64::max);
 
     // Rhs-only TM drift: the same solver re-targeted each round via
-    // `set_objective` (identical LP pattern, drifted demand rhs), sparse
-    // vs dense. This is the MinMlu twin of the warm fast-resolve path.
+    // `set_objective` (identical LP pattern, drifted demand rhs). This is
+    // the MinMlu twin of the warm fast-resolve path.
     const DRIFT_ROUNDS: usize = 8;
     let drift_tms = |round: usize| -> Vec<Vec<f64>> {
         let scale = 0.75 + 0.03 * round as f64;
         tms.iter().map(|tm| tm.iter().map(|d| d * scale).collect()).collect()
     };
-    let drift_arm = |backend| -> (u64, rwc_lp::SolverStats) {
-        let mut solver = TeSolver::builder()
-            .objective(TeObjective::MinMlu { traffic_matrices: drift_tms(0) })
-            .backend(backend)
-            .build()
-            .expect("min-MLU solver config is valid");
-        let mut total = 0u64;
-        for round in 0..DRIFT_ROUNDS {
-            solver
-                .set_objective(TeObjective::MinMlu { traffic_matrices: drift_tms(round) })
-                .expect("drifted traffic matrices stay valid");
-            let t0 = Instant::now();
-            solver.solve_detailed(problem).expect("drift round solves");
-            total += t0.elapsed().as_micros().max(1) as u64;
-        }
-        (total, solver.warm_stats().unwrap_or_default())
-    };
-    let (sparse_total, sparse_stats) = drift_arm(LpBackend::Sparse);
-    let (dense_total, _) = drift_arm(LpBackend::Dense);
+    let mut drifting = TeSolver::builder()
+        .objective(TeObjective::MinMlu { traffic_matrices: drift_tms(0) })
+        .build()
+        .expect("min-MLU solver config is valid");
+    for round in 0..DRIFT_ROUNDS {
+        drifting
+            .set_objective(TeObjective::MinMlu { traffic_matrices: drift_tms(round) })
+            .expect("drifted traffic matrices stay valid");
+        drifting.solve_detailed(problem).expect("drift round solves");
+    }
+    let drift_stats = drifting.warm_stats().unwrap_or_default();
 
     ObjectivesPerf {
         scale_factor: factor as u64,
@@ -481,19 +431,14 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
         fake_edges,
         arms,
         all_solved,
-        max_agreement_delta,
+        max_certificate_gap,
         min_mlu: MinMluPerf {
             envelope_mlu,
             max_single_tm_mlu,
             rounds: DRIFT_ROUNDS as u64,
-            warm_attempts: sparse_stats.warm_attempts,
-            warm_hits: sparse_stats.warm_hits,
-            warm_hit_rate: sparse_stats.warm_hit_rate(),
-            sparse_speedup: if sparse_total == 0 {
-                0.0
-            } else {
-                dense_total as f64 / sparse_total as f64
-            },
+            warm_attempts: drift_stats.warm_attempts,
+            warm_hits: drift_stats.warm_hits,
+            warm_hit_rate: drift_stats.warm_hit_rate(),
         },
     }
 }
@@ -504,7 +449,7 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
 /// their worth once the augmented LP has real size. SNR baselines sit
 /// comfortably above the rung thresholds so ladders keep their shape
 /// most rounds — the regime warm starts are designed for.
-fn perf_build(scale: Scale, full_rebuild: bool) -> (Scenario, SimDuration) {
+fn perf_build(scale: Scale) -> (Scenario, SimDuration) {
     let wan = builders::abilene();
     let pick = |n: &str| wan.node_by_name(n).expect("abilene site");
     let mut dm = DemandMatrix::new();
@@ -526,37 +471,30 @@ fn perf_build(scale: Scale, full_rebuild: bool) -> (Scenario, SimDuration) {
         wavelength_jitter_sd_db: 0.15,
         ..FleetConfig::paper()
     };
-    let config = ScenarioConfig { full_rebuild, ..ScenarioConfig::default() };
     let scenario = Scenario::builder(wan, fleet, dm)
-        .config(config)
         .build()
         .expect("perf scenario wiring is valid");
     (scenario, horizon)
 }
 
-fn run_arm(
-    scale: Scale,
-    full_rebuild: bool,
-    algorithm: &dyn TeAlgorithm,
-) -> (ScenarioReport, ScenarioTiming) {
-    let (mut s, horizon) = perf_build(scale, full_rebuild);
+fn run_arm(scale: Scale, algorithm: &dyn TeAlgorithm) -> (ScenarioReport, ScenarioTiming) {
+    let (mut s, horizon) = perf_build(scale);
     let report = s.run(horizon, algorithm).expect("perf scenario wiring is valid");
     let timing = s.last_timing().cloned().expect("run always records timing");
     (report, timing)
 }
 
-/// Runs the four arms (sequentially, so the timings aren't fighting each
+/// Runs the three arms (sequentially, so the timings aren't fighting each
 /// other for cores) and assembles the digest.
 pub fn scenario_perf(scale: Scale) -> ScenarioPerf {
-    let (full_report, full_t) = run_arm(scale, true, &SwanTe::default());
-    let (inc_report, inc_t) = run_arm(scale, false, &SwanTe::default());
+    let (_, inc_t) = run_arm(scale, &SwanTe::default());
     let cold_algo = TeSolver::builder()
         .warm_start(WarmStartPolicy::AlwaysCold)
         .build()
         .expect("default TE solver");
-    let (cold_report, cold_t) = run_arm(scale, true, &cold_algo);
-    let warm_algo = TeSolver::builder().build().expect("default TE solver");
-    let (warm_report, warm_t) = run_arm(scale, false, &warm_algo);
+    let (cold_report, cold_t) = run_arm(scale, &cold_algo);
+    let warm_algo = TeSolver::default();
+    let (warm_report, warm_t) = run_arm(scale, &warm_algo);
     let stats = warm_algo.warm_stats().unwrap_or_default();
 
     let ratio = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
@@ -570,10 +508,6 @@ pub fn scenario_perf(scale: Scale) -> ScenarioPerf {
     ScenarioPerf {
         experiment: "scenario".into(),
         scale: scale.label(),
-        solve_speedup: ratio(full_t.total_solve_micros(), inc_t.total_solve_micros()),
-        reports_identical: serde_json::to_string(&full_report).expect("report serializes")
-            == serde_json::to_string(&inc_report).expect("report serializes"),
-        full: ArmPerf::from_timing(&full_t),
         incremental: ArmPerf::from_timing(&inc_t),
         exact_solve_speedup: ratio(cold_t.total_solve_micros(), warm_t.total_solve_micros()),
         exact_cold: ArmPerf::from_timing(&cold_t),
@@ -598,10 +532,11 @@ impl ScenarioPerf {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
-    /// CI regression gate: errors when incremental-engine throughput has
-    /// collapsed to less than half the committed baseline. The 2× band
+    /// CI regression gate: errors when round-engine throughput has
+    /// collapsed to less than half the committed baseline (the 2× band
     /// absorbs runner-to-runner noise while still catching a lost
-    /// optimisation (which shows up as ~5–10×).
+    /// optimisation, which shows up as ~5–10×), or when an objective's
+    /// optimum fails its certificate.
     pub fn check_against_baseline(&self, baseline: &ScenarioPerf) -> Result<(), String> {
         let floor = baseline.incremental.rounds_per_sec / 2.0;
         if self.incremental.rounds_per_sec < floor {
@@ -611,14 +546,11 @@ impl ScenarioPerf {
                 self.incremental.rounds_per_sec, baseline.incremental.rounds_per_sec
             ));
         }
-        if !self.reports_identical {
-            return Err("incremental engine diverged from full rebuild".into());
-        }
         if let (Some(lt), Some(base)) = (&self.large_te, &baseline.large_te) {
             let floor = base.sparse.rounds_per_sec / 2.0;
             if lt.sparse.rounds_per_sec < floor {
                 return Err(format!(
-                    "perf regression: sparse large-TE arm at {:.1} rounds/sec, \
+                    "perf regression: large-TE stage at {:.1} rounds/sec, \
                      below half the baseline {:.1}",
                     lt.sparse.rounds_per_sec, base.sparse.rounds_per_sec
                 ));
@@ -628,10 +560,11 @@ impl ScenarioPerf {
             if !obj.all_solved {
                 return Err("objective-zoo stage: not every objective solved".into());
             }
-            if obj.max_agreement_delta > 1e-6 {
+            if obj.max_certificate_gap > rwc_lp::CERTIFICATE_TOL {
                 return Err(format!(
-                    "objective-zoo stage: backends disagree by {:.3e} (gate 1e-6)",
-                    obj.max_agreement_delta
+                    "objective-zoo stage: certificate gap {:.3e} (gate {:.0e})",
+                    obj.max_certificate_gap,
+                    rwc_lp::CERTIFICATE_TOL
                 ));
             }
             if obj.min_mlu.max_single_tm_mlu > obj.min_mlu.envelope_mlu + 1e-6 {
@@ -923,8 +856,9 @@ mod tests {
     #[test]
     fn digest_round_trips_and_gates() {
         let perf = scenario_perf(Scale::Quick);
-        assert!(perf.reports_identical, "incremental must match full rebuild");
-        assert!(perf.full.rounds > 0 && perf.full.rounds == perf.incremental.rounds);
+        assert!(perf.incremental.rounds > 0);
+        assert_eq!(perf.exact_cold.rounds, perf.incremental.rounds);
+        assert_eq!(perf.exact_warm.rounds, perf.incremental.rounds);
         assert!(perf.warm_attempts > 0, "warm arm never attempted a warm start");
         assert!(
             perf.warm_hit_rate > 0.5,

@@ -13,7 +13,7 @@
 //! 5. plan **consistent updates** for the upgrades and apply them through
 //!    the BVT model, accounting downtime and churn.
 
-use crate::augment::{augment, AugmentConfig, AugmentStats, IncrementalAugmenter};
+use crate::augment::{AugmentConfig, AugmentStats, IncrementalAugmenter};
 use crate::controller::{Controller, ControllerConfig, SweepReport};
 use rwc_obs::{Observer, Span};
 use std::collections::HashMap;
@@ -134,12 +134,8 @@ pub struct DynamicCapacityNetwork {
     /// path (prepare → drained-headroom check → commit, with rollback)
     /// instead of the direct `execute_change` path.
     mbb: bool,
-    /// Dirty-link incremental Algorithm 1 (the round engine's default).
+    /// Dirty-link incremental Algorithm 1.
     augmenter: IncrementalAugmenter,
-    /// Escape hatch: rebuild the augmented problem from scratch every
-    /// round (the pre-incremental behaviour, kept for byte-identity
-    /// comparisons and debugging).
-    full_rebuild: bool,
     /// Memoised static-baseline totals, keyed on the exact inputs the
     /// baseline depends on (algorithm, per-link capacities, demands).
     /// The solver is deterministic, so a hit bit-equals a recompute;
@@ -159,7 +155,7 @@ pub struct DynamicCapacityNetwork {
 const STATIC_MEMO_CAP: usize = 4096;
 
 /// Exact memo key for the static-baseline solve: algorithm name, the
-/// algorithm's solve fingerprint (objective/backend/weights — two
+/// algorithm's solve fingerprint (objective/weights — two
 /// `TeSolver`s share a name but not a meaning), each link's capacity
 /// bits, and each demand's endpoints + volume bits. Only the fingerprint
 /// is a hash (it folds solver *configuration*, which is tiny and fixed
@@ -203,7 +199,6 @@ impl DynamicCapacityNetwork {
             last_good_totals: None,
             mbb: true,
             augmenter: IncrementalAugmenter::new(),
-            full_rebuild: false,
             static_memo: HashMap::new(),
             obs: rwc_obs::noop(),
         }
@@ -217,25 +212,18 @@ impl DynamicCapacityNetwork {
         self.obs = obs;
     }
 
-    /// Switches the round engine between dirty-link incremental
-    /// augmentation + static-solve memoisation (default) and the
-    /// from-scratch per-round path. Both produce identical rounds; the
-    /// escape hatch exists so tests can prove it and so a regression can
-    /// be bisected in the field.
-    pub fn set_full_rebuild(&mut self, on: bool) {
-        self.full_rebuild = on;
-        if on {
-            self.augmenter.reset();
-            self.static_memo.clear();
-        }
+    /// Test reference arm: drops the cached augmented problem and the
+    /// static memo, so the next round rebuilds and re-solves everything
+    /// from scratch. The caches are exact, so a run that forgets them
+    /// before every round must report byte-identically to one that never
+    /// does — which is what the scenario tests assert.
+    #[cfg(test)]
+    pub(crate) fn forget_caches(&mut self) {
+        self.augmenter.reset();
+        self.static_memo.clear();
     }
 
-    /// Whether the from-scratch escape hatch is in force.
-    pub fn full_rebuild(&self) -> bool {
-        self.full_rebuild
-    }
-
-    /// Incremental-augmentation counters (zeros under full rebuild).
+    /// Incremental-augmentation counters.
     pub fn augment_stats(&self) -> AugmentStats {
         self.augmenter.stats()
     }
@@ -317,38 +305,27 @@ impl DynamicCapacityNetwork {
         // Static baseline: same algorithm, no fake links. Memoised — the
         // solver is deterministic, so a cached total bit-equals the
         // recompute it replaces.
-        let static_total = if self.full_rebuild {
-            algorithm.try_solve(&TeProblem::from_wan(&self.wan, demands))?.total
-        } else {
-            let key = static_key(algorithm, &self.wan, demands);
-            match self.static_memo.get(&key) {
-                Some(&total) => {
-                    obs.incr("te.static_memo.hits", 1);
-                    total
+        let key = static_key(algorithm, &self.wan, demands);
+        let static_total = match self.static_memo.get(&key) {
+            Some(&total) => {
+                obs.incr("te.static_memo.hits", 1);
+                total
+            }
+            None => {
+                obs.incr("te.static_memo.misses", 1);
+                let total = algorithm.try_solve(&TeProblem::from_wan(&self.wan, demands))?.total;
+                if self.static_memo.len() >= STATIC_MEMO_CAP {
+                    self.static_memo.clear();
                 }
-                None => {
-                    obs.incr("te.static_memo.misses", 1);
-                    let total =
-                        algorithm.try_solve(&TeProblem::from_wan(&self.wan, demands))?.total;
-                    if self.static_memo.len() >= STATIC_MEMO_CAP {
-                        self.static_memo.clear();
-                    }
-                    self.static_memo.insert(key, total);
-                    total
-                }
+                self.static_memo.insert(key, total);
+                total
             }
         };
 
-        // Augment (patching dirty links unless the escape hatch is on) +
-        // solve + translate.
+        // Augment (patching dirty links) + solve + translate.
         let augment_before = obs.enabled().then(|| self.augmenter.stats());
-        let fresh;
-        let aug = if self.full_rebuild {
-            fresh = augment(&self.wan, demands, &self.augment_config, &self.link_traffic);
-            &fresh
-        } else {
-            self.augmenter.augment(&self.wan, demands, &self.augment_config, &self.link_traffic)
-        };
+        let aug =
+            self.augmenter.augment(&self.wan, demands, &self.augment_config, &self.link_traffic);
         let solution = algorithm.try_solve(&aug.problem)?;
         let solve_time = solve_start.elapsed();
         let mut translation = translate(aug, &self.wan, &solution)?;

@@ -70,12 +70,6 @@ pub struct ScenarioConfig {
     /// Default true; disable only to reproduce the break-then-make
     /// baseline in experiments.
     pub make_before_break: bool,
-    /// Escape hatch: rebuild every TE problem from scratch each round and
-    /// skip all solve caches (the pre-incremental engine). Default false.
-    /// Both settings produce byte-identical [`ScenarioReport`]s — the
-    /// determinism tests compare them — so this exists for those tests
-    /// and for bisecting any future divergence.
-    pub full_rebuild: bool,
 }
 
 impl Default for ScenarioConfig {
@@ -91,7 +85,6 @@ impl Default for ScenarioConfig {
             seed: 0x5CE4A210,
             fault_plan: None,
             make_before_break: true,
-            full_rebuild: false,
         }
     }
 }
@@ -152,12 +145,6 @@ impl ScenarioConfigBuilder {
     /// Whether TE-driven changes go through make-before-break.
     pub fn make_before_break(mut self, on: bool) -> Self {
         self.config.make_before_break = on;
-        self
-    }
-
-    /// From-scratch-per-round escape hatch.
-    pub fn full_rebuild(mut self, on: bool) -> Self {
-        self.config.full_rebuild = on;
         self
     }
 
@@ -391,6 +378,10 @@ pub struct Scenario {
     /// the round index a sweep checkpoint records so a resumed run can
     /// line its progress up against the interrupted one.
     rounds_completed: u64,
+    /// Test reference arm: forget every round-engine cache (augmented
+    /// problem, static memo, counterfactual cache) before each TE round.
+    #[cfg(test)]
+    forget_caches: bool,
 }
 
 /// Validating builder for [`Scenario`]; see [`Scenario::builder`].
@@ -461,6 +452,8 @@ impl ScenarioBuilder {
             obs,
             last_timing: None,
             rounds_completed: 0,
+            #[cfg(test)]
+            forget_caches: false,
         })
     }
 }
@@ -541,7 +534,6 @@ impl Scenario {
         let mut frozen: Vec<Option<Db>> = vec![None; n_links];
         // Counterfactual throughput carried over if its solver ever fails.
         let mut last_static_total = 0.0;
-        self.network.set_full_rebuild(self.config.full_rebuild);
         // Counterfactual-solve cache. The static fleet's modulations are
         // pinned, so its problem is fully determined by the demand scale
         // and which links are below their rung's threshold — and with
@@ -666,6 +658,11 @@ impl Scenario {
                 let scale = 1.0 + self.config.demand_diurnal_amp * phase.sin();
                 let demands = self.demands.scaled(scale.max(0.0));
                 let round_start = std::time::Instant::now();
+                #[cfg(test)]
+                if self.forget_caches {
+                    self.network.forget_caches();
+                    counterfactual_cache.clear();
+                }
                 let round = match injector.te_fault(now) {
                     Some(fault) => {
                         self.obs.incr("scenario.faults.te", 1);
@@ -691,8 +688,7 @@ impl Scenario {
 
                 // Counterfactual: never-upgraded links under the binary
                 // policy — a link whose SNR is below its (fixed) rung's
-                // threshold is simply down. Cached on (scale, down mask)
-                // unless the full-rebuild escape hatch is on.
+                // threshold is simply down. Cached on (scale, down mask).
                 let table = &self.config.controller.table;
                 let down: Vec<bool> = self
                     .static_wan
@@ -700,10 +696,7 @@ impl Scenario {
                     .map(|(_, link)| !table.supports(link.snr, link.modulation))
                     .collect();
                 let cache_key = (scale.max(0.0).to_bits(), down.clone());
-                let cached = (!self.config.full_rebuild)
-                    .then(|| counterfactual_cache.get(&cache_key).copied())
-                    .flatten();
-                let static_total = match cached {
+                let static_total = match counterfactual_cache.get(&cache_key).copied() {
                     Some(total) => {
                         self.obs.incr("scenario.counterfactual.hits", 1);
                         last_static_total = total;
@@ -768,7 +761,17 @@ mod tests {
     }
 
     fn scenario_with(days_capacity: u64, config: ScenarioConfig) -> Scenario {
-        let wan = builders::fig7_example();
+        fig7_scenario(builders::fig7_example(), (13.5, 0.2, 0.3), days_capacity, config)
+    }
+
+    /// Two overloading demands on a Fig. 7 topology whose one fiber has
+    /// SNR statistics `(baseline mean, baseline sd, wavelength jitter sd)`.
+    fn fig7_scenario(
+        wan: WanTopology,
+        snr_db: (f64, f64, f64),
+        days_capacity: u64,
+        config: ScenarioConfig,
+    ) -> Scenario {
         let a = wan.node_by_name("A").unwrap();
         let b = wan.node_by_name("B").unwrap();
         let c = wan.node_by_name("C").unwrap();
@@ -780,9 +783,9 @@ mod tests {
             n_fibers: 1,
             wavelengths_per_fiber: 4,
             horizon: SimDuration::from_days(days_capacity),
-            fiber_baseline_mean_db: 13.5,
-            fiber_baseline_sd_db: 0.2,
-            wavelength_jitter_sd_db: 0.3,
+            fiber_baseline_mean_db: snr_db.0,
+            fiber_baseline_sd_db: snr_db.1,
+            wavelength_jitter_sd_db: snr_db.2,
             ..FleetConfig::paper()
         };
         Scenario::builder(wan, fleet, dm).config(config).build().unwrap()
@@ -929,26 +932,14 @@ mod tests {
     /// Fig. 7 fleet with links 0 and 2 riding the same fiber segment —
     /// the SRLG an amplifier event takes down in one shot.
     fn srlg_scenario_with(days_capacity: u64, config: ScenarioConfig) -> Scenario {
+        fig7_scenario(srlg_wan(), (13.5, 0.2, 0.3), days_capacity, config)
+    }
+
+    fn srlg_wan() -> WanTopology {
         let mut wan = builders::fig7_example();
         let shared = wan.link(LinkId(0)).fiber_id;
         wan.link_mut(LinkId(2)).fiber_id = shared;
-        let a = wan.node_by_name("A").unwrap();
-        let b = wan.node_by_name("B").unwrap();
-        let c = wan.node_by_name("C").unwrap();
-        let d = wan.node_by_name("D").unwrap();
-        let mut dm = DemandMatrix::new();
-        dm.add(a, b, Gbps(120.0), Priority::Elastic);
-        dm.add(c, d, Gbps(120.0), Priority::Elastic);
-        let fleet = FleetConfig {
-            n_fibers: 1,
-            wavelengths_per_fiber: 4,
-            horizon: SimDuration::from_days(days_capacity),
-            fiber_baseline_mean_db: 13.5,
-            fiber_baseline_sd_db: 0.2,
-            wavelength_jitter_sd_db: 0.3,
-            ..FleetConfig::paper()
-        };
-        Scenario::builder(wan, fleet, dm).config(config).build().unwrap()
+        wan
     }
 
     #[test]
@@ -1026,42 +1017,84 @@ mod tests {
 
     #[test]
     fn incremental_engine_matches_full_rebuild_byte_for_byte() {
-        // The whole point of the escape hatch: the incremental round
-        // engine (dirty-link augmentation + solve caches) must not change
-        // a single byte of the report relative to the from-scratch path,
-        // fault plan and all.
-        let plan = FaultPlanConfig {
+        // The incremental round engine (dirty-link augmentation, static
+        // memo, counterfactual cache) is pure performance machinery: it
+        // must not change a single byte of the report relative to a run
+        // that forgets all three before every round, fault plan and all.
+        // Inputs: a light two-day plan, then the `faults` and `srlg`
+        // experiments' week-long campaigns (marginal SNR, so the fleet is
+        // already walking when the faults land) — the SRLG one under both
+        // change procedures.
+        let light = FaultPlanConfig {
             n_links: 4,
             horizon: SimDuration::from_days(2),
             bvt_rate_per_link_day: 1.0,
             telemetry_rate_per_link_day: 1.0,
             seed: 0xC0FFEE,
             ..FaultPlanConfig::default()
+        };
+        let week = SimDuration::from_days(7);
+        let faults = FaultPlanConfig {
+            n_links: builders::fig7_example().n_links(),
+            horizon: week,
+            bvt_rate_per_link_day: 2.0,
+            telemetry_rate_per_link_day: 1.0,
+            te_rate_per_day: 1.0,
+            bvt_mean_duration: SimDuration::from_hours(8),
+            seed: 0xFA_017,
+            ..FaultPlanConfig::default()
+        };
+        let srlg = FaultPlanConfig {
+            n_links: srlg_wan().n_links(),
+            horizon: week,
+            bvt_rate_per_link_day: 1.5,
+            bvt_mean_duration: SimDuration::from_hours(8),
+            amplifier_rate_per_fiber_day: 0.25,
+            amplifier_mean_duration: SimDuration::from_hours(2),
+            amplifier_mean_severity_db: 14.0,
+            fiber_of_link: srlg_wan().links().map(|(_, link)| link.fiber_id).collect(),
+            seed: 0x5A16,
+            ..FaultPlanConfig::default()
+        };
+        let cases = [
+            ("light", builders::fig7_example(), (13.5, 0.2, 0.3), light, true),
+            ("faults", builders::fig7_example(), (12.6, 0.4, 0.6), faults, true),
+            ("srlg", srlg_wan(), (12.8, 0.3, 0.4), srlg.clone(), true),
+            ("srlg, break-then-make", srlg_wan(), (12.8, 0.3, 0.4), srlg, false),
+        ];
+        for (name, wan, snr_db, plan, make_before_break) in cases {
+            let horizon = plan.horizon;
+            let config = ScenarioConfig {
+                fault_plan: Some(plan.generate()),
+                make_before_break,
+                ..ScenarioConfig::default()
+            };
+            let days = 8; // telemetry for the longest horizon and a day to spare
+            let mut cached = fig7_scenario(wan.clone(), snr_db, days, config.clone());
+            let metrics = Arc::new(rwc_obs::MetricsObserver::new());
+            cached.set_observer(metrics.clone());
+            let mut reference = fig7_scenario(wan, snr_db, days, config);
+            reference.forget_caches = true;
+            let ra = cached.run(horizon, &SwanTe::default()).unwrap();
+            let rb = reference.run(horizon, &SwanTe::default()).unwrap();
+            assert_eq!(
+                serde_json::to_string(&ra).unwrap(),
+                serde_json::to_string(&rb).unwrap(),
+                "{name}: incremental and from-scratch engines diverged"
+            );
+            // The cached arm really hit its caches; the reference arm
+            // rebuilt in every round that got as far as augmenting.
+            let stats = cached.network().augment_stats();
+            assert_eq!(stats.full_rebuilds, 1, "{name}: {stats:?}");
+            assert!(stats.in_place_patches + stats.suffix_rebuilds > 0, "{name}: {stats:?}");
+            let counters = metrics.snapshot().counters;
+            assert!(counters["te.static_memo.hits"] > 0, "{name}: {counters:?}");
+            assert!(counters["scenario.counterfactual.hits"] > 0, "{name}: {counters:?}");
+            let rebuilt = reference.network().augment_stats();
+            let rounds = reference.rounds_completed();
+            assert!(rebuilt.full_rebuilds + rb.te_fallbacks as u64 >= rounds, "{name}: {rebuilt:?}");
+            assert_eq!(rebuilt.in_place_patches + rebuilt.suffix_rebuilds, 0, "{name}");
         }
-        .generate();
-        let incremental = ScenarioConfig {
-            fault_plan: Some(plan.clone()),
-            ..ScenarioConfig::default()
-        };
-        let full = ScenarioConfig {
-            fault_plan: Some(plan),
-            full_rebuild: true,
-            ..ScenarioConfig::default()
-        };
-        let mut a = scenario_with(10, incremental);
-        let mut b = scenario_with(10, full);
-        let ra = a.run(SimDuration::from_days(2), &SwanTe::default()).unwrap();
-        let rb = b.run(SimDuration::from_days(2), &SwanTe::default()).unwrap();
-        assert_eq!(
-            serde_json::to_string(&ra).unwrap(),
-            serde_json::to_string(&rb).unwrap(),
-            "incremental and full-rebuild engines diverged"
-        );
-        // The incremental arm actually exercised the caches.
-        let stats = a.network().augment_stats();
-        assert_eq!(stats.full_rebuilds, 1, "{stats:?}");
-        assert!(stats.in_place_patches + stats.suffix_rebuilds > 0, "{stats:?}");
-        assert_eq!(b.network().augment_stats(), crate::augment::AugmentStats::default());
     }
 
     #[test]

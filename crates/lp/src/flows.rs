@@ -7,7 +7,7 @@
 //! against the LP optimum within its `ε` guarantee.
 
 use crate::model::{LpBuilder, Relation};
-use crate::simplex::{solve, LpOutcome};
+use crate::revised::{solve, LpOutcome};
 
 /// Edge list form used by the encoders: `(from, to, capacity)`.
 pub type EdgeList = Vec<(usize, usize, f64)>;

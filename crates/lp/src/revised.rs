@@ -1,12 +1,10 @@
-//! Revised simplex over sparse structures — the large-graph LP backend.
+//! Revised simplex over sparse structures — the LP engine.
 //!
-//! The dense tableau in [`crate::simplex`] carries an `m × n_total`
-//! matrix and rewrites all of it on every pivot: O(m·n) memory and time
-//! per pivot, which does not survive the 10k-link augmented-graph regime.
-//! This module keeps the same outward contract (warm start from the
-//! retained basis, dual-simplex repair on rhs drift, Bland's-rule
-//! anti-cycling, the stride-64 solve watchdog, [`LpOutcome`] semantics)
-//! but only ever touches:
+//! A dense tableau carries an `m × n_total` matrix and rewrites all of it
+//! on every pivot: O(m·n) memory and time per pivot, which does not
+//! survive the 10k-link augmented-graph regime. This solver (warm start
+//! from the retained basis, dual-simplex repair on rhs drift, Bland's-rule
+//! anti-cycling, a stride-64 solve watchdog) only ever touches:
 //!
 //! - the CSC constraint matrix ([`crate::sparse::SparseLp`]), read-only;
 //! - a sparse LU factorisation of the `m × m` basis
@@ -41,13 +39,13 @@
 use crate::model::{LinearProgram, Relation};
 use crate::lu::{Eta, LuFactors};
 use crate::pricing::CandidateList;
-use crate::simplex::{LpOutcome, Solution, SolverStats};
 use crate::sparse::SparseLp;
 use std::time::{Duration, Instant};
 
 const TOL: f64 = 1e-9;
 /// Pivots between wall-clock watchdog checks (every pivot under a chaos
-/// delay), mirroring the dense backend.
+/// delay); a power of two so the test compiles to a mask, keeping
+/// `Instant::now()` off the per-pivot path.
 const WATCHDOG_STRIDE: u64 = 64;
 /// Minimum magnitude for a ratio-test pivot element.
 const PIVOT_TOL: f64 = 1e-7;
@@ -63,8 +61,86 @@ const REFACTOR_EVERY: usize = 64;
 /// Entries below this are dropped from eta columns.
 const ETA_DROP_TOL: f64 = 1e-12;
 /// Residual Phase-I infeasibility above which the program is declared
-/// infeasible (matches the dense backend).
+/// infeasible.
 const PHASE1_TOL: f64 = 1e-7;
+
+/// An optimal solution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Solution {
+    /// Optimal variable values.
+    pub x: Vec<f64>,
+    /// Optimal objective value.
+    pub objective: f64,
+}
+
+/// Outcome of solving an LP.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LpOutcome {
+    /// An optimum was found.
+    Optimal(Solution),
+    /// No feasible point exists.
+    Infeasible,
+    /// The objective is unbounded above.
+    Unbounded,
+    /// The pivot budget ran out before reaching optimality (numerical
+    /// stall or pathological degeneracy). Callers should treat this as
+    /// a solver failure, not a property of the model.
+    Stalled,
+}
+
+impl LpOutcome {
+    /// Unwraps the optimal solution; panics otherwise.
+    pub fn expect_optimal(self) -> Solution {
+        match self {
+            LpOutcome::Optimal(s) => s,
+            other => panic!("expected optimal solution, got {other:?}"),
+        }
+    }
+}
+
+/// Cumulative counters of a [`SparseSimplexSolver`]'s warm-start and
+/// factorisation behaviour.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolverStats {
+    /// Solves that ran the cold two-phase path (including warm-start
+    /// fallbacks).
+    pub cold_solves: u64,
+    /// Solves that attempted a warm start from the saved basis.
+    pub warm_attempts: u64,
+    /// Warm attempts that reached optimality without falling back.
+    pub warm_hits: u64,
+    /// Total pivots performed (both phases, all solves).
+    pub pivots: u64,
+    /// Solve attempts aborted by the wall-clock watchdog (each warm or
+    /// cold attempt that hit its deadline counts once).
+    pub watchdog_aborts: u64,
+    /// Product-form eta updates pushed between refactorisations.
+    pub eta_updates: u64,
+    /// Basis refactorisations performed.
+    pub refactorizations: u64,
+    /// Candidate-list refill scans over the full column set (each scan
+    /// prices up to the whole matrix once).
+    pub pricing_scans: u64,
+    /// Warm attempts refused because the mapped basis did not factorise.
+    pub warm_singular: u64,
+    /// Dual repairs that started from a dual-feasible basis and gave up —
+    /// pivot bound, no eligible pivot, watchdog — after which the solve
+    /// goes cold.
+    pub repair_aborts: u64,
+    /// Pivots spent inside dual repair; a subset of `pivots`.
+    pub repair_pivots: u64,
+}
+
+impl SolverStats {
+    /// Fraction of warm attempts that stuck, in `[0, 1]`.
+    pub fn warm_hit_rate(&self) -> f64 {
+        if self.warm_attempts == 0 {
+            0.0
+        } else {
+            self.warm_hits as f64 / self.warm_attempts as f64
+        }
+    }
+}
 
 /// Where a nonbasic variable currently rests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,11 +182,10 @@ enum OptOutcome {
     Stalled,
 }
 
-/// A reusable sparse revised-simplex engine. Mirrors
-/// [`crate::SimplexSolver`]'s API and warm-start contract; scratch
-/// buffers, the LU factors and the last optimal basis persist across
-/// solves so a sequence of drifting TE rounds pays for factorisation
-/// once, not per round.
+/// A reusable sparse revised-simplex engine: scratch buffers, the LU
+/// factors and the last optimal basis persist across solves, so a
+/// sequence of drifting TE rounds pays for factorisation once, not per
+/// round.
 #[derive(Debug, Clone, Default)]
 pub struct SparseSimplexSolver {
     // --- problem of the solve in flight (set by `load`) ---------------
@@ -203,14 +278,27 @@ impl SparseSimplexSolver {
         self.lu.nnz()
     }
 
+    /// Row multipliers `y = B⁻ᵀ c_B` of the last solve, one per row of the
+    /// program it was given — meaningful only when that solve returned
+    /// [`LpOutcome::Optimal`], where they are the optimal dual solution
+    /// [`crate::certificate::certify`] checks `x` against. Free: the last
+    /// pricing pass of Phase II computes them to find nothing to enter.
+    pub fn duals(&self) -> &[f64] {
+        &self.y_rows[..self.m]
+    }
+
     /// Drops the saved basis; the next solve runs cold.
     pub fn reset(&mut self) {
         self.saved = None;
         self.fact_valid = false;
     }
 
-    /// Arms (or disarms, with `None`) the solve-deadline watchdog; same
-    /// semantics as [`crate::SimplexSolver::set_solve_timeout`].
+    /// Arms (or disarms, with `None`) the solve-deadline watchdog: each
+    /// solve attempt that runs past `timeout` of wall-clock time is
+    /// aborted at the next stride boundary. An aborted *warm* attempt
+    /// falls back to a cold solve with a fresh deadline; an aborted cold
+    /// solve returns [`LpOutcome::Stalled`], which the TE layer maps to a
+    /// typed timeout error instead of hanging the round.
     pub fn set_solve_timeout(&mut self, timeout: Option<Duration>) {
         self.solve_timeout = timeout;
     }
@@ -1131,27 +1219,31 @@ impl SparseSimplexSolver {
     }
 }
 
-/// Pivot budget scaled to the problem size (same policy as the dense
-/// backend).
+/// Pivot budget scaled to the problem size. Generous: typical solves take
+/// O(m) pivots; the budget only trips on numerical stalls or adversarial
+/// degeneracy.
 fn default_budget(lp: &SparseLp) -> u64 {
     let m = lp.n_rows() as u64;
     let n = lp.n_vars() as u64;
     100_000u64.max(50 * (m + n))
 }
 
-/// Solves a dense-model LP through the sparse backend, one-shot.
+/// Solves an LP (maximisation, `x ≥ 0`) with a pivot budget scaled to the
+/// problem size. One-shot: use a persistent [`SparseSimplexSolver`] to
+/// amortise allocation and warm-start.
 pub fn solve(lp: &LinearProgram) -> LpOutcome {
     SparseSimplexSolver::new().solve(lp)
 }
 
-/// Solves a dense-model LP through the sparse backend with an explicit
-/// per-phase pivot budget, one-shot.
+/// Solves an LP, one-shot, with an explicit per-phase pivot budget.
+/// Returns [`LpOutcome::Stalled`] when the budget runs out, which callers
+/// should surface as a solver error.
 pub fn solve_with_budget(lp: &LinearProgram, max_pivots: u64) -> LpOutcome {
     SparseSimplexSolver::new().solve_with_budget(lp, max_pivots)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::LpBuilder;
     use crate::sparse::SparseLpBuilder;
@@ -1328,8 +1420,11 @@ mod tests {
 
     #[test]
     fn agrees_with_dense_backend_on_random_programs() {
-        // Pseudo-random dense LPs: both backends must certify the same
-        // optimum (or the same non-optimal outcome class).
+        // The tableau oracle's one caller. A certificate proves an optimum;
+        // it cannot say a program has none, so that `Infeasible` and
+        // `Unbounded` mean what they say is pinned here against an
+        // independent implementation, over pseudo-random programs with
+        // `≤` and `≥` rows (all three outcome classes must turn up).
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1337,7 +1432,8 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        for _ in 0..20 {
+        let (mut optimal, mut infeasible, mut unbounded) = (0, 0, 0);
+        for _ in 0..60 {
             let nv = 2 + (next() * 5.0) as usize;
             let nc = 1 + (next() * 5.0) as usize;
             let mut b = LpBuilder::new();
@@ -1356,18 +1452,30 @@ mod tests {
                 if terms.is_empty() {
                     continue;
                 }
-                b.add_constraint(&terms, Relation::Le, next() * 20.0 + 1.0);
+                let rel = if next() < 0.75 { Relation::Le } else { Relation::Ge };
+                b.add_constraint(&terms, rel, next() * 20.0 + 1.0);
             }
             let lp = b.build();
-            let sparse = solve(&lp);
+            let mut solver = SparseSimplexSolver::new();
+            let sparse = solver.solve(&lp);
             let dense = crate::simplex::SimplexSolver::new().solve(&lp);
             match (sparse, dense) {
                 (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
-                    assert_near(a.objective, b.objective)
+                    assert_near(a.objective, b.objective);
+                    crate::certify(&SparseLp::from_dense(&lp), &a.x, solver.duals()).unwrap();
+                    optimal += 1;
                 }
-                (a, b) => assert_eq!(a, b),
+                (a, b) => {
+                    assert_eq!(a, b);
+                    match a {
+                        LpOutcome::Infeasible => infeasible += 1,
+                        LpOutcome::Unbounded => unbounded += 1,
+                        other => panic!("both solvers stalled: {other:?}"),
+                    }
+                }
             }
         }
+        assert!(optimal > 0 && infeasible > 0 && unbounded > 0, "{optimal}/{infeasible}/{unbounded}");
     }
 
     // --- warm-start behaviour ----------------------------------------
@@ -1478,7 +1586,7 @@ mod tests {
     /// `fakes` appends parallel edges `(edge, extra capacity)` at a small
     /// cost — Algorithm 1's augmentation for K > 1: columns *and* rows
     /// appended, the prefix untouched.
-    fn mcf(nodes: usize, demands: &[f64], caps: &[f64], fakes: &[(usize, f64)]) -> SparseLp {
+    pub(crate) fn mcf(nodes: usize, demands: &[f64], caps: &[f64], fakes: &[(usize, f64)]) -> SparseLp {
         let k = demands.len();
         let mut edges: Vec<(usize, usize, f64)> = Vec::new();
         for a in 0..nodes {
@@ -1529,7 +1637,7 @@ mod tests {
 
     /// Seeded capacities over the modulation rungs and demands for
     /// [`mcf`], plus a fake edge up to 200 for every link below it.
-    fn mcf_inputs(nodes: usize, k: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<(usize, f64)>) {
+    pub(crate) fn mcf_inputs(nodes: usize, k: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<(usize, f64)>) {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -3,12 +3,12 @@
 //! The revised simplex in [`crate::revised`] consumes a [`SparseLp`]: a
 //! compressed-sparse-column constraint matrix over *bounded* variables
 //! (`0 ≤ x_j ≤ u_j`, with `u_j = ∞` allowed). Bounds absorb what the
-//! dense tableau models as singleton slack rows — a capacity constraint
+//! dense model writes as singleton rows — a capacity constraint
 //! `x_j ≤ cap` becomes a plain upper bound, which removes one row *and*
 //! one slack column per capacity from the basis the LU factorisation has
 //! to carry. [`SparseLp::from_dense`] performs exactly that lowering
 //! (singleton-row → bound presolve) on a dense [`LinearProgram`], so the
-//! two backends accept the same model type.
+//! solver accepts either model type.
 //!
 //! The per-column *pattern hashes* ([`SparseLp::column_pattern_hashes`])
 //! are the warm-start key: a saved basis is reusable when the structural

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rwc_lp::model::{LinearProgram, LpBuilder, Relation};
-use rwc_lp::simplex::{solve, LpOutcome, SimplexSolver};
+use rwc_lp::{solve, LpOutcome, SparseSimplexSolver};
 
 /// Brute-force a 2-var LP: enumerate candidate vertices (constraint-pair
 /// intersections + axis intersections + origin), keep the feasible ones,
@@ -111,8 +111,9 @@ proptest! {
     /// One persistent solver re-solving a drifting LP family matches a
     /// cold solver's optimal objective on every step — through
     /// fast resolves (rhs-only drift), basis refactorisations
-    /// (coefficient drift), and forced cold fallbacks (structural edits
-    /// that change the constraint count, invalidating the saved basis).
+    /// (coefficient drift), and structural edits that change the
+    /// constraint count (a mapped warm start, or a cold fallback when the
+    /// mapped basis does not factorise).
     #[test]
     fn warm_resolve_matches_cold_across_perturbations(
         objs in proptest::collection::vec(0.2f64..5.0, 3),
@@ -140,7 +141,7 @@ proptest! {
             }
             b.build()
         };
-        let mut warm = SimplexSolver::new();
+        let mut warm = SparseSimplexSolver::new();
         let lp0 = build(&rows, extra_row);
         let w0 = warm.solve(&lp0).expect_optimal().objective;
         let c0 = solve(&lp0).expect_optimal().objective;
@@ -160,8 +161,8 @@ proptest! {
                     let i = idx % rows.len();
                     rows[i].0[idx % 3] *= factor;
                 }
-                // Structural edit: constraint count changes, so the saved
-                // basis cannot apply and the solver must go cold.
+                // Structural edit: a row appears or disappears at the end,
+                // and the saved basis is mapped through the common prefix.
                 _ => extra_row = !extra_row,
             }
             if kind < 2 {

@@ -40,8 +40,7 @@ pub enum ColdReason {
     /// pivot).
     RepairAborted,
     /// The warm basis was neither primal- nor dual-feasible: the matrix
-    /// or objective moved, not just rhs and bounds. Also every refusal of
-    /// the dense backend, which keeps no finer counter.
+    /// or objective moved, not just rhs and bounds.
     NotDualFeasible,
     /// The solve-deadline watchdog aborted the warm attempt.
     Watchdog,

@@ -17,7 +17,7 @@
 //! - [`formulation`]: the TE objective zoo — max-throughput, TROD-style
 //!   min-MLU over traffic-matrix envelopes, max-concurrent-flow fairness,
 //!   the paper's Fig. 8 unsplittable gadget, and capacity reduction —
-//!   each lowered to both LP backends;
+//!   each lowered to the sparse LP `rwc-lp` solves and certifies;
 //! - [`solver`]: the unified [`solver::TeSolver`] front-end (builder,
 //!   warm-start policy, watchdog, observer) over the whole zoo;
 //! - [`demand`]: demand matrices and a gravity-model generator;
@@ -125,7 +125,7 @@ pub trait TeAlgorithm {
         None
     }
     /// Fingerprint of everything beyond the algorithm *name* that changes
-    /// what a solve means — objective, weights, backend. The round
+    /// what a solve means — objective, weights. The round
     /// engine's memo key folds this in so cached solutions never leak
     /// across differently-configured solvers sharing a name. Algorithms
     /// with exactly one configuration keep the default `0`.

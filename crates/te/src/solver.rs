@@ -1,18 +1,15 @@
 //! The unified TE solver front-end.
 //!
-//! [`TeSolver::builder()`] collects every knob (objective, backend,
-//! weight, watchdog, warm-start policy, observer) in one validating
-//! builder:
+//! [`TeSolver::builder()`] collects every knob (objective, weight,
+//! watchdog, warm-start policy, observer) in one validating builder:
 //!
 //! ```
 //! use rwc_te::solver::{TeSolver, WarmStartPolicy};
 //! use rwc_te::formulation::TeObjective;
-//! use rwc_lp::LpBackend;
 //! use std::time::Duration;
 //!
 //! let solver = TeSolver::builder()
 //!     .objective(TeObjective::MaxConcurrentFlow)
-//!     .backend(LpBackend::Sparse)
 //!     .solve_timeout(Duration::from_secs(5))
 //!     .warm_start(WarmStartPolicy::Retain)
 //!     .build()
@@ -20,15 +17,17 @@
 //! assert_eq!(rwc_te::TeAlgorithm::name(&solver), "exact-lp:max-concurrent-flow");
 //! ```
 //!
-//! One `TeSolver` owns both simplex engines (dense tableau + sparse
-//! revised) and the warm-start state that persists across `try_solve`
-//! calls, across the whole objective zoo of [`crate::formulation`].
+//! One `TeSolver` owns the simplex engine and the warm-start state that
+//! persists across `try_solve` calls, across the whole objective zoo of
+//! [`crate::formulation`]. In a debug build every optimal solve is checked
+//! against its own optimality certificate ([`rwc_lp::certify`]) before it
+//! is returned; [`TeSolver::solve_certified`] does so in any build and
+//! hands the residuals back.
 
 use crate::formulation::{TeFormulation, TeObjective, TeSolve};
 use crate::problem::{TeProblem, TeSolution};
 use crate::{TeAlgorithm, TeError};
-use rwc_lp::simplex::{LpBackend, SimplexSolver, SolverStats};
-use rwc_lp::SparseSimplexSolver;
+use rwc_lp::{Certificate, CertificateError, LpOutcome, SolverStats, SparseSimplexSolver};
 use rwc_obs::{ColdReason, Event, Observer};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -51,7 +50,6 @@ pub enum WarmStartPolicy {
 #[derive(Debug, Clone)]
 pub struct TeSolverBuilder {
     objective: TeObjective,
-    backend: LpBackend,
     throughput_weight: f64,
     solve_timeout: Option<Duration>,
     warm_start: WarmStartPolicy,
@@ -62,7 +60,6 @@ impl Default for TeSolverBuilder {
     fn default() -> Self {
         Self {
             objective: TeObjective::MaxThroughput,
-            backend: LpBackend::default(),
             throughput_weight: 1e6,
             solve_timeout: None,
             warm_start: WarmStartPolicy::Retain,
@@ -75,12 +72,6 @@ impl TeSolverBuilder {
     /// Sets the objective (default [`TeObjective::MaxThroughput`]).
     pub fn objective(mut self, objective: TeObjective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Sets the LP backend (default sparse revised simplex).
-    pub fn backend(mut self, backend: LpBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -122,10 +113,8 @@ impl TeSolverBuilder {
         formulation.validate()?;
         let solver = TeSolver {
             formulation,
-            backend: self.backend,
             warm_start: self.warm_start,
             solver: RefCell::default(),
-            sparse_solver: RefCell::default(),
             obs: self.observer,
         };
         solver.set_solve_timeout(self.solve_timeout);
@@ -133,15 +122,13 @@ impl TeSolverBuilder {
     }
 }
 
-/// The unified TE solver: one objective, one backend, persistent
-/// warm-start state, optional observer and watchdog.
+/// The unified TE solver: one objective, persistent warm-start state,
+/// optional observer and watchdog.
 #[derive(Debug)]
 pub struct TeSolver {
     formulation: TeFormulation,
-    backend: LpBackend,
     warm_start: WarmStartPolicy,
-    solver: RefCell<SimplexSolver>,
-    sparse_solver: RefCell<SparseSimplexSolver>,
+    solver: RefCell<SparseSimplexSolver>,
     obs: Arc<dyn Observer>,
 }
 
@@ -153,7 +140,7 @@ impl Default for TeSolver {
 
 impl TeSolver {
     /// Starts a builder with the defaults: max-throughput objective,
-    /// sparse backend, weight `1e6`, no watchdog, warm starts retained.
+    /// weight `1e6`, no watchdog, warm starts retained.
     pub fn builder() -> TeSolverBuilder {
         TeSolverBuilder::default()
     }
@@ -163,28 +150,20 @@ impl TeSolver {
         &self.formulation.objective
     }
 
-    /// The LP backend this solver runs.
-    pub fn backend(&self) -> LpBackend {
-        self.backend
-    }
-
     /// The formulation (objective + weight) this solver lowers through.
     pub fn formulation(&self) -> &TeFormulation {
         &self.formulation
     }
 
-    /// Re-arms (or disarms, with `None`) the solve-deadline watchdog on
-    /// both simplex engines.
+    /// Re-arms (or disarms, with `None`) the solve-deadline watchdog.
     pub fn set_solve_timeout(&self, timeout: Option<Duration>) {
         self.solver.borrow_mut().set_solve_timeout(timeout);
-        self.sparse_solver.borrow_mut().set_solve_timeout(timeout);
     }
 
     /// Chaos hook: sleeps this long before every simplex pivot, forcing a
     /// slow solve so watchdog behaviour can be driven deterministically.
     pub fn set_pivot_delay(&self, delay: Option<Duration>) {
         self.solver.borrow_mut().set_pivot_delay(delay);
-        self.sparse_solver.borrow_mut().set_pivot_delay(delay);
     }
 
     /// Replaces the observer after construction.
@@ -206,10 +185,42 @@ impl TeSolver {
     }
 
     /// Solves and returns the full objective-specific result (`mlu`, `λ`,
-    /// reduction sets) alongside the [`TeSolution`].
+    /// reduction sets) alongside the [`TeSolution`]. In a debug build an
+    /// optimal solve that fails its optimality certificate panics with
+    /// the three residuals — that is a solver bug, not a property of the
+    /// problem; a release build does not run the check.
     pub fn solve_detailed(&self, problem: &TeProblem) -> Result<TeSolve, TeError> {
+        let (solve, certificate) = self.solve_inner(problem, cfg!(debug_assertions))?;
+        if let Err(refused) = certificate {
+            panic!("{}: optimality certificate refused: {refused}", self.formulation.name());
+        }
+        Ok(solve)
+    }
+
+    /// [`Self::solve_detailed`] plus the solve's optimality certificate
+    /// (primal, dual and gap residuals of the LP point against the
+    /// solver's own multipliers), checked in any build. A refused
+    /// certificate is a [`TeError::SolverAbort`].
+    pub fn solve_certified(&self, problem: &TeProblem) -> Result<(TeSolve, Certificate), TeError> {
+        let (solve, certificate) = self.solve_inner(problem, true)?;
+        let certificate = certificate.map_err(|refused| TeError::SolverAbort {
+            algorithm: self.formulation.name(),
+            detail: format!("optimality certificate refused: {refused}"),
+        })?;
+        Ok((solve, certificate))
+    }
+
+    /// Lower, solve, extract; with `certify`, the optimal LP point is also
+    /// checked against the multipliers the solve left behind (without it,
+    /// and for a problem with nothing to route, the verdict is a vacuous
+    /// all-zero certificate).
+    fn solve_inner(
+        &self,
+        problem: &TeProblem,
+        certify: bool,
+    ) -> Result<(TeSolve, Result<Certificate, CertificateError>), TeError> {
         if problem.commodities.is_empty() {
-            return Ok(TeSolve {
+            let idle = TeSolve {
                 solution: TeSolution {
                     routed: vec![],
                     edge_flows: vec![0.0; problem.net.n_edges()],
@@ -218,42 +229,27 @@ impl TeSolver {
                 mlu: None,
                 lambda: None,
                 reductions: None,
-            });
+            };
+            return Ok((idle, Ok(Certificate::default())));
         }
         let lowered = self.formulation.lower(problem)?;
-        let enabled = self.obs.enabled();
-        match self.backend {
-            LpBackend::Dense => {
-                let lp = lowered.dense_lp();
-                let mut solver = self.solver.borrow_mut();
-                if self.warm_start == WarmStartPolicy::AlwaysCold {
-                    solver.reset();
-                }
-                let before = enabled.then(|| solver.stats());
-                let outcome = solver.solve(&lp);
-                if let Some(before) = before {
-                    let after = solver.stats();
-                    drop(solver);
-                    self.publish_solve(before, after);
-                }
-                lowered.extract_dense(outcome)
-            }
-            LpBackend::Sparse => {
-                let sp = lowered.sparse_lp();
-                let mut solver = self.sparse_solver.borrow_mut();
-                if self.warm_start == WarmStartPolicy::AlwaysCold {
-                    solver.reset();
-                }
-                let before = enabled.then(|| solver.stats());
-                let outcome = solver.solve_sparse(&sp);
-                if let Some(before) = before {
-                    let after = solver.stats();
-                    drop(solver);
-                    self.publish_solve(before, after);
-                }
-                lowered.extract_sparse(outcome)
-            }
+        let sp = lowered.sparse_lp();
+        let mut solver = self.solver.borrow_mut();
+        if self.warm_start == WarmStartPolicy::AlwaysCold {
+            solver.reset();
         }
+        let before = self.obs.enabled().then(|| solver.stats());
+        let outcome = solver.solve_sparse(&sp);
+        let certificate = match &outcome {
+            LpOutcome::Optimal(point) if certify => rwc_lp::certify(&sp, &point.x, solver.duals()),
+            _ => Ok(Certificate::default()),
+        };
+        if let Some(before) = before {
+            let after = solver.stats();
+            drop(solver);
+            self.publish_solve(before, after);
+        }
+        Ok((lowered.extract_sparse(outcome)?, certificate))
     }
 
     /// Publishes the delta between two [`SolverStats`] readings.
@@ -309,20 +305,11 @@ impl TeAlgorithm for TeSolver {
     }
 
     fn warm_stats(&self) -> Option<SolverStats> {
-        Some(match self.backend {
-            LpBackend::Dense => self.solver.borrow().stats(),
-            LpBackend::Sparse => self.sparse_solver.borrow().stats(),
-        })
+        Some(self.solver.borrow().stats())
     }
 
     fn solve_fingerprint(&self) -> u64 {
-        // Backend folded in because warm/cold vertices of co-optimal LPs
-        // may differ between backends; memoized baselines must not leak
-        // across them.
-        self.formulation.fingerprint() ^ match self.backend {
-            LpBackend::Dense => 0x9e37_79b9_7f4a_7c15,
-            LpBackend::Sparse => 0,
-        }
+        self.formulation.fingerprint()
     }
 }
 
@@ -502,12 +489,13 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_depend_on_objective_and_backend() {
+    fn fingerprints_depend_on_objective_and_weight() {
         let a = TeSolver::builder().build().unwrap();
-        let b = TeSolver::builder().backend(LpBackend::Dense).build().unwrap();
+        let b = TeSolver::builder().throughput_weight(1e5).build().unwrap();
         let c = TeSolver::builder().objective(TeObjective::MaxConcurrentFlow).build().unwrap();
         assert_ne!(a.solve_fingerprint(), b.solve_fingerprint());
         assert_ne!(a.solve_fingerprint(), c.solve_fingerprint());
+        assert_eq!(a.solve_fingerprint(), TeSolver::default().solve_fingerprint());
         // Stateless heuristics keep the default 0.
         assert_eq!(crate::swan::SwanTe::default().solve_fingerprint(), 0);
     }
