@@ -35,13 +35,13 @@
 //! run's reports byte for byte. `--resume FILE` alone keeps writing
 //! updated checkpoints back to the same file.
 //!
-//! `--bench-json` times the scenario round engine (full-rebuild vs
-//! incremental, cold vs warm exact LP) and the fleet telemetry pipeline
-//! (fused sweep, generation only), writing `BENCH_scenario.json` and
-//! `BENCH_fleet.json` to the output directory. With `--perf-baseline FILE` it additionally
-//! exits non-zero when incremental rounds/sec or fused links/sec falls
-//! below half the committed baseline — the CI perf-smoke gate. Failure
-//! classes map to stable exit codes, documented in [`rwc_bench::cli`].
+//! `--bench-json` times the scenario round engine (cold vs warm exact
+//! LP) and the fleet telemetry pipeline (fused sweep, generation only),
+//! writing `BENCH_scenario.json` and `BENCH_fleet.json` to the output
+//! directory. With `--perf-baseline FILE` it additionally exits non-zero
+//! when warm rounds/sec or fused links/sec falls below half the committed
+//! baseline — the CI perf-smoke gate. Failure classes map to stable exit
+//! codes, documented in [`rwc_bench::cli`].
 
 use rwc_bench::experiments::{self, CheckpointState};
 use rwc_bench::perf::PerfBaseline;
@@ -246,11 +246,8 @@ fn run_bench_json(
 ) -> ExitCode {
     let perf = rwc_bench::perf::scenario_perf(scale);
     sink.result(&format!(
-        "round engine ({} scale): {:.1} rounds/sec (SWAN, solve p50 {} us / p99 {} us)",
-        perf.scale,
-        perf.incremental.rounds_per_sec,
-        perf.incremental.solve_p50_micros,
-        perf.incremental.solve_p99_micros,
+        "round engine ({} scale): {:.1} rounds/sec cold -> {:.1} rounds/sec warm (exact LP)",
+        perf.scale, perf.exact_cold.rounds_per_sec, perf.exact_warm.rounds_per_sec,
     ));
     sink.result(&format!(
         "exact LP: cold p50 {} us / p99 {} us -> warm p50 {} us / p99 {} us \
@@ -343,8 +340,8 @@ fn run_bench_json(
         sink.result(&format!(
             "perf gate: {:.1} rounds/sec clears baseline floor {:.1}; \
              {:.1} links/sec clears baseline floor {:.1}",
-            perf.incremental.rounds_per_sec,
-            baseline.scenario.incremental.rounds_per_sec / 2.0,
+            perf.exact_warm.rounds_per_sec,
+            baseline.scenario.exact_warm.rounds_per_sec / 2.0,
             fleet.fused.links_per_sec,
             baseline.fleet.fused.links_per_sec / 2.0,
         ));

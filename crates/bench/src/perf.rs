@@ -1,21 +1,22 @@
 //! Machine-readable performance digest of the scenario round engine —
 //! the payload behind `repro --bench-json` and the CI perf-smoke gate.
 //!
-//! Three arms of the *same* week-in-the-life scenario, all on the one
+//! Two arms of the *same* week-in-the-life scenario, both on the one
 //! round engine (dirty-link augmentation + memo):
 //!
 //! | arm           | TE solver                                   |
 //! |---------------|---------------------------------------------|
-//! | `incremental` | SWAN (stateless)                            |
 //! | `exact_cold`  | exact LP, `WarmStartPolicy::AlwaysCold`     |
 //! | `exact_warm`  | exact LP, warm-start                        |
 //!
-//! The exact pair differs in the warm-start policy and nothing else, so
+//! The pair differs in the warm-start policy and nothing else, so
 //! `exact_solve_speedup` is what warm starts buy; both reach an optimum of
 //! the same LP each round, so the digest reports the worst per-round
-//! throughput delta alongside the warm-start hit rate. Then two stages on
-//! the replicated mesh: drifting rounds at scale (`large_te`) and the
-//! objective zoo, where every solve carries its optimality certificate.
+//! throughput delta alongside the warm-start hit rate. (`SwanTe` is a
+//! chain of cold exact solves; on this one-class scenario it would be
+//! `exact_cold` again.) Then two stages on the replicated mesh: drifting
+//! rounds at scale (`large_te`) and the objective zoo, where every solve
+//! carries its optimality certificate.
 //!
 //! Timing lives in [`ScenarioTiming`] sidecars and never in the reports
 //! themselves, so the determinism comparisons stay meaningful.
@@ -24,7 +25,6 @@ use crate::Scale;
 use rwc_core::scenario::{Scenario, ScenarioReport, ScenarioTiming};
 use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::problem::TeProblem;
-use rwc_te::swan::SwanTe;
 use rwc_te::{TeAlgorithm, TeFormulation, TeObjective, TeSolver, WarmStartPolicy};
 use rwc_telemetry::FleetConfig;
 use rwc_topology::builders;
@@ -69,8 +69,6 @@ pub struct ScenarioPerf {
     pub experiment: String,
     /// `"quick"` or `"full"`.
     pub scale: String,
-    /// SWAN solver.
-    pub incremental: ArmPerf,
     /// Exact LP, reset before every solve.
     pub exact_cold: ArmPerf,
     /// Exact LP, warm-started.
@@ -484,10 +482,9 @@ fn run_arm(scale: Scale, algorithm: &dyn TeAlgorithm) -> (ScenarioReport, Scenar
     (report, timing)
 }
 
-/// Runs the three arms (sequentially, so the timings aren't fighting each
+/// Runs the two arms (sequentially, so the timings aren't fighting each
 /// other for cores) and assembles the digest.
 pub fn scenario_perf(scale: Scale) -> ScenarioPerf {
-    let (_, inc_t) = run_arm(scale, &SwanTe::default());
     let cold_algo = TeSolver::builder()
         .warm_start(WarmStartPolicy::AlwaysCold)
         .build()
@@ -508,7 +505,6 @@ pub fn scenario_perf(scale: Scale) -> ScenarioPerf {
     ScenarioPerf {
         experiment: "scenario".into(),
         scale: scale.label(),
-        incremental: ArmPerf::from_timing(&inc_t),
         exact_solve_speedup: ratio(cold_t.total_solve_micros(), warm_t.total_solve_micros()),
         exact_cold: ArmPerf::from_timing(&cold_t),
         exact_warm: ArmPerf::from_timing(&warm_t),
@@ -538,12 +534,12 @@ impl ScenarioPerf {
     /// optimisation, which shows up as ~5–10×), or when an objective's
     /// optimum fails its certificate.
     pub fn check_against_baseline(&self, baseline: &ScenarioPerf) -> Result<(), String> {
-        let floor = baseline.incremental.rounds_per_sec / 2.0;
-        if self.incremental.rounds_per_sec < floor {
+        let floor = baseline.exact_warm.rounds_per_sec / 2.0;
+        if self.exact_warm.rounds_per_sec < floor {
             return Err(format!(
-                "perf regression: incremental engine at {:.1} rounds/sec, \
+                "perf regression: round engine at {:.1} rounds/sec, \
                  below half the baseline {:.1}",
-                self.incremental.rounds_per_sec, baseline.incremental.rounds_per_sec
+                self.exact_warm.rounds_per_sec, baseline.exact_warm.rounds_per_sec
             ));
         }
         if let (Some(lt), Some(base)) = (&self.large_te, &baseline.large_te) {
@@ -856,9 +852,8 @@ mod tests {
     #[test]
     fn digest_round_trips_and_gates() {
         let perf = scenario_perf(Scale::Quick);
-        assert!(perf.incremental.rounds > 0);
-        assert_eq!(perf.exact_cold.rounds, perf.incremental.rounds);
-        assert_eq!(perf.exact_warm.rounds, perf.incremental.rounds);
+        assert!(perf.exact_warm.rounds > 0);
+        assert_eq!(perf.exact_cold.rounds, perf.exact_warm.rounds);
         assert!(perf.warm_attempts > 0, "warm arm never attempted a warm start");
         assert!(
             perf.warm_hit_rate > 0.5,
@@ -878,7 +873,7 @@ mod tests {
         perf.check_against_baseline(&back).expect("self-comparison passes");
         // And a 10× faster baseline trips the gate.
         let mut fast = back.clone();
-        fast.incremental.rounds_per_sec = perf.incremental.rounds_per_sec * 10.0;
+        fast.exact_warm.rounds_per_sec = perf.exact_warm.rounds_per_sec * 10.0;
         assert!(perf.check_against_baseline(&fast).is_err());
     }
 }

@@ -115,7 +115,7 @@ pub fn augment_unsplittable(
     let commodities = demands
         .demands()
         .iter()
-        .map(|d| rwc_flow::mcf::Commodity {
+        .map(|d| rwc_te::problem::Commodity {
             source: d.from.0,
             sink: d.to.0,
             demand: d.volume.value(),

@@ -3,19 +3,17 @@
 //! Flow-algorithm substrate for the *Run, Walk, Crawl* reproduction.
 //!
 //! Theorem 1 of the paper reduces TE-with-dynamic-capacities to **min-cost
-//! max-flow** on an augmented graph, and the TE layer itself needs
-//! max-flow and multicommodity flow. The Rust ecosystem's optimisation
-//! support is thin (the calibration notes call this out), so the solvers
-//! are implemented here from scratch:
+//! max-flow** on an augmented graph. These are the single-commodity
+//! solvers that theorem is checked with, written from scratch (the Rust
+//! ecosystem's optimisation support is thin, per the calibration notes);
+//! multicommodity TE is not here — it is the one LP behind
+//! `rwc_te::TeSolver`.
 //!
 //! - [`network`]: the shared [`network::FlowNetwork`] representation and
 //!   residual graph;
 //! - [`maxflow`]: Dinic's algorithm;
 //! - [`mincost`]: successive shortest paths with Johnson potentials
 //!   (Bellman–Ford bootstrap, Dijkstra iterations);
-//! - [`mcf`]: multicommodity flow — the Garg–Könemann FPTAS for maximum
-//!   total throughput with per-commodity demand caps, plus a greedy
-//!   baseline;
 //! - [`decompose`]: flow decomposition into simple paths.
 //!
 //! All capacities/costs are `f64`; comparisons use the crate-wide
@@ -26,7 +24,6 @@
 
 pub mod decompose;
 pub mod maxflow;
-pub mod mcf;
 pub mod mincost;
 pub mod network;
 

@@ -2,9 +2,9 @@
 //!
 //! These encoders give the combinatorial solvers in `rwc-flow` an exact
 //! reference: Dinic and the min-cost solver are polynomial and exact
-//! already (the LP double-checks the implementation), while the
-//! Garg–Könemann multicommodity FPTAS is approximate and is validated
-//! against the LP optimum within its `ε` guarantee.
+//! already (the LP double-checks the implementation), and the
+//! multicommodity encoder is an independent second lowering of the
+//! max-throughput LP `rwc-te` solves; tests hold the two optima equal.
 
 use crate::model::{LpBuilder, Relation};
 use crate::revised::{solve, LpOutcome};
@@ -262,39 +262,5 @@ mod tests {
         let (lp_v, lp_c) = min_cost_max_flow_lp(5, &edge_data, 0, 4);
         assert!((mc.flow.value - lp_v).abs() < 1e-6);
         assert!((mc.cost - lp_c).abs() < 1e-6, "ssp={} lp={lp_c}", mc.cost);
-    }
-
-    #[test]
-    fn gk_within_epsilon_of_lp() {
-        use rwc_flow::mcf::{max_multicommodity_flow, Commodity};
-        use rwc_flow::network::FlowNetwork;
-        let edges = vec![
-            (0usize, 1usize, 6.0),
-            (1, 3, 6.0),
-            (0, 2, 4.0),
-            (2, 3, 4.0),
-            (1, 2, 2.0),
-        ];
-        let commodities = [(0usize, 3usize, 7.0), (2, 3, 3.0)];
-        let lp_total = max_multicommodity_lp_total(4, &edges, &commodities);
-        let mut net = FlowNetwork::new(4);
-        for &(u, v, c) in &edges {
-            net.add_edge(u, v, c, 0.0);
-        }
-        let cs: Vec<Commodity> = commodities
-            .iter()
-            .map(|&(s, t, d)| Commodity { source: s, sink: t, demand: d })
-            .collect();
-        let gk = max_multicommodity_flow(&net, &cs, 0.05);
-        gk.validate(&net, &cs).unwrap();
-        // The FPTAS guarantee degrades by a capacity-dependent constant on
-        // tiny instances (the feasibility scaling divides by the *worst*
-        // edge overload); 80% of optimal is its honest floor here. Exact
-        // answers for small networks come from this LP encoder instead.
-        assert!(
-            gk.total >= lp_total * 0.80 && gk.total <= lp_total + 1e-6,
-            "gk={} lp={lp_total}",
-            gk.total
-        );
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! Why build one: the reproduction's headline theorem says min-cost
 //! max-flow on the augmented graph equals max-flow on the dynamic-capacity
-//! graph. The combinatorial solvers in `rwc-flow` are fast but
-//! approximate in the multicommodity case; this crate provides the *ground
-//! truth* they are validated against in tests and benchmarks (the Rust
+//! graph. The combinatorial solvers in `rwc-flow` cover the
+//! single-commodity side; multicommodity TE is solved here, exactly, and
+//! this crate is also the *ground truth* those solvers and the path-based
+//! TE heuristics are validated against in tests and benchmarks (the Rust
 //! ecosystem's optimisation offerings are thin, per the calibration notes,
 //! so this is written from scratch on `std` only).
 //!

@@ -6,10 +6,20 @@
 //! that maps flow edges back to WAN links for reporting.
 
 use crate::demand::{Demand, DemandMatrix, Priority};
-use rwc_flow::mcf::Commodity;
 use rwc_flow::network::FlowNetwork;
 use rwc_topology::wan::{LinkId, WanTopology};
 use std::fmt;
+
+/// One traffic demand as the solvers see it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Commodity {
+    /// Origin node.
+    pub source: usize,
+    /// Destination node.
+    pub sink: usize,
+    /// Offered load (flow is capped at this).
+    pub demand: f64,
+}
 
 /// Where a flow edge came from.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,32 +3,28 @@
 //! SWAN (Hong et al., SIGCOMM'13) allocates priority classes strictly in
 //! order: interactive traffic is routed first; elastic traffic sees only
 //! the residual capacity; background traffic scavenges what is left. Each
-//! class is a multicommodity-flow problem, solved here with the hybrid
-//! FPTAS/greedy solver from `rwc-flow`. A headroom (scratch) fraction can
-//! be reserved on every link, mirroring SWAN's congestion-free update
-//! slack.
+//! class is a max-throughput multicommodity problem on that residual,
+//! solved to its exact optimum by [`TeSolver`] — the one LP every other
+//! exact answer in the workspace comes from, certified in debug builds
+//! like any other `TeSolver` solve. The class problems keep the original
+//! edge costs and origins, so on an augmented graph the fake edges'
+//! penalties apply: no class rides an upgrade it does not need.
+//!
+//! Every class gets a fresh solver and a cold solve. Among degenerate
+//! optima a warm simplex returns the vertex its history leads to, and the
+//! round engine's memo and counterfactual caches need `try_solve` to be a
+//! pure function of the problem.
 
 use crate::demand::Priority;
 use crate::problem::{TeProblem, TeSolution};
+use crate::solver::TeSolver;
 use crate::{TeAlgorithm, TeError};
-use rwc_flow::mcf::{max_multicommodity_flow, Commodity};
-use rwc_flow::network::FlowNetwork;
 
-/// SWAN-style solver configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SwanTe {
-    /// FPTAS accuracy (0.05–0.15 typical).
-    pub epsilon: f64,
-    /// Fraction of every link reserved as update scratch (SWAN used ~10%;
-    /// 0 disables).
-    pub scratch_fraction: f64,
-}
-
-impl Default for SwanTe {
-    fn default() -> Self {
-        Self { epsilon: 0.05, scratch_fraction: 0.0 }
-    }
-}
+/// The SWAN-style solver: strict priority, one exact LP per class. Nothing
+/// to configure; braced rather than a unit struct so that the
+/// `SwanTe::default()` every call site writes stays lint-clean.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SwanTe {}
 
 impl TeAlgorithm for SwanTe {
     fn name(&self) -> &'static str {
@@ -36,50 +32,33 @@ impl TeAlgorithm for SwanTe {
     }
 
     fn try_solve(&self, problem: &TeProblem) -> Result<TeSolution, TeError> {
-        if !(0.0..1.0).contains(&self.scratch_fraction) {
-            return Err(TeError::InvalidConfig {
-                algorithm: self.name(),
-                detail: format!(
-                    "scratch fraction must lie in [0,1), got {}",
-                    self.scratch_fraction
-                ),
-            });
-        }
-        let n_edges = problem.net.n_edges();
-        let mut residual: Vec<f64> = problem
-            .net
-            .edges()
-            .iter()
-            .map(|e| e.capacity * (1.0 - self.scratch_fraction))
-            .collect();
         let mut routed = vec![0.0; problem.commodities.len()];
-        let mut edge_flows = vec![0.0; n_edges];
+        let mut edge_flows = vec![0.0; problem.net.n_edges()];
+        // The problem one class sees: the capacity the classes above left.
+        let mut residual = TeProblem {
+            net: problem.net.clone(),
+            origins: problem.origins.clone(),
+            commodities: vec![],
+            demands: vec![],
+        };
 
         for class in Priority::ALL {
             let indices = problem.commodities_of(class);
             if indices.is_empty() {
                 continue;
             }
-            // Build the class sub-problem on residual capacity.
-            let mut net = FlowNetwork::new(problem.net.n_nodes());
-            for (e, &res) in problem.net.edges().iter().zip(&residual) {
-                net.add_edge(e.from, e.to, res, e.cost);
+            residual.commodities = indices.iter().map(|&i| problem.commodities[i]).collect();
+            residual.demands = indices.iter().map(|&i| problem.demands[i]).collect();
+            let class_solution = TeSolver::default().try_solve(&residual)?;
+            for (&idx, &r) in indices.iter().zip(&class_solution.routed) {
+                routed[idx] = r;
             }
-            let commodities: Vec<Commodity> =
-                indices.iter().map(|&i| problem.commodities[i]).collect();
-            if commodities.iter().all(|c| c.demand <= 0.0) {
-                continue;
-            }
-            let result = max_multicommodity_flow(&net, &commodities, self.epsilon);
-            for (pos, &idx) in indices.iter().enumerate() {
-                routed[idx] = result.routed[pos];
-            }
-            let agg = result.aggregate_edge_flows(n_edges);
-            for ((flow, used), res) in
-                edge_flows.iter_mut().zip(&agg).zip(residual.iter_mut())
+            for (e, (flow, used)) in
+                edge_flows.iter_mut().zip(&class_solution.edge_flows).enumerate()
             {
                 *flow += used;
-                *res = (*res - used).max(0.0);
+                let left = (residual.net.edge(e).capacity - used).max(0.0);
+                residual.net.set_capacity(e, left);
             }
         }
         let total = routed.iter().sum();
@@ -142,19 +121,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reserves_headroom() {
+    fn zero_demand_classes_route_nothing() {
         let wan = builders::fig7_example();
         let a = wan.node_by_name("A").unwrap();
         let b = wan.node_by_name("B").unwrap();
         let mut dm = DemandMatrix::new();
-        dm.add(a, b, Gbps(1_000.0), Priority::Elastic); // saturating
+        dm.add(a, b, Gbps(0.0), Priority::Interactive);
+        dm.add(a, b, Gbps(30.0), Priority::Elastic);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = SwanTe { epsilon: 0.05, scratch_fraction: 0.1 }.solve(&p);
+        let sol = SwanTe::default().solve(&p);
         sol.validate(&p).unwrap();
-        // No edge may exceed 90% of capacity.
-        for (f, e) in sol.edge_flows.iter().zip(p.net.edges()) {
-            assert!(*f <= e.capacity * 0.9 + 1e-6, "{f} vs {}", e.capacity);
-        }
+        assert_eq!(sol.routed[0], 0.0);
+        assert!((sol.total - 30.0).abs() < 1e-9, "total={}", sol.total);
     }
 
     #[test]

@@ -71,6 +71,28 @@ proptest! {
         // Background traffic is invisible to the interactive allocation.
         prop_assert!((interactive_full - interactive_without).abs() < 1e-6,
             "{interactive_full} vs {interactive_without}");
+        // The top class gets the optimum of the problem it would have alone.
+        let mut alone = DemandMatrix::new();
+        for d in dm.of_priority(Priority::Interactive) {
+            alone.add(d.from, d.to, d.volume, d.priority);
+        }
+        let optimum = TeSolver::default().solve(&TeProblem::from_wan(&wan, &alone)).total;
+        prop_assert!((interactive_full - optimum).abs() < 1e-6,
+            "interactive {interactive_full} vs its own optimum {optimum}");
+        // And the answer is a pure function of the problem.
+        prop_assert_eq!(&SwanTe::default().solve(&problem), &full);
+    }
+
+    /// With one class present SWAN *is* the exact LP: bit for bit the cold
+    /// `TeSolver` solution of the same problem.
+    #[test]
+    fn swan_single_class_is_the_cold_lp((wan, dm) in arb_case(), class in 0usize..3) {
+        let mut one_class = DemandMatrix::new();
+        for d in dm.demands() {
+            one_class.add(d.from, d.to, d.volume, Priority::ALL[class]);
+        }
+        let problem = TeProblem::from_wan(&wan, &one_class);
+        prop_assert_eq!(SwanTe::default().solve(&problem), TeSolver::default().solve(&problem));
     }
 
     /// Demand scaling is monotone for the *exact* solver (an LP optimum

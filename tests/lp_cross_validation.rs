@@ -2,12 +2,16 @@
 //! solver, on structured (non-random) instances that exercise deeper
 //! paths than the unit tests.
 
-use rwc::flow::mcf::{greedy_mcf, max_multicommodity_flow, Commodity};
 use rwc::flow::network::FlowNetwork;
 use rwc::lp::flows::{max_flow_lp_value, max_multicommodity_lp_total, min_cost_max_flow_lp};
-use rwc::te::demand::DemandMatrix;
+use rwc::te::b4::B4Te;
+use rwc::te::cspf::CspfTe;
+use rwc::te::demand::{DemandMatrix, Priority};
 use rwc::te::problem::TeProblem;
+use rwc::te::swan::SwanTe;
+use rwc::te::TeAlgorithm;
 use rwc::topology::builders;
+use rwc::topology::graph::NodeId;
 use rwc::util::units::Gbps;
 
 /// Abilene's directed expansion as plain edge lists.
@@ -59,25 +63,26 @@ fn min_cost_matches_lp_with_length_costs() {
 fn mcf_solvers_bracket_the_lp_optimum() {
     // Three commodities fighting over Abilene's west-east cut.
     let (n, edges) = abilene_edges();
-    let mut net = FlowNetwork::new(n);
-    for &(u, v, c) in &edges {
-        net.add_edge(u, v, c, 0.0);
+    let wan = builders::abilene();
+    let mut dm = DemandMatrix::new();
+    for (from, to) in [(0, 10), (1, 9), (2, 8)] {
+        // SEA→NYC, SNV→WDC, LAX→ATL
+        dm.add(NodeId(from), NodeId(to), Gbps(150.0), Priority::Elastic);
     }
-    let commodities = vec![
-        Commodity { source: 0, sink: 10, demand: 150.0 }, // SEA→NYC
-        Commodity { source: 1, sink: 9, demand: 150.0 },  // SNV→WDC
-        Commodity { source: 2, sink: 8, demand: 150.0 },  // LAX→ATL
-    ];
+    let p = TeProblem::from_wan(&wan, &dm);
     let triples: Vec<(usize, usize, f64)> =
-        commodities.iter().map(|c| (c.source, c.sink, c.demand)).collect();
+        p.commodities.iter().map(|c| (c.source, c.sink, c.demand)).collect();
     let lp = max_multicommodity_lp_total(n, &edges, &triples);
-    let gk = max_multicommodity_flow(&net, &commodities, 0.05);
-    gk.validate(&net, &commodities).unwrap();
-    let greedy = greedy_mcf(&net, &commodities);
-    greedy.validate(&net, &commodities).unwrap();
-    assert!(gk.total <= lp + 1e-6, "gk {} above LP {lp}", gk.total);
-    assert!(greedy.total <= lp + 1e-6);
-    assert!(gk.total >= lp * 0.8, "gk {} too far below LP {lp}", gk.total);
+    // One class: SWAN is the TE lowering of the same LP, built independently
+    // of the encoder above — the two optima must coincide.
+    let swan = SwanTe::default().solve(&p);
+    swan.validate(&p).unwrap();
+    assert!((swan.total - lp).abs() < 1e-6, "swan {} vs LP {lp}", swan.total);
+    for algo in [&B4Te::default() as &dyn TeAlgorithm, &CspfTe::default()] {
+        let sol = algo.solve(&p);
+        sol.validate(&p).unwrap();
+        assert!(sol.total <= lp + 1e-6, "{} {} above LP {lp}", algo.name(), sol.total);
+    }
 }
 
 #[test]
@@ -87,8 +92,7 @@ fn gravity_matrix_total_dominated_by_network_cut() {
     let wan = builders::abilene();
     let dm = DemandMatrix::gravity(&wan, Gbps(10_000.0), 1);
     let p = TeProblem::from_wan(&wan, &dm);
-    use rwc::te::TeAlgorithm;
-    let swan = rwc::te::swan::SwanTe::default().solve(&p);
+    let swan = SwanTe::default().solve(&p);
     swan.validate(&p).unwrap();
     assert!(swan.satisfaction(&p) < 0.6, "sat={}", swan.satisfaction(&p));
 }

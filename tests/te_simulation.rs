@@ -68,6 +68,31 @@ fn swan_gains_exceed_cspf_gains_are_both_positive() {
 }
 
 #[test]
+fn swan_buys_no_upgrade_it_does_not_need() {
+    // The `tput` experiment's light-load cells: static capacity already
+    // carries everything offered, so no fake edge is worth its penalty and
+    // translation must ask for no upgrade.
+    for wan in [builders::abilene(), builders::b4_like()] {
+        for load in [0.5, 1.0] {
+            let dm = DemandMatrix::gravity(&wan, Gbps(wan.total_capacity().value() * 0.5), 11)
+                .scaled(load);
+            let static_sol = SwanTe::default().solve(&TeProblem::from_wan(&wan, &dm));
+            let cfg = AugmentConfig { penalty: PenaltyPolicy::Uniform(1.0), ..Default::default() };
+            let aug = augment(&wan, &dm, &cfg, &[]);
+            let dyn_sol = SwanTe::default().solve(&aug.problem);
+            assert!(
+                (dyn_sol.total - static_sol.total).abs() < 1e-6,
+                "load {load}: dynamic {} vs static {}",
+                dyn_sol.total,
+                static_sol.total
+            );
+            let tr = translate(&aug, &wan, &dyn_sol).unwrap();
+            assert!(tr.upgrades.is_empty(), "load {load}: gain 0 but upgrades {:?}", tr.upgrades);
+        }
+    }
+}
+
+#[test]
 fn consistent_updates_bound_interim_damage() {
     let mut wan = builders::abilene();
     // Give one loaded link upgrade headroom and plan its upgrade.
