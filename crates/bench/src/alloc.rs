@@ -1,9 +1,9 @@
-//! Counting global allocator — the peak-RSS proxy behind `BENCH_fleet.json`.
+//! Counting global allocator — the live-heap bound of the `serve_soak` test.
 //!
 //! Wraps [`System`] with relaxed atomic counters: bytes and calls
-//! allocated, plus a high-water mark of live bytes. The fleet perf digest
-//! reads deltas around a measured region, turning "the fused path stopped
-//! cloning traces" into a number CI can gate on. Overhead is four relaxed
+//! allocated, plus a high-water mark of live bytes. [`measure`] reads the
+//! deltas around a region, turning "a long-lived daemon's heap stays
+//! bounded" into a number a test can assert on. Overhead is four relaxed
 //! atomic ops per allocation — noise next to the allocation itself.
 //!
 //! The `unsafe` here is confined to forwarding [`GlobalAlloc`] to
@@ -20,7 +20,7 @@ static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// [`System`] plus allocation accounting. Installed as the global
-/// allocator of every `rwc-bench` binary, bench and test.
+/// allocator of every `rwc-bench` binary and test.
 pub struct CountingAlloc;
 
 // SAFETY: defers entirely to `System`; the bookkeeping never observes or

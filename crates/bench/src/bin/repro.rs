@@ -3,12 +3,11 @@
 //! ```text
 //! repro [--quick|--full|--scale N] [--quiet] [--obs-json FILE]
 //!       [--checkpoint FILE] [--resume FILE] [--out DIR] <id>... | all
-//! repro --bench-json [--perf-baseline FILE] [--quick|--full|--scale N] [--out DIR]
 //! ```
 //!
 //! Ids: fig1 fig2a fig2b fig3a fig3b fig4 fig5 fig6b fig7 fig8 thm1 tput
-//! avail scenario faults srlg ablation chaos. Default scale is a reduced fleet
-//! (fast); `--quick` spells that default out (handy in CI), `--full` runs
+//! avail scenario faults srlg objectives ablation chaos. Default scale is a
+//! reduced fleet (fast); `--quick` spells that default out (handy in CI), `--full` runs
 //! the paper-scale corpus (2,000 links × 2.5 years — takes a while), and
 //! `--scale N` multiplies the paper fleet (`--scale 10` = 20,000 links)
 //! for fleet-pipeline stress runs.
@@ -35,16 +34,11 @@
 //! run's reports byte for byte. `--resume FILE` alone keeps writing
 //! updated checkpoints back to the same file.
 //!
-//! `--bench-json` times the scenario round engine (cold vs warm exact
-//! LP) and the fleet telemetry pipeline (fused sweep, generation only),
-//! writing `BENCH_scenario.json` and `BENCH_fleet.json` to the output
-//! directory. With `--perf-baseline FILE` it additionally exits non-zero
-//! when warm rounds/sec or fused links/sec falls below half the committed
-//! baseline — the CI perf-smoke gate. Failure classes map to stable exit
-//! codes, documented in [`rwc_bench::cli`].
+//! Failure classes map to stable exit codes, documented in
+//! [`rwc_bench::cli`]. `repro` reproduces figures and checks them;
+//! performance is measured by the `benchmark/` package.
 
 use rwc_bench::experiments::{self, CheckpointState};
-use rwc_bench::perf::PerfBaseline;
 use rwc_bench::{cli, Scale};
 use rwc_harness::{checkpoint, HarnessError, SweepFingerprint, SWEEP_MODE};
 use rwc_obs::{ConsoleSink, MetricsObserver};
@@ -61,8 +55,6 @@ fn main() -> ExitCode {
     let mut scale = Scale::Quick;
     let mut out_dir = PathBuf::from("results");
     let mut ids: Vec<String> = Vec::new();
-    let mut bench_json = false;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut obs_path: Option<PathBuf> = None;
     let mut checkpoint_path: Option<PathBuf> = None;
     let mut resume_path: Option<PathBuf> = None;
@@ -76,7 +68,6 @@ fn main() -> ExitCode {
                 Some(n) if n > 0 => scale = Scale::Scaled(n),
                 _ => return usage_error("--scale needs a positive integer fleet multiplier"),
             },
-            "--bench-json" => bench_json = true,
             "--quiet" => quiet = true,
             "--obs-json" => match args.next() {
                 Some(file) => obs_path = Some(PathBuf::from(file)),
@@ -90,10 +81,6 @@ fn main() -> ExitCode {
                 Some(file) => resume_path = Some(PathBuf::from(file)),
                 None => return usage_error("--resume needs a file"),
             },
-            "--perf-baseline" => match args.next() {
-                Some(file) => baseline_path = Some(PathBuf::from(file)),
-                None => return usage_error("--perf-baseline needs a file"),
-            },
             "--out" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => return usage_error("--out needs a directory"),
@@ -104,7 +91,6 @@ fn main() -> ExitCode {
                      [--obs-json FILE] [--checkpoint FILE] [--resume FILE] [--out DIR] \
                      <id>... | all"
                 );
-                println!("       repro --bench-json [--perf-baseline FILE]");
                 println!("ids: {} ablation chaos", experiments::ALL.join(" "));
                 return ExitCode::SUCCESS;
             }
@@ -117,12 +103,6 @@ fn main() -> ExitCode {
         // from here on publishes into this registry, with the salient
         // events echoed through the console sink.
         experiments::set_observer(Arc::new(MetricsObserver::with_forward(Arc::new(sink))));
-    }
-    if bench_json {
-        return run_bench_json(scale, &out_dir, baseline_path.as_deref(), &sink);
-    }
-    if baseline_path.is_some() {
-        return usage_error("--perf-baseline only makes sense with --bench-json");
     }
     if checkpoint_path.is_some() || resume_path.is_some() {
         if let Err(code) =
@@ -235,116 +215,5 @@ fn write_obs_snapshot(path: Option<&std::path::Path>, sink: &ConsoleSink) -> Exi
         snapshot.histograms.len(),
         path.display()
     ));
-    ExitCode::SUCCESS
-}
-
-fn run_bench_json(
-    scale: Scale,
-    out_dir: &std::path::Path,
-    baseline: Option<&std::path::Path>,
-    sink: &ConsoleSink,
-) -> ExitCode {
-    let perf = rwc_bench::perf::scenario_perf(scale);
-    sink.result(&format!(
-        "round engine ({} scale): {:.1} rounds/sec cold -> {:.1} rounds/sec warm (exact LP)",
-        perf.scale, perf.exact_cold.rounds_per_sec, perf.exact_warm.rounds_per_sec,
-    ));
-    sink.result(&format!(
-        "exact LP: cold p50 {} us / p99 {} us -> warm p50 {} us / p99 {} us \
-         ({:.2}x solve speedup, warm hit rate {:.0}%, max throughput delta {:.2e} G)",
-        perf.exact_cold.solve_p50_micros,
-        perf.exact_cold.solve_p99_micros,
-        perf.exact_warm.solve_p50_micros,
-        perf.exact_warm.solve_p99_micros,
-        perf.exact_solve_speedup,
-        100.0 * perf.warm_hit_rate,
-        perf.max_throughput_delta,
-    ));
-    if let Some(lt) = &perf.large_te {
-        sink.result(&format!(
-            "large TE (scale x{}, {} links, {} commodities, LP {}x{}): \
-             {:.1} rounds/sec (p50 {} us / p99 {} us, {:.1} eta updates/refactor)",
-            lt.scale_factor,
-            lt.links,
-            lt.commodities,
-            lt.lp_rows,
-            lt.lp_cols,
-            lt.sparse.rounds_per_sec,
-            lt.sparse.solve_p50_micros,
-            lt.sparse.solve_p99_micros,
-            lt.eta_updates_per_refactor,
-        ));
-    }
-    if let Some(obj) = &perf.objectives {
-        sink.result(&format!(
-            "objective zoo (mesh x{}, {} fake edges): {}/{} objectives solved, \
-             worst certificate gap {:.2e}; min-MLU envelope {:.3} >= \
-             max single-TM {:.3}, drift warm hit rate {:.0}%",
-            obj.scale_factor,
-            obj.fake_edges,
-            obj.arms.iter().filter(|a| a.solved).count(),
-            obj.arms.len(),
-            obj.max_certificate_gap,
-            obj.min_mlu.envelope_mlu,
-            obj.min_mlu.max_single_tm_mlu,
-            100.0 * obj.min_mlu.warm_hit_rate,
-        ));
-    }
-    let fleet = rwc_bench::perf::fleet_perf(scale);
-    sink.result(&format!(
-        "fleet analysis ({} links, {} threads): {:.1} links/sec, {:.2e} samples/sec, \
-         {:.1} MB allocated",
-        fleet.fused.links,
-        fleet.n_threads,
-        fleet.fused.links_per_sec,
-        fleet.fused.samples_per_sec,
-        fleet.fused.alloc_bytes as f64 / 1e6,
-    ));
-    sink.result(&format!(
-        "generation only ({} links, 1 thread): {:.2e} samples/sec",
-        fleet.generation.links, fleet.generation.samples_per_sec,
-    ));
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        sink.error(&format!("cannot create {}: {e}", out_dir.display()));
-        return ExitCode::FAILURE;
-    }
-    for (name, json) in
-        [("BENCH_scenario.json", perf.to_json()), ("BENCH_fleet.json", fleet.to_json())]
-    {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            sink.error(&format!("cannot write {}: {e}", path.display()));
-            return ExitCode::FAILURE;
-        }
-        sink.progress(&format!("  -> {}", path.display()));
-    }
-    if let Some(baseline_path) = baseline {
-        // Typed baseline loading: a missing artifact (exit 3) and a stale
-        // or truncated schema (exit 4) are different CI escalations than a
-        // genuine perf regression (exit 5).
-        let baseline = match PerfBaseline::load(baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                sink.error(&e.to_string());
-                return ExitCode::from(cli::perf_exit_code(&e));
-            }
-        };
-        if let Err(e) = perf.check_against_baseline(&baseline.scenario) {
-            sink.error(&e);
-            return ExitCode::from(cli::EXIT_PERF_REGRESSION);
-        }
-        if let Err(e) = fleet.check_against_baseline(&baseline.fleet) {
-            sink.error(&e);
-            return ExitCode::from(cli::EXIT_PERF_REGRESSION);
-        }
-        sink.result(&format!(
-            "perf gate: {:.1} rounds/sec clears baseline floor {:.1}; \
-             {:.1} links/sec clears baseline floor {:.1}",
-            perf.exact_warm.rounds_per_sec,
-            baseline.scenario.exact_warm.rounds_per_sec / 2.0,
-            fleet.fused.links_per_sec,
-            baseline.fleet.fused.links_per_sec / 2.0,
-        ));
-    }
     ExitCode::SUCCESS
 }

@@ -1,27 +1,24 @@
 //! Exit-code contract of the `repro` binary.
 //!
-//! CI jobs and wrapper scripts branch on *why* a run failed — a perf
-//! regression needs a different escalation than a corrupted checkpoint or
-//! a lost baseline artifact. Every failure class therefore gets a stable,
-//! documented exit code, and the mapping from the typed errors
-//! ([`RwcError`], [`HarnessError`], [`PerfError`]) lives here so the
-//! binary and the tests agree on it.
+//! CI jobs and wrapper scripts branch on *why* a run failed — a corrupted
+//! checkpoint needs a different escalation than a solver timeout or a bad
+//! flag. Every failure class therefore gets a stable, documented exit
+//! code, and the mapping from the typed errors ([`RwcError`],
+//! [`HarnessError`], [`ServeError`]) lives here so the binaries and the
+//! tests agree on it.
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0 | success |
 //! | 1 | generic failure (unknown experiment id, CSV write, exhausted chunk retries) |
 //! | 2 | usage / configuration error (bad flags, invalid pipeline config) |
-//! | 3 | perf baseline unreadable (missing file, I/O error) |
-//! | 4 | perf baseline schema mismatch (truncated or stale format) |
-//! | 5 | perf regression gate tripped |
+//! | 3–5 | retired with the perf digest; never reused |
 //! | 6 | checkpoint corrupt, version-mismatched, or from a different sweep |
 //! | 7 | TE solver failure (timeout, abort, infeasible) |
 //! | 8 | hardware-path failure (BVT fault, quarantined link) |
 //! | 9 | telemetry failure (horizon outruns traces, fault-plan trouble) |
 //! | 10 | serve daemon failure (shard budget exhausted, socket trouble, drain failed) |
 
-use crate::perf::PerfError;
 use rwc_core::RwcError;
 use rwc_harness::{CheckpointError, HarnessError};
 use rwc_serve::ServeError;
@@ -32,12 +29,6 @@ pub const EXIT_OK: u8 = 0;
 pub const EXIT_GENERIC: u8 = 1;
 /// Bad command line or invalid pipeline configuration.
 pub const EXIT_USAGE: u8 = 2;
-/// Perf baseline missing or unreadable.
-pub const EXIT_BASELINE_IO: u8 = 3;
-/// Perf baseline present but not parseable as the current schema.
-pub const EXIT_BASELINE_SCHEMA: u8 = 4;
-/// The perf regression gate tripped.
-pub const EXIT_PERF_REGRESSION: u8 = 5;
 /// Checkpoint corrupt, wrong version, or fingerprint mismatch.
 pub const EXIT_CHECKPOINT: u8 = 6;
 /// A TE solver failed (including watchdog-surfaced timeouts).
@@ -69,14 +60,6 @@ pub fn harness_exit_code(err: &HarnessError) -> u8 {
     }
 }
 
-/// Exit code for a perf-baseline error.
-pub fn perf_exit_code(err: &PerfError) -> u8 {
-    match err {
-        PerfError::Io { .. } => EXIT_BASELINE_IO,
-        PerfError::Schema { .. } => EXIT_BASELINE_SCHEMA,
-    }
-}
-
 /// Exit code for a serve-daemon error. Configuration mistakes are usage
 /// errors and checkpoint trouble keeps its class; everything the daemon
 /// itself caused (shard failure, sockets, shutdown races) is `10`.
@@ -98,21 +81,20 @@ mod tests {
 
     #[test]
     fn exit_codes_are_distinct_and_stable() {
+        // 3–5 belonged to the retired perf digest and stay unused, so a
+        // wrapper that still branches on them can never see a new meaning.
         let codes = [
-            EXIT_OK,
-            EXIT_GENERIC,
-            EXIT_USAGE,
-            EXIT_BASELINE_IO,
-            EXIT_BASELINE_SCHEMA,
-            EXIT_PERF_REGRESSION,
-            EXIT_CHECKPOINT,
-            EXIT_SOLVER,
-            EXIT_HARDWARE,
-            EXIT_TELEMETRY,
-            EXIT_SERVE,
+            (EXIT_OK, 0),
+            (EXIT_GENERIC, 1),
+            (EXIT_USAGE, 2),
+            (EXIT_CHECKPOINT, 6),
+            (EXIT_SOLVER, 7),
+            (EXIT_HARDWARE, 8),
+            (EXIT_TELEMETRY, 9),
+            (EXIT_SERVE, 10),
         ];
-        for (i, a) in codes.iter().enumerate() {
-            assert_eq!(*a, i as u8, "codes are consecutive and stable");
+        for (code, pinned) in codes {
+            assert_eq!(code, pinned, "exit codes are a published contract");
         }
     }
 
@@ -156,13 +138,5 @@ mod tests {
         assert_eq!(serve_exit_code(&corrupt), EXIT_CHECKPOINT);
         let io = ServeError::Checkpoint(CheckpointError::Io("enoent".into()));
         assert_eq!(serve_exit_code(&io), EXIT_SERVE);
-    }
-
-    #[test]
-    fn perf_variants_map_to_their_classes() {
-        let io = PerfError::Io { path: "x".into(), message: "enoent".into() };
-        assert_eq!(perf_exit_code(&io), EXIT_BASELINE_IO);
-        let schema = PerfError::Schema { path: "x".into(), message: "truncated".into() };
-        assert_eq!(perf_exit_code(&schema), EXIT_BASELINE_SCHEMA);
     }
 }

@@ -20,7 +20,7 @@ pub mod thm1;
 pub mod tput;
 
 use crate::{Report, Scale};
-use rwc_harness::{CheckpointConfig, ExecutorConfig, SweepCheckpoint};
+use rwc_harness::{CheckpointConfig, ExecutorConfig, SweepCheckpoint, SweepOutcome, SweepSpec};
 use rwc_obs::{MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::ModulationTable;
 use rwc_telemetry::{FleetAccumulator, FleetGenerator};
@@ -50,9 +50,8 @@ pub fn observer() -> Arc<dyn Observer> {
     }
 }
 
-/// The installed observer's backing registry — the merge target for
-/// per-worker registries in [`crate::parallel`]; `None` when
-/// observability is off.
+/// The installed observer's backing registry — the merge target for the
+/// fleet sweep's per-chunk metrics; `None` when observability is off.
 pub fn registry() -> Option<&'static rwc_obs::MetricsRegistry> {
     OBSERVER.get().map(|obs| obs.registry())
 }
@@ -110,15 +109,23 @@ pub(crate) fn fleet_sweep(gen: &FleetGenerator, table: &ModulationTable) -> Flee
         ..ExecutorConfig::default()
     };
     let resume = state.and_then(|s| s.resume.as_ref());
-    match crate::parallel::parallel_fleet_analysis_hardened(
+    let spec = SweepSpec {
         gen,
         table,
-        crate::parallel::default_workers(),
-        registry(),
-        &cfg,
-        resume,
-    ) {
-        Ok(acc) => acc,
+        n_threads: crate::parallel::default_workers(),
+        collect_metrics: registry().is_some(),
+    };
+    match rwc_harness::run_fleet_sweep(&spec, &cfg, resume) {
+        Ok(SweepOutcome::Completed(result)) => {
+            // Counter and histogram-bucket addition commute, so absorbing
+            // the chunk-ordered merge equals one sequential kernel's
+            // metrics at any thread count.
+            if let (Some(registry), Some(metrics)) = (registry(), &result.metrics) {
+                registry.absorb(metrics);
+            }
+            result.accumulator
+        }
+        Ok(SweepOutcome::Killed { .. }) => unreachable!("no chaos plan configured"),
         Err(err) => panic!("fleet sweep failed: {err}"),
     }
 }

@@ -53,7 +53,7 @@ pub struct Cell {
     pub upgrades: usize,
 }
 
-/// Sweeps all cells (shared with the Criterion benches).
+/// Sweeps all cells.
 pub fn sweep(scale: Scale) -> Vec<Cell> {
     let loads: &[f64] = match scale {
         Scale::Quick => &[0.5, 1.0, 1.5, 2.0],

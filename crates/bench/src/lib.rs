@@ -1,9 +1,10 @@
 //! # rwc-bench
 //!
 //! The figure-reproduction harness: one experiment per table/figure of the
-//! paper, shared between the `repro` binary (which prints the series and
-//! writes CSV artifacts) and the Criterion benches (which time the
-//! underlying kernels).
+//! paper, run by the `repro` binary, which prints the series and writes CSV
+//! artifacts; plus the `rwc-serve` daemon and `loadgen` binaries. It
+//! reproduces and checks. Performance is measured by the standalone
+//! `benchmark/` package at the repository root, and by nothing here.
 //!
 //! Run everything:
 //!
@@ -21,7 +22,6 @@ pub mod alloc;
 pub mod cli;
 pub mod experiments;
 pub mod parallel;
-pub mod perf;
 pub mod report;
 
 pub use report::{Report, Scale};

@@ -48,7 +48,6 @@ pub use error::RwcError;
 pub use network::DynamicCapacityNetwork;
 pub use scenario::{
     Scenario, ScenarioBuilder, ScenarioConfig, ScenarioConfigBuilder, ScenarioReport,
-    ScenarioTiming,
 };
 pub use penalty::PenaltyPolicy;
 pub use translate::{translate, Translation};
@@ -74,7 +73,7 @@ pub mod prelude {
     pub use crate::penalty::PenaltyPolicy;
     pub use crate::scenario::{
         Scenario, ScenarioBuilder, ScenarioConfig, ScenarioConfigBuilder, ScenarioReport,
-        ScenarioSample, ScenarioTiming,
+        ScenarioSample,
     };
     pub use rwc_obs::{Event, MetricsObserver, MetricsRegistry, NoopObserver, Observer};
     pub use rwc_topology::wan::{LinkId, WanTopology};

@@ -164,48 +164,6 @@ impl ScenarioConfigBuilder {
     }
 }
 
-/// Wall-clock measurements of a scenario run, kept strictly apart from
-/// [`ScenarioReport`]: timing is nondeterministic by nature and must
-/// never leak into the serialised report the determinism tests compare.
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioTiming {
-    /// Per-TE-round solve time in microseconds: static baseline,
-    /// augmentation, augmented solve, and the binary counterfactual —
-    /// everything a round computes, so engine-level caching shows up.
-    pub solve_micros: Vec<u64>,
-    /// Whole-run wall time in microseconds.
-    pub wall_micros: u64,
-}
-
-impl ScenarioTiming {
-    /// TE rounds completed per wall-clock second.
-    pub fn rounds_per_sec(&self) -> f64 {
-        if self.wall_micros == 0 {
-            0.0
-        } else {
-            self.solve_micros.len() as f64 / (self.wall_micros as f64 / 1e6)
-        }
-    }
-
-    /// Solve-time percentile in microseconds (`p` in `[0, 1]`), by the
-    /// nearest-rank method; 0 when no rounds ran.
-    pub fn solve_percentile_micros(&self, p: f64) -> u64 {
-        if self.solve_micros.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.solve_micros.clone();
-        sorted.sort_unstable();
-        let rank = ((p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
-            .clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    /// Total microseconds spent in TE solves.
-    pub fn total_solve_micros(&self) -> u64 {
-        self.solve_micros.iter().sum()
-    }
-}
-
 /// One sampled instant of the simulation (recorded at TE rounds).
 #[derive(Debug, Clone, Serialize)]
 pub struct ScenarioSample {
@@ -372,8 +330,6 @@ pub struct Scenario {
     /// Metrics/event sink. Measurement only: with any observer installed
     /// the [`ScenarioReport`] stays byte-identical to an unobserved run.
     obs: Arc<dyn Observer>,
-    /// Timing sidecar of the most recent [`Scenario::run`].
-    last_timing: Option<ScenarioTiming>,
     /// TE rounds executed across every [`Scenario::run`] on this scenario —
     /// the round index a sweep checkpoint records so a resumed run can
     /// line its progress up against the interrupted one.
@@ -450,7 +406,6 @@ impl ScenarioBuilder {
             demands,
             config,
             obs,
-            last_timing: None,
             rounds_completed: 0,
             #[cfg(test)]
             forget_caches: false,
@@ -477,13 +432,6 @@ impl Scenario {
         self.obs = obs;
     }
 
-    /// Wall-clock timing of the most recent [`Scenario::run`]. Kept out
-    /// of [`ScenarioReport`] because timing is nondeterministic; the
-    /// report stays byte-comparable across runs.
-    pub fn last_timing(&self) -> Option<&ScenarioTiming> {
-        self.last_timing.as_ref()
-    }
-
     /// TE rounds executed so far, cumulative across runs. This is the
     /// round index checkpoints record (`SweepCheckpoint::round_index`
     /// in `rwc-harness`): a resumed run compares it against the
@@ -496,9 +444,7 @@ impl Scenario {
     /// the horizon outrunning telemetry) come back as [`RwcError`];
     /// faults injected through [`ScenarioConfig::fault_plan`] are
     /// *handled*, not returned — they surface in the report's degradation
-    /// counters. Wall-clock timing of the run is always captured and
-    /// readable via [`Scenario::last_timing`]; it lives outside the
-    /// report so determinism comparisons stay byte-exact.
+    /// counters.
     pub fn run(
         &mut self,
         horizon: SimDuration,
@@ -543,8 +489,6 @@ impl Scenario {
         // it replaces.
         let mut counterfactual_cache: std::collections::HashMap<(u64, Vec<bool>), f64> =
             std::collections::HashMap::new();
-        let mut timing = ScenarioTiming::default();
-        let run_start = std::time::Instant::now();
         self.obs.incr("scenario.runs", 1);
 
         let mut report = ScenarioReport {
@@ -657,7 +601,6 @@ impl Scenario {
                 let phase = std::f64::consts::TAU * now.since_epoch().as_secs_f64() / day;
                 let scale = 1.0 + self.config.demand_diurnal_amp * phase.sin();
                 let demands = self.demands.scaled(scale.max(0.0));
-                let round_start = std::time::Instant::now();
                 #[cfg(test)]
                 if self.forget_caches {
                     self.network.forget_caches();
@@ -724,7 +667,6 @@ impl Scenario {
                         }
                     }
                 };
-                timing.solve_micros.push(round_start.elapsed().as_micros() as u64);
 
                 report.samples.push(ScenarioSample {
                     time: now,
@@ -737,12 +679,10 @@ impl Scenario {
                 });
             }
         }
-        timing.wall_micros = run_start.elapsed().as_micros() as u64;
         if self.obs.enabled() {
             self.obs.gauge("scenario.availability", report.availability());
             self.obs.gauge("scenario.degraded_share", report.degraded_share());
         }
-        self.last_timing = Some(timing);
         Ok(report)
     }
 }
@@ -1095,21 +1035,6 @@ mod tests {
             assert!(rebuilt.full_rebuilds + rb.te_fallbacks as u64 >= rounds, "{name}: {rebuilt:?}");
             assert_eq!(rebuilt.in_place_patches + rebuilt.suffix_rebuilds, 0, "{name}");
         }
-    }
-
-    #[test]
-    fn timed_run_reports_round_timing() {
-        let mut s = scenario(10);
-        assert!(s.last_timing().is_none(), "no run yet, no timing");
-        let report = s.run(SimDuration::from_days(1), &SwanTe::default()).unwrap();
-        let timing = s.last_timing().expect("every run records timing");
-        assert_eq!(timing.solve_micros.len(), report.samples.len());
-        assert!(timing.wall_micros > 0);
-        assert!(timing.rounds_per_sec() > 0.0);
-        assert!(
-            timing.solve_percentile_micros(0.5) <= timing.solve_percentile_micros(0.99),
-            "p50 must not exceed p99"
-        );
     }
 
     #[test]

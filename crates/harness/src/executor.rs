@@ -553,6 +553,13 @@ mod tests {
         let gen = tiny_fleet();
         let table = ModulationTable::paper_default();
         let sequential = gen.fleet_analysis(&table);
+        // Metrics reference: one kernel publishing into one observer.
+        let seq_obs = Arc::new(MetricsObserver::new());
+        let mut kernel = FleetKernel::with_observer(Arc::clone(&seq_obs) as Arc<dyn Observer>);
+        for link_id in 0..gen.n_links() {
+            kernel.analyze_generated(&gen, link_id, &table);
+        }
+        let seq_metrics = seq_obs.snapshot().to_json();
         for threads in [1, 2, 3, 5] {
             let out = run_fleet_sweep(&spec(&gen, &table, threads), &ExecutorConfig::default(), None)
                 .unwrap();
@@ -561,6 +568,11 @@ mod tests {
                 serde_json::to_string(&result.accumulator).unwrap(),
                 serde_json::to_string(&sequential).unwrap(),
                 "threads={threads}"
+            );
+            assert_eq!(
+                result.metrics.as_ref().map(MetricsSnapshot::to_json).as_deref(),
+                Some(seq_metrics.as_str()),
+                "per-chunk metrics merge diverged at threads={threads}"
             );
         }
     }

@@ -4,7 +4,7 @@
 
 use rwc::core::scenario::{Scenario, ScenarioConfig};
 use rwc::te::swan::SwanTe;
-use rwc::te::DemandMatrix;
+use rwc::te::{DemandMatrix, Priority, TeAlgorithm, TeSolver, WarmStartPolicy};
 use rwc::telemetry::FleetConfig;
 use rwc::topology::builders;
 use rwc::util::time::SimDuration;
@@ -88,4 +88,60 @@ fn churn_stays_bounded_round_to_round() {
     for s in report.samples.iter().skip(1) {
         assert!(s.churn <= 2.0 * cap, "round churn {} vs capacity {cap}", s.churn);
     }
+}
+
+/// A calm Abilene week: six 120 G commodities on a high-SNR fleet, so
+/// ladders keep their shape most rounds — the regime warm starts exist for.
+fn calm_abilene_week() -> Scenario {
+    let wan = builders::abilene();
+    let pick = |n: &str| wan.node_by_name(n).expect("abilene site");
+    let mut demands = DemandMatrix::new();
+    for (s, t) in
+        [("SEA", "NYC"), ("LAX", "WDC"), ("SNV", "CHI"), ("DEN", "ATL"), ("KSC", "NYC"), ("HOU", "CHI")]
+    {
+        demands.add(pick(s), pick(t), Gbps(120.0), Priority::Elastic);
+    }
+    let fleet = FleetConfig {
+        n_fibers: 2,
+        wavelengths_per_fiber: 7,
+        horizon: SimDuration::from_days(8),
+        fiber_baseline_mean_db: 14.5,
+        fiber_baseline_sd_db: 0.1,
+        wavelength_jitter_sd_db: 0.15,
+        ..FleetConfig::paper()
+    };
+    Scenario::builder(wan, fleet, demands).build().expect("abilene scenario wiring is valid")
+}
+
+#[test]
+fn warm_solver_tracks_cold_through_the_round_engine() {
+    // Every round solves the static problem and then its augmentation on
+    // the same solver; the pair differs in the warm-start policy and
+    // nothing else, so both reach an optimum of the same LP each round.
+    let week = SimDuration::from_days(7);
+    let cold = TeSolver::builder()
+        .warm_start(WarmStartPolicy::AlwaysCold)
+        .build()
+        .expect("default TE solver");
+    let cold_report = calm_abilene_week().run(week, &cold).unwrap();
+    let warm = TeSolver::default();
+    let warm_report = calm_abilene_week().run(week, &warm).unwrap();
+
+    assert_eq!(cold_report.samples.len(), 168, "hourly rounds over 7 days");
+    assert_eq!(warm_report.samples.len(), cold_report.samples.len());
+    for (c, w) in cold_report.samples.iter().zip(&warm_report.samples) {
+        assert!(
+            (c.throughput - w.throughput).abs() <= 1e-6,
+            "at {}: cold {} vs warm {}",
+            c.time,
+            c.throughput,
+            w.throughput
+        );
+    }
+    // Static → augmented is one warm chain: a hit rate near 0.65 means
+    // every augmented solve went cold.
+    let stats = warm.warm_stats().expect("default solver warm-starts");
+    assert!(stats.warm_attempts > 0, "{stats:?}");
+    assert!(stats.warm_hit_rate() >= 0.9, "{stats:?}");
+    assert!(stats.eta_updates > 0, "{stats:?}");
 }
