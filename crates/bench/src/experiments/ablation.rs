@@ -13,7 +13,7 @@ use rwc_core::controller::{Controller, ControllerConfig};
 use rwc_core::{augment, translate, AugmentConfig, PenaltyPolicy};
 use rwc_te::demand::DemandMatrix;
 use rwc_te::TeSolver;
-use rwc_te::updates::{plan_capacity_changes, CapacityChange};
+use rwc_te::updates::{try_plan_capacity_changes, CapacityChange};
 use rwc_te::TeAlgorithm;
 use rwc_topology::builders;
 use rwc_topology::wan::LinkId;
@@ -156,8 +156,11 @@ pub fn procedure_ablation() -> (f64, f64) {
         to: rwc_optics::Modulation::Dp16Qam200,
     };
     let algo = rwc_te::swan::SwanTe::default();
-    let hitless = plan_capacity_changes(&wan, &dm, &[change], &algo, true, None);
-    let legacy = plan_capacity_changes(&wan, &dm, &[change], &algo, false, None);
+    let plan = |hitless| {
+        try_plan_capacity_changes(&wan, &dm, &[change], &algo, hitless, None)
+            .expect("the Fig. 7 upgrade plans")
+    };
+    let (hitless, legacy) = (plan(true), plan(false));
     (hitless.interim_throughput_gap, legacy.interim_throughput_gap)
 }
 

@@ -46,7 +46,8 @@ fn large_te_instance(factor: usize) -> (WanTopology, DemandMatrix) {
 struct ObjectiveArm {
     /// The formulation's algorithm name (e.g. `"exact-lp:min-mlu"`).
     objective: String,
-    /// Whether the solve reached an optimum that certified.
+    /// Whether the solve reached an optimum (a refused certificate
+    /// panics instead).
     solved: bool,
     /// The objective's headline value (NaN when unsolved).
     headline: f64,

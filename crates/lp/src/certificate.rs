@@ -1,39 +1,57 @@
-//! LP optimality certificates: proof that a point is optimal, from the
-//! point and the solver's own multipliers, with no second solver.
+//! LP certificates: a proof for every verdict the solver reaches but
+//! `Stalled`, checked from the solver's own vectors with no second solver.
 //!
-//! For `max c·x  s.t.  A x {≤,=,≥} b,  0 ≤ x ≤ u` a pair `(x, y)` is
-//! optimal exactly when three things hold:
+//! For `max c·x  s.t.  A x {≤,=,≥} b,  0 ≤ x ≤ u`:
 //!
-//! 1. **primal feasibility** — every row by its relation, `0 ≤ x ≤ u`;
-//! 2. **dual feasibility** — `y_r ≥ 0` on `≤` rows, `≤ 0` on `≥` rows,
-//!    and the reduced cost `d_j = c_j − y·A_j` is `≤ 0` where `x_j` rests
-//!    at zero, `≥ 0` where it rests at `u_j`, and zero strictly between
-//!    (the bound status is read off `x` itself, not taken on trust);
-//! 3. **no duality gap** — `c·x = y·b + Σ_j u_j·max(d_j, 0)`.
+//! - **Optimal** — [`certify`]`(lp, x, y)` holds when
+//!   1. *primal feasibility*: every row by its relation, `0 ≤ x ≤ u`;
+//!   2. *dual feasibility*: `y_r ≥ 0` on `≤` rows, `≤ 0` on `≥` rows, and
+//!      the reduced cost `d_j = c_j − y·A_j` is `≤ 0` where `x_j` rests at
+//!      zero, `≥ 0` where it rests at `u_j`, and zero strictly between
+//!      (the bound status is read off `x` itself, not taken on trust);
+//!   3. *no duality gap*: `c·x = y·b + Σ_j u_j·max(d_j, 0)`.
+//! - **Infeasible** — [`certify_infeasible`]`(lp, y)`, a Farkas vector: the
+//!   dual side of 2–3 with `c = 0`. `y` signed by relation as above,
+//!   `−y·A_j ≤ 0` wherever `u_j = ∞`, and the *reach*
+//!   `y·b + Σ_j u_j·max(−y·A_j, 0) < 0`. Every feasible `x` has
+//!   `y·A x ≤ y·b`, yet every `x` in the box has
+//!   `y·A x ≥ −Σ_j u_j·max(−y·A_j, 0) > y·b`: no `x` is both.
+//! - **Unbounded** — [`certify_unbounded`]`(lp, x, d)`, a ray: `x` feasible,
+//!   `d ≥ 0` with `d_j = 0` wherever `u_j` is finite, `A d` `≤ 0`, `≥ 0` or
+//!   `= 0` by row relation, and `c·d > 0`: `x + t·d` stays feasible for
+//!   every `t ≥ 0` while its objective grows without bound.
 //!
-//! [`certify`] checks them in plain loops over the CSC columns — O(nnz),
-//! no factorisation, no solver state. Residuals are *relative*: rows to
-//! `1 + |b_r|`, bounds to `1 + u_j`, multipliers and reduced costs to
-//! `1 + ‖c‖∞`, the gap to `1 + |c·x|`. The TE objectives weigh their
-//! headline quantity at `1e6`, so an absolute tolerance would either
-//! refuse every correct solve or accept wrong ones.
+//! All three are plain loops over the CSC columns — O(nnz), no
+//! factorisation, no solver state — and the first two share the dual-side
+//! loop. Residuals are *relative*. [`certify`] scales rows to `1 + |b_r|`,
+//! bounds to `1 + u_j`, multipliers and reduced costs to `1 + ‖c‖∞` and
+//! the gap to `1 + |c·x|`: the TE objectives weigh their headline quantity
+//! at `1e6`, so an absolute tolerance would either refuse every correct
+//! solve or accept wrong ones. A Farkas vector and a ray have no scale of
+//! their own, so each of their sums is measured against `‖y‖∞` (or
+//! `‖d‖∞`) plus the magnitudes of its terms: the verdict does not move
+//! when either vector is multiplied by a positive constant.
 
 use crate::model::Relation;
 use crate::sparse::SparseLp;
 use std::fmt;
 
-/// Largest relative residual [`certify`] accepts. The revised simplex
+/// Largest relative residual a certificate may carry. The revised simplex
 /// lands three to six orders of magnitude below it on every TE fixture.
 pub const CERTIFICATE_TOL: f64 = 1e-9;
 
-/// The three worst relative residuals of a checked `(x, y)` pair.
+/// The worst relative residuals of a checked certificate and its
+/// objective test.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Certificate {
-    /// Worst row or bound violation.
+    /// Worst row or bound violation: of `x`, and for a ray of `d` as well.
     pub primal: f64,
     /// Worst multiplier-sign or reduced-cost violation.
     pub dual: f64,
-    /// `|c·x − (y·b + Σ u_j·max(d_j, 0))|`, primal against dual objective.
+    /// The objective test, relative. [`certify`]: the duality gap
+    /// `|c·x − (y·b + Σ u_j·max(d_j, 0))|`, at most the tolerance.
+    /// [`certify_infeasible`]: the reach, below minus the tolerance.
+    /// [`certify_unbounded`]: the ascent `c·d`, above the tolerance.
     pub gap: f64,
 }
 
@@ -47,35 +65,42 @@ impl fmt::Display for Certificate {
     }
 }
 
-/// Why a pair `(x, y)` does not certify. The residual-carrying variants
-/// hold all three residuals; the variant names the first one over
-/// [`CERTIFICATE_TOL`], in the order primal → dual → gap.
+/// Why a certificate is refused. The residual-carrying variants hold all
+/// three residuals; the variant names the first test that failed, in the
+/// order primal → dual → objective.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CertificateError {
-    /// `x` or `y` has the wrong length for the program.
+    /// A vector has the wrong length for the program.
     Shape {
-        /// `"x"` or `"y"`.
+        /// `"x"`, `"y"` or `"d"`.
         vector: &'static str,
-        /// Columns (for `x`) or rows (for `y`) of the program.
+        /// Columns (for `x`, `d`) or rows (for `y`) of the program.
         expected: usize,
         /// Length received.
         got: usize,
     },
-    /// `x` or `y` holds a NaN or an infinity.
+    /// A vector holds a NaN or an infinity.
     NonFinite {
-        /// `"x"` or `"y"`.
+        /// `"x"`, `"y"` or `"d"`.
         vector: &'static str,
         /// First offending index.
         index: usize,
     },
-    /// A row or a bound is violated: `x` is not a feasible point.
+    /// A row or a bound is violated: `x` is not a feasible point, or `x + t·d`
+    /// leaves the feasible set.
     PrimalInfeasible(Certificate),
     /// A multiplier has the wrong sign for its row, or a reduced cost the
-    /// wrong sign for where `x_j` rests: `x` is not optimal, or `y` does
-    /// not belong to it.
+    /// wrong sign for where `x_j` rests (for a Farkas vector: is positive
+    /// on a column without an upper bound).
     DualInfeasible(Certificate),
     /// Both sides are feasible but their objectives differ.
     Gap(Certificate),
+    /// The reach of a Farkas vector is not negative: `y` does not separate
+    /// `b` from what `0 ≤ x ≤ u` can reach, so it proves nothing.
+    NotSeparating(Certificate),
+    /// `c·d` is not positive: moving along the ray does not raise the
+    /// objective.
+    NoAscent(Certificate),
 }
 
 impl fmt::Display for CertificateError {
@@ -94,6 +119,8 @@ impl fmt::Display for CertificateError {
             CertificateError::PrimalInfeasible(c) => write!(f, "primal infeasible ({c})"),
             CertificateError::DualInfeasible(c) => write!(f, "dual infeasible ({c})"),
             CertificateError::Gap(c) => write!(f, "duality gap open ({c})"),
+            CertificateError::NotSeparating(c) => write!(f, "reach not negative ({c})"),
+            CertificateError::NoAscent(c) => write!(f, "ray does not ascend ({c})"),
         }
     }
 }
@@ -114,63 +141,220 @@ fn check_vector(vector: &'static str, v: &[f64], expected: usize) -> Result<(), 
     }
 }
 
+/// `‖v‖∞`, never zero, so that it can divide.
+fn scale_of(v: &[f64]) -> f64 {
+    v.iter().fold(f64::MIN_POSITIVE, |s, e| s.max(e.abs()))
+}
+
+/// How far a row whose `a·x − b` is `over` breaks `rel`.
+fn violation(rel: Relation, over: f64) -> f64 {
+    match rel {
+        Relation::Le => over.max(0.0),
+        Relation::Ge => (-over).max(0.0),
+        Relation::Eq => over.abs(),
+    }
+}
+
+/// Scatters `x_j·A_j` into `ax` and returns how far `x_j` leaves
+/// `[0, u_j]`, relative to `1 + u_j`. Inlined for the reason
+/// [`dual_side`] is.
+#[inline(always)]
+fn primal_column(lp: &SparseLp, j: usize, xj: f64, ax: &mut [f64]) -> f64 {
+    let (rows, vals) = lp.a.col(j);
+    for (&r, &v) in rows.iter().zip(vals) {
+        ax[r] += v * xj;
+    }
+    let u = lp.upper[j];
+    if u.is_finite() {
+        (-xj).max((xj - u) / (1.0 + u))
+    } else {
+        -xj
+    }
+}
+
+/// Worst row violation of a point whose `A x` is `ax`, relative to
+/// `1 + |b_r|`.
+fn primal_rows(lp: &SparseLp, ax: &[f64]) -> f64 {
+    ax.iter().enumerate().fold(0.0f64, |worst, (r, &a)| {
+        let b = lp.rhs[r];
+        worst.max(violation(lp.rel[r], a - b) / (1.0 + b.abs()))
+    })
+}
+
+/// The dual side of a program, as [`dual_side`] measures it.
+struct DualSide {
+    /// Worst wrong-signed multiplier, absolute.
+    wrong_sign: f64,
+    /// The dual objective `y·b + Σ_j u_j·max(d_j, 0)`.
+    objective: f64,
+    /// The sum of the magnitudes of `objective`'s terms.
+    magnitude: f64,
+}
+
+/// What [`certify`] (objective `c`) and [`certify_infeasible`] (`c = 0`,
+/// `objective` is `None`) share: one walk over the columns, handing
+/// `column(j, d_j)` each reduced cost `d_j = c_j − y·A_j`, then one over
+/// the rows. Inlined so that the closure's accumulators stay in
+/// registers: as a call it costs `certify` a quarter of its time.
+#[inline(always)]
+fn dual_side(
+    lp: &SparseLp,
+    objective: Option<&[f64]>,
+    y: &[f64],
+    mut column: impl FnMut(usize, f64),
+) -> DualSide {
+    let mut side = DualSide {
+        wrong_sign: 0.0,
+        objective: 0.0,
+        magnitude: 0.0,
+    };
+    for j in 0..lp.n_vars() {
+        let (rows, vals) = lp.a.col(j);
+        let mut d = objective.map_or(0.0, |c| c[j]);
+        for (&r, &v) in rows.iter().zip(vals) {
+            d -= y[r] * v;
+        }
+        let u = lp.upper[j];
+        if u.is_finite() {
+            side.objective += u * d.max(0.0);
+            side.magnitude += u * d.max(0.0);
+        }
+        column(j, d);
+    }
+    for (r, &yr) in y.iter().enumerate() {
+        let wrong = match lp.rel[r] {
+            Relation::Le => (-yr).max(0.0),
+            Relation::Ge => yr.max(0.0),
+            Relation::Eq => 0.0,
+        };
+        side.wrong_sign = side.wrong_sign.max(wrong);
+        side.objective += yr * lp.rhs[r];
+        side.magnitude += (yr * lp.rhs[r]).abs();
+    }
+    side
+}
+
 /// Checks that `x` (one value per column) is an optimal point of `lp` and
 /// `y` (one multiplier per row) proves it; see the module docs for the
 /// three conditions and their scaling. `lp` must pass
 /// [`SparseLp::validate`], as it must for the solver.
 pub fn certify(lp: &SparseLp, x: &[f64], y: &[f64]) -> Result<Certificate, CertificateError> {
-    let (n, m) = (lp.n_vars(), lp.n_rows());
-    check_vector("x", x, n)?;
-    check_vector("y", y, m)?;
+    check_vector("x", x, lp.n_vars())?;
+    check_vector("y", y, lp.n_rows())?;
     let c_scale = 1.0 + lp.objective.iter().fold(0.0f64, |s, c| s.max(c.abs()));
-
-    let mut cert = Certificate::default();
-    let mut ax = vec![0.0; m];
-    let mut primal_objective = 0.0;
-    let mut dual_objective = 0.0;
-    for (j, &xj) in x.iter().enumerate() {
-        let (rows, vals) = lp.a.col(j);
-        let u = lp.upper[j];
-        let mut d = lp.objective[j];
-        for (&r, &v) in rows.iter().zip(vals) {
-            ax[r] += v * xj;
-            d -= y[r] * v;
-        }
+    let mut ax = vec![0.0; lp.n_rows()];
+    let (mut primal, mut dual, mut primal_objective) = (0.0f64, 0.0f64, 0.0);
+    let side = dual_side(lp, Some(&lp.objective), y, |j, d| {
+        let (xj, u) = (x[j], lp.upper[j]);
+        primal = primal.max(primal_column(lp, j, xj, &mut ax));
         primal_objective += lp.objective[j] * xj;
         let at_lower = xj <= CERTIFICATE_TOL;
         let at_upper = u.is_finite() && xj >= u - CERTIFICATE_TOL * (1.0 + u);
-        cert.primal = cert.primal.max(-xj);
-        if u.is_finite() {
-            cert.primal = cert.primal.max((xj - u) / (1.0 + u));
-            dual_objective += u * d.max(0.0);
-        }
         let wrong = match (at_lower, at_upper) {
             (true, true) => 0.0,
             (true, false) => d.max(0.0),
             (false, true) => (-d).max(0.0),
             (false, false) => d.abs(),
         };
-        cert.dual = cert.dual.max(wrong / c_scale);
-    }
-    for r in 0..m {
-        let (b, over) = (lp.rhs[r], ax[r] - lp.rhs[r]);
-        let (violation, wrong_sign) = match lp.rel[r] {
-            Relation::Le => (over.max(0.0), (-y[r]).max(0.0)),
-            Relation::Ge => ((-over).max(0.0), y[r].max(0.0)),
-            Relation::Eq => (over.abs(), 0.0),
-        };
-        cert.primal = cert.primal.max(violation / (1.0 + b.abs()));
-        cert.dual = cert.dual.max(wrong_sign / c_scale);
-        dual_objective += y[r] * b;
-    }
-    cert.gap = (primal_objective - dual_objective).abs() / (1.0 + primal_objective.abs());
-
+        dual = dual.max(wrong / c_scale);
+    });
+    let primal = primal.max(primal_rows(lp, &ax));
+    let cert = Certificate {
+        primal,
+        dual: dual.max(side.wrong_sign / c_scale),
+        gap: (primal_objective - side.objective).abs() / (1.0 + primal_objective.abs()),
+    };
     if cert.primal > CERTIFICATE_TOL {
         Err(CertificateError::PrimalInfeasible(cert))
     } else if cert.dual > CERTIFICATE_TOL {
         Err(CertificateError::DualInfeasible(cert))
     } else if cert.gap > CERTIFICATE_TOL || cert.gap.is_nan() {
         Err(CertificateError::Gap(cert))
+    } else {
+        Ok(cert)
+    }
+}
+
+/// Checks that `y` (one multiplier per row) is a Farkas vector proving
+/// `lp` has no feasible point; see the module docs. Signs are measured
+/// against `‖y‖∞` plus the magnitudes of the column's terms `|y_r·a_rj|`,
+/// the reach against the magnitudes of its own terms.
+pub fn certify_infeasible(lp: &SparseLp, y: &[f64]) -> Result<Certificate, CertificateError> {
+    check_vector("y", y, lp.n_rows())?;
+    let scale = scale_of(y);
+    let mut dual = 0.0f64;
+    let side = dual_side(lp, None, y, |j, d| {
+        if lp.upper[j].is_infinite() && d > 0.0 {
+            let (rows, vals) = lp.a.col(j);
+            let terms: f64 = rows.iter().zip(vals).map(|(&r, &v)| (y[r] * v).abs()).sum();
+            dual = dual.max(d / (scale + terms));
+        }
+    });
+    let reach = if side.magnitude > 0.0 {
+        side.objective / side.magnitude
+    } else {
+        0.0
+    };
+    let cert = Certificate {
+        primal: 0.0,
+        dual: dual.max(side.wrong_sign / scale),
+        gap: reach,
+    };
+    if cert.dual > CERTIFICATE_TOL {
+        Err(CertificateError::DualInfeasible(cert))
+    } else if cert.gap >= -CERTIFICATE_TOL || cert.gap.is_nan() {
+        Err(CertificateError::NotSeparating(cert))
+    } else {
+        Ok(cert)
+    }
+}
+
+/// Checks that `x` is a feasible point of `lp` and `d` (one entry per
+/// column) a ray from it along which the objective grows without bound;
+/// see the module docs. `x` is scaled as in [`certify`]; the bounds on `d`
+/// against `‖d‖∞`, each row of `A d` and the ascent `c·d` against `‖d‖∞`
+/// plus the magnitudes of their terms.
+pub fn certify_unbounded(
+    lp: &SparseLp,
+    x: &[f64],
+    d: &[f64],
+) -> Result<Certificate, CertificateError> {
+    check_vector("x", x, lp.n_vars())?;
+    check_vector("d", d, lp.n_vars())?;
+    let scale = scale_of(d);
+    let mut ax = vec![0.0; lp.n_rows()];
+    let mut ad = vec![0.0; lp.n_rows()];
+    let mut ad_terms = vec![0.0; lp.n_rows()];
+    let (mut primal, mut ascent, mut ascent_terms) = (0.0f64, 0.0, 0.0);
+    for (j, &dj) in d.iter().enumerate() {
+        primal = primal.max(primal_column(lp, j, x[j], &mut ax));
+        let (rows, vals) = lp.a.col(j);
+        for (&r, &v) in rows.iter().zip(vals) {
+            ad[r] += v * dj;
+            ad_terms[r] += (v * dj).abs();
+        }
+        ascent += lp.objective[j] * dj;
+        ascent_terms += (lp.objective[j] * dj).abs();
+        let off_bounds = if lp.upper[j].is_finite() {
+            dj.abs()
+        } else {
+            (-dj).max(0.0)
+        };
+        primal = primal.max(off_bounds / scale);
+    }
+    primal = primal.max(primal_rows(lp, &ax));
+    for (r, (&a, &terms)) in ad.iter().zip(&ad_terms).enumerate() {
+        primal = primal.max(violation(lp.rel[r], a) / (scale + terms));
+    }
+    let cert = Certificate {
+        primal,
+        dual: 0.0,
+        gap: ascent / (scale + ascent_terms),
+    };
+    if cert.primal > CERTIFICATE_TOL {
+        Err(CertificateError::PrimalInfeasible(cert))
+    } else if cert.gap <= CERTIFICATE_TOL || cert.gap.is_nan() {
+        Err(CertificateError::NoAscent(cert))
     } else {
         Ok(cert)
     }
@@ -367,6 +551,131 @@ mod tests {
         assert!(
             repaired.repair_pivots > 0 && repaired.repair_aborts == 0,
             "{repaired:?}"
+        );
+    }
+
+    /// `x ≤ 1, x + z ≥ 6` with `z ≤ 3` and `x` unbounded: `x + z` reaches 4
+    /// at most. `y = (1, −1)` prices `x` at 0 and `z` at 1, so its reach is
+    /// `y·b + 3·1 = −5 + 3 = −2`, over the magnitudes `1 + 6 + 3`.
+    fn stranded(rhs: f64) -> (SparseLp, Vec<f64>) {
+        let mut b = SparseLpBuilder::new(2);
+        b.set_row(0, Relation::Le, 1.0);
+        b.set_row(1, Relation::Ge, rhs);
+        b.push_col(0.0, f64::INFINITY, &[(0, 1.0), (1, 1.0)]);
+        b.push_col(0.0, 3.0, &[(1, 1.0)]);
+        (b.build(), vec![1.0, -1.0])
+    }
+
+    #[test]
+    fn hand_farkas_vector_certifies() {
+        let (lp, y) = stranded(6.0);
+        let proof = certify_infeasible(&lp, &y).unwrap();
+        assert_eq!((proof.primal, proof.dual), (0.0, 0.0));
+        assert!((proof.gap + 0.2).abs() < 1e-15, "{proof}");
+        // Any positive multiple proves the same.
+        assert_eq!(certify_infeasible(&lp, &[1e6, -1e6]), Ok(proof));
+    }
+
+    #[test]
+    fn tampered_farkas_vectors_are_refused() {
+        let (lp, _) = stranded(6.0);
+        // A flipped sign on the `≤` row.
+        assert!(matches!(
+            certify_infeasible(&lp, &[-1.0, -1.0]),
+            Err(CertificateError::DualInfeasible(c)) if c.dual == 1.0
+        ));
+        // Right signs, but prices the unbounded `x` above zero: x → ∞
+        // escapes the bound the reach assumes.
+        assert!(matches!(
+            certify_infeasible(&lp, &[0.0, -1.0]),
+            Err(CertificateError::DualInfeasible(_))
+        ));
+        // y = 0, and a program that is feasible after all (x + z ≥ 4).
+        for (rhs, y) in [(6.0, [0.0, 0.0]), (4.0, [1.0, -1.0])] {
+            let (lp, _) = stranded(rhs);
+            assert!(matches!(
+                certify_infeasible(&lp, &y),
+                Err(CertificateError::NotSeparating(c)) if c.gap == 0.0
+            ));
+        }
+    }
+
+    /// `max 2x − w  s.t.  x − w ≤ 1,  x + z ≥ 1` with `z ≤ 2`: from
+    /// `x = (1, 0, 0)` the ray `d = (1, 0, 1)` keeps both rows and every
+    /// bound and gains `c·d = 1` per step, over the magnitudes `1 + 2 + 1`.
+    fn runaway() -> (SparseLp, Vec<f64>, Vec<f64>) {
+        let mut b = SparseLpBuilder::new(2);
+        b.set_row(0, Relation::Le, 1.0);
+        b.set_row(1, Relation::Ge, 1.0);
+        b.push_col(2.0, f64::INFINITY, &[(0, 1.0), (1, 1.0)]);
+        b.push_col(0.0, 2.0, &[(1, 1.0)]);
+        b.push_col(-1.0, f64::INFINITY, &[(0, -1.0)]);
+        (b.build(), vec![1.0, 0.0, 0.0], vec![1.0, 0.0, 1.0])
+    }
+
+    #[test]
+    fn hand_ray_certifies() {
+        let (lp, x, d) = runaway();
+        let proof = certify_unbounded(&lp, &x, &d).unwrap();
+        assert_eq!((proof.primal, proof.dual, proof.gap), (0.0, 0.0, 0.25));
+        assert_eq!(certify_unbounded(&lp, &x, &[3.0, 0.0, 3.0]), Ok(proof));
+    }
+
+    #[test]
+    fn tampered_rays_are_refused() {
+        let (lp, x, _) = runaway();
+        let refused = |d: &[f64]| certify_unbounded(&lp, &x, d).unwrap_err();
+        // w outruns x: feasible, but c·d = 0.
+        assert!(matches!(refused(&[1.0, 0.0, 2.0]), CertificateError::NoAscent(c) if c.gap == 0.0));
+        // z has a finite bound, so it cannot move along a ray.
+        assert!(matches!(
+            refused(&[1.0, 1.0, 1.0]),
+            CertificateError::PrimalInfeasible(c) if c.primal == 1.0
+        ));
+        // A flipped sign, and a direction that breaks the `≤` row.
+        for d in [[-1.0, 0.0, -1.0], [1.0, 0.0, 0.0]] {
+            assert!(matches!(refused(&d), CertificateError::PrimalInfeasible(_)));
+        }
+        // The start is not feasible.
+        assert!(matches!(
+            certify_unbounded(&lp, &[2.0, 0.0, 0.0], &[1.0, 0.0, 1.0]),
+            Err(CertificateError::PrimalInfeasible(_))
+        ));
+    }
+
+    #[test]
+    fn malformed_proofs_are_typed_errors() {
+        let (lp, _) = stranded(6.0);
+        assert_eq!(
+            certify_infeasible(&lp, &[1.0]),
+            Err(CertificateError::Shape {
+                vector: "y",
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(
+            certify_infeasible(&lp, &[1.0, f64::NAN]),
+            Err(CertificateError::NonFinite {
+                vector: "y",
+                index: 1
+            })
+        );
+        let (lp, x, _) = runaway();
+        assert_eq!(
+            certify_unbounded(&lp, &x, &[1.0, 0.0]),
+            Err(CertificateError::Shape {
+                vector: "d",
+                expected: 3,
+                got: 2
+            })
+        );
+        assert_eq!(
+            certify_unbounded(&lp, &x, &[1.0, 0.0, f64::INFINITY]),
+            Err(CertificateError::NonFinite {
+                vector: "d",
+                index: 2
+            })
         );
     }
 }

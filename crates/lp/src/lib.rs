@@ -18,14 +18,14 @@
 //!   [`model::LpBuilder`]);
 //! - [`sparse`]: CSC computational form + bound-absorbing lowering;
 //! - [`revised`]: the sparse revised-simplex solver and its result types;
-//! - [`certificate`]: [`certify`] — primal feasibility, dual feasibility
-//!   and duality gap of a point and the solver's own multipliers, in
-//!   O(nnz), with no second solver;
+//! - [`certificate`]: one proof per verdict, each checked in O(nnz) from
+//!   the solver's own vectors — [`certify`] an optimum from its
+//!   multipliers, [`certify_infeasible`] a Farkas vector (Phase I's final
+//!   multipliers), [`certify_unbounded`] a ray;
 //! - [`flows`]: max-flow / min-cost-max-flow / multicommodity encoders.
 //!
-//! There is one engine. A dense two-phase tableau survives under
-//! `#[cfg(test)]` only, as the independent oracle for what a certificate
-//! cannot say (`Infeasible` / `Unbounded`).
+//! There is one engine and no second solver: every outcome but
+//! [`LpOutcome::Stalled`] is believed on its certificate alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +36,12 @@ mod lu;
 pub mod model;
 mod pricing;
 pub mod revised;
-#[cfg(test)]
-mod simplex;
 pub mod sparse;
 
-pub use certificate::{certify, Certificate, CertificateError, CERTIFICATE_TOL};
+pub use certificate::{
+    certify, certify_infeasible, certify_unbounded, Certificate, CertificateError,
+    CERTIFICATE_TOL,
+};
 pub use model::{LinearProgram, LpBuilder, Relation};
 pub use revised::{
     solve, solve_with_budget, LpOutcome, Solution, SolverStats, SparseSimplexSolver,

@@ -225,6 +225,9 @@ pub struct SparseSimplexSolver {
     w_col: Vec<f64>,
     /// Dual multipliers, row space.
     y_rows: Vec<f64>,
+    /// The point and direction of the last unbounded exit, see `ray`.
+    ray_x: Vec<f64>,
+    ray_d: Vec<f64>,
     /// btran image of a unit slot vector (dual repair), row space.
     rho_rows: Vec<f64>,
     /// Dual repair: reduced costs and the pivot row, column space.
@@ -279,12 +282,25 @@ impl SparseSimplexSolver {
     }
 
     /// Row multipliers `y = B⁻ᵀ c_B` of the last solve, one per row of the
-    /// program it was given — meaningful only when that solve returned
-    /// [`LpOutcome::Optimal`], where they are the optimal dual solution
-    /// [`crate::certificate::certify`] checks `x` against. Free: the last
-    /// pricing pass of Phase II computes them to find nothing to enter.
+    /// program it was given. After [`LpOutcome::Optimal`] they are the
+    /// optimal dual solution [`crate::certify`] checks `x` against; after
+    /// [`LpOutcome::Infeasible`] they are Phase I's final multipliers, the
+    /// Farkas vector [`crate::certify_infeasible`] checks. Free either way:
+    /// the last pricing pass of the phase computes them to find nothing to
+    /// enter. Meaningless after the other outcomes.
     pub fn duals(&self) -> &[f64] {
         &self.y_rows[..self.m]
+    }
+
+    /// The ray `(x, d)` of the last solve, one entry per column each —
+    /// meaningful only when that solve returned [`LpOutcome::Unbounded`]:
+    /// the vertex the solve stood on and the direction of the entering
+    /// column nothing blocked (`1` on the column itself if structural,
+    /// `−dir·B⁻¹A_j` on the basic structurals), which
+    /// [`crate::certify_unbounded`] checks. Recorded at the exit, whichever
+    /// attempt (fast, warm or cold) took it.
+    pub fn ray(&self) -> (&[f64], &[f64]) {
+        (&self.ray_x, &self.ray_d)
     }
 
     /// Drops the saved basis; the next solve runs cold.
@@ -642,7 +658,11 @@ impl SparseSimplexSolver {
                         (rate > TOL && self.lower[jb].is_finite())
                             || (rate < -TOL && self.upper[jb].is_finite())
                     });
-                    return if murky { OptOutcome::Stalled } else { OptOutcome::Unbounded };
+                    if murky {
+                        return OptOutcome::Stalled;
+                    }
+                    self.record_ray(j, dir);
+                    return OptOutcome::Unbounded;
                 }
                 // Bound flip: the entering variable crosses its whole
                 // range before anything blocks — no basis change, no eta.
@@ -674,6 +694,24 @@ impl SparseSimplexSolver {
                 }
                 self.compute_xb();
             }
+        }
+    }
+
+    /// Records the ray of an unbounded exit: the current vertex, and the
+    /// motion of entering column `j` (moving `dir`) with `w_col` its
+    /// ftran image — `j` itself at `dir`, basic `s` at `−dir·w[s]`.
+    fn record_ray(&mut self, j: usize, dir: f64) {
+        self.ray_x = self.vertex();
+        self.ray_d.clear();
+        self.ray_d.resize(self.n, 0.0);
+        for s in 0..self.m {
+            let jb = self.basis[s];
+            if jb < self.n {
+                self.ray_d[jb] = -dir * self.w_col[s];
+            }
+        }
+        if j < self.n {
+            self.ray_d[j] = dir;
         }
     }
 
@@ -1166,23 +1204,30 @@ impl SparseSimplexSolver {
             OptOutcome::Unbounded => LpOutcome::Unbounded,
             OptOutcome::Stalled => LpOutcome::Stalled,
             OptOutcome::Optimal => {
-                let mut x = vec![0.0; self.n];
-                for (j, xj) in x.iter_mut().enumerate() {
-                    if self.vstat[j] == VStat::AtUpper {
-                        *xj = self.upper[j];
-                    }
-                }
-                for s in 0..self.m {
-                    let j = self.basis[s];
-                    if j < self.n {
-                        x[j] = self.xb[s].clamp(0.0, self.upper[j].max(0.0));
-                    }
-                }
+                let x = self.vertex();
                 let objective = x.iter().zip(&lp.objective).map(|(xi, ci)| xi * ci).sum();
                 self.save_state(lp, hashes);
                 LpOutcome::Optimal(Solution { x, objective })
             }
         }
+    }
+
+    /// The structural values of the current vertex: nonbasic columns at
+    /// their rest, basic ones from `xb` clamped into `[0, u]`.
+    fn vertex(&self) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        for (j, xj) in x.iter_mut().enumerate() {
+            if self.vstat[j] == VStat::AtUpper {
+                *xj = self.upper[j];
+            }
+        }
+        for s in 0..self.m {
+            let j = self.basis[s];
+            if j < self.n {
+                x[j] = self.xb[s].clamp(0.0, self.upper[j].max(0.0));
+            }
+        }
+        x
     }
 
     /// Retains the optimal basis + fingerprint for warm starts. A basis
@@ -1419,12 +1464,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn agrees_with_dense_backend_on_random_programs() {
-        // The tableau oracle's one caller. A certificate proves an optimum;
-        // it cannot say a program has none, so that `Infeasible` and
-        // `Unbounded` mean what they say is pinned here against an
-        // independent implementation, over pseudo-random programs with
-        // `≤` and `≥` rows (all three outcome classes must turn up).
+    fn random_programs_certify_in_every_outcome_class() {
+        // Every verdict but `Stalled` carries its own proof: the optimum
+        // its multipliers, `Infeasible` Phase I's final multipliers as a
+        // Farkas vector, `Unbounded` the ray it left by. Pseudo-random
+        // programs with `≤`, `≥` and `=` rows, negative coefficients and
+        // finite and infinite bounds; all three classes must turn up.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1432,50 +1477,47 @@ pub(crate) mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let (mut optimal, mut infeasible, mut unbounded) = (0, 0, 0);
-        for _ in 0..60 {
-            let nv = 2 + (next() * 5.0) as usize;
-            let nc = 1 + (next() * 5.0) as usize;
-            let mut b = LpBuilder::new();
-            let vars: Vec<usize> = (0..nv).map(|_| b.add_var(next() * 4.0 - 1.0)).collect();
-            for _ in 0..nc {
-                let terms: Vec<(usize, f64)> = vars
-                    .iter()
-                    .filter_map(|&v| {
-                        if next() < 0.7 {
-                            Some((v, next() * 3.0 + 0.1))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                if terms.is_empty() {
-                    continue;
+        let mut seen = [0usize; 3];
+        for _ in 0..400 {
+            let (n, m) = (2 + (next() * 5.0) as usize, 1 + (next() * 5.0) as usize);
+            let mut b = SparseLpBuilder::new(m);
+            for r in 0..m {
+                let rel = [Relation::Le, Relation::Le, Relation::Ge, Relation::Eq]
+                    [(next() * 4.0) as usize];
+                b.set_row(r, rel, next() * 25.0 - 5.0);
+            }
+            for _ in 0..n {
+                let upper = if next() < 0.3 {
+                    1.0 + next() * 9.0
+                } else {
+                    f64::INFINITY
+                };
+                let mut entries = Vec::new();
+                for r in 0..m {
+                    if next() < 0.7 {
+                        entries.push((r, next() * 4.0 - 1.0));
+                    }
                 }
-                let rel = if next() < 0.75 { Relation::Le } else { Relation::Ge };
-                b.add_constraint(&terms, rel, next() * 20.0 + 1.0);
+                b.push_col(next() * 4.0 - 1.0, upper, &entries);
             }
             let lp = b.build();
             let mut solver = SparseSimplexSolver::new();
-            let sparse = solver.solve(&lp);
-            let dense = crate::simplex::SimplexSolver::new().solve(&lp);
-            match (sparse, dense) {
-                (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
-                    assert_near(a.objective, b.objective);
-                    crate::certify(&SparseLp::from_dense(&lp), &a.x, solver.duals()).unwrap();
-                    optimal += 1;
+            let (class, verdict) = match solver.solve_sparse(&lp) {
+                LpOutcome::Optimal(s) => (0, crate::certify(&lp, &s.x, solver.duals())),
+                LpOutcome::Infeasible => (1, crate::certify_infeasible(&lp, solver.duals())),
+                LpOutcome::Unbounded => {
+                    let (x, d) = solver.ray();
+                    (2, crate::certify_unbounded(&lp, x, d))
                 }
-                (a, b) => {
-                    assert_eq!(a, b);
-                    match a {
-                        LpOutcome::Infeasible => infeasible += 1,
-                        LpOutcome::Unbounded => unbounded += 1,
-                        other => panic!("both solvers stalled: {other:?}"),
-                    }
-                }
-            }
+                LpOutcome::Stalled => panic!("stalled on {lp:?}"),
+            };
+            verdict.unwrap_or_else(|refused| panic!("{refused} on {lp:?}"));
+            seen[class] += 1;
         }
-        assert!(optimal > 0 && infeasible > 0 && unbounded > 0, "{optimal}/{infeasible}/{unbounded}");
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "optimal / infeasible / unbounded: {seen:?}"
+        );
     }
 
     // --- warm-start behaviour ----------------------------------------

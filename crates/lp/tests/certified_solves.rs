@@ -9,8 +9,7 @@
 //! of comparing it with a second solver's. On top of that a warm solver's
 //! objective is held to a fresh cold solve's at 1e-6, which pins the
 //! warm-start bookkeeping (both are certified, so they can only differ if
-//! they solved different programs). The file keeps its pre-certificate
-//! name so the test ids stay stable.
+//! they solved different programs).
 
 use proptest::prelude::*;
 use rwc_lp::model::{LinearProgram, LpBuilder, Relation};

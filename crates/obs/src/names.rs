@@ -40,6 +40,8 @@ pub const COUNTERS: &[&str] = &[
     "te.augment.full_rebuilds",
     "te.augment.in_place_patches",
     "te.augment.suffix_rebuilds",
+    // TeSolver solves whose verdict was checked against its certificate.
+    "te.certified",
     // warm-started exact LP (`rwc_te::TeSolver`).
     "lp.cold_solves",
     "lp.warm_attempts",

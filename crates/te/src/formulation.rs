@@ -832,7 +832,7 @@ mod tests {
         p.origins.push(EdgeOrigin::Fake { link: LinkId(link), forward });
     }
 
-    /// A cold solve that must certify (a refused certificate is an error).
+    /// A cold solve that must certify (a refused certificate panics).
     fn solve(objective: TeObjective, p: &TeProblem) -> TeSolve {
         let solver = TeSolver::builder().objective(objective).build().unwrap();
         solver.solve_certified(p).unwrap().0

@@ -19,19 +19,32 @@
 //!
 //! One `TeSolver` owns the simplex engine and the warm-start state that
 //! persists across `try_solve` calls, across the whole objective zoo of
-//! [`crate::formulation`]. In a debug build every optimal solve is checked
-//! against its own optimality certificate ([`rwc_lp::certify`]) before it
-//! is returned; [`TeSolver::solve_certified`] does so in any build and
-//! hands the residuals back.
+//! [`crate::formulation`].
+//!
+//! Every verdict but `Stalled` is checked against its own certificate
+//! before it is returned — an optimum by [`rwc_lp::certify`], `Infeasible`
+//! by [`rwc_lp::certify_infeasible`], `Unbounded` by
+//! [`rwc_lp::certify_unbounded`] — in a debug build on every solve, in a
+//! release build on the 1st, 65th, 129th … solve of each solver (its own
+//! solve count modulo [`CERTIFY_EVERY`], so a run is as deterministic as
+//! its inputs); [`TeSolver::solve_certified`] checks in any build and
+//! hands the residuals back. Each check run counts `te.certified`. A
+//! refused certificate panics with the objective and the residuals, in
+//! every build: it is a solver bug, like a failed `assert!`, not a
+//! property of the problem.
 
 use crate::formulation::{TeFormulation, TeObjective, TeSolve};
 use crate::problem::{TeProblem, TeSolution};
 use crate::{TeAlgorithm, TeError};
-use rwc_lp::{Certificate, CertificateError, LpOutcome, SolverStats, SparseSimplexSolver};
+use rwc_lp::{Certificate, LpOutcome, SolverStats, SparseSimplexSolver};
 use rwc_obs::{ColdReason, Event, Observer};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A release-build `TeSolver` certifies one solve in this many — its 1st,
+/// 65th, 129th … — and a debug build every solve.
+pub const CERTIFY_EVERY: u64 = 64;
 
 /// Whether solver state (the last optimal basis) survives across solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,40 +198,27 @@ impl TeSolver {
     }
 
     /// Solves and returns the full objective-specific result (`mlu`, `λ`,
-    /// reduction sets) alongside the [`TeSolution`]. In a debug build an
-    /// optimal solve that fails its optimality certificate panics with
-    /// the three residuals — that is a solver bug, not a property of the
-    /// problem; a release build does not run the check.
+    /// reduction sets) alongside the [`TeSolution`], certified as the
+    /// module docs describe.
     pub fn solve_detailed(&self, problem: &TeProblem) -> Result<TeSolve, TeError> {
-        let (solve, certificate) = self.solve_inner(problem, cfg!(debug_assertions))?;
-        if let Err(refused) = certificate {
-            panic!("{}: optimality certificate refused: {refused}", self.formulation.name());
-        }
-        Ok(solve)
+        self.solve_inner(problem, false).map(|(solve, _)| solve)
     }
 
-    /// [`Self::solve_detailed`] plus the solve's optimality certificate
-    /// (primal, dual and gap residuals of the LP point against the
-    /// solver's own multipliers), checked in any build. A refused
-    /// certificate is a [`TeError::SolverAbort`].
+    /// [`Self::solve_detailed`] with the certificate checked whatever the
+    /// build and the solve count, plus the optimum's residuals (primal,
+    /// dual and gap of the LP point against the solver's own multipliers).
     pub fn solve_certified(&self, problem: &TeProblem) -> Result<(TeSolve, Certificate), TeError> {
-        let (solve, certificate) = self.solve_inner(problem, true)?;
-        let certificate = certificate.map_err(|refused| TeError::SolverAbort {
-            algorithm: self.formulation.name(),
-            detail: format!("optimality certificate refused: {refused}"),
-        })?;
-        Ok((solve, certificate))
+        self.solve_inner(problem, true)
     }
 
-    /// Lower, solve, extract; with `certify`, the optimal LP point is also
-    /// checked against the multipliers the solve left behind (without it,
-    /// and for a problem with nothing to route, the verdict is a vacuous
-    /// all-zero certificate).
+    /// Lower, solve, certify (always with `force`, else as the module docs
+    /// say), extract. The certificate handed back is the optimum's, or an
+    /// all-zero one when there was no check or nothing to route.
     fn solve_inner(
         &self,
         problem: &TeProblem,
-        certify: bool,
-    ) -> Result<(TeSolve, Result<Certificate, CertificateError>), TeError> {
+        force: bool,
+    ) -> Result<(TeSolve, Certificate), TeError> {
         if problem.commodities.is_empty() {
             let idle = TeSolve {
                 solution: TeSolution {
@@ -230,7 +230,7 @@ impl TeSolver {
                 lambda: None,
                 reductions: None,
             };
-            return Ok((idle, Ok(Certificate::default())));
+            return Ok((idle, Certificate::default()));
         }
         let lowered = self.formulation.lower(problem)?;
         let sp = lowered.sparse_lp();
@@ -238,16 +238,43 @@ impl TeSolver {
         if self.warm_start == WarmStartPolicy::AlwaysCold {
             solver.reset();
         }
-        let before = self.obs.enabled().then(|| solver.stats());
+        let before = solver.stats();
         let outcome = solver.solve_sparse(&sp);
-        let certificate = match &outcome {
-            LpOutcome::Optimal(point) if certify => rwc_lp::certify(&sp, &point.x, solver.duals()),
-            _ => Ok(Certificate::default()),
+        // Every solve ends as a warm hit or a cold solve: their sum counts
+        // the solves before this one.
+        let sampled = (before.cold_solves + before.warm_hits).is_multiple_of(CERTIFY_EVERY);
+        let checked = match &outcome {
+            _ if !(force || sampled || cfg!(debug_assertions)) => None,
+            LpOutcome::Optimal(point) => {
+                Some(("optimality", rwc_lp::certify(&sp, &point.x, solver.duals())))
+            }
+            LpOutcome::Infeasible => Some((
+                "infeasibility",
+                rwc_lp::certify_infeasible(&sp, solver.duals()),
+            )),
+            LpOutcome::Unbounded => {
+                let (x, d) = solver.ray();
+                Some(("unboundedness", rwc_lp::certify_unbounded(&sp, x, d)))
+            }
+            LpOutcome::Stalled => None,
         };
-        if let Some(before) = before {
-            let after = solver.stats();
-            drop(solver);
+        let after = solver.stats();
+        drop(solver);
+        let certificate = match checked {
+            Some((_, Ok(certificate))) => certificate,
+            Some((verdict, Err(refused))) => {
+                panic!(
+                    "{}: {verdict} certificate refused: {refused}",
+                    self.formulation.name()
+                )
+            }
+            None => Certificate::default(),
+        };
+        if self.obs.enabled() {
             self.publish_solve(before, after);
+            if checked.is_some() {
+                self.obs.incr("te.certified", 1);
+            }
         }
         Ok((lowered.extract_sparse(outcome)?, certificate))
     }
@@ -342,6 +369,62 @@ mod tests {
         }
         let empty = TeProblem::from_wan(&builders::fig7_example(), &DemandMatrix::new());
         assert_eq!(TeSolver::default().solve(&empty).total, 0.0);
+    }
+
+    #[test]
+    fn severed_min_mlu_is_proved_infeasible() {
+        // Both of A's exits at 0 G: min-MLU must carry all 150 G out of A
+        // and cannot at any MLU. The verdict is `Infeasible`, and Phase I's
+        // multipliers prove it: their reach is exactly the stranded demand.
+        let mut p = fig7_problem(150.0);
+        for link in [0, 2] {
+            p.override_link_capacity(rwc_topology::wan::LinkId(link), 0.0);
+        }
+        let objective = TeObjective::MinMlu {
+            traffic_matrices: vec![vec![150.0]],
+        };
+        let solver = TeSolver::builder().objective(objective).build().unwrap();
+        let refused = solver.try_solve(&p);
+        assert!(
+            matches!(refused, Err(TeError::SolverAbort { .. })),
+            "{refused:?}"
+        );
+        let lp = solver.formulation().lower(&p).unwrap().sparse_lp();
+        let mut engine = SparseSimplexSolver::new();
+        assert_eq!(engine.solve_sparse(&lp), LpOutcome::Infeasible);
+        let y = engine.duals();
+        rwc_lp::certify_infeasible(&lp, y).unwrap();
+        let reach: f64 = (0..lp.n_vars())
+            .filter(|&j| lp.upper[j].is_finite())
+            .map(|j| {
+                let (rows, vals) = lp.a.col(j);
+                let ya: f64 = rows.iter().zip(vals).map(|(&r, &v)| y[r] * v).sum();
+                lp.upper[j] * (-ya).max(0.0)
+            })
+            .sum();
+        let yb: f64 = y.iter().zip(&lp.rhs).map(|(yr, b)| yr * b).sum();
+        assert!((yb + reach + 150.0).abs() < 1e-9, "{}", yb + reach);
+    }
+
+    #[test]
+    fn te_certified_counts_the_sampled_solves() {
+        let metrics = Arc::new(rwc_obs::MetricsObserver::new());
+        let solver = TeSolver::builder()
+            .observer(metrics.clone())
+            .build()
+            .unwrap();
+        let n = 2 * CERTIFY_EVERY + 2;
+        for round in 0..n {
+            let mut p = fig7_problem(120.0);
+            p.net.set_capacity(0, 80.0 + (round % 7) as f64 * 10.0);
+            solver.try_solve(&p).unwrap();
+        }
+        let want = if cfg!(debug_assertions) {
+            n
+        } else {
+            n.div_ceil(CERTIFY_EVERY)
+        };
+        assert_eq!(metrics.snapshot().counters["te.certified"], want);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! the residual capacity; background traffic scavenges what is left. Each
 //! class is a max-throughput multicommodity problem on that residual,
 //! solved to its exact optimum by [`TeSolver`] — the one LP every other
-//! exact answer in the workspace comes from, certified in debug builds
-//! like any other `TeSolver` solve. The class problems keep the original
+//! exact answer in the workspace comes from, certified like any other
+//! `TeSolver` solve (a class solve is its solver's first, so release
+//! builds certify it too). The class problems keep the original
 //! edge costs and origins, so on an augmented graph the fake edges'
 //! penalties apply: no class rides an upgrade it does not need.
 //!

@@ -55,25 +55,8 @@ impl UpdatePlan {
 /// accounting of the first transition); pass `None` to start from an idle
 /// network. `hitless` selects the efficient BVT procedure (links stay up
 /// at `min(old, new)` during the change) vs the legacy one (links drop to
-/// zero).
-pub fn plan_capacity_changes(
-    wan: &WanTopology,
-    demands: &DemandMatrix,
-    changes: &[CapacityChange],
-    algorithm: &dyn TeAlgorithm,
-    hitless: bool,
-    current: Option<&TeSolution>,
-) -> UpdatePlan {
-    match try_plan_capacity_changes(wan, demands, changes, algorithm, hitless, current) {
-        Ok(plan) => plan,
-        Err(e) => panic!("update planning failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`plan_capacity_changes`] for the fault-tolerant
-/// pipeline: an empty change set or a solver failure comes back as a
-/// [`TeError`] instead of a panic, so the caller can keep the previous
-/// allocation in force.
+/// zero). An empty change set or a solver failure comes back as a
+/// [`TeError`], so the caller can keep the previous allocation in force.
 pub fn try_plan_capacity_changes(
     wan: &WanTopology,
     demands: &DemandMatrix,
@@ -146,7 +129,8 @@ mod tests {
     fn hitless_keeps_interim_throughput() {
         let (wan, dm, change) = setup();
         let algo = SwanTe::default();
-        let plan = plan_capacity_changes(&wan, &dm, &[change], &algo, true, None);
+        let plan =
+            try_plan_capacity_changes(&wan, &dm, &[change], &algo, true, None).expect("plan");
         // Hitless: link stays at 100 G during the change; the 120 G demand
         // still routes (100 direct + detour).
         assert!(plan.interim.total > 110.0, "interim={}", plan.interim.total);
@@ -158,8 +142,10 @@ mod tests {
     fn legacy_drain_hurts_interim() {
         let (wan, dm, change) = setup();
         let algo = SwanTe::default();
-        let hitless = plan_capacity_changes(&wan, &dm, &[change], &algo, true, None);
-        let legacy = plan_capacity_changes(&wan, &dm, &[change], &algo, false, None);
+        let hitless =
+            try_plan_capacity_changes(&wan, &dm, &[change], &algo, true, None).expect("plan");
+        let legacy =
+            try_plan_capacity_changes(&wan, &dm, &[change], &algo, false, None).expect("plan");
         // With the direct link dark, only the detour capacity remains.
         assert!(
             legacy.interim.total < hitless.interim.total,
@@ -176,8 +162,8 @@ mod tests {
         let algo = SwanTe::default();
         // Starting from the current (pre-update) allocation.
         let current = algo.solve(&TeProblem::from_wan(&wan, &dm));
-        let plan =
-            plan_capacity_changes(&wan, &dm, &[change], &algo, true, Some(&current));
+        let plan = try_plan_capacity_changes(&wan, &dm, &[change], &algo, true, Some(&current))
+            .expect("plan");
         assert!(plan.total_churn() >= 0.0);
         assert_eq!(
             plan.total_churn(),
@@ -195,16 +181,19 @@ mod tests {
             CapacityChange { link: LinkId(0), to: Modulation::Dp16Qam200 },
             CapacityChange { link: LinkId(1), to: Modulation::Hybrid175 },
         ];
-        let plan = plan_capacity_changes(&wan, &dm, &changes, &algo, false, None);
+        let plan = try_plan_capacity_changes(&wan, &dm, &changes, &algo, false, None).expect("plan");
         // Both links dark in the interim: solution must still validate.
         assert!(plan.interim.total >= 0.0);
         assert!(plan.final_solution.total >= plan.interim.total);
     }
 
     #[test]
-    #[should_panic]
     fn empty_changes_rejected() {
         let (wan, dm, _) = setup();
-        plan_capacity_changes(&wan, &dm, &[], &SwanTe::default(), true, None);
+        let refused = try_plan_capacity_changes(&wan, &dm, &[], &SwanTe::default(), true, None);
+        assert!(
+            matches!(refused, Err(TeError::InvalidConfig { .. })),
+            "{refused:?}"
+        );
     }
 }

@@ -53,24 +53,6 @@ impl Xoshiro256 {
         Self::seed_from_u64(base)
     }
 
-    /// The raw generator state, for checkpointing a stream mid-flight.
-    ///
-    /// A generator rebuilt via [`from_state`](Self::from_state) continues
-    /// the stream exactly where this one stands.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a [`state`](Self::state) snapshot.
-    ///
-    /// The all-zero state is a fixed point of xoshiro256** (the stream
-    /// would be constant zero), so it is rejected; every state captured
-    /// from a seeded generator is non-zero.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s != [0; 4], "xoshiro256** state must be non-zero");
-        Self { s }
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -262,24 +244,6 @@ mod tests {
         let mut c3 = parent3.fork(4);
         let mut c1b = Xoshiro256::seed_from_u64(7).fork(3);
         assert_ne!(c3.next_u64(), c1b.next_u64());
-    }
-
-    #[test]
-    fn state_round_trip_resumes_stream() {
-        let mut a = Xoshiro256::seed_from_u64(61);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = Xoshiro256::from_state(a.state());
-        for _ in 0..1000 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_state_rejects_zero_state() {
-        Xoshiro256::from_state([0; 4]);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use rwc::te::b4::B4Te;
 use rwc::te::cspf::CspfTe;
 use rwc::te::metrics;
 use rwc::te::swan::SwanTe;
-use rwc::te::updates::{plan_capacity_changes, CapacityChange};
+use rwc::te::updates::{try_plan_capacity_changes, CapacityChange};
 use rwc::te::{DemandMatrix, TeAlgorithm};
 use rwc::te::problem::TeProblem;
 use rwc::topology::builders;
@@ -102,8 +102,11 @@ fn consistent_updates_bound_interim_damage() {
     let algo = SwanTe::default();
     let change = CapacityChange { link, to: rwc::optics::Modulation::Dp16Qam200 };
     let current = algo.solve(&TeProblem::from_wan(&wan, &dm));
-    let hitless = plan_capacity_changes(&wan, &dm, &[change], &algo, true, Some(&current));
-    let legacy = plan_capacity_changes(&wan, &dm, &[change], &algo, false, Some(&current));
+    let plan = |hitless| {
+        try_plan_capacity_changes(&wan, &dm, &[change], &algo, hitless, Some(&current))
+            .expect("the Abilene upgrade plans")
+    };
+    let (hitless, legacy) = (plan(true), plan(false));
     // Hitless: the interim keeps the link alive, so it cannot do worse
     // than the drained interim.
     assert!(hitless.interim.total >= legacy.interim.total - 1.0);
