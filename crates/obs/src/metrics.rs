@@ -1,10 +1,14 @@
 //! Lock-free metrics registry and its serializable snapshots.
 //!
 //! The registry is immutable after construction: every metric in
-//! [`crate::names`] gets its atomic cell up front, lookups binary-search
-//! a sorted name table, and updates are single relaxed atomic ops (plus a
-//! short CAS loop for float min/max). No locks anywhere on the write
-//! path, so scenario ticks and fleet workers can hammer the same
+//! [`crate::names`] gets its atomic cell up front, and updates are single
+//! relaxed atomic ops (plus a short CAS loop for float min/max). A name
+//! finds its cell in O(1) through a process-wide slot table: the
+//! catalogue is sorted and indexed by an open-addressed hash table once
+//! per process ([`OnceLock`]), a hit is confirmed by a full string
+//! compare, and a registry holds nothing but its cells — so building one
+//! per fleet link costs no sorting or hashing. No locks anywhere on the
+//! write path, so scenario ticks and fleet workers can hammer the same
 //! registry — or, cheaper, each worker owns a registry and the partials
 //! are merged: counter and bucket addition commutes, so the merged
 //! snapshot is identical to a single-threaded run no matter the
@@ -21,6 +25,7 @@ use crate::names;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Linear sub-buckets per octave (power of two).
 const SUB: usize = 8;
@@ -121,14 +126,12 @@ impl Histogram {
 
     fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
-        let (min, max) = if count == 0 {
-            (0.0, 0.0)
-        } else {
-            (
-                f64::from_bits(self.min_bits.load(Ordering::Relaxed)),
-                f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
-            )
-        };
+        if count == 0 {
+            // Most of a registry's histograms: skip their 513 cold cells.
+            return HistogramSnapshot::EMPTY;
+        }
+        let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
+        let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
         let buckets: Vec<BucketCount> = self
             .buckets
             .iter()
@@ -184,6 +187,9 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    const EMPTY: Self =
+        Self { count: 0, sum: 0, min: 0.0, max: 0.0, p50: 0.0, p90: 0.0, p99: 0.0, buckets: Vec::new() };
+
     /// Mean of the recorded samples (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -242,9 +248,12 @@ impl HistogramSnapshot {
 }
 
 /// Deterministic, serializable view of a whole registry. `BTreeMap`
-/// ordering makes the JSON stable across runs and platforms; every
-/// catalogue name is present even when zero, so consumers (the CI obs
-/// smoke step) can assert on keys unconditionally.
+/// ordering makes the JSON stable across runs and platforms; a
+/// [`MetricsRegistry::snapshot`] carries every catalogue name even when
+/// zero, so consumers (the CI obs smoke step) can assert on keys
+/// unconditionally. A holder may drop zero entries (the daemon's
+/// per-link snapshots do): [`MetricsSnapshot::merge`] treats a missing
+/// name as zero.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -282,14 +291,97 @@ impl MetricsSnapshot {
     }
 }
 
-/// The lock-free registry: one atomic cell per catalogue metric.
+/// Marks an empty cell of a [`SlotTable`] index.
+const NO_SLOT: u16 = u16::MAX;
+
+/// Hashes what tells catalogue names apart: the length plus the first
+/// and the last 8 bytes (overlapping, or zero-padded, on shorter names).
+/// The final fold brings the high product bits down to the index bits.
+fn name_hash(name: &str) -> u64 {
+    let b = name.as_bytes();
+    let k = b.len().min(8);
+    let word = |s: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..s.len()].copy_from_slice(s);
+        u64::from_le_bytes(w)
+    };
+    let mut h = (b.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ word(&b[..k])).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ word(&b[b.len() - k..])).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 32)
+}
+
+/// Name → cell index for one metric kind: the names in sorted order (the
+/// order snapshots iterate in) and an open-addressed, linearly probed
+/// table of indices into them. The table is at most half full, so every
+/// probe ends at the name or at an empty cell within a few steps; a hit
+/// is only a hit after a full string compare. It is built from the
+/// constant catalogue alone and never grows, so a name from outside (an
+/// absorbed snapshot) costs at most one pass over it, colliding or not.
+#[derive(Debug)]
+struct SlotTable {
+    names: Vec<&'static str>,
+    index: Vec<u16>,
+}
+
+impl SlotTable {
+    fn new(catalogue: &[&'static str]) -> Self {
+        let mut names = catalogue.to_vec();
+        names.sort_unstable();
+        assert!(names.len() < NO_SLOT as usize, "catalogue outgrew the slot table");
+        let mut index = vec![NO_SLOT; (2 * names.len()).next_power_of_two()];
+        let mask = index.len() - 1;
+        for (slot, name) in names.iter().enumerate() {
+            let mut i = name_hash(name) as usize & mask;
+            while index[i] != NO_SLOT {
+                i = (i + 1) & mask;
+            }
+            index[i] = slot as u16;
+        }
+        Self { names, index }
+    }
+
+    fn slot(&self, name: &str) -> Option<usize> {
+        let mask = self.index.len() - 1;
+        let mut i = name_hash(name) as usize & mask;
+        loop {
+            let slot = self.index[i];
+            if slot == NO_SLOT {
+                return None;
+            }
+            if self.names[slot as usize] == name {
+                return Some(slot as usize);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// The [`names`] catalogue's slot tables: built on first use, shared by
+/// every registry in the process.
+#[derive(Debug)]
+struct Catalogue {
+    counters: SlotTable,
+    gauges: SlotTable,
+    histograms: SlotTable,
+}
+
+fn catalogue() -> &'static Catalogue {
+    static CATALOGUE: OnceLock<Catalogue> = OnceLock::new();
+    CATALOGUE.get_or_init(|| Catalogue {
+        counters: SlotTable::new(names::COUNTERS),
+        gauges: SlotTable::new(names::GAUGES),
+        histograms: SlotTable::new(names::HISTOGRAMS),
+    })
+}
+
+/// The lock-free registry: one atomic cell per catalogue metric, in the
+/// order of the process-wide slot tables.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counter_names: Vec<&'static str>,
+    catalogue: &'static Catalogue,
     counters: Vec<AtomicU64>,
-    gauge_names: Vec<&'static str>,
     gauges: Vec<AtomicU64>,
-    histogram_names: Vec<&'static str>,
     histograms: Vec<Histogram>,
 }
 
@@ -303,24 +395,17 @@ impl MetricsRegistry {
     /// Builds a registry pre-registered with the full [`names`]
     /// catalogue, all cells zeroed.
     pub fn new() -> Self {
-        let mut counter_names: Vec<&'static str> = names::COUNTERS.to_vec();
-        counter_names.sort_unstable();
-        let mut gauge_names: Vec<&'static str> = names::GAUGES.to_vec();
-        gauge_names.sort_unstable();
-        let mut histogram_names: Vec<&'static str> = names::HISTOGRAMS.to_vec();
-        histogram_names.sort_unstable();
+        let catalogue = catalogue();
         Self {
-            counters: counter_names.iter().map(|_| AtomicU64::new(0)).collect(),
-            counter_names,
-            gauges: gauge_names.iter().map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-            gauge_names,
-            histograms: histogram_names.iter().map(|_| Histogram::new()).collect(),
-            histogram_names,
+            catalogue,
+            counters: catalogue.counters.names.iter().map(|_| AtomicU64::new(0)).collect(),
+            gauges: catalogue.gauges.names.iter().map(|_| AtomicU64::new(0f64.to_bits())).collect(),
+            histograms: catalogue.histograms.names.iter().map(|_| Histogram::new()).collect(),
         }
     }
 
-    fn slot(table: &[&'static str], name: &str) -> Option<usize> {
-        let found = table.binary_search(&name).ok();
+    fn slot(table: &SlotTable, name: &str) -> Option<usize> {
+        let found = table.slot(name);
         debug_assert!(found.is_some(), "metric `{name}` is not in the names catalogue");
         found
     }
@@ -328,45 +413,35 @@ impl MetricsRegistry {
     /// Adds `by` to a counter. Unknown names are ignored (debug builds
     /// assert — add new metrics to [`names`]).
     pub fn incr(&self, name: &str, by: u64) {
-        if let Some(i) = Self::slot(&self.counter_names, name) {
+        if let Some(i) = Self::slot(&self.catalogue.counters, name) {
             self.counters[i].fetch_add(by, Ordering::Relaxed);
         }
     }
 
     /// Current value of a counter (0 for unknown names).
     pub fn counter(&self, name: &str) -> u64 {
-        Self::slot(&self.counter_names, name)
+        Self::slot(&self.catalogue.counters, name)
             .map_or(0, |i| self.counters[i].load(Ordering::Relaxed))
     }
 
     /// Sets a gauge to `value`.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(i) = Self::slot(&self.gauge_names, name) {
+        if let Some(i) = Self::slot(&self.catalogue.gauges, name) {
             self.gauges[i].store(value.to_bits(), Ordering::Relaxed);
         }
     }
 
     /// Records one sample into a histogram.
     pub fn record(&self, name: &str, value: f64) {
-        if let Some(i) = Self::slot(&self.histogram_names, name) {
+        if let Some(i) = Self::slot(&self.catalogue.histograms, name) {
             self.histograms[i].record(value);
         }
     }
 
     /// Digest of one histogram (empty snapshot for unknown names).
     pub fn histogram(&self, name: &str) -> HistogramSnapshot {
-        Self::slot(&self.histogram_names, name)
-            .map(|i| self.histograms[i].snapshot())
-            .unwrap_or(HistogramSnapshot {
-                count: 0,
-                sum: 0,
-                min: 0.0,
-                max: 0.0,
-                p50: 0.0,
-                p90: 0.0,
-                p99: 0.0,
-                buckets: Vec::new(),
-            })
+        Self::slot(&self.catalogue.histograms, name)
+            .map_or(HistogramSnapshot::EMPTY, |i| self.histograms[i].snapshot())
     }
 
     /// Folds a snapshot back into live cells — how per-worker registries
@@ -379,7 +454,7 @@ impl MetricsRegistry {
             }
         }
         for (name, v) in &snap.gauges {
-            if let Some(i) = Self::slot(&self.gauge_names, name) {
+            if let Some(i) = Self::slot(&self.catalogue.gauges, name) {
                 let cur = f64::from_bits(self.gauges[i].load(Ordering::Relaxed));
                 if *v > cur {
                     self.gauges[i].store(v.to_bits(), Ordering::Relaxed);
@@ -387,7 +462,7 @@ impl MetricsRegistry {
             }
         }
         for (name, h) in &snap.histograms {
-            if let Some(i) = Self::slot(&self.histogram_names, name) {
+            if let Some(i) = Self::slot(&self.catalogue.histograms, name) {
                 self.histograms[i].absorb(h);
             }
         }
@@ -397,19 +472,25 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
-                .counter_names
+                .catalogue
+                .counters
+                .names
                 .iter()
                 .zip(&self.counters)
                 .map(|(n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
                 .collect(),
             gauges: self
-                .gauge_names
+                .catalogue
+                .gauges
+                .names
                 .iter()
                 .zip(&self.gauges)
                 .map(|(n, g)| (n.to_string(), f64::from_bits(g.load(Ordering::Relaxed))))
                 .collect(),
             histograms: self
-                .histogram_names
+                .catalogue
+                .histograms
+                .names
                 .iter()
                 .zip(&self.histograms)
                 .map(|(n, h)| (n.to_string(), h.snapshot()))
@@ -535,6 +616,88 @@ mod tests {
         for n in names::COUNTERS {
             assert!(s.counters.contains_key(*n), "{n}");
         }
+    }
+
+    #[test]
+    fn every_catalogue_name_owns_its_cell() {
+        let r = MetricsRegistry::new();
+        let bump = |i: usize| (i + 1) as u64;
+        for (i, n) in names::COUNTERS.iter().enumerate() {
+            r.incr(n, bump(i));
+        }
+        for (i, n) in names::GAUGES.iter().enumerate() {
+            r.gauge_set(n, bump(i) as f64);
+        }
+        for (i, n) in names::HISTOGRAMS.iter().enumerate() {
+            r.record(n, bump(i) as f64);
+        }
+        let s = r.snapshot();
+        let counters: BTreeMap<String, u64> =
+            names::COUNTERS.iter().enumerate().map(|(i, n)| (n.to_string(), bump(i))).collect();
+        let gauges: BTreeMap<String, f64> = names::GAUGES
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.to_string(), bump(i) as f64))
+            .collect();
+        assert_eq!(s.counters, counters);
+        assert_eq!(s.gauges, gauges);
+        assert_eq!(s.histograms.len(), names::HISTOGRAMS.len());
+        for (i, n) in names::HISTOGRAMS.iter().enumerate() {
+            let h = &s.histograms[*n];
+            assert_eq!((h.count, h.sum, h.max), (1, bump(i), bump(i) as f64), "{n}");
+            assert_eq!(r.histogram(n), *h, "{n}");
+        }
+        for (i, n) in names::COUNTERS.iter().enumerate() {
+            assert_eq!(r.counter(n), bump(i), "{n}");
+        }
+    }
+
+    #[test]
+    fn colliding_names_probe_to_their_own_slots() {
+        // Same length, same first and last 8 bytes: one hash for all four,
+        // so every lookup after the first walks the probe sequence.
+        const NAMES: [&str; 4] =
+            ["slot.test.d.collide", "slot.test.b.collide", "slot.test.a.collide", "slot.test.c.collide"];
+        let h = name_hash(NAMES[0]);
+        assert!(NAMES.iter().all(|n| name_hash(n) == h));
+        let table = SlotTable::new(&NAMES);
+        for n in NAMES {
+            let slot = table.slot(n).unwrap_or_else(|| panic!("{n} not found"));
+            assert_eq!(table.names[slot], n);
+        }
+        // Sorted order is the snapshot order.
+        assert_eq!(table.slot("slot.test.a.collide"), Some(0));
+        assert_eq!(table.slot("slot.test.d.collide"), Some(3));
+        // Absent names sharing the hash, and unrelated ones, miss.
+        assert_eq!(name_hash("slot.test.e.collide"), h);
+        assert_eq!(table.slot("slot.test.e.collide"), None);
+        for n in ["", "x", "slot.test", "slot.test.a.collide.", "fleet.links"] {
+            assert_eq!(table.slot(n), None, "{n}");
+        }
+        assert_eq!(SlotTable::new(&[]).slot("fleet.links"), None);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn unknown_names_are_ignored() {
+        let r = MetricsRegistry::new();
+        r.incr("no.such.counter", 5);
+        r.gauge_set("no.such.gauge", 3.0);
+        r.record("no.such.histogram_micros", 7.0);
+        // A misfiled name (a counter's name used as a histogram) is unknown
+        // to that kind's table.
+        r.record("fleet.links", 7.0);
+        assert_eq!(r.counter("no.such.counter"), 0);
+        assert_eq!(r.histogram("no.such.histogram_micros").count, 0);
+        let other = MetricsRegistry::new();
+        other.record("te.solve_micros", 5.0);
+        let mut foreign = other.snapshot();
+        let h = foreign.histograms.remove("te.solve_micros").expect("catalogued");
+        foreign.histograms.insert("no.such.histogram_micros".into(), h);
+        foreign.counters.insert("no.such.counter".into(), 9);
+        foreign.gauges.insert("no.such.gauge".into(), 9.0);
+        r.absorb(&foreign);
+        assert_eq!(r.snapshot(), MetricsRegistry::new().snapshot());
     }
 
     #[test]

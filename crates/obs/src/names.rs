@@ -2,12 +2,13 @@
 //!
 //! Every metric the pipeline emits is registered here up front: the
 //! [`crate::MetricsRegistry`] pre-allocates one atomic cell per name at
-//! construction, which is what keeps the hot path lock-free (readers
-//! binary-search an immutable sorted table; writers touch only atomics).
-//! The catalogue is also the documentation of record — DESIGN.md §10
-//! mirrors it — and the schema contract for `repro --obs-json`: a
-//! snapshot always carries every name below, zero-valued or not, so CI
-//! can assert on keys without caring which experiment ran.
+//! construction, which is what keeps the hot path lock-free (a name
+//! resolves to its cell through a hash table built once per process from
+//! these lists; writers touch only atomics). The catalogue is also the
+//! documentation of record — DESIGN.md §10 mirrors it — and the schema
+//! contract for `repro --obs-json`: a registry snapshot always carries
+//! every name below, zero-valued or not, so CI can assert on keys
+//! without caring which experiment ran.
 //!
 //! Naming convention: `<subsystem>.<noun>[.<qualifier>]`, lower-case,
 //! dot-separated. Histogram names say their unit in the last segment

@@ -70,10 +70,13 @@ pub(crate) fn process_link(
     );
     let mut acc = FleetAccumulator::new();
     acc.push(&analysis);
-    // One link touches one or two of the catalogue's histograms. The empty
-    // ones merge as nothing, and the daemon holds (and checkpoints) one of
-    // these snapshots per link — so they are not carried along.
+    // One link moves about five of the catalogue's ~100 names. Zero
+    // counters, zero gauges and empty histograms merge as nothing, and the
+    // daemon holds (and checkpoints) one of these snapshots per link — so
+    // only what the link moved is carried along.
     let mut metrics = obs.snapshot();
+    metrics.counters.retain(|_, v| *v > 0);
+    metrics.gauges.retain(|_, v| *v != 0.0);
     metrics.histograms.retain(|_, h| h.count > 0);
     LinkDone { link, feasible_gbps: analysis.feasible_capacity.value(), acc, metrics }
 }
@@ -131,6 +134,22 @@ mod tests {
             + metrics.counters["controller.decisions.down"];
         assert_eq!(decisions, n, "one decision per link");
         assert_eq!(metrics.counters["fleet.links"], n);
+    }
+
+    #[test]
+    fn per_link_snapshot_carries_only_what_the_link_moved() {
+        let cfg = ServeConfig::small();
+        let gen = FleetGenerator::new(cfg.fleet.clone());
+        let controller = fresh_controller(&cfg);
+        let mut kernel = FleetKernel::new();
+        for link in 0..cfg.n_links() {
+            let m = process_link(&mut kernel, &controller, &gen, &cfg, link).metrics;
+            assert!(m.counters.values().all(|&v| v > 0), "link {link}: {:?}", m.counters);
+            assert!(m.gauges.values().all(|&v| v != 0.0), "link {link}: {:?}", m.gauges);
+            assert!(m.histograms.values().all(|h| h.count > 0), "link {link}");
+            assert_eq!(m.counters.get("fleet.links"), Some(&1), "link {link}");
+            assert!(m.counters.len() < 10, "link {link}: {:?}", m.counters.keys());
+        }
     }
 
     #[test]

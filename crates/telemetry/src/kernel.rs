@@ -193,7 +193,6 @@ impl FleetKernel {
                         floor: Db(floor),
                     });
                     if observed {
-                        self.obs.incr("fleet.episodes", 1);
                         self.obs.record("fleet.episode_ticks", (i - s) as f64);
                         self.obs.event(&ObsEvent::EpisodeClosed {
                             link: self.link,
@@ -220,7 +219,6 @@ impl FleetKernel {
                 floor: Db(floor),
             });
             if observed {
-                self.obs.incr("fleet.episodes", 1);
                 self.obs.record("fleet.episode_ticks", (n - s) as f64);
                 self.obs.event(&ObsEvent::EpisodeClosed {
                     link: self.link,
@@ -228,6 +226,11 @@ impl FleetKernel {
                     ticks: (n - s) as u64,
                 });
             }
+        }
+        // Every episode closed above, published as one add per link.
+        if observed {
+            let episodes = failures.iter().map(|(_, eps)| eps.len() as u64).sum();
+            self.obs.incr("fleet.episodes", episodes);
         }
 
         // One O(n) selection feeds the HDR: only the two tails the window
@@ -327,6 +330,31 @@ mod tests {
                 "link {link_id} diverged"
             );
         }
+    }
+
+    #[test]
+    fn observed_kernel_publishes_episode_totals() {
+        let gen = FleetGenerator::new(FleetConfig {
+            n_fibers: 2,
+            wavelengths_per_fiber: 3,
+            horizon: SimDuration::from_days(45),
+            ..FleetConfig::paper()
+        });
+        let table = ModulationTable::paper_default();
+        let obs = Arc::new(rwc_obs::MetricsObserver::new());
+        let mut kernel = FleetKernel::with_observer(obs.clone());
+        let mut episodes = 0;
+        for link_id in 0..gen.n_links() {
+            let analysis = kernel.analyze_generated(&gen, link_id, &table);
+            episodes += analysis.failures_per_rung.iter().map(|(_, e)| e.len() as u64).sum::<u64>();
+        }
+        assert!(episodes > 0, "45 days of six links fail some rung");
+        let s = obs.snapshot();
+        assert_eq!(s.counters["fleet.episodes"], episodes);
+        assert_eq!(s.histograms["fleet.episode_ticks"].count, episodes);
+        assert_eq!(s.counters["events.episode_closed"], episodes);
+        assert_eq!(s.counters["events.episode_opened"], episodes);
+        assert_eq!(s.counters["fleet.links"], gen.n_links() as u64);
     }
 
     #[test]
