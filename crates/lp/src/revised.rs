@@ -18,8 +18,11 @@
 //! partial pricing ([`crate::pricing::CandidateList`]) instead of a full
 //! Dantzig scan.
 //!
-//! Warm starts key on the *structural sparsity pattern* (per-column
-//! FNV hashes), not on variable count: augmentation that appends
+//! A program whose matrix and objective equal the last optimal solve's
+//! (compared entry by entry; rhs and bounds may drift) is a fast resolve
+//! on the retained factorisation. Otherwise warm starts key on the
+//! *structural sparsity pattern* (per-column pattern hashes), not on
+//! variable count: augmentation that appends
 //! fake-edge columns — and, with more than one commodity, their capacity
 //! rows — maps the saved basis through the unchanged prefix and hosts
 //! every appended row on its own logical. With the appended columns at
@@ -245,10 +248,10 @@ pub struct SparseSimplexSolver {
     // --- warm-start state ----------------------------------------------
     saved: Option<SavedBasis>,
     /// True while `basis`/`vstat`/`lu`/`etas` still describe the final
-    /// state of the last optimal solve — and, until the next `load`,
-    /// `col_vals`/`obj_real` its matrix values and objective: with the
-    /// saved pattern they form the fast-resolve fingerprint (rhs and
-    /// bounds excluded on purpose: capacity drift moves those every round).
+    /// state of the last optimal solve — and, until the next `load`, the
+    /// column arrays and `obj_real` its matrix and objective, which the
+    /// fast-resolve check compares against (rhs and bounds excluded on
+    /// purpose: capacity drift moves those every round).
     fact_valid: bool,
     stats: SolverStats,
     // --- watchdog -------------------------------------------------------
@@ -370,26 +373,29 @@ impl SparseSimplexSolver {
     /// pattern allows it.
     pub fn solve_sparse_with_budget(&mut self, lp: &SparseLp, max_pivots: u64) -> LpOutcome {
         lp.validate().expect("invalid LP");
-        let hashes = lp.column_pattern_hashes();
 
         // Fast resolve: pattern, matrix values and objective identical to
         // the last optimal solve (rhs and bounds free to drift) — the
         // retained LU + eta chain is still a factorisation of the final
         // basis, so skip loading a fresh basis entirely.
-        let fast = self.fast_resolve_applicable(lp, &hashes);
-        self.load(lp);
+        let fast = self.fast_resolve_applicable(lp);
+        self.load(lp, fast);
         // A fast resolve sees the matrix of the last solve bit for bit.
         self.rows_built &= fast;
+        // The pattern hashes key the mapped warm start; a fast resolve
+        // keeps the saved ones.
+        let hashes = (!fast).then(|| lp.column_pattern_hashes());
+        let hashes = hashes.as_deref();
         // One warm attempt per solve — the retained factorisation if it
         // still fits, else the saved basis mapped onto the new program
         // (the same basis, were both to apply) — then cold.
-        let plan = if fast { None } else { self.warm_plan(lp, &hashes) };
+        let plan = hashes.and_then(|h| self.warm_plan(lp, h));
         if fast || plan.is_some() {
             self.arm_deadline();
             self.stats.warm_attempts += 1;
             let outcome = match plan {
-                None => self.try_fast_resolve(lp, &hashes, max_pivots),
-                Some(plan) => self.try_warm(lp, &hashes, plan, max_pivots),
+                None => self.try_fast_resolve(lp, max_pivots),
+                Some(plan) => self.try_warm(lp, hashes, plan, max_pivots),
             };
             match outcome {
                 // Watchdog-aborted attempt: the cold path re-arms.
@@ -402,30 +408,40 @@ impl SparseSimplexSolver {
             }
         }
         self.arm_deadline();
-        self.cold(lp, &hashes, max_pivots)
+        self.cold(lp, hashes, max_pivots)
     }
 
     // --- loading --------------------------------------------------------
 
     /// Builds the unified column arrays, bounds and rhs for `lp`. Never
     /// touches `basis`/`vstat`/`lu`/`etas` — the fast path retains them.
-    fn load(&mut self, lp: &SparseLp) {
+    /// With `same_matrix` the column arrays already hold `lp`'s matrix
+    /// and its logicals, and only the artificials a cold solve appended
+    /// are dropped.
+    fn load(&mut self, lp: &SparseLp, same_matrix: bool) {
         let n = lp.n_vars();
         let m = lp.n_rows();
         self.n = n;
         self.m = m;
         self.n_total = n + m;
 
-        self.col_ptr.clear();
-        self.col_rows.clear();
-        self.col_vals.clear();
-        self.col_ptr.extend_from_slice(&lp.a.col_ptr);
-        self.col_rows.extend_from_slice(&lp.a.row_idx);
-        self.col_vals.extend_from_slice(&lp.a.values);
-        for r in 0..m {
-            self.col_rows.push(r);
-            self.col_vals.push(1.0);
-            self.col_ptr.push(self.col_rows.len());
+        if same_matrix {
+            let end = self.col_ptr[n + m];
+            self.col_ptr.truncate(n + m + 1);
+            self.col_rows.truncate(end);
+            self.col_vals.truncate(end);
+        } else {
+            self.col_ptr.clear();
+            self.col_rows.clear();
+            self.col_vals.clear();
+            self.col_ptr.extend_from_slice(&lp.a.col_ptr);
+            self.col_rows.extend_from_slice(&lp.a.row_idx);
+            self.col_vals.extend_from_slice(&lp.a.values);
+            for r in 0..m {
+                self.col_rows.push(r);
+                self.col_vals.push(1.0);
+                self.col_ptr.push(self.col_rows.len());
+            }
         }
 
         self.lower.clear();
@@ -972,30 +988,30 @@ impl SparseSimplexSolver {
     // --- warm / fast paths ----------------------------------------------
 
     /// True when the retained factorisation still factors this LP's final
-    /// basis: saved pattern, relations, matrix values and objective all
-    /// identical (rhs/bounds may drift — that is the point). Called before
-    /// `load`, while the column arrays still hold the last solved LP.
-    fn fast_resolve_applicable(&self, lp: &SparseLp, hashes: &[u64]) -> bool {
+    /// basis: dimensions, relations, matrix (pattern and value bits) and
+    /// objective all identical (rhs/bounds may drift — that is the point).
+    /// Compared entry by entry, so no hash collision can reuse a
+    /// factorisation. Called before `load`, while the column arrays still
+    /// hold the last solved LP.
+    fn fast_resolve_applicable(&self, lp: &SparseLp) -> bool {
+        fn bits(values: &[f64]) -> impl Iterator<Item = u64> + '_ {
+            values.iter().map(|v| v.to_bits())
+        }
+        let Some(saved) = &self.saved else { return false };
+        let (n, nnz) = (self.n, lp.a.nnz());
         self.fact_valid
-            && self.saved.as_ref().is_some_and(|s| {
-                s.n == lp.n_vars()
-                    && s.m == lp.n_rows()
-                    && s.col_hashes == hashes
-                    && s.rels == lp.rel
-            })
-            && self.col_vals[..self.col_ptr[self.n]] == lp.a.values[..]
-            && self.obj_real[..self.n] == lp.objective[..]
+            && (saved.n, saved.m) == (lp.n_vars(), lp.n_rows())
+            && saved.rels == lp.rel
+            && self.col_ptr[..=n] == lp.a.col_ptr[..]
+            && self.col_rows[..nnz] == lp.a.row_idx[..]
+            && bits(&self.col_vals[..nnz]).eq(bits(&lp.a.values))
+            && self.obj_real[..n] == lp.objective[..]
     }
 
     /// Resolves an rhs/bounds-only change on the retained basis: recompute
     /// `xb`, dual-repair any drift-induced infeasibility, Phase II
     /// (usually zero pivots). `None` = repair failed, caller goes cold.
-    fn try_fast_resolve(
-        &mut self,
-        lp: &SparseLp,
-        hashes: &[u64],
-        max_pivots: u64,
-    ) -> Option<LpOutcome> {
+    fn try_fast_resolve(&mut self, lp: &SparseLp, max_pivots: u64) -> Option<LpOutcome> {
         self.fact_valid = false;
         // The previous cold solve may have appended artificial entries.
         self.vstat.truncate(self.n_total);
@@ -1009,7 +1025,7 @@ impl SparseSimplexSolver {
             return None;
         }
         self.clamp_basics();
-        Some(self.phase_two(lp, hashes, max_pivots))
+        Some(self.phase_two(lp, None, max_pivots))
     }
 
     /// Maps the saved basis onto the new layout through the unchanged
@@ -1077,7 +1093,7 @@ impl SparseSimplexSolver {
     fn try_warm(
         &mut self,
         lp: &SparseLp,
-        hashes: &[u64],
+        hashes: Option<&[u64]>,
         plan: (Vec<usize>, Vec<usize>),
         max_pivots: u64,
     ) -> Option<LpOutcome> {
@@ -1132,7 +1148,7 @@ impl SparseSimplexSolver {
 
     /// Cold path: all-logical start, Phase I drives artificials out of
     /// rows whose logical cannot host the rhs, Phase II optimises.
-    fn cold(&mut self, lp: &SparseLp, hashes: &[u64], max_pivots: u64) -> LpOutcome {
+    fn cold(&mut self, lp: &SparseLp, hashes: Option<&[u64]>, max_pivots: u64) -> LpOutcome {
         self.stats.cold_solves += 1;
         self.fact_valid = false;
         let (n, m) = (self.n, self.m);
@@ -1198,7 +1214,9 @@ impl SparseSimplexSolver {
 
     // --- phase II / extraction -------------------------------------------
 
-    fn phase_two(&mut self, lp: &SparseLp, hashes: &[u64], max_pivots: u64) -> LpOutcome {
+    /// `hashes` are `lp`'s column pattern hashes, `None` when `lp` has the
+    /// saved pattern (see `save_state`).
+    fn phase_two(&mut self, lp: &SparseLp, hashes: Option<&[u64]>, max_pivots: u64) -> LpOutcome {
         self.cost.copy_from_slice(&self.obj_real);
         match self.optimise(max_pivots) {
             OptOutcome::Unbounded => LpOutcome::Unbounded,
@@ -1232,14 +1250,24 @@ impl SparseSimplexSolver {
 
     /// Retains the optimal basis + fingerprint for warm starts. A basis
     /// still containing an artificial (degenerate Phase I leftover)
-    /// cannot seed a Phase-II-only restart and is not saved.
-    fn save_state(&mut self, lp: &SparseLp, hashes: &[u64]) {
+    /// cannot seed a Phase-II-only restart and is not saved. Without
+    /// `hashes`, `lp` is the saved pattern solved again (a fast resolve,
+    /// or the cold fallback after one): its hashes and relations carry
+    /// over.
+    fn save_state(&mut self, lp: &SparseLp, hashes: Option<&[u64]>) {
         let (n, m) = (self.n, self.m);
         if self.basis.iter().any(|&j| j >= n + m) {
             self.saved = None;
             self.fact_valid = false;
             return;
         }
+        let (col_hashes, rels) = match hashes {
+            Some(hashes) => (hashes.to_vec(), lp.rel.clone()),
+            None => {
+                let saved = self.saved.take().expect("a fast resolve starts from a saved basis");
+                (saved.col_hashes, saved.rels)
+            }
+        };
         let as_ref = |j: usize| {
             if j < n {
                 SavedRef::Structural(j)
@@ -1255,8 +1283,8 @@ impl SparseSimplexSolver {
         self.saved = Some(SavedBasis {
             n,
             m,
-            col_hashes: hashes.to_vec(),
-            rels: lp.rel.clone(),
+            col_hashes,
+            rels,
             basics,
             at_upper,
         });
@@ -1783,6 +1811,59 @@ pub(crate) mod tests {
         assert_eq!(stats.repair_pivots, lp.n_rows() as u64, "the bound is m: {stats:?}");
         assert_eq!(stats.repair_aborts, 1);
         assert_eq!((stats.warm_attempts, stats.warm_hits, stats.cold_solves), (1, 0, 2));
+    }
+
+    #[test]
+    fn fast_resolve_after_artificials_drops_them_and_can_go_cold_again() {
+        // `x + y = b0` and `x − y ≥ 1` need an artificial each on a cold
+        // start. The fast resolve after it reuses the loaded matrix and
+        // must drop those columns; a fast attempt that fails (nothing
+        // reaches `x + y = −6`) falls back cold on the same load and
+        // appends an artificial of the other sign, which a stale column
+        // would shadow.
+        let lp = |b0: f64, upper: f64| {
+            let mut b = SparseLpBuilder::new(2);
+            b.set_row(0, Relation::Eq, b0);
+            b.set_row(1, Relation::Ge, 1.0);
+            b.push_col(1.0, upper, &[(0, 1.0), (1, 1.0)]);
+            b.push_col(2.0, upper, &[(0, 1.0), (1, -1.0)]);
+            b.build()
+        };
+        let mut solver = SparseSimplexSolver::new();
+        let first = solver.solve_sparse(&lp(5.0, f64::INFINITY)).expect_optimal();
+        assert_near(first.objective, 7.0);
+        assert!(solver.col_ptr.len() > 2 + 2 + 1, "the cold solve appended artificials");
+        let drifted = lp(6.0, f64::INFINITY);
+        let fast = solver.solve_sparse(&drifted).expect_optimal();
+        assert_eq!(solver.col_ptr.len(), 2 + 2 + 1);
+        assert_eq!(solver.stats().warm_hits, 1);
+        crate::certify(&drifted, &fast.x, solver.duals()).unwrap();
+        assert_near(fast.objective, 8.5);
+        let negative = lp(-6.0, 2.0);
+        assert_eq!(solver.solve_sparse(&negative), LpOutcome::Infeasible);
+        crate::certify_infeasible(&negative, solver.duals()).unwrap();
+        let stats = solver.stats();
+        assert_eq!((stats.warm_attempts, stats.warm_hits, stats.cold_solves), (2, 1, 2));
+    }
+
+    #[test]
+    fn a_moved_row_index_is_not_a_fast_resolve() {
+        // Same n, m, nnz, relations, values and objective; only column 1's
+        // entry moves from row 1 to row 0. Reusing the factorisation would
+        // answer 7; the program's optimum is 4.
+        let lp = |row: usize| {
+            let mut b = SparseLpBuilder::new(2);
+            b.set_row(0, Relation::Le, 4.0);
+            b.set_row(1, Relation::Le, 3.0);
+            b.push_col(1.0, f64::INFINITY, &[(0, 1.0)]);
+            b.push_col(1.0, f64::INFINITY, &[(row, 1.0)]);
+            b.build()
+        };
+        let mut solver = SparseSimplexSolver::new();
+        assert_near(solver.solve_sparse(&lp(1)).expect_optimal().objective, 7.0);
+        assert_near(solver.solve_sparse(&lp(0)).expect_optimal().objective, 4.0);
+        let stats = solver.stats();
+        assert_eq!((stats.warm_attempts, stats.cold_solves), (0, 2), "{stats:?}");
     }
 
     #[test]

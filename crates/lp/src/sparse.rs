@@ -11,10 +11,10 @@
 //! solver accepts either model type.
 //!
 //! The per-column *pattern hashes* ([`SparseLp::column_pattern_hashes`])
-//! are the warm-start key: a saved basis is reusable when the structural
-//! sparsity pattern of the common column prefix is unchanged, which is
-//! what lets dirty-link augmentation (fake-edge columns appended at the
-//! end) keep the factorisation instead of falling back cold.
+//! are the mapped warm start's key: a saved basis is reusable when the
+//! structural sparsity pattern of the common column prefix is unchanged,
+//! which is what lets dirty-link augmentation (fake-edge columns appended
+//! at the end) keep the factorisation instead of falling back cold.
 
 use crate::model::{LinearProgram, Relation};
 
@@ -66,21 +66,14 @@ impl CscMatrix {
         (&self.row_idx[s..e], &self.values[s..e])
     }
 
-    /// FNV-1a hash of column `j`'s row-index pattern (values excluded:
-    /// coefficient drift must not invalidate a warm start).
+    /// Hash of column `j`'s row-index pattern (values excluded:
+    /// coefficient drift must not invalidate a warm start): one
+    /// rotate-xor-multiply step per row index, seeded with the count.
     pub fn col_pattern_hash(&self, j: usize) -> u64 {
         let (rows, _) = self.col(j);
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &r in rows {
-            for byte in (r as u64).to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        // Fold the count in so the empty column hashes differently from
-        // a missing one.
-        h ^= rows.len() as u64;
-        h
+        rows.iter().fold(rows.len() as u64, |h, &r| {
+            (h.rotate_left(5) ^ r as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+        })
     }
 }
 

@@ -7,6 +7,10 @@
 //!   columns and capacity rows strictly appended, scalar columns pinned at
 //!   index 0) so the revised simplex's structural warm key keeps matching
 //!   across dirty-link rounds;
+//! - lowering **per shape**: each LP is a pattern (rows, column order,
+//!   entries), which only the problem's shape fixes, plus the values one
+//!   writer fills in; a solver that keeps its LP rewrites just the values
+//!   while its problems keep their shape (`lower_retained`);
 //! - the **translation back** from an LP point to a [`TeSolution`] (plus
 //!   objective-specific extras in [`TeSolve`]);
 //! - **deterministic tie-breaking** so the translated upgrade/reduction
@@ -34,7 +38,9 @@ use crate::TeError;
 use rwc_flow::network::FlowNetwork;
 use rwc_lp::{LpOutcome, Relation, SparseLp, SparseLpBuilder};
 use rwc_topology::wan::LinkId;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::mem::Discriminant;
 
 /// Flow below this is "not using the slice" for capacity-reduction
 /// readouts. Far above simplex tolerance, far below any real allocation.
@@ -108,8 +114,8 @@ pub struct TeSolve {
 }
 
 /// A TE objective plus the lowering knobs: builds the LP and translates
-/// its solution back. Stateless — the solver owns the simplex engine, the
-/// formulation owns the shapes.
+/// its solution back. Stateless — the solver owns the simplex engine and
+/// the LP it last lowered, the formulation owns the shapes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TeFormulation {
     /// The objective to lower.
@@ -201,8 +207,61 @@ impl TeFormulation {
     /// gadget for [`TeObjective::Unsplittable`], and returns a handle that
     /// builds the LP and translates its outcome back.
     pub fn lower<'p>(&self, problem: &'p TeProblem) -> Result<LoweredTe<'p>, TeError> {
+        let kind = self.lowered_kind(problem)?;
+        let gadget = self.gadget(problem).map(Cow::Owned);
+        Ok(LoweredTe { problem, gadget, kind, weight: self.throughput_weight, name: self.name() })
+    }
+
+    /// [`Self::lower`] into a lowering kept from an earlier solve: when the
+    /// problem has the same [`TeShape`] only the values are rewritten (and
+    /// the gadget's capacities and costs), otherwise the LP is built anew.
+    /// Returns the lowering and its LP, which equals
+    /// `self.lower(problem)?.sparse_lp()`.
+    pub(crate) fn lower_retained<'a>(
+        &self,
+        problem: &'a TeProblem,
+        retained: &'a mut Option<RetainedLp>,
+    ) -> Result<(LoweredTe<'a>, &'a SparseLp), TeError> {
+        let kind = self.lowered_kind(problem)?;
+        let shape = TeShape::of(&self.objective, problem);
+        let kept = match retained.take() {
+            Some(mut kept) if kept.shape == shape => {
+                if let Some(g) = &mut kept.gadget {
+                    g.refresh(problem);
+                }
+                kept
+            }
+            stale => {
+                // Freed before the new LP is built, so the two never
+                // coexist.
+                drop(stale);
+                let gadget = self.gadget(problem);
+                let rp = gadget.as_ref().map_or(problem, |g| &g.inner);
+                RetainedLp { shape, lp: sparse_pattern(rp, &kind), gadget }
+            }
+        };
+        let RetainedLp { lp, gadget, .. } = retained.insert(kept);
+        let lowered = LoweredTe {
+            problem,
+            gadget: gadget.as_ref().map(Cow::Borrowed),
+            kind,
+            weight: self.throughput_weight,
+            name: self.name(),
+        };
+        lowered.refresh(lp);
+        Ok((lowered, lp))
+    }
+
+    /// The Fig. 8 expansion, for [`TeObjective::Unsplittable`] only.
+    fn gadget(&self, problem: &TeProblem) -> Option<GadgetLowering> {
+        matches!(self.objective, TeObjective::Unsplittable).then(|| GadgetLowering::build(problem))
+    }
+
+    /// Validates the configuration against `problem` and resolves the LP
+    /// kind (and min-MLU's envelopes).
+    fn lowered_kind(&self, problem: &TeProblem) -> Result<LoweredKind, TeError> {
         self.validate()?;
-        let kind = match &self.objective {
+        Ok(match &self.objective {
             TeObjective::MaxThroughput => LoweredKind::Throughput { reduction: false },
             TeObjective::CapacityReduction => LoweredKind::Throughput { reduction: true },
             TeObjective::Unsplittable => LoweredKind::Throughput { reduction: false },
@@ -235,13 +294,57 @@ impl TeFormulation {
                 LoweredKind::MinMlu { envelopes }
             }
             TeObjective::MaxConcurrentFlow => LoweredKind::ConcurrentFlow,
-        };
-        let gadget = match self.objective {
-            TeObjective::Unsplittable => Some(GadgetLowering::build(problem)),
-            _ => None,
-        };
-        Ok(LoweredTe { problem, gadget, kind, weight: self.throughput_weight, name: self.name() })
+        })
     }
+}
+
+/// What fixes a lowering's sparsity pattern and, under the Fig. 8 gadget,
+/// its layout: the objective's variant, the node count, each edge's
+/// endpoints and origin, each commodity's endpoints, and the zeros the
+/// scalar column skips — zero capacities under min-MLU, zero demands under
+/// max-concurrent-flow. Everything else is a value
+/// [`LoweredTe::refresh`] rewrites.
+#[derive(Debug, PartialEq)]
+struct TeShape {
+    objective: Discriminant<TeObjective>,
+    n_nodes: usize,
+    /// `(from, to, origin, zero capacity under min-MLU)` per edge.
+    edges: Vec<(usize, usize, EdgeOrigin, bool)>,
+    /// `(source, sink, zero demand under max-concurrent-flow)` per
+    /// commodity.
+    commodities: Vec<(usize, usize, bool)>,
+}
+
+impl TeShape {
+    fn of(objective: &TeObjective, problem: &TeProblem) -> TeShape {
+        let min_mlu = matches!(objective, TeObjective::MinMlu { .. });
+        let concurrent = matches!(objective, TeObjective::MaxConcurrentFlow);
+        TeShape {
+            objective: std::mem::discriminant(objective),
+            n_nodes: problem.net.n_nodes(),
+            edges: problem
+                .net
+                .edges()
+                .iter()
+                .zip(&problem.origins)
+                .map(|(e, &origin)| (e.from, e.to, origin, min_mlu && e.capacity == 0.0))
+                .collect(),
+            commodities: problem
+                .commodities
+                .iter()
+                .map(|c| (c.source, c.sink, concurrent && c.demand == 0.0))
+                .collect(),
+        }
+    }
+}
+
+/// The LP of a solver's last lowering, the shape it has, and (unsplittable
+/// only) the gadget it routes on; see [`TeFormulation::lower_retained`].
+#[derive(Debug)]
+pub(crate) struct RetainedLp {
+    shape: TeShape,
+    lp: SparseLp,
+    gadget: Option<GadgetLowering>,
 }
 
 /// Which LP shape a [`LoweredTe`] carries.
@@ -267,7 +370,7 @@ enum LoweredKind {
 #[derive(Debug)]
 pub struct LoweredTe<'p> {
     problem: &'p TeProblem,
-    gadget: Option<GadgetLowering>,
+    gadget: Option<Cow<'p, GadgetLowering>>,
     kind: LoweredKind,
     weight: f64,
     name: &'static str,
@@ -296,13 +399,75 @@ impl LoweredTe<'_> {
     /// augmentation-stable order — fake edges append columns and capacity
     /// rows strictly at the end, so the structural warm key survives
     /// dirty-link updates; the `mlu` column is the one deliberate
-    /// exception, since it spans every capacity row).
+    /// exception, since it spans every capacity row). The pattern, then
+    /// the values.
     pub fn sparse_lp(&self) -> SparseLp {
+        let mut lp = sparse_pattern(self.routing_problem(), &self.kind);
+        self.refresh(&mut lp);
+        lp
+    }
+
+    /// The value writer: rewrites every value of `lp` that a problem of
+    /// this shape may move — objective, upper bounds, demand- and
+    /// capacity-row rhs, and the scalar column's `−cap_e` (min-MLU) or
+    /// `−d_k` (max-concurrent-flow) entries. `lp` must have been built
+    /// for a problem of the same shape (see `TeShape`).
+    fn refresh(&self, lp: &mut SparseLp) {
         let rp = self.routing_problem();
-        match &self.kind {
-            LoweredKind::Throughput { .. } => sparse_throughput(rp, self.weight),
-            LoweredKind::MinMlu { envelopes } => sparse_min_mlu(rp, envelopes, self.weight),
-            LoweredKind::ConcurrentFlow => sparse_concurrent(rp, self.weight),
+        let k = rp.commodities.len();
+        let edges = rp.net.edges();
+        let weight = self.weight;
+        let cap_base =
+            lp.n_rows() - if has_capacity_rows(rp, &self.kind) { edges.len() } else { 0 };
+        let demand_base = cap_base - k;
+        for (ki, c) in rp.commodities.iter().enumerate() {
+            lp.rhs[demand_base + ki] = match &self.kind {
+                LoweredKind::Throughput { .. } => c.demand,
+                LoweredKind::MinMlu { envelopes } => envelopes[ki],
+                LoweredKind::ConcurrentFlow => 0.0,
+            };
+        }
+        let min_mlu = matches!(self.kind, LoweredKind::MinMlu { .. });
+        for (rhs, e) in lp.rhs[cap_base..].iter_mut().zip(edges) {
+            *rhs = if min_mlu { 0.0 } else { e.capacity };
+        }
+        // Column 0, if the objective has a scalar: its objective, bound
+        // and entries.
+        match self.kind {
+            LoweredKind::Throughput { .. } => {}
+            LoweredKind::MinMlu { .. } => {
+                (lp.objective[0], lp.upper[0]) = (-weight, f64::INFINITY);
+                let caps = edges.iter().map(|e| e.capacity).filter(|&c| c != 0.0);
+                let entries = lp.a.col_ptr[0]..lp.a.col_ptr[1];
+                for (v, cap) in lp.a.values[entries].iter_mut().zip(caps) {
+                    *v = -cap;
+                }
+            }
+            LoweredKind::ConcurrentFlow => {
+                (lp.objective[0], lp.upper[0]) = (weight, 1.0);
+                let demands = rp.commodities.iter().map(|c| c.demand).filter(|&d| d != 0.0);
+                let entries = lp.a.col_ptr[0]..lp.a.col_ptr[1];
+                for (v, demand) in lp.a.values[entries].iter_mut().zip(demands) {
+                    *v = -demand;
+                }
+            }
+        }
+        let scalar = self.scalar_vars();
+        let throughput = matches!(self.kind, LoweredKind::Throughput { .. });
+        for (ei, e) in edges.iter().enumerate() {
+            let tie_break = fake_tie_break(rp, ei);
+            let upper = if min_mlu { f64::INFINITY } else { e.capacity };
+            let cols = scalar + ei * k..scalar + (ei + 1) * k;
+            for ((objective, bound), c) in
+                lp.objective[cols.clone()].iter_mut().zip(&mut lp.upper[cols]).zip(&rp.commodities)
+            {
+                *objective = if throughput {
+                    outflow_of(e.from, e.to, c.source) * weight - e.cost - tie_break
+                } else {
+                    -e.cost - tie_break
+                };
+                *bound = upper;
+            }
         }
     }
 
@@ -422,13 +587,11 @@ fn sparse_conservation_rows(rp: &TeProblem) -> (Vec<usize>, usize) {
     (cons_row, next_row)
 }
 
-/// Accumulates an entry into a tiny per-column buffer, merging duplicates.
-fn push_entry(entries: &mut Vec<(usize, f64)>, row: usize, v: f64) {
-    if let Some(slot) = entries.iter_mut().find(|(r, _)| *r == row) {
-        slot.1 += v;
-    } else {
-        entries.push((row, v));
-    }
+/// Whether every edge has a capacity row: always under min-MLU (its `mlu`
+/// column spans them), otherwise only with more than one commodity (one
+/// commodity's capacities are its columns' upper bounds).
+fn has_capacity_rows(rp: &TeProblem, kind: &LoweredKind) -> bool {
+    rp.commodities.len() > 1 || matches!(kind, LoweredKind::MinMlu { .. })
 }
 
 /// The deterministic fake-edge tie-break epsilon: prefers earlier-appended
@@ -442,9 +605,9 @@ fn fake_tie_break(rp: &TeProblem, ei: usize) -> f64 {
     }
 }
 
-/// Builds one flow column (conservation ± demand-outflow ± capacity
-/// entries, sorted, deduped, zero-free) and pushes it.
-#[allow(clippy::too_many_arguments)]
+/// Pushes one flow column's pattern: conservation ± demand-outflow ±
+/// capacity entries, merged, zero-free and sorted. A column has at most
+/// four entries, so they are gathered on the stack.
 fn push_flow_col(
     b: &mut SparseLpBuilder,
     rp: &TeProblem,
@@ -453,186 +616,106 @@ fn push_flow_col(
     ki: usize,
     demand_row: usize,
     cap_row: Option<usize>,
-    upper: f64,
-    objective: f64,
 ) {
     let n_nodes = rp.net.n_nodes();
     let e = rp.net.edge(ei);
     let c = &rp.commodities[ki];
-    let mut entries: Vec<(usize, f64)> = Vec::with_capacity(4);
+    let mut entries = [(0usize, 0.0f64); 4];
+    let mut len = 0;
+    let mut push = |row: usize, v: f64| match entries[..len].iter_mut().find(|(r, _)| *r == row) {
+        Some(slot) => slot.1 += v,
+        None => {
+            entries[len] = (row, v);
+            len += 1;
+        }
+    };
     let from_row = cons_row[ki * n_nodes + e.from];
     if from_row != usize::MAX {
-        push_entry(&mut entries, from_row, 1.0);
+        push(from_row, 1.0);
     }
     let to_row = cons_row[ki * n_nodes + e.to];
     if to_row != usize::MAX {
-        push_entry(&mut entries, to_row, -1.0);
+        push(to_row, -1.0);
     }
     let outflow = outflow_of(e.from, e.to, c.source);
     if outflow != 0.0 {
-        push_entry(&mut entries, demand_row, outflow);
+        push(demand_row, outflow);
     }
     if let Some(cap_row) = cap_row {
-        push_entry(&mut entries, cap_row, 1.0);
+        push(cap_row, 1.0);
     }
-    entries.retain(|&(_, v)| v != 0.0);
+    let mut kept = 0;
+    for i in 0..len {
+        if entries[i].1 != 0.0 {
+            entries.swap(kept, i);
+            kept += 1;
+        }
+    }
+    let entries = &mut entries[..kept];
     entries.sort_unstable_by_key(|&(r, _)| r);
-    b.push_col(objective, upper, &entries);
+    b.push_col(0.0, 0.0, entries);
 }
 
-/// The max-throughput sparse shape: edge-major columns, `[conservation][demand][capacity (k>1)]` rows,
-/// single-commodity capacities as column bounds.
-fn sparse_throughput(rp: &TeProblem, weight: f64) -> SparseLp {
-    let net = &rp.net;
+/// The pattern writer: row map and relations, column order and entries;
+/// every value the value writer ([`LoweredTe::refresh`]) owns is left at
+/// zero. Rows are `[conservation (=)][demand][capacity (≤)]`: a demand
+/// row is `≤ d_k` under max-throughput, `= U_k` under min-MLU and
+/// `net outflow − λ·d_k = 0` under max-concurrent-flow; capacity rows
+/// exist as `has_capacity_rows` says.
+///
+/// Column 0 is the scalar, if any. Min-MLU's `mlu` has an entry in the
+/// capacity row of every edge with non-zero capacity: traffic-matrix
+/// drift only moves demand-row rhs values, so it rides the fast-resolve
+/// warm path; capacity drift rewrites the `mlu` column's values and takes
+/// the structural warm plan instead; augmentation grows the column's
+/// pattern, so augmented rounds go cold by design. Max-concurrent-flow's
+/// `λ` (upper bound 1) has an entry in the demand row of every commodity
+/// with non-zero demand; it touches only demand rows, so — like
+/// max-throughput — that layout is fully augmentation-stable.
+fn sparse_pattern(rp: &TeProblem, kind: &LoweredKind) -> SparseLp {
     let k = rp.commodities.len();
-    let m = net.n_edges();
-    let (cons_row, next_row) = sparse_conservation_rows(rp);
-    let demand_row = |ki: usize| next_row + ki;
-    let cap_base = next_row + k;
-    let n_rows = if k > 1 { cap_base + m } else { cap_base };
+    let edges = rp.net.edges();
+    let (cons_row, n_cons) = sparse_conservation_rows(rp);
+    let demand_row = |ki: usize| n_cons + ki;
+    let cap_base = n_cons + k;
+    let cap_rows = has_capacity_rows(rp, kind);
+    let n_rows = if cap_rows { cap_base + edges.len() } else { cap_base };
 
+    // Capacity rows keep the builder's `≤`.
     let mut b = SparseLpBuilder::new(n_rows);
-    for (ki, c) in rp.commodities.iter().enumerate() {
-        b.set_row(demand_row(ki), Relation::Le, c.demand);
-    }
-    if k > 1 {
-        for (ei, e) in net.edges().iter().enumerate() {
-            b.set_row(cap_base + ei, Relation::Le, e.capacity);
-        }
-    }
-    for r in cons_row.iter().filter(|&&r| r != usize::MAX) {
-        b.set_row(*r, Relation::Eq, 0.0);
-    }
-
-    for (ei, e) in net.edges().iter().enumerate() {
-        for (ki, c) in rp.commodities.iter().enumerate() {
-            let outflow = outflow_of(e.from, e.to, c.source);
-            let objective = outflow * weight - e.cost - fake_tie_break(rp, ei);
-            let cap_row = (k > 1).then_some(cap_base + ei);
-            push_flow_col(
-                &mut b,
-                rp,
-                &cons_row,
-                ei,
-                ki,
-                demand_row(ki),
-                cap_row,
-                e.capacity,
-                objective,
-            );
-        }
-    }
-    b.build()
-}
-
-/// Sparse min-MLU: column 0 is `mlu` (entries `−cap_e` in every capacity
-/// row), then edge-major *unbounded* flow columns; rows are
-/// `[conservation][demand = U_k (Eq)][capacity ≤ 0 (always, all edges)]`.
-/// Traffic-matrix drift only moves demand-row rhs values, so it rides the
-/// fast-resolve warm path; capacity drift rewrites the `mlu` column's
-/// values and takes the structural warm plan instead. Augmentation grows
-/// the `mlu` column's pattern, so augmented rounds go cold by design.
-fn sparse_min_mlu(rp: &TeProblem, envelopes: &[f64], weight: f64) -> SparseLp {
-    let net = &rp.net;
-    let k = rp.commodities.len();
-    let m = net.n_edges();
-    let (cons_row, next_row) = sparse_conservation_rows(rp);
-    let demand_row = |ki: usize| next_row + ki;
-    let cap_base = next_row + k;
-    let n_rows = cap_base + m;
-
-    let mut b = SparseLpBuilder::new(n_rows);
-    for (ki, &envelope) in envelopes.iter().enumerate().take(k) {
-        b.set_row(demand_row(ki), Relation::Eq, envelope);
-    }
-    for ei in 0..m {
-        b.set_row(cap_base + ei, Relation::Le, 0.0);
-    }
-    for r in cons_row.iter().filter(|&&r| r != usize::MAX) {
-        b.set_row(*r, Relation::Eq, 0.0);
-    }
-
-    // Column 0: mlu. Capacity rows are contiguous and ascending.
-    let mlu_entries: Vec<(usize, f64)> = net
-        .edges()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.capacity != 0.0)
-        .map(|(ei, e)| (cap_base + ei, -e.capacity))
-        .collect();
-    b.push_col(-weight, f64::INFINITY, &mlu_entries);
-
-    for (ei, e) in net.edges().iter().enumerate() {
-        for ki in 0..k {
-            let objective = -e.cost - fake_tie_break(rp, ei);
-            push_flow_col(
-                &mut b,
-                rp,
-                &cons_row,
-                ei,
-                ki,
-                demand_row(ki),
-                Some(cap_base + ei),
-                f64::INFINITY,
-                objective,
-            );
-        }
-    }
-    b.build()
-}
-
-/// Sparse max-concurrent-flow: column 0 is `λ` (upper bound `1`, entries
-/// `−d_k` in every demand row), then the usual edge-major flow columns;
-/// demand rows become `net outflow − λ·d_k = 0` equalities. The `λ`
-/// column's pattern touches only demand rows, so — like max-throughput —
-/// the layout is fully augmentation-stable.
-fn sparse_concurrent(rp: &TeProblem, weight: f64) -> SparseLp {
-    let net = &rp.net;
-    let k = rp.commodities.len();
-    let m = net.n_edges();
-    let (cons_row, next_row) = sparse_conservation_rows(rp);
-    let demand_row = |ki: usize| next_row + ki;
-    let cap_base = next_row + k;
-    let n_rows = if k > 1 { cap_base + m } else { cap_base };
-
-    let mut b = SparseLpBuilder::new(n_rows);
+    let demand_rel = match kind {
+        LoweredKind::Throughput { .. } => Relation::Le,
+        LoweredKind::MinMlu { .. } | LoweredKind::ConcurrentFlow => Relation::Eq,
+    };
     for ki in 0..k {
-        b.set_row(demand_row(ki), Relation::Eq, 0.0);
-    }
-    if k > 1 {
-        for (ei, e) in net.edges().iter().enumerate() {
-            b.set_row(cap_base + ei, Relation::Le, e.capacity);
-        }
+        b.set_row(demand_row(ki), demand_rel, 0.0);
     }
     for r in cons_row.iter().filter(|&&r| r != usize::MAX) {
         b.set_row(*r, Relation::Eq, 0.0);
     }
 
-    // Column 0: λ, bounded by 1.
-    let lambda_entries: Vec<(usize, f64)> = rp
-        .commodities
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.demand != 0.0)
-        .map(|(ki, c)| (demand_row(ki), -c.demand))
-        .collect();
-    b.push_col(weight, 1.0, &lambda_entries);
-
-    for (ei, e) in net.edges().iter().enumerate() {
+    let scalar: Option<Vec<(usize, f64)>> = match kind {
+        LoweredKind::Throughput { .. } => None,
+        LoweredKind::MinMlu { .. } => Some(
+            (0..edges.len())
+                .filter(|&ei| edges[ei].capacity != 0.0)
+                .map(|ei| (cap_base + ei, 0.0))
+                .collect(),
+        ),
+        LoweredKind::ConcurrentFlow => Some(
+            (0..k)
+                .filter(|&ki| rp.commodities[ki].demand != 0.0)
+                .map(|ki| (demand_row(ki), 0.0))
+                .collect(),
+        ),
+    };
+    if let Some(entries) = scalar {
+        b.push_col(0.0, 0.0, &entries);
+    }
+    for ei in 0..edges.len() {
         for ki in 0..k {
-            let objective = -e.cost - fake_tie_break(rp, ei);
-            let cap_row = (k > 1).then_some(cap_base + ei);
-            push_flow_col(
-                &mut b,
-                rp,
-                &cons_row,
-                ei,
-                ki,
-                demand_row(ki),
-                cap_row,
-                e.capacity,
-                objective,
-            );
+            let cap_row = cap_rows.then_some(cap_base + ei);
+            push_flow_col(&mut b, rp, &cons_row, ei, ki, demand_row(ki), cap_row);
         }
     }
     b.build()
@@ -657,6 +740,8 @@ enum FlowReadback {
 /// fake rungs `w→v`.
 #[derive(Debug, Clone)]
 struct GadgetGroup {
+    /// Inner index of the guard edge.
+    guard: usize,
     /// Inner index of the zero-cost internal real edge.
     real: usize,
     /// Inner indices of the internal fake rungs, original-index order.
@@ -668,7 +753,7 @@ struct GadgetGroup {
 }
 
 /// The Fig. 8 node-splitting expansion of an augmented problem.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GadgetLowering {
     inner: TeProblem,
     groups: Vec<GadgetGroup>,
@@ -686,7 +771,8 @@ impl GadgetLowering {
     /// unsplittable-upgrade semantics — while edges without rungs copy
     /// through unchanged. Deterministic: original edge order drives
     /// construction, so the inner layout (and the LP tie-breaks) never
-    /// depend on map iteration order.
+    /// depend on map iteration order. The layout depends on the problem's
+    /// shape alone; [`Self::refresh`] writes its values.
     fn build(problem: &TeProblem) -> GadgetLowering {
         // Fake rungs per (link, forward), in original edge order.
         let mut rungs: BTreeMap<(usize, bool), Vec<usize>> = BTreeMap::new();
@@ -706,6 +792,8 @@ impl GadgetLowering {
         let mut inner = FlowNetwork::new(problem.net.n_nodes());
         let mut origins = Vec::new();
         let mut groups: Vec<GadgetGroup> = Vec::new();
+        // Every entry is overwritten below: each edge copies through or
+        // belongs to the group of its link direction.
         let mut readback = vec![FlowReadback::Copy(usize::MAX); problem.net.n_edges()];
         for (ei, origin) in problem.origins.iter().enumerate() {
             let e = problem.net.edge(ei);
@@ -715,28 +803,24 @@ impl GadgetLowering {
                         && real_of[&(link.0, *forward)] == ei =>
                 {
                     let fake_idx = &rungs[&(link.0, *forward)];
-                    let fake_caps: Vec<f64> =
-                        fake_idx.iter().map(|&fi| problem.net.edge(fi).capacity).collect();
-                    let combined = e.capacity + fake_caps.iter().sum::<f64>();
                     let aux = inner.add_node();
-                    inner.add_edge(e.from, aux, combined, e.cost);
+                    let guard = inner.add_edge(e.from, aux, 0.0, 0.0);
                     origins.push(EdgeOrigin::Auxiliary);
-                    let real = inner.add_edge(aux, e.to, e.capacity, 0.0);
+                    let real = inner.add_edge(aux, e.to, 0.0, 0.0);
                     origins.push(EdgeOrigin::Real { link: *link, forward: *forward });
                     let mut fakes = Vec::with_capacity(fake_idx.len());
                     for (slot, &fi) in fake_idx.iter().enumerate() {
-                        let f = problem.net.edge(fi);
-                        let inner_fake = inner.add_edge(aux, e.to, f.capacity, f.cost);
+                        fakes.push(inner.add_edge(aux, e.to, 0.0, 0.0));
                         origins.push(EdgeOrigin::Fake { link: *link, forward: *forward });
-                        fakes.push(inner_fake);
                         readback[fi] = FlowReadback::GroupFake(groups.len(), slot);
                     }
                     readback[ei] = FlowReadback::GroupReal(groups.len());
                     groups.push(GadgetGroup {
+                        guard,
                         real,
+                        real_cap: 0.0,
+                        fake_caps: vec![0.0; fakes.len()],
                         fakes,
-                        real_cap: e.capacity,
-                        fake_caps,
                     });
                 }
                 EdgeOrigin::Fake { link, forward } if real_of.contains_key(&(link.0, *forward)) => {
@@ -746,7 +830,7 @@ impl GadgetLowering {
                     // construction keys on the real edge either way).
                 }
                 _ => {
-                    let idx = inner.add_edge(e.from, e.to, e.capacity, e.cost);
+                    let idx = inner.add_edge(e.from, e.to, 0.0, 0.0);
                     origins.push(*origin);
                     readback[ei] = FlowReadback::Copy(idx);
                 }
@@ -758,7 +842,42 @@ impl GadgetLowering {
             commodities: problem.commodities.clone(),
             demands: problem.demands.clone(),
         };
-        GadgetLowering { inner, groups, readback }
+        let mut gadget = GadgetLowering { inner, groups, readback };
+        gadget.refresh(problem);
+        gadget
+    }
+
+    /// Writes `problem`'s values into the layout [`Self::build`] made for
+    /// a problem of the same shape: inner capacities and costs, each
+    /// guard's combined capacity and cost, the `real_cap` / `fake_caps`
+    /// that [`Self::map_back`] reads, and the demands.
+    fn refresh(&mut self, problem: &TeProblem) {
+        let net = &mut self.inner.net;
+        for (e, rb) in problem.net.edges().iter().zip(&self.readback) {
+            match *rb {
+                FlowReadback::Copy(idx) => {
+                    net.set_capacity(idx, e.capacity);
+                    net.set_cost(idx, e.cost);
+                }
+                FlowReadback::GroupReal(gi) => {
+                    let g = &mut self.groups[gi];
+                    g.real_cap = e.capacity;
+                    net.set_capacity(g.real, e.capacity);
+                    net.set_cost(g.guard, e.cost);
+                }
+                FlowReadback::GroupFake(gi, slot) => {
+                    let g = &mut self.groups[gi];
+                    g.fake_caps[slot] = e.capacity;
+                    net.set_capacity(g.fakes[slot], e.capacity);
+                    net.set_cost(g.fakes[slot], e.cost);
+                }
+            }
+        }
+        for g in &self.groups {
+            net.set_capacity(g.guard, g.real_cap + g.fake_caps.iter().sum::<f64>());
+        }
+        self.inner.commodities.copy_from_slice(&problem.commodities);
+        self.inner.demands.clone_from_slice(&problem.demands);
     }
 
     /// Folds inner-edge flows back onto the original edge set: each
@@ -776,13 +895,7 @@ impl GadgetLowering {
         let mut flows = vec![0.0; problem.net.n_edges()];
         for (ei, rb) in self.readback.iter().enumerate() {
             flows[ei] = match *rb {
-                FlowReadback::Copy(idx) => {
-                    if idx == usize::MAX {
-                        0.0
-                    } else {
-                        inner_flows[idx]
-                    }
-                }
+                FlowReadback::Copy(idx) => inner_flows[idx],
                 FlowReadback::GroupReal(gi) => combined[gi].min(self.groups[gi].real_cap),
                 FlowReadback::GroupFake(gi, slot) => {
                     let g = &self.groups[gi];

@@ -19,7 +19,11 @@
 //!
 //! One `TeSolver` owns the simplex engine and the warm-start state that
 //! persists across `try_solve` calls, across the whole objective zoo of
-//! [`crate::formulation`].
+//! [`crate::formulation`]. It also keeps the LP it last solved: lowering is
+//! per shape, so a problem with the last one's shape (same graph and
+//! commodities, only capacities, costs and demands moved) has its values
+//! rewritten in place rather than its LP rebuilt. A debug build checks the
+//! result against a fresh lowering on every solve.
 //!
 //! Every verdict but `Stalled` is checked against its own certificate
 //! before it is returned — an optimum by [`rwc_lp::certify`], `Infeasible`
@@ -33,7 +37,7 @@
 //! every build: it is a solver bug, like a failed `assert!`, not a
 //! property of the problem.
 
-use crate::formulation::{TeFormulation, TeObjective, TeSolve};
+use crate::formulation::{RetainedLp, TeFormulation, TeObjective, TeSolve};
 use crate::problem::{TeProblem, TeSolution};
 use crate::{TeAlgorithm, TeError};
 use rwc_lp::{Certificate, LpOutcome, SolverStats, SparseSimplexSolver};
@@ -128,6 +132,7 @@ impl TeSolverBuilder {
             formulation,
             warm_start: self.warm_start,
             solver: RefCell::default(),
+            retained: RefCell::default(),
             obs: self.observer,
         };
         solver.set_solve_timeout(self.solve_timeout);
@@ -142,6 +147,9 @@ pub struct TeSolver {
     formulation: TeFormulation,
     warm_start: WarmStartPolicy,
     solver: RefCell<SparseSimplexSolver>,
+    /// The LP of the last solve, refreshed in place while the problem's
+    /// shape holds (see [`TeFormulation::lower_retained`]).
+    retained: RefCell<Option<RetainedLp>>,
     obs: Arc<dyn Observer>,
 }
 
@@ -211,8 +219,8 @@ impl TeSolver {
         self.solve_inner(problem, true)
     }
 
-    /// Lower, solve, certify (always with `force`, else as the module docs
-    /// say), extract. The certificate handed back is the optimum's, or an
+    /// Lower (into the retained LP), solve, certify (always with `force`,
+    /// else as the module docs say), extract. The certificate handed back is the optimum's, or an
     /// all-zero one when there was no check or nothing to route.
     fn solve_inner(
         &self,
@@ -232,29 +240,34 @@ impl TeSolver {
             };
             return Ok((idle, Certificate::default()));
         }
-        let lowered = self.formulation.lower(problem)?;
-        let sp = lowered.sparse_lp();
+        let mut retained = self.retained.borrow_mut();
+        let (lowered, sp) = self.formulation.lower_retained(problem, &mut retained)?;
+        debug_assert!(
+            *sp == self.formulation.lower(problem)?.sparse_lp(),
+            "{}: the LP refreshed in place differs from a fresh lowering",
+            self.formulation.name()
+        );
         let mut solver = self.solver.borrow_mut();
         if self.warm_start == WarmStartPolicy::AlwaysCold {
             solver.reset();
         }
         let before = solver.stats();
-        let outcome = solver.solve_sparse(&sp);
+        let outcome = solver.solve_sparse(sp);
         // Every solve ends as a warm hit or a cold solve: their sum counts
         // the solves before this one.
         let sampled = (before.cold_solves + before.warm_hits).is_multiple_of(CERTIFY_EVERY);
         let checked = match &outcome {
             _ if !(force || sampled || cfg!(debug_assertions)) => None,
             LpOutcome::Optimal(point) => {
-                Some(("optimality", rwc_lp::certify(&sp, &point.x, solver.duals())))
+                Some(("optimality", rwc_lp::certify(sp, &point.x, solver.duals())))
             }
             LpOutcome::Infeasible => Some((
                 "infeasibility",
-                rwc_lp::certify_infeasible(&sp, solver.duals()),
+                rwc_lp::certify_infeasible(sp, solver.duals()),
             )),
             LpOutcome::Unbounded => {
                 let (x, d) = solver.ray();
-                Some(("unboundedness", rwc_lp::certify_unbounded(&sp, x, d)))
+                Some(("unboundedness", rwc_lp::certify_unbounded(sp, x, d)))
             }
             LpOutcome::Stalled => None,
         };

@@ -1,15 +1,19 @@
 //! Property tests: every TE solver emits feasible, demand-capped solutions
-//! on random topologies and workloads, and the solver hierarchy holds.
+//! on random topologies and workloads, and the solver hierarchy holds; and
+//! a `TeSolver` that keeps its LP across a drift sequence answers exactly
+//! as a fresh lowering of every step would.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rwc_lp::SparseSimplexSolver;
 use rwc_te::b4::B4Te;
 use rwc_te::cspf::CspfTe;
 use rwc_te::demand::{DemandMatrix, Priority};
-use rwc_te::problem::TeProblem;
+use rwc_te::problem::{EdgeOrigin, TeProblem};
 use rwc_te::swan::SwanTe;
-use rwc_te::{TeAlgorithm, TeSolver};
+use rwc_te::{TeAlgorithm, TeFormulation, TeObjective, TeSolver};
 use rwc_topology::random::{waxman, WaxmanConfig};
-use rwc_topology::WanTopology;
+use rwc_topology::{NodeId, WanTopology};
 use rwc_util::units::Gbps;
 
 fn arb_case() -> impl Strategy<Value = (WanTopology, DemandMatrix)> {
@@ -116,5 +120,147 @@ proptest! {
             prop_assert!(scaled.total >= 0.8 * base.total - 1e-6,
                 "{}: {} -> {}", algo.name(), base.total, scaled.total);
         }
+    }
+}
+
+/// A small Waxman WAN with three commodities between seeded node pairs.
+fn arb_small_problem() -> impl Strategy<Value = TeProblem> {
+    (4usize..7, 0u64..200, 50.0f64..400.0).prop_map(|(n, seed, volume)| {
+        let wan = waxman(&WaxmanConfig { n_nodes: n, seed, ..Default::default() });
+        let mut dm = DemandMatrix::new();
+        for c in 0..3 {
+            let from = (seed as usize + 2 * c) % n;
+            let to = (from + 1 + c) % n;
+            let volume = Gbps(volume * (1.0 + c as f64) / 2.0);
+            dm.add(NodeId(from), NodeId(to), volume, Priority::Elastic);
+        }
+        TeProblem::from_wan(&wan, &dm)
+    })
+}
+
+/// Drift steps `(what, which, factor)`; each property reads `what` its own
+/// way (see `drive`).
+fn arb_steps() -> impl Strategy<Value = Vec<(u8, usize, f64)>> {
+    proptest::collection::vec((0u8..6, 0usize..64, 0.5f64..1.5), 6..12)
+}
+
+/// One drift step shared by every objective: `what` 0 scales one edge's
+/// capacity, 1 sets one edge's cost, 2 scales every demand, 3 appends a
+/// fake rung parallel to a real edge. Returns `false` for any other
+/// `what`, which the caller interprets.
+fn common_drift(p: &mut TeProblem, (what, at, factor): (u8, usize, f64)) -> bool {
+    let e = at % p.net.n_edges();
+    match what {
+        0 => p.net.set_capacity(e, p.net.edge(e).capacity * factor),
+        1 => p.net.set_cost(e, factor - 0.5),
+        2 => p.commodities.iter_mut().for_each(|c| c.demand *= factor),
+        3 => {
+            // Parallel to a real edge; the rung inherits its link direction.
+            let real = (0..p.origins.len())
+                .cycle()
+                .skip(at % p.origins.len())
+                .find(|&i| matches!(p.origins[i], EdgeOrigin::Real { .. }))
+                .expect("from_wan edges are real");
+            let EdgeOrigin::Real { link, forward } = p.origins[real] else { unreachable!() };
+            let r = p.net.edge(real);
+            p.net.add_edge(r.from, r.to, 100.0 * factor, 1.0 + factor);
+            p.origins.push(EdgeOrigin::Fake { link, forward });
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Solves `base` and then every step of a drift sequence twice: on one
+/// `TeSolver`, which keeps its LP and rewrites its values while the shape
+/// holds, and on a raw engine fed a fresh `sparse_lp()` each step. Both
+/// engines see the same programs, so every answer — errors included —
+/// must be bit-identical. `special` applies the steps `common_drift`
+/// leaves to the objective.
+fn drive(
+    objective: TeObjective,
+    mut problem: TeProblem,
+    steps: &[(u8, usize, f64)],
+    mut special: impl FnMut(&mut TeProblem, &mut TeObjective, (u8, usize, f64)),
+) -> Result<(), TestCaseError> {
+    let mut solver = TeSolver::builder().objective(objective.clone()).build().unwrap();
+    let mut raw = SparseSimplexSolver::new();
+    let mut objective = objective;
+    for step in std::iter::once(None).chain(steps.iter().copied().map(Some)) {
+        if let Some(step) = step {
+            if !common_drift(&mut problem, step) {
+                special(&mut problem, &mut objective, step);
+            }
+        }
+        solver.set_objective(objective.clone()).unwrap();
+        let lowered = TeFormulation::new(objective.clone()).lower(&problem).unwrap();
+        let fresh = lowered.extract_sparse(raw.solve_sparse(&lowered.sparse_lp()));
+        prop_assert_eq!(solver.solve_detailed(&problem), fresh, "step {:?}", step);
+    }
+    Ok(())
+}
+
+/// Toggles `x` between 0 and `restore`.
+fn toggle_zero(x: &mut f64, restore: f64) {
+    *x = if *x == 0.0 { restore } else { 0.0 };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Max-throughput: capacity, cost and demand drift and fake rungs.
+    #[test]
+    fn max_throughput_retained_lp_matches_fresh(p in arb_small_problem(), steps in arb_steps()) {
+        drive(TeObjective::MaxThroughput, p, &steps, |_, _, _| {})?;
+    }
+
+    /// Min-MLU: the same drifts, traffic-matrix drift through
+    /// `set_objective`, and an edge cut to 0 and restored, which takes it
+    /// out of (and back into) the `mlu` column's pattern.
+    #[test]
+    fn min_mlu_retained_lp_matches_fresh(p in arb_small_problem(), steps in arb_steps()) {
+        let k = p.commodities.len();
+        let tms = vec![vec![60.0; k], (0..k).map(|i| 30.0 + 20.0 * i as f64).collect()];
+        let objective = TeObjective::MinMlu { traffic_matrices: tms };
+        drive(objective, p, &steps, |p, objective, (what, at, factor)| {
+            let TeObjective::MinMlu { traffic_matrices } = objective else { unreachable!() };
+            match what {
+                4 => traffic_matrices[at % 2].iter_mut().for_each(|v| *v *= factor),
+                _ => {
+                    let e = at % p.net.n_edges();
+                    let mut cap = p.net.edge(e).capacity;
+                    toggle_zero(&mut cap, 100.0 * factor);
+                    p.net.set_capacity(e, cap);
+                }
+            }
+        })?;
+    }
+
+    /// Max-concurrent-flow: the same drifts, and a commodity's demand cut
+    /// to 0 and restored, which takes it out of (and back into) the `λ`
+    /// column's pattern.
+    #[test]
+    fn concurrent_retained_lp_matches_fresh(p in arb_small_problem(), steps in arb_steps()) {
+        drive(TeObjective::MaxConcurrentFlow, p, &steps, |p, _, (_, at, factor)| {
+            let k = p.commodities.len();
+            toggle_zero(&mut p.commodities[at % k].demand, 100.0 * factor);
+        })?;
+    }
+
+    /// Unsplittable: the drifts reach the gadget's guard, rung and real
+    /// capacities and costs, and each appended rung re-lays it out.
+    #[test]
+    fn unsplittable_retained_lp_matches_fresh(p in arb_small_problem(), steps in arb_steps()) {
+        drive(TeObjective::Unsplittable, p, &steps, |p, _, (_, at, factor)| {
+            common_drift(p, (3, at, factor));
+        })?;
+    }
+
+    /// Capacity reduction: the drifts, with its deletable-slice readout.
+    #[test]
+    fn capacity_reduction_retained_lp_matches_fresh(p in arb_small_problem(), steps in arb_steps()) {
+        drive(TeObjective::CapacityReduction, p, &steps, |p, _, (_, at, factor)| {
+            common_drift(p, (0, at, factor));
+        })?;
     }
 }
