@@ -14,11 +14,10 @@
 
 use crate::augment::{augment, AugmentConfig};
 use crate::translate::translate;
-use rwc_te::demand::{DemandMatrix, Priority};
+use rwc_te::demand::DemandMatrix;
 use rwc_te::problem::TeSolution;
 use rwc_topology::graph::NodeId;
 use rwc_topology::wan::WanTopology;
-use rwc_util::units::Gbps;
 
 /// Outcome of one Theorem 1 check.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,10 +50,8 @@ pub fn check_single_commodity(
 ) -> TheoremReport {
     assert!(src != dst, "source and sink must differ");
 
-    // Left side: min-cost max-flow on G′.
-    let mut dm = DemandMatrix::new();
-    dm.add(src, dst, Gbps(f64::MAX / 4.0), Priority::Elastic);
-    // Build G′ without the demand (augment ignores demands for structure).
+    // Left side: min-cost max-flow on G′, built without demands (augment
+    // ignores them for structure).
     let aug = augment(wan, &DemandMatrix::new(), config, &[]);
     let mcmf = rwc_flow::min_cost_max_flow(&aug.problem.net, src.0, dst.0);
     let te_solution = TeSolution {
@@ -294,8 +291,10 @@ mod tests {
 
     #[test]
     fn lp_cross_validation() {
-        // The min-cost max-flow value on G′ must match the LP max-flow on
-        // the fully upgraded topology computed by rwc-lp.
+        // The min-cost max-flow value on G′ must match the exact LP TE's
+        // max-flow on the fully upgraded topology: one commodity whose
+        // demand exceeds every capacity combined.
+        use rwc_te::TeAlgorithm;
         let mut wan = builders::fig7_example();
         for (id, _) in wan.clone().links() {
             wan.set_snr(id, Db(7.5)); // only link 0 gets upgrade headroom
@@ -309,15 +308,11 @@ mod tests {
             rwc_topology::wan::LinkId(0),
             rwc_optics::Modulation::Dp16Qam200,
         );
-        let edges: Vec<(usize, usize, f64)> = upgraded
-            .links()
-            .flat_map(|(_, l)| {
-                let c = l.capacity().value();
-                [(l.a.0, l.b.0, c), (l.b.0, l.a.0, c)]
-            })
-            .collect();
-        let lp_value =
-            rwc_lp::flows::max_flow_lp_value(upgraded.n_nodes(), &edges, a.0, b.0);
+        let capacity: f64 = upgraded.links().map(|(_, l)| 2.0 * l.capacity().value()).sum();
+        let mut dm = DemandMatrix::new();
+        dm.add(a, b, rwc_util::units::Gbps(capacity + 1.0), rwc_te::demand::Priority::Elastic);
+        let problem = rwc_te::problem::TeProblem::from_wan(&upgraded, &dm);
+        let lp_value = rwc_te::TeSolver::default().solve(&problem).total;
         assert!((report.augmented_value - lp_value).abs() < 1e-6,
             "mcmf {} vs lp {lp_value}", report.augmented_value);
     }

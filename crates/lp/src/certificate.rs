@@ -24,16 +24,20 @@
 //! All three are plain loops over the CSC columns — O(nnz), no
 //! factorisation, no solver state — and the first two share the dual-side
 //! loop. Residuals are *relative*. [`certify`] scales rows to `1 + |b_r|`,
-//! bounds to `1 + u_j`, multipliers and reduced costs to `1 + ‖c‖∞` and
-//! the gap to `1 + |c·x|`: the TE objectives weigh their headline quantity
-//! at `1e6`, so an absolute tolerance would either refuse every correct
-//! solve or accept wrong ones. A Farkas vector and a ray have no scale of
-//! their own, so each of their sums is measured against `‖y‖∞` (or
-//! `‖d‖∞`) plus the magnitudes of its terms: the verdict does not move
-//! when either vector is multiplied by a positive constant.
+//! bounds to `1 + u_j`, multipliers and reduced costs to `1 + ‖c‖∞`, and
+//! the gap to one plus the magnitudes both objectives are summed from:
+//! `|c_j·x_j|`, `|y_r·b_r|`, and for each bound term `u_j·d_j` the
+//! magnitudes `|c_j|` and `|y_r·a_rj|` its reduced cost cancels. The TE
+//! objectives weigh their headline quantity at `1e6`, so an absolute
+//! tolerance would either refuse every correct solve or accept wrong
+//! ones; nor may the gap's scale shrink with `c·x`, since at a zero
+//! optimum the bound terms still round to `1e-16·1e6`, not 0. A Farkas
+//! vector and a ray have no scale of their own, so each of their sums is
+//! measured against `‖y‖∞` (or `‖d‖∞`) plus the magnitudes of its terms:
+//! the verdict does not move when either vector is multiplied by a
+//! positive constant.
 
-use crate::model::Relation;
-use crate::sparse::SparseLp;
+use crate::sparse::{Relation, SparseLp};
 use std::fmt;
 
 /// Largest relative residual a certificate may carry. The revised simplex
@@ -49,7 +53,8 @@ pub struct Certificate {
     /// Worst multiplier-sign or reduced-cost violation.
     pub dual: f64,
     /// The objective test, relative. [`certify`]: the duality gap
-    /// `|c·x − (y·b + Σ u_j·max(d_j, 0))|`, at most the tolerance.
+    /// `|c·x − (y·b + Σ u_j·max(d_j, 0))|` over the magnitudes both sides
+    /// are summed from, at most the tolerance.
     /// [`certify_infeasible`]: the reach, below minus the tolerance.
     /// [`certify_unbounded`]: the ascent `c·d`, above the tolerance.
     pub gap: f64,
@@ -189,6 +194,11 @@ struct DualSide {
     objective: f64,
     /// The sum of the magnitudes of `objective`'s terms.
     magnitude: f64,
+    /// `magnitude` with each bound term `u_j·d_j` counted at the
+    /// magnitudes its reduced cost is summed from,
+    /// `u_j·(|c_j| + Σ_r |y_r·a_rj|)`: what rounding in `objective` scales
+    /// with when `d_j` cancels large numbers.
+    summands: f64,
 }
 
 /// What [`certify`] (objective `c`) and [`certify_infeasible`] (`c = 0`,
@@ -207,17 +217,23 @@ fn dual_side(
         wrong_sign: 0.0,
         objective: 0.0,
         magnitude: 0.0,
+        summands: 0.0,
     };
     for j in 0..lp.n_vars() {
         let (rows, vals) = lp.a.col(j);
         let mut d = objective.map_or(0.0, |c| c[j]);
+        let mut terms = d.abs();
         for (&r, &v) in rows.iter().zip(vals) {
             d -= y[r] * v;
+            terms += (y[r] * v).abs();
         }
         let u = lp.upper[j];
         if u.is_finite() {
             side.objective += u * d.max(0.0);
             side.magnitude += u * d.max(0.0);
+            if d > 0.0 {
+                side.summands += u * terms;
+            }
         }
         column(j, d);
     }
@@ -230,6 +246,7 @@ fn dual_side(
         side.wrong_sign = side.wrong_sign.max(wrong);
         side.objective += yr * lp.rhs[r];
         side.magnitude += (yr * lp.rhs[r]).abs();
+        side.summands += (yr * lp.rhs[r]).abs();
     }
     side
 }
@@ -243,11 +260,13 @@ pub fn certify(lp: &SparseLp, x: &[f64], y: &[f64]) -> Result<Certificate, Certi
     check_vector("y", y, lp.n_rows())?;
     let c_scale = 1.0 + lp.objective.iter().fold(0.0f64, |s, c| s.max(c.abs()));
     let mut ax = vec![0.0; lp.n_rows()];
-    let (mut primal, mut dual, mut primal_objective) = (0.0f64, 0.0f64, 0.0);
+    let (mut primal, mut dual) = (0.0f64, 0.0f64);
+    let (mut primal_objective, mut primal_summands) = (0.0, 0.0);
     let side = dual_side(lp, Some(&lp.objective), y, |j, d| {
         let (xj, u) = (x[j], lp.upper[j]);
         primal = primal.max(primal_column(lp, j, xj, &mut ax));
         primal_objective += lp.objective[j] * xj;
+        primal_summands += (lp.objective[j] * xj).abs();
         let at_lower = xj <= CERTIFICATE_TOL;
         let at_upper = u.is_finite() && xj >= u - CERTIFICATE_TOL * (1.0 + u);
         let wrong = match (at_lower, at_upper) {
@@ -262,7 +281,8 @@ pub fn certify(lp: &SparseLp, x: &[f64], y: &[f64]) -> Result<Certificate, Certi
     let cert = Certificate {
         primal,
         dual: dual.max(side.wrong_sign / c_scale),
-        gap: (primal_objective - side.objective).abs() / (1.0 + primal_objective.abs()),
+        gap: (primal_objective - side.objective).abs()
+            / (1.0 + primal_summands + side.summands),
     };
     if cert.primal > CERTIFICATE_TOL {
         Err(CertificateError::PrimalInfeasible(cert))
@@ -430,12 +450,13 @@ mod tests {
     fn slack_row_with_a_live_multiplier_is_refused_as_gap() {
         // x = (0, 6) is feasible and y = 2.5 dual-feasible for it (d_x < 0
         // at zero, d_y = 0), yet the row is 6 short of tight: the only
-        // thing wrong is the 15 between the two objectives.
+        // thing wrong is the 15 between the two objectives, 30 and 45,
+        // each a single term (no bound term: d_y is not positive).
         let (lp, _, _) = textbook();
         match certify(&lp, &[0.0, 6.0], &[2.5]) {
             Err(CertificateError::Gap(c)) => {
                 assert_eq!((c.primal, c.dual), (0.0, 0.0));
-                assert!((c.gap - 15.0 / 31.0).abs() < 1e-12, "{c}");
+                assert!((c.gap - 15.0 / (1.0 + 30.0 + 45.0)).abs() < 1e-12, "{c}");
             }
             other => panic!("{other:?}"),
         }

@@ -39,10 +39,9 @@
 //! [`SolverStats::warm_singular`], [`SolverStats::repair_aborts`],
 //! [`SolverStats::repair_pivots`].
 
-use crate::model::{LinearProgram, Relation};
 use crate::lu::{Eta, LuFactors};
 use crate::pricing::CandidateList;
-use crate::sparse::SparseLp;
+use crate::sparse::{Relation, SparseLp};
 use std::time::{Duration, Instant};
 
 const TOL: f64 = 1e-9;
@@ -347,30 +346,15 @@ impl SparseSimplexSolver {
         }
     }
 
-    /// Solves a dense-model LP by lowering it to sparse computational
-    /// form first; pivot budget scaled to the problem size.
-    pub fn solve(&mut self, lp: &LinearProgram) -> LpOutcome {
-        lp.validate().expect("invalid LP");
-        let sp = SparseLp::from_dense(lp);
-        let budget = default_budget(&sp);
-        self.solve_sparse_with_budget(&sp, budget)
-    }
-
-    /// Solves a dense-model LP with an explicit per-phase pivot budget.
-    pub fn solve_with_budget(&mut self, lp: &LinearProgram, max_pivots: u64) -> LpOutcome {
-        lp.validate().expect("invalid LP");
-        let sp = SparseLp::from_dense(lp);
-        self.solve_sparse_with_budget(&sp, max_pivots)
-    }
-
-    /// Solves a sparse LP with the default pivot budget.
+    /// Solves `lp` with a pivot budget scaled to the problem size.
     pub fn solve_sparse(&mut self, lp: &SparseLp) -> LpOutcome {
         self.solve_sparse_with_budget(lp, default_budget(lp))
     }
 
-    /// Solves a sparse LP with an explicit per-phase pivot budget,
-    /// warm-starting from the previous solve's basis when the structural
-    /// pattern allows it.
+    /// Solves `lp` with an explicit per-phase pivot budget, warm-starting
+    /// from the previous solve's basis when the structural pattern allows
+    /// it. A spent budget is [`LpOutcome::Stalled`], which callers should
+    /// surface as a solver error.
     pub fn solve_sparse_with_budget(&mut self, lp: &SparseLp, max_pivots: u64) -> LpOutcome {
         lp.validate().expect("invalid LP");
 
@@ -1301,41 +1285,27 @@ fn default_budget(lp: &SparseLp) -> u64 {
     100_000u64.max(50 * (m + n))
 }
 
-/// Solves an LP (maximisation, `x ≥ 0`) with a pivot budget scaled to the
-/// problem size. One-shot: use a persistent [`SparseSimplexSolver`] to
-/// amortise allocation and warm-start.
-pub fn solve(lp: &LinearProgram) -> LpOutcome {
-    SparseSimplexSolver::new().solve(lp)
-}
-
-/// Solves an LP, one-shot, with an explicit per-phase pivot budget.
-/// Returns [`LpOutcome::Stalled`] when the budget runs out, which callers
-/// should surface as a solver error.
-pub fn solve_with_budget(lp: &LinearProgram, max_pivots: u64) -> LpOutcome {
-    SparseSimplexSolver::new().solve_with_budget(lp, max_pivots)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::model::LpBuilder;
     use crate::sparse::SparseLpBuilder;
+
+    const INF: f64 = f64::INFINITY;
 
     fn assert_near(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
     }
 
+    /// A one-shot solve on a fresh solver.
+    fn solve(lp: &SparseLp) -> LpOutcome {
+        SparseSimplexSolver::new().solve_sparse(lp)
+    }
+
     #[test]
     fn textbook_two_var() {
         // max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 → x=2, y=6, z=36.
-        // The two singleton rows lower to bounds; only one row remains.
-        let mut b = LpBuilder::new();
-        let x = b.add_var(3.0);
-        let y = b.add_var(5.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, 4.0);
-        b.add_constraint(&[(y, 2.0)], Relation::Le, 12.0);
-        b.add_constraint(&[(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-        let s = solve(&b.build()).expect_optimal();
+        // The two singletons are the bounds x ≤ 4, y ≤ 6; one row remains.
+        let s = solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         assert_near(s.objective, 36.0);
         assert_near(s.x[0], 2.0);
         assert_near(s.x[1], 6.0);
@@ -1343,11 +1313,11 @@ pub(crate) mod tests {
 
     #[test]
     fn equality_constraints() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        let y = b.add_var(1.0);
-        b.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, 3.0);
+        // max x + y st x + y = 5, x ≤ 3 (a bound).
+        let mut b = SparseLpBuilder::new(1);
+        b.set_row(0, Relation::Eq, 5.0);
+        b.push_col(1.0, 3.0, &[(0, 1.0)]);
+        b.push_col(1.0, INF, &[(0, 1.0)]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.objective, 5.0);
         assert_near(s.x[0] + s.x[1], 5.0);
@@ -1356,11 +1326,11 @@ pub(crate) mod tests {
     #[test]
     fn ge_constraints() {
         // min x + 2y st x + y >= 4, y >= 1 (as max of negation).
-        let mut b = LpBuilder::new();
-        let x = b.add_var(-1.0);
-        let y = b.add_var(-2.0);
-        b.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
-        b.add_constraint(&[(y, 1.0)], Relation::Ge, 1.0);
+        let mut b = SparseLpBuilder::new(2);
+        b.set_row(0, Relation::Ge, 4.0);
+        b.set_row(1, Relation::Ge, 1.0);
+        b.push_col(-1.0, INF, &[(0, 1.0)]);
+        b.push_col(-2.0, INF, &[(0, 1.0), (1, 1.0)]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.objective, -5.0);
         assert_near(s.x[0], 3.0);
@@ -1369,27 +1339,27 @@ pub(crate) mod tests {
 
     #[test]
     fn infeasible_detected() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
+        // x ≥ 2 against the bound x ≤ 1.
+        let mut b = SparseLpBuilder::new(1);
+        b.set_row(0, Relation::Ge, 2.0);
+        b.push_col(1.0, 1.0, &[(0, 1.0)]);
         assert_eq!(solve(&b.build()), LpOutcome::Infeasible);
     }
 
     #[test]
     fn unbounded_detected() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        b.add_constraint(&[(x, -1.0)], Relation::Le, 1.0);
+        let mut b = SparseLpBuilder::new(1);
+        b.set_row(0, Relation::Le, 1.0);
+        b.push_col(1.0, INF, &[(0, -1.0)]);
         assert_eq!(solve(&b.build()), LpOutcome::Unbounded);
     }
 
     #[test]
     fn negative_rhs_normalised() {
         // -x <= -2 means x >= 2; max -x → x = 2.
-        let mut b = LpBuilder::new();
-        let x = b.add_var(-1.0);
-        b.add_constraint(&[(x, -1.0)], Relation::Le, -2.0);
+        let mut b = SparseLpBuilder::new(1);
+        b.set_row(0, Relation::Le, -2.0);
+        b.push_col(-1.0, INF, &[(0, -1.0)]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.x[0], 2.0);
         assert_near(s.objective, -2.0);
@@ -1397,13 +1367,12 @@ pub(crate) mod tests {
 
     #[test]
     fn degenerate_vertices_terminate() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        let y = b.add_var(1.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
-        b.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
-        b.add_constraint(&[(x, 2.0), (y, 1.0)], Relation::Le, 2.0);
-        b.add_constraint(&[(y, 1.0)], Relation::Le, 1.0);
+        // max x + y st x + y ≤ 1, 2x + y ≤ 2, x ≤ 1, y ≤ 1 (bounds).
+        let mut b = SparseLpBuilder::new(2);
+        b.set_row(0, Relation::Le, 1.0);
+        b.set_row(1, Relation::Le, 2.0);
+        b.push_col(1.0, 1.0, &[(0, 1.0), (1, 2.0)]);
+        b.push_col(1.0, 1.0, &[(0, 1.0), (1, 1.0)]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.objective, 1.0);
     }
@@ -1413,31 +1382,22 @@ pub(crate) mod tests {
         // Beale's classic cycling example: Dantzig pricing with naive tie
         // breaks cycles forever. Partial pricing + the Bland fallback must
         // terminate at the optimum, z = 0.05 (x = (1/25, 0, 1, 0)).
-        let mut b = LpBuilder::new();
-        let x1 = b.add_var(0.75);
-        let x2 = b.add_var(-150.0);
-        let x3 = b.add_var(0.02);
-        let x4 = b.add_var(-6.0);
-        b.add_constraint(
-            &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        );
-        b.add_constraint(
-            &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        b.add_constraint(&[(x3, 1.0)], Relation::Le, 1.0);
+        let mut b = SparseLpBuilder::new(2);
+        b.set_row(0, Relation::Le, 0.0);
+        b.set_row(1, Relation::Le, 0.0);
+        b.push_col(0.75, INF, &[(0, 0.25), (1, 0.5)]);
+        b.push_col(-150.0, INF, &[(0, -60.0), (1, -90.0)]);
+        b.push_col(0.02, 1.0, &[(0, -0.04), (1, -0.02)]);
+        b.push_col(-6.0, INF, &[(0, 9.0), (1, 3.0)]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.objective, 0.05);
     }
 
     #[test]
     fn zero_objective_finds_feasible_point() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(0.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Eq, 7.0);
+        let mut b = SparseLpBuilder::new(1);
+        b.set_row(0, Relation::Eq, 7.0);
+        b.push_col(0.0, INF, &[(0, 1.0)]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.x[0], 7.0);
         assert_near(s.objective, 0.0);
@@ -1445,12 +1405,10 @@ pub(crate) mod tests {
 
     #[test]
     fn pure_bound_program_flips_to_upper() {
-        // Every row lowers to a bound: m = 0, solved by bound flips only.
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        let y = b.add_var(1.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, 5.0);
-        b.add_constraint(&[(y, 1.0)], Relation::Le, 3.0);
+        // Only bounds: m = 0, solved by bound flips only.
+        let mut b = SparseLpBuilder::new(0);
+        b.push_col(1.0, 5.0, &[]);
+        b.push_col(1.0, 3.0, &[]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.objective, 8.0);
         assert_near(s.x[0], 5.0);
@@ -1459,20 +1417,30 @@ pub(crate) mod tests {
 
     #[test]
     fn solution_satisfies_all_constraints() {
-        let mut b = LpBuilder::new();
-        let vars: Vec<usize> = (0..4).map(|i| b.add_var([2.0, -1.0, 3.0, 0.5][i])).collect();
-        b.add_constraint(&[(vars[0], 1.0), (vars[1], 1.0), (vars[2], 1.0)], Relation::Le, 10.0);
-        b.add_constraint(&[(vars[2], 1.0), (vars[3], 2.0)], Relation::Le, 8.0);
-        b.add_constraint(&[(vars[0], 1.0), (vars[3], -1.0)], Relation::Ge, 1.0);
-        b.add_constraint(&[(vars[1], 1.0), (vars[2], 1.0)], Relation::Eq, 4.0);
+        // x0 + x1 + x2 ≤ 10, x2 + 2x3 ≤ 8, x0 − x3 ≥ 1, x1 + x2 = 4.
+        let mut b = SparseLpBuilder::new(4);
+        b.set_row(0, Relation::Le, 10.0);
+        b.set_row(1, Relation::Le, 8.0);
+        b.set_row(2, Relation::Ge, 1.0);
+        b.set_row(3, Relation::Eq, 4.0);
+        b.push_col(2.0, INF, &[(0, 1.0), (2, 1.0)]);
+        b.push_col(-1.0, INF, &[(0, 1.0), (3, 1.0)]);
+        b.push_col(3.0, INF, &[(0, 1.0), (1, 1.0), (3, 1.0)]);
+        b.push_col(0.5, INF, &[(1, 2.0), (2, -1.0)]);
         let lp = b.build();
         let s = solve(&lp).expect_optimal();
-        for c in &lp.constraints {
-            let lhs: f64 = c.coeffs.iter().zip(&s.x).map(|(a, x)| a * x).sum();
-            match c.op {
-                Relation::Le => assert!(lhs <= c.rhs + 1e-6, "{lhs} <= {}", c.rhs),
-                Relation::Ge => assert!(lhs >= c.rhs - 1e-6, "{lhs} >= {}", c.rhs),
-                Relation::Eq => assert!((lhs - c.rhs).abs() < 1e-6, "{lhs} = {}", c.rhs),
+        let mut ax = vec![0.0; lp.n_rows()];
+        for (j, xj) in s.x.iter().enumerate() {
+            let (rows, vals) = lp.a.col(j);
+            for (&r, &a) in rows.iter().zip(vals) {
+                ax[r] += a * xj;
+            }
+        }
+        for (r, (&lhs, &rhs)) in ax.iter().zip(&lp.rhs).enumerate() {
+            match lp.rel[r] {
+                Relation::Le => assert!(lhs <= rhs + 1e-6, "{lhs} <= {rhs}"),
+                Relation::Ge => assert!(lhs >= rhs - 1e-6, "{lhs} >= {rhs}"),
+                Relation::Eq => assert!((lhs - rhs).abs() < 1e-6, "{lhs} = {rhs}"),
             }
         }
         assert!(s.x.iter().all(|&v| v >= -1e-9));
@@ -1480,11 +1448,12 @@ pub(crate) mod tests {
 
     #[test]
     fn maximum_matches_hand_dual() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(4.0);
-        let y = b.add_var(3.0);
-        b.add_constraint(&[(x, 2.0), (y, 1.0)], Relation::Le, 10.0);
-        b.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 15.0);
+        // max 4x + 3y st 2x + y ≤ 10, x + 3y ≤ 15.
+        let mut b = SparseLpBuilder::new(2);
+        b.set_row(0, Relation::Le, 10.0);
+        b.set_row(1, Relation::Le, 15.0);
+        b.push_col(4.0, INF, &[(0, 2.0), (1, 1.0)]);
+        b.push_col(3.0, INF, &[(0, 1.0), (1, 3.0)]);
         let s = solve(&b.build()).expect_optimal();
         assert_near(s.objective, 24.0);
         assert_near(s.x[0], 3.0);
@@ -1550,24 +1519,24 @@ pub(crate) mod tests {
 
     // --- warm-start behaviour ----------------------------------------
 
-    fn textbook(r1: f64, r2: f64, r3: f64) -> LinearProgram {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(3.0);
-        let y = b.add_var(5.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, r1);
-        b.add_constraint(&[(y, 2.0)], Relation::Le, r2);
-        b.add_constraint(&[(x, 3.0), (y, 2.0)], Relation::Le, r3);
+    /// `max 3x + 5y  s.t.  x ≤ r1,  2y ≤ r2,  3x + 2y ≤ r3`: the first two
+    /// are the bounds of `x` and `y`, the third the one row.
+    fn textbook(r1: f64, r2: f64, r3: f64) -> SparseLp {
+        let mut b = SparseLpBuilder::new(1);
+        b.set_row(0, Relation::Le, r3);
+        b.push_col(3.0, r1, &[(0, 3.0)]);
+        b.push_col(5.0, r2 / 2.0, &[(0, 2.0)]);
         b.build()
     }
 
     #[test]
     fn warm_resolve_matches_cold_after_rhs_drift() {
         let mut solver = SparseSimplexSolver::new();
-        solver.solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         assert_eq!(solver.stats().cold_solves, 1);
         for (r1, r2, r3) in [(4.5, 11.0, 18.0), (4.0, 12.0, 17.0), (3.0, 13.0, 19.0)] {
             let lp = textbook(r1, r2, r3);
-            let warm = solver.solve(&lp).expect_optimal();
+            let warm = solver.solve_sparse(&lp).expect_optimal();
             let cold = solve(&lp).expect_optimal();
             assert_near(warm.objective, cold.objective);
         }
@@ -1579,10 +1548,10 @@ pub(crate) mod tests {
     #[test]
     fn dual_repair_rescues_rhs_only_drift() {
         let mut solver = SparseSimplexSolver::new();
-        solver.solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         // x's capacity collapses below the x=2 the old basis carried.
         let lp = textbook(1.0, 12.0, 18.0);
-        let warm = solver.solve(&lp).expect_optimal();
+        let warm = solver.solve_sparse(&lp).expect_optimal();
         let cold = solve(&lp).expect_optimal();
         assert_near(warm.objective, cold.objective);
         let stats = solver.stats();
@@ -1593,28 +1562,28 @@ pub(crate) mod tests {
     #[test]
     fn warm_falls_back_when_basis_goes_infeasible() {
         let mut solver = SparseSimplexSolver::new();
-        solver.solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         let lp = textbook(0.5, 1.0, 1.0);
-        let warm = solver.solve(&lp).expect_optimal();
+        let warm = solver.solve_sparse(&lp).expect_optimal();
         let cold = solve(&lp).expect_optimal();
         assert_near(warm.objective, cold.objective);
     }
 
     #[test]
     fn warm_resolve_with_equalities() {
+        // max x + y st x + y = 5, x ≤ cap (a bound).
         let build = |cap: f64| {
-            let mut b = LpBuilder::new();
-            let x = b.add_var(1.0);
-            let y = b.add_var(1.0);
-            b.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
-            b.add_constraint(&[(x, 1.0)], Relation::Le, cap);
+            let mut b = SparseLpBuilder::new(1);
+            b.set_row(0, Relation::Eq, 5.0);
+            b.push_col(1.0, cap, &[(0, 1.0)]);
+            b.push_col(1.0, INF, &[(0, 1.0)]);
             b.build()
         };
         let mut solver = SparseSimplexSolver::new();
-        let first = solver.solve(&build(3.0)).expect_optimal();
+        let first = solver.solve_sparse(&build(3.0)).expect_optimal();
         assert_near(first.objective, 5.0);
         for cap in [2.5, 2.0, 3.5, 1.0] {
-            let warm = solver.solve(&build(cap)).expect_optimal();
+            let warm = solver.solve_sparse(&build(cap)).expect_optimal();
             let cold = solve(&build(cap)).expect_optimal();
             assert_near(warm.objective, cold.objective);
         }
@@ -1871,7 +1840,7 @@ pub(crate) mod tests {
         let mut solver = SparseSimplexSolver::new();
         for i in 0..5 {
             let lp = textbook(4.0 + i as f64 * 0.1, 12.0, 18.0);
-            solver.solve(&lp).expect_optimal();
+            solver.solve_sparse(&lp).expect_optimal();
         }
         let stats = solver.stats();
         assert!(stats.warm_hits <= stats.warm_attempts);
@@ -1885,9 +1854,9 @@ pub(crate) mod tests {
     #[test]
     fn reset_forces_cold() {
         let mut solver = SparseSimplexSolver::new();
-        solver.solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         solver.reset();
-        solver.solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         assert_eq!(solver.stats().warm_attempts, 0);
         assert_eq!(solver.stats().cold_solves, 2);
     }
@@ -1896,7 +1865,7 @@ pub(crate) mod tests {
     fn generous_watchdog_never_fires() {
         let mut solver = SparseSimplexSolver::new();
         solver.set_solve_timeout(Some(Duration::from_secs(60)));
-        solver.solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         assert_eq!(solver.stats().watchdog_aborts, 0);
     }
 
@@ -1905,7 +1874,7 @@ pub(crate) mod tests {
         let mut solver = SparseSimplexSolver::new();
         solver.set_solve_timeout(Some(Duration::from_millis(1)));
         solver.set_pivot_delay(Some(Duration::from_millis(10)));
-        let outcome = solver.solve(&textbook(4.0, 12.0, 18.0));
+        let outcome = solver.solve_sparse(&textbook(4.0, 12.0, 18.0));
         assert_eq!(outcome, LpOutcome::Stalled);
         assert_eq!(solver.stats().watchdog_aborts, 1);
     }
@@ -1913,23 +1882,24 @@ pub(crate) mod tests {
     #[test]
     fn watchdog_aborted_warm_attempt_falls_back_to_cold() {
         let mut solver = SparseSimplexSolver::new();
-        solver.solve(&textbook(4.0, 12.0, 18.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 18.0)).expect_optimal();
         let cold_before = solver.stats().cold_solves;
         solver.set_solve_timeout(Some(Duration::from_millis(1)));
         solver.set_pivot_delay(Some(Duration::from_millis(10)));
-        let outcome = solver.solve(&textbook(4.0, 12.0, 17.0));
+        let outcome = solver.solve_sparse(&textbook(4.0, 12.0, 17.0));
         assert_eq!(outcome, LpOutcome::Stalled);
         let stats = solver.stats();
         assert!(stats.watchdog_aborts >= 2, "stats: {stats:?}");
         assert_eq!(stats.cold_solves, cold_before + 1);
         solver.set_solve_timeout(None);
         solver.set_pivot_delay(None);
-        solver.solve(&textbook(4.0, 12.0, 17.0)).expect_optimal();
+        solver.solve_sparse(&textbook(4.0, 12.0, 17.0)).expect_optimal();
     }
 
     #[test]
     fn budget_exhaustion_stalls() {
         let lp = textbook(4.0, 12.0, 18.0);
-        assert_eq!(solve_with_budget(&lp, 0), LpOutcome::Stalled);
+        let outcome = SparseSimplexSolver::new().solve_sparse_with_budget(&lp, 0);
+        assert_eq!(outcome, LpOutcome::Stalled);
     }
 }

@@ -1,14 +1,14 @@
-//! Sparse LP representation: CSC matrix + bounded-variable program.
+//! The LP model: a CSC matrix over bounded variables.
 //!
 //! The revised simplex in [`crate::revised`] consumes a [`SparseLp`]: a
 //! compressed-sparse-column constraint matrix over *bounded* variables
-//! (`0 ≤ x_j ≤ u_j`, with `u_j = ∞` allowed). Bounds absorb what the
-//! dense model writes as singleton rows — a capacity constraint
-//! `x_j ≤ cap` becomes a plain upper bound, which removes one row *and*
-//! one slack column per capacity from the basis the LU factorisation has
-//! to carry. [`SparseLp::from_dense`] performs exactly that lowering
-//! (singleton-row → bound presolve) on a dense [`LinearProgram`], so the
-//! solver accepts either model type.
+//! (`0 ≤ x_j ≤ u_j`, with `u_j = ∞` allowed), built column by column with
+//! [`SparseLpBuilder`]. It is the only model type. A constraint on one
+//! variable is written as that variable's bound, not as a row: the TE
+//! lowering gives a one-commodity flow column its edge's capacity as
+//! `upper`, which keeps one row *and* one slack column per capacity out
+//! of the basis the LU factorisation has to carry. Nothing rewrites rows
+//! into bounds afterwards; there is no presolve.
 //!
 //! The per-column *pattern hashes* ([`SparseLp::column_pattern_hashes`])
 //! are the mapped warm start's key: a saved basis is reusable when the
@@ -16,7 +16,16 @@
 //! which is what lets dirty-link augmentation (fake-edge columns appended
 //! at the end) keep the factorisation instead of falling back cold.
 
-use crate::model::{LinearProgram, Relation};
+/// Constraint relation of a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relation {
+    /// `≤`
+    Le,
+    /// `=`
+    Eq,
+    /// `≥`
+    Ge,
+}
 
 /// A compressed-sparse-column matrix.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -137,79 +146,11 @@ impl SparseLp {
     pub fn column_pattern_hashes(&self) -> Vec<u64> {
         (0..self.a.n_cols).map(|j| self.a.col_pattern_hash(j)).collect()
     }
-
-    /// Lowers a dense [`LinearProgram`] into sparse computational form.
-    ///
-    /// Singleton-row presolve: a row `a·x_j ≤ b` with a single positive
-    /// coefficient and non-negative rhs is equivalent to the bound
-    /// `x_j ≤ b/a` — it is absorbed into `upper` instead of becoming a
-    /// row. This is deliberately conservative (only `≤`, only `a > 0`,
-    /// only `b ≥ 0`) so the transformation can never change the feasible
-    /// region over `x ≥ 0`; capacity rows match exactly, and the
-    /// eligibility predicate depends on the pattern plus rhs *sign*, both
-    /// stable under per-round capacity drift — drifting capacities move a
-    /// bound, never the row layout.
-    pub fn from_dense(lp: &LinearProgram) -> SparseLp {
-        let n = lp.n_vars();
-        let mut upper = vec![f64::INFINITY; n];
-        let mut keep: Vec<&crate::model::Constraint> = Vec::with_capacity(lp.constraints.len());
-        for c in &lp.constraints {
-            let mut nz = c.coeffs.iter().enumerate().filter(|(_, &v)| v != 0.0);
-            let single = match (nz.next(), nz.next()) {
-                (Some((j, &a)), None) => Some((j, a)),
-                _ => None,
-            };
-            match single {
-                Some((j, a)) if c.op == Relation::Le && a > 0.0 && c.rhs >= 0.0 => {
-                    let bound = c.rhs / a;
-                    if bound < upper[j] {
-                        upper[j] = bound;
-                    }
-                }
-                _ => keep.push(c),
-            }
-        }
-        // Dense rows arrive row-major; build CSC by counting then filling.
-        let m = keep.len();
-        let mut counts = vec![0usize; n];
-        for c in &keep {
-            for (j, &v) in c.coeffs.iter().enumerate() {
-                if v != 0.0 {
-                    counts[j] += 1;
-                }
-            }
-        }
-        let mut col_ptr = vec![0usize; n + 1];
-        for j in 0..n {
-            col_ptr[j + 1] = col_ptr[j] + counts[j];
-        }
-        let nnz = col_ptr[n];
-        let mut row_idx = vec![0usize; nnz];
-        let mut values = vec![0.0f64; nnz];
-        let mut next = col_ptr.clone();
-        for (r, c) in keep.iter().enumerate() {
-            for (j, &v) in c.coeffs.iter().enumerate() {
-                if v != 0.0 {
-                    let slot = next[j];
-                    next[j] += 1;
-                    row_idx[slot] = r;
-                    values[slot] = v;
-                }
-            }
-        }
-        SparseLp {
-            objective: lp.objective.clone(),
-            a: CscMatrix { n_rows: m, n_cols: n, col_ptr, row_idx, values },
-            rel: keep.iter().map(|c| c.op).collect(),
-            rhs: keep.iter().map(|c| c.rhs).collect(),
-            upper,
-        }
-    }
 }
 
-/// Incremental [`SparseLp`] construction, mirroring [`crate::LpBuilder`]
-/// but emitting CSC columns directly — the TE lowering uses this to build
-/// the LP edge-major without a dense intermediate.
+/// Incremental [`SparseLp`] construction: rows are declared up front,
+/// columns appended with their objective coefficient, upper bound and
+/// entries. The TE lowering builds its LP edge-major with it.
 #[derive(Debug, Clone)]
 pub struct SparseLpBuilder {
     m: usize,
@@ -268,56 +209,6 @@ impl SparseLpBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::LpBuilder;
-
-    #[test]
-    fn from_dense_extracts_capacity_bounds() {
-        // x <= 4 (singleton) becomes a bound; the 2-var row stays.
-        let mut b = LpBuilder::new();
-        let x = b.add_var(3.0);
-        let y = b.add_var(5.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, 4.0);
-        b.add_constraint(&[(y, 2.0)], Relation::Le, 12.0);
-        b.add_constraint(&[(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-        let sp = SparseLp::from_dense(&b.build());
-        assert_eq!(sp.n_rows(), 1, "both singletons absorbed into bounds");
-        assert_eq!(sp.upper, vec![4.0, 6.0]);
-        assert_eq!(sp.a.col(0), (&[0usize][..], &[3.0][..]));
-        assert_eq!(sp.a.col(1), (&[0usize][..], &[2.0][..]));
-        sp.validate().unwrap();
-    }
-
-    #[test]
-    fn negative_coefficient_singletons_stay_rows() {
-        // -x <= 1 is a LOWER bound in disguise; must remain a row.
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        b.add_constraint(&[(x, -1.0)], Relation::Le, 1.0);
-        let sp = SparseLp::from_dense(&b.build());
-        assert_eq!(sp.n_rows(), 1);
-        assert_eq!(sp.upper, vec![f64::INFINITY]);
-    }
-
-    #[test]
-    fn ge_and_eq_singletons_stay_rows() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Eq, 3.0);
-        let sp = SparseLp::from_dense(&b.build());
-        assert_eq!(sp.n_rows(), 2);
-    }
-
-    #[test]
-    fn duplicate_singletons_take_min_bound() {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        b.add_constraint(&[(x, 1.0)], Relation::Le, 9.0);
-        b.add_constraint(&[(x, 2.0)], Relation::Le, 10.0);
-        let sp = SparseLp::from_dense(&b.build());
-        assert_eq!(sp.upper, vec![5.0]);
-        assert_eq!(sp.n_rows(), 0);
-    }
 
     #[test]
     fn pattern_hash_ignores_values_tracks_rows() {

@@ -12,11 +12,10 @@
 //! they solved different programs).
 
 use proptest::prelude::*;
-use rwc_lp::model::{LinearProgram, LpBuilder, Relation};
-use rwc_lp::{certify, LpOutcome, SparseLp, SparseSimplexSolver};
+use rwc_lp::{certify, LpOutcome, Relation, SparseLp, SparseLpBuilder, SparseSimplexSolver};
 use std::time::Duration;
 
-/// A random multi-commodity-flow instance in dense `LinearProgram` form:
+/// A random multi-commodity-flow instance, lowered to a [`SparseLp`]:
 /// per-commodity flow variables on each directed edge, conservation
 /// equalities at interior nodes, a demand cap at each source, shared
 /// capacity rows, and a maximise-delivery objective.
@@ -31,9 +30,10 @@ struct McfInstance {
 
 impl McfInstance {
     /// Lowers the instance with the given capacity multipliers (one per
-    /// edge; pass `&[]` for unscaled). Multipliers only touch rhs values,
-    /// never the sparsity pattern — exactly what TE capacity drift does.
-    fn lower(&self, cap_scale: &[f64]) -> LinearProgram {
+    /// edge; pass `&[]` for unscaled). Multipliers only touch rhs values
+    /// and bounds, never the sparsity pattern — exactly what TE capacity
+    /// drift does.
+    fn lower(&self, cap_scale: &[f64]) -> SparseLp {
         self.lower_edges(&self.edges, cap_scale, false)
     }
 
@@ -44,7 +44,7 @@ impl McfInstance {
     /// augmentation). Every flow is also bounded by its edge's capacity,
     /// as the TE lowering bounds its columns, so `cap_scale` drifts
     /// bounds as well as rhs values.
-    fn lower_augmented(&self, cap_scale: &[f64], fakes: &[(usize, f64)]) -> LinearProgram {
+    fn lower_augmented(&self, cap_scale: &[f64], fakes: &[(usize, f64)]) -> SparseLp {
         let mut edges = self.edges.clone();
         for &(e, extra) in fakes {
             let (from, to, _) = self.edges[e % self.edges.len()];
@@ -54,73 +54,68 @@ impl McfInstance {
     }
 
     /// Lowers `edges` — `self.edges` plus any fake ones, which cost 0.01
-    /// per unit — with per-flow bound rows when `bounded`.
+    /// per unit — with every flow bounded by its edge's capacity when
+    /// `bounded`. Rows: conservation (commodity-major, every interior
+    /// node: the ring gives each one an edge), one demand cap per
+    /// commodity, then one shared capacity row per edge. With a single
+    /// commodity that row would hold one column, so it is that column's
+    /// bound instead, as in the TE lowering.
     fn lower_edges(
         &self,
         edges: &[(usize, usize, f64)],
         cap_scale: &[f64],
         bounded: bool,
-    ) -> LinearProgram {
-        let m = edges.len();
-        let k = self.commodities.len();
-        let mut b = LpBuilder::new();
+    ) -> SparseLp {
+        let (n, k) = (self.n_nodes, self.commodities.len());
+        let mut cons = vec![None; k * n];
+        let mut n_cons = 0;
+        for (ci, &(src, sink, _)) in self.commodities.iter().enumerate() {
+            for node in (0..n).filter(|&v| v != src && v != sink) {
+                cons[ci * n + node] = Some(n_cons);
+                n_cons += 1;
+            }
+        }
+        let shared = k > 1;
+        let cap_base = n_cons + k;
+        let mut b = SparseLpBuilder::new(cap_base + if shared { edges.len() } else { 0 });
+        for r in 0..n_cons {
+            b.set_row(r, Relation::Eq, 0.0);
+        }
+        for (ci, &(_, _, demand)) in self.commodities.iter().enumerate() {
+            b.set_row(n_cons + ci, Relation::Le, demand);
+        }
         // x[e*k + c]: flow of commodity c on edge e, rewarded at the
         // source so total delivery is maximised.
-        let mut vars = Vec::with_capacity(m * k);
-        for (ei, &(from, _, _)) in edges.iter().enumerate() {
-            for &(src, _, _) in &self.commodities {
+        for (ei, &(from, to, cap)) in edges.iter().enumerate() {
+            let cap = cap * cap_scale.get(ei).copied().unwrap_or(1.0);
+            if shared {
+                b.set_row(cap_base + ei, Relation::Le, cap);
+            }
+            let upper = if bounded || !shared { cap } else { f64::INFINITY };
+            for (ci, &(src, _, _)) in self.commodities.iter().enumerate() {
+                // Inflow counts +1 at the head, outflow −1 at the tail.
+                let mut entries: Vec<(usize, f64)> = [(to, 1.0), (from, -1.0)]
+                    .into_iter()
+                    .filter_map(|(node, v)| cons[ci * n + node].map(|r| (r, v)))
+                    .collect();
+                entries.sort_by_key(|&(r, _)| r);
+                // Net outflow at the source, capped by the demand.
+                let out = if from == src {
+                    1.0
+                } else if to == src {
+                    -1.0
+                } else {
+                    0.0
+                };
+                if out != 0.0 {
+                    entries.push((n_cons + ci, out));
+                }
+                if shared {
+                    entries.push((cap_base + ei, 1.0));
+                }
                 let reward = if from == src { 1.0 } else { 0.0 };
                 let fake_cost = if ei < self.edges.len() { 0.0 } else { 0.01 };
-                vars.push(b.add_var(reward - 0.001 * (ei % 3) as f64 - fake_cost));
-            }
-        }
-        let var = |ei: usize, ci: usize| vars[ei * k + ci];
-        // Conservation at interior nodes: inflow == outflow.
-        for (ci, &(src, sink, _)) in self.commodities.iter().enumerate() {
-            for node in 0..self.n_nodes {
-                if node == src || node == sink {
-                    continue;
-                }
-                let mut terms = Vec::new();
-                for (ei, &(from, to, _)) in edges.iter().enumerate() {
-                    if to == node {
-                        terms.push((var(ei, ci), 1.0));
-                    } else if from == node {
-                        terms.push((var(ei, ci), -1.0));
-                    }
-                }
-                if !terms.is_empty() {
-                    b.add_constraint(&terms, Relation::Eq, 0.0);
-                }
-            }
-        }
-        // Demand cap: net outflow at each source is at most the demand.
-        for (ci, &(src, _, demand)) in self.commodities.iter().enumerate() {
-            let mut terms = Vec::new();
-            for (ei, &(from, to, _)) in edges.iter().enumerate() {
-                if from == src {
-                    terms.push((var(ei, ci), 1.0));
-                } else if to == src {
-                    terms.push((var(ei, ci), -1.0));
-                }
-            }
-            if !terms.is_empty() {
-                b.add_constraint(&terms, Relation::Le, demand);
-            }
-        }
-        // Shared capacity per edge.
-        for (ei, &(_, _, cap)) in edges.iter().enumerate() {
-            let scale = cap_scale.get(ei).copied().unwrap_or(1.0);
-            let terms: Vec<(usize, f64)> = (0..k).map(|ci| (var(ei, ci), 1.0)).collect();
-            b.add_constraint(&terms, Relation::Le, cap * scale);
-        }
-        if bounded {
-            // Singleton rows: the sparse lowering turns them into bounds.
-            for (ei, &(_, _, cap)) in edges.iter().enumerate() {
-                let scale = cap_scale.get(ei).copied().unwrap_or(1.0);
-                for ci in 0..k {
-                    b.add_constraint(&[(var(ei, ci), 1.0)], Relation::Le, cap * scale);
-                }
+                b.push_col(reward - 0.001 * (ei % 3) as f64 - fake_cost, upper, &entries);
             }
         }
         b.build()
@@ -162,15 +157,15 @@ fn mcf_instances() -> impl Strategy<Value = McfInstance> {
 
 /// Solves `lp` on `solver`, certifies the optimum against the solver's
 /// own multipliers, and returns the objective.
-fn certified_objective(solver: &mut SparseSimplexSolver, lp: &LinearProgram) -> f64 {
-    let point = solver.solve(lp).expect_optimal();
-    certify(&SparseLp::from_dense(lp), &point.x, solver.duals())
+fn certified_objective(solver: &mut SparseSimplexSolver, lp: &SparseLp) -> f64 {
+    let point = solver.solve_sparse(lp).expect_optimal();
+    certify(lp, &point.x, solver.duals())
         .unwrap_or_else(|refused| panic!("{refused} after {:?}", solver.stats()));
     point.objective
 }
 
 /// The certified objective of a fresh (cold) solver.
-fn cold_objective(lp: &LinearProgram) -> f64 {
+fn cold_objective(lp: &SparseLp) -> f64 {
     certified_objective(&mut SparseSimplexSolver::new(), lp)
 }
 
@@ -247,19 +242,21 @@ proptest! {
     #[test]
     fn degenerate_duplicated_rows_terminate_and_agree(inst in mcf_instances()) {
         let base = inst.lower(&[]);
-        let mut b = LpBuilder::new();
-        let vars: Vec<usize> = base.objective.iter().map(|&o| b.add_var(o)).collect();
-        for con in &base.constraints {
-            let terms: Vec<(usize, f64)> = con
-                .coeffs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != 0.0)
-                .map(|(j, &v)| (vars[j], v))
-                .collect();
-            for _ in 0..2 {
-                b.add_constraint(&terms, con.op, con.rhs);
+        // Rows 2r and 2r + 1 are both row r; bounds stay bounds.
+        let mut b = SparseLpBuilder::new(2 * base.n_rows());
+        for r in 0..base.n_rows() {
+            for twin in [2 * r, 2 * r + 1] {
+                b.set_row(twin, base.rel[r], base.rhs[r]);
             }
+        }
+        for j in 0..base.n_vars() {
+            let (rows, vals) = base.a.col(j);
+            let entries: Vec<(usize, f64)> = rows
+                .iter()
+                .zip(vals)
+                .flat_map(|(&r, &v)| [(2 * r, v), (2 * r + 1, v)])
+                .collect();
+            b.push_col(base.objective[j], base.upper[j], &entries);
         }
         let doubled = cold_objective(&b.build());
         let plain = cold_objective(&base);
@@ -312,7 +309,7 @@ proptest! {
                 let cold = cold_objective(&lp);
                 prop_assert!((cold - chained).abs() <= 1e-6 * (1.0 + cold.abs()),
                     "cold {cold} vs chained {chained}");
-                let rows = SparseLp::from_dense(&lp).n_rows() as u64;
+                let rows = lp.n_rows() as u64;
                 let repair = after.repair_pivots - before.repair_pivots;
                 prop_assert!(repair <= rows, "{repair} repair pivots on {rows} rows");
                 if !fakes.is_empty() {
@@ -339,7 +336,7 @@ proptest! {
         solver.set_solve_timeout(Some(Duration::ZERO));
         solver.set_pivot_delay(Some(Duration::from_micros(10)));
         let lp = inst.lower(&[]);
-        let outcome = solver.solve(&lp);
+        let outcome = solver.solve_sparse(&lp);
         prop_assert!(matches!(outcome, LpOutcome::Stalled),
             "expected Stalled, got {outcome:?}");
         prop_assert!(solver.stats().watchdog_aborts >= 1);
@@ -551,23 +548,24 @@ fn fig8_unsplittable_fixture_integral_optimum() {
 /// fails, and the solver must fall back to a cold solve — correctly.
 #[test]
 fn singular_basis_falls_back_to_cold() {
+    // max x + y s.t. a0·x + b0·y ≤ 10, a1·x + b1·y ≤ 10.
     let build = |a0: f64, a1: f64, b0: f64, b1: f64| {
-        let mut b = LpBuilder::new();
-        let x = b.add_var(1.0);
-        let y = b.add_var(1.0);
-        b.add_constraint(&[(x, a0), (y, b0)], Relation::Le, 10.0);
-        b.add_constraint(&[(x, a1), (y, b1)], Relation::Le, 10.0);
+        let mut b = SparseLpBuilder::new(2);
+        b.set_row(0, Relation::Le, 10.0);
+        b.set_row(1, Relation::Le, 10.0);
+        b.push_col(1.0, f64::INFINITY, &[(0, a0), (1, a1)]);
+        b.push_col(1.0, f64::INFINITY, &[(0, b0), (1, b1)]);
         b.build()
     };
     let mut solver = SparseSimplexSolver::new();
     // max x + y s.t. x + 2y <= 10, 2x + y <= 10: optimum 20/3 with both
     // structurals basic.
-    let first = solver.solve(&build(1.0, 2.0, 2.0, 1.0)).expect_optimal();
+    let first = solver.solve_sparse(&build(1.0, 2.0, 2.0, 1.0)).expect_optimal();
     assert!((first.objective - 20.0 / 3.0).abs() < 1e-6);
     assert_eq!(solver.stats().cold_solves, 1);
     // Same sparsity pattern, but both columns are now [1, 1]: the saved
     // basis matrix is singular. Optimum of the new LP is x + y = 10.
-    let second = solver.solve(&build(1.0, 1.0, 1.0, 1.0)).expect_optimal();
+    let second = solver.solve_sparse(&build(1.0, 1.0, 1.0, 1.0)).expect_optimal();
     assert!((second.objective - 10.0).abs() < 1e-6, "got {}", second.objective);
     assert_eq!(
         solver.stats().cold_solves,

@@ -3,8 +3,26 @@
 //! the feasible polygon — checkable by hand).
 
 use proptest::prelude::*;
-use rwc_lp::model::{LinearProgram, LpBuilder, Relation};
-use rwc_lp::{solve, LpOutcome, SparseSimplexSolver};
+use rwc_lp::{LpOutcome, Relation, SparseLp, SparseLpBuilder, SparseSimplexSolver};
+
+/// A one-shot solve on a fresh solver.
+fn solve(lp: &SparseLp) -> LpOutcome {
+    SparseSimplexSolver::new().solve_sparse(lp)
+}
+
+/// `max c.0·x + c.1·y` over the rows `a·x + b·y ≤ c` (`(a, b, c)`), both
+/// variables bounded by `upper`.
+fn two_var(objective: (f64, f64), rows: &[(f64, f64, f64)], upper: f64) -> SparseLp {
+    let mut b = SparseLpBuilder::new(rows.len());
+    for (r, &(_, _, c)) in rows.iter().enumerate() {
+        b.set_row(r, Relation::Le, c);
+    }
+    let x: Vec<(usize, f64)> = rows.iter().enumerate().map(|(r, &(a, _, _))| (r, a)).collect();
+    let y: Vec<(usize, f64)> = rows.iter().enumerate().map(|(r, &(_, bb, _))| (r, bb)).collect();
+    b.push_col(objective.0, upper, &x);
+    b.push_col(objective.1, upper, &y);
+    b.build()
+}
 
 /// Brute-force a 2-var LP: enumerate candidate vertices (constraint-pair
 /// intersections + axis intersections + origin), keep the feasible ones,
@@ -59,17 +77,12 @@ proptest! {
     ) {
         // All-positive coefficients with positive rhs ⇒ feasible (origin)
         // and bounded (every direction eventually blocked when the
-        // objective is non-positive... ensure boundedness by adding a box).
-        let mut b = LpBuilder::new();
-        let x = b.add_var(cx);
-        let y = b.add_var(cy);
+        // objective is non-positive... ensure boundedness by adding a box,
+        // which the LP states as bounds).
         let mut cons: Vec<(f64, f64, f64)> = rows.clone();
         cons.push((1.0, 0.0, 50.0)); // box: x ≤ 50
         cons.push((0.0, 1.0, 50.0)); // box: y ≤ 50
-        for &(a, bb, c) in &cons {
-            b.add_constraint(&[(x, a), (y, bb)], Relation::Le, c);
-        }
-        let lp = b.build();
+        let lp = two_var((cx, cy), &rows, 50.0);
         let expected = brute_force_2var((cx, cy), &cons).expect("origin is feasible");
         match solve(&lp) {
             LpOutcome::Optimal(s) => {
@@ -94,13 +107,7 @@ proptest! {
         rows in proptest::collection::vec((0.1f64..5.0, 0.1f64..5.0, 0.5f64..20.0), 1..5),
     ) {
         let solve_with = |ocx: f64, ocy: f64| -> f64 {
-            let mut b = LpBuilder::new();
-            let x = b.add_var(ocx);
-            let y = b.add_var(ocy);
-            for &(a, bb, c) in &rows {
-                b.add_constraint(&[(x, a), (y, bb)], Relation::Le, c);
-            }
-            solve(&b.build()).expect_optimal().objective
+            solve(&two_var((ocx, ocy), &rows, f64::INFINITY)).expect_optimal().objective
         };
         let base = solve_with(cx, cy);
         let scaled = solve_with(k * cx, k * cy);
@@ -124,26 +131,27 @@ proptest! {
         let mut rows: Vec<([f64; 3], f64)> =
             base_rows.iter().map(|&(a, b, c, r)| ([a, b, c], r)).collect();
         let mut extra_row = false;
-        let build = |rows: &[([f64; 3], f64)], extra_row: bool| -> LinearProgram {
-            let mut b = LpBuilder::new();
-            let vars: Vec<usize> = objs.iter().map(|&o| b.add_var(o)).collect();
-            for (coef, rhs) in rows {
-                let terms: Vec<(usize, f64)> =
-                    vars.iter().zip(coef).map(|(&v, &a)| (v, a)).collect();
-                b.add_constraint(&terms, Relation::Le, *rhs);
-            }
-            for &v in &vars {
-                b.add_constraint(&[(v, 1.0)], Relation::Le, 50.0); // keep it bounded
+        let build = |rows: &[([f64; 3], f64)], extra_row: bool| -> SparseLp {
+            let mut b = SparseLpBuilder::new(rows.len() + usize::from(extra_row));
+            for (r, (_, rhs)) in rows.iter().enumerate() {
+                b.set_row(r, Relation::Le, *rhs);
             }
             if extra_row {
-                let terms: Vec<(usize, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-                b.add_constraint(&terms, Relation::Le, 120.0);
+                b.set_row(rows.len(), Relation::Le, 120.0);
+            }
+            for (j, &o) in objs.iter().enumerate() {
+                let mut entries: Vec<(usize, f64)> =
+                    rows.iter().enumerate().map(|(r, (coef, _))| (r, coef[j])).collect();
+                if extra_row {
+                    entries.push((rows.len(), 1.0));
+                }
+                b.push_col(o, 50.0, &entries); // keep it bounded
             }
             b.build()
         };
         let mut warm = SparseSimplexSolver::new();
         let lp0 = build(&rows, extra_row);
-        let w0 = warm.solve(&lp0).expect_optimal().objective;
+        let w0 = warm.solve_sparse(&lp0).expect_optimal().objective;
         let c0 = solve(&lp0).expect_optimal().objective;
         prop_assert!((w0 - c0).abs() < 1e-6 * (1.0 + c0.abs()));
         let mut same_shape_steps = 0u64;
@@ -169,7 +177,7 @@ proptest! {
                 same_shape_steps += 1;
             }
             let lp = build(&rows, extra_row);
-            let w = warm.solve(&lp).expect_optimal().objective;
+            let w = warm.solve_sparse(&lp).expect_optimal().objective;
             let c = solve(&lp).expect_optimal().objective;
             prop_assert!((w - c).abs() < 1e-6 * (1.0 + c.abs()),
                 "warm {w} vs cold {c} after step kind={kind} idx={idx} factor={factor}");

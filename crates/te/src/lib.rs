@@ -32,6 +32,8 @@
 pub mod b4;
 pub mod cspf;
 pub mod demand;
+#[cfg(test)]
+mod flows;
 pub mod formulation;
 pub mod metrics;
 pub mod problem;

@@ -420,6 +420,22 @@ mod tests {
     }
 
     #[test]
+    fn stranded_demand_certifies_a_zero_optimum() {
+        // Sink 4 has no edge at all: the optimum routes nothing. Its dual
+        // objective is a sum of bound terms whose reduced costs cancel
+        // 1e6-sized summands and land on ~1e-16 rather than 0, so the gap
+        // is measured against those summands, not against |c·x| = 0.
+        let mut net = rwc_flow::network::FlowNetwork::new(5);
+        net.add_edge(0, 2, 13.852597145338395, 7.655785127151828);
+        net.add_edge(2, 1, 9.670034774025012, 2.5106764514238646);
+        net.add_edge(1, 3, 13.082883278833664, 3.285072653241942);
+        let p = crate::flows::te_problem(&net, &[(0, 4, 37.60551519819707)]);
+        let (solve, certificate) = TeSolver::default().solve_certified(&p).unwrap();
+        assert_eq!(solve.solution.total, 0.0);
+        assert!(certificate.gap <= rwc_lp::CERTIFICATE_TOL, "{certificate}");
+    }
+
+    #[test]
     fn te_certified_counts_the_sampled_solves() {
         let metrics = Arc::new(rwc_obs::MetricsObserver::new());
         let solver = TeSolver::builder()

@@ -8,7 +8,8 @@ use rwc::core::translate::translate;
 use rwc::flow::network::FlowNetwork;
 use rwc::optics::ModulationTable;
 use rwc::te::demand::{DemandMatrix, Priority};
-use rwc::te::problem::TeSolution;
+use rwc::te::problem::{Commodity, EdgeOrigin, TeProblem, TeSolution};
+use rwc::te::{TeAlgorithm, TeSolver};
 use rwc::topology::graph::NodeId;
 use rwc::topology::WanTopology;
 use rwc::util::stats::highest_density_interval;
@@ -30,6 +31,25 @@ fn arb_wan() -> impl Strategy<Value = WanTopology> {
     })
 }
 
+/// `TeSolver`'s optimum on one commodity `source → sink` whose demand
+/// exceeds every capacity combined: with the `1e6` throughput weight,
+/// edge cost is an exact lexicographic tie-break (every path costs less),
+/// so it is a min-cost max-flow. Returns its value and cost.
+fn te_min_cost_max_flow(net: &FlowNetwork, source: usize, sink: usize) -> (f64, f64) {
+    let demand = 1.0 + net.edges().iter().map(|e| e.capacity).sum::<f64>();
+    let mut dm = DemandMatrix::new();
+    dm.add(NodeId(source), NodeId(sink), Gbps(demand), Priority::Elastic);
+    let problem = TeProblem {
+        net: net.clone(),
+        origins: vec![EdgeOrigin::Auxiliary; net.n_edges()],
+        commodities: vec![Commodity { source, sink, demand }],
+        demands: dm.demands().to_vec(),
+    };
+    let sol = TeSolver::default().solve(&problem);
+    let cost = sol.edge_flows.iter().zip(net.edges()).map(|(f, e)| f * e.cost).sum();
+    (sol.total, cost)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -40,17 +60,15 @@ proptest! {
         edges in proptest::collection::vec((0usize..6, 0usize..6, 0.5f64..20.0), 4..18)
     ) {
         let mut net = FlowNetwork::new(6);
-        let mut edge_list = Vec::new();
         for (u, v, cap) in edges {
             if u != v {
                 net.add_edge(u, v, cap, 0.0);
-                edge_list.push((u, v, cap));
             }
         }
-        prop_assume!(!edge_list.is_empty());
+        prop_assume!(net.n_edges() > 0);
         let flow = rwc::flow::max_flow(&net, 0, 5);
         prop_assert!(flow.validate(&net, 0, 5).is_ok());
-        let lp = rwc::lp::flows::max_flow_lp_value(6, &edge_list, 0, 5);
+        let (lp, _) = te_min_cost_max_flow(&net, 0, 5);
         prop_assert!((flow.value - lp).abs() < 1e-6, "dinic {} vs lp {}", flow.value, lp);
     }
 
@@ -62,17 +80,15 @@ proptest! {
             (0usize..5, 0usize..5, 1.0f64..15.0, 0.0f64..10.0), 4..14)
     ) {
         let mut net = FlowNetwork::new(5);
-        let mut edge_list = Vec::new();
         for (u, v, cap, cost) in edges {
             if u != v {
                 net.add_edge(u, v, cap, cost);
-                edge_list.push((u, v, cap, cost));
             }
         }
-        prop_assume!(!edge_list.is_empty());
+        prop_assume!(net.n_edges() > 0);
         let mc = rwc::flow::min_cost_max_flow(&net, 0, 4);
         prop_assert!(mc.flow.validate(&net, 0, 4).is_ok());
-        let (lp_value, lp_cost) = rwc::lp::flows::min_cost_max_flow_lp(5, &edge_list, 0, 4);
+        let (lp_value, lp_cost) = te_min_cost_max_flow(&net, 0, 4);
         prop_assert!((mc.flow.value - lp_value).abs() < 1e-6);
         prop_assert!(mc.cost <= lp_cost + 1e-6, "ssp cost {} vs lp {}", mc.cost, lp_cost);
         prop_assert!(mc.cost >= lp_cost - 1e-6, "ssp cost {} vs lp {}", mc.cost, lp_cost);
@@ -119,7 +135,6 @@ proptest! {
             ..Default::default()
         };
         let aug = augment(&wan, &demands, &cfg, &[]);
-        use rwc::te::TeAlgorithm;
         let sol = rwc::te::swan::SwanTe::default().solve(&aug.problem);
         let tr = translate(&aug, &wan, &sol).unwrap();
         // Aggregate flow preserved by folding.
