@@ -143,6 +143,8 @@ struct DaemonInner {
     kill: AtomicBool,
     draining: AtomicBool,
     paused: AtomicBool,
+    /// Per shard: has seen `paused` and stays off its queue.
+    parked: Vec<AtomicBool>,
     /// The daemon's own registry: `serve.*` counters and events.
     obs: Arc<MetricsObserver>,
     /// Incrementally merged pipeline metrics for O(1) `/metrics` scrapes
@@ -261,6 +263,7 @@ impl DaemonInner {
                 }
             }
             if self.paused.load(Ordering::Acquire) && !self.draining.load(Ordering::Acquire) {
+                self.parked[shard].store(true, Ordering::Release);
                 std::thread::sleep(PAUSE_WAIT);
                 continue;
             }
@@ -506,6 +509,7 @@ impl Daemon {
             kill: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             paused: AtomicBool::new(false),
+            parked: (0..n_shards).map(|_| AtomicBool::new(false)).collect(),
             obs,
             pipeline: Mutex::new(MetricsObserver::new().snapshot()),
             slots: Mutex::new((0..n_links).map(|_| None).collect()),
@@ -659,9 +663,24 @@ impl Daemon {
 
     /// Holds shards off the queues (deterministic overload staging for
     /// tests and chaos drills). Ingest keeps running and backpressure
-    /// applies exactly.
+    /// applies exactly. Returns once every live shard is parked: a shard
+    /// already blocked in a pop when the flag goes up would otherwise
+    /// still take the next offer.
     pub fn pause_processing(&self) {
-        self.inner.paused.store(true, Ordering::Release);
+        let inner = &self.inner;
+        for parked in &inner.parked {
+            parked.store(false, Ordering::Release);
+        }
+        inner.paused.store(true, Ordering::Release);
+        let unparked = |s: usize| {
+            inner.healthy[s].load(Ordering::Acquire) && !inner.parked[s].load(Ordering::Acquire)
+        };
+        while (0..inner.cfg.n_shards).any(unparked)
+            && !inner.draining.load(Ordering::Acquire)
+            && !inner.kill.load(Ordering::Acquire)
+        {
+            std::thread::sleep(PAUSE_WAIT);
+        }
     }
 
     /// Releases [`Daemon::pause_processing`].

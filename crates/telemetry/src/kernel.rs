@@ -4,8 +4,8 @@
 //! clones the full trace to sort it for the HDR, then rescans all ~88k
 //! samples once per modulation rung for episode detection — ~6 redundant
 //! memory passes and two transient allocations per link, times 2,000+
-//! links. [`FleetKernel`] computes the identical result in **one data pass
-//! plus one O(n) sort**:
+//! links. [`FleetKernel`] computes the identical result in **one data pass,
+//! one gather pass and a sort of ~1k readings**:
 //!
 //! - samples stream straight from
 //!   [`FleetGenerator::generate_link_into`] into a buffer the kernel reuses
@@ -17,17 +17,20 @@
 //!   of thresholds at or below the sample. Episodes open and close only
 //!   when `f` moves — O(n + episode edges) instead of O(n × rungs), with
 //!   floor updates bounded by the (rare) failing samples;
-//! - the HDR comes from [`rwc_util::stats::hdi_of_unsorted`] over a reused
-//!   buffer: the 95% window scan only reads the two 5% tails of the sorted
-//!   order, so two `select_nth` partitions plus tail sorts replace the
-//!   full sort of a fresh clone — still exact, never a full O(n log n).
+//! - the HDR comes from an [`HdiLocator`]: the same scan counts every
+//!   sample into one of 10,241 buckets ordered like `f64::total_cmp`, the
+//!   counts bound every 95% window's width per bucket pair, and only the
+//!   ~1k samples in buckets that can hold the narrowest window are
+//!   gathered (one more pass, no copy of the trace) and sorted — exact,
+//!   with no full sort and no selection.
 //!
 //! Every arithmetic step reproduces [`LinkAnalysis::new`]'s operation
 //! order (same left-fold sums, same `f64::min`/`max` folds, same strict
-//! `<` threshold test, same sorted sequence feeding the HDI), so fused
-//! output is **bit-identical** to it. `LinkAnalysis::new` stays as the
-//! test oracle — pinned by tests here and by the byte-identity proptests
-//! in `tests/kernel_equivalence.rs` — but no fleet path calls it.
+//! `<` threshold test, the same sorted values at every window position the
+//! HDI could pick), so fused output is **bit-identical** to it.
+//! `LinkAnalysis::new` stays as the test oracle — pinned by tests here and
+//! by the byte-identity tests in `tests/kernel_equivalence.rs`, which run
+//! at the paper's 913-day length — but no fleet path calls it.
 
 use crate::analysis::{FailureEpisode, LinkAnalysis, STATIC_CAPACITY};
 use crate::generator::FleetGenerator;
@@ -36,7 +39,7 @@ use crate::process::BatchScratch;
 use crate::trace::SnrTrace;
 use rwc_obs::{Event as ObsEvent, Observer};
 use rwc_optics::{Modulation, ModulationTable};
-use rwc_util::stats::hdi_of_unsorted;
+use rwc_util::stats::HdiLocator;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::{Db, Gbps};
 use std::sync::Arc;
@@ -50,8 +53,8 @@ use std::sync::Arc;
 pub struct FleetKernel {
     /// Streamed sample buffer (the would-be trace).
     samples: Vec<f64>,
-    /// Working copy of the samples for the HDR's partial sort.
-    sorted: Vec<f64>,
+    /// Per-bucket sample counts that locate the HDR.
+    hdi: HdiLocator,
     /// Ladder thresholds in dB, ascending (cached per table).
     thresholds: Vec<f64>,
     /// Per-rung open episode: `(start index, running floor)`.
@@ -70,7 +73,7 @@ impl Default for FleetKernel {
     fn default() -> Self {
         Self {
             samples: Vec::new(),
-            sorted: Vec::new(),
+            hdi: HdiLocator::new(),
             thresholds: Vec::new(),
             open: Vec::new(),
             batch_scratch: BatchScratch::default(),
@@ -148,7 +151,8 @@ impl FleetKernel {
             self.obs.incr("fleet.samples", values.len() as u64);
         }
 
-        // One generation-order pass: moments + every rung's episodes.
+        // One generation-order pass: moments, the HDR's bucket counts and
+        // every rung's episodes.
         let mut sum = 0.0;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
@@ -158,6 +162,7 @@ impl FleetKernel {
             sum += v;
             min = min.min(v);
             max = max.max(v);
+            self.hdi.add(v);
             // Feasibility rung: thresholds ascending, a sample fails rung k
             // iff v < t_k (strict, matching `episodes_below`), so failing
             // rungs are exactly the suffix `f..`. Healthy samples clear the
@@ -233,13 +238,11 @@ impl FleetKernel {
             self.obs.incr("fleet.episodes", episodes);
         }
 
-        // One O(n) selection feeds the HDR: only the two tails the window
-        // scan reads get sorted, and they carry the same values as a
-        // full comparison sort (traces are finite and positive, so
-        // comparison order and IEEE total order agree).
-        self.sorted.clear();
-        self.sorted.extend_from_slice(values);
-        let (low, high) = hdi_of_unsorted(&mut self.sorted, PAPER_COVERAGE);
+        // The counts narrow the HDR down to the few buckets that can hold
+        // it; the locator sorts only those, in IEEE total order, which is
+        // the comparison order of the oracle's finite samples. The scan's
+        // min and max bound the buckets its prefix sums walk.
+        let (low, high) = self.hdi.locate(values, PAPER_COVERAGE, (min, max));
         let hdr = Hdr { low: Db(low), high: Db(high), coverage: PAPER_COVERAGE };
 
         let feasible = table.feasible(hdr.feasibility_floor());

@@ -7,12 +7,16 @@
 //! never-failing links, and episodes still open at trace end — with
 //! serialized JSON bytes as the equality oracle, so every field (episode
 //! geometry, floors, HDR edges, moments) participates in the comparison.
+//! The randomized cases are short; the paper-length fleet and the crafted
+//! long traces at the end give the HDR locator thousands-long tails, ties
+//! at the window's edge ranks and runs that straddle a bucket edge.
 
 use proptest::prelude::*;
 use rwc_optics::ModulationTable;
 use rwc_telemetry::analysis::LinkAnalysis;
 use rwc_telemetry::trace::SnrTrace;
 use rwc_telemetry::{FleetAccumulator, FleetConfig, FleetGenerator, FleetKernel};
+use rwc_util::rng::Xoshiro256;
 use rwc_util::time::{SimDuration, SimTime};
 
 /// Sample vectors spanning the kernel's episode-geometry edge cases. The
@@ -91,4 +95,101 @@ proptest! {
             serde_json::to_string(&legacy).expect("legacy serializes")
         );
     }
+}
+
+/// Fused and oracle analyses of `samples` serialize to the same bytes.
+fn assert_fused_matches_oracle(samples: Vec<f64>, what: &str) {
+    let trace = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, samples);
+    let table = ModulationTable::paper_default();
+    let fused = FleetKernel::new().analyze_trace(&trace, &table);
+    let legacy = LinkAnalysis::new(&trace, &table);
+    assert_eq!(
+        serde_json::to_string(&fused).expect("fused serializes"),
+        serde_json::to_string(&legacy).expect("legacy serializes"),
+        "{what}: fused kernel diverged from LinkAnalysis::new"
+    );
+}
+
+/// `sorted` in a seeded random order, as a trace arrives.
+fn shuffled(mut sorted: Vec<f64>, seed: u64) -> Vec<f64> {
+    Xoshiro256::seed_from_u64(seed).shuffle(&mut sorted);
+    sorted
+}
+
+/// The paper's horizon, 913 days of 87,648 readings per link, on 16 links
+/// of the paper's fleet, one kernel reused across all of them.
+#[test]
+fn paper_length_fleet_is_byte_identical() {
+    let gen = FleetGenerator::new(FleetConfig {
+        n_fibers: 4,
+        wavelengths_per_fiber: 4,
+        ..FleetConfig::paper()
+    });
+    let table = ModulationTable::paper_default();
+    let mut kernel = FleetKernel::new();
+    for link_id in 0..gen.n_links() {
+        let fused = kernel.analyze_generated(&gen, link_id, &table);
+        let legacy = LinkAnalysis::new(&gen.link(link_id).trace, &table);
+        assert_eq!(fused.hdr.low, legacy.hdr.low, "link {link_id}: HDR floor");
+        assert_eq!(
+            serde_json::to_string(&fused).expect("fused serializes"),
+            serde_json::to_string(&legacy).expect("legacy serializes"),
+            "link {link_id} diverged"
+        );
+    }
+}
+
+/// Long finite traces built to sit on the HDR locator's edges.
+#[test]
+fn crafted_long_traces_are_byte_identical() {
+    let n = 4000;
+    let k = (0.95 * n as f64).ceil() as usize;
+    let tail = n - k;
+    // A ramp whose readings at sorted ranks `tail` and `k - 1` each tie
+    // with their neighbours, so equal-width windows compete there.
+    let mut ramp: Vec<f64> = (0..n).map(|i| 11.0 + i as f64 * 1e-4).collect();
+    for at in [tail, k - 1] {
+        let v = ramp[at];
+        ramp[at - 2..=at + 2].fill(v);
+    }
+    assert_fused_matches_oracle(shuffled(ramp, 1), "ties at ranks tail and k-1");
+
+    // Runs of equal readings on both sides of a bucket edge: 12 dB opens a
+    // bucket, the float below it closes the previous one.
+    let below = f64::from_bits(12.0f64.to_bits() - 1);
+    let mut edge: Vec<f64> = Vec::with_capacity(n);
+    edge.extend(std::iter::repeat_n(below, 1500));
+    edge.extend(std::iter::repeat_n(12.0, 1500));
+    edge.extend((0..n - 3000).map(|i| 11.5 + i as f64 * 1e-3));
+    assert_fused_matches_oracle(shuffled(edge, 2), "equal runs across a bucket edge");
+
+    // Readings below 1/16 dB and above 64 dB, in the clamped edge buckets,
+    // both as outliers and as the bulk of a trace.
+    let mut outliers: Vec<f64> = (0..n).map(|i| 12.0 + (i % 97) as f64 * 0.01).collect();
+    for i in (0..n).step_by(50) {
+        outliers[i] = 0.01 + (i % 7) as f64 * 0.005;
+    }
+    for i in (25..n).step_by(90) {
+        outliers[i] = 64.0 + (i % 5) as f64 * 10.0;
+    }
+    assert_fused_matches_oracle(outliers, "edge-bucket outliers");
+    let low: Vec<f64> = (0..n).map(|i| 0.001 + (i % 61) as f64 * 1e-3).collect();
+    assert_fused_matches_oracle(low, "every reading below 1/16 dB");
+    let high: Vec<f64> = (0..n).map(|i| 70.0 + (i % 43) as f64 * 0.1).collect();
+    assert_fused_matches_oracle(high, "every reading above 64 dB");
+
+    // Signed zeros and subnormals in the low tail of a healthy trace.
+    let mut zeros: Vec<f64> = (0..n).map(|i| 12.5 + (i % 31) as f64 * 0.003).collect();
+    for (i, v) in [-0.0, 0.0, f64::from_bits(1), -f64::from_bits(1), f64::MIN_POSITIVE / 4.0]
+        .into_iter()
+        .cycle()
+        .take(3 * tail / 2)
+        .enumerate()
+    {
+        zeros[i * 2] = v;
+    }
+    assert_fused_matches_oracle(zeros, "signed zeros and subnormals");
+
+    // A constant trace: every window has width zero, the first one wins.
+    assert_fused_matches_oracle(vec![12.3; n], "constant trace");
 }
