@@ -21,7 +21,7 @@ static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// [`System`] plus allocation accounting. Installed as the global
 /// allocator of every `rwc-bench` binary and test.
-pub struct CountingAlloc;
+pub(crate) struct CountingAlloc;
 
 // SAFETY: defers entirely to `System`; the bookkeeping never observes or
 // alters the returned memory.
@@ -68,7 +68,7 @@ pub struct AllocSnapshot {
     pub count: u64,
     /// Bytes currently live.
     pub live_bytes: u64,
-    /// High-water mark of live bytes since the last [`reset_peak`].
+    /// High-water mark of live bytes since the last `reset_peak`.
     pub peak_live_bytes: u64,
 }
 
@@ -84,7 +84,7 @@ pub fn snapshot() -> AllocSnapshot {
 
 /// Resets the live-bytes high-water mark to the current live level, so the
 /// next measured region reports its own peak rather than the process's.
-pub fn reset_peak() {
+pub(crate) fn reset_peak() {
     PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 

@@ -3,9 +3,8 @@
 //! CI jobs and wrapper scripts branch on *why* a run failed — a corrupted
 //! checkpoint needs a different escalation than a solver timeout or a bad
 //! flag. Every failure class therefore gets a stable, documented exit
-//! code, and the mapping from the typed errors ([`RwcError`],
-//! [`HarnessError`], [`ServeError`]) lives here so the binaries and the
-//! tests agree on it.
+//! code, and the mapping from the typed errors ([`HarnessError`],
+//! [`ServeError`]) lives here so the binaries and the tests agree on it.
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -14,42 +13,21 @@
 //! | 2 | usage / configuration error (bad flags, invalid pipeline config) |
 //! | 3–5 | retired with the perf digest; never reused |
 //! | 6 | checkpoint corrupt, version-mismatched, or from a different sweep |
-//! | 7 | TE solver failure (timeout, abort, infeasible) |
-//! | 8 | hardware-path failure (BVT fault, quarantined link) |
-//! | 9 | telemetry failure (horizon outruns traces, fault-plan trouble) |
+//! | 7–9 | reserved: no driver surfaces a pipeline error as an exit code |
 //! | 10 | serve daemon failure (shard budget exhausted, socket trouble, drain failed) |
 
-use rwc_core::RwcError;
 use rwc_harness::{CheckpointError, HarnessError};
 use rwc_serve::ServeError;
 
-/// Success.
-pub const EXIT_OK: u8 = 0;
 /// Generic failure without a more specific class.
-pub const EXIT_GENERIC: u8 = 1;
+pub(crate) const EXIT_GENERIC: u8 = 1;
 /// Bad command line or invalid pipeline configuration.
 pub const EXIT_USAGE: u8 = 2;
 /// Checkpoint corrupt, wrong version, or fingerprint mismatch.
 pub const EXIT_CHECKPOINT: u8 = 6;
-/// A TE solver failed (including watchdog-surfaced timeouts).
-pub const EXIT_SOLVER: u8 = 7;
-/// Hardware-path failure: BVT fault or quarantine refusal.
-pub const EXIT_HARDWARE: u8 = 8;
-/// Telemetry or fault-plan failure.
-pub const EXIT_TELEMETRY: u8 = 9;
 /// Serve daemon failure: shards unhealthy with work stranded, socket or
 /// drain trouble.
 pub const EXIT_SERVE: u8 = 10;
-
-/// Exit code for a pipeline error.
-pub fn rwc_exit_code(err: &RwcError) -> u8 {
-    match err {
-        RwcError::Te(_) | RwcError::Validation(_) => EXIT_SOLVER,
-        RwcError::Bvt(_) | RwcError::Quarantined { .. } => EXIT_HARDWARE,
-        RwcError::Config(_) => EXIT_USAGE,
-        RwcError::Telemetry(_) | RwcError::FaultPlan(_) => EXIT_TELEMETRY,
-    }
-}
 
 /// Exit code for a sweep-runtime error.
 pub fn harness_exit_code(err: &HarnessError) -> u8 {
@@ -77,36 +55,16 @@ pub fn serve_exit_code(err: &ServeError) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rwc_te::TeError;
 
     #[test]
     fn exit_codes_are_distinct_and_stable() {
-        // 3–5 belonged to the retired perf digest and stay unused, so a
-        // wrapper that still branches on them can never see a new meaning.
-        let codes = [
-            (EXIT_OK, 0),
-            (EXIT_GENERIC, 1),
-            (EXIT_USAGE, 2),
-            (EXIT_CHECKPOINT, 6),
-            (EXIT_SOLVER, 7),
-            (EXIT_HARDWARE, 8),
-            (EXIT_TELEMETRY, 9),
-            (EXIT_SERVE, 10),
-        ];
+        // 3–5 belonged to the retired perf digest and 7–9 are reserved; both
+        // stay unused, so a wrapper that still branches on them can never
+        // see a new meaning.
+        let codes = [(EXIT_GENERIC, 1), (EXIT_USAGE, 2), (EXIT_CHECKPOINT, 6), (EXIT_SERVE, 10)];
         for (code, pinned) in codes {
             assert_eq!(code, pinned, "exit codes are a published contract");
         }
-    }
-
-    #[test]
-    fn rwc_variants_map_to_their_classes() {
-        let te = RwcError::Te(TeError::SolverTimeout {
-            algorithm: "exact-lp-warm",
-            detail: "watchdog".into(),
-        });
-        assert_eq!(rwc_exit_code(&te), EXIT_SOLVER);
-        assert_eq!(rwc_exit_code(&RwcError::Config("x".into())), EXIT_USAGE);
-        assert_eq!(rwc_exit_code(&RwcError::Telemetry("x".into())), EXIT_TELEMETRY);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn fig7_under_pressure() -> (rwc_topology::wan::WanTopology, DemandMatrix) {
 }
 
 /// Penalty-policy ablation rows: `(name, upgrades, effective_penalty)`.
-pub fn penalty_ablation() -> Vec<(&'static str, usize, f64)> {
+pub(crate) fn penalty_ablation() -> Vec<(&'static str, usize, f64)> {
     let (wan, dm) = fig7_under_pressure();
     let policies: Vec<(&str, PenaltyPolicy)> = vec![
         ("free", PenaltyPolicy::Uniform(0.0)),
@@ -52,7 +52,11 @@ pub fn penalty_ablation() -> Vec<(&'static str, usize, f64)> {
         // Current traffic: both demand links loaded at 100 G.
         let traffic = vec![100.0, 100.0, 0.0, 0.0, 0.0];
         let aug = augment(&wan, &dm, &cfg, &traffic);
-        let sol = TeSolver::builder().build().expect("default TE solver").solve(&aug.problem);
+        let sol = TeSolver::builder()
+            .build()
+            .expect("default TE solver")
+            .try_solve(&aug.problem)
+            .expect("TE solve");
         let tr = translate(&aug, &wan, &sol).expect("experiment translation on solver output");
         rows.push((name, tr.upgrades.len(), tr.effective_penalty));
     }
@@ -61,7 +65,7 @@ pub fn penalty_ablation() -> Vec<(&'static str, usize, f64)> {
 
 /// Hysteresis ablation: reconfigurations of one noisy link over `ticks`
 /// telemetry ticks for each upgrade margin.
-pub fn hysteresis_ablation(margins_db: &[f64], ticks: usize) -> Vec<(f64, usize)> {
+pub(crate) fn hysteresis_ablation(margins_db: &[f64], ticks: usize) -> Vec<(f64, usize)> {
     // Every grid cell builds its own topology, controller, and seeded
     // rng, so the cells run concurrently; results return in margin order.
     let arms = margins_db
@@ -101,7 +105,7 @@ pub fn hysteresis_ablation(margins_db: &[f64], ticks: usize) -> Vec<(f64, usize)
 /// ticks (samples where the configured rate exceeds what the SNR
 /// supports) per forecast horizon. Returns `(horizon, reactive_risk,
 /// predictive_risk)` rows.
-pub fn predictive_ablation(horizons: &[u64]) -> Vec<(u64, usize, usize)> {
+pub(crate) fn predictive_ablation(horizons: &[u64]) -> Vec<(u64, usize, usize)> {
     use rwc_core::controller::Controller;
     use rwc_core::predictive::{at_risk_ticks, PredictiveConfig, PredictiveController};
     use rwc_optics::ModulationTable;
@@ -149,7 +153,7 @@ pub fn predictive_ablation(horizons: &[u64]) -> Vec<(u64, usize, usize)> {
 
 /// BVT-procedure ablation: interim throughput gap of a consistent update
 /// under hitless (efficient) vs draining (legacy) reconfiguration.
-pub fn procedure_ablation() -> (f64, f64) {
+pub(crate) fn procedure_ablation() -> (f64, f64) {
     let (wan, dm) = fig7_under_pressure();
     let change = CapacityChange {
         link: LinkId(0),

@@ -106,7 +106,7 @@ pub fn run(scale: Scale) -> Report {
 
 /// Replays a fleet's SNR traces through the controller on a star topology
 /// (one spoke per telemetry link). Returns (flaps, hard downs, downtime).
-pub fn controller_replay(
+pub(crate) fn controller_replay(
     gen: &FleetGenerator,
     procedure: ReconfigProcedure,
 ) -> (usize, usize, SimDuration) {

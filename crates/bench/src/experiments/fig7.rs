@@ -41,7 +41,11 @@ pub fn run(_scale: Scale) -> Report {
     // Penalty-minimising TE (Fig. 7b).
     let cfg = AugmentConfig { penalty: PenaltyPolicy::paper_example(), ..Default::default() };
     let aug = augment(&wan, &dm, &cfg, &[]);
-    let sol = TeSolver::builder().build().expect("default TE solver").solve(&aug.problem);
+    let sol = TeSolver::builder()
+        .build()
+        .expect("default TE solver")
+        .try_solve(&aug.problem)
+        .expect("TE solve");
     let tr = translate(&aug, &wan, &sol).expect("experiment translation on solver output");
     report.line(format!(
         "demands 2×125 G: routed {:.0} G; upgrades: {:?}; effective penalty {:.0}",
@@ -61,7 +65,11 @@ pub fn run(_scale: Scale) -> Report {
     // Unit-weight variant (Fig. 7c): short paths at all costs.
     let unit_cfg = AugmentConfig { penalty: PenaltyPolicy::UnitWeights, ..Default::default() };
     let unit_aug = augment(&wan, &dm, &unit_cfg, &[]);
-    let unit_sol = TeSolver::builder().build().expect("default TE solver").solve(&unit_aug.problem);
+    let unit_sol = TeSolver::builder()
+        .build()
+        .expect("default TE solver")
+        .try_solve(&unit_aug.problem)
+        .expect("TE solve");
     let unit_tr = translate(&unit_aug, &wan, &unit_sol)
         .expect("experiment translation on solver output");
     // Hop count of the solution = total flow-hops / total flow.
@@ -86,7 +94,11 @@ mod tests {
         let cfg =
             AugmentConfig { penalty: PenaltyPolicy::paper_example(), ..Default::default() };
         let aug = augment(&wan, &dm, &cfg, &[]);
-        let sol = TeSolver::builder().build().expect("default TE solver").solve(&aug.problem);
+        let sol = TeSolver::builder()
+            .build()
+            .expect("default TE solver")
+            .try_solve(&aug.problem)
+            .expect("TE solve");
         let tr = translate(&aug, &wan, &sol).expect("experiment translation on solver output");
         assert!((sol.total - 250.0).abs() < 1e-6, "both demands fully routed");
         assert_eq!(tr.upgrades.len(), 1, "exactly one link upgraded: {:?}", tr.upgrades);
@@ -104,7 +116,11 @@ mod tests {
         let (wan, dm) = setup();
         let cfg = AugmentConfig { penalty: PenaltyPolicy::UnitWeights, ..Default::default() };
         let aug = augment(&wan, &dm, &cfg, &[]);
-        let sol = TeSolver::builder().build().expect("default TE solver").solve(&aug.problem);
+        let sol = TeSolver::builder()
+            .build()
+            .expect("default TE solver")
+            .try_solve(&aug.problem)
+            .expect("TE solve");
         let tr = translate(&aug, &wan, &sol).expect("experiment translation on solver output");
         assert!((sol.total - 250.0).abs() < 1e-6);
         let flow_hops: f64 = tr.real_edge_flows.iter().sum();

@@ -6,11 +6,11 @@ pub mod avail;
 pub mod chaos;
 pub mod faults;
 pub mod fig1;
-pub mod fig2;
-pub mod fig3;
+pub(crate) mod fig2;
+pub(crate) mod fig3;
 pub mod fig4;
 pub mod fig5;
-pub mod fig6;
+pub(crate) mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod objectives;
@@ -66,7 +66,7 @@ pub fn metrics() -> Option<MetricsSnapshot> {
 /// write happens on the collector thread while workers keep pulling
 /// chunks, so the interval trades recovery granularity against checkpoint
 /// file churn, not sweep throughput.
-pub const CHECKPOINT_EVERY_CHUNKS: u64 = 4;
+pub(crate) const CHECKPOINT_EVERY_CHUNKS: u64 = 4;
 
 /// Crash-safety wiring for fleet sweeps, installed once per process by
 /// `repro --checkpoint/--resume` (same first-call-wins pattern as the

@@ -68,13 +68,13 @@ pub fn sweep(scale: Scale) -> Vec<Cell> {
                 let dm = DemandMatrix::gravity(&wan, Gbps(base_volume.value()), 11)
                     .scaled(load);
                 let static_problem = TeProblem::from_wan(&wan, &dm);
-                let static_sol = algo.solve(&static_problem);
+                let static_sol = algo.try_solve(&static_problem).expect("TE solve");
                 let cfg = AugmentConfig {
                     penalty: PenaltyPolicy::Uniform(1.0),
                     ..Default::default()
                 };
                 let aug = augment(&wan, &dm, &cfg, &[]);
-                let dyn_sol = algo.solve(&aug.problem);
+                let dyn_sol = algo.try_solve(&aug.problem).expect("TE solve");
                 let tr = translate(&aug, &wan, &dyn_sol).expect("experiment translation on solver output");
                 cells.push(Cell {
                     topology: topo_name,

@@ -1,10 +1,12 @@
-//! The documents name files and experiment ids; these tests keep the names
-//! real. Deliberately narrow: only what can be checked without judgement —
-//! a backticked repository path exists, a file the results table lists is
-//! there (or the row says it is not committed), an experiment id in the
-//! README's table is one `repro` accepts.
+//! The documents name files, Rust items and experiment ids; these tests
+//! keep the names real. Deliberately narrow: only what can be checked
+//! without judgement — a backticked repository path exists, a backticked
+//! `Type::name` still names a type and a member the sources define, a file
+//! the results table lists is there (or the row says it is not committed),
+//! an experiment id in the README's table is one `repro` accepts.
 
 use rwc_bench::experiments;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 4] = ["README.md", "EXPERIMENTS.md", "DESIGN.md", "results/README.md"];
@@ -69,6 +71,70 @@ fn backticked_repo_paths_exist() {
     println!("docs: {checked} backticked paths checked");
     assert!(checked > 0, "the span scanner found nothing to check");
     assert!(missing.is_empty(), "documents name paths that do not exist:\n{}", missing.join("\n"));
+}
+
+/// Every identifier that occurs in a `.rs` file under `crates/*/src`.
+fn source_identifiers() -> HashSet<String> {
+    fn walk(dir: &Path, idents: &mut HashSet<String>) {
+        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                walk(&path, idents);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("source file");
+                idents.extend(
+                    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .filter(|w| !w.is_empty())
+                        .map(str::to_owned),
+                );
+            }
+        }
+    }
+    let mut idents = HashSet::new();
+    let crates = repo_root().join("crates");
+    for entry in std::fs::read_dir(&crates).expect("crates/") {
+        let src = entry.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut idents);
+        }
+    }
+    idents
+}
+
+/// `Type::name` or `Type::name()`: a capitalised identifier, `::`, and an
+/// identifier. Anything else (paths, generics, arguments) is not checked.
+fn type_member(span: &str) -> Option<(&str, &str)> {
+    let (ty, name) = span.strip_suffix("()").unwrap_or(span).split_once("::")?;
+    let ident = |s: &str| {
+        !s.is_empty()
+            && !s.starts_with(|c: char| c.is_ascii_digit())
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    (ty.starts_with(|c: char| c.is_ascii_uppercase()) && ident(ty) && ident(name))
+        .then_some((ty, name))
+}
+
+#[test]
+fn backticked_rust_paths_exist() {
+    let idents = source_identifiers();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = read(doc);
+        for (ty, name) in code_spans(&text).into_iter().filter_map(type_member) {
+            checked += 1;
+            if !idents.contains(ty) || !idents.contains(name) {
+                missing.push(format!("{doc}: `{ty}::{name}`"));
+            }
+        }
+    }
+    println!("docs: {checked} backticked Type::name spans checked");
+    assert!(checked > 0, "the span scanner found no Type::name to check");
+    assert!(
+        missing.is_empty(),
+        "documents name Rust items the sources no longer define:\n{}",
+        missing.join("\n")
+    );
 }
 
 #[test]

@@ -72,13 +72,6 @@ pub struct AugmentedProblem {
     pub n_real_edges: usize,
 }
 
-impl AugmentedProblem {
-    /// Fake edges touching a given link.
-    pub fn fakes_of(&self, link: LinkId) -> Vec<&FakeEdge> {
-        self.fake_edges.iter().filter(|f| f.link == link).collect()
-    }
-}
-
 /// Algorithm 1. `current_traffic` supplies the per-link load used by
 /// traffic-dependent penalty policies (indexed by `LinkId`; links beyond
 /// its length count as idle).
@@ -484,7 +477,7 @@ mod tests {
         // two links → 16 fakes.
         assert_eq!(aug.fake_edges.len(), 16);
         let link0: Vec<&FakeEdge> =
-            aug.fakes_of(rwc_topology::wan::LinkId(0)).into_iter().collect();
+            aug.fake_edges.iter().filter(|f| f.link == rwc_topology::wan::LinkId(0)).collect();
         let total_extra: f64 = link0
             .iter()
             .filter(|f| f.forward)
@@ -543,7 +536,7 @@ mod tests {
         let mut wan = fig7_with_headroom();
         wan.set_snr(rwc_topology::wan::LinkId(0), Db(5.0)); // below 100 G
         let aug = augment(&wan, &DemandMatrix::new(), &AugmentConfig::default(), &[]);
-        assert!(aug.fakes_of(rwc_topology::wan::LinkId(0)).is_empty());
+        assert!(aug.fake_edges.iter().all(|f| f.link != rwc_topology::wan::LinkId(0)));
     }
 
     #[test]
@@ -556,7 +549,7 @@ mod tests {
         wan.set_snr(rwc_topology::wan::LinkId(1), Db(7.0));
         let after = augment(&wan, &DemandMatrix::new(), &AugmentConfig::default(), &[]);
         assert!(after.fake_edges.len() < before.fake_edges.len());
-        assert!(after.fakes_of(rwc_topology::wan::LinkId(1)).is_empty());
+        assert!(after.fake_edges.iter().all(|f| f.link != rwc_topology::wan::LinkId(1)));
     }
 
     /// Asserts the incremental result is indistinguishable from a fresh

@@ -20,7 +20,7 @@
 
 use crate::error::RwcError;
 use rwc_obs::{Event, Observer};
-use rwc_optics::bvt::{Bvt, BvtError, BvtFault, LatencyModel, PreparedChange, ReconfigProcedure};
+use rwc_optics::bvt::{Bvt, BvtError, BvtFault, PreparedChange, ReconfigProcedure};
 use rwc_optics::{Modulation, ModulationTable};
 use rwc_topology::wan::{LinkId, WanTopology};
 use rwc_util::rng::Xoshiro256;
@@ -40,8 +40,6 @@ pub struct ControllerConfig {
     pub dwell: SimDuration,
     /// BVT procedure used for changes.
     pub procedure: ReconfigProcedure,
-    /// BVT latency model.
-    pub latency: LatencyModel,
     /// Whether the controller may step links *up* on its own when margin
     /// allows (standalone "run" mode). Set false when a TE layer owns the
     /// upgrade decision through the graph abstraction — the controller
@@ -50,36 +48,41 @@ pub struct ControllerConfig {
     /// Retry budget per modulation change: a change is attempted
     /// `1 + max_retries` times before the failure counts against the link.
     pub max_retries: u32,
-    /// Control-plane backoff between retry attempts, charged as downtime
-    /// (the carrier is typically unlocked while the module recovers).
-    pub retry_backoff: SimDuration,
-    /// Fractional jitter on [`ControllerConfig::retry_backoff`]: each
-    /// backoff is scaled by a seeded draw from `1 ± retry_jitter`, so
-    /// links in the same fault domain that fail at the same instant don't
-    /// stampede their retries in lockstep. `0.0` disables jitter.
-    pub retry_jitter: f64,
-    /// Watchdog deadline for the commit phase of a staged change: a
-    /// commit still mid-phase at the deadline is abandoned as a typed
-    /// [`BvtError::StageTimeout`] instead of hanging. Must clear the
-    /// legacy procedure's latency tail (≈400 s observed at p-max).
-    pub commit_deadline: SimDuration,
-    /// Extra SNR margin [`Controller::prepare_change`] demands beyond the
-    /// target rung's threshold before reserving it. Zero by default: the
-    /// TE layer's upgrade decisions already ride on observed SNR, and the
-    /// controller's own upgrade path applies `upgrade_margin` at decision
-    /// time.
-    pub prepare_margin: Db,
     /// Consecutive failed changes after which a link is quarantined —
-    /// pinned to its last safe modulation with further changes suppressed.
+    /// pinned to its last safe modulation for `QUARANTINE_HOLD` (4 h), with
+    /// further changes suppressed.
     pub quarantine_after: u32,
-    /// How long a quarantined link stays pinned before changes are
-    /// allowed again.
-    pub quarantine_hold: SimDuration,
-    /// Last-known-good SNR policy: when a reading is missing, the most
-    /// recent one no older than this bound is used instead. Beyond it the
-    /// link holds position and is marked degraded rather than acted on.
-    pub snr_staleness_bound: SimDuration,
 }
+
+/// Control-plane backoff between retry attempts, charged as downtime (the
+/// carrier is typically unlocked while the module recovers).
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(100);
+
+/// Fractional jitter on [`RETRY_BACKOFF`]: each backoff is scaled by a
+/// seeded draw from `1 ± RETRY_JITTER`, so links in the same fault domain
+/// that fail at the same instant don't stampede their retries in lockstep.
+const RETRY_JITTER: f64 = 0.5;
+
+/// Watchdog deadline for the commit phase of a staged change: a commit
+/// still mid-phase at the deadline is abandoned as a typed
+/// [`BvtError::StageTimeout`] instead of hanging. Clears the legacy
+/// procedure's latency tail (≈400 s observed at p-max).
+const COMMIT_DEADLINE: SimDuration = SimDuration::from_secs(600);
+
+/// Extra SNR margin [`Controller::prepare_change`] demands beyond the
+/// target rung's threshold before reserving it. Zero: the TE layer's
+/// upgrade decisions already ride on observed SNR, and the controller's
+/// own upgrade path applies `upgrade_margin` at decision time.
+const PREPARE_MARGIN: Db = Db(0.0);
+
+/// How long a quarantined link stays pinned before changes are allowed
+/// again.
+const QUARANTINE_HOLD: SimDuration = SimDuration::from_hours(4);
+
+/// Last-known-good SNR policy: when a reading is missing, the most recent
+/// one no older than this bound is used instead. Beyond it the link holds
+/// position and is marked degraded rather than acted on.
+const SNR_STALENESS_BOUND: SimDuration = SimDuration::from_minutes(45);
 
 impl Default for ControllerConfig {
     fn default() -> Self {
@@ -88,153 +91,10 @@ impl Default for ControllerConfig {
             upgrade_margin: Db(1.0),
             dwell: SimDuration::from_hours(1),
             procedure: ReconfigProcedure::Efficient,
-            latency: LatencyModel::default(),
             auto_upgrade: true,
             max_retries: 2,
-            retry_backoff: SimDuration::from_millis(100),
-            retry_jitter: 0.5,
-            commit_deadline: SimDuration::from_secs(600),
-            prepare_margin: Db(0.0),
             quarantine_after: 3,
-            quarantine_hold: SimDuration::from_hours(4),
-            snr_staleness_bound: SimDuration::from_minutes(45),
         }
-    }
-}
-
-impl ControllerConfig {
-    /// Starts a validating builder seeded with the defaults. Prefer this
-    /// over struct-literal updates for new code: [`ControllerConfigBuilder::build`]
-    /// rejects nonsense (negative margins, jitter outside `[0, 1]`) as a
-    /// typed [`RwcError::Config`] instead of a panic deep in the run.
-    pub fn builder() -> ControllerConfigBuilder {
-        ControllerConfigBuilder { config: Self::default() }
-    }
-}
-
-/// Validating builder for [`ControllerConfig`]; see [`ControllerConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ControllerConfigBuilder {
-    config: ControllerConfig,
-}
-
-impl ControllerConfigBuilder {
-    /// Hardware threshold table.
-    pub fn table(mut self, table: ModulationTable) -> Self {
-        self.config.table = table;
-        self
-    }
-
-    /// Extra SNR required to step up.
-    pub fn upgrade_margin(mut self, margin: Db) -> Self {
-        self.config.upgrade_margin = margin;
-        self
-    }
-
-    /// Minimum time between upgrades on one link.
-    pub fn dwell(mut self, dwell: SimDuration) -> Self {
-        self.config.dwell = dwell;
-        self
-    }
-
-    /// BVT procedure used for changes.
-    pub fn procedure(mut self, procedure: ReconfigProcedure) -> Self {
-        self.config.procedure = procedure;
-        self
-    }
-
-    /// BVT latency model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.config.latency = latency;
-        self
-    }
-
-    /// Whether the controller may step links up on its own.
-    pub fn auto_upgrade(mut self, on: bool) -> Self {
-        self.config.auto_upgrade = on;
-        self
-    }
-
-    /// Retry budget per modulation change.
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.config.max_retries = retries;
-        self
-    }
-
-    /// Control-plane backoff between retry attempts.
-    pub fn retry_backoff(mut self, backoff: SimDuration) -> Self {
-        self.config.retry_backoff = backoff;
-        self
-    }
-
-    /// Fractional jitter on the retry backoff, in `[0, 1]`.
-    pub fn retry_jitter(mut self, jitter: f64) -> Self {
-        self.config.retry_jitter = jitter;
-        self
-    }
-
-    /// Watchdog deadline for the commit phase of a staged change.
-    pub fn commit_deadline(mut self, deadline: SimDuration) -> Self {
-        self.config.commit_deadline = deadline;
-        self
-    }
-
-    /// Extra SNR margin demanded by `prepare_change`.
-    pub fn prepare_margin(mut self, margin: Db) -> Self {
-        self.config.prepare_margin = margin;
-        self
-    }
-
-    /// Consecutive failures after which a link is quarantined.
-    pub fn quarantine_after(mut self, failures: u32) -> Self {
-        self.config.quarantine_after = failures;
-        self
-    }
-
-    /// How long a quarantined link stays pinned.
-    pub fn quarantine_hold(mut self, hold: SimDuration) -> Self {
-        self.config.quarantine_hold = hold;
-        self
-    }
-
-    /// Last-known-good SNR staleness bound.
-    pub fn snr_staleness_bound(mut self, bound: SimDuration) -> Self {
-        self.config.snr_staleness_bound = bound;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ControllerConfig, RwcError> {
-        let c = &self.config;
-        if c.upgrade_margin.value() < 0.0 {
-            return Err(RwcError::Config(format!(
-                "upgrade_margin must be non-negative, got {}",
-                c.upgrade_margin
-            )));
-        }
-        if c.prepare_margin.value() < 0.0 {
-            return Err(RwcError::Config(format!(
-                "prepare_margin must be non-negative, got {}",
-                c.prepare_margin
-            )));
-        }
-        if !(0.0..=1.0).contains(&c.retry_jitter) {
-            return Err(RwcError::Config(format!(
-                "retry_jitter must be within [0, 1], got {}",
-                c.retry_jitter
-            )));
-        }
-        if c.quarantine_after == 0 {
-            return Err(RwcError::Config(
-                "quarantine_after must be at least 1 (0 would quarantine a link \
-                 before its first failure)"
-                    .into(),
-            ));
-        }
-        if c.table.entries().is_empty() {
-            return Err(RwcError::Config("modulation table has no rungs".into()));
-        }
-        Ok(self.config)
     }
 }
 
@@ -353,7 +213,7 @@ impl Controller {
         assert!(config.upgrade_margin.value() >= 0.0, "negative margin");
         let bvts = (0..n_links)
             .map(|_| {
-                let mut bvt = Bvt::new(Modulation::DpQpsk100).with_model(config.latency.clone());
+                let mut bvt = Bvt::new(Modulation::DpQpsk100);
                 bvt.set_procedure(config.procedure);
                 bvt
             })
@@ -402,11 +262,6 @@ impl Controller {
         } else {
             LinkHealth::Healthy
         }
-    }
-
-    /// The most recent trusted SNR reading for a link.
-    pub fn last_good_snr(&self, link: LinkId) -> Option<(SimTime, Db)> {
-        self.states[link.0].last_good
     }
 
     /// Read access to a link's transceiver model.
@@ -540,24 +395,39 @@ impl Controller {
         if landed != current {
             wan.set_modulation(link, landed);
         }
-        let quarantine_after = self.config.quarantine_after;
+        let quarantined = self.fail_change(link, target, landed, false, retries, now);
+        ChangeResult { applied: false, downtime, retries, quarantined, rolled_back: false }
+    }
+
+    /// The out-of-retries tail both change paths share: counts the failure
+    /// against the link, quarantines it at `pinned` once the streak reaches
+    /// `quarantine_after`, and publishes the failure. Returns whether the
+    /// link was quarantined.
+    fn fail_change(
+        &mut self,
+        link: LinkId,
+        target: Modulation,
+        pinned: Modulation,
+        rolled_back: bool,
+        retries: u32,
+        now: SimTime,
+    ) -> bool {
         let feasible_at_last_good = self.states[link.0]
             .last_good
-            .map(|(_, snr)| self.config.table.supports(snr, landed));
+            .map(|(_, snr)| self.config.table.supports(snr, pinned));
         let st = &mut self.states[link.0];
         st.consecutive_failures += 1;
-        let mut quarantined = false;
-        if st.consecutive_failures >= quarantine_after {
-            st.quarantined_until = Some(now + self.config.quarantine_hold);
-            quarantined = true;
+        let quarantined = st.consecutive_failures >= self.config.quarantine_after;
+        if quarantined {
+            st.quarantined_until = Some(now + QUARANTINE_HOLD);
             if feasible_at_last_good == Some(false) {
                 // Never quarantine into an infeasible rate: the signal
                 // cannot carry the pinned format, so this is an outage.
                 st.down = true;
             }
         }
-        self.publish_failed(link, target, false, quarantined, retries, now);
-        ChangeResult { applied: false, downtime, retries, quarantined, rolled_back: false }
+        self.publish_failed(link, target, rolled_back, quarantined, retries, now);
+        quarantined
     }
 
     /// Metrics/events for a change that landed. Counter bumps go through
@@ -611,7 +481,7 @@ impl Controller {
             if quarantined {
                 self.obs.event(&Event::Quarantine {
                     link: link.0 as u64,
-                    until_millis: (now + self.config.quarantine_hold).as_millis(),
+                    until_millis: (now + QUARANTINE_HOLD).as_millis(),
                 });
             }
         }
@@ -629,17 +499,13 @@ impl Controller {
         }
     }
 
-    /// One seeded backoff draw: `retry_backoff × (1 ± retry_jitter)`.
+    /// One seeded backoff draw: `RETRY_BACKOFF × (1 ± RETRY_JITTER)`.
     /// Deterministic per controller seed, decorrelated across draws — so
     /// links that fail at the same instant retry at different offsets
     /// instead of stampeding.
     fn jittered_backoff(&mut self) -> SimDuration {
-        let j = self.config.retry_jitter;
-        if j == 0.0 {
-            return self.config.retry_backoff;
-        }
-        let scale = 1.0 + j * (2.0 * self.rng.uniform() - 1.0);
-        SimDuration::from_secs_f64(self.config.retry_backoff.as_secs_f64() * scale.max(0.0))
+        let scale = 1.0 + RETRY_JITTER * (2.0 * self.rng.uniform() - 1.0);
+        SimDuration::from_secs_f64(RETRY_BACKOFF.as_secs_f64() * scale.max(0.0))
     }
 
     /// Stage 1 of a make-before-break change: validate and reserve the
@@ -648,7 +514,7 @@ impl Controller {
     /// Refuses quarantined links with [`RwcError::Quarantined`] and
     /// surfaces the module's own refusals ([`BvtError::InsufficientMargin`]
     /// when the topology's current SNR cannot clear the target by
-    /// [`ControllerConfig::prepare_margin`], `Busy`, `AlreadyPrepared`,
+    /// `PREPARE_MARGIN` (zero), `Busy`, `AlreadyPrepared`,
     /// bus timeouts) as [`RwcError::Bvt`]. On success nothing optical has
     /// changed and [`Controller::abort_change`] is free.
     pub fn prepare_change(
@@ -668,7 +534,7 @@ impl Controller {
         self.bvts[link.0].sync_modulation(current);
         let snr = wan.link(link).snr;
         self.bvts[link.0]
-            .prepare(target, snr, &self.config.table, self.config.prepare_margin, now)
+            .prepare(target, snr, &self.config.table, PREPARE_MARGIN, now)
             .map_err(RwcError::Bvt)
     }
 
@@ -717,7 +583,7 @@ impl Controller {
         let mut retries = 0u32;
         let attempts = 1 + self.config.max_retries;
         for attempt in 0..attempts {
-            match self.bvts[link.0].commit(self.config.commit_deadline, &mut self.rng) {
+            match self.bvts[link.0].commit(COMMIT_DEADLINE, &mut self.rng) {
                 Ok(report) => {
                     downtime += report.downtime;
                     wan.set_modulation(link, change.target);
@@ -753,7 +619,7 @@ impl Controller {
                                 change.target,
                                 wan.link(link).snr,
                                 &self.config.table,
-                                self.config.prepare_margin,
+                                PREPARE_MARGIN,
                                 now,
                             )
                             .is_err()
@@ -776,21 +642,7 @@ impl Controller {
         // (the topology never stepped, so `change.from` is authoritative).
         downtime += self.bvts[link.0].reset(&mut self.rng);
         self.bvts[link.0].sync_modulation(change.from);
-        let quarantine_after = self.config.quarantine_after;
-        let feasible_at_last_good = self.states[link.0]
-            .last_good
-            .map(|(_, snr)| self.config.table.supports(snr, change.from));
-        let st = &mut self.states[link.0];
-        st.consecutive_failures += 1;
-        let mut quarantined = false;
-        if st.consecutive_failures >= quarantine_after {
-            st.quarantined_until = Some(now + self.config.quarantine_hold);
-            quarantined = true;
-            if feasible_at_last_good == Some(false) {
-                st.down = true;
-            }
-        }
-        self.publish_failed(link, change.target, true, quarantined, retries, now);
+        let quarantined = self.fail_change(link, change.target, change.from, true, retries, now);
         ChangeResult { applied: false, downtime, retries, quarantined, rolled_back: true }
     }
 
@@ -800,7 +652,7 @@ impl Controller {
     /// Readings are `Option<Db>`: `Some` is a fresh, trusted reading and
     /// `None` marks one dropped by the telemetry layer. A link with a
     /// dropped reading falls back to its last-known-good SNR if that is
-    /// within [`ControllerConfig::snr_staleness_bound`]; otherwise it
+    /// within `SNR_STALENESS_BOUND` (45 min); otherwise it
     /// holds its current modulation (counted in
     /// [`SweepReport::stale_holds`]) and is reported
     /// [`LinkHealth::Degraded`] until telemetry returns. Links in
@@ -828,8 +680,7 @@ impl Controller {
                 }
                 None => match self.states[link_id.0].last_good {
                     Some((t, snr))
-                        if now.saturating_duration_since(t)
-                            <= self.config.snr_staleness_bound =>
+                        if now.saturating_duration_since(t) <= SNR_STALENESS_BOUND =>
                     {
                         snr
                     }
@@ -908,6 +759,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rwc_optics::bvt::LatencyModel;
     use rwc_topology::builders;
 
     fn setup() -> (WanTopology, Controller) {
@@ -1056,7 +908,7 @@ mod tests {
 
     #[test]
     fn expired_quarantine_resets_the_failure_streak() {
-        // quarantine_hold is 4 h; one failure *after* release must not
+        // QUARANTINE_HOLD is 4 h; one failure *after* release must not
         // instantly re-quarantine (quarantine_after is 3): the streak that
         // earned the quarantine is forgiven along with the hold.
         let (mut wan, mut c) = quarantined_setup(ControllerConfig::default());
@@ -1091,14 +943,9 @@ mod tests {
 
     #[test]
     fn retry_backoff_is_jittered_but_seed_deterministic() {
-        let config = ControllerConfig {
-            procedure: ReconfigProcedure::Legacy, // visible backoff share
-            retry_backoff: SimDuration::from_secs(30),
-            ..ControllerConfig::default()
-        };
         let run = |seed: u64| {
             let mut wan = builders::fig7_example();
-            let mut c = Controller::new(config.clone(), wan.n_links(), seed);
+            let mut c = Controller::new(ControllerConfig::default(), wan.n_links(), seed);
             c.inject_bvt_fault(LinkId(0), BvtFault::RelockFailure);
             c.sweep(&mut wan, &[(LinkId(0), Some(Db(14.0)))], t(0))
         };
@@ -1107,32 +954,6 @@ mod tests {
         assert_eq!(run(7), run(7));
         // Different seeds decorrelate the backoff draws.
         assert_ne!(run(7).downtime, run(8).downtime);
-    }
-
-    #[test]
-    fn zero_jitter_restores_fixed_backoff() {
-        let mut wan = builders::fig7_example();
-        let mut c = Controller::new(
-            ControllerConfig {
-                retry_jitter: 0.0,
-                max_retries: 1,
-                retry_backoff: SimDuration::from_secs(10),
-                // Make everything except the backoff negligible.
-                procedure: ReconfigProcedure::Efficient,
-                ..ControllerConfig::default()
-            },
-            wan.n_links(),
-            3,
-        );
-        c.inject_bvt_fault(LinkId(0), BvtFault::MdioTimeout);
-        // MdioTimeout costs nothing itself: one retry, exactly one fixed
-        // backoff, then success — so downtime ≥ the 10 s backoff and well
-        // under 11 s (efficient reconfigure is milliseconds).
-        let result = c.execute_change(&mut wan, LinkId(0), Modulation::Dp16Qam200, t(0));
-        assert!(result.applied);
-        assert_eq!(result.retries, 1);
-        assert!(result.downtime >= SimDuration::from_secs(10));
-        assert!(result.downtime < SimDuration::from_secs(11));
     }
 
     #[test]
@@ -1242,22 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_refuses_insufficient_margin_via_config() {
-        let mut wan = builders::fig7_example();
-        let mut c = Controller::new(
-            ControllerConfig { prepare_margin: Db(1.0), ..ControllerConfig::default() },
-            wan.n_links(),
-            2,
-        );
-        wan.set_snr(LinkId(0), Db(13.0)); // 200 G needs 12.5 + 1.0 margin
-        let err = c.prepare_change(&wan, LinkId(0), Modulation::Dp16Qam200, t(0)).unwrap_err();
-        assert!(
-            matches!(err, RwcError::Bvt(BvtError::InsufficientMargin { .. })),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn failed_commit_rolls_back_to_prior_modulation() {
         let mut wan = builders::fig7_example();
         let mut c = Controller::new(
@@ -1287,18 +1092,18 @@ mod tests {
     #[test]
     fn hung_commit_is_bounded_by_the_watchdog() {
         let mut wan = builders::fig7_example();
-        let deadline = SimDuration::from_secs(10);
         let mut c = Controller::new(
             ControllerConfig {
-                procedure: ReconfigProcedure::Legacy, // ≈68 s ≫ deadline
-                commit_deadline: deadline,
+                procedure: ReconfigProcedure::Legacy,
                 max_retries: 0,
-                retry_jitter: 0.0,
                 ..ControllerConfig::default()
             },
             wan.n_links(),
             17,
         );
+        // A module whose dark reprogram hangs far past the commit deadline.
+        let hung = LatencyModel { dsp_reprogram: (5_000.0, 0.1), ..LatencyModel::default() };
+        c.bvts[0] = c.bvts[0].clone().with_model(hung);
         wan.set_snr(LinkId(0), Db(14.0));
         c.prepare_change(&wan, LinkId(0), Modulation::Dp16Qam200, t(0)).unwrap();
         let result = c.commit_change(&mut wan, LinkId(0), t(0));
@@ -1306,8 +1111,12 @@ mod tests {
         assert!(result.rolled_back);
         // Downtime = watchdog deadline + module recovery (laser-up+relock,
         // ≤ ~400 s at the tail) — bounded, not the unbounded hang.
-        assert!(result.downtime >= deadline);
-        assert!(result.downtime < SimDuration::from_secs(600), "{}", result.downtime);
+        assert!(result.downtime >= COMMIT_DEADLINE);
+        assert!(
+            result.downtime < COMMIT_DEADLINE + SimDuration::from_secs(600),
+            "{}",
+            result.downtime
+        );
         assert_eq!(wan.link(LinkId(0)).modulation, Modulation::DpQpsk100);
     }
 

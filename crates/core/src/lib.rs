@@ -43,12 +43,10 @@ pub mod theorem;
 pub mod translate;
 
 pub use augment::{augment, AugmentConfig, AugmentStats, AugmentedProblem, FakeEdge, IncrementalAugmenter};
-pub use controller::{Controller, ControllerConfig, ControllerConfigBuilder, Decision, LinkHealth};
+pub use controller::{Controller, ControllerConfig, Decision, LinkHealth};
 pub use error::RwcError;
 pub use network::DynamicCapacityNetwork;
-pub use scenario::{
-    Scenario, ScenarioBuilder, ScenarioConfig, ScenarioConfigBuilder, ScenarioReport,
-};
+pub use scenario::{Scenario, ScenarioBuilder, ScenarioConfig, ScenarioReport};
 pub use penalty::PenaltyPolicy;
 pub use translate::{translate, Translation};
 
@@ -65,15 +63,12 @@ pub use translate::{translate, Translation};
 /// imported explicitly from its module.
 pub mod prelude {
     pub use crate::augment::AugmentConfig;
-    pub use crate::controller::{
-        Controller, ControllerConfig, ControllerConfigBuilder, Decision, LinkHealth, SweepReport,
-    };
+    pub use crate::controller::{Controller, ControllerConfig, Decision, LinkHealth, SweepReport};
     pub use crate::error::RwcError;
-    pub use crate::network::{DynamicCapacityNetwork, MbbOutcome, MbbPhase, TeRound};
+    pub use crate::network::{DynamicCapacityNetwork, TeRound};
     pub use crate::penalty::PenaltyPolicy;
     pub use crate::scenario::{
-        Scenario, ScenarioBuilder, ScenarioConfig, ScenarioConfigBuilder, ScenarioReport,
-        ScenarioSample,
+        Scenario, ScenarioBuilder, ScenarioConfig, ScenarioReport, ScenarioSample,
     };
     pub use rwc_obs::{Event, MetricsObserver, MetricsRegistry, NoopObserver, Observer};
     pub use rwc_topology::wan::{LinkId, WanTopology};

@@ -81,41 +81,6 @@ impl TeRound {
     }
 }
 
-/// Which stage of a make-before-break change failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MbbPhase {
-    /// The reservation was refused (quarantine, insufficient margin,
-    /// module busy or bus timeout).
-    Prepare,
-    /// The drain plan could not shift enough demand off the link: the
-    /// interim flow exceeds the transition capacity, so committing would
-    /// have dropped live traffic. The reservation was aborted (free).
-    Drain,
-    /// The commit failed out of retries and the link was rolled back to
-    /// its prior modulation.
-    Commit,
-}
-
-/// Outcome of a single-link [`DynamicCapacityNetwork::reconfigure_mbb`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MbbOutcome {
-    /// Whether the change is in force on the topology.
-    pub applied: bool,
-    /// Whether a failed commit was rolled back to the prior modulation.
-    pub rolled_back: bool,
-    /// The stage that failed, when `applied` is false.
-    pub failed_phase: Option<MbbPhase>,
-    /// The prepare-stage error, when that stage refused.
-    pub error: Option<RwcError>,
-    /// Traffic moved to drain the link before the change.
-    pub drain_churn: f64,
-    /// Downtime charged by the commit (zero for prepare/drain failures —
-    /// nothing optical happened yet).
-    pub downtime: SimDuration,
-    /// Retry attempts consumed by the commit.
-    pub retries: u32,
-}
-
 /// A WAN whose link capacities adapt to SNR, §4-style.
 #[derive(Debug, Clone)]
 pub struct DynamicCapacityNetwork {
@@ -292,7 +257,7 @@ impl DynamicCapacityNetwork {
 
     /// Fallible TE round: solver failures come back as [`RwcError::Te`]
     /// with no changes applied, so the caller can decide how to degrade.
-    pub fn try_te_round(
+    pub(crate) fn try_te_round(
         &mut self,
         demands: &DemandMatrix,
         algorithm: &dyn TeAlgorithm,
@@ -501,88 +466,6 @@ impl DynamicCapacityNetwork {
             rolled_back: 0,
             retries: 0,
         }
-    }
-
-    /// Reconfigures one link make-before-break, outside a TE round: asks
-    /// the algorithm for a drain plan that shifts demand off the link,
-    /// verifies the drained headroom covers the capacity delta, then runs
-    /// the staged prepare → commit through the controller. Any phase
-    /// failure rolls the link back to its prior modulation and reinstates
-    /// the drain plan's interim allocation (which is feasible at the old
-    /// rate) as the flows of record.
-    pub fn reconfigure_mbb(
-        &mut self,
-        link: LinkId,
-        target: rwc_optics::Modulation,
-        demands: &DemandMatrix,
-        algorithm: &dyn TeAlgorithm,
-        now: SimTime,
-    ) -> Result<MbbOutcome, RwcError> {
-        let changes = [CapacityChange { link, to: target }];
-        let hitless = matches!(
-            self.controller.config().procedure,
-            rwc_optics::bvt::ReconfigProcedure::Efficient
-        );
-        let current = self.previous_flows.as_ref().map(|flows| TeSolution {
-            routed: vec![],
-            edge_flows: flows.clone(),
-            total: 0.0,
-        });
-        let plan = try_plan_capacity_changes(
-            &self.wan,
-            demands,
-            &changes,
-            algorithm,
-            hitless,
-            current.as_ref(),
-        )?;
-        let drain_churn = plan.churn_into_interim;
-
-        if let Err(e) = self.controller.prepare_change(&self.wan, link, target, now) {
-            self.previous_flows = Some(plan.interim.edge_flows.clone());
-            return Ok(MbbOutcome {
-                applied: false,
-                rolled_back: false,
-                failed_phase: Some(MbbPhase::Prepare),
-                error: Some(e),
-                drain_churn,
-                downtime: SimDuration::ZERO,
-                retries: 0,
-            });
-        }
-        let fwd = plan.interim.edge_flows[2 * link.0];
-        let bwd = plan.interim.edge_flows[2 * link.0 + 1];
-        let transition_cap =
-            self.wan.link(link).capacity().value().min(target.capacity().value());
-        if fwd.max(bwd) > transition_cap + 1e-6 {
-            self.controller.abort_change(link);
-            self.previous_flows = Some(plan.interim.edge_flows.clone());
-            return Ok(MbbOutcome {
-                applied: false,
-                rolled_back: false,
-                failed_phase: Some(MbbPhase::Drain),
-                error: None,
-                drain_churn,
-                downtime: SimDuration::ZERO,
-                retries: 0,
-            });
-        }
-        let result = self.controller.commit_change(&mut self.wan, link, now);
-        let flows = if result.applied {
-            plan.final_solution.edge_flows.clone()
-        } else {
-            plan.interim.edge_flows.clone()
-        };
-        self.previous_flows = Some(flows);
-        Ok(MbbOutcome {
-            applied: result.applied,
-            rolled_back: result.rolled_back,
-            failed_phase: (!result.applied).then_some(MbbPhase::Commit),
-            error: None,
-            drain_churn,
-            downtime: result.downtime,
-            retries: result.retries,
-        })
     }
 }
 

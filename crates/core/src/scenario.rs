@@ -89,81 +89,6 @@ impl Default for ScenarioConfig {
     }
 }
 
-impl ScenarioConfig {
-    /// Starts a validating builder seeded with the defaults. Prefer this
-    /// over struct-literal updates: [`ScenarioConfigBuilder::build`] turns
-    /// nonsense (a zero TE interval, a negative diurnal amplitude) into a
-    /// typed [`RwcError::Config`] instead of a panic mid-run.
-    pub fn builder() -> ScenarioConfigBuilder {
-        ScenarioConfigBuilder { config: Self::default() }
-    }
-}
-
-/// Validating builder for [`ScenarioConfig`]; see [`ScenarioConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ScenarioConfigBuilder {
-    config: ScenarioConfig,
-}
-
-impl ScenarioConfigBuilder {
-    /// How often a TE round runs.
-    pub fn te_interval(mut self, interval: SimDuration) -> Self {
-        self.config.te_interval = interval;
-        self
-    }
-
-    /// Peak-to-mean swing of the diurnal demand cycle.
-    pub fn demand_diurnal_amp(mut self, amp: f64) -> Self {
-        self.config.demand_diurnal_amp = amp;
-        self
-    }
-
-    /// Augmentation settings for the TE rounds.
-    pub fn augment(mut self, augment: AugmentConfig) -> Self {
-        self.config.augment = augment;
-        self
-    }
-
-    /// Controller settings.
-    pub fn controller(mut self, controller: ControllerConfig) -> Self {
-        self.config.controller = controller;
-        self
-    }
-
-    /// Seed for the network's stochastic parts.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Fault schedule interpreted by the run loop.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.config.fault_plan = Some(plan);
-        self
-    }
-
-    /// Whether TE-driven changes go through make-before-break.
-    pub fn make_before_break(mut self, on: bool) -> Self {
-        self.config.make_before_break = on;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ScenarioConfig, RwcError> {
-        let c = &self.config;
-        if c.te_interval == SimDuration::ZERO {
-            return Err(RwcError::Config("te_interval must be non-zero".into()));
-        }
-        if c.demand_diurnal_amp < 0.0 || !c.demand_diurnal_amp.is_finite() {
-            return Err(RwcError::Config(format!(
-                "demand_diurnal_amp must be finite and non-negative, got {}",
-                c.demand_diurnal_amp
-            )));
-        }
-        Ok(self.config)
-    }
-}
-
 /// One sampled instant of the simulation (recorded at TE rounds).
 #[derive(Debug, Clone, Serialize)]
 pub struct ScenarioSample {
@@ -285,7 +210,7 @@ impl ScenarioReport {
 /// A [`TeAlgorithm`] wrapper that fails with the injected [`TeFault`]
 /// instead of solving — how the scenario loop exercises the TE-layer
 /// fallback without touching the real solvers.
-pub struct FaultInjectedTe<'a> {
+pub(crate) struct FaultInjectedTe<'a> {
     inner: &'a dyn TeAlgorithm,
     fault: TeFault,
 }
@@ -333,7 +258,6 @@ pub struct Scenario {
     /// TE rounds executed across every [`Scenario::run`] on this scenario —
     /// the round index a sweep checkpoint records so a resumed run can
     /// line its progress up against the interrupted one.
-    rounds_completed: u64,
     /// Test reference arm: forget every round-engine cache (augmented
     /// problem, static memo, counterfactual cache) before each TE round.
     #[cfg(test)]
@@ -406,7 +330,6 @@ impl ScenarioBuilder {
             demands,
             config,
             obs,
-            rounds_completed: 0,
             #[cfg(test)]
             forget_caches: false,
         })
@@ -430,14 +353,6 @@ impl Scenario {
     pub fn set_observer(&mut self, obs: Arc<dyn Observer>) {
         self.network.set_observer(Arc::clone(&obs));
         self.obs = obs;
-    }
-
-    /// TE rounds executed so far, cumulative across runs. This is the
-    /// round index checkpoints record (`SweepCheckpoint::round_index`
-    /// in `rwc-harness`): a resumed run compares it against the
-    /// interrupted run's value to confirm both walked the same schedule.
-    pub fn rounds_completed(&self) -> u64 {
-        self.rounds_completed
     }
 
     /// Runs for `horizon`, returning the report. Wiring problems (e.g.
@@ -620,7 +535,6 @@ impl Scenario {
                     }
                     None => self.network.te_round(&demands, algorithm, now),
                 };
-                self.rounds_completed += 1;
                 report.reconfig_downtime += round.reconfig_downtime;
                 report.failed_changes += round.failed_changes;
                 report.rolled_back_changes += round.rolled_back;
@@ -746,10 +660,9 @@ mod tests {
         assert_eq!(report.te_fallbacks, 0);
         assert_eq!(report.failed_changes, 0);
         assert!(report.availability() > 0.99, "availability {}", report.availability());
-        // One TE round per hourly sample, cumulative across runs.
-        assert_eq!(s.rounds_completed(), 168);
-        s.run(SimDuration::from_days(1), &SwanTe::default()).unwrap();
-        assert_eq!(s.rounds_completed(), 168 + 24);
+        // A second run continues the hourly schedule.
+        let more = s.run(SimDuration::from_days(1), &SwanTe::default()).unwrap();
+        assert_eq!(more.samples.len(), 24);
     }
 
     #[test]
@@ -1031,7 +944,7 @@ mod tests {
             assert!(counters["te.static_memo.hits"] > 0, "{name}: {counters:?}");
             assert!(counters["scenario.counterfactual.hits"] > 0, "{name}: {counters:?}");
             let rebuilt = reference.network().augment_stats();
-            let rounds = reference.rounds_completed();
+            let rounds = rb.samples.len() as u64;
             assert!(rebuilt.full_rebuilds + rb.te_fallbacks as u64 >= rounds, "{name}: {rebuilt:?}");
             assert_eq!(rebuilt.in_place_patches + rebuilt.suffix_rebuilds, 0, "{name}");
         }

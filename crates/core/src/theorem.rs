@@ -122,7 +122,7 @@ pub fn check_multicommodity(
     let exact = rwc_te::TeSolver::builder().build().expect("default TE solver");
 
     let aug = augment(wan, demands, config, &[]);
-    let augmented = exact.solve(&aug.problem);
+    let augmented = exact.try_solve(&aug.problem).expect("TE solve");
     // Translation must stay feasible (exercises the full pipeline).
     let tr = translate(&aug, wan, &augmented).expect("theorem translation on solver output");
     let mut translated_wan = wan.clone();
@@ -141,10 +141,14 @@ pub fn check_multicommodity(
             upgraded.set_modulation(id, fastest);
         }
     }
-    let upgraded_total =
-        exact.solve(&rwc_te::problem::TeProblem::from_wan(&upgraded, demands)).total;
-    let static_total =
-        exact.solve(&rwc_te::problem::TeProblem::from_wan(wan, demands)).total;
+    let upgraded_total = exact
+        .try_solve(&rwc_te::problem::TeProblem::from_wan(&upgraded, demands))
+        .expect("TE solve")
+        .total;
+    let static_total = exact
+        .try_solve(&rwc_te::problem::TeProblem::from_wan(wan, demands))
+        .expect("TE solve")
+        .total;
     McTheoremReport {
         augmented_total: augmented.total,
         upgraded_total,
@@ -312,7 +316,7 @@ mod tests {
         let mut dm = DemandMatrix::new();
         dm.add(a, b, rwc_util::units::Gbps(capacity + 1.0), rwc_te::demand::Priority::Elastic);
         let problem = rwc_te::problem::TeProblem::from_wan(&upgraded, &dm);
-        let lp_value = rwc_te::TeSolver::default().solve(&problem).total;
+        let lp_value = rwc_te::TeSolver::default().try_solve(&problem).expect("TE solve").total;
         assert!((report.augmented_value - lp_value).abs() < 1e-6,
             "mcmf {} vs lp {lp_value}", report.augmented_value);
     }

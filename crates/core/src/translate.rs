@@ -44,7 +44,8 @@ impl Translation {
     }
 
     /// The upgrade target for a link, if any.
-    pub fn upgrade_of(&self, link: LinkId) -> Option<Modulation> {
+    #[cfg(test)]
+    pub(crate) fn upgrade_of(&self, link: LinkId) -> Option<Modulation> {
         self.upgrades.iter().find(|(l, _)| *l == link).map(|&(_, m)| m)
     }
 }
@@ -197,7 +198,11 @@ mod tests {
         // pair via the exact TE + penalties. Here: route with the LP on
         // the augmented problem, then translate.
         use rwc_te::TeAlgorithm;
-        let sol = rwc_te::TeSolver::builder().build().unwrap().solve(&aug.problem);
+        let sol = rwc_te::TeSolver::builder()
+            .build()
+            .unwrap()
+            .try_solve(&aug.problem)
+            .expect("TE solve");
         let tr = translate(&aug, &wan, &sol).unwrap();
         // All 250 G must route.
         assert!((sol.total - 250.0).abs() < 1e-6, "total={}", sol.total);
@@ -227,7 +232,7 @@ mod tests {
         dm.add(a, b, Gbps(60.0), Priority::Elastic); // fits in 100 G
         let aug = augment(&wan, &dm, &cfg, &[]);
         use rwc_te::TeAlgorithm;
-        let sol = rwc_te::swan::SwanTe::default().solve(&aug.problem);
+        let sol = rwc_te::swan::SwanTe::default().try_solve(&aug.problem).expect("TE solve");
         let tr = translate(&aug, &wan, &sol).unwrap();
         assert!(!tr.requires_changes(), "upgrades={:?}", tr.upgrades);
         // A cost-oblivious solver may have sprinkled flow on fake edges
@@ -241,7 +246,11 @@ mod tests {
         let (wan, dm, cfg) = fig7_setup();
         let aug = augment(&wan, &dm, &cfg, &[]);
         use rwc_te::TeAlgorithm;
-        let sol = rwc_te::TeSolver::builder().build().unwrap().solve(&aug.problem);
+        let sol = rwc_te::TeSolver::builder()
+            .build()
+            .unwrap()
+            .try_solve(&aug.problem)
+            .expect("TE solve");
         let tr = translate(&aug, &wan, &sol).unwrap();
         let aug_total: f64 = sol.edge_flows.iter().sum();
         let real_total: f64 = tr.real_edge_flows.iter().sum();

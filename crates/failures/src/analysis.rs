@@ -89,10 +89,6 @@ impl TicketAnalysis {
         self.total_events
     }
 
-    /// Total outage hours across all causes.
-    pub fn total_outage_hours(&self) -> f64 {
-        self.outage_hours.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +125,6 @@ mod tests {
         assert!((a.fraction_non_fiber_cut() - 0.75).abs() < 1e-12);
         assert!((a.fraction_floor_at_least(Db(3.0)) - 0.5).abs() < 1e-12);
         assert_eq!(a.total_events(), 4);
-        assert!((a.total_outage_hours() - 20.0).abs() < 1e-12);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl RootCause {
         RootCause::Undocumented,
     ];
 
-    /// Whether the failure physically severs the light path (only fiber
-    /// cuts do; everything else degrades the signal).
-    pub fn severs_light(self) -> bool {
-        matches!(self, RootCause::FiberCut)
-    }
 }
 
 impl fmt::Display for RootCause {
@@ -118,13 +113,6 @@ mod tests {
     fn four_categories_in_order() {
         assert_eq!(RootCause::ALL.len(), 4);
         assert_eq!(RootCause::ALL[1], RootCause::FiberCut);
-    }
-
-    #[test]
-    fn only_fiber_cuts_sever() {
-        for c in RootCause::ALL {
-            assert_eq!(c.severs_light(), c == RootCause::FiberCut);
-        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ impl FailureTicket {
     /// The paper's opportunity analysis: an event whose floor clears the
     /// 50 Gbps threshold (3.0 dB) could have been a capacity flap instead
     /// of an outage.
-    pub fn signal_survived(&self, floor: Db) -> bool {
+    #[cfg(test)]
+    pub(crate) fn signal_survived(&self, floor: Db) -> bool {
         self.lowest_snr >= floor
     }
 }

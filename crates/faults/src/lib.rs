@@ -139,7 +139,7 @@ pub enum FaultScope {
 
 impl FaultScope {
     /// Whether the scope couples multiple links into one failure domain.
-    pub fn is_correlated(&self) -> bool {
+    pub(crate) fn is_correlated(&self) -> bool {
         !matches!(self, FaultScope::Link(_))
     }
 }
@@ -179,11 +179,6 @@ impl FaultEvent {
     /// An SRLG-wide event hitting every link on `fiber_id`.
     pub fn on_srlg(kind: FaultKind, fiber_id: usize, start: SimTime, duration: SimDuration) -> Self {
         Self { kind, scope: FaultScope::Srlg(fiber_id), start, duration }
-    }
-
-    /// A domain-wide event hitting every link of `FaultPlan::domains[domain]`.
-    pub fn on_domain(kind: FaultKind, domain: usize, start: SimTime, duration: SimDuration) -> Self {
-        Self { kind, scope: FaultScope::Domain(domain), start, duration }
     }
 
     /// Whether the fault is active at `now` (half-open `[start, end)`).
@@ -269,13 +264,6 @@ impl FaultPlan {
     pub fn with(mut self, event: FaultEvent) -> Self {
         self.events.push(event);
         self
-    }
-
-    /// Declares a failure domain, returning its index for use in
-    /// [`FaultScope::Domain`].
-    pub fn add_domain(&mut self, domain: FaultDomain) -> usize {
-        self.domains.push(domain);
-        self.domains.len() - 1
     }
 
     /// Count of events of each class `(bvt, telemetry, te, optical)`.
@@ -630,7 +618,7 @@ impl FaultPlanConfig {
 
     /// Distinct fiber segments implied by the config's link → fiber map
     /// (identity when the map is empty), sorted for determinism.
-    pub fn fiber_segments(&self) -> Vec<usize> {
+    pub(crate) fn fiber_segments(&self) -> Vec<usize> {
         if self.fiber_of_link.is_empty() {
             (0..self.n_links).collect()
         } else {
@@ -790,16 +778,16 @@ mod tests {
     fn domain_scope_uses_the_plan_domain_table() {
         let day = SimDuration::from_days(1);
         let mut plan = FaultPlan::none();
-        let conduit = plan.add_domain(FaultDomain {
+        plan.domains.push(FaultDomain {
             name: "conduit-7".into(),
             links: vec![LinkId(1), LinkId(3)],
         });
-        let plan = plan.with(FaultEvent::on_domain(
-            FaultKind::Telemetry(TelemetryFault::DropSamples),
-            conduit,
-            SimTime::EPOCH,
-            day,
-        ));
+        let plan = plan.with(FaultEvent {
+            kind: FaultKind::Telemetry(TelemetryFault::DropSamples),
+            scope: FaultScope::Domain(0),
+            start: SimTime::EPOCH,
+            duration: day,
+        });
         let inj = FaultInjector::new(plan);
         let t0 = SimTime::EPOCH;
         assert_eq!(inj.telemetry_fault(LinkId(1), t0), Some(TelemetryFault::DropSamples));
@@ -850,12 +838,12 @@ mod tests {
 
     #[test]
     fn validate_rejects_dangling_domains() {
-        let plan = FaultPlan::none().with(FaultEvent::on_domain(
-            FaultKind::Te(TeFault::SolverAbort),
-            3,
-            SimTime::EPOCH,
-            SimDuration::from_hours(1),
-        ));
+        let plan = FaultPlan::none().with(FaultEvent {
+            kind: FaultKind::Te(TeFault::SolverAbort),
+            scope: FaultScope::Domain(3),
+            start: SimTime::EPOCH,
+            duration: SimDuration::from_hours(1),
+        });
         assert_eq!(
             plan.validate(),
             Err(FaultPlanError::UnknownDomain { index: 0, domain: 3 })
@@ -941,7 +929,7 @@ mod tests {
             ..cfg()
         }
         .generate();
-        plan.add_domain(FaultDomain { name: "conduit".into(), links: vec![LinkId(0)] });
+        plan.domains.push(FaultDomain { name: "conduit".into(), links: vec![LinkId(0)] });
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);

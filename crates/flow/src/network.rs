@@ -67,11 +67,6 @@ impl FlowNetwork {
         self.edges[idx]
     }
 
-    /// Sum of capacities of edges leaving `node`.
-    pub fn out_capacity(&self, node: usize) -> f64 {
-        self.edges.iter().filter(|e| e.from == node).map(|e| e.capacity).sum()
-    }
-
     /// Updates one edge's capacity in place (for incremental round
     /// engines that patch dirty links instead of rebuilding the network).
     pub fn set_capacity(&mut self, idx: usize, capacity: f64) {
@@ -215,8 +210,6 @@ mod tests {
         assert_eq!(net.n_nodes(), 3);
         assert_eq!(net.n_edges(), 2);
         assert_eq!(net.edge(0).capacity, 10.0);
-        assert_eq!(net.out_capacity(0), 10.0);
-        assert_eq!(net.out_capacity(2), 0.0);
     }
 
     #[test]

@@ -48,7 +48,8 @@ impl ChaosPlan {
     }
 
     /// Poisons one specific chunk.
-    pub fn with_panic_chunk(mut self, chunk: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_panic_chunk(mut self, chunk: u64) -> Self {
         self.panic_chunks.insert(chunk);
         self
     }
@@ -60,7 +61,8 @@ impl ChaosPlan {
     }
 
     /// Keeps poisoned chunks panicking for their first `n` attempts.
-    pub fn with_poison_attempts(mut self, n: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_poison_attempts(mut self, n: u32) -> Self {
         self.poison_attempts = n;
         self
     }

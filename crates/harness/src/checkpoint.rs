@@ -39,7 +39,7 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 
 /// FNV-1a 64-bit hash — small, dependency-free, and more than strong
 /// enough to catch accidental corruption (it is not a cryptographic MAC).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -157,10 +157,6 @@ impl SweepCheckpoint {
         Self { fingerprint, chunks: Vec::new(), round_index: 0, rng_state: None, next_link: 0 }
     }
 
-    /// Ids of the chunks this checkpoint has already completed.
-    pub fn completed_ids(&self) -> Vec<u64> {
-        self.chunks.iter().map(|c| c.id).collect()
-    }
 }
 
 /// Serializes `checkpoint` and writes it atomically: the envelope goes to
@@ -292,7 +288,7 @@ impl CheckpointStore {
     }
 
     /// The previous-epoch file.
-    pub fn prev_path(&self) -> PathBuf {
+    pub(crate) fn prev_path(&self) -> PathBuf {
         let mut name = self.path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
         name.push(".prev");
         self.path.with_file_name(name)
@@ -383,7 +379,8 @@ mod tests {
         write_atomic(&path, &cp).unwrap();
         let back = load(&path).unwrap();
         assert_eq!(back.fingerprint, cp.fingerprint);
-        assert_eq!(back.completed_ids(), cp.completed_ids());
+        let ids = |c: &SweepCheckpoint| c.chunks.iter().map(|c| c.id).collect::<Vec<_>>();
+        assert_eq!(ids(&back), ids(&cp));
         assert_eq!(back.round_index, 3);
         assert_eq!(back.rng_state, Some([1, 2, 3, 4]));
         assert_eq!(back.next_link, 5);

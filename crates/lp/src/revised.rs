@@ -355,7 +355,11 @@ impl SparseSimplexSolver {
     /// from the previous solve's basis when the structural pattern allows
     /// it. A spent budget is [`LpOutcome::Stalled`], which callers should
     /// surface as a solver error.
-    pub fn solve_sparse_with_budget(&mut self, lp: &SparseLp, max_pivots: u64) -> LpOutcome {
+    pub(crate) fn solve_sparse_with_budget(
+        &mut self,
+        lp: &SparseLp,
+        max_pivots: u64,
+    ) -> LpOutcome {
         lp.validate().expect("invalid LP");
 
         // Fast resolve: pattern, matrix values and objective identical to

@@ -78,7 +78,7 @@ impl CscMatrix {
     /// Hash of column `j`'s row-index pattern (values excluded:
     /// coefficient drift must not invalidate a warm start): one
     /// rotate-xor-multiply step per row index, seeded with the count.
-    pub fn col_pattern_hash(&self, j: usize) -> u64 {
+    pub(crate) fn col_pattern_hash(&self, j: usize) -> u64 {
         let (rows, _) = self.col(j);
         rows.iter().fold(rows.len() as u64, |h, &r| {
             (h.rotate_left(5) ^ r as u64).wrapping_mul(0x517c_c1b7_2722_0a95)

@@ -19,11 +19,6 @@ impl ConsoleSink {
         Self { quiet }
     }
 
-    /// Whether progress output is suppressed.
-    pub fn is_quiet(&self) -> bool {
-        self.quiet
-    }
-
     /// Prints a progress line (status, per-file notices) unless quiet.
     pub fn progress(&self, msg: &str) {
         if !self.quiet {
@@ -69,12 +64,6 @@ impl Observer for ConsoleSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quiet_flag_is_visible() {
-        assert!(ConsoleSink::new(true).is_quiet());
-        assert!(!ConsoleSink::new(false).is_quiet());
-    }
 
     #[test]
     fn event_echo_does_not_panic() {

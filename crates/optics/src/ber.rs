@@ -6,7 +6,6 @@
 //! needs a predictable extra SNR to hold the same pre-FEC error rate.
 
 use rwc_util::special::{q_function, q_inverse};
-use rwc_util::units::Db;
 
 /// Symbol error rate of M-PSK over AWGN at per-symbol SNR `Es/N0`
 /// (tight union-bound approximation; exact for BPSK).
@@ -61,19 +60,12 @@ pub fn required_es_n0_mqam(m: usize, target_ser: f64) -> f64 {
     x * x * (m as f64 - 1.0) / 3.0
 }
 
-/// SNR gap (in dB) between 16QAM and QPSK at a given target SER — the
-/// theoretical spacing between the 100 G and 200 G rungs of the ladder.
-pub fn qam16_vs_qpsk_gap(target_ser: f64) -> Db {
-    let qam16 = required_es_n0_mqam(16, target_ser);
-    let qpsk = required_es_n0_mqam(4, target_ser);
-    Db::from_linear(qam16 / qpsk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constellation::{awgn_trial, Constellation};
     use rwc_util::rng::Xoshiro256;
+    use rwc_util::units::Db;
 
     #[test]
     fn bpsk_known_point() {
@@ -158,7 +150,8 @@ mod tests {
         // At a pre-FEC target of ~2e-2, 16QAM needs ~5.5-7 dB more SNR than
         // QPSK. The paper's table spaces 200 G exactly 6 dB above 100 G
         // (12.5 vs 6.5), consistent with theory.
-        let gap = qam16_vs_qpsk_gap(2e-2).value();
+        let gap =
+            Db::from_linear(required_es_n0_mqam(16, 2e-2) / required_es_n0_mqam(4, 2e-2)).value();
         assert!((5.0..8.0).contains(&gap), "gap={gap}");
     }
 

@@ -125,7 +125,7 @@ impl LatencyModel {
     }
 
     /// Samples the phase list for one reconfiguration.
-    pub fn sample_phases(
+    pub(crate) fn sample_phases(
         &self,
         procedure: ReconfigProcedure,
         rng: &mut Xoshiro256,
@@ -352,7 +352,6 @@ pub struct Bvt {
     pending_fault: Option<BvtFault>,
     prepared: Option<PreparedChange>,
     reconfig_count: u16,
-    failed_attempts: u16,
     history: Vec<ReconfigReport>,
     registers: BTreeMap<u16, u16>,
     obs: Arc<dyn Observer>,
@@ -386,7 +385,6 @@ impl Bvt {
             pending_fault: None,
             prepared: None,
             reconfig_count: 0,
-            failed_attempts: 0,
             history: Vec::new(),
             registers: BTreeMap::new(),
             obs: rwc_obs::noop(),
@@ -448,11 +446,6 @@ impl Bvt {
     /// The fault armed for the next applicable operation, if any.
     pub fn pending_fault(&self) -> Option<BvtFault> {
         self.pending_fault
-    }
-
-    /// Count of reconfiguration attempts that ended in [`BvtError::ReconfigFailed`].
-    pub fn failed_attempts(&self) -> u16 {
-        self.failed_attempts
     }
 
     /// Arms a fault: the next operation the fault applies to fails.
@@ -669,7 +662,6 @@ impl Bvt {
                         self.modulation = target;
                     }
                     self.status = BvtStatus::Faulted;
-                    self.failed_attempts = self.failed_attempts.wrapping_add(1);
                     self.obs.incr("bvt.reconfig_failures", 1);
                     return Err(BvtError::StageTimeout { phase, elapsed: dl, deadline: dl });
                 }
@@ -709,7 +701,6 @@ impl Bvt {
                     self.modulation = target;
                 }
                 self.status = BvtStatus::Faulted;
-                self.failed_attempts = self.failed_attempts.wrapping_add(1);
                 self.obs.incr("bvt.reconfig_failures", 1);
                 return Err(BvtError::ReconfigFailed {
                     phase,
@@ -953,7 +944,6 @@ mod tests {
         assert!(!bvt.locked());
         // Legacy DSP reprogram completed before the failure.
         assert_eq!(bvt.modulation(), Modulation::Dp16Qam200);
-        assert_eq!(bvt.failed_attempts(), 1);
         assert!(bvt.history().is_empty(), "failed attempts are not history");
         // Faulted bit visible over MDIO.
         assert_eq!(bvt.mdio_read(regs::STATUS).unwrap(), 0b101);
@@ -1158,7 +1148,6 @@ mod tests {
         assert_eq!(bvt.now(), SimTime::EPOCH + deadline);
         assert_eq!(bvt.status(), BvtStatus::Faulted);
         assert!(!bvt.locked());
-        assert_eq!(bvt.failed_attempts(), 1);
         assert_eq!(bvt.prepared(), None, "mid-procedure failure consumes the reservation");
         // Recovery path is the usual one.
         bvt.reset(&mut rng);

@@ -30,12 +30,12 @@ impl Iq {
     }
 
     /// Squared Euclidean distance to another point.
-    pub fn dist2(self, other: Iq) -> f64 {
+    pub(crate) fn dist2(self, other: Iq) -> f64 {
         (self.i - other.i).powi(2) + (self.q - other.q).powi(2)
     }
 
     /// Symbol energy `|s|²`.
-    pub fn energy(self) -> f64 {
+    pub(crate) fn energy(self) -> f64 {
         self.i * self.i + self.q * self.q
     }
 }
@@ -48,11 +48,6 @@ pub struct Constellation {
 }
 
 impl Constellation {
-    /// BPSK: two antipodal points.
-    pub fn bpsk() -> Self {
-        Self::normalised("BPSK", vec![Iq::new(1.0, 0.0), Iq::new(-1.0, 0.0)])
-    }
-
     /// QPSK: four points on the unit circle (the paper's 100 G format).
     pub fn qpsk() -> Self {
         let a = std::f64::consts::FRAC_1_SQRT_2;
@@ -89,21 +84,6 @@ impl Constellation {
         Self::normalised("16QAM", pts)
     }
 
-    /// The constellation used by a ladder format. Hybrid (quarter-step)
-    /// rates interleave two formats in time; their diagrams are dominated by
-    /// the denser format, which we return.
-    pub fn for_modulation(m: crate::Modulation) -> Self {
-        use crate::Modulation::*;
-        match m {
-            DpBpsk50 => Self::bpsk(),
-            DpQpsk100 => Self::qpsk(),
-            Hybrid125 => Self::qam8(),
-            Dp8Qam150 => Self::qam8(),
-            Hybrid175 => Self::qam16(),
-            Dp16Qam200 => Self::qam16(),
-        }
-    }
-
     fn normalised(name: &'static str, mut points: Vec<Iq>) -> Self {
         let avg: f64 = points.iter().map(|p| p.energy()).sum::<f64>() / points.len() as f64;
         let scale = avg.sqrt().recip();
@@ -124,30 +104,13 @@ impl Constellation {
         self.points.len()
     }
 
-    /// Bits per symbol, `log2(M)`.
-    pub fn bits_per_symbol(&self) -> f64 {
-        (self.points.len() as f64).log2()
-    }
-
     /// The (unit-average-energy) symbol points.
     pub fn points(&self) -> &[Iq] {
         &self.points
     }
 
-    /// Minimum Euclidean distance between distinct points — the quantity
-    /// that sets noise tolerance and hence the SNR ladder spacing.
-    pub fn min_distance(&self) -> f64 {
-        let mut best = f64::INFINITY;
-        for (a, pa) in self.points.iter().enumerate() {
-            for pb in &self.points[a + 1..] {
-                best = best.min(pa.dist2(*pb));
-            }
-        }
-        best.sqrt()
-    }
-
     /// Nearest-point (maximum-likelihood over AWGN) detection.
-    pub fn detect(&self, rx: Iq) -> usize {
+    pub(crate) fn detect(&self, rx: Iq) -> usize {
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (idx, p) in self.points.iter().enumerate() {
@@ -228,12 +191,7 @@ mod tests {
     use super::*;
 
     fn all() -> Vec<Constellation> {
-        vec![
-            Constellation::bpsk(),
-            Constellation::qpsk(),
-            Constellation::qam8(),
-            Constellation::qam16(),
-        ]
+        vec![Constellation::qpsk(), Constellation::qam8(), Constellation::qam16()]
     }
 
     #[test]
@@ -248,14 +206,7 @@ mod tests {
     #[test]
     fn orders_and_bits() {
         let orders: Vec<usize> = all().iter().map(|c| c.order()).collect();
-        assert_eq!(orders, vec![2, 4, 8, 16]);
-        assert_eq!(Constellation::qam16().bits_per_symbol(), 4.0);
-    }
-
-    #[test]
-    fn min_distance_shrinks_with_density() {
-        let d: Vec<f64> = all().iter().map(|c| c.min_distance()).collect();
-        assert!(d[0] > d[1] && d[1] > d[2] && d[2] > d[3], "{d:?}");
+        assert_eq!(orders, vec![4, 8, 16]);
     }
 
     #[test]
@@ -291,7 +242,7 @@ mod tests {
             .iter()
             .map(|c| awgn_trial(c, snr, 50_000, &mut rng).symbol_error_rate)
             .collect();
-        assert!(sers[0] <= sers[1] && sers[1] < sers[2] && sers[2] < sers[3], "{sers:?}");
+        assert!(sers[0] < sers[1] && sers[1] < sers[2], "{sers:?}");
     }
 
     #[test]
@@ -304,15 +255,6 @@ mod tests {
             let est = run.estimated_snr().value();
             assert!((est - snr_db).abs() < 0.3, "true={snr_db} est={est}");
         }
-    }
-
-    #[test]
-    fn for_modulation_covers_ladder() {
-        use crate::Modulation;
-        assert_eq!(Constellation::for_modulation(Modulation::DpQpsk100).order(), 4);
-        assert_eq!(Constellation::for_modulation(Modulation::Dp8Qam150).order(), 8);
-        assert_eq!(Constellation::for_modulation(Modulation::Dp16Qam200).order(), 16);
-        assert_eq!(Constellation::for_modulation(Modulation::DpBpsk50).order(), 2);
     }
 
     #[test]

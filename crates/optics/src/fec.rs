@@ -2,10 +2,11 @@
 //!
 //! The SNR thresholds of the modulation ladder are not arbitrary: a rung
 //! is usable exactly when the *pre-FEC* bit error rate stays below what
-//! the transceiver's FEC can clean up. This module models the standard
-//! coherent-era codes and derives each rung's required SNR from
-//! communication theory — and the result lands within a fraction of a dB
-//! of the paper-calibrated table — the consistency check the
+//! the transceiver's FEC can clean up. [`FecCode`] models a code by its
+//! overhead and correctable BER and derives each rung's required SNR from
+//! communication theory. For the 20% soft-decision code of the paper's
+//! transceiver generation the result lands within a fraction of a dB of
+//! the paper-calibrated table — the consistency check the
 //! `ladder_matches_sd_fec` test encodes.
 
 use crate::ber::required_es_n0_mqam;
@@ -27,29 +28,6 @@ pub struct FecCode {
 }
 
 impl FecCode {
-    /// Classic 6.7%-overhead hard-decision FEC (GFEC era).
-    pub const HD_7: FecCode =
-        FecCode { name: "HD-FEC 7%", overhead: 0.067, pre_fec_ber: 3.8e-3 };
-    /// 20%-overhead soft-decision FEC — the workhorse of the paper's
-    /// transceiver generation.
-    pub const SD_20: FecCode =
-        FecCode { name: "SD-FEC 20%", overhead: 0.20, pre_fec_ber: 2.0e-2 };
-    /// Aggressive 25%-overhead soft-decision FEC.
-    pub const SD_25: FecCode =
-        FecCode { name: "SD-FEC 25%", overhead: 0.25, pre_fec_ber: 4.0e-2 };
-
-    /// Line (gross) rate needed to deliver a given net information rate.
-    pub fn gross_rate(&self, net_gbps: f64) -> f64 {
-        assert!(net_gbps >= 0.0);
-        net_gbps * (1.0 + self.overhead)
-    }
-
-    /// Net information rate delivered by a given line rate.
-    pub fn net_rate(&self, gross_gbps: f64) -> f64 {
-        assert!(gross_gbps >= 0.0);
-        gross_gbps / (1.0 + self.overhead)
-    }
-
     /// Theoretical SNR required for a modulation format to stay within
     /// this code's pre-FEC BER budget.
     ///
@@ -106,20 +84,20 @@ impl FecCode {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rate_accounting_round_trip() {
-        let fec = FecCode::SD_20;
-        let gross = fec.gross_rate(100.0);
-        assert!((gross - 120.0).abs() < 1e-9);
-        assert!((fec.net_rate(gross) - 100.0).abs() < 1e-9);
-    }
+    /// Classic 6.7%-overhead hard-decision FEC (GFEC era).
+    const HD_7: FecCode = FecCode { name: "HD-FEC 7%", overhead: 0.067, pre_fec_ber: 3.8e-3 };
+    /// 20%-overhead soft-decision FEC — the workhorse of the paper's
+    /// transceiver generation.
+    const SD_20: FecCode = FecCode { name: "SD-FEC 20%", overhead: 0.20, pre_fec_ber: 2.0e-2 };
+    /// Aggressive 25%-overhead soft-decision FEC.
+    const SD_25: FecCode = FecCode { name: "SD-FEC 25%", overhead: 0.25, pre_fec_ber: 4.0e-2 };
 
     #[test]
     fn stronger_fec_needs_less_snr() {
         for m in [Modulation::DpQpsk100, Modulation::Dp16Qam200] {
-            let hd = FecCode::HD_7.required_snr(m);
-            let sd20 = FecCode::SD_20.required_snr(m);
-            let sd25 = FecCode::SD_25.required_snr(m);
+            let hd = HD_7.required_snr(m);
+            let sd20 = SD_20.required_snr(m);
+            let sd25 = SD_25.required_snr(m);
             assert!(hd > sd20, "{m}: {hd} vs {sd20}");
             assert!(sd20 > sd25, "{m}: {sd20} vs {sd25}");
         }
@@ -127,7 +105,7 @@ mod tests {
 
     #[test]
     fn denser_formats_need_more_snr() {
-        let fec = FecCode::SD_20;
+        let fec = SD_20;
         let ladder: Vec<f64> = Modulation::LADDER
             .iter()
             .map(|&m| fec.required_snr(m).value())
@@ -142,7 +120,7 @@ mod tests {
     /// within ~1 dB at every pure rung.
     #[test]
     fn ladder_matches_sd_fec() {
-        let fec = FecCode::SD_20;
+        let fec = SD_20;
         for m in [
             Modulation::DpQpsk100,
             Modulation::Dp16Qam200,
@@ -165,7 +143,7 @@ mod tests {
 
     #[test]
     fn hybrids_sit_between_neighbours() {
-        let fec = FecCode::SD_20;
+        let fec = SD_20;
         let q100 = fec.required_snr(Modulation::DpQpsk100);
         let h125 = fec.required_snr(Modulation::Hybrid125);
         let q150 = fec.required_snr(Modulation::Dp8Qam150);

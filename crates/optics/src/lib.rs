@@ -18,7 +18,6 @@
 //! - [`bvt`]: a bandwidth-variable transceiver state machine with an
 //!   MDIO-style register interface and the two reconfiguration procedures
 //!   the paper compares in Fig. 6b (legacy ≈ 68 s vs efficient ≈ 35 ms).
-//! - [`wavelength`]: the DWDM channel grid mapping wavelengths to IP links.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,9 +28,7 @@ pub mod constellation;
 pub mod fec;
 pub mod link_budget;
 pub mod modulation;
-pub mod qfactor;
 pub mod snr;
-pub mod wavelength;
 
 pub use bvt::{Bvt, ReconfigProcedure, ReconfigReport};
 pub use link_budget::LinkBudget;

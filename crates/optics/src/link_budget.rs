@@ -50,7 +50,7 @@ pub struct LinkBudget {
 impl LinkBudget {
     /// 58 dB ≈ −10·log10(h·ν·B_ref) − 30 at 1550 nm over 12.5 GHz: the
     /// constant in the engineering OSNR formula.
-    pub const OSNR_CONSTANT_DB: f64 = 58.0;
+    pub(crate) const OSNR_CONSTANT_DB: f64 = 58.0;
 
     /// A typical terrestrial long-haul system: 80 km spans, 0 dBm launch,
     /// 0.2 dB/km fiber, 5.5 dB NF amplifiers, 32 GBd transceivers, mild
@@ -80,13 +80,8 @@ impl LinkBudget {
     }
 
     /// Loss of a single span, dB.
-    pub fn span_loss_db(&self) -> f64 {
+    pub(crate) fn span_loss_db(&self) -> f64 {
         self.span_km * self.attenuation_db_per_km
-    }
-
-    /// Total route length, km.
-    pub fn route_km(&self) -> f64 {
-        self.span_km * self.n_spans as f64
     }
 
     /// ASE-limited OSNR over the 0.1 nm reference bandwidth.
@@ -176,7 +171,6 @@ mod tests {
     fn span_loss_and_length() {
         let b = LinkBudget::terrestrial(12);
         assert!((b.span_loss_db() - 16.0).abs() < 1e-12);
-        assert!((b.route_km() - 960.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! intermediate thresholds follow the ~1.5 dB-per-25-Gbps spacing the ladder
 //! implies and are validated against closed-form symbol-error-rate models in
 //! [`crate::ber`]. The paper stresses the thresholds are hardware-specific;
-//! [`ModulationTable`] therefore accepts custom ladders.
+//! [`ModulationTable::with_margin`] therefore adds an operator guard margin.
 
 use rwc_util::units::{Db, Gbps};
 use serde::{Deserialize, Serialize};
@@ -75,36 +75,10 @@ impl Modulation {
         }
     }
 
-    /// Information bits per (dual-polarisation) symbol.
-    ///
-    /// Hybrids alternate between neighbouring formats, so they carry the
-    /// average of the neighbours' bit loads.
-    pub const fn bits_per_symbol(self) -> f64 {
-        match self {
-            Modulation::DpBpsk50 => 2.0,
-            Modulation::DpQpsk100 => 4.0,
-            Modulation::Hybrid125 => 5.0,
-            Modulation::Dp8Qam150 => 6.0,
-            Modulation::Hybrid175 => 7.0,
-            Modulation::Dp16Qam200 => 8.0,
-        }
-    }
-
-    /// Next step up the ladder, if any.
-    pub fn step_up(self) -> Option<Modulation> {
-        let idx = Self::LADDER.iter().position(|&m| m == self).unwrap();
-        Self::LADDER.get(idx + 1).copied()
-    }
-
     /// Next step down the ladder, if any.
     pub fn step_down(self) -> Option<Modulation> {
         let idx = Self::LADDER.iter().position(|&m| m == self).unwrap();
         idx.checked_sub(1).map(|i| Self::LADDER[i])
-    }
-
-    /// The format carrying exactly this capacity, if it is on the ladder.
-    pub fn for_capacity(capacity: Gbps) -> Option<Modulation> {
-        Self::LADDER.iter().copied().find(|m| m.capacity() == capacity)
     }
 }
 
@@ -171,23 +145,6 @@ impl ModulationTable {
                 .map(|&m| (m, m.required_snr() + margin))
                 .collect(),
         }
-    }
-
-    /// A custom ladder. Entries must be non-empty, strictly increasing in
-    /// both capacity and threshold (a faster format never needs less SNR).
-    pub fn custom(entries: Vec<(Modulation, Db)>) -> Self {
-        assert!(!entries.is_empty(), "empty modulation table");
-        for pair in entries.windows(2) {
-            assert!(
-                pair[0].0.capacity() < pair[1].0.capacity(),
-                "table must be sorted by ascending capacity"
-            );
-            assert!(
-                pair[0].1 < pair[1].1,
-                "thresholds must increase with capacity"
-            );
-        }
-        Self { entries }
     }
 
     /// All `(format, threshold)` entries, ascending capacity.
@@ -263,7 +220,6 @@ mod tests {
         for pair in Modulation::LADDER.windows(2) {
             assert!(pair[0].capacity() < pair[1].capacity());
             assert!(pair[0].required_snr() < pair[1].required_snr());
-            assert!(pair[0].bits_per_symbol() < pair[1].bits_per_symbol());
         }
     }
 
@@ -275,27 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_scales_with_bits() {
-        for m in Modulation::LADDER {
-            // 25 Gbps per bit/symbol at fixed baud: capacity ∝ bit load.
-            assert_eq!(m.capacity().value(), m.bits_per_symbol() * 25.0);
-        }
-    }
-
-    #[test]
     fn step_up_down_navigation() {
-        assert_eq!(Modulation::DpQpsk100.step_up(), Some(Modulation::Hybrid125));
         assert_eq!(Modulation::DpQpsk100.step_down(), Some(Modulation::DpBpsk50));
-        assert_eq!(Modulation::Dp16Qam200.step_up(), None);
         assert_eq!(Modulation::DpBpsk50.step_down(), None);
-    }
-
-    #[test]
-    fn for_capacity_round_trip() {
-        for m in Modulation::LADDER {
-            assert_eq!(Modulation::for_capacity(m.capacity()), Some(m));
-        }
-        assert_eq!(Modulation::for_capacity(Gbps(110.0)), None);
     }
 
     #[test]
@@ -352,28 +290,6 @@ mod tests {
         let table = ModulationTable::paper_default();
         assert_eq!(table.slowest(), Modulation::DpBpsk50);
         assert_eq!(table.fastest(), Modulation::Dp16Qam200);
-    }
-
-    #[test]
-    fn custom_table_subset() {
-        // An operator that only licensed three rates.
-        let table = ModulationTable::custom(vec![
-            (Modulation::DpQpsk100, Db(7.0)),
-            (Modulation::Dp8Qam150, Db(10.0)),
-            (Modulation::Dp16Qam200, Db(13.0)),
-        ]);
-        assert_eq!(table.feasible(Db(9.0)), Some(Modulation::DpQpsk100));
-        assert_eq!(table.threshold(Modulation::Hybrid125), None);
-        assert_eq!(table.slowest(), Modulation::DpQpsk100);
-    }
-
-    #[test]
-    #[should_panic]
-    fn custom_table_rejects_nonmonotone_thresholds() {
-        ModulationTable::custom(vec![
-            (Modulation::DpQpsk100, Db(7.0)),
-            (Modulation::Dp8Qam150, Db(6.0)),
-        ]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use rwc_util::units::Db;
 
 /// The conventional OSNR reference bandwidth: 0.1 nm at 1550 nm ≈ 12.5 GHz.
-pub const OSNR_REF_BANDWIDTH_GHZ: f64 = 12.5;
+pub(crate) const OSNR_REF_BANDWIDTH_GHZ: f64 = 12.5;
 
 /// The symbol rate of the paper-era coherent transceivers (GBd). All ladder
 /// rates run at the same baud; capacity changes come from bit loading.
@@ -22,23 +22,10 @@ pub fn osnr_to_snr(osnr: Db, baud_gbd: f64) -> Db {
     osnr - Db(10.0 * (baud_gbd / OSNR_REF_BANDWIDTH_GHZ).log10())
 }
 
-/// Converts electrical SNR back to OSNR (0.1 nm reference).
-pub fn snr_to_osnr(snr: Db, baud_gbd: f64) -> Db {
-    assert!(baud_gbd > 0.0, "symbol rate must be positive");
-    snr + Db(10.0 * (baud_gbd / OSNR_REF_BANDWIDTH_GHZ).log10())
-}
-
 /// Headroom between a measured SNR and a threshold. Positive = above
 /// threshold.
 pub fn margin(snr: Db, threshold: Db) -> Db {
     snr - threshold
-}
-
-/// True if `snr` sits within `guard` of `threshold` on either side — the
-/// flapping-risk zone the run/walk/crawl controller treats with hysteresis.
-pub fn in_guard_band(snr: Db, threshold: Db, guard: Db) -> bool {
-    assert!(guard.value() >= 0.0, "guard must be non-negative");
-    snr.abs_diff(threshold) <= guard
 }
 
 #[cfg(test)]
@@ -46,22 +33,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn osnr_snr_round_trip() {
-        for &baud in &[28.0, 32.0, 64.0] {
-            let snr = Db(12.5);
-            let osnr = snr_to_osnr(snr, baud);
-            let back = osnr_to_snr(osnr, baud);
-            assert!((back.value() - snr.value()).abs() < 1e-12, "baud={baud}");
-        }
-    }
-
-    #[test]
     fn osnr_exceeds_snr_at_wideband_rates() {
         // At 32 GBd the signal bandwidth exceeds the 12.5 GHz reference, so
         // OSNR reads higher than SNR by 10·log10(32/12.5) ≈ 4.08 dB.
-        let snr = Db(6.5);
-        let osnr = snr_to_osnr(snr, DEFAULT_BAUD_GBD);
-        assert!((osnr.value() - 10.58).abs() < 0.01, "osnr={osnr}");
+        let snr = osnr_to_snr(Db(10.58), DEFAULT_BAUD_GBD);
+        assert!((snr.value() - 6.5).abs() < 0.01, "snr={snr}");
     }
 
     #[test]
@@ -74,13 +50,5 @@ mod tests {
     fn margin_sign_convention() {
         assert_eq!(margin(Db(8.0), Db(6.5)), Db(1.5));
         assert_eq!(margin(Db(5.0), Db(6.5)), Db(-1.5));
-    }
-
-    #[test]
-    fn guard_band_membership() {
-        assert!(in_guard_band(Db(6.9), Db(6.5), Db(0.5)));
-        assert!(in_guard_band(Db(6.1), Db(6.5), Db(0.5)));
-        assert!(!in_guard_band(Db(7.5), Db(6.5), Db(0.5)));
-        assert!(in_guard_band(Db(6.5), Db(6.5), Db(0.0)));
     }
 }

@@ -102,7 +102,9 @@ impl ServeConfig {
         if self.controller.table.entries().is_empty() {
             return Err(ServeError::Config("modulation table has no rungs".into()));
         }
-        if self.controller.upgrade_margin.value() < 0.0 {
+        // NaN fails too: `Controller::new` asserts `>= 0.0`.
+        let margin = self.controller.upgrade_margin.value();
+        if margin.is_nan() || margin < 0.0 {
             return Err(ServeError::Config("upgrade_margin must be non-negative".into()));
         }
         if !(0.0..=1.0).contains(&self.restart.jitter) {
@@ -136,6 +138,9 @@ mod tests {
         assert!(matches!(c.validate(), Err(ServeError::Config(_))));
         let mut c = ServeConfig::small();
         c.queue_capacity = 0;
+        assert!(matches!(c.validate(), Err(ServeError::Config(_))));
+        let mut c = ServeConfig::small();
+        c.controller.upgrade_margin = rwc_util::units::Db(f64::NAN);
         assert!(matches!(c.validate(), Err(ServeError::Config(_))));
         let mut c = ServeConfig::small();
         c.restart.jitter = 2.0;

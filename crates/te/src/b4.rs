@@ -214,7 +214,7 @@ mod tests {
         // 250 G demand over a topology with 100 G direct + detours.
         dm.add(a, b, Gbps(250.0), Priority::Elastic);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = B4Te::default().solve(&p);
+        let sol = B4Te::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         // Direct (100) + the edge-disjoint detour A-C-D-B (100) ⇒ 200.
         assert!(sol.total > 150.0, "total={}", sol.total);
@@ -230,7 +230,7 @@ mod tests {
         dm.add(r0, r1, Gbps(500.0), Priority::Elastic);
         dm.add(r0, r1, Gbps(500.0), Priority::Elastic);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = B4Te::default().solve(&p);
+        let sol = B4Te::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         // 200 G total reachable (direct + detour); fairness ⇒ ~100 each.
         assert!((sol.routed[0] - sol.routed[1]).abs() <= 2.0 + 1e-9,
@@ -246,7 +246,7 @@ mod tests {
         let mut dm = DemandMatrix::new();
         dm.add(sea, nyc, Gbps(40.0), Priority::Interactive);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = B4Te::default().solve(&p);
+        let sol = B4Te::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert!((sol.routed[0] - 40.0).abs() < 1e-6);
     }
@@ -262,7 +262,7 @@ mod tests {
         dm.add(a, c, Gbps(10.0), Priority::Elastic);
         dm.add(a, b, Gbps(10.0), Priority::Elastic);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = B4Te::default().solve(&p);
+        let sol = B4Te::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert_eq!(sol.routed[0], 0.0);
         assert!((sol.routed[1] - 10.0).abs() < 1e-6);
@@ -276,8 +276,8 @@ mod tests {
         let mut dm = DemandMatrix::new();
         dm.add(a, d, Gbps(400.0), Priority::Elastic);
         let p = TeProblem::from_wan(&wan, &dm);
-        let one = B4Te { k_tunnels: 1, quantum: 1.0 }.solve(&p);
-        let four = B4Te { k_tunnels: 4, quantum: 1.0 }.solve(&p);
+        let one = B4Te { k_tunnels: 1, quantum: 1.0 }.try_solve(&p).expect("TE solve");
+        let four = B4Te { k_tunnels: 4, quantum: 1.0 }.try_solve(&p).expect("TE solve");
         assert!(four.total >= one.total - 1e-9, "k=4 {} vs k=1 {}", four.total, one.total);
         assert!(four.total > one.total + 10.0, "extra tunnels should add capacity");
     }

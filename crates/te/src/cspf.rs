@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn splittable_fills_paths() {
         let p = ab_problem(&[250.0]);
-        let sol = CspfTe { unsplittable: false }.solve(&p);
+        let sol = CspfTe { unsplittable: false }.try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert!(sol.total > 150.0, "total={}", sol.total);
     }
@@ -181,12 +181,12 @@ mod tests {
     fn unsplittable_places_whole_or_nothing() {
         // 150 G cannot fit any single 100 G path: must be dropped.
         let p = ab_problem(&[150.0]);
-        let sol = CspfTe { unsplittable: true }.solve(&p);
+        let sol = CspfTe { unsplittable: true }.try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert_eq!(sol.total, 0.0);
         // 80 G fits on the direct link.
         let p = ab_problem(&[80.0]);
-        let sol = CspfTe { unsplittable: true }.solve(&p);
+        let sol = CspfTe { unsplittable: true }.try_solve(&p).expect("TE solve");
         assert_eq!(sol.total, 80.0);
     }
 
@@ -194,20 +194,20 @@ mod tests {
     fn order_dependence_is_visible() {
         // First demand hogs the direct path; second detours.
         let p = ab_problem(&[100.0, 100.0]);
-        let sol = CspfTe { unsplittable: true }.solve(&p);
+        let sol = CspfTe { unsplittable: true }.try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert_eq!(sol.routed[0], 100.0);
         assert_eq!(sol.routed[1], 100.0, "detour via C exists");
         // Third demand of 100 must fail: no single remaining 100 G path.
         let p3 = ab_problem(&[100.0, 100.0, 100.0]);
-        let sol3 = CspfTe { unsplittable: true }.solve(&p3);
+        let sol3 = CspfTe { unsplittable: true }.try_solve(&p3).expect("TE solve");
         assert_eq!(sol3.routed[2], 0.0);
     }
 
     #[test]
     fn shortest_path_preferred() {
         let p = ab_problem(&[50.0]);
-        let sol = CspfTe { unsplittable: true }.solve(&p);
+        let sol = CspfTe { unsplittable: true }.try_solve(&p).expect("TE solve");
         // Direct A→B edge is edge 0; all 50 G must ride it.
         assert_eq!(sol.edge_flows[0], 50.0);
         assert!(sol.edge_flows.iter().skip(1).all(|&f| f == 0.0));
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn zero_demand_skipped() {
         let p = ab_problem(&[0.0]);
-        let sol = CspfTe::default().solve(&p);
+        let sol = CspfTe::default().try_solve(&p).expect("TE solve");
         assert_eq!(sol.total, 0.0);
     }
 }

@@ -39,7 +39,7 @@ pub(crate) fn te_problem(net: &FlowNetwork, commodities: &[(usize, usize, f64)])
 /// `TeSolver`'s validated max-throughput routing of `commodities`.
 fn te_solve(net: &FlowNetwork, commodities: &[(usize, usize, f64)]) -> TeSolution {
     let problem = te_problem(net, commodities);
-    let sol = TeSolver::default().solve(&problem);
+    let sol = TeSolver::default().try_solve(&problem).expect("TE solve");
     sol.validate(&problem).unwrap();
     sol
 }

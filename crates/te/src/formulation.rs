@@ -379,7 +379,7 @@ pub struct LoweredTe<'p> {
 impl LoweredTe<'_> {
     /// The problem the LP actually routes on: the gadget expansion for
     /// unsplittable, the original otherwise.
-    pub fn routing_problem(&self) -> &TeProblem {
+    pub(crate) fn routing_problem(&self) -> &TeProblem {
         match &self.gadget {
             Some(g) => &g.inner,
             None => self.problem,

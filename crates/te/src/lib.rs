@@ -108,18 +108,9 @@ pub trait TeAlgorithm {
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
     /// Solves the problem, surfacing solver failures as [`TeError`]
-    /// instead of panicking. This is the entry point the fault-tolerant
-    /// pipeline uses.
+    /// instead of panicking. Callers that treat a failed solve as fatal
+    /// say so at the call site with `?` or `.expect`.
     fn try_solve(&self, problem: &TeProblem) -> Result<TeSolution, TeError>;
-    /// Solves the problem, panicking on solver failure. Convenience for
-    /// callers (tests, examples, offline studies) that treat a failed
-    /// solve as fatal.
-    fn solve(&self, problem: &TeProblem) -> TeSolution {
-        match self.try_solve(problem) {
-            Ok(s) => s,
-            Err(e) => panic!("TE solve failed: {e}"),
-        }
-    }
     /// Warm-start counters, for algorithms that keep solver state across
     /// rounds (see [`solver::TeSolver`]). Stateless algorithms return
     /// `None`.

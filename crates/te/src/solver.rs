@@ -30,7 +30,7 @@
 //! by [`rwc_lp::certify_infeasible`], `Unbounded` by
 //! [`rwc_lp::certify_unbounded`] — in a debug build on every solve, in a
 //! release build on the 1st, 65th, 129th … solve of each solver (its own
-//! solve count modulo [`CERTIFY_EVERY`], so a run is as deterministic as
+//! solve count modulo `CERTIFY_EVERY` = 64, so a run is as deterministic as
 //! its inputs); [`TeSolver::solve_certified`] checks in any build and
 //! hands the residuals back. Each check run counts `te.certified`. A
 //! refused certificate panics with the objective and the residuals, in
@@ -48,7 +48,7 @@ use std::time::Duration;
 
 /// A release-build `TeSolver` certifies one solve in this many — its 1st,
 /// 65th, 129th … — and a debug build every solve.
-pub const CERTIFY_EVERY: u64 = 64;
+pub(crate) const CERTIFY_EVERY: u64 = 64;
 
 /// Whether solver state (the last optimal basis) survives across solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -376,12 +376,12 @@ mod tests {
         // an empty matrix routes nothing.
         for (volume, want) in [(300.0, 200.0), (30.0, 30.0)] {
             let p = fig7_problem(volume);
-            let sol = TeSolver::default().solve(&p);
+            let sol = TeSolver::default().try_solve(&p).expect("TE solve");
             sol.validate(&p).unwrap();
             assert!((sol.total - want).abs() < 1e-6, "volume {volume}: total={}", sol.total);
         }
         let empty = TeProblem::from_wan(&builders::fig7_example(), &DemandMatrix::new());
-        assert_eq!(TeSolver::default().solve(&empty).total, 0.0);
+        assert_eq!(TeSolver::default().try_solve(&empty).expect("TE solve").total, 0.0);
     }
 
     #[test]
@@ -485,8 +485,8 @@ mod tests {
         for cap in [100.0, 90.0, 110.0, 95.0] {
             let mut round = p.clone();
             round.net.set_capacity(0, cap);
-            let a = cold.solve(&round);
-            let b = retain.solve(&round);
+            let a = cold.try_solve(&round).expect("TE solve");
+            let b = retain.try_solve(&round).expect("TE solve");
             assert!((a.total - b.total).abs() < 1e-6);
         }
         let cold_stats = cold.warm_stats().unwrap();
@@ -551,9 +551,9 @@ mod tests {
         }
         let metrics = Arc::new(rwc_obs::MetricsObserver::new());
         let chained = TeSolver::builder().observer(metrics.clone()).build().unwrap();
-        let static_total = chained.solve(&base).total;
-        let warm = chained.solve(&augmented);
-        let cold = TeSolver::default().solve(&augmented);
+        let static_total = chained.try_solve(&base).expect("TE solve").total;
+        let warm = chained.try_solve(&augmented).expect("TE solve");
+        let cold = TeSolver::default().try_solve(&augmented).expect("TE solve");
         assert!((warm.total - cold.total).abs() < 1e-6, "{} vs {}", warm.total, cold.total);
         assert!(warm.total > static_total + 1.0, "the fake capacity is worth using");
         let stats = chained.warm_stats().unwrap();

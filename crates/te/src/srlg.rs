@@ -28,7 +28,7 @@ pub fn shared_risk_groups(wan: &WanTopology) -> BTreeMap<usize, Vec<LinkId>> {
 }
 
 /// The set of fibers a path touches.
-pub fn fibers_of(wan: &WanTopology, path: &Path) -> BTreeSet<usize> {
+pub(crate) fn fibers_of(wan: &WanTopology, path: &Path) -> BTreeSet<usize> {
     path.links.iter().map(|&l| wan.link(l).fiber_id).collect()
 }
 
@@ -151,7 +151,7 @@ mod tests {
         let mut dm = DemandMatrix::new();
         dm.add(a, b, Gbps(80.0), Priority::Elastic);
         let problem = TeProblem::from_wan(&wan, &dm);
-        let sol = SwanTe::default().solve(&problem);
+        let sol = SwanTe::default().try_solve(&problem).expect("TE solve");
         let fiber = wan.link(LinkId(0)).fiber_id;
         let impact = cut_impact(&wan, &problem, &sol, fiber);
         assert_eq!(impact.links_down.len(), 2);
@@ -164,7 +164,7 @@ mod tests {
     fn cut_of_unknown_fiber_is_empty() {
         let wan = builders::fig7_example();
         let problem = TeProblem::from_wan(&wan, &DemandMatrix::new());
-        let sol = SwanTe::default().solve(&problem);
+        let sol = SwanTe::default().try_solve(&problem).expect("TE solve");
         let impact = cut_impact(&wan, &problem, &sol, 999);
         assert!(impact.links_down.is_empty());
         assert_eq!(impact.capacity_lost, Gbps(0.0));

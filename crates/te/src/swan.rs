@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn interactive_wins_contention() {
         let p = contended_problem();
-        let sol = SwanTe::default().solve(&p);
+        let sol = SwanTe::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         // ~200 G total is routable; interactive must get its 150 first.
         assert!(sol.routed[0] > 140.0, "interactive={}", sol.routed[0]);
@@ -116,7 +116,7 @@ mod tests {
         dm.add(a, b, Gbps(30.0), Priority::Elastic);
         dm.add(a, b, Gbps(30.0), Priority::Background);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = SwanTe::default().solve(&p);
+        let sol = SwanTe::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert!((sol.satisfaction(&p) - 1.0).abs() < 0.02, "sat={}", sol.satisfaction(&p));
     }
@@ -130,7 +130,7 @@ mod tests {
         dm.add(a, b, Gbps(0.0), Priority::Interactive);
         dm.add(a, b, Gbps(30.0), Priority::Elastic);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = SwanTe::default().solve(&p);
+        let sol = SwanTe::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert_eq!(sol.routed[0], 0.0);
         assert!((sol.total - 30.0).abs() < 1e-9, "total={}", sol.total);
@@ -140,7 +140,7 @@ mod tests {
     fn empty_matrix_is_zero() {
         let wan = builders::fig7_example();
         let p = TeProblem::from_wan(&wan, &DemandMatrix::new());
-        let sol = SwanTe::default().solve(&p);
+        let sol = SwanTe::default().try_solve(&p).expect("TE solve");
         assert_eq!(sol.total, 0.0);
         assert!(sol.edge_flows.iter().all(|&f| f == 0.0));
     }
@@ -150,7 +150,7 @@ mod tests {
         let wan = builders::abilene();
         let dm = DemandMatrix::gravity(&wan, Gbps(600.0), 3);
         let p = TeProblem::from_wan(&wan, &dm);
-        let sol = SwanTe::default().solve(&p);
+        let sol = SwanTe::default().try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         // A light load (600 G over a 1.4 T network) should be mostly
         // satisfiable.

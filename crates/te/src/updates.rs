@@ -161,7 +161,7 @@ mod tests {
         let (wan, dm, change) = setup();
         let algo = SwanTe::default();
         // Starting from the current (pre-update) allocation.
-        let current = algo.solve(&TeProblem::from_wan(&wan, &dm));
+        let current = algo.try_solve(&TeProblem::from_wan(&wan, &dm)).expect("TE solve");
         let plan = try_plan_capacity_changes(&wan, &dm, &[change], &algo, true, Some(&current))
             .expect("plan");
         assert!(plan.total_churn() >= 0.0);

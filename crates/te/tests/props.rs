@@ -32,14 +32,14 @@ proptest! {
     #[test]
     fn solver_hierarchy((wan, dm) in arb_case()) {
         let problem = TeProblem::from_wan(&wan, &dm);
-        let exact = TeSolver::builder().build().unwrap().solve(&problem);
+        let exact = TeSolver::builder().build().unwrap().try_solve(&problem).expect("TE solve");
         prop_assert!(exact.validate(&problem).is_ok(), "exact invalid");
         for algo in [
             Box::new(SwanTe::default()) as Box<dyn TeAlgorithm>,
             Box::new(B4Te::default()),
             Box::new(CspfTe::default()),
         ] {
-            let sol = algo.solve(&problem);
+            let sol = algo.try_solve(&problem).expect("TE solve");
             prop_assert!(sol.validate(&problem).is_ok(), "{} invalid", algo.name());
             prop_assert!(sol.total <= exact.total + 1e-4,
                 "{} ({}) beat the LP optimum ({})", algo.name(), sol.total, exact.total);
@@ -51,7 +51,7 @@ proptest! {
     #[test]
     fn swan_priority_isolation((wan, dm) in arb_case()) {
         let problem = TeProblem::from_wan(&wan, &dm);
-        let full = SwanTe::default().solve(&problem);
+        let full = SwanTe::default().try_solve(&problem).expect("TE solve");
         // Drop all background demands.
         let mut reduced = DemandMatrix::new();
         for d in dm.demands() {
@@ -61,7 +61,7 @@ proptest! {
         }
         prop_assume!(!reduced.is_empty());
         let reduced_problem = TeProblem::from_wan(&wan, &reduced);
-        let without_bg = SwanTe::default().solve(&reduced_problem);
+        let without_bg = SwanTe::default().try_solve(&reduced_problem).expect("TE solve");
         let interactive_full: f64 = problem
             .commodities_of(Priority::Interactive)
             .iter()
@@ -80,11 +80,14 @@ proptest! {
         for d in dm.of_priority(Priority::Interactive) {
             alone.add(d.from, d.to, d.volume, d.priority);
         }
-        let optimum = TeSolver::default().solve(&TeProblem::from_wan(&wan, &alone)).total;
+        let optimum = TeSolver::default()
+            .try_solve(&TeProblem::from_wan(&wan, &alone))
+            .expect("TE solve")
+            .total;
         prop_assert!((interactive_full - optimum).abs() < 1e-6,
             "interactive {interactive_full} vs its own optimum {optimum}");
         // And the answer is a pure function of the problem.
-        prop_assert_eq!(&SwanTe::default().solve(&problem), &full);
+        prop_assert_eq!(&SwanTe::default().try_solve(&problem).expect("TE solve"), &full);
     }
 
     /// With one class present SWAN *is* the exact LP: bit for bit the cold
@@ -96,7 +99,10 @@ proptest! {
             one_class.add(d.from, d.to, d.volume, Priority::ALL[class]);
         }
         let problem = TeProblem::from_wan(&wan, &one_class);
-        prop_assert_eq!(SwanTe::default().solve(&problem), TeSolver::default().solve(&problem));
+        prop_assert_eq!(
+            SwanTe::default().try_solve(&problem).expect("TE solve"),
+            TeSolver::default().try_solve(&problem).expect("TE solve")
+        );
     }
 
     /// Demand scaling is monotone for the *exact* solver (an LP optimum
@@ -107,16 +113,18 @@ proptest! {
     #[test]
     fn throughput_monotone_in_demand((wan, dm) in arb_case(), factor in 1.1f64..3.0) {
         let exact = TeSolver::builder().build().unwrap();
-        let exact_base = exact.solve(&TeProblem::from_wan(&wan, &dm));
-        let exact_scaled = exact.solve(&TeProblem::from_wan(&wan, &dm.scaled(factor)));
+        let exact_base = exact.try_solve(&TeProblem::from_wan(&wan, &dm)).expect("TE solve");
+        let exact_scaled = exact.try_solve(&TeProblem::from_wan(&wan, &dm.scaled(factor)))
+            .expect("TE solve");
         prop_assert!(exact_scaled.total >= exact_base.total - 1e-4,
             "exact: {} -> {}", exact_base.total, exact_scaled.total);
         for algo in [
             Box::new(SwanTe::default()) as Box<dyn TeAlgorithm>,
             Box::new(CspfTe::default()),
         ] {
-            let base = algo.solve(&TeProblem::from_wan(&wan, &dm));
-            let scaled = algo.solve(&TeProblem::from_wan(&wan, &dm.scaled(factor)));
+            let base = algo.try_solve(&TeProblem::from_wan(&wan, &dm)).expect("TE solve");
+            let scaled = algo.try_solve(&TeProblem::from_wan(&wan, &dm.scaled(factor)))
+                .expect("TE solve");
             prop_assert!(scaled.total >= 0.8 * base.total - 1e-6,
                 "{}: {} -> {}", algo.name(), base.total, scaled.total);
         }

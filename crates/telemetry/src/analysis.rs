@@ -244,29 +244,9 @@ impl FleetAccumulator {
         Gbps(self.gains.iter().sum())
     }
 
-    /// Per-link failure counts at a rung (Fig. 3a's y-values).
-    pub fn failure_counts(&self, m: Modulation) -> &[f64] {
-        self.rung(m).map(|r| r.1.as_slice()).unwrap_or(&[])
-    }
-
     /// Episode durations in hours at a rung (Fig. 3b's y-values).
     pub fn failure_durations_hours(&self, m: Modulation) -> &[f64] {
         self.rung(m).map(|r| r.2.as_slice()).unwrap_or(&[])
-    }
-
-    /// Episode SNR floors in dB at a rung (Fig. 4c input, taken at 100 G).
-    pub fn failure_floors_db(&self, m: Modulation) -> &[f64] {
-        self.rung(m).map(|r| r.3.as_slice()).unwrap_or(&[])
-    }
-
-    /// Fraction of failure episodes at rung `m` whose SNR floor stayed at or
-    /// above `floor` — the paper's "25% of failures could run at 50 G".
-    pub fn fraction_failures_with_floor_at_least(&self, m: Modulation, floor: Db) -> f64 {
-        let floors = self.failure_floors_db(m);
-        if floors.is_empty() {
-            return 0.0;
-        }
-        floors.iter().filter(|&&f| f >= floor.value()).count() as f64 / floors.len() as f64
     }
 
     fn rung(&self, m: Modulation) -> Option<&RungStats> {
@@ -422,28 +402,7 @@ mod tests {
         assert_eq!(acc.total_gain(), Gbps(125.0)); // 100 + 25
         assert_eq!(acc.fraction_feasible_at_least(Gbps(175.0)), 0.5);
         assert_eq!(acc.fraction_hdr_below(Db(2.0)), 1.0);
-        assert_eq!(acc.failure_counts(Modulation::DpQpsk100), &[1.0, 0.0]);
         assert_eq!(acc.failure_durations_hours(Modulation::DpQpsk100).len(), 1);
-        // The outage floor is ~0.2 dB, below the 3 dB / 50 G line.
-        assert_eq!(
-            acc.fraction_failures_with_floor_at_least(Modulation::DpQpsk100, Db(3.0)),
-            0.0
-        );
-    }
-
-    #[test]
-    fn accumulator_floor_fraction() {
-        let table = ModulationTable::paper_default();
-        let mut acc = FleetAccumulator::new();
-        // One failure bottoming at 4 dB (flap-able), one at 0.2 (hard down).
-        let mut s = vec![12.8; 50];
-        s.push(4.0);
-        s.extend(vec![12.8; 10]);
-        s.push(0.2);
-        s.extend(vec![12.8; 38]);
-        acc.push(&LinkAnalysis::new(&trace(s), &table));
-        let frac = acc.fraction_failures_with_floor_at_least(Modulation::DpQpsk100, Db(3.0));
-        assert!((frac - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -473,8 +432,8 @@ mod tests {
             sequential.fraction_feasible_at_least(Gbps(175.0))
         );
         assert_eq!(
-            left.failure_counts(Modulation::DpQpsk100).len(),
-            sequential.failure_counts(Modulation::DpQpsk100).len()
+            left.failure_durations_hours(Modulation::DpQpsk100),
+            sequential.failure_durations_hours(Modulation::DpQpsk100)
         );
     }
 
@@ -504,8 +463,8 @@ mod tests {
         assert_eq!(back.len(), acc.len());
         assert_eq!(back.total_gain(), acc.total_gain());
         assert_eq!(
-            back.failure_counts(Modulation::DpQpsk100),
-            acc.failure_counts(Modulation::DpQpsk100)
+            back.failure_durations_hours(Modulation::DpQpsk100),
+            acc.failure_durations_hours(Modulation::DpQpsk100)
         );
     }
 

@@ -45,7 +45,7 @@ impl Event {
     }
 
     /// Whether the event is active at time `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    pub(crate) fn active_at(&self, t: SimTime) -> bool {
         t >= self.start && t < self.end()
     }
 

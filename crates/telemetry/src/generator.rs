@@ -29,10 +29,10 @@ use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// The paper's observation window: Feb 2015 – Jul 2017 ≈ 913 days.
-pub const PAPER_HORIZON: SimDuration = SimDuration::from_days(913);
+pub(crate) const PAPER_HORIZON: SimDuration = SimDuration::from_days(913);
 
 /// Configuration of a synthetic fleet. All event rates are expressed
-/// per-link (or per-fiber) over a full [`PAPER_HORIZON`] and scale linearly
+/// per-link (or per-fiber) over a full `PAPER_HORIZON` (913 days) and scale linearly
 /// with the configured horizon.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
@@ -224,13 +224,13 @@ impl FleetGenerator {
     /// wavelengths of the cable. Memoized per fiber — the first wavelength
     /// pays the sampling cost, the other `wavelengths_per_fiber − 1` clone
     /// the cached log (byte-identical, it is the same pure derivation).
-    pub fn fiber_events(&self, fiber_id: usize) -> EventLog {
+    pub(crate) fn fiber_events(&self, fiber_id: usize) -> EventLog {
         self.fiber_cached(fiber_id).1.clone()
     }
 
     /// Fiber baseline SNR (wavelengths scatter around it). Memoized per
     /// fiber alongside [`fiber_events`](Self::fiber_events).
-    pub fn fiber_baseline(&self, fiber_id: usize) -> Db {
+    pub(crate) fn fiber_baseline(&self, fiber_id: usize) -> Db {
         self.fiber_cached(fiber_id).0
     }
 

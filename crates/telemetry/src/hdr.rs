@@ -27,7 +27,7 @@ pub struct Hdr {
 
 impl Hdr {
     /// Computes the HDR of a trace at the given coverage.
-    pub fn of_trace(trace: &SnrTrace, coverage: f64) -> Hdr {
+    pub(crate) fn of_trace(trace: &SnrTrace, coverage: f64) -> Hdr {
         let mut sorted = trace.values().to_vec();
         sorted.sort_by(f64::total_cmp);
         let (low, high) = highest_density_interval(&sorted, coverage);

@@ -60,7 +60,7 @@ impl Default for SnrProcess {
 /// relaxation (6 h), `ρ^1024 = e^{-42.7} ≈ 3e-19`: the block-boundary
 /// correlation the jump chain carries is already numerically zero, so the
 /// approximation error of re-anchoring is far below the stationary noise.
-pub const BATCH_BLOCK: u64 = 1024;
+pub(crate) const BATCH_BLOCK: u64 = 1024;
 
 /// Diurnal rotation resync period, in ticks. The ripple is advanced by an
 /// angle-addition rotation (two mul + one add per component per tick) and

@@ -6,7 +6,7 @@
 //!   academic WAN benchmark;
 //! - [`b4_like`]: a 12-node topology shaped like Google's published B4
 //!   inter-datacenter WAN;
-//! - [`ring`], [`grid`], [`full_mesh`]: regular families for scaling
+//! - [`ring`], [`grid`], [`scaled_mesh`]: regular families for scaling
 //!   studies.
 
 use crate::graph::NodeId;
@@ -147,19 +147,6 @@ pub fn grid(rows: usize, cols: usize, hop_km: f64) -> WanTopology {
     wan
 }
 
-/// A complete graph on `n` sites (n ≥ 2).
-pub fn full_mesh(n: usize, hop_km: f64) -> WanTopology {
-    assert!(n >= 2, "mesh needs at least 2 nodes");
-    let mut wan = WanTopology::new();
-    let ids: Vec<NodeId> = (0..n).map(|i| wan.add_node(format!("M{i}"), None)).collect();
-    for i in 0..n {
-        for j in i + 1..n {
-            wan.add_link(ids[i], ids[j], hop_km);
-        }
-    }
-    wan
-}
-
 /// `scale` replicas of a six-node full mesh chained with cross-links —
 /// the `--scale` topology multiplier for large-TE stress runs (the
 /// scenario-path counterpart of the fleet `--scale` flag).
@@ -265,9 +252,6 @@ mod tests {
         assert_eq!(g.n_nodes(), 12);
         assert_eq!(g.n_links(), 3 * 3 + 2 * 4); // horizontal + vertical
         assert!(g.is_connected());
-        let m = full_mesh(5, 500.0);
-        assert_eq!(m.n_links(), 10);
-        assert!(m.is_connected());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! links *next to* real ones), cache-friendly integer ids, and a small
 //! surface that the flow/TE layers can consume without adapters. Nodes and
 //! edges are never removed in place — the TE loop re-derives topologies
-//! each round — but [`Graph::filter_edges`] produces pruned copies.
+//! each round.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,29 +83,14 @@ impl<N, E> Graph<N, E> {
         &self.nodes[id.0]
     }
 
-    /// Mutable node payload.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.0]
-    }
-
     /// Edge record.
     pub fn edge(&self, id: EdgeId) -> &Edge<E> {
         &self.edges[id.0]
     }
 
-    /// Mutable edge payload.
-    pub fn edge_payload_mut(&mut self, id: EdgeId) -> &mut E {
-        &mut self.edges[id.0].payload
-    }
-
     /// Iterator over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes.len()).map(NodeId)
-    }
-
-    /// Iterator over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
     }
 
     /// Iterator over `(EdgeId, &Edge)`.
@@ -114,63 +99,23 @@ impl<N, E> Graph<N, E> {
     }
 
     /// Outgoing edges of a node.
-    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge<E>)> {
+    pub(crate) fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge<E>)> {
         self.out_adj[node.0].iter().map(move |&id| (id, &self.edges[id.0]))
     }
 
     /// Incoming edges of a node.
-    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge<E>)> {
+    pub(crate) fn in_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge<E>)> {
         self.in_adj[node.0].iter().map(move |&id| (id, &self.edges[id.0]))
     }
 
-    /// Out-degree of a node.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_adj[node.0].len()
-    }
-
     /// All parallel edges from `from` to `to`.
-    pub fn edges_between(&self, from: NodeId, to: NodeId) -> Vec<EdgeId> {
+    #[cfg(test)]
+    pub(crate) fn edges_between(&self, from: NodeId, to: NodeId) -> Vec<EdgeId> {
         self.out_adj[from.0]
             .iter()
             .copied()
             .filter(|&id| self.edges[id.0].to == to)
             .collect()
-    }
-
-    /// A copy keeping only edges satisfying the predicate (edge ids are
-    /// renumbered; node ids are preserved).
-    pub fn filter_edges<F>(&self, mut keep: F) -> Graph<N, E>
-    where
-        N: Clone,
-        E: Clone,
-        F: FnMut(EdgeId, &Edge<E>) -> bool,
-    {
-        let mut g = Graph::new();
-        for n in &self.nodes {
-            g.add_node(n.clone());
-        }
-        for (id, e) in self.edges() {
-            if keep(id, e) {
-                g.add_edge(e.from, e.to, e.payload.clone());
-            }
-        }
-        g
-    }
-
-    /// A copy with edge payloads mapped through `f`.
-    pub fn map_edges<F, E2>(&self, mut f: F) -> Graph<N, E2>
-    where
-        N: Clone,
-        F: FnMut(EdgeId, &Edge<E>) -> E2,
-    {
-        let mut g = Graph::new();
-        for n in &self.nodes {
-            g.add_node(n.clone());
-        }
-        for (id, e) in self.edges() {
-            g.add_edge(e.from, e.to, f(id, e));
-        }
-        g
     }
 
     /// True if every node can reach every other node (treating edges as
@@ -236,8 +181,6 @@ mod tests {
         assert_eq!(out, vec![1, 2]);
         let into: Vec<u32> = g.in_edges(NodeId(3)).map(|(_, e)| e.payload).collect();
         assert_eq!(into, vec![3, 4]);
-        assert_eq!(g.out_degree(NodeId(0)), 2);
-        assert_eq!(g.out_degree(NodeId(3)), 0);
     }
 
     #[test]
@@ -250,26 +193,6 @@ mod tests {
         assert_ne!(e1, e2);
         assert_eq!(g.edges_between(a, b), vec![e1, e2]);
         assert_eq!(g.edges_between(b, a), Vec::<EdgeId>::new());
-    }
-
-    #[test]
-    fn mutation() {
-        let mut g = diamond();
-        *g.edge_payload_mut(EdgeId(2)) = 99;
-        assert_eq!(g.edge(EdgeId(2)).payload, 99);
-        *g.node_mut(NodeId(0)) = "z";
-        assert_eq!(*g.node(NodeId(0)), "z");
-    }
-
-    #[test]
-    fn filter_and_map() {
-        let g = diamond();
-        let pruned = g.filter_edges(|_, e| e.payload % 2 == 1);
-        assert_eq!(pruned.n_edges(), 2);
-        assert_eq!(pruned.n_nodes(), 4);
-        let doubled = g.map_edges(|_, e| e.payload * 2);
-        let payloads: Vec<u32> = doubled.edges().map(|(_, e)| e.payload).collect();
-        assert_eq!(payloads, vec![2, 4, 6, 8]);
     }
 
     #[test]

@@ -72,7 +72,12 @@ impl PartialOrd for HeapEntry {
 ///
 /// Links with non-finite or negative weight are treated as unusable.
 /// Returns `None` if `dst` is unreachable.
-pub fn shortest_path<W>(wan: &WanTopology, src: NodeId, dst: NodeId, weight: W) -> Option<Path>
+pub(crate) fn shortest_path<W>(
+    wan: &WanTopology,
+    src: NodeId,
+    dst: NodeId,
+    weight: W,
+) -> Option<Path>
 where
     W: Fn(LinkId) -> f64,
 {
@@ -215,11 +220,6 @@ where
     found
 }
 
-/// Convenience: hop-count weight (every link costs 1).
-pub fn hop_weight(_: LinkId) -> f64 {
-    1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +230,7 @@ mod tests {
         let wan = builders::fig7_example();
         let a = wan.node_by_name("A").unwrap();
         let b = wan.node_by_name("B").unwrap();
-        let p = shortest_path(&wan, a, b, hop_weight).unwrap();
+        let p = shortest_path(&wan, a, b, |_| 1.0).unwrap();
         assert_eq!(p.len(), 1);
         assert_eq!(p.source(), a);
         assert_eq!(p.sink(), b);
@@ -259,14 +259,14 @@ mod tests {
         let mut wan = crate::wan::WanTopology::new();
         let a = wan.add_node("A", None);
         let b = wan.add_node("B", None);
-        assert!(shortest_path(&wan, a, b, hop_weight).is_none());
+        assert!(shortest_path(&wan, a, b, |_| 1.0).is_none());
     }
 
     #[test]
     fn zero_hop_path() {
         let wan = builders::fig7_example();
         let a = wan.node_by_name("A").unwrap();
-        let p = shortest_path(&wan, a, a, hop_weight).unwrap();
+        let p = shortest_path(&wan, a, a, |_| 1.0).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.weight, 0.0);
     }
@@ -293,7 +293,7 @@ mod tests {
         let wan = builders::fig7_example();
         let a = wan.node_by_name("A").unwrap();
         let b = wan.node_by_name("B").unwrap();
-        let paths = k_shortest_paths(&wan, a, b, 3, hop_weight);
+        let paths = k_shortest_paths(&wan, a, b, 3, |_| 1.0);
         // The Fig. 7 square has exactly two loopless A→B paths: the direct
         // hop and A-C-D-B.
         assert_eq!(paths.len(), 2);
@@ -319,7 +319,7 @@ mod tests {
         let a = crate::graph::NodeId(0);
         let c = crate::graph::NodeId(2);
         // A 4-ring has exactly 2 loopless paths between opposite corners.
-        let paths = k_shortest_paths(&wan, a, c, 10, hop_weight);
+        let paths = k_shortest_paths(&wan, a, c, 10, |_| 1.0);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].len(), 2);
         assert_eq!(paths[1].len(), 2);

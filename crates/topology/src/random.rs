@@ -11,7 +11,7 @@ use crate::wan::WanTopology;
 use rwc_util::rng::Xoshiro256;
 
 /// `(name, latitude, longitude)` of candidate PoP cities.
-pub const NA_CITIES: [(&str, f64, f64); 24] = [
+pub(crate) const NA_CITIES: [(&str, f64, f64); 24] = [
     ("SEA", 47.61, -122.33),
     ("PDX", 45.52, -122.68),
     ("SFO", 37.77, -122.42),
@@ -39,7 +39,7 @@ pub const NA_CITIES: [(&str, f64, f64); 24] = [
 ];
 
 /// Great-circle distance between two `(lat, lon)` points, km.
-pub fn haversine_km(a: (f64, f64), b: (f64, f64)) -> f64 {
+pub(crate) fn haversine_km(a: (f64, f64), b: (f64, f64)) -> f64 {
     const R: f64 = 6371.0;
     let (lat1, lon1) = (a.0.to_radians(), a.1.to_radians());
     let (lat2, lon2) = (b.0.to_radians(), b.1.to_radians());
@@ -52,7 +52,7 @@ pub fn haversine_km(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// Parameters of the Waxman generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaxmanConfig {
-    /// Number of sites (≤ [`NA_CITIES`] length).
+    /// Number of sites (≤ `NA_CITIES` length).
     pub n_nodes: usize,
     /// Waxman α: overall link density, `0 < α ≤ 1`.
     pub alpha: f64,

@@ -1,13 +1,13 @@
 //! The WAN model: sites, fiber cables and wavelength (IP) links.
 //!
 //! A [`WanTopology`] is a set of named sites joined by *undirected*
-//! wavelength links (traffic engineering treats each direction separately;
-//! [`WanTopology::to_graph`] expands every link into two directed edges).
+//! wavelength links (traffic engineering treats each direction separately
+//! and gives every link two directed edges).
 //! Each link knows which fiber cable it rides, its length, its current
 //! modulation (hence capacity) and its current SNR — everything the
 //! run/walk/crawl controller needs to decide feasible rates.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::NodeId;
 use rwc_optics::{Modulation, ModulationTable};
 use rwc_util::units::{Db, Gbps};
 use serde::{Deserialize, Serialize};
@@ -71,9 +71,10 @@ impl WanLink {
     }
 }
 
-/// Payload of the directed expansion produced by [`WanTopology::to_graph`].
+/// Payload of the directed expansion produced by `WanTopology::to_graph`.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DirectedLink {
+pub(crate) struct DirectedLink {
     /// The undirected link this edge came from.
     pub link: LinkId,
     /// Capacity in the edge's direction.
@@ -184,8 +185,9 @@ impl WanTopology {
     }
 
     /// Expands to a directed multigraph: two directed edges per link.
-    pub fn to_graph(&self) -> Graph<WanNode, DirectedLink> {
-        let mut g = Graph::new();
+    #[cfg(test)]
+    pub(crate) fn to_graph(&self) -> crate::graph::Graph<WanNode, DirectedLink> {
+        let mut g = crate::graph::Graph::new();
         for n in &self.nodes {
             g.add_node(n.clone());
         }
@@ -198,7 +200,8 @@ impl WanTopology {
     }
 
     /// True if the topology is one connected component.
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
         self.to_graph().is_connected_undirected()
     }
 

@@ -44,15 +44,6 @@ impl Xoshiro256 {
         Self { s }
     }
 
-    /// Derives an independent child generator from this one.
-    ///
-    /// Used to give each link / ticket / trial its own stream so that adding
-    /// one more link does not perturb every other link's randomness.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let base = self.next_u64() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Self::seed_from_u64(base)
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -149,14 +140,6 @@ impl Xoshiro256 {
         count
     }
 
-    /// Pareto (type I) sample with scale `x_min` and shape `alpha`.
-    ///
-    /// Heavy-tailed; used for outage durations.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        assert!(x_min > 0.0 && alpha > 0.0);
-        x_min / (1.0 - self.uniform()).powf(1.0 / alpha)
-    }
-
     /// Picks an index according to the given (not necessarily normalised)
     /// non-negative weights. Panics if all weights are zero or the slice is
     /// empty.
@@ -228,22 +211,6 @@ mod tests {
         let mut b = Xoshiro256::seed_from_u64(2);
         let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut parent1 = Xoshiro256::seed_from_u64(7);
-        let mut parent2 = Xoshiro256::seed_from_u64(7);
-        let mut c1 = parent1.fork(3);
-        let mut c2 = parent2.fork(3);
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
-        // A different stream id gives a different child stream.
-        let mut parent3 = Xoshiro256::seed_from_u64(7);
-        let mut c3 = parent3.fork(4);
-        let mut c1b = Xoshiro256::seed_from_u64(7).fork(3);
-        assert_ne!(c3.next_u64(), c1b.next_u64());
     }
 
     #[test]
@@ -322,14 +289,6 @@ mod tests {
         samples.sort_unstable_by(f64::total_cmp);
         let median = samples[n / 2];
         assert!((median - 60.0).abs() < 1.5, "median={median}");
-    }
-
-    #[test]
-    fn pareto_lower_bound() {
-        let mut rng = Xoshiro256::seed_from_u64(43);
-        for _ in 0..10_000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]
@@ -452,14 +411,6 @@ impl CounterRng {
             key = key.wrapping_add(PHILOX_W);
         }
         [x0, x1]
-    }
-
-    /// Two uniforms in `[0, 1)` from block `counter` (52 mantissa bits via
-    /// the exponent-splice trick, so the conversion vectorizes).
-    #[inline]
-    pub fn uniform_pair(&self, counter: u64) -> (f64, f64) {
-        let [a, b] = self.block(counter);
-        (unit_f64(a), unit_f64(b))
     }
 
     /// The canonical batch normal pair at `counter`: a pair-consuming
@@ -612,20 +563,6 @@ mod counter_tests {
     }
 
     #[test]
-    fn uniform_pair_in_unit_interval_with_half_mean() {
-        let rng = CounterRng::keyed(5, 0, 0);
-        let mut sum = 0.0;
-        let n = 200_000u64;
-        for k in 0..n {
-            let (a, b) = rng.uniform_pair(k);
-            assert!((0.0..1.0).contains(&a) && (0.0..1.0).contains(&b));
-            sum += a + b;
-        }
-        let mean = sum / (2 * n) as f64;
-        assert!((mean - 0.5).abs() < 2e-3, "mean {mean}");
-    }
-
-    #[test]
     fn normal_pair_moments() {
         let rng = CounterRng::keyed(17, 4, 1);
         let (mut sum, mut sum2, mut sum3, mut sum4) = (0.0, 0.0, 0.0, 0.0);
@@ -663,7 +600,7 @@ mod counter_tests {
         let rng = CounterRng::keyed(23, 0, 0);
         let mut worst = 0.0f64;
         for k in 0..200_000u64 {
-            let (u, _) = rng.uniform_pair(k);
+            let u = unit_f64(rng.block(k)[0]);
             let x = 1.0 - u; // (0, 1]
             worst = worst.max((fast_ln(x) - x.ln()).abs());
         }
@@ -683,7 +620,7 @@ mod counter_tests {
             worst = worst.max((s - s2).abs().max((c - c2).abs()));
         };
         for k in 0..200_000u64 {
-            check(rng.uniform_pair(k).1);
+            check(unit_f64(rng.block(k)[1]));
         }
         for u in [0.0, 0.25, 0.5, 0.75, 0.249_999_999_9, 0.750_000_000_1, 1.0 - 1e-16] {
             check(u);

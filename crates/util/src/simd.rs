@@ -37,7 +37,7 @@ pub fn fill_normal_pairs(rng: &CounterRng, first_pair: u64, out: &mut [f64]) {
 
 /// The canonical scalar fill: one [`CounterRng::normal_pair`] per slot.
 /// Reference implementation for the SIMD paths and non-x86 fallback.
-pub fn fill_scalar(rng: &CounterRng, first_pair: u64, out: &mut [f64]) {
+pub(crate) fn fill_scalar(rng: &CounterRng, first_pair: u64, out: &mut [f64]) {
     assert_eq!(out.len() % 2, 0, "normal pairs come two samples at a time");
     for (i, slot) in out.chunks_exact_mut(2).enumerate() {
         let (a, b) = rng.normal_pair(first_pair + i as u64);

@@ -63,30 +63,6 @@ pub fn q_inverse(p: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Natural logarithm of the gamma function (Lanczos approximation).
-///
-/// Needed for Poisson tail probabilities in telemetry statistics.
-pub fn ln_gamma(x: f64) -> f64 {
-    assert!(x > 0.0, "ln_gamma domain is positive reals");
-    const G: [f64; 6] = [
-        76.18009172947146,
-        -86.50532032941677,
-        24.01409824083091,
-        -1.231739572450155,
-        0.1208650973866179e-2,
-        -0.5395239384953e-5,
-    ];
-    let mut y = x;
-    let tmp = x + 5.5;
-    let tmp = tmp - (x + 0.5) * tmp.ln();
-    let mut ser = 1.000000000190015;
-    for g in G {
-        y += 1.0;
-        ser += g / y;
-    }
-    -tmp + (2.5066282746310005 * ser / x).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,25 +131,4 @@ mod tests {
         q_inverse(0.0);
     }
 
-    #[test]
-    fn ln_gamma_matches_factorials() {
-        // Gamma(n) = (n-1)!
-        let mut fact = 1.0f64;
-        for n in 1..10u32 {
-            if n > 1 {
-                fact *= (n - 1) as f64;
-            }
-            assert!(
-                (ln_gamma(n as f64) - fact.ln()).abs() < 1e-9,
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn ln_gamma_half() {
-        // Gamma(1/2) = sqrt(pi)
-        let want = std::f64::consts::PI.sqrt().ln();
-        assert!((ln_gamma(0.5) - want).abs() < 1e-9);
-    }
 }

@@ -41,7 +41,7 @@ pub fn sort_f64(values: &mut [f64]) {
 /// [`sort_f64`] with a caller-owned scratch buffer, for hot loops that sort
 /// one trace per link and want zero steady-state allocation. The scratch is
 /// resized to `values.len()` once and reused across calls.
-pub fn sort_f64_with_scratch(values: &mut [f64], scratch: &mut Vec<f64>) {
+pub(crate) fn sort_f64_with_scratch(values: &mut [f64], scratch: &mut Vec<f64>) {
     let n = values.len();
     if n < RADIX_CUTOFF {
         values.sort_unstable_by(f64::total_cmp);
@@ -172,11 +172,6 @@ impl Ecdf {
                 (x, self.cdf(x))
             })
             .collect()
-    }
-
-    /// Sorted access to the underlying samples.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 

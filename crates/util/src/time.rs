@@ -171,14 +171,7 @@ impl SimTime {
         SimDuration::from_millis(self.millis)
     }
 
-    /// Time elapsed since `earlier`. Panics if `earlier` is later.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration::from_millis(
-            self.millis.checked_sub(earlier.millis).expect("duration_since: earlier is later"),
-        )
-    }
-
-    /// Saturating variant of [`SimTime::duration_since`].
+    /// Time elapsed since `earlier`; zero if `earlier` is later.
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration::from_millis(self.millis.saturating_sub(earlier.millis))
     }
@@ -307,7 +300,7 @@ mod tests {
     #[test]
     fn time_arithmetic() {
         let t = SimTime::EPOCH + SimDuration::from_hours(5);
-        assert_eq!(t.duration_since(SimTime::EPOCH), SimDuration::from_hours(5));
+        assert_eq!(t.saturating_duration_since(SimTime::EPOCH), SimDuration::from_hours(5));
         let earlier = t - SimDuration::from_hours(2);
         assert_eq!(earlier.since_epoch(), SimDuration::from_hours(3));
         assert_eq!(

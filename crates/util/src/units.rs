@@ -47,7 +47,7 @@ impl Db {
     }
 
     /// True if this value represents a completely lost signal.
-    pub fn is_loss_of_light(self) -> bool {
+    pub(crate) fn is_loss_of_light(self) -> bool {
         self.0 == f64::NEG_INFINITY
     }
 
@@ -66,10 +66,6 @@ impl Db {
         Db(self.0.clamp(lo.0, hi.0))
     }
 
-    /// Absolute difference, as a decibel span.
-    pub fn abs_diff(self, other: Db) -> Db {
-        Db((self.0 - other.0).abs())
-    }
 }
 
 impl Add for Db {
@@ -262,7 +258,6 @@ mod tests {
         assert_eq!(Db(1.0).min(Db(2.0)), Db(1.0));
         assert_eq!(Db(1.0).max(Db(2.0)), Db(2.0));
         assert_eq!(Db(5.0).clamp(Db(0.0), Db(3.0)), Db(3.0));
-        assert_eq!(Db(7.0).abs_diff(Db(9.5)), Db(2.5));
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn main() {
 
     // --- Unmodified TE on the augmented graph --------------------------
     let te = TeSolver::builder().build().expect("default TE solver");
-    let solution = te.solve(&aug.problem);
+    let solution = te.try_solve(&aug.problem).expect("TE solve");
     println!("TE routed {:.0} of 250 Gbps", solution.total);
 
     // --- Translate back ------------------------------------------------

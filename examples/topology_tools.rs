@@ -56,7 +56,7 @@ fn main() {
     // --- What does cutting that conduit cost? -----------------------------
     let dm = DemandMatrix::gravity(&wan, Gbps(800.0), 5);
     let problem = rwc::te::problem::TeProblem::from_wan(&wan, &dm);
-    let sol = rwc::te::swan::SwanTe::default().solve(&problem);
+    let sol = rwc::te::swan::SwanTe::default().try_solve(&problem).expect("TE solve");
     let impact = cut_impact(&wan, &problem, &sol, shared_fiber);
     println!(
         "cutting conduit {}: {} links dark, {} of capacity gone, {:.0} G of live traffic stranded",

@@ -53,7 +53,7 @@
 //! let cfg = AugmentConfig { penalty: PenaltyPolicy::paper_example(), ..Default::default() };
 //! let aug = augment(&wan, &demands, &cfg, &[]);
 //! let te = rwc::te::TeSolver::builder().build().expect("default configuration");
-//! let solution = te.solve(&aug.problem);
+//! let solution = te.try_solve(&aug.problem).expect("TE solve");
 //! let result = translate(&aug, &wan, &solution).expect("translation");
 //!
 //! assert!((solution.total - 250.0).abs() < 1e-6, "all demand routed");

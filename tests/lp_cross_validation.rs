@@ -39,7 +39,7 @@ fn te_problem(net: &FlowNetwork, commodities: &[(usize, usize, f64)]) -> TeProbl
 fn te_min_cost_max_flow(net: &FlowNetwork, source: usize, sink: usize) -> (f64, f64) {
     let demand = 1.0 + net.edges().iter().map(|e| e.capacity).sum::<f64>();
     let problem = te_problem(net, &[(source, sink, demand)]);
-    let sol = TeSolver::default().solve(&problem);
+    let sol = TeSolver::default().try_solve(&problem).expect("TE solve");
     sol.validate(&problem).unwrap();
     let cost = sol.edge_flows.iter().zip(net.edges()).map(|(f, e)| f * e.cost).sum();
     (sol.total, cost)
@@ -131,11 +131,11 @@ fn mcf_solvers_bracket_the_lp_optimum() {
     let lp = max_multicommodity_lp_total(&p);
     // One class: SWAN is the TE lowering of the same LP, built independently
     // of the encoder above — the two optima must coincide.
-    let swan = SwanTe::default().solve(&p);
+    let swan = SwanTe::default().try_solve(&p).expect("TE solve");
     swan.validate(&p).unwrap();
     assert!((swan.total - lp).abs() < 1e-6, "swan {} vs LP {lp}", swan.total);
     for algo in [&B4Te::default() as &dyn TeAlgorithm, &CspfTe::default()] {
-        let sol = algo.solve(&p);
+        let sol = algo.try_solve(&p).expect("TE solve");
         sol.validate(&p).unwrap();
         assert!(sol.total <= lp + 1e-6, "{} {} above LP {lp}", algo.name(), sol.total);
     }
@@ -148,7 +148,7 @@ fn gravity_matrix_total_dominated_by_network_cut() {
     let wan = builders::abilene();
     let dm = DemandMatrix::gravity(&wan, Gbps(10_000.0), 1);
     let p = TeProblem::from_wan(&wan, &dm);
-    let swan = SwanTe::default().solve(&p);
+    let swan = SwanTe::default().try_solve(&p).expect("TE solve");
     swan.validate(&p).unwrap();
     assert!(swan.satisfaction(&p) < 0.6, "sat={}", swan.satisfaction(&p));
     let lp = max_multicommodity_lp_total(&p);

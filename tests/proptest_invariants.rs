@@ -45,7 +45,7 @@ fn te_min_cost_max_flow(net: &FlowNetwork, source: usize, sink: usize) -> (f64, 
         commodities: vec![Commodity { source, sink, demand }],
         demands: dm.demands().to_vec(),
     };
-    let sol = TeSolver::default().solve(&problem);
+    let sol = TeSolver::default().try_solve(&problem).expect("TE solve");
     let cost = sol.edge_flows.iter().zip(net.edges()).map(|(f, e)| f * e.cost).sum();
     (sol.total, cost)
 }
@@ -135,7 +135,7 @@ proptest! {
             ..Default::default()
         };
         let aug = augment(&wan, &demands, &cfg, &[]);
-        let sol = rwc::te::swan::SwanTe::default().solve(&aug.problem);
+        let sol = rwc::te::swan::SwanTe::default().try_solve(&aug.problem).expect("TE solve");
         let tr = translate(&aug, &wan, &sol).unwrap();
         // Aggregate flow preserved by folding.
         let aug_total: f64 = sol.edge_flows.iter().sum();

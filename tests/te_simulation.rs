@@ -24,10 +24,10 @@ fn abilene_dynamic_beats_static_under_pressure() {
         Box::new(CspfTe::default()),
     ];
     for algo in algos {
-        let static_sol = algo.solve(&TeProblem::from_wan(&wan, &dm));
+        let static_sol = algo.try_solve(&TeProblem::from_wan(&wan, &dm)).expect("TE solve");
         let cfg = AugmentConfig { penalty: PenaltyPolicy::Uniform(1.0), ..Default::default() };
         let aug = augment(&wan, &dm, &cfg, &[]);
-        let dyn_sol = algo.solve(&aug.problem);
+        let dyn_sol = algo.try_solve(&aug.problem).expect("TE solve");
         assert!(
             dyn_sol.total >= static_sol.total - 1.0,
             "{}: dynamic {} < static {}",
@@ -57,8 +57,8 @@ fn swan_gains_exceed_cspf_gains_are_both_positive() {
     let dm = DemandMatrix::gravity(&wan, Gbps(wan.total_capacity().value() * 1.2), 9);
     let cfg = AugmentConfig { penalty: PenaltyPolicy::Uniform(1.0), ..Default::default() };
     let aug = augment(&wan, &dm, &cfg, &[]);
-    let swan = SwanTe::default().solve(&aug.problem);
-    let cspf = CspfTe::default().solve(&aug.problem);
+    let swan = SwanTe::default().try_solve(&aug.problem).expect("TE solve");
+    let cspf = CspfTe::default().try_solve(&aug.problem).expect("TE solve");
     assert!(
         swan.total >= cspf.total * 0.95,
         "swan {} should be at least competitive with cspf {}",
@@ -76,10 +76,12 @@ fn swan_buys_no_upgrade_it_does_not_need() {
         for load in [0.5, 1.0] {
             let dm = DemandMatrix::gravity(&wan, Gbps(wan.total_capacity().value() * 0.5), 11)
                 .scaled(load);
-            let static_sol = SwanTe::default().solve(&TeProblem::from_wan(&wan, &dm));
+            let static_sol = SwanTe::default()
+                .try_solve(&TeProblem::from_wan(&wan, &dm))
+                .expect("TE solve");
             let cfg = AugmentConfig { penalty: PenaltyPolicy::Uniform(1.0), ..Default::default() };
             let aug = augment(&wan, &dm, &cfg, &[]);
-            let dyn_sol = SwanTe::default().solve(&aug.problem);
+            let dyn_sol = SwanTe::default().try_solve(&aug.problem).expect("TE solve");
             assert!(
                 (dyn_sol.total - static_sol.total).abs() < 1e-6,
                 "load {load}: dynamic {} vs static {}",
@@ -101,7 +103,7 @@ fn consistent_updates_bound_interim_damage() {
     let dm = DemandMatrix::gravity(&wan, Gbps(900.0), 5);
     let algo = SwanTe::default();
     let change = CapacityChange { link, to: rwc::optics::Modulation::Dp16Qam200 };
-    let current = algo.solve(&TeProblem::from_wan(&wan, &dm));
+    let current = algo.try_solve(&TeProblem::from_wan(&wan, &dm)).expect("TE solve");
     let plan = |hitless| {
         try_plan_capacity_changes(&wan, &dm, &[change], &algo, hitless, Some(&current))
             .expect("the Abilene upgrade plans")
@@ -123,7 +125,7 @@ fn max_utilisation_stays_bounded_after_translation() {
     let dm = DemandMatrix::gravity(&wan, Gbps(2_000.0), 13);
     let cfg = AugmentConfig { penalty: PenaltyPolicy::Uniform(1.0), ..Default::default() };
     let aug = augment(&wan, &dm, &cfg, &[]);
-    let sol = SwanTe::default().solve(&aug.problem);
+    let sol = SwanTe::default().try_solve(&aug.problem).expect("TE solve");
     sol.validate(&aug.problem).unwrap();
     assert!(metrics::max_utilisation(&aug.problem, &sol) <= 1.0 + 1e-6);
     // Jain fairness is defined and sane.
