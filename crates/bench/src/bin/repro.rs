@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick|--full|--scale N] [--quiet] [--obs-json FILE]
-//!       [--checkpoint FILE] [--resume FILE] [--out DIR] <id>... | all
+//!       [--checkpoint DIR] [--resume DIR] [--out DIR] <id>... | all
 //! ```
 //!
 //! Ids: fig1 fig2a fig2b fig3a fig3b fig4 fig5 fig6b fig7 fig8 thm1 tput
@@ -17,32 +17,35 @@
 //! dispatches, every pipeline the experiments build publishes into it
 //! (controller decisions and reconfigurations, TE round/solve timing and
 //! warm-start rates, scenario tick/fault counters, fleet-kernel episode
-//! statistics), and the merged snapshot is written to `FILE` as
-//! deterministic JSON when the run finishes. Reports stay byte-identical
-//! with observability on or off — metrics are a sidecar, never an input.
+//! statistics, the fleet sweeps' `serve.*` counters), and the merged
+//! snapshot is written to `FILE` as deterministic JSON when the run
+//! finishes. Reports stay byte-identical with observability on or off —
+//! metrics are a sidecar, never an input.
 //!
 //! `--quiet` suppresses progress lines and the `[obs]` event echo;
 //! experiment findings and errors still print.
 //!
-//! `--checkpoint FILE` makes every fleet sweep crash-safe: progress is
-//! checkpointed to `FILE` every few chunks (atomically, temp + rename),
-//! so a killed run can be continued with `--resume FILE`. The resume file
-//! is verified up front — envelope checksum, format version, and sweep
-//! fingerprint against this invocation's fleet/seed/pipeline label — and a
-//! bad file exits with a distinct code (see [`rwc_bench::cli`]) instead
-//! of silently starting over. A resumed run reproduces the uninterrupted
-//! run's reports byte for byte. `--resume FILE` alone keeps writing
-//! updated checkpoints back to the same file.
+//! Fleet sweeps (fig2a, fig2b, fig3b) run on the `rwc-serve` daemon.
+//! `--checkpoint DIR` makes them crash-safe: the daemon keeps its
+//! per-shard checkpoint stores in `DIR` (`shard-<i>.ckpt` + `.prev`,
+//! written atomically, temp + rename) and restores whatever completed
+//! links they hold, so a killed run is continued with `--resume DIR`.
+//! `--resume` checks every `shard-*.ckpt` in `DIR` up front — envelope
+//! checksum, format version, and sweep fingerprint against this
+//! invocation's fleet/seed/pipeline label — and a bad file exits with a
+//! distinct code (see [`rwc_bench::cli`]) instead of silently starting
+//! over. A resumed run reproduces the uninterrupted run's reports byte
+//! for byte, and keeps writing to the same directory.
 //!
 //! Failure classes map to stable exit codes, documented in
 //! [`rwc_bench::cli`]. `repro` reproduces figures and checks them;
 //! performance is measured by the `benchmark/` package.
 
-use rwc_bench::experiments::{self, CheckpointState};
+use rwc_bench::experiments;
 use rwc_bench::{cli, Scale};
-use rwc_harness::{checkpoint, HarnessError, SweepFingerprint, SWEEP_MODE};
+use rwc_harness::{checkpoint, CheckpointError, SweepFingerprint, SWEEP_MODE};
 use rwc_obs::{ConsoleSink, MetricsObserver};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -74,12 +77,12 @@ fn main() -> ExitCode {
                 None => return usage_error("--obs-json needs a file"),
             },
             "--checkpoint" => match args.next() {
-                Some(file) => checkpoint_path = Some(PathBuf::from(file)),
-                None => return usage_error("--checkpoint needs a file"),
+                Some(dir) => checkpoint_path = Some(PathBuf::from(dir)),
+                None => return usage_error("--checkpoint needs a directory"),
             },
             "--resume" => match args.next() {
-                Some(file) => resume_path = Some(PathBuf::from(file)),
-                None => return usage_error("--resume needs a file"),
+                Some(dir) => resume_path = Some(PathBuf::from(dir)),
+                None => return usage_error("--resume needs a directory"),
             },
             "--out" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
@@ -88,7 +91,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--quick|--full|--scale N] [--quiet] \
-                     [--obs-json FILE] [--checkpoint FILE] [--resume FILE] [--out DIR] \
+                     [--obs-json FILE] [--checkpoint DIR] [--resume DIR] [--out DIR] \
                      <id>... | all"
                 );
                 println!("ids: {} ablation chaos", experiments::ALL.join(" "));
@@ -104,12 +107,8 @@ fn main() -> ExitCode {
         // events echoed through the console sink.
         experiments::set_observer(Arc::new(MetricsObserver::with_forward(Arc::new(sink))));
     }
-    if checkpoint_path.is_some() || resume_path.is_some() {
-        if let Err(code) =
-            install_checkpoint_plan(checkpoint_path, resume_path, scale, &sink)
-        {
-            return code;
-        }
+    if let Err(code) = install_checkpoint_dir(checkpoint_path, resume_path, scale, &sink) {
+        return code;
     }
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = experiments::ALL.iter().map(|s| s.to_string()).collect();
@@ -139,53 +138,78 @@ fn main() -> ExitCode {
     write_obs_snapshot(obs_path.as_deref(), &sink)
 }
 
-/// Loads and verifies the `--resume` file (envelope checksum, format
-/// version, fingerprint against this invocation's fleet/seed/pipeline
-/// label) and installs the process-wide checkpoint plan. Failures map to
-/// the exit codes documented in [`cli`] — notably [`cli::EXIT_CHECKPOINT`]
-/// for corrupt, version-mismatched, or foreign checkpoints.
-fn install_checkpoint_plan(
-    checkpoint_path: Option<PathBuf>,
-    resume_path: Option<PathBuf>,
+/// Installs the `--checkpoint` / `--resume` directory as the fleet
+/// sweeps' checkpoint store. `--resume` first verifies every
+/// `shard-*.ckpt` in it, so a bad store fails before any experiment
+/// dispatches; failures map to the exit codes documented in [`cli`] —
+/// notably [`cli::EXIT_CHECKPOINT`] for corrupt, version-mismatched, or
+/// foreign checkpoints.
+fn install_checkpoint_dir(
+    checkpoint_dir: Option<PathBuf>,
+    resume_dir: Option<PathBuf>,
     scale: Scale,
     sink: &ConsoleSink,
 ) -> Result<(), ExitCode> {
-    let resume = match &resume_path {
-        Some(path) => {
-            let cp = checkpoint::load(path).map_err(|e| {
+    let dir = match (checkpoint_dir, resume_dir) {
+        (None, None) => return Ok(()),
+        (Some(dir), None) => dir,
+        (Some(ck), Some(resume)) if ck != resume => {
+            return Err(usage_error("--checkpoint and --resume name one store: give one directory"))
+        }
+        (_, Some(resume)) => {
+            let (files, links) = verify_resume_dir(&resume, scale).map_err(|(path, e)| {
                 sink.error(&format!("--resume {}: {e}", path.display()));
-                ExitCode::from(cli::harness_exit_code(&HarnessError::Checkpoint(e)))
-            })?;
-            // Fail fast on a checkpoint from a different sweep, before any
-            // experiment dispatches. Chunk size comes from the checkpoint
-            // itself (resume replays the original chunk boundaries no
-            // matter the thread count), so only fleet size, seed and the
-            // pipeline label are pinned by this invocation.
-            let fleet = scale.fleet();
-            let expected = SweepFingerprint {
-                n_links: fleet.n_links() as u64,
-                chunk_size: cp.fingerprint.chunk_size,
-                seed: fleet.seed,
-                mode: SWEEP_MODE.into(),
-            };
-            expected.verify(&cp.fingerprint).map_err(|e| {
-                sink.error(&format!("--resume {}: {e}", path.display()));
-                ExitCode::from(cli::harness_exit_code(&HarnessError::Checkpoint(e)))
+                ExitCode::from(cli::checkpoint_exit_code(&e))
             })?;
             sink.progress(&format!(
-                "resuming from {} ({} completed chunks verified)",
-                path.display(),
-                cp.chunks.len()
+                "resuming from {} ({files} shard checkpoints, {links} completed links verified)",
+                resume.display()
             ));
-            Some(cp)
+            resume
         }
-        None => None,
     };
-    // `--resume` without `--checkpoint` keeps writing updated checkpoints
-    // back to the file it restored from.
-    let path = checkpoint_path.or(resume_path).expect("caller ensured one path is set");
-    experiments::set_checkpoint(CheckpointState { path, resume });
+    experiments::set_checkpoint_dir(dir);
     Ok(())
+}
+
+/// Loads every `shard-<i>.ckpt` in `dir` (envelope checksum, format
+/// version) and checks its fingerprint against this invocation's fleet,
+/// seed and pipeline label, at the daemon's chunk size of one link.
+/// Returns how many files and completed links verified, or the first
+/// path that failed with its error.
+fn verify_resume_dir(
+    dir: &Path,
+    scale: Scale,
+) -> Result<(usize, usize), (PathBuf, CheckpointError)> {
+    let fleet = scale.fleet();
+    let expected = SweepFingerprint {
+        n_links: fleet.n_links() as u64,
+        chunk_size: 1,
+        seed: fleet.seed,
+        mode: SWEEP_MODE.into(),
+    };
+    let io = |msg: String| (dir.to_path_buf(), CheckpointError::Io(msg));
+    let entries = std::fs::read_dir(dir).map_err(|e| io(e.to_string()))?;
+    let mut paths: Vec<PathBuf> = entries
+        .filter_map(Result::ok)
+        .map(|entry| entry.path())
+        .filter(|path| {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("shard-") && name.ends_with(".ckpt")
+        })
+        .collect();
+    if paths.is_empty() {
+        return Err(io("no shard-*.ckpt checkpoint in it".into()));
+    }
+    paths.sort();
+    let mut links = 0;
+    for path in &paths {
+        let cp = checkpoint::load(path)
+            .and_then(|cp| expected.verify(&cp.fingerprint).map(|()| cp))
+            .map_err(|e| (path.clone(), e))?;
+        links += cp.chunks.len();
+    }
+    Ok((paths.len(), links))
 }
 
 /// Writes the installed observer's merged snapshot to `path`; a no-op

@@ -3,20 +3,20 @@
 //! CI jobs and wrapper scripts branch on *why* a run failed — a corrupted
 //! checkpoint needs a different escalation than a solver timeout or a bad
 //! flag. Every failure class therefore gets a stable, documented exit
-//! code, and the mapping from the typed errors ([`HarnessError`],
+//! code, and the mapping from the typed errors ([`CheckpointError`],
 //! [`ServeError`]) lives here so the binaries and the tests agree on it.
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0 | success |
-//! | 1 | generic failure (unknown experiment id, CSV write, exhausted chunk retries) |
+//! | 1 | generic failure (unknown experiment id, CSV write, unreadable or missing checkpoint) |
 //! | 2 | usage / configuration error (bad flags, invalid pipeline config) |
 //! | 3–5 | retired with the perf digest; never reused |
 //! | 6 | checkpoint corrupt, version-mismatched, or from a different sweep |
 //! | 7–9 | reserved: no driver surfaces a pipeline error as an exit code |
 //! | 10 | serve daemon failure (shard budget exhausted, socket trouble, drain failed) |
 
-use rwc_harness::{CheckpointError, HarnessError};
+use rwc_harness::CheckpointError;
 use rwc_serve::ServeError;
 
 /// Generic failure without a more specific class.
@@ -29,12 +29,13 @@ pub const EXIT_CHECKPOINT: u8 = 6;
 /// drain trouble.
 pub const EXIT_SERVE: u8 = 10;
 
-/// Exit code for a sweep-runtime error.
-pub fn harness_exit_code(err: &HarnessError) -> u8 {
+/// Exit code for a `--resume` checkpoint that did not verify: a file
+/// that cannot be read is a generic failure, one that is corrupt, from
+/// another version or from another sweep is [`EXIT_CHECKPOINT`].
+pub fn checkpoint_exit_code(err: &CheckpointError) -> u8 {
     match err {
-        HarnessError::Checkpoint(CheckpointError::Io(_)) => EXIT_GENERIC,
-        HarnessError::Checkpoint(_) => EXIT_CHECKPOINT,
-        HarnessError::ChunkFailed { .. } => EXIT_GENERIC,
+        CheckpointError::Io(_) => EXIT_GENERIC,
+        _ => EXIT_CHECKPOINT,
     }
 }
 
@@ -68,21 +69,15 @@ mod tests {
     }
 
     #[test]
-    fn harness_variants_map_to_their_classes() {
-        let corrupt = HarnessError::Checkpoint(CheckpointError::Corrupt("bits".into()));
-        assert_eq!(harness_exit_code(&corrupt), EXIT_CHECKPOINT);
-        let version = HarnessError::Checkpoint(CheckpointError::VersionMismatch {
-            found: 2,
-            expected: 1,
-        });
-        assert_eq!(harness_exit_code(&version), EXIT_CHECKPOINT);
-        let config = HarnessError::Checkpoint(CheckpointError::ConfigMismatch("seed".into()));
-        assert_eq!(harness_exit_code(&config), EXIT_CHECKPOINT);
-        let io = HarnessError::Checkpoint(CheckpointError::Io("enoent".into()));
-        assert_eq!(harness_exit_code(&io), EXIT_GENERIC);
-        let failed =
-            HarnessError::ChunkFailed { chunk: 3, attempts: 3, message: "boom".into() };
-        assert_eq!(harness_exit_code(&failed), EXIT_GENERIC);
+    fn checkpoint_variants_map_to_their_classes() {
+        let corrupt = CheckpointError::Corrupt("bits".into());
+        assert_eq!(checkpoint_exit_code(&corrupt), EXIT_CHECKPOINT);
+        let version = CheckpointError::VersionMismatch { found: 2, expected: 1 };
+        assert_eq!(checkpoint_exit_code(&version), EXIT_CHECKPOINT);
+        let config = CheckpointError::ConfigMismatch("seed".into());
+        assert_eq!(checkpoint_exit_code(&config), EXIT_CHECKPOINT);
+        let io = CheckpointError::Io("enoent".into());
+        assert_eq!(checkpoint_exit_code(&io), EXIT_GENERIC);
     }
 
     #[test]

@@ -1,49 +1,58 @@
 //! The `repro chaos` experiment: a seeded fault-injection campaign that
-//! proves the crash-safe sweep runtime holds its promises end to end.
+//! proves the crash-safe fleet sweep — the `rwc-serve` daemon — holds its
+//! promises end to end.
 //!
 //! Five scenarios run against the same reduced fleet, all deterministic
-//! in the campaign seed:
+//! in the campaign seed, and each is judged against a clean daemon run
+//! (the byte-identity oracle):
 //!
-//! 1. **reference** — a clean sweep, the byte-identity oracle.
-//! 2. **worker panics** — chaos-poisoned chunks panic on their first
-//!    attempt; the sweep must retry and still match the reference bytes.
-//! 3. **kill + resume** — the run is killed mid-sweep after a checkpoint,
-//!    then resumed (for two different thread counts); each resumed result
-//!    must match the reference bytes, accumulator and metrics both.
-//! 4. **corrupted checkpoints** — the checkpoint file is bit-flipped,
+//! 1. **worker panics** — chaos-poisoned links panic their shard on the
+//!    first attempt; the supervisor must restart it and the result must
+//!    still match the reference bytes.
+//! 2. **kill + resume** (two scenarios) — the daemon is killed
+//!    (`Daemon::kill`, no final checkpoint) once at least two completions
+//!    are checkpointed, then a new daemon resumes from the per-shard
+//!    stores under 2 → 2 and 3 → 5 shards; each result must match the
+//!    reference bytes, accumulator and metrics both.
+//! 3. **corrupted checkpoints** — a real `shard-0.ckpt` is bit-flipped,
 //!    truncated, and version-bumped; every mutation must be rejected with
 //!    a typed error.
-//! 5. **stalled solve** — a TE round's warm solve is made pathologically
+//! 4. **stalled solve** — a TE round's warm solve is made pathologically
 //!    slow; the watchdog must abort it into a typed timeout instead of
 //!    hanging.
 //!
-//! Scenario verdicts land in the report (and CSV) as `pass`/`fail`, and
-//! everything is surfaced through the installed observer as `harness.*`
-//! counters — the chaos-smoke CI job asserts on both.
+//! Scenario verdicts land in the report (and CSV) as `pass`/`fail`. Every
+//! daemon's `serve.*` counters are absorbed into the installed observer,
+//! and the campaign counts what only it knows — mutations rejected
+//! (`harness.checkpoints_rejected`) and daemons killed
+//! (`harness.chaos_kills`) — when they happen; the chaos-smoke CI job
+//! asserts on both.
 
+use super::{run_sweep, sweep_config};
 use crate::{Report, Scale};
-use rwc_harness::{
-    chaos as chaos_mut, checkpoint, ChaosPlan, CheckpointConfig, CheckpointError, ExecutorConfig,
-    SweepOutcome, SweepSpec,
-};
+use rwc_harness::{chaos as chaos_mut, checkpoint, ChaosPlan, CheckpointError, ScratchDir};
 use rwc_obs::MetricsSnapshot;
 use rwc_optics::ModulationTable;
-use rwc_te::TeSolver;
+use rwc_serve::{Daemon, ServeCheckpointConfig, ServeConfig, ServeReport};
 use rwc_te::TeAlgorithm;
 use rwc_te::TeError;
+use rwc_te::TeSolver;
 use rwc_telemetry::FleetGenerator;
 use rwc_util::time::SimDuration;
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Campaign seed: every injection (panic chunks, kill points, corruption
-/// offsets) derives from it, so `repro chaos` is reproducible.
+/// Campaign seed: every injection (panic links, corruption offsets)
+/// derives from it, so `repro chaos` is reproducible.
 const CAMPAIGN_SEED: u64 = 0xC4A0;
+
+/// Checkpointed completions before the kill lands.
+const KILL_AFTER: u64 = 2;
 
 fn chaos_fleet(scale: Scale) -> FleetGenerator {
     // A reduced fleet regardless of scale: the campaign exercises the
     // runtime, not the telemetry statistics, so 40 links × 30 days is
-    // plenty of chunks while staying CI-fast.
+    // plenty of work while staying CI-fast.
     let mut cfg = scale.fleet();
     cfg.n_fibers = cfg.n_fibers.min(4);
     cfg.wavelengths_per_fiber = cfg.wavelengths_per_fiber.min(10);
@@ -57,52 +66,46 @@ struct Verdict {
     detail: String,
 }
 
-fn spec<'a>(
-    gen: &'a FleetGenerator,
-    table: &'a ModulationTable,
-    n_threads: usize,
-) -> SweepSpec<'a> {
-    SweepSpec { gen, table, n_threads, collect_metrics: true }
+/// The serialized accumulator and pipeline metrics: the oracle bytes.
+type Bytes = (String, String);
+
+fn config(gen: &FleetGenerator, table: &ModulationTable, n_shards: usize) -> ServeConfig {
+    let mut cfg = sweep_config(gen, table);
+    cfg.n_shards = n_shards;
+    cfg
 }
 
-fn completed_bytes(outcome: SweepOutcome) -> (String, Option<String>) {
-    match outcome {
-        SweepOutcome::Completed(r) => (
-            serde_json::to_string(&r.accumulator).expect("accumulator serializes"),
-            r.metrics.as_ref().map(MetricsSnapshot::to_json),
-        ),
-        SweepOutcome::Killed { .. } => panic!("sweep killed without a kill plan"),
+/// Folds one daemon life's `serve.*` counters into the installed observer.
+fn absorb(serve_metrics: &MetricsSnapshot) {
+    if let Some(registry) = super::registry() {
+        registry.absorb(serve_metrics);
     }
 }
 
-fn harness_cfg(checkpoint: Option<CheckpointConfig>, chaos: Option<ChaosPlan>) -> ExecutorConfig {
-    ExecutorConfig {
-        checkpoint,
-        chaos,
-        observer: super::observer(),
-        ..ExecutorConfig::default()
-    }
+/// One daemon life to completion; returns its report bytes and report.
+fn sweep(cfg: ServeConfig) -> Result<(Bytes, ServeReport), String> {
+    let report = run_sweep(cfg).map_err(|e| e.to_string())?;
+    absorb(&report.serve_metrics);
+    let accumulator = serde_json::to_string(&report.accumulator).expect("accumulator serializes");
+    Ok(((accumulator, report.pipeline_metrics.to_json()), report))
 }
 
-/// Scenario 2: poisoned chunks panic, the sweep retries and matches.
-fn panic_scenario(
-    gen: &FleetGenerator,
-    table: &ModulationTable,
-    reference: &(String, Option<String>),
-) -> Verdict {
-    let n_chunks = gen.n_links().div_ceil(rwc_harness::chunk_size_for(gen.n_links(), 3)) as u64;
-    let plan = ChaosPlan::new(CAMPAIGN_SEED).with_panics(2, n_chunks);
-    let chunks = plan.panic_chunks.clone();
-    match rwc_harness::run_fleet_sweep(&spec(gen, table, 3), &harness_cfg(None, Some(plan)), None)
-    {
-        Ok(outcome) => {
-            let bytes = completed_bytes(outcome);
+/// Scenario 1: poisoned links panic their shard, it restarts, and the
+/// result matches.
+fn panic_scenario(gen: &FleetGenerator, table: &ModulationTable, reference: &Bytes) -> Verdict {
+    let plan = ChaosPlan::new(CAMPAIGN_SEED).with_panics(2, gen.n_links() as u64);
+    let links = plan.panic_chunks.clone();
+    let mut cfg = config(gen, table, 3);
+    cfg.chaos = Some(plan);
+    match sweep(cfg) {
+        Ok((bytes, report)) => {
             let pass = bytes == *reference;
             Verdict {
                 name: "worker_panics",
                 pass,
                 detail: format!(
-                    "poisoned chunks {chunks:?}: retried, result {} reference",
+                    "poisoned links {links:?}: {} shard restarts, result {} reference",
+                    report.counter("serve.shard_restarts"),
                     if pass { "matches" } else { "DIVERGED from" }
                 ),
             }
@@ -115,65 +118,82 @@ fn panic_scenario(
     }
 }
 
-/// Scenario 3: kill mid-sweep, resume under `resume_threads`, compare.
+/// Scenario 2: kill once `KILL_AFTER` completions are checkpointed, then
+/// resume under `resume_shards` and compare.
 fn kill_resume_scenario(
     gen: &FleetGenerator,
     table: &ModulationTable,
-    reference: &(String, Option<String>),
-    kill_threads: usize,
-    resume_threads: usize,
-) -> Result<Verdict, String> {
-    let path = std::env::temp_dir().join(format!(
-        "rwc_chaos_resume_{}_{kill_threads}_{resume_threads}.json",
-        std::process::id()
-    ));
-    let ckpt = CheckpointConfig { path: path.clone(), every_chunks: 1 };
-    let plan = ChaosPlan::new(CAMPAIGN_SEED ^ 1).with_kill_after(2);
-    let killed = rwc_harness::run_fleet_sweep(
-        &spec(gen, table, kill_threads),
-        &harness_cfg(Some(ckpt.clone()), Some(plan)),
-        None,
-    )
-    .map_err(|e| format!("killed run failed: {e}"))?;
-    let completed_at_kill = match killed {
-        SweepOutcome::Killed { completed_chunks, .. } => completed_chunks,
-        SweepOutcome::Completed(_) => return Err("kill never fired".into()),
-    };
-    let cp = checkpoint::load(&path).map_err(|e| format!("checkpoint unreadable: {e}"))?;
-    let resumed = rwc_harness::run_fleet_sweep(
-        &spec(gen, table, resume_threads),
-        &harness_cfg(None, None),
-        Some(&cp),
-    )
-    .map_err(|e| format!("resume failed: {e}"))?;
-    std::fs::remove_file(&path).ok();
-    let bytes = completed_bytes(resumed);
-    let pass = bytes == *reference;
-    Ok(Verdict {
-        name: if kill_threads == resume_threads {
-            "kill_resume_same_threads"
-        } else {
-            "kill_resume_cross_threads"
-        },
-        pass,
-        detail: format!(
-            "killed at {completed_at_kill} chunks ({kill_threads} threads), resumed \
-             ({resume_threads} threads): {}",
-            if pass { "byte-identical to reference" } else { "DIVERGED from reference" }
-        ),
-    })
+    reference: &Bytes,
+    name: &'static str,
+    (kill_shards, resume_shards): (usize, usize),
+) -> Verdict {
+    match kill_then_resume(gen, table, kill_shards, resume_shards) {
+        Ok((at_kill, bytes, report)) => {
+            let restored = report.links_completed - report.counter("serve.links_completed");
+            let pass = bytes == *reference && restored >= KILL_AFTER;
+            Verdict {
+                name,
+                pass,
+                detail: format!(
+                    "killed with {at_kill} links done ({kill_shards} shards), {restored} \
+                     restored, resumed ({resume_shards} shards): {}",
+                    if bytes == *reference {
+                        "byte-identical to reference"
+                    } else {
+                        "DIVERGED from reference"
+                    }
+                ),
+            }
+        }
+        Err(detail) => Verdict { name, pass: false, detail },
+    }
 }
 
-/// Scenario 4: every corruption of a real checkpoint file is rejected.
+fn kill_then_resume(
+    gen: &FleetGenerator,
+    table: &ModulationTable,
+    kill_shards: usize,
+    resume_shards: usize,
+) -> Result<(u64, Bytes, ServeReport), String> {
+    let dir = ScratchDir::new("chaos_resume").map_err(|e| format!("scratch dir: {e}"))?;
+    let mut cfg = config(gen, table, kill_shards);
+    cfg.checkpoint =
+        Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 1 });
+    let daemon = Daemon::start(cfg.clone()).map_err(|e| format!("daemon start: {e}"))?;
+    // Only half the fleet is offered before the kill, so the resumed
+    // daemon always has work of its own left.
+    let half: Vec<usize> = (0..gen.n_links() / 2).collect();
+    daemon.ingest(&half).map_err(|e| format!("ingest: {e}"))?;
+    let written = |m: &MetricsSnapshot| m.counters.get("serve.checkpoints_written").copied();
+    let start = Instant::now();
+    while written(&daemon.serve_metrics()).unwrap_or(0) < KILL_AFTER {
+        if start.elapsed() > Duration::from_secs(60) {
+            return Err("no checkpoint written before the kill".into());
+        }
+        std::thread::yield_now();
+    }
+    let killed = daemon.kill();
+    super::observer().incr("harness.chaos_kills", 1);
+    absorb(&killed);
+    let at_kill = killed.counters.get("serve.links_completed").copied().unwrap_or(0);
+    cfg.n_shards = resume_shards;
+    let (bytes, report) = sweep(cfg).map_err(|e| format!("resume failed: {e}"))?;
+    Ok((at_kill, bytes, report))
+}
+
+/// Scenario 3: every corruption of a real `shard-0.ckpt` is rejected.
 fn corruption_scenario(gen: &FleetGenerator, table: &ModulationTable) -> Result<Verdict, String> {
-    let path =
-        std::env::temp_dir().join(format!("rwc_chaos_corrupt_{}.json", std::process::id()));
-    let ckpt = CheckpointConfig { path: path.clone(), every_chunks: 1 };
-    rwc_harness::run_fleet_sweep(&spec(gen, table, 2), &harness_cfg(Some(ckpt), None), None)
-        .map_err(|e| format!("seed sweep failed: {e}"))?;
+    let dir = ScratchDir::new("chaos_corrupt").map_err(|e| format!("scratch dir: {e}"))?;
+    let mut cfg = config(gen, table, 2);
+    // Drain writes the only checkpoints.
+    cfg.checkpoint = Some(ServeCheckpointConfig {
+        dir: dir.path().to_path_buf(),
+        every_links: gen.n_links() as u64,
+    });
+    sweep(cfg).map_err(|e| format!("seed sweep failed: {e}"))?;
+    let path = dir.path().join("shard-0.ckpt");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("read back: {e}"))?;
-    std::fs::remove_file(&path).ok();
-    checkpoint::load_str(&text).map_err(|e| format!("pristine checkpoint rejected: {e}"))?;
+    checkpoint::load(&path).map_err(|e| format!("pristine checkpoint rejected: {e}"))?;
 
     let mut rejected = 0usize;
     let mut detail = String::new();
@@ -182,20 +202,17 @@ fn corruption_scenario(gen: &FleetGenerator, table: &ModulationTable) -> Result<
         ("truncation", chaos_mut::corrupt_truncate(&text, CAMPAIGN_SEED)),
         ("version_bump", chaos_mut::corrupt_version_bump(&text)),
     ] {
-        match checkpoint::load_str(&mutated) {
-            Err(CheckpointError::VersionMismatch { .. }) if label == "version_bump" => {
-                rejected += 1;
-                let _ = write!(detail, "{label}: rejected (version); ");
-            }
+        std::fs::write(&path, mutated).map_err(|e| format!("write {label}: {e}"))?;
+        match checkpoint::load(&path) {
             Err(e) => {
                 rejected += 1;
+                super::observer().incr("harness.checkpoints_rejected", 1);
                 let _ = write!(detail, "{label}: rejected ({}); ", error_class(&e));
             }
             Ok(_) => {
                 let _ = write!(detail, "{label}: ACCEPTED (bug!); ");
             }
         }
-        super::observer().incr("harness.checkpoints_rejected", 1);
     }
     Ok(Verdict {
         name: "corrupted_checkpoints",
@@ -213,7 +230,7 @@ fn error_class(e: &CheckpointError) -> &'static str {
     }
 }
 
-/// Scenario 5: a forced-slow warm solve is aborted by the watchdog into a
+/// Scenario 4: a forced-slow warm solve is aborted by the watchdog into a
 /// typed timeout, and recovers once the chaos delay is lifted.
 fn watchdog_scenario() -> Verdict {
     use rwc_te::demand::{DemandMatrix, Priority};
@@ -252,7 +269,8 @@ fn watchdog_scenario() -> Verdict {
 
 /// Runs the chaos campaign.
 pub fn run(scale: Scale) -> Report {
-    let mut report = Report::new("chaos", "chaos harness: crash-safe sweep runtime under fault injection");
+    let mut report =
+        Report::new("chaos", "chaos harness: crash-safe sweep runtime under fault injection");
     let gen = chaos_fleet(scale);
     let table = ModulationTable::paper_default();
     report.line(format!(
@@ -261,21 +279,14 @@ pub fn run(scale: Scale) -> Report {
         gen.config().seed
     ));
 
-    let reference = completed_bytes(
-        rwc_harness::run_fleet_sweep(&spec(&gen, &table, 2), &harness_cfg(None, None), None)
-            .expect("reference sweep must succeed"),
-    );
+    let (reference, _) =
+        sweep(config(&gen, &table, 2)).expect("reference sweep must succeed");
 
     let mut verdicts = vec![panic_scenario(&gen, &table, &reference)];
-    for (kill_threads, resume_threads) in [(2, 2), (3, 5)] {
-        verdicts.push(
-            kill_resume_scenario(&gen, &table, &reference, kill_threads, resume_threads)
-                .unwrap_or_else(|detail| Verdict {
-                    name: "kill_resume",
-                    pass: false,
-                    detail,
-                }),
-        );
+    for (name, shards) in
+        [("kill_resume_same_threads", (2, 2)), ("kill_resume_cross_threads", (3, 5))]
+    {
+        verdicts.push(kill_resume_scenario(&gen, &table, &reference, name, shards));
     }
     verdicts.push(corruption_scenario(&gen, &table).unwrap_or_else(|detail| Verdict {
         name: "corrupted_checkpoints",

@@ -20,9 +20,9 @@ pub mod thm1;
 pub mod tput;
 
 use crate::{Report, Scale};
-use rwc_harness::{CheckpointConfig, ExecutorConfig, SweepCheckpoint, SweepOutcome, SweepSpec};
 use rwc_obs::{MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::ModulationTable;
+use rwc_serve::{Daemon, ServeCheckpointConfig, ServeConfig, ServeError, ServeReport};
 use rwc_telemetry::{FleetAccumulator, FleetGenerator};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -51,7 +51,7 @@ pub fn observer() -> Arc<dyn Observer> {
 }
 
 /// The installed observer's backing registry — the merge target for the
-/// fleet sweep's per-chunk metrics; `None` when observability is off.
+/// fleet sweep's per-link metrics; `None` when observability is off.
 pub fn registry() -> Option<&'static rwc_obs::MetricsRegistry> {
     OBSERVER.get().map(|obs| obs.registry())
 }
@@ -62,72 +62,60 @@ pub fn metrics() -> Option<MetricsSnapshot> {
     OBSERVER.get().map(|obs| obs.snapshot())
 }
 
-/// Checkpoints are written after this many fresh chunk completions. The
-/// write happens on the collector thread while workers keep pulling
-/// chunks, so the interval trades recovery granularity against checkpoint
-/// file churn, not sweep throughput.
-pub(crate) const CHECKPOINT_EVERY_CHUNKS: u64 = 4;
+/// Where `repro --checkpoint/--resume` put the daemon's per-shard
+/// checkpoint stores (`shard-<i>.ckpt` + `.prev`); installed once per
+/// process, first call wins like the observer above.
+static CHECKPOINT_DIR: OnceLock<PathBuf> = OnceLock::new();
 
-/// Crash-safety wiring for fleet sweeps, installed once per process by
-/// `repro --checkpoint/--resume` (same first-call-wins pattern as the
-/// observer above).
-#[derive(Debug)]
-pub struct CheckpointState {
-    /// Where interval checkpoints are written (atomically, temp + rename).
-    pub path: PathBuf,
-    /// A loaded, envelope-verified checkpoint to restore; `None` starts
-    /// the sweep fresh while still writing checkpoints to `path`.
-    pub resume: Option<SweepCheckpoint>,
+/// Installs the process-wide checkpoint directory. First call wins;
+/// later calls return `false` and change nothing.
+pub fn set_checkpoint_dir(dir: PathBuf) -> bool {
+    CHECKPOINT_DIR.set(dir).is_ok()
 }
 
-static CHECKPOINT: OnceLock<CheckpointState> = OnceLock::new();
-
-/// Installs the process-wide checkpoint plan. First call wins; later
-/// calls return `false` and change nothing.
-pub fn set_checkpoint(state: CheckpointState) -> bool {
-    CHECKPOINT.set(state).is_ok()
+/// The daemon config every fleet sweep runs under: one shard per worker,
+/// queues that admit the whole fleet at once, and `table` as the ladder.
+pub(crate) fn sweep_config(gen: &FleetGenerator, table: &ModulationTable) -> ServeConfig {
+    let mut cfg = ServeConfig::for_fleet(gen.config().clone());
+    cfg.controller.table = table.clone();
+    cfg.n_shards = crate::parallel::default_workers();
+    cfg.queue_capacity = gen.n_links();
+    cfg
 }
 
-/// The installed checkpoint plan, if any.
-pub fn checkpoint() -> Option<&'static CheckpointState> {
-    CHECKPOINT.get()
+/// Start → ingest every link → drain. Each shard's queue has room for the
+/// whole fleet (restarts and reroutes included), so one ingest admits it
+/// all and the drain runs it to completion; the slot-ordered report
+/// equals the sequential pass at any shard count.
+pub(crate) fn run_sweep(cfg: ServeConfig) -> Result<ServeReport, ServeError> {
+    let daemon = Daemon::start(cfg)?;
+    let links: Vec<usize> = (0..daemon.n_links()).collect();
+    daemon.ingest(&links)?;
+    daemon.drain()
 }
 
 /// The crash-safe fleet sweep every fleet experiment routes through: the
-/// process observer and registry, the installed checkpoint plan, and the
-/// harness panic-retry policy, all wired into one call. A chunk that
-/// panics is retried with jittered backoff; only a chunk that exhausts
-/// its budget aborts the experiment.
+/// serve daemon over the generator's fleet, checkpointing into the
+/// directory `repro --checkpoint/--resume` installed (about four interval
+/// writes per shard, plus the final one) and restoring whatever it holds.
+/// A panicking shard is restarted with jittered backoff; only a daemon
+/// that loses every shard aborts the experiment.
 pub(crate) fn fleet_sweep(gen: &FleetGenerator, table: &ModulationTable) -> FleetAccumulator {
-    let state = checkpoint();
-    let cfg = ExecutorConfig {
-        checkpoint: state.map(|s| CheckpointConfig {
-            path: s.path.clone(),
-            every_chunks: CHECKPOINT_EVERY_CHUNKS,
-        }),
-        observer: observer(),
-        ..ExecutorConfig::default()
-    };
-    let resume = state.and_then(|s| s.resume.as_ref());
-    let spec = SweepSpec {
-        gen,
-        table,
-        n_threads: crate::parallel::default_workers(),
-        collect_metrics: registry().is_some(),
-    };
-    match rwc_harness::run_fleet_sweep(&spec, &cfg, resume) {
-        Ok(SweepOutcome::Completed(result)) => {
-            // Counter and histogram-bucket addition commute, so absorbing
-            // the chunk-ordered merge equals one sequential kernel's
-            // metrics at any thread count.
-            if let (Some(registry), Some(metrics)) = (registry(), &result.metrics) {
-                registry.absorb(metrics);
-            }
-            result.accumulator
-        }
-        Ok(SweepOutcome::Killed { .. }) => unreachable!("no chaos plan configured"),
-        Err(err) => panic!("fleet sweep failed: {err}"),
+    let mut cfg = sweep_config(gen, table);
+    cfg.checkpoint = CHECKPOINT_DIR.get().map(|dir| ServeCheckpointConfig {
+        dir: dir.clone(),
+        every_links: gen.n_links().div_ceil(4 * cfg.n_shards) as u64,
+    });
+    let report = run_sweep(cfg).unwrap_or_else(|err| panic!("fleet sweep failed: {err}"));
+    assert_eq!(report.links_completed, gen.n_links() as u64, "fleet sweep lost links");
+    // Counter and histogram-bucket addition commute, and the pipeline
+    // metrics are folded in link order, so absorbing them equals one
+    // sequential kernel's metrics at any shard count.
+    if let Some(registry) = registry() {
+        registry.absorb(&report.pipeline_metrics);
+        registry.absorb(&report.serve_metrics);
     }
+    report.accumulator
 }
 
 /// All experiment ids, in paper order.
@@ -160,4 +148,45 @@ pub fn run(id: &str, scale: Scale) -> Option<Report> {
         "chaos" => chaos::run(scale),
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rwc_telemetry::FleetConfig;
+    use rwc_util::time::SimDuration;
+
+    /// The daemon config every fleet sweep builds reproduces the
+    /// sequential pass — accumulator and pipeline metrics — at any shard
+    /// count, and admits the whole fleet in one ingest.
+    #[test]
+    fn fleet_sweep_matches_sequential_fleet_analysis() {
+        let gen = FleetGenerator::new(FleetConfig {
+            n_fibers: 2,
+            wavelengths_per_fiber: 8,
+            horizon: SimDuration::from_days(20),
+            ..FleetConfig::paper()
+        });
+        let table = ModulationTable::paper_default();
+        let sequential = serde_json::to_string(&gen.fleet_analysis(&table)).unwrap();
+        let (_, want_metrics) = rwc_serve::batch_reference(&sweep_config(&gen, &table));
+        for n_shards in [1, 2, 3, 5] {
+            let mut cfg = sweep_config(&gen, &table);
+            cfg.n_shards = n_shards;
+            let report = run_sweep(cfg).unwrap();
+            assert_eq!(report.links_completed, gen.n_links() as u64);
+            assert_eq!(report.counter("serve.rejected"), 0, "shards={n_shards}");
+            assert_eq!(
+                serde_json::to_string(&report.accumulator).unwrap(),
+                sequential,
+                "shards={n_shards}"
+            );
+            assert_eq!(
+                report.pipeline_metrics.to_json(),
+                want_metrics.to_json(),
+                "per-link metrics merge diverged at shards={n_shards}"
+            );
+        }
+        assert_eq!(serde_json::to_string(&fleet_sweep(&gen, &table)).unwrap(), sequential);
+    }
 }

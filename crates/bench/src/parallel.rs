@@ -8,9 +8,9 @@
 //! runs arm `i`, its result lands in slot `i`, so the output depends only
 //! on the arms, never on thread count or scheduling jitter.
 //!
-//! (The fleet sweep has the same shape but lives in `rwc-harness`, where
-//! it also gets panic isolation and checkpoint/resume; experiments reach
-//! it through `experiments::fleet_sweep`.)
+//! (Fleet sweeps do not run here: `experiments::fleet_sweep` hands the
+//! fleet to the `rwc-serve` daemon, one shard per worker, which adds
+//! panic supervision and checkpoint/resume.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -19,9 +19,9 @@ use std::sync::{mpsc, Mutex};
 /// returns their results **in input order** — the deterministic-merge
 /// contract: output depends only on the arms, never on scheduling.
 ///
-/// Arms are pulled from the same atomic-counter queue as the fleet sweep,
-/// so a long arm (srlg's MBB leg, a slow ablation cell) doesn't serialise
-/// behind a fixed assignment. Panics in an arm propagate to the caller.
+/// Arms are pulled from an atomic-counter queue, so a long arm (srlg's
+/// MBB leg, a slow ablation cell) doesn't serialise behind a fixed
+/// assignment. Panics in an arm propagate to the caller.
 /// Results come back over an mpsc channel instead of shared `Mutex`
 /// slots, so a panicking arm can never poison a lock another worker (or
 /// the collector) would have to unwrap.

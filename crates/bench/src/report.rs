@@ -144,12 +144,11 @@ mod tests {
 
     #[test]
     fn csv_write() {
-        let dir = std::env::temp_dir().join("rwc_report_test");
+        let dir = rwc_harness::ScratchDir::new("report_test").unwrap();
         let mut r = Report::new("t", "t");
         r.csv("a.csv", "x\n1\n".into());
-        let written = r.write_csv(&dir).unwrap();
+        let written = r.write_csv(dir.path()).unwrap();
         assert_eq!(written.len(), 1);
         assert!(std::fs::read_to_string(&written[0]).unwrap().contains('1'));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

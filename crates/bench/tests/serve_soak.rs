@@ -17,7 +17,7 @@
 //! pipeline metrics — every f64 bit participates.
 
 use rwc_bench::alloc;
-use rwc_harness::ChaosPlan;
+use rwc_harness::{ChaosPlan, ScratchDir};
 use rwc_serve::{batch_reference, Daemon, ServeCheckpointConfig, ServeConfig, ShedPolicy};
 use rwc_telemetry::FleetConfig;
 use std::collections::BTreeSet;
@@ -100,7 +100,6 @@ fn soak_shard_panics_mid_run_converge_to_reference() {
     cfg.chaos = Some(ChaosPlan {
         seed: 41,
         panic_chunks: BTreeSet::from([5, 17, 23]),
-        kill_after_chunks: None,
         poison_attempts: 1,
     });
     let want = reference(&cfg);
@@ -116,11 +115,10 @@ fn soak_shard_panics_mid_run_converge_to_reference() {
 
 #[test]
 fn soak_kill_and_resume_matches_uninterrupted_run() {
-    let dir = std::env::temp_dir()
-        .join(format!("rwc_serve_soak_kill_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("serve_soak_kill").expect("scratch dir");
     let mut cfg = soak_config();
-    cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 2 });
+    cfg.checkpoint =
+        Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 2 });
     let want = reference(&cfg);
     let n = cfg.n_links() as u64;
 
@@ -157,7 +155,6 @@ fn soak_kill_and_resume_matches_uninterrupted_run() {
     );
     drive_to_completion(&daemon);
     assert_identical("kill+resume", daemon, &want);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,16 +1,17 @@
 //! Seeded, deterministic fault injection for the sweep runtime.
 //!
-//! A [`ChaosPlan`] decides *before the run starts* which chunks will
-//! panic, how many attempts stay poisoned, and after how many fresh
-//! completions the run is killed mid-flight. Everything derives from the
-//! plan's seed, so a chaos experiment is reproducible: the same plan
-//! against the same fleet injects the same faults every time.
+//! A [`ChaosPlan`] decides *before the run starts* which links will
+//! panic the shard processing them, and for how many attempts.
+//! Everything derives from the plan's seed, so a chaos experiment is
+//! reproducible: the same plan against the same fleet injects the same
+//! faults every time. The `corrupt_*` helpers damage checkpoint text the
+//! way disks and crashes do.
 //!
 //! This taxonomy is deliberately disjoint from `crates/faults`: that
 //! crate models *network* faults (SNR dips, loss-of-light, flaps) that
 //! are part of the simulated world and flow through the telemetry
 //! pipeline; chaos here models *runtime* faults (worker panics, kills,
-//! corrupted checkpoint files, stalled solves) that the harness must
+//! corrupted checkpoint files, stalled solves) that the daemon must
 //! absorb without changing any result bytes.
 
 use rwc_util::rng::Xoshiro256;
@@ -21,12 +22,9 @@ use std::collections::BTreeSet;
 pub struct ChaosPlan {
     /// Seed all injection draws derive from.
     pub seed: u64,
-    /// Chunk ids whose early attempts panic.
+    /// Link ids whose early attempts panic.
     pub panic_chunks: BTreeSet<u64>,
-    /// Kill the run (checkpoint + stop) after this many fresh chunk
-    /// completions.
-    pub kill_after_chunks: Option<u64>,
-    /// How many attempts of a poisoned chunk panic before it succeeds.
+    /// How many attempts of a poisoned link panic before it succeeds.
     /// The default 1 means: first attempt panics, first retry succeeds.
     pub poison_attempts: u32,
 }
@@ -34,42 +32,22 @@ pub struct ChaosPlan {
 impl ChaosPlan {
     /// An empty plan (no injections) with the given seed.
     pub fn new(seed: u64) -> Self {
-        Self { seed, panic_chunks: BTreeSet::new(), kill_after_chunks: None, poison_attempts: 1 }
+        Self { seed, panic_chunks: BTreeSet::new(), poison_attempts: 1 }
     }
 
-    /// Picks `n` distinct chunks out of `n_chunks` to poison, seeded.
-    pub fn with_panics(mut self, n: usize, n_chunks: u64) -> Self {
+    /// Picks `n` distinct link ids out of `n_links` to poison, seeded.
+    pub fn with_panics(mut self, n: usize, n_links: u64) -> Self {
         let mut rng = Xoshiro256::seed_from_u64(self.seed ^ 0x000C_4A05);
-        while self.panic_chunks.len() < n.min(n_chunks as usize) {
-            let pick = (rng.uniform() * n_chunks as f64) as u64;
-            self.panic_chunks.insert(pick.min(n_chunks.saturating_sub(1)));
+        while self.panic_chunks.len() < n.min(n_links as usize) {
+            let pick = (rng.uniform() * n_links as f64) as u64;
+            self.panic_chunks.insert(pick.min(n_links.saturating_sub(1)));
         }
         self
     }
 
-    /// Poisons one specific chunk.
-    #[cfg(test)]
-    pub(crate) fn with_panic_chunk(mut self, chunk: u64) -> Self {
-        self.panic_chunks.insert(chunk);
-        self
-    }
-
-    /// Kills the run after `n` fresh chunk completions.
-    pub fn with_kill_after(mut self, n: u64) -> Self {
-        self.kill_after_chunks = Some(n);
-        self
-    }
-
-    /// Keeps poisoned chunks panicking for their first `n` attempts.
-    #[cfg(test)]
-    pub(crate) fn with_poison_attempts(mut self, n: u32) -> Self {
-        self.poison_attempts = n;
-        self
-    }
-
-    /// Should this `(chunk, attempt)` panic? Attempts are 0-based.
-    pub fn should_panic(&self, chunk: u64, attempt: u32) -> bool {
-        attempt < self.poison_attempts && self.panic_chunks.contains(&chunk)
+    /// Should this `(link, attempt)` panic? Attempts are 0-based.
+    pub fn should_panic(&self, link: u64, attempt: u32) -> bool {
+        attempt < self.poison_attempts && self.panic_chunks.contains(&link)
     }
 }
 
@@ -127,7 +105,11 @@ mod tests {
 
     #[test]
     fn poison_attempts_gate_retries() {
-        let plan = ChaosPlan::new(1).with_panic_chunk(4).with_poison_attempts(2);
+        let plan = ChaosPlan {
+            panic_chunks: BTreeSet::from([4]),
+            poison_attempts: 2,
+            ..ChaosPlan::new(1)
+        };
         assert!(plan.should_panic(4, 0));
         assert!(plan.should_panic(4, 1));
         assert!(!plan.should_panic(4, 2));

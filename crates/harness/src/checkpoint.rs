@@ -335,17 +335,12 @@ impl CheckpointStore {
         }
         Ok(StoreLoad::Fresh { rejected })
     }
-
-    /// Removes both epochs (ignoring files that are already gone).
-    pub fn clear(&self) {
-        std::fs::remove_file(&self.path).ok();
-        std::fs::remove_file(self.prev_path()).ok();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
 
     fn fingerprint() -> SweepFingerprint {
         SweepFingerprint { n_links: 40, chunk_size: 5, seed: 7, mode: "fused".into() }
@@ -373,8 +368,8 @@ mod tests {
 
     #[test]
     fn write_load_round_trip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rwc_cp_roundtrip_{}.json", std::process::id()));
+        let dir = ScratchDir::new("cp_roundtrip").unwrap();
+        let path = dir.path().join("cp.json");
         let cp = sample_checkpoint();
         write_atomic(&path, &cp).unwrap();
         let back = load(&path).unwrap();
@@ -384,28 +379,23 @@ mod tests {
         assert_eq!(back.round_index, 3);
         assert_eq!(back.rng_state, Some([1, 2, 3, 4]));
         assert_eq!(back.next_link, 5);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn no_temp_file_left_behind() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rwc_cp_tmpcheck_{}.json", std::process::id()));
+        let dir = ScratchDir::new("cp_tmpcheck").unwrap();
+        let path = dir.path().join("cp.json");
         write_atomic(&path, &sample_checkpoint()).unwrap();
         assert!(!tmp_path(&path).exists(), "temp file must be renamed away");
-        std::fs::remove_file(&path).ok();
     }
 
-    /// The on-disk text of a sample checkpoint. Tests run on parallel
-    /// threads of one process, so each caller passes its own `tag`: a
-    /// shared path lets one test remove the temp file another is renaming.
+    /// The on-disk text of a sample checkpoint, written in its own
+    /// scratch directory: tests run on parallel threads of one process.
     fn envelope_text(tag: &str) -> String {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rwc_cp_envelope_{tag}_{}.json", std::process::id()));
+        let dir = ScratchDir::new(tag).unwrap();
+        let path = dir.path().join("cp.json");
         write_atomic(&path, &sample_checkpoint()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        text
+        std::fs::read_to_string(&path).unwrap()
     }
 
     #[test]
@@ -468,17 +458,17 @@ mod tests {
         assert!(matches!(err, CheckpointError::Io(_)));
     }
 
-    fn temp_store(tag: &str) -> CheckpointStore {
-        let path = std::env::temp_dir()
-            .join(format!("rwc_store_{tag}_{}.json", std::process::id()));
-        let store = CheckpointStore::new(path);
-        store.clear();
-        store
+    /// A store in its own scratch directory, which takes both epochs
+    /// with it when dropped.
+    fn temp_store(tag: &str) -> (ScratchDir, CheckpointStore) {
+        let dir = ScratchDir::new(tag).unwrap();
+        let store = CheckpointStore::new(dir.path().join("store.json"));
+        (dir, store)
     }
 
     #[test]
     fn store_rotates_epochs_and_loads_current() {
-        let store = temp_store("rotate");
+        let (_dir, store) = temp_store("rotate");
         let mut a = sample_checkpoint();
         a.round_index = 1;
         let mut b = sample_checkpoint();
@@ -494,12 +484,11 @@ mod tests {
             }
             other => panic!("expected Loaded, got {other:?}"),
         }
-        store.clear();
     }
 
     #[test]
     fn store_falls_back_when_current_is_corrupt() {
-        let store = temp_store("fallback");
+        let (_dir, store) = temp_store("fallback");
         let mut a = sample_checkpoint();
         a.round_index = 1;
         let mut b = sample_checkpoint();
@@ -517,12 +506,11 @@ mod tests {
             }
             other => panic!("expected Previous-epoch load, got {other:?}"),
         }
-        store.clear();
     }
 
     #[test]
     fn store_is_fresh_when_both_epochs_fail() {
-        let store = temp_store("fresh");
+        let (_dir, store) = temp_store("fresh");
         store.write(&sample_checkpoint()).unwrap();
         store.write(&sample_checkpoint()).unwrap();
         for path in [store.path().to_path_buf(), store.prev_path()] {
@@ -538,12 +526,11 @@ mod tests {
             }
             other => panic!("expected Fresh, got {other:?}"),
         }
-        store.clear();
     }
 
     #[test]
     fn store_with_no_files_is_fresh_and_clean() {
-        let store = temp_store("none");
+        let (_dir, store) = temp_store("none");
         match store.load_or_fallback(None).unwrap() {
             StoreLoad::Fresh { rejected } => assert!(rejected.is_empty()),
             other => panic!("expected Fresh, got {other:?}"),
@@ -552,7 +539,7 @@ mod tests {
 
     #[test]
     fn store_rejects_foreign_fingerprint_then_falls_back() {
-        let store = temp_store("foreign");
+        let (_dir, store) = temp_store("foreign");
         store.write(&sample_checkpoint()).unwrap();
         let mut foreign = fingerprint();
         foreign.seed = 999;
@@ -567,6 +554,5 @@ mod tests {
             }
             other => panic!("expected fallback, got {other:?}"),
         }
-        store.clear();
     }
 }

@@ -127,16 +127,9 @@ pub enum Event {
         /// Episode length in samples.
         ticks: u64,
     },
-    /// A sweep chunk panicked and the harness re-queued it.
-    ChunkRetried {
-        /// The chunk that failed.
-        chunk: u64,
-        /// Which retry this is (1 = first retry).
-        attempt: u64,
-    },
-    /// The harness wrote a sweep checkpoint atomically.
+    /// The daemon wrote a shard checkpoint atomically.
     CheckpointWritten {
-        /// Chunks completed at the time of the write.
+        /// Chunks (links) the checkpoint holds.
         completed_chunks: u64,
     },
     /// A resume checkpoint passed its checksum and fingerprint checks.
@@ -193,7 +186,6 @@ impl Event {
             Event::FaultInjected { .. } => "events.fault_injected",
             Event::EpisodeOpened { .. } => "events.episode_opened",
             Event::EpisodeClosed { .. } => "events.episode_closed",
-            Event::ChunkRetried { .. } => "events.chunk_retried",
             Event::CheckpointWritten { .. } => "events.checkpoint_written",
             Event::ResumeVerified { .. } => "events.resume_verified",
             Event::WatchdogAbort { .. } => "events.watchdog_abort",
@@ -221,7 +213,6 @@ mod tests {
             Event::FaultInjected { link: Some(2), domain: FaultDomain::Bvt },
             Event::EpisodeOpened { link: 1, rung_gbps: 200.0, at_tick: 5 },
             Event::EpisodeClosed { link: 1, rung_gbps: 200.0, ticks: 9 },
-            Event::ChunkRetried { chunk: 3, attempt: 1 },
             Event::CheckpointWritten { completed_chunks: 4 },
             Event::ResumeVerified { restored_chunks: 4 },
             Event::WatchdogAbort { pivots: 512 },

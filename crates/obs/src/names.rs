@@ -55,13 +55,9 @@ pub const COUNTERS: &[&str] = &[
     "lp.warm_singular",
     "lp.repair_aborts",
     "lp.repair_pivots",
-    // harness: crash-safe sweep runtime (rwc-harness).
-    "harness.chunk_retries",
-    "harness.chunk_failures",
-    "harness.checkpoints_written",
+    // harness: what only the `repro chaos` campaign knows — corrupted
+    // checkpoints the loader refused and daemons it killed mid-sweep.
     "harness.checkpoints_rejected",
-    "harness.resume_verified",
-    "harness.chaos_panics",
     "harness.chaos_kills",
     // serve: sharded controller daemon (rwc-serve). The ingest ledger
     // closes exactly: ingested = completed + shed_* + inflight_drops +
@@ -105,7 +101,6 @@ pub const COUNTERS: &[&str] = &[
     "events.fault_injected",
     "events.episode_opened",
     "events.episode_closed",
-    "events.chunk_retried",
     "events.checkpoint_written",
     "events.resume_verified",
     "events.watchdog_abort",

@@ -1,13 +1,14 @@
 //! Sharded-ingestion determinism properties.
 //!
 //! The daemon's whole value rests on one promise: *operational* choices —
-//! shard count, queue sizing, shed policy, ingest order and chunking —
-//! never change the *pipeline* result. These properties pin that promise
-//! on randomized inputs with serialized JSON as the oracle (every f64 bit
-//! participates), mirroring the harness's `resume_props` suite.
+//! shard count, queue sizing, shed policy, ingest order, chunking, and a
+//! kill followed by a resume under another shard count — never change the
+//! *pipeline* result. These properties pin that promise on randomized
+//! inputs with serialized JSON as the oracle (every f64 bit participates).
 
 use proptest::prelude::*;
-use rwc_serve::{batch_reference, Daemon, ServeConfig, ShedPolicy};
+use rwc_harness::ScratchDir;
+use rwc_serve::{batch_reference, Daemon, ServeCheckpointConfig, ServeConfig, ShedPolicy};
 use rwc_telemetry::FleetConfig;
 use rwc_util::rng::Xoshiro256;
 use rwc_util::time::SimDuration;
@@ -26,21 +27,29 @@ fn fleet_strategy() -> impl Strategy<Value = FleetConfig> {
     )
 }
 
-/// Re-offers the whole fleet until every link completes (duplicates are
+/// Re-offers the whole fleet until `done` holds (duplicates are
 /// idempotent; rejections under tiny queues retry on the next pass).
-fn drive_to_completion(daemon: &Daemon, order: &[usize]) {
-    let n = daemon.n_links() as u64;
+fn drive_until(daemon: &Daemon, order: &[usize], done: impl Fn(&Daemon) -> bool) {
     let start = Instant::now();
-    while daemon.completed_links() < n {
+    while !done(daemon) {
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "daemon failed to converge: {}/{} links",
             daemon.completed_links(),
-            n
+            daemon.n_links()
         );
         daemon.ingest(order).expect("daemon accepts ingest while healthy");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// Re-offers the whole fleet until every link completes.
+fn drive_to_completion(daemon: &Daemon, order: &[usize]) {
+    drive_until(daemon, order, |d| d.completed_links() == d.n_links() as u64);
+}
+
+fn checkpoints_written(daemon: &Daemon) -> u64 {
+    daemon.serve_metrics().counters.get("serve.checkpoints_written").copied().unwrap_or(0)
 }
 
 proptest! {
@@ -48,7 +57,9 @@ proptest! {
 
     /// Any shard count, queue capacity, shed policy and ingest order
     /// produces the byte-identical accumulator and merged pipeline
-    /// metrics of the single-threaded batch pass.
+    /// metrics of the single-threaded batch pass — and so does a daemon
+    /// killed once `kill_after` completions are checkpointed, then resumed
+    /// from its per-shard stores under a different shard count.
     #[test]
     fn sharded_serving_is_byte_identical_to_batch(
         fleet in fleet_strategy(),
@@ -56,6 +67,8 @@ proptest! {
         queue_capacity in 1usize..9,
         shed_oldest in proptest::bool::ANY,
         order_seed in 0u64..1_000_000,
+        kill_after in 0u64..4,
+        resume_shift in 1usize..5,
     ) {
         let mut cfg = ServeConfig::for_fleet(fleet);
         cfg.n_shards = n_shards;
@@ -63,10 +76,34 @@ proptest! {
         cfg.shed_policy =
             if shed_oldest { ShedPolicy::ShedOldest } else { ShedPolicy::RejectNewest };
         let (want_acc, want_metrics) = batch_reference(&cfg);
-
-        let daemon = Daemon::start(cfg).expect("valid config starts");
-        let mut order: Vec<usize> = (0..daemon.n_links()).collect();
+        let mut order: Vec<usize> = (0..cfg.n_links()).collect();
         Xoshiro256::seed_from_u64(order_seed).shuffle(&mut order);
+
+        // 0: one uninterrupted life. k > 0: kill after ≥ k checkpointed
+        // completions (`kill -9` semantics, no final write), then resume.
+        let scratch = ScratchDir::new("shard_props_kill").expect("scratch dir");
+        if kill_after > 0 {
+            cfg.checkpoint = Some(ServeCheckpointConfig {
+                dir: scratch.path().to_path_buf(),
+                every_links: 1,
+            });
+            let daemon = Daemon::start(cfg.clone()).expect("valid config starts");
+            drive_until(&daemon, &order, |d| {
+                checkpoints_written(d) >= kill_after
+                    || d.completed_links() == d.n_links() as u64
+            });
+            let first_life = daemon.kill();
+            let written = first_life.counters["serve.checkpoints_written"];
+            prop_assert!(written >= kill_after.min(order.len() as u64), "wrote {}", written);
+            // Never the kill's shard count: 1..=5, shifted by 1..=4.
+            cfg.n_shards = 1 + (n_shards - 1 + resume_shift) % 5;
+        }
+        let daemon = Daemon::start(cfg.clone()).expect("valid config starts");
+        let restored = daemon.completed_links();
+        if kill_after > 0 && cfg.n_shards >= n_shards {
+            // Every store the first life wrote is read back.
+            prop_assert!(restored >= kill_after.min(order.len() as u64), "restored {}", restored);
+        }
         drive_to_completion(&daemon, &order);
         let report = daemon.drain().expect("clean drain");
 

@@ -7,14 +7,13 @@
 //! shard. Because the per-link attempt counter is global (not per shard),
 //! the failure scripts below are fully deterministic.
 
-use rwc_harness::{chaos, checkpoint, ChaosPlan, RetryPolicy};
+use rwc_harness::{chaos, checkpoint, ChaosPlan, RetryPolicy, ScratchDir};
 use rwc_serve::{
     batch_reference, Daemon, ServeCheckpointConfig, ServeConfig, ServeError, ShedPolicy,
 };
 use rwc_telemetry::{FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::time::SimDuration;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// A fleet small enough for millisecond tests (8 links).
@@ -40,11 +39,8 @@ fn tiny_config(seed: u64) -> ServeConfig {
     cfg
 }
 
-fn tmp_dir(tag: &str, seed: u64) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("rwc_serve_{tag}_{}_{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("serve_{tag}")).expect("scratch dir")
 }
 
 fn all_links(daemon: &Daemon) -> Vec<usize> {
@@ -95,7 +91,6 @@ fn chaos_on_link(link: u64, poison_attempts: u32, seed: u64) -> ChaosPlan {
     ChaosPlan {
         seed,
         panic_chunks: BTreeSet::from([link]),
-        kill_after_chunks: None,
         poison_attempts,
     }
 }
@@ -175,7 +170,7 @@ fn ledger_closes(counters: &std::collections::BTreeMap<String, u64>) -> bool {
 /// and after the resume, and both ledgers must close.
 #[test]
 fn capacities_published_before_a_kill_are_re_served_bit_identical_after_resume() {
-    let dir = tmp_dir("publish", 21);
+    let dir = tmp_dir("publish");
     let mut cfg = tiny_config(21);
     // 64 links of 90 days each: slow enough for the kill to land mid-fleet.
     cfg.fleet.wavelengths_per_fiber = 32;
@@ -183,7 +178,8 @@ fn capacities_published_before_a_kill_are_re_served_bit_identical_after_resume()
     cfg.queue_capacity = 64;
     // Five completions per checkpoint: most kills strand published links
     // that no checkpoint holds yet.
-    cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 5 });
+    cfg.checkpoint =
+        Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 5 });
     let gen = FleetGenerator::new(cfg.fleet.clone());
     let mut kernel = FleetKernel::new();
     let direct: Vec<u64> = (0..cfg.n_links())
@@ -236,7 +232,6 @@ fn capacities_published_before_a_kill_are_re_served_bit_identical_after_resume()
         serde_json::to_string(&want_acc).unwrap()
     );
     assert_eq!(report.pipeline_metrics.to_json(), want_metrics.to_json());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every [`rwc_harness::CheckpointError`] variant, exercised through the
@@ -252,9 +247,10 @@ fn corrupt_checkpoints_fall_back_to_previous_epoch() {
         ("version", chaos::corrupt_version_bump),
     ];
     for (tag, corrupt) in corruptions {
-        let dir = tmp_dir(tag, 14);
+        let dir = tmp_dir(tag);
         let mut cfg = tiny_config(14);
-        cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 1 });
+        cfg.checkpoint =
+        Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 1 });
         let (want_acc, _) = batch_reference(&cfg);
 
         // Run to completion twice so both epochs exist, then corrupt the
@@ -265,7 +261,7 @@ fn corrupt_checkpoints_fall_back_to_previous_epoch() {
         let daemon = Daemon::start(cfg.clone()).unwrap();
         daemon.drain().unwrap(); // rotates: current -> .prev
         for shard in 0..cfg.n_shards {
-            let path = dir.join(format!("shard-{shard}.ckpt"));
+            let path = dir.path().join(format!("shard-{shard}.ckpt"));
             let text = std::fs::read_to_string(&path).unwrap();
             std::fs::write(&path, corrupt(&text)).unwrap();
         }
@@ -288,7 +284,6 @@ fn corrupt_checkpoints_fall_back_to_previous_epoch() {
             serde_json::to_string(&want_acc).unwrap(),
             "{tag}: fallback restores byte-identical results"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -298,9 +293,10 @@ fn foreign_fingerprint_rejects_both_epochs_and_starts_fresh() {
     // fleet, but both epochs relabelled as written under the retired
     // serial sampler — their partials carry byte-different traces.
     for (seed, stale_mode) in [(15, None), (17, Some("fused")), (18, Some("legacy"))] {
-        let dir = tmp_dir("foreign", seed);
+        let dir = tmp_dir("foreign");
         let mut cfg = tiny_config(seed);
-        cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 1 });
+        cfg.checkpoint =
+        Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 1 });
         let daemon = Daemon::start(cfg.clone()).unwrap();
         drive_to_completion(&daemon);
         daemon.drain().unwrap();
@@ -313,7 +309,7 @@ fn foreign_fingerprint_rejects_both_epochs_and_starts_fresh() {
             Some(label) => {
                 for shard in 0..cfg.n_shards {
                     for file in [format!("shard-{shard}.ckpt"), format!("shard-{shard}.ckpt.prev")] {
-                        let path = dir.join(file);
+                        let path = dir.path().join(file);
                         let mut cp = checkpoint::load(&path).unwrap();
                         cp.fingerprint.mode = label.into();
                         checkpoint::write_atomic(&path, &cp).unwrap();
@@ -342,23 +338,22 @@ fn foreign_fingerprint_rejects_both_epochs_and_starts_fresh() {
             serde_json::to_string(&want_acc).unwrap(),
             "{stale_mode:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
 fn unreadable_checkpoint_is_a_hard_io_error() {
-    let dir = tmp_dir("io", 16);
+    let dir = tmp_dir("io");
     let mut cfg = tiny_config(16);
-    cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 1 });
+    cfg.checkpoint =
+        Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 1 });
     // A directory where the checkpoint file should be: reads fail with a
     // real I/O error, which must propagate instead of "falling back".
-    std::fs::create_dir_all(dir.join("shard-0.ckpt")).unwrap();
+    std::fs::create_dir_all(dir.path().join("shard-0.ckpt")).unwrap();
     match Daemon::start(cfg) {
         Err(ServeError::Checkpoint(rwc_harness::CheckpointError::Io(_))) => {}
         other => panic!("expected a checkpoint I/O error, got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! | [`obs`] | observability: counters/gauges/histograms, typed events, sinks |
 //! | [`optics`] | modulation ladder, link budgets, constellations, BVT model |
 //! | [`telemetry`] | synthetic 2.5-year SNR fleet (the paper's measurement corpus) |
-//! | [`harness`] | crash-safe sweep runtime: checkpoint/resume, panic-isolated workers, chaos injection |
+//! | [`harness`] | crash-safety parts: checksummed checkpoints, two-epoch store, restart backoff, chaos injection |
 //! | [`serve`] | sharded controller daemon: bounded ingest, load shedding, shard supervision, crash recovery |
 //! | [`failures`] | failure-ticket corpus + root-cause/availability analyses |
 //! | [`faults`] | deterministic fault injection: BVT/telemetry/TE fault plans |
