@@ -63,15 +63,17 @@ fn version_bumped_and_foreign_checkpoints_exit_with_the_checkpoint_code() {
     let text = write_store(version.path(), &quick_fingerprint());
     std::fs::write(version.path().join("shard-1.ckpt"), chaos::corrupt_version_bump(&text))
         .unwrap();
-    // Another seed, and the labels of the retired serial sampler: valid
-    // files from a different sweep.
+    // Another seed, the label of the unbinned pipeline and those of the
+    // retired serial sampler: valid files from a different sweep.
     let mut seed = quick_fingerprint();
     seed.seed ^= 1;
+    let mut unbinned = quick_fingerprint();
+    unbinned.mode = "fused+batchgen".into();
     let mut fused = quick_fingerprint();
     fused.mode = "fused".into();
     let mut legacy = quick_fingerprint();
     legacy.mode = "legacy".into();
-    let foreign: Vec<ScratchDir> = [seed, fused, legacy]
+    let foreign: Vec<ScratchDir> = [seed, unbinned, fused, legacy]
         .iter()
         .map(|fp| {
             let dir = ScratchDir::new("repro_resume_foreign").unwrap();

@@ -88,11 +88,11 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// The [`SweepFingerprint::mode`] of every fleet sweep this build runs:
-/// fused analysis over counter-based generation, the only telemetry
-/// pipeline. Checkpoints written under the retired serial sampler say
-/// `"fused"` or `"legacy"` and fail [`SweepFingerprint::verify`] — resuming
-/// one would merge byte-different traces.
-pub const SWEEP_MODE: &str = "fused+batchgen";
+/// readings analysed on the 0.1 dB instrument grid. Checkpoints written
+/// before binning say `"fused+batchgen"` (or, under the retired serial
+/// sampler, `"fused"` or `"legacy"`) and fail [`SweepFingerprint::verify`]
+/// — resuming one would merge unbinned chunk partials with binned ones.
+pub const SWEEP_MODE: &str = "binned-0.1dB";
 
 /// Identity of a sweep: a checkpoint may only resume a run whose
 /// fingerprint matches exactly.

@@ -149,7 +149,9 @@ struct DaemonInner {
     /// Incrementally merged pipeline metrics for O(1) `/metrics` scrapes
     /// (operational view; the drain report re-folds in link order).
     pipeline: Mutex<MetricsSnapshot>,
-    slots: Mutex<Vec<Option<SlotDone>>>,
+    /// One entry per link, boxed: the table costs a pointer per link up
+    /// front, and a link's ~300-byte result is allocated when it finishes.
+    slots: Mutex<Vec<Option<Box<SlotDone>>>>,
     capacities: Vec<OnceLock<f64>>,
     slots_filled: AtomicU64,
     queue_high_water: AtomicUsize,
@@ -402,7 +404,7 @@ impl DaemonInner {
                     continue; // already restored or completed
                 }
                 lock(&self.pipeline).merge(&done.metrics);
-                slots[link] = Some(SlotDone { acc: done.acc, metrics: done.metrics });
+                slots[link] = Some(Box::new(SlotDone { acc: done.acc, metrics: done.metrics }));
             }
             self.slots_filled.fetch_add(1, Ordering::AcqRel);
             self.obs.incr("serve.links_completed", 1);
@@ -794,7 +796,7 @@ impl DaemonInner {
                             self.capacities[link].set(cap).ok();
                         }
                         lock(&self.pipeline).merge(&metrics);
-                        slots[link] = Some(SlotDone { acc: chunk.accumulator, metrics });
+                        slots[link] = Some(Box::new(SlotDone { acc: chunk.accumulator, metrics }));
                         self.states[link].store(LINK_DONE, Ordering::Release);
                         self.slots_filled.fetch_add(1, Ordering::AcqRel);
                         restored += 1;

@@ -293,52 +293,65 @@ fn foreign_fingerprint_rejects_both_epochs_and_starts_fresh() {
     // fleet, but both epochs relabelled as written under the retired
     // serial sampler — their partials carry byte-different traces.
     for (seed, stale_mode) in [(15, None), (17, Some("fused")), (18, Some("legacy"))] {
-        let dir = tmp_dir("foreign");
-        let mut cfg = tiny_config(seed);
-        cfg.checkpoint =
-        Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 1 });
-        let daemon = Daemon::start(cfg.clone()).unwrap();
-        drive_to_completion(&daemon);
-        daemon.drain().unwrap();
-        let daemon = Daemon::start(cfg.clone()).unwrap();
-        daemon.drain().unwrap(); // both epochs populated
+        assert_foreign_store_starts_fresh(seed, stale_mode);
+    }
+}
 
-        let mut foreign = cfg.clone();
-        match stale_mode {
-            None => foreign.fleet.seed = 999,
-            Some(label) => {
-                for shard in 0..cfg.n_shards {
-                    for file in [format!("shard-{shard}.ckpt"), format!("shard-{shard}.ckpt.prev")] {
-                        let path = dir.path().join(file);
-                        let mut cp = checkpoint::load(&path).unwrap();
-                        cp.fingerprint.mode = label.into();
-                        checkpoint::write_atomic(&path, &cp).unwrap();
-                    }
+#[test]
+fn unbinned_store_rejects_both_epochs_and_starts_fresh() {
+    // Written before readings were binned onto the 0.1 dB grid: its
+    // partials summarise raw readings and must not merge with binned ones.
+    assert_foreign_store_starts_fresh(19, Some("fused+batchgen"));
+}
+
+/// Fills a two-epoch store for fleet `seed`, makes it foreign (another
+/// seed, or every file relabelled `stale_mode`), and checks that a daemon
+/// resuming from it rejects every file and recomputes the fleet.
+fn assert_foreign_store_starts_fresh(seed: u64, stale_mode: Option<&str>) {
+    let dir = tmp_dir("foreign");
+    let mut cfg = tiny_config(seed);
+    cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.path().to_path_buf(), every_links: 1 });
+    let daemon = Daemon::start(cfg.clone()).unwrap();
+    drive_to_completion(&daemon);
+    daemon.drain().unwrap();
+    let daemon = Daemon::start(cfg.clone()).unwrap();
+    daemon.drain().unwrap(); // both epochs populated
+
+    let mut foreign = cfg.clone();
+    match stale_mode {
+        None => foreign.fleet.seed = 999,
+        Some(label) => {
+            for shard in 0..cfg.n_shards {
+                for file in [format!("shard-{shard}.ckpt"), format!("shard-{shard}.ckpt.prev")] {
+                    let path = dir.path().join(file);
+                    let mut cp = checkpoint::load(&path).unwrap();
+                    cp.fingerprint.mode = label.into();
+                    checkpoint::write_atomic(&path, &cp).unwrap();
                 }
             }
         }
-        // ConfigMismatch on every file.
-        let daemon = Daemon::start(foreign.clone()).unwrap();
-        assert_eq!(
-            daemon.completed_links(),
-            0,
-            "{stale_mode:?}: nothing restores from a foreign sweep"
-        );
-        let metrics = daemon.serve_metrics();
-        assert_eq!(
-            metrics.counters["serve.checkpoints_rejected"],
-            2 * cfg.n_shards as u64,
-            "{stale_mode:?}: both epochs of every shard are rejected"
-        );
-        drive_to_completion(&daemon);
-        let report = daemon.drain().unwrap();
-        let (want_acc, _) = batch_reference(&foreign);
-        assert_eq!(
-            serde_json::to_string(&report.accumulator).unwrap(),
-            serde_json::to_string(&want_acc).unwrap(),
-            "{stale_mode:?}"
-        );
     }
+    // ConfigMismatch on every file.
+    let daemon = Daemon::start(foreign.clone()).unwrap();
+    assert_eq!(
+        daemon.completed_links(),
+        0,
+        "{stale_mode:?}: nothing restores from a foreign sweep"
+    );
+    let metrics = daemon.serve_metrics();
+    assert_eq!(
+        metrics.counters["serve.checkpoints_rejected"],
+        2 * cfg.n_shards as u64,
+        "{stale_mode:?}: both epochs of every shard are rejected"
+    );
+    drive_to_completion(&daemon);
+    let report = daemon.drain().unwrap();
+    let (want_acc, _) = batch_reference(&foreign);
+    assert_eq!(
+        serde_json::to_string(&report.accumulator).unwrap(),
+        serde_json::to_string(&want_acc).unwrap(),
+        "{stale_mode:?}"
+    );
 }
 
 #[test]

@@ -9,8 +9,16 @@
 //!   each rung of the ladder — count and duration;
 //! - Fig. 4c: the **SNR floor** during 100 G failure episodes, which decides
 //!   whether a failure could instead have been a flap to a lower rate.
+//!
+//! Every statistic is taken at instrument resolution. Transponders report
+//! SNR in 0.1 dB steps, so a reading enters analysis as its bin on that
+//! grid ([`grid_bin`]); the mean, the extremes, the HDR edges and the
+//! episode floors are all grid values ([`grid_db`]), and a rung fails on a
+//! reading when the reading's grid value is below the rung's threshold.
+//! The generated traces themselves keep full `f64` precision: the
+//! controller and the scenario read them raw.
 
-use crate::hdr::Hdr;
+use crate::hdr::{Hdr, PAPER_COVERAGE};
 use crate::trace::SnrTrace;
 use rwc_optics::{Modulation, ModulationTable};
 use rwc_util::stats::Ecdf;
@@ -29,6 +37,27 @@ pub struct FailureEpisode {
     pub duration: SimDuration,
     /// Lowest SNR observed during the episode — Fig. 4c's x-axis.
     pub floor: Db,
+}
+
+/// Bins on the 0.1 dB instrument grid: 0.0 to 63.9 dB.
+pub(crate) const GRID_BINS: usize = 640;
+
+/// The grid bin of a reading, `min(⌊10·v + 0.5⌋, 639)`: the nearest
+/// 0.1 dB step, halves rounding up. NaN and negatives land in bin 0.
+#[inline]
+pub fn grid_bin(v: f64) -> usize {
+    // Clamped by comparisons (NaN fails `> 0`), so the cast never
+    // saturates and compiles to one conversion.
+    let x = 10.0 * v + 0.5;
+    let x = if x > 0.0 { x } else { 0.0 };
+    let x = if x < (GRID_BINS - 1) as f64 { x } else { (GRID_BINS - 1) as f64 };
+    x as u32 as usize
+}
+
+/// The SNR a grid bin stands for.
+#[inline]
+pub fn grid_db(bin: usize) -> Db {
+    Db(bin as f64 / 10.0)
 }
 
 /// Finds all failure episodes of a trace at the given SNR threshold.
@@ -87,21 +116,48 @@ pub struct LinkAnalysis {
 pub const STATIC_CAPACITY: Gbps = Gbps(100.0);
 
 impl LinkAnalysis {
-    /// Analyses one link trace against a modulation table.
+    /// Analyses one link trace against a modulation table, on the
+    /// instrument grid: the readings are binned, the HDR is the sorted
+    /// bins' narrowest window, and episodes are found in the trace of
+    /// grid values.
     pub fn new(trace: &SnrTrace, table: &ModulationTable) -> Self {
-        let hdr = Hdr::paper(trace);
-        let feasible = table.feasible(hdr.feasibility_floor());
-        let feasible_capacity = feasible.map_or(Gbps::ZERO, Modulation::capacity);
+        let bins: Vec<usize> = trace.values().iter().map(|&v| grid_bin(v)).collect();
+        let readings = SnrTrace::new(
+            trace.start(),
+            trace.tick(),
+            bins.iter().map(|&b| grid_db(b).value()).collect(),
+        );
         let failures_per_rung = table
             .entries()
             .iter()
-            .map(|&(m, threshold)| (m, episodes_below(trace, threshold)))
+            .map(|&(m, threshold)| (m, episodes_below(&readings, threshold)))
             .collect();
+        let min = *bins.iter().min().expect("cannot analyse an empty trace");
+        let max = *bins.iter().max().expect("cannot analyse an empty trace");
+        let sum = bins.iter().map(|&b| b as u64).sum();
+        let hdr = Hdr::of_trace(trace, PAPER_COVERAGE);
+        Self::on_grid(sum, bins.len(), (min, max), hdr, table, failures_per_rung)
+    }
+
+    /// Assembles an analysis from its grid summary: the sum of `n` bins,
+    /// the least and greatest bin, the HDR and the episodes. The oracle
+    /// and the fleet kernel both end here, so every derived value is
+    /// computed the same way in both.
+    pub(crate) fn on_grid(
+        sum: u64,
+        n: usize,
+        (min, max): (usize, usize),
+        hdr: Hdr,
+        table: &ModulationTable,
+        failures_per_rung: Vec<(Modulation, Vec<FailureEpisode>)>,
+    ) -> Self {
+        let feasible = table.feasible(hdr.feasibility_floor());
+        let feasible_capacity = feasible.map_or(Gbps::ZERO, Modulation::capacity);
         Self {
-            mean: trace.mean(),
-            min: trace.min(),
-            max: trace.max(),
-            range: trace.range(),
+            mean: Db(sum as f64 / (10 * n) as f64),
+            min: grid_db(min),
+            max: grid_db(max),
+            range: grid_db(max - min),
             hdr,
             feasible,
             feasible_capacity,

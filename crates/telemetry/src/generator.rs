@@ -19,7 +19,7 @@
 use crate::analysis::FleetAccumulator;
 use crate::events::{Event, EventKind, EventLog};
 use crate::kernel::FleetKernel;
-use crate::process::{BatchScratch, SnrProcess};
+use crate::process::{BatchCursor, BatchScratch, SnrProcess};
 use crate::trace::SnrTrace;
 use rwc_optics::ModulationTable;
 use rwc_util::rng::{CounterRng, Xoshiro256};
@@ -278,25 +278,43 @@ impl FleetGenerator {
         CounterRng::keyed(self.config.seed, link_id as u64, 5)
     }
 
-    /// Streams link `link_id`'s full trace into `out` (cleared first) —
-    /// the generation half of the fused fleet path. Pass one `scratch` per
-    /// worker to amortise its buffers across links.
+    /// Writes link `link_id`'s full trace into `out` (cleared first),
+    /// bit-identical to [`link`](Self::link)`(link_id).trace`. Pass one
+    /// `scratch` per worker to amortise its buffers across links.
     pub fn generate_link_into(
         &self,
         link_id: usize,
         scratch: &mut BatchScratch,
         out: &mut Vec<f64>,
     ) {
+        out.clear();
+        out.reserve(self.config.horizon.ticks(self.config.tick) as usize);
+        self.stream_link(link_id, scratch, out, |_| {});
+    }
+
+    /// Generates link `link_id`'s trace block by block into `block`,
+    /// handing it to `sink` after each one — the generation half of the
+    /// fused fleet path, whose sink folds and clears the block, so the
+    /// whole trace is never held.
+    pub(crate) fn stream_link(
+        &self,
+        link_id: usize,
+        scratch: &mut BatchScratch,
+        block: &mut Vec<f64>,
+        sink: impl FnMut(&mut Vec<f64>),
+    ) {
         let cfg = &self.config;
         let profile = self.link_profile(link_id);
-        profile.process.generate_batch_into(
+        profile.process.stream_window(
+            &mut BatchCursor::begin(),
+            cfg.horizon.ticks(cfg.tick),
             SimTime::EPOCH,
-            cfg.horizon,
             cfg.tick,
             &profile.events,
             &self.batch_rng(link_id),
             scratch,
-            out,
+            block,
+            sink,
         );
     }
 
@@ -380,8 +398,7 @@ impl FleetGenerator {
     }
 
     /// Streams the whole fleet through the fused kernel into a
-    /// [`FleetAccumulator`] (one reused sample buffer, never a
-    /// materialised trace).
+    /// [`FleetAccumulator`] (never a materialised trace).
     pub fn fleet_analysis(&self, table: &ModulationTable) -> FleetAccumulator {
         let mut acc = FleetAccumulator::new();
         let mut kernel = FleetKernel::new();

@@ -6,6 +6,7 @@
 //! events: a link whose HDR is 1.5 dB wide but whose range is 12 dB is a
 //! stable link that suffered an outage, not a noisy link.
 
+use crate::analysis::{grid_bin, grid_db};
 use crate::trace::SnrTrace;
 use rwc_util::stats::highest_density_interval;
 use rwc_util::units::Db;
@@ -26,12 +27,20 @@ pub struct Hdr {
 }
 
 impl Hdr {
-    /// Computes the HDR of a trace at the given coverage.
+    /// The HDR of a trace's readings on the 0.1 dB instrument grid at the
+    /// given coverage: the bins are sorted and scanned for the narrowest
+    /// window. Bin numbers are small integers, so every width the scan
+    /// compares is exact.
     pub(crate) fn of_trace(trace: &SnrTrace, coverage: f64) -> Hdr {
-        let mut sorted = trace.values().to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let (low, high) = highest_density_interval(&sorted, coverage);
-        Hdr { low: Db(low), high: Db(high), coverage }
+        let mut bins: Vec<f64> = trace.values().iter().map(|&v| grid_bin(v) as f64).collect();
+        bins.sort_by(f64::total_cmp);
+        let (low, high) = highest_density_interval(&bins, coverage);
+        Self::of_bins(low as usize, high as usize, coverage)
+    }
+
+    /// The HDR spanning grid bins `low..=high`.
+    pub(crate) fn of_bins(low: usize, high: usize, coverage: f64) -> Hdr {
+        Hdr { low: grid_db(low), high: grid_db(high), coverage }
     }
 
     /// The paper's 95% HDR.
@@ -39,9 +48,11 @@ impl Hdr {
         Self::of_trace(trace, PAPER_COVERAGE)
     }
 
-    /// Width of the interval — the x-axis of Fig. 2a's red curve.
+    /// Width of the interval — the x-axis of Fig. 2a's red curve — in
+    /// whole grid steps, so a 20-step HDR is exactly 2 dB (`16.4 − 14.4`
+    /// in `f64` is 1.9999999999999982).
     pub fn width(&self) -> Db {
-        self.high - self.low
+        grid_db(grid_bin(self.high.value()) - grid_bin(self.low.value()))
     }
 
     /// The lower edge — the SNR the paper encodes against in Fig. 2b

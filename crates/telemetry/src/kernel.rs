@@ -1,67 +1,78 @@
-//! The fused single-pass fleet-analysis kernel.
+//! The fused, streaming fleet-analysis kernel.
 //!
 //! [`LinkAnalysis::new`] is correct but wasteful on the fleet path: it
-//! clones the full trace to sort it for the HDR, then rescans all ~88k
-//! samples once per modulation rung for episode detection — ~6 redundant
-//! memory passes and two transient allocations per link, times 2,000+
-//! links. [`FleetKernel`] computes the identical result in **one data pass,
-//! one gather pass and a sort of ~1k readings**:
+//! needs the whole trace, bins and sorts it for the HDR, then rescans it
+//! once per modulation rung for episode detection. [`FleetKernel`]
+//! computes the identical result in **one scan that never holds the
+//! trace**:
 //!
-//! - samples stream straight from
-//!   [`FleetGenerator::generate_link_into`] into a buffer the kernel reuses
-//!   across links — no per-link [`SnrTrace`], no per-call `to_vec()`;
-//! - mean/min/max/range fold into the generation-order scan;
-//! - failure episodes for **all** rungs come out of that same scan: the
-//!   threshold ladder is strictly ascending, so the rungs a sample fails
-//!   are always the suffix `f..R` of the ladder, where `f` is the number
-//!   of thresholds at or below the sample. Episodes open and close only
-//!   when `f` moves — O(n + episode edges) instead of O(n × rungs), with
-//!   floor updates bounded by the (rare) failing samples;
-//! - the HDR comes from an [`HdiLocator`]: the same scan counts every
-//!   sample into one of 10,241 buckets ordered like `f64::total_cmp`, the
-//!   counts bound every 95% window's width per bucket pair, and only the
-//!   ~1k samples in buckets that can hold the narrowest window are
-//!   gathered (one more pass, no copy of the trace) and sorted — exact,
-//!   with no full sort and no selection.
+//! - [`FleetGenerator`] hands the kernel each 1,024-reading block as soon
+//!   as it is generated and event-patched; the kernel folds the block and
+//!   clears it for the next one, so a 913-day link costs the same memory
+//!   as a 7-day one;
+//! - each reading becomes its bin on the 0.1 dB instrument grid
+//!   ([`grid_bin`]) and one increment of a 640-bin histogram. The sum, the
+//!   extremes and the 95% HDR come from the counts at the end
+//!   ([`hdi_of_counts`]), in integer arithmetic;
+//! - failure episodes for **all** rungs come out of the same scan: the
+//!   threshold ladder is strictly ascending, so the rungs a reading fails
+//!   are always the suffix `f..R` of the ladder. A per-bin table holds `f`,
+//!   built by evaluating the oracle's own `v < t` test on each bin's
+//!   value, so any [`ModulationTable`] agrees with the oracle. Episodes
+//!   open and close only when `f` moves, and only the innermost open rung
+//!   tracks the running floor; it is folded outward when that rung closes.
+//!   A reading above every threshold is recognised by its bin alone.
 //!
-//! Every arithmetic step reproduces [`LinkAnalysis::new`]'s operation
-//! order (same left-fold sums, same `f64::min`/`max` folds, same strict
-//! `<` threshold test, the same sorted values at every window position the
-//! HDI could pick), so fused output is **bit-identical** to it.
+//! The oracle bins the same way and both paths finish in
+//! `LinkAnalysis::on_grid`, so fused output is **bit-identical** to it.
 //! `LinkAnalysis::new` stays as the test oracle — pinned by tests here and
 //! by the byte-identity tests in `tests/kernel_equivalence.rs`, which run
 //! at the paper's 913-day length — but no fleet path calls it.
 
-use crate::analysis::{FailureEpisode, LinkAnalysis, STATIC_CAPACITY};
+use crate::analysis::{grid_bin, grid_db, FailureEpisode, LinkAnalysis, GRID_BINS};
 use crate::generator::FleetGenerator;
 use crate::hdr::{Hdr, PAPER_COVERAGE};
 use crate::process::BatchScratch;
 use crate::trace::SnrTrace;
 use rwc_obs::{Event as ObsEvent, Observer};
 use rwc_optics::{Modulation, ModulationTable};
-use rwc_util::stats::HdiLocator;
+use rwc_util::stats::hdi_of_counts;
 use rwc_util::time::{SimDuration, SimTime};
-use rwc_util::units::{Db, Gbps};
 use std::sync::Arc;
 
-/// Reusable scratch state for fused per-link analysis.
+/// Reusable per-worker analysis state.
 ///
-/// One kernel per worker thread: all buffers are allocated on the first
-/// link and reused for every subsequent one, so a fleet sweep's
-/// steady-state allocation is just the per-link episode vectors.
+/// One kernel per daemon shard: the histogram, the rung table and the
+/// generation scratch are allocated on the first link and reused for
+/// every later one, so a fleet sweep's steady-state allocation is just the
+/// per-link episode vectors.
 #[derive(Debug)]
 pub struct FleetKernel {
-    /// Streamed sample buffer (the would-be trace).
-    samples: Vec<f64>,
-    /// Per-bucket sample counts that locate the HDR.
-    hdi: HdiLocator,
-    /// Ladder thresholds in dB, ascending (cached per table).
+    /// Readings per grid bin; all zero between links.
+    counts: Box<[u32; GRID_BINS]>,
+    /// The table [`rung_of_bin`](Self::rung_of_bin) was built for.
     thresholds: Vec<f64>,
-    /// Per-rung open episode: `(start index, running floor)`.
-    open: Vec<Option<(usize, f64)>>,
-    /// Generation scratch (innovation block, event segments), reused
-    /// across links.
+    /// Per bin, the first rung the bin's value fails (`rungs` if none).
+    rung_of_bin: [u8; GRID_BINS],
+    /// The least bin that fails no rung.
+    healthy_from: usize,
+    /// Per rung `f..`, the open episode's start tick and floor bin. Only
+    /// the innermost open rung's floor is current; an outer rung's true
+    /// floor is the least of its own and every inner one's.
+    open: Vec<(usize, usize)>,
+    /// The first failing rung of the previous reading (`rungs` if none).
+    prev_f: usize,
+    /// Readings folded so far in this link.
+    n: usize,
+    /// Episodes closed so far, per rung.
+    failures: Vec<(Modulation, Vec<FailureEpisode>)>,
+    /// Time of the link's first reading and the reading interval.
+    start: SimTime,
+    tick: SimDuration,
+    /// Generation scratch (innovation block, event segments) and the
+    /// block of readings being folded, reused across links.
     batch_scratch: BatchScratch,
+    block: Vec<f64>,
     /// Observability hooks (episode events, fleet counters).
     obs: Arc<dyn Observer>,
     /// The link id stamped on emitted episode events (set by
@@ -72,11 +83,18 @@ pub struct FleetKernel {
 impl Default for FleetKernel {
     fn default() -> Self {
         Self {
-            samples: Vec::new(),
-            hdi: HdiLocator::new(),
+            counts: Box::new([0; GRID_BINS]),
             thresholds: Vec::new(),
+            rung_of_bin: [0; GRID_BINS],
+            healthy_from: 0,
             open: Vec::new(),
+            prev_f: 0,
+            n: 0,
+            failures: Vec::new(),
+            start: SimTime::EPOCH,
+            tick: SimDuration::TELEMETRY_TICK,
             batch_scratch: BatchScratch::default(),
+            block: Vec::new(),
             obs: rwc_obs::noop(),
             link: 0,
         }
@@ -101,165 +119,158 @@ impl FleetKernel {
         self.obs = obs;
     }
 
-    /// Fused analysis of link `link_id`: streams the link's samples from
-    /// the generator into the kernel's buffer and analyses them in place.
-    /// Produces exactly what `LinkAnalysis::new(&gen.link(id).trace, table)`
-    /// produces, without materialising the link.
+    /// Fused analysis of link `link_id`: folds each block of the link's
+    /// readings as the generator produces it. Produces exactly what
+    /// `LinkAnalysis::new(&gen.link(id).trace, table)` produces, without
+    /// materialising the link or its trace.
     pub fn analyze_generated(
         &mut self,
         gen: &FleetGenerator,
         link_id: usize,
         table: &ModulationTable,
     ) -> LinkAnalysis {
-        let cfg = gen.config();
         self.link = link_id as u64;
-        let mut samples = std::mem::take(&mut self.samples);
-        gen.generate_link_into(link_id, &mut self.batch_scratch, &mut samples);
-        let analysis = self.analyze(SimTime::EPOCH, cfg.tick, &samples, table);
-        self.samples = samples;
-        analysis
+        self.begin(SimTime::EPOCH, gen.config().tick, table);
+        let (mut scratch, mut block) =
+            (std::mem::take(&mut self.batch_scratch), std::mem::take(&mut self.block));
+        gen.stream_link(link_id, &mut scratch, &mut block, |block| {
+            self.fold(block);
+            block.clear();
+        });
+        (self.batch_scratch, self.block) = (scratch, block);
+        self.finish(table)
     }
 
     /// Fused analysis of an already-materialised trace (drop-in for
     /// [`LinkAnalysis::new`] when the caller needs the trace anyway).
     pub fn analyze_trace(&mut self, trace: &SnrTrace, table: &ModulationTable) -> LinkAnalysis {
-        self.analyze(trace.start(), trace.tick(), trace.values(), table)
+        self.begin(trace.start(), trace.tick(), table);
+        self.fold(trace.values());
+        self.finish(table)
     }
 
-    /// The fused pass itself. `values` is borrowed so the caller can hand
-    /// in the kernel's own (taken) sample buffer or any trace slice.
-    fn analyze(
-        &mut self,
-        start: SimTime,
-        tick: SimDuration,
-        values: &[f64],
-        table: &ModulationTable,
-    ) -> LinkAnalysis {
-        assert!(!values.is_empty(), "cannot analyse an empty sample buffer");
+    /// Resets the per-link state, rebuilding the rung table if `table`'s
+    /// thresholds differ from the last link's.
+    fn begin(&mut self, start: SimTime, tick: SimDuration, table: &ModulationTable) {
         let entries = table.entries();
         let rungs = entries.len();
-        self.thresholds.clear();
-        self.thresholds.extend(entries.iter().map(|(_, t)| t.value()));
-        let top = *self.thresholds.last().expect("table has at least one rung");
+        assert!(rungs < u8::MAX as usize, "a rung table entry is a u8");
+        if !self.thresholds.iter().copied().eq(entries.iter().map(|(_, t)| t.value())) {
+            self.thresholds = entries.iter().map(|(_, t)| t.value()).collect();
+            for (bin, f) in self.rung_of_bin.iter_mut().enumerate() {
+                let v = grid_db(bin).value();
+                *f = self.thresholds.iter().position(|&t| v < t).unwrap_or(rungs) as u8;
+            }
+            self.healthy_from = (0..GRID_BINS)
+                .rposition(|bin| (self.rung_of_bin[bin] as usize) < rungs)
+                .map_or(0, |bin| bin + 1);
+        }
         self.open.clear();
-        self.open.resize(rungs, None);
-        let mut failures: Vec<(Modulation, Vec<FailureEpisode>)> =
-            entries.iter().map(|&(m, _)| (m, Vec::new())).collect();
-        let observed = self.obs.enabled();
-        if observed {
-            self.obs.incr("fleet.links", 1);
-            self.obs.incr("fleet.samples", values.len() as u64);
-        }
+        self.open.resize(rungs, (0, 0));
+        self.prev_f = rungs;
+        self.n = 0;
+        self.failures = entries.iter().map(|&(m, _)| (m, Vec::new())).collect();
+        (self.start, self.tick) = (start, tick);
+    }
 
-        // One generation-order pass: moments, the HDR's bucket counts and
-        // every rung's episodes.
-        let mut sum = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        // Rungs `prev_f..rungs` have an open episode; none before sample 0.
-        let mut prev_f = rungs;
-        for (i, &v) in values.iter().enumerate() {
-            sum += v;
-            min = min.min(v);
-            max = max.max(v);
-            self.hdi.add(v);
-            // Feasibility rung: thresholds ascending, a sample fails rung k
-            // iff v < t_k (strict, matching `episodes_below`), so failing
-            // rungs are exactly the suffix `f..`. Healthy samples clear the
-            // top rung in one comparison.
-            let f = if v >= top {
-                rungs
+    /// Folds the link's next readings. A healthy reading after a healthy
+    /// one costs its increment and two comparisons; a reading that fails
+    /// the same rungs as the one before lowers the innermost floor.
+    fn fold(&mut self, block: &[f64]) {
+        let (rungs, healthy_from) = (self.open.len(), self.healthy_from);
+        let first = self.n;
+        self.n += block.len();
+        for (i, &v) in block.iter().enumerate() {
+            let bin = grid_bin(v);
+            self.counts[bin] += 1;
+            if bin >= healthy_from && self.prev_f == rungs {
+                continue;
+            }
+            let f = self.rung_of_bin[bin] as usize;
+            if f == self.prev_f {
+                let floor = &mut self.open[f].1;
+                *floor = (*floor).min(bin);
             } else {
-                let mut f = 0;
-                while self.thresholds[f] <= v {
-                    f += 1;
-                }
-                f
-            };
-            if f < prev_f {
-                // Ladder dropped: rungs f..prev_f newly fail, open at (i, v).
-                for (k, slot) in self.open[f..prev_f].iter_mut().enumerate() {
-                    *slot = Some((i, v));
-                    if observed {
-                        self.obs.event(&ObsEvent::EpisodeOpened {
-                            link: self.link,
-                            rung_gbps: entries[f + k].0.capacity().0,
-                            at_tick: i as u64,
-                        });
-                    }
-                }
-            } else if f > prev_f {
-                // Ladder recovered: rungs prev_f..f close their episodes.
-                for (k, slot) in self.open[prev_f..f].iter_mut().enumerate() {
-                    let (s, floor) = slot.take().expect("failing rung always has an open episode");
-                    failures[prev_f + k].1.push(FailureEpisode {
-                        start: start + tick * s as u64,
-                        duration: tick * (i - s) as u64,
-                        floor: Db(floor),
-                    });
-                    if observed {
-                        self.obs.record("fleet.episode_ticks", (i - s) as f64);
-                        self.obs.event(&ObsEvent::EpisodeClosed {
-                            link: self.link,
-                            rung_gbps: entries[prev_f + k].0.capacity().0,
-                            ticks: (i - s) as u64,
-                        });
-                    }
-                }
+                self.step(f, bin, first + i);
             }
-            // Rungs that were already failing track the running floor.
-            for slot in &mut self.open[f.max(prev_f)..rungs] {
-                let (_, floor) = slot.as_mut().expect("failing rung always has an open episode");
-                *floor = floor.min(v);
-            }
-            prev_f = f;
         }
-        // Episodes still open at trace end close at the horizon.
-        let n = values.len();
-        for (k, slot) in self.open[prev_f..rungs].iter_mut().enumerate() {
-            let (s, floor) = slot.take().expect("failing rung always has an open episode");
-            failures[prev_f + k].1.push(FailureEpisode {
-                start: start + tick * s as u64,
-                duration: tick * (n - s) as u64,
-                floor: Db(floor),
+    }
+
+    /// Moves the ladder from `prev_f` to `f ≠ prev_f`, the first rung that
+    /// reading `i`, in bin `bin`, fails.
+    #[inline(never)]
+    fn step(&mut self, f: usize, bin: usize, i: usize) {
+        let prev = self.prev_f;
+        if f < prev {
+            // Ladder dropped: rungs f..prev newly fail, open at (i, bin).
+            self.open[f..prev].fill((i, bin));
+            if self.obs.enabled() {
+                for k in f..prev {
+                    self.obs.event(&ObsEvent::EpisodeOpened {
+                        link: self.link,
+                        rung_gbps: self.failures[k].0.capacity().0,
+                        at_tick: i as u64,
+                    });
+                }
+            }
+        } else {
+            // Ladder recovered: rungs prev..f close at i, and their floor
+            // carries out to rung f if that one still fails.
+            let carried = self.close(prev..f, i);
+            if let Some((_, floor)) = self.open.get_mut(f) {
+                *floor = (*floor).min(carried).min(bin);
+            }
+        }
+        self.prev_f = f;
+    }
+
+    /// Closes the episodes of `rungs` (innermost first) before reading
+    /// `end`, carrying the floor outward; returns the outermost one's.
+    fn close(&mut self, rungs: std::ops::Range<usize>, end: usize) -> usize {
+        let mut floor = usize::MAX;
+        for k in rungs {
+            let (s, own) = self.open[k];
+            floor = floor.min(own);
+            self.failures[k].1.push(FailureEpisode {
+                start: self.start + self.tick * s as u64,
+                duration: self.tick * (end - s) as u64,
+                floor: grid_db(floor),
             });
-            if observed {
-                self.obs.record("fleet.episode_ticks", (n - s) as f64);
+            if self.obs.enabled() {
+                self.obs.record("fleet.episode_ticks", (end - s) as f64);
                 self.obs.event(&ObsEvent::EpisodeClosed {
                     link: self.link,
-                    rung_gbps: entries[prev_f + k].0.capacity().0,
-                    ticks: (n - s) as u64,
+                    rung_gbps: self.failures[k].0.capacity().0,
+                    ticks: (end - s) as u64,
                 });
             }
         }
-        // Every episode closed above, published as one add per link.
-        if observed {
-            let episodes = failures.iter().map(|(_, eps)| eps.len() as u64).sum();
+        floor
+    }
+
+    /// Closes the episodes still open at the horizon, reads the summary
+    /// off the histogram (leaving it zeroed) and assembles the analysis.
+    fn finish(&mut self, table: &ModulationTable) -> LinkAnalysis {
+        let n = self.n;
+        assert!(n > 0, "cannot analyse an empty sample buffer");
+        assert!(n <= u32::MAX as usize, "bin counters hold at most u32::MAX readings");
+        self.close(self.prev_f..self.open.len(), n);
+        if self.obs.enabled() {
+            let episodes = self.failures.iter().map(|(_, eps)| eps.len() as u64).sum();
+            self.obs.incr("fleet.links", 1);
+            self.obs.incr("fleet.samples", n as u64);
             self.obs.incr("fleet.episodes", episodes);
         }
 
-        // The counts narrow the HDR down to the few buckets that can hold
-        // it; the locator sorts only those, in IEEE total order, which is
-        // the comparison order of the oracle's finite samples. The scan's
-        // min and max bound the buckets its prefix sums walk.
-        let (low, high) = self.hdi.locate(values, PAPER_COVERAGE, (min, max));
-        let hdr = Hdr { low: Db(low), high: Db(high), coverage: PAPER_COVERAGE };
-
-        let feasible = table.feasible(hdr.feasibility_floor());
-        let feasible_capacity = feasible.map_or(Gbps::ZERO, Modulation::capacity);
-        let min = Db(min);
-        let max = Db(max);
-        LinkAnalysis {
-            mean: Db(sum / n as f64),
-            min,
-            max,
-            range: max - min,
-            hdr,
-            feasible,
-            feasible_capacity,
-            gain_over_static: feasible_capacity.saturating_sub(STATIC_CAPACITY),
-            failures_per_rung: failures,
-        }
+        let total = &mut *self.counts;
+        let min = total.iter().position(|&c| c > 0).expect("n > 0 readings were counted");
+        let max = total.iter().rposition(|&c| c > 0).expect("n > 0 readings were counted");
+        let sum = (min..=max).map(|b| b as u64 * total[b] as u64).sum();
+        let (low, high) = hdi_of_counts(&total[min..=max], PAPER_COVERAGE);
+        total[min..=max].fill(0);
+        let hdr = Hdr::of_bins(min + low, min + high, PAPER_COVERAGE);
+        let failures = std::mem::take(&mut self.failures);
+        LinkAnalysis::on_grid(sum, n, (min, max), hdr, table, failures)
     }
 }
 

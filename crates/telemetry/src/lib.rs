@@ -18,10 +18,10 @@
 //! capacity gain of ≈ 145 Tbps, and ≥ ~25% of failures bottoming out above
 //! the 3 dB / 50 Gbps floor.
 //!
-//! Memory: a full 2.5-year link trace is ~88k samples (≈700 kB). The fleet
-//! generator is *streaming* — [`generator::FleetGenerator::link`] materialises
-//! one link at a time so fleet-scale analyses never hold 2,000 traces at
-//! once.
+//! Memory: a full 2.5-year link trace is ~88k samples (≈700 kB).
+//! [`generator::FleetGenerator::link`] materialises one link at a time, and
+//! the fleet path holds no trace at all: [`kernel::FleetKernel`] folds each
+//! 1,024-reading block into a 0.1 dB histogram as it is generated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -108,12 +108,13 @@ impl BatchCursor {
 }
 
 /// Reusable scratch buffers for batch generation: the SIMD innovation
-/// block and the event-segment boundary list. One instance amortises all
-/// allocation across every link and window of a sweep.
+/// block and the event segments. One instance amortises all allocation
+/// across every link and window of a sweep.
 #[derive(Debug, Default, Clone)]
 pub struct BatchScratch {
     innov: Vec<f64>,
     bounds: Vec<u64>,
+    effects: Vec<Option<f64>>,
 }
 
 impl SnrProcess {
@@ -135,9 +136,8 @@ impl SnrProcess {
     }
 
     /// Streams the same series as [`generate_batch`](Self::generate_batch)
-    /// into a caller-owned buffer (cleared first) — the fleet path, which
-    /// analyses links without materialising an [`SnrTrace`] per link and
-    /// reuses one allocation across the whole sweep.
+    /// into a caller-owned buffer (cleared first), reusing one allocation
+    /// across links.
     #[allow(clippy::too_many_arguments)]
     pub fn generate_batch_into(
         &self,
@@ -152,7 +152,6 @@ impl SnrProcess {
         let n = horizon.ticks(tick);
         assert!(n > 0, "horizon shorter than one tick");
         out.clear();
-        out.reserve(n as usize);
         let mut cursor = BatchCursor::begin();
         self.generate_batch_window(&mut cursor, n, start, tick, events, rng, scratch, out);
     }
@@ -161,6 +160,26 @@ impl SnrProcess {
     /// `out` and advancing the cursor. `start` is the trace origin (the
     /// time of absolute tick 0), not the window start; the window covers
     /// absolute ticks `[cursor.next_tick(), cursor.next_tick() + n)`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn generate_batch_window(
+        &self,
+        cursor: &mut BatchCursor,
+        n: u64,
+        start: SimTime,
+        tick: SimDuration,
+        events: &EventLog,
+        rng: &CounterRng,
+        scratch: &mut BatchScratch,
+        out: &mut Vec<f64>,
+    ) {
+        out.reserve(n as usize);
+        self.stream_window(cursor, n, start, tick, events, rng, scratch, out, |_| {});
+    }
+
+    /// The one generation loop. Appends each block of at most
+    /// `BATCH_BLOCK` readings to `out`, patches its events in place and
+    /// then hands `out` to `sink`, in tick order. A sink that consumes and
+    /// clears `out` folds the window without ever holding it.
     ///
     /// Every sample is a pure function of the absolute tick index, so any
     /// split of a horizon into windows — across calls, threads, shards or
@@ -175,7 +194,7 @@ impl SnrProcess {
     /// - events: compiled once per window into constant-offset tick
     ///   segments whose boundaries are pure functions of the schedule.
     #[allow(clippy::too_many_arguments)]
-    pub fn generate_batch_window(
+    pub(crate) fn stream_window(
         &self,
         cursor: &mut BatchCursor,
         n: u64,
@@ -185,6 +204,7 @@ impl SnrProcess {
         rng: &CounterRng,
         scratch: &mut BatchScratch,
         out: &mut Vec<f64>,
+        mut sink: impl FnMut(&mut Vec<f64>),
     ) {
         assert!(self.ou_sigma_db >= 0.0, "sigma must be non-negative");
         assert!(self.ou_relaxation > SimDuration::ZERO, "relaxation must be positive");
@@ -193,8 +213,6 @@ impl SnrProcess {
         }
         let t0 = cursor.tick;
         let t_end = t0 + n;
-        let base = out.len();
-        out.reserve(n as usize);
 
         // Exact OU update: x' = x·ρ + σ·sqrt(1−ρ²)·ξ with ρ = exp(−Δt/τ).
         let rho = (-(tick.as_secs_f64() / self.ou_relaxation.as_secs_f64())).exp();
@@ -204,6 +222,7 @@ impl SnrProcess {
 
         let innov_rng = rng.derive(DOM_INNOV);
         let jump_rng = rng.derive(DOM_JUMP);
+        let floor_rng = rng.derive(DOM_FLOOR);
 
         // Jump the boundary chain to the window's first block:
         // S_0 = σ·z_0 (stationary init), S_{b+1} = ρ_B·S_b + σ√(1−ρ_B²)·z_{b+1}.
@@ -243,44 +262,12 @@ impl SnrProcess {
             }
         }
 
-        // Main scan, block by block: SIMD innovation fill + serial
-        // recurrence, writing the un-offset series baseline + OU + diurnal.
-        let mut t = t0;
-        while t < t_end {
-            let hi = ((t / BATCH_BLOCK + 1) * BATCH_BLOCK).min(t_end);
-            Self::fill_innovations(&innov_rng, t, hi, scratch);
-            let lo = t & !1;
-            for tt in t..hi {
-                if tt % BATCH_BLOCK == 0 {
-                    let block = tt / BATCH_BLOCK;
-                    if block > chain_block {
-                        boundary = rho_block * boundary
-                            + jump_innovation * jump_rng.normal_pair(block).0;
-                        chain_block = block;
-                    }
-                    x = boundary;
-                } else {
-                    x = rho * x + innovation * scratch.innov[(tt - lo) as usize];
-                }
-                if tt % DIURNAL_RESYNC == 0 {
-                    (dsin, dcos) = exact_diurnal(tt);
-                }
-                out.push(self.baseline_db + x + self.diurnal_amp_db * dsin);
-                let (ns, nc) =
-                    (dsin * step_cos + dcos * step_sin, dcos * step_cos - dsin * step_sin);
-                dsin = ns;
-                dcos = nc;
-            }
-            t = hi;
-        }
-
         // Event composition: compile the schedule into constant-offset tick
-        // segments tiling [t0, t_end), then patch each run in one pass.
-        // Segment boundaries are the event start/end ticks, so the offset
-        // (evaluated at the run's first tick, summing `snr_effect_at` in log
-        // order) is constant over the run.
-        let floor_rng = rng.derive(DOM_FLOOR);
-        let bounds = &mut scratch.bounds;
+        // segments tiling [t0, t_end). Segment boundaries are the event
+        // start/end ticks, so the offset (evaluated at the segment's first
+        // tick, summing `snr_effect_at` in log order; `None` while a
+        // loss-of-light blanks it) is constant over the segment.
+        let BatchScratch { bounds, effects, .. } = scratch;
         bounds.clear();
         bounds.push(t0);
         bounds.push(t_end);
@@ -296,33 +283,81 @@ impl SnrProcess {
         }
         bounds.sort_unstable();
         bounds.dedup();
-        for w in 0..bounds.len() - 1 {
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
+        effects.clear();
+        effects.extend(bounds[..bounds.len() - 1].iter().map(|&lo| {
             let at = start + tick * lo;
             let mut effect = Some(0.0);
             for e in events.events() {
                 effect = match (effect, e.snr_effect_at(at)) {
                     (Some(total), Some(o)) => Some(total + o),
-                    _ => None, // an active loss-of-light blanks the run
+                    _ => None,
                 };
                 if effect.is_none() {
                     break;
                 }
             }
-            let run = &mut out[base + (lo - t0) as usize..base + (hi - t0) as usize];
-            match effect {
-                Some(offset) => {
-                    for v in run.iter_mut() {
-                        *v = (*v + offset).max(0.01);
+            effect
+        }));
+
+        // Main scan, block by block: SIMD innovation fill, the serial
+        // recurrence writing baseline + OU + diurnal, then the block's
+        // event segments patched in place, and `out` goes to `sink`.
+        let mut segment = 0;
+        let mut t = t0;
+        while t < t_end {
+            let hi = ((t / BATCH_BLOCK + 1) * BATCH_BLOCK).min(t_end);
+            Self::fill_innovations(&innov_rng, t, hi, scratch);
+            let lo = t & !1;
+            let BatchScratch { innov, bounds, effects } = scratch;
+            let base = out.len();
+            for tt in t..hi {
+                if tt % BATCH_BLOCK == 0 {
+                    let b = tt / BATCH_BLOCK;
+                    if b > chain_block {
+                        boundary =
+                            rho_block * boundary + jump_innovation * jump_rng.normal_pair(b).0;
+                        chain_block = b;
+                    }
+                    x = boundary;
+                } else {
+                    x = rho * x + innovation * innov[(tt - lo) as usize];
+                }
+                if tt % DIURNAL_RESYNC == 0 {
+                    (dsin, dcos) = exact_diurnal(tt);
+                }
+                out.push(self.baseline_db + x + self.diurnal_amp_db * dsin);
+                let (ns, nc) =
+                    (dsin * step_cos + dcos * step_sin, dcos * step_cos - dsin * step_sin);
+                dsin = ns;
+                dcos = nc;
+            }
+            let block = &mut out[base..];
+            loop {
+                let end = bounds[segment + 1];
+                let (from, to) = (bounds[segment].max(t), end.min(hi));
+                let run = &mut block[(from - t) as usize..(to - t) as usize];
+                match effects[segment] {
+                    Some(offset) => {
+                        for v in run.iter_mut() {
+                            *v = (*v + offset).max(0.01);
+                        }
+                    }
+                    None => {
+                        for (v, k) in run.iter_mut().zip(from..) {
+                            *v = (self.noise_floor_db + 0.05 * floor_rng.normal_at(k)).max(0.01);
+                        }
                     }
                 }
-                None => {
-                    for (i, v) in run.iter_mut().enumerate() {
-                        let z = floor_rng.normal_at(lo + i as u64);
-                        *v = (self.noise_floor_db + 0.05 * z).max(0.01);
-                    }
+                if end > hi {
+                    break; // the segment runs on into the next block
+                }
+                segment += 1;
+                if end == hi {
+                    break;
                 }
             }
+            sink(out);
+            t = hi;
         }
 
         cursor.tick = t_end;

@@ -7,17 +7,47 @@
 //! never-failing links, and episodes still open at trace end — with
 //! serialized JSON bytes as the equality oracle, so every field (episode
 //! geometry, floors, HDR edges, moments) participates in the comparison.
-//! The randomized cases are short; the paper-length fleet and the crafted
-//! long traces at the end give the HDR locator thousands-long tails, ties
-//! at the window's edge ranks and runs that straddle a bucket edge.
+//! Both paths bin every reading onto the 0.1 dB grid, so readings at the
+//! grid's edges get a property of their own: half steps, exact
+//! thresholds, negatives, −0.0, subnormals, ±`f64::MAX`, readings past
+//! the top bin and a table whose thresholds sit between grid values. The
+//! randomized cases are short; the paper-length fleet and the crafted
+//! long traces at the end give the HDR thousands-long tails and ties at
+//! the window's edge ranks.
 
 use proptest::prelude::*;
-use rwc_optics::ModulationTable;
-use rwc_telemetry::analysis::LinkAnalysis;
+use rwc_optics::{Modulation, ModulationTable};
+use rwc_telemetry::analysis::{grid_bin, LinkAnalysis};
 use rwc_telemetry::trace::SnrTrace;
 use rwc_telemetry::{FleetAccumulator, FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::rng::Xoshiro256;
 use rwc_util::time::{SimDuration, SimTime};
+use rwc_util::units::Db;
+
+/// Readings on the grid's edges: half steps (`x.x5`, which a rounding
+/// slip would move a bin), every threshold of the paper's ladder exactly,
+/// negatives, −0.0 and the least subnormals (bin 0), ±`f64::MAX` (whose
+/// ten-fold overflows to ±∞ inside the binning), readings at and past
+/// 64 dB (the top bin) and ordinary SNR around the top rungs. NaN and ±∞
+/// themselves cannot be readings: `SnrTrace::new` refuses them.
+fn grid_edge_samples() -> impl Strategy<Value = Vec<f64>> {
+    let thresholds: Vec<f64> =
+        ModulationTable::paper_default().entries().iter().map(|(_, t)| t.value()).collect();
+    let reading = (0u8..6, 0u32..700, 0.0f64..1.0);
+    proptest::collection::vec(reading, 1..300).prop_map(move |draws| {
+        draws
+            .into_iter()
+            .map(|(kind, step, u)| match kind {
+                0 => step as f64 / 10.0 + 0.05,
+                1 => thresholds[step as usize % thresholds.len()],
+                2 => [-0.0, -u * 3.0, -5e-324, 5e-324, 0.04, 0.05][step as usize % 6],
+                3 => [f64::MAX, f64::MIN, -f64::MIN_POSITIVE][step as usize % 3],
+                4 => [63.9, 63.94, 63.95, 64.0, 64.0 + u * 100.0][step as usize % 5],
+                _ => 10.5 + u * 3.0,
+            })
+            .collect()
+    })
+}
 
 /// Sample vectors spanning the kernel's episode-geometry edge cases. The
 /// `regime` index picks a band: mixed healthy/failing, loss-of-light
@@ -76,6 +106,23 @@ proptest! {
             serde_json::to_string(&fused).expect("fused serializes"),
             serde_json::to_string(&legacy).expect("legacy serializes")
         );
+    }
+
+    /// On the grid's edges, against the paper's table and against one
+    /// whose thresholds lie between grid values, one reading or many.
+    #[test]
+    fn grid_edges_are_byte_identical(samples in grid_edge_samples()) {
+        let trace = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, samples);
+        let single = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, trace.values()[..1].to_vec());
+        let mut kernel = FleetKernel::new();
+        for table in [ModulationTable::paper_default(), ModulationTable::with_margin(Db(0.37))] {
+            for t in [&trace, &single] {
+                prop_assert_eq!(
+                    serde_json::to_string(&kernel.analyze_trace(t, &table)).expect("fused serializes"),
+                    serde_json::to_string(&LinkAnalysis::new(t, &table)).expect("oracle serializes")
+                );
+            }
+        }
     }
 
     /// Per-fleet: a generated fleet swept by the fused kernel accumulates
@@ -139,7 +186,58 @@ fn paper_length_fleet_is_byte_identical() {
     }
 }
 
-/// Long finite traces built to sit on the HDR locator's edges.
+/// The binning both paths share sends NaN and −∞ to bin 0 and +∞ to the
+/// top bin, as it does the finite readings beyond them.
+#[test]
+fn non_finite_values_bin_to_the_grid_edges() {
+    for v in [f64::NAN, -f64::NAN, f64::NEG_INFINITY, f64::MIN, -0.0, 0.0] {
+        assert_eq!(grid_bin(v), 0, "{v}");
+    }
+    for v in [f64::INFINITY, f64::MAX, 63.95] {
+        assert_eq!(grid_bin(v), 639, "{v}");
+    }
+}
+
+/// Streaming a generated link block by block folds the same readings as
+/// its materialised 913-day trace.
+#[test]
+fn streamed_link_equals_its_materialised_trace() {
+    let gen = FleetGenerator::new(FleetConfig {
+        n_fibers: 1,
+        wavelengths_per_fiber: 3,
+        ..FleetConfig::paper()
+    });
+    let table = ModulationTable::paper_default();
+    let mut kernel = FleetKernel::new();
+    for link_id in 0..gen.n_links() {
+        let streamed = kernel.analyze_generated(&gen, link_id, &table);
+        let materialised = kernel.analyze_trace(&gen.link(link_id).trace, &table);
+        assert_eq!(
+            serde_json::to_string(&streamed).expect("streamed serializes"),
+            serde_json::to_string(&materialised).expect("materialised serializes"),
+            "link {link_id}"
+        );
+    }
+}
+
+/// An HDR exactly 20 grid steps wide is 2 dB wide, not narrower: the
+/// edges 14.4 and 16.4 dB differ by 1.9999999999999982 in `f64`.
+#[test]
+fn twenty_step_hdr_is_not_below_two_db() {
+    let samples: Vec<f64> = (0..100).map(|i| if i % 2 == 0 { 14.4 } else { 16.4 }).collect();
+    let trace = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, samples);
+    let table = ModulationTable::paper_default();
+    let analysis = FleetKernel::new().analyze_trace(&trace, &table);
+    assert_eq!((analysis.hdr.low, analysis.hdr.high), (Db(14.4), Db(16.4)));
+    assert_eq!(analysis.hdr.width(), Db(2.0));
+    let mut acc = FleetAccumulator::new();
+    acc.push(&analysis);
+    assert_eq!(acc.fraction_hdr_below(Db(2.0)), 0.0);
+    assert_eq!(acc.fraction_hdr_below(Db(2.05)), 1.0);
+    assert!(analysis.failures_at(Modulation::Dp16Qam200).is_empty());
+}
+
+/// Long finite traces built to sit on the HDR scan's edges.
 #[test]
 fn crafted_long_traces_are_byte_identical() {
     let n = 4000;
@@ -154,16 +252,16 @@ fn crafted_long_traces_are_byte_identical() {
     }
     assert_fused_matches_oracle(shuffled(ramp, 1), "ties at ranks tail and k-1");
 
-    // Runs of equal readings on both sides of a bucket edge: 12 dB opens a
-    // bucket, the float below it closes the previous one.
+    // Runs of equal readings on both sides of 12 dB, which both land in
+    // bin 120.
     let below = f64::from_bits(12.0f64.to_bits() - 1);
     let mut edge: Vec<f64> = Vec::with_capacity(n);
     edge.extend(std::iter::repeat_n(below, 1500));
     edge.extend(std::iter::repeat_n(12.0, 1500));
     edge.extend((0..n - 3000).map(|i| 11.5 + i as f64 * 1e-3));
-    assert_fused_matches_oracle(shuffled(edge, 2), "equal runs across a bucket edge");
+    assert_fused_matches_oracle(shuffled(edge, 2), "equal runs on both sides of 12 dB");
 
-    // Readings below 1/16 dB and above 64 dB, in the clamped edge buckets,
+    // Readings below 1/16 dB and above 64 dB, in the grid's edge bins,
     // both as outliers and as the bulk of a trace.
     let mut outliers: Vec<f64> = (0..n).map(|i| 12.0 + (i % 97) as f64 * 0.01).collect();
     for i in (0..n).step_by(50) {

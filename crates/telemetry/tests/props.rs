@@ -1,7 +1,7 @@
 //! Property tests for telemetry invariants.
 
 use proptest::prelude::*;
-use rwc_telemetry::analysis::episodes_below;
+use rwc_telemetry::analysis::{episodes_below, grid_bin, grid_db};
 use rwc_telemetry::hdr::Hdr;
 use rwc_telemetry::trace::SnrTrace;
 use rwc_util::time::{SimDuration, SimTime};
@@ -35,13 +35,15 @@ proptest! {
         }
     }
 
-    /// The 95% HDR lies within [min, max] and covers ≥95% of samples.
+    /// The 95% HDR lies within [min, max] of the readings on the 0.1 dB
+    /// grid and covers ≥95% of them.
     #[test]
     fn hdr_within_range_and_covers(trace in trace_strategy()) {
         let hdr = Hdr::paper(&trace);
-        prop_assert!(hdr.low >= trace.min() && hdr.high <= trace.max());
-        let inside = trace
-            .values()
+        let grid: Vec<f64> = trace.values().iter().map(|&v| grid_db(grid_bin(v)).value()).collect();
+        let (min, max) = grid.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        prop_assert!(hdr.low.value() >= min && hdr.high.value() <= max);
+        let inside = grid
             .iter()
             .filter(|&&v| v >= hdr.low.value() && v <= hdr.high.value())
             .count();

@@ -2,45 +2,27 @@
 
 use proptest::prelude::*;
 use rwc_util::special::{q_function, q_inverse};
-use rwc_util::stats::{highest_density_interval, sort_f64, Ecdf, HdiLocator, Summary};
+use rwc_util::stats::{hdi_of_counts, highest_density_interval, sort_f64, Ecdf, Summary};
 use rwc_util::units::{Db, Gbps};
 
-/// Readings a raw bit pattern almost never hits.
-const SPECIAL: [f64; 8] =
-    [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -5e-324];
-
-/// Readings for the HDR locator: raw bit patterns (NaN, ±∞, ±0,
-/// subnormals, negatives — anything, a quarter of them drawn from
-/// [`SPECIAL`]) mixed with SNR-like clusters, a narrow one that shares
-/// buckets and a wide one that spans many, plus both sides of the 12 dB
-/// bucket edge repeated so ties occur. The share of raw patterns varies
-/// per case, from none to a third: raw patterns mostly land in the edge
-/// buckets, and with too many of them in both tails no window has a
-/// finite bound and the locator sorts everything.
-fn locator_readings() -> impl Strategy<Value = Vec<f64>> {
-    let reading = (0u32..1000, 0u64..=u64::MAX, 0.0f64..1.0);
-    (0usize..4, proptest::collection::vec(reading, 1..600)).prop_map(|(mix, draws)| {
-        let raw_per_mille = [0, 10, 50, 333][mix];
-        draws
-            .into_iter()
-            .map(|(pick, bits, u)| match pick {
-                p if p < raw_per_mille && bits % 4 == 0 => {
-                    SPECIAL[(bits >> 2) as usize % SPECIAL.len()]
-                }
-                p if p < raw_per_mille => f64::from_bits(bits),
-                p if p % 8 < 3 => 12.0 + 0.05 * u,
-                p if p % 8 < 6 => 0.1 + 19.9 * u,
-                p if p % 8 == 6 => 12.0,
-                _ => f64::from_bits(12.0f64.to_bits() - 1),
+/// Grid histograms for `hdi_of_counts`: up to 700 bins, each empty, thin
+/// or heavy, so runs of empty bins, single readings and ties between
+/// equally narrow windows all occur.
+fn grid_counts() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec((0u8..4, 0u32..40), 1..700).prop_map(|bins| {
+        bins.into_iter()
+            .map(|(kind, c)| match kind {
+                0 | 1 => 0,
+                2 => c % 3,
+                _ => c,
             })
             .collect()
     })
 }
 
-/// Coverage in (0, 1], weighted towards the paper's 0.95 and the full
-/// range, so both degenerate branches (full coverage, coverage at or
-/// below one half) occur.
-fn locator_coverage() -> impl Strategy<Value = f64> {
+/// Coverage in (0, 1], weighted towards the paper's 0.95 and full
+/// coverage.
+fn hdi_coverage() -> impl Strategy<Value = f64> {
     (0u8..4, 0.0f64..=1.0).prop_map(|(pick, c)| match pick {
         0 => 0.95,
         1 => 1.0,
@@ -146,28 +128,16 @@ proptest! {
 
     #[test]
     fn hdi_locator_equals_sort_then_scan(
-        values in locator_readings(),
-        coverage in locator_coverage(),
+        counts in grid_counts(),
+        coverage in hdi_coverage(),
     ) {
-        let mut sorted = values.clone();
-        sort_f64(&mut sorted);
-        let expected = highest_density_interval(&sorted, coverage);
-        let mut locator = HdiLocator::new();
-        values.iter().for_each(|&v| locator.add(v));
-        // The span a caller's `f64::min` / `max` fold sees: it skips NaN,
-        // so NaN-bearing cases also take the walk-every-bucket path.
-        let span = values
+        let sorted: Vec<f64> = counts
             .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        let got = locator.locate(&values, coverage, span);
-        prop_assert_eq!(
-            (got.0.to_bits(), got.1.to_bits()),
-            (expected.0.to_bits(), expected.1.to_bits()),
-            "{:?} vs {:?}", got, expected
-        );
-        // The counts are spent: the same locator answers the next query.
-        values.iter().for_each(|&v| locator.add(v));
-        let again = locator.locate(&values, coverage, span);
-        prop_assert_eq!((again.0.to_bits(), again.1.to_bits()), (got.0.to_bits(), got.1.to_bits()));
+            .enumerate()
+            .flat_map(|(b, &c)| std::iter::repeat_n(b as f64, c as usize))
+            .collect();
+        prop_assume!(!sorted.is_empty());
+        let (lo, hi) = highest_density_interval(&sorted, coverage);
+        prop_assert_eq!(hdi_of_counts(&counts, coverage), (lo as usize, hi as usize));
     }
 }
