@@ -649,8 +649,10 @@ impl Controller {
     /// Applies one sweep of SNR readings to the topology, reconfiguring
     /// links as decided and accounting downtime through the BVT model.
     ///
-    /// Readings are `Option<Db>`: `Some` is a fresh, trusted reading and
-    /// `None` marks one dropped by the telemetry layer. A link with a
+    /// Readings are `Option<Db>`: `Some` is a fresh reading and `None`
+    /// marks one dropped by the telemetry layer. A non-finite reading
+    /// (NaN, ±∞) is no measurement and counts as dropped: it neither
+    /// reaches the topology nor becomes last-known-good. A link with a
     /// dropped reading falls back to its last-known-good SNR if that is
     /// within `SNR_STALENESS_BOUND` (45 min); otherwise it
     /// holds its current modulation (counted in
@@ -670,7 +672,7 @@ impl Controller {
             self.expire_quarantine(link_id, now);
             // Resolve the SNR to act on: fresh reading, else last-known-
             // good within the staleness bound, else hold.
-            let snr = match maybe_snr {
+            let snr = match maybe_snr.filter(|snr| snr.value().is_finite()) {
                 Some(snr) => {
                     wan.set_snr(link_id, snr);
                     let st = &mut self.states[link_id.0];
@@ -866,6 +868,45 @@ mod tests {
         let report = c.sweep(&mut wan, &[(LinkId(0), Some(Db(8.0)))], t(2));
         assert!(!c.is_down(LinkId(0)));
         assert_eq!(report.recovered, vec![LinkId(0)]);
+    }
+
+    /// A non-finite reading at `at` after a good 13 dB one at `t(0)`: the
+    /// second sweep's report, and the topology and controller after it.
+    fn sweep_non_finite(reading: f64, at: SimTime) -> (SweepReport, WanTopology, Controller) {
+        let (mut wan, mut c) = setup();
+        c.sweep(&mut wan, &[(LinkId(0), Some(Db(13.0)))], t(0));
+        let report = c.sweep(&mut wan, &[(LinkId(0), Some(Db(reading)))], at);
+        (report, wan, c)
+    }
+
+    #[test]
+    fn non_finite_reading_falls_back_to_last_known_good() {
+        for reading in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let at = t(0) + SimDuration::from_minutes(15);
+            let (report, wan, c) = sweep_non_finite(reading, at);
+            // Acted on the 13 dB reading: no step to the fastest rung, no
+            // down, and the topology keeps the finite SNR.
+            assert!(report.changes.is_empty(), "{reading}: {:?}", report.changes);
+            assert!(report.went_down.is_empty(), "{reading}: went down");
+            assert_eq!(report.stale_holds, 0, "{reading}");
+            assert_eq!(wan.link(LinkId(0)).snr, Db(13.0), "{reading}");
+            assert_eq!(c.health(LinkId(0), at), LinkHealth::Healthy, "{reading}");
+            assert_eq!(c.states[0].last_good, Some((t(0), Db(13.0))), "{reading}");
+        }
+    }
+
+    #[test]
+    fn non_finite_reading_past_the_staleness_bound_is_a_stale_hold() {
+        for reading in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let (report, wan, c) = sweep_non_finite(reading, t(2));
+            let modulation = wan.link(LinkId(0)).modulation;
+            assert_eq!(report.stale_holds, 1, "{reading}");
+            assert!(report.changes.is_empty() && report.went_down.is_empty(), "{reading}");
+            assert!(!c.is_down(LinkId(0)), "{reading}");
+            assert_eq!(c.health(LinkId(0), t(2)), LinkHealth::Degraded, "{reading}");
+            assert_eq!(wan.link(LinkId(0)).snr, Db(13.0), "{reading}");
+            assert_eq!(wan.link(LinkId(0)).modulation, modulation, "{reading}");
+        }
     }
 
     #[test]

@@ -292,10 +292,10 @@ impl FleetGenerator {
         self.stream_link(link_id, scratch, out, |_| {});
     }
 
-    /// Generates link `link_id`'s trace block by block into `block`,
-    /// handing it to `sink` after each one — the generation half of the
-    /// fused fleet path, whose sink folds and clears the block, so the
-    /// whole trace is never held.
+    /// Generates link `link_id`'s trace into `block`, up to four OU blocks
+    /// at a time, handing it to `sink` after each group — the generation
+    /// half of the fused fleet path, whose sink folds and clears the
+    /// group, so the whole trace is never held.
     pub(crate) fn stream_link(
         &self,
         link_id: usize,

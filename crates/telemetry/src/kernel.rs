@@ -6,10 +6,10 @@
 //! computes the identical result in **one scan that never holds the
 //! trace**:
 //!
-//! - [`FleetGenerator`] hands the kernel each 1,024-reading block as soon
-//!   as it is generated and event-patched; the kernel folds the block and
-//!   clears it for the next one, so a 913-day link costs the same memory
-//!   as a 7-day one;
+//! - [`FleetGenerator`] hands the kernel each group of up to four
+//!   1,024-reading blocks as soon as it is generated and event-patched;
+//!   the kernel folds the group and clears it for the next one, so a
+//!   913-day link costs the same memory as a 7-day one;
 //! - each reading becomes its bin on the 0.1 dB instrument grid
 //!   ([`grid_bin`]) and one increment of a 640-bin histogram. The sum, the
 //!   extremes and the 95% HDR come from the counts at the end

@@ -21,7 +21,7 @@
 //! Memory: a full 2.5-year link trace is ~88k samples (≈700 kB).
 //! [`generator::FleetGenerator::link`] materialises one link at a time, and
 //! the fleet path holds no trace at all: [`kernel::FleetKernel`] folds each
-//! 1,024-reading block into a 0.1 dB histogram as it is generated.
+//! generated group of up to 4,096 readings into a 0.1 dB histogram.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

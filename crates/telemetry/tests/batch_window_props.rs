@@ -10,7 +10,9 @@
 //! `kernel_equivalence` suite's JSON-bytes oracle).
 
 use proptest::prelude::*;
-use rwc_telemetry::{BatchCursor, BatchScratch, FleetConfig, FleetGenerator};
+use rwc_telemetry::events::EventLog;
+use rwc_telemetry::{BatchCursor, BatchScratch, FleetConfig, FleetGenerator, SnrProcess};
+use rwc_util::rng::CounterRng;
 use rwc_util::time::{SimDuration, SimTime};
 
 /// Tiny randomized fleets with boosted event rates so short horizons
@@ -32,6 +34,84 @@ fn fleet_strategy() -> impl Strategy<Value = FleetConfig> {
             ..FleetConfig::paper()
         },
     )
+}
+
+/// Fleets over multi-block horizons (45–120 days: 4.2–11.25 OU blocks of
+/// 1,024 ticks), eventful enough that most links carry a few events.
+fn long_fleet_strategy() -> impl Strategy<Value = FleetConfig> {
+    (0u64..1_000_000, 1usize..3, 1usize..3, 45u64..=120).prop_map(
+        |(seed, n_fibers, wavelengths_per_fiber, days)| FleetConfig {
+            seed,
+            n_fibers,
+            wavelengths_per_fiber,
+            horizon: SimDuration::from_days(days),
+            shallow_dip_rate: 30.0,
+            deep_dip_rate: 15.0,
+            step_rate: 8.0,
+            link_lol_rate: 10.0,
+            fiber_cut_rate: 8.0,
+            maintenance_rate: 15.0,
+            ..FleetConfig::paper()
+        },
+    )
+}
+
+/// The generator's contract spelled out one tick at a time, with no
+/// blocks, windows or scratch: reading `t` of a trace starting at the
+/// epoch. The OU state restarts at every 1,024-tick block from the jump
+/// chain `S_0 = σ·z_0`, `S_b = ρ^1024·S_{b−1} + σ√(1−ρ^2048)·z_b`
+/// (`z_b` = `derive(1).normal_pair(b).0`) and steps `x' = ρx + σ√(1−ρ²)·ξ_t`
+/// (`ξ_t` = `derive(0).normal_at(t)`) inside it; the diurnal ripple is an
+/// exact `sin_cos` at every multiple of 64 ticks, rotated by one tick's
+/// angle in between; events apply per tick through
+/// `EventLog::snr_effect_at`, and a loss-of-light reads the noise floor
+/// jittered by `derive(2).normal_at(t)`.
+fn reference_trace(
+    p: &SnrProcess,
+    events: &EventLog,
+    rng: &CounterRng,
+    tick: SimDuration,
+    n: u64,
+) -> Vec<f64> {
+    let rho = (-(tick.as_secs_f64() / p.ou_relaxation.as_secs_f64())).exp();
+    let innovation = p.ou_sigma_db * (1.0 - rho * rho).sqrt();
+    let rho_block = rho.powi(1024);
+    let jump_innovation = p.ou_sigma_db * (1.0 - rho_block * rho_block).sqrt();
+    let (xi, jump, floor) = (rng.derive(0), rng.derive(1), rng.derive(2));
+    let day = SimDuration::from_days(1).as_secs_f64();
+    let (step_sin, step_cos) = (std::f64::consts::TAU * (tick.as_secs_f64() / day)).sin_cos();
+    let (mut boundary, mut x, mut dsin, mut dcos) = (0.0, 0.0, 0.0, 0.0);
+    (0..n)
+        .map(|t| {
+            if t % 1024 == 0 {
+                let z = jump.normal_pair(t / 1024).0;
+                boundary = if t == 0 {
+                    p.ou_sigma_db * z
+                } else {
+                    rho_block * boundary + jump_innovation * z
+                };
+                x = boundary;
+            } else {
+                x = rho * x + innovation * xi.normal_at(t);
+            }
+            let at = SimTime::EPOCH + tick * t;
+            if t % 64 == 0 {
+                (dsin, dcos) = (std::f64::consts::TAU * (at.since_epoch().as_secs_f64() / day)
+                    + p.diurnal_phase)
+                    .sin_cos();
+            } else {
+                (dsin, dcos) = (
+                    dsin * step_cos + dcos * step_sin,
+                    dcos * step_cos - dsin * step_sin,
+                );
+            }
+            let value = p.baseline_db + x + p.diurnal_amp_db * dsin;
+            match events.snr_effect_at(at) {
+                Some(offset) => (value + offset).max(0.01),
+                None => (p.noise_floor_db + 0.05 * floor.normal_at(t)).max(0.01),
+            }
+        })
+        .collect()
 }
 
 /// Converts a vector of arbitrary units into split points over `n` ticks:
@@ -161,6 +241,68 @@ proptest! {
             prop_assert_eq!(
                 g.to_bits(), w.to_bits(),
                 "tick {} diverged: {} vs {}", i, g, w
+            );
+        }
+    }
+
+    /// Paper-length-style links against the per-tick reference, bit for
+    /// bit: one-shot, and split into windows whose cuts land mid-block and
+    /// mid-way through a group of blocks (one forced cut, the rest random).
+    #[test]
+    fn generation_matches_per_tick_reference_at_multi_block_horizons(
+        fleet in long_fleet_strategy(),
+        link_pick in 0usize..64,
+        forced_block in 0u64..4,
+        forced_offset in 1u64..1024,
+        units in proptest::collection::vec(0.0f64..1.0, 0..5),
+    ) {
+        let gen = FleetGenerator::new(fleet);
+        let link = link_pick % gen.n_links();
+        let cfg = gen.config();
+        let profile = gen.link_profile(link);
+        let rng = gen.batch_rng(link);
+        let n = cfg.horizon.ticks(cfg.tick);
+        let want = reference_trace(&profile.process, &profile.events, &rng, cfg.tick, n);
+
+        let whole = one_shot(&gen, link);
+        prop_assert_eq!(whole.len(), want.len());
+        for (i, (g, w)) in whole.iter().zip(&want).enumerate() {
+            prop_assert_eq!(
+                g.to_bits(), w.to_bits(),
+                "one-shot tick {} diverged: {} vs {}", i, g, w
+            );
+        }
+
+        // Cuts inside block `forced_block` of the first 4-block group and
+        // inside the mirrored block of the second (when the horizon
+        // reaches it), plus the random ones.
+        let mut cuts = cuts(&units, n);
+        cuts.push(forced_block * 1024 + forced_offset);
+        cuts.push((7 - forced_block) * 1024 + 1024 - forced_offset);
+        cuts.retain(|&c| c < n);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut scratch = BatchScratch::default();
+        let mut got = Vec::new();
+        let mut cursor = BatchCursor::begin();
+        for cut in cuts.into_iter().chain([n]) {
+            let take = cut - cursor.next_tick();
+            profile.process.generate_batch_window(
+                &mut cursor,
+                take,
+                SimTime::EPOCH,
+                cfg.tick,
+                &profile.events,
+                &rng,
+                &mut scratch,
+                &mut got,
+            );
+        }
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(
+                g.to_bits(), w.to_bits(),
+                "windowed tick {} diverged: {} vs {}", i, g, w
             );
         }
     }
