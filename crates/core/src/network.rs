@@ -22,7 +22,7 @@ use std::time::Duration;
 use crate::error::RwcError;
 use crate::translate::{translate, Translation};
 use rwc_optics::bvt::BvtFault;
-use rwc_te::demand::DemandMatrix;
+use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::metrics;
 use rwc_te::problem::{TeProblem, TeSolution};
 use rwc_te::updates::{try_plan_capacity_changes, CapacityChange, UpdatePlan};
@@ -99,10 +99,16 @@ pub struct DynamicCapacityNetwork {
     /// path (prepare → drained-headroom check → commit, with rollback)
     /// instead of the direct `execute_change` path.
     mbb: bool,
-    /// Dirty-link incremental Algorithm 1.
+    /// Algorithm 1, rebuilt every round; holds the round's augmented
+    /// problem and counts the rebuilds.
     augmenter: IncrementalAugmenter,
     /// Memoised static-baseline totals, keyed on the exact inputs the
     /// baseline depends on (algorithm, per-link capacities, demands).
+    /// The round engine's only cache, kept because it measurably pays:
+    /// on a warm solver every static solve it skips leaves the retained
+    /// basis on the augmented LP the next solve needs, and solving the
+    /// static problem every round costs about 30 % of the closed control
+    /// loop's throughput (DESIGN §7).
     /// The solver is deterministic, so a hit bit-equals a recompute;
     /// only successful solves are stored. Demand bits rarely repeat (the
     /// benchmark measured 47–96 % misses, about one new ~1 KB key per
@@ -122,12 +128,14 @@ const STATIC_MEMO_CAP: usize = 4096;
 /// Exact memo key for the static-baseline solve: algorithm name, the
 /// algorithm's solve fingerprint (objective/weights — two
 /// `TeSolver`s share a name but not a meaning), each link's capacity
-/// bits, and each demand's endpoints + volume bits. Only the fingerprint
+/// bits, and each demand's endpoints, priority and volume bits (strict-
+/// priority solvers such as `SwanTe` answer differently when only the
+/// classes swap). Only the fingerprint
 /// is a hash (it folds solver *configuration*, which is tiny and fixed
 /// per solver instance); the capacity/demand inputs stay exact — a
 /// collision there would silently break the determinism guarantee the
 /// scenario tests pin down.
-type StaticKey = (&'static str, u64, Vec<u64>, Vec<(usize, usize, u64)>);
+type StaticKey = (&'static str, u64, Vec<u64>, Vec<(usize, usize, Priority, u64)>);
 
 fn static_key(
     algorithm: &dyn TeAlgorithm,
@@ -141,7 +149,7 @@ fn static_key(
         demands
             .demands()
             .iter()
-            .map(|d| (d.from.0, d.to.0, d.volume.value().to_bits()))
+            .map(|d| (d.from.0, d.to.0, d.priority, d.volume.value().to_bits()))
             .collect(),
     )
 }
@@ -177,18 +185,16 @@ impl DynamicCapacityNetwork {
         self.obs = obs;
     }
 
-    /// Test reference arm: drops the cached augmented problem and the
-    /// static memo, so the next round rebuilds and re-solves everything
-    /// from scratch. The caches are exact, so a run that forgets them
-    /// before every round must report byte-identically to one that never
-    /// does — which is what the scenario tests assert.
+    /// Test reference arm: drops the static memo, so the next round
+    /// re-solves the static baseline. The memo is exact, so a run that
+    /// forgets it before every round must report byte-identically to one
+    /// that never does — which is what the scenario tests assert.
     #[cfg(test)]
-    pub(crate) fn forget_caches(&mut self) {
-        self.augmenter.reset();
+    pub(crate) fn forget_static_memo(&mut self) {
         self.static_memo.clear();
     }
 
-    /// Incremental-augmentation counters.
+    /// Augmentation counters.
     pub fn augment_stats(&self) -> AugmentStats {
         self.augmenter.stats()
     }
@@ -287,22 +293,15 @@ impl DynamicCapacityNetwork {
             }
         };
 
-        // Augment (patching dirty links) + solve + translate.
-        let augment_before = obs.enabled().then(|| self.augmenter.stats());
+        // Augment + solve + translate.
         let aug =
             self.augmenter.augment(&self.wan, demands, &self.augment_config, &self.link_traffic);
         let solution = algorithm.try_solve(&aug.problem)?;
         let solve_time = solve_start.elapsed();
         let mut translation = translate(aug, &self.wan, &solution)?;
-        if let Some(before) = augment_before {
-            let after = self.augmenter.stats();
+        if obs.enabled() {
             obs.record("te.solve_micros", solve_time.as_micros() as f64);
-            obs.incr("te.augment.full_rebuilds", after.full_rebuilds - before.full_rebuilds);
-            obs.incr(
-                "te.augment.in_place_patches",
-                after.in_place_patches - before.in_place_patches,
-            );
-            obs.incr("te.augment.suffix_rebuilds", after.suffix_rebuilds - before.suffix_rebuilds);
+            obs.incr("te.augment.full_rebuilds", 1);
         }
 
         // Consistent-update plan + application through the hardware.
@@ -473,9 +472,9 @@ impl DynamicCapacityNetwork {
 mod tests {
     use super::*;
     use crate::penalty::PenaltyPolicy;
-    use rwc_te::demand::Priority;
     use rwc_te::swan::SwanTe;
     use rwc_topology::builders;
+    use rwc_topology::graph::NodeId;
     use rwc_util::units::Gbps;
 
     fn fig7_network() -> DynamicCapacityNetwork {
@@ -578,6 +577,50 @@ mod tests {
             assert_eq!(again.static_throughput.to_bits(), first.static_throughput.to_bits());
         }
         assert_eq!(net.static_memo.len(), 2);
+    }
+
+    #[test]
+    fn static_memo_keys_on_demand_priority() {
+        // Line A–B–C, both links at 100 G with no upgrade headroom, and
+        // demands A→C, A→B, B→C of 100 G each. SwanTe allocates by strict
+        // priority, so swapping the classes changes the static optimum
+        // (100 G with A→C first, 200 G with it last) while endpoints and
+        // volumes stay the same.
+        let line = || {
+            let mut wan = WanTopology::new();
+            let a = wan.add_node("A", None);
+            let b = wan.add_node("B", None);
+            let c = wan.add_node("C", None);
+            for (x, y) in [(a, b), (b, c)] {
+                let id = wan.add_link(x, y, 500.0);
+                wan.set_snr(id, Db(7.0));
+            }
+            let (aug, ctl) = (AugmentConfig::default(), ControllerConfig::default());
+            DynamicCapacityNetwork::new(wan, aug, ctl, 1)
+        };
+        let demands = |long: Priority, short: Priority| {
+            let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+            let mut dm = DemandMatrix::new();
+            dm.add(a, c, Gbps(100.0), long);
+            dm.add(a, b, Gbps(100.0), short);
+            dm.add(b, c, Gbps(100.0), short);
+            dm
+        };
+        let te = SwanTe::default();
+        let mut net = line();
+        let first_classes = demands(Priority::Interactive, Priority::Elastic);
+        let first = net.te_round(&first_classes, &te, SimTime::EPOCH);
+        assert!((first.static_throughput - 100.0).abs() < 1e-6, "{}", first.static_throughput);
+        let swapped = demands(Priority::Elastic, Priority::Interactive);
+        let second = net.te_round(&swapped, &te, SimTime::EPOCH);
+        let fresh = line().te_round(&swapped, &te, SimTime::EPOCH);
+        assert!((fresh.static_throughput - 200.0).abs() < 1e-6, "{}", fresh.static_throughput);
+        assert_eq!(
+            second.static_throughput.to_bits(),
+            fresh.static_throughput.to_bits(),
+            "the memo answered the swapped classes with the first round's total"
+        );
+        assert!(second.throughput >= second.static_throughput - 1e-6);
     }
 
     #[test]

@@ -255,13 +255,10 @@ pub struct Scenario {
     /// Metrics/event sink. Measurement only: with any observer installed
     /// the [`ScenarioReport`] stays byte-identical to an unobserved run.
     obs: Arc<dyn Observer>,
-    /// TE rounds executed across every [`Scenario::run`] on this scenario —
-    /// the round index a sweep checkpoint records so a resumed run can
-    /// line its progress up against the interrupted one.
-    /// Test reference arm: forget every round-engine cache (augmented
-    /// problem, static memo, counterfactual cache) before each TE round.
+    /// Test reference arm: forget the round engine's static memo before
+    /// each TE round.
     #[cfg(test)]
-    forget_caches: bool,
+    forget_static_memo: bool,
 }
 
 /// Validating builder for [`Scenario`]; see [`Scenario::builder`].
@@ -331,7 +328,7 @@ impl ScenarioBuilder {
             config,
             obs,
             #[cfg(test)]
-            forget_caches: false,
+            forget_static_memo: false,
         })
     }
 }
@@ -395,15 +392,6 @@ impl Scenario {
         let mut frozen: Vec<Option<Db>> = vec![None; n_links];
         // Counterfactual throughput carried over if its solver ever fails.
         let mut last_static_total = 0.0;
-        // Counterfactual-solve cache. The static fleet's modulations are
-        // pinned, so its problem is fully determined by the demand scale
-        // and which links are below their rung's threshold — and with
-        // hourly rounds the diurnal scale repeats every day. Keys are
-        // exact (scale bits + down mask), values only stored on success,
-        // and the solver is deterministic, so a hit bit-equals the solve
-        // it replaces.
-        let mut counterfactual_cache: std::collections::HashMap<(u64, Vec<bool>), f64> =
-            std::collections::HashMap::new();
         self.obs.incr("scenario.runs", 1);
 
         let mut report = ScenarioReport {
@@ -517,9 +505,8 @@ impl Scenario {
                 let scale = 1.0 + self.config.demand_diurnal_amp * phase.sin();
                 let demands = self.demands.scaled(scale.max(0.0));
                 #[cfg(test)]
-                if self.forget_caches {
-                    self.network.forget_caches();
-                    counterfactual_cache.clear();
+                if self.forget_static_memo {
+                    self.network.forget_static_memo();
                 }
                 let round = match injector.te_fault(now) {
                     Some(fault) => {
@@ -545,42 +532,20 @@ impl Scenario {
 
                 // Counterfactual: never-upgraded links under the binary
                 // policy — a link whose SNR is below its (fixed) rung's
-                // threshold is simply down. Cached on (scale, down mask).
+                // threshold is simply down.
                 let table = &self.config.controller.table;
-                let down: Vec<bool> = self
-                    .static_wan
-                    .links()
-                    .map(|(_, link)| !table.supports(link.snr, link.modulation))
-                    .collect();
-                let cache_key = (scale.max(0.0).to_bits(), down.clone());
-                let static_total = match counterfactual_cache.get(&cache_key).copied() {
-                    Some(total) => {
-                        self.obs.incr("scenario.counterfactual.hits", 1);
-                        last_static_total = total;
-                        total
+                let mut static_problem = TeProblem::from_wan(&self.static_wan, &demands);
+                for (id, link) in self.static_wan.links() {
+                    if !table.supports(link.snr, link.modulation) {
+                        static_problem.override_link_capacity(id, 0.0);
                     }
-                    None => {
-                        self.obs.incr("scenario.counterfactual.misses", 1);
-                        let mut static_problem =
-                            TeProblem::from_wan(&self.static_wan, &demands);
-                        for (id, is_down) in down.iter().enumerate() {
-                            if *is_down {
-                                static_problem.override_link_capacity(LinkId(id), 0.0);
-                            }
-                        }
-                        match algorithm.try_solve(&static_problem) {
-                            Ok(s) => {
-                                counterfactual_cache.insert(cache_key, s.total);
-                                last_static_total = s.total;
-                                s.total
-                            }
-                            // The counterfactual gets the same grace the
-                            // real pipeline does: carry the last feasible
-                            // total.
-                            Err(_) => last_static_total,
-                        }
-                    }
-                };
+                }
+                // The counterfactual gets the same grace the real pipeline
+                // does: carry the last feasible total.
+                if let Ok(s) = algorithm.try_solve(&static_problem) {
+                    last_static_total = s.total;
+                }
+                let static_total = last_static_total;
 
                 report.samples.push(ScenarioSample {
                     time: now,
@@ -869,11 +834,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_engine_matches_full_rebuild_byte_for_byte() {
-        // The incremental round engine (dirty-link augmentation, static
-        // memo, counterfactual cache) is pure performance machinery: it
-        // must not change a single byte of the report relative to a run
-        // that forgets all three before every round, fault plan and all.
+    fn static_memo_matches_re_solving_byte_for_byte() {
+        // The static memo is pure performance machinery: it must not
+        // change a single byte of the report relative to a run that
+        // forgets it before every round, fault plan and all.
         // Inputs: a light two-day plan, then the `faults` and `srlg`
         // experiments' week-long campaigns (marginal SNR, so the fleet is
         // already walking when the faults land) — the SRLG one under both
@@ -923,30 +887,21 @@ mod tests {
                 ..ScenarioConfig::default()
             };
             let days = 8; // telemetry for the longest horizon and a day to spare
-            let mut cached = fig7_scenario(wan.clone(), snr_db, days, config.clone());
+            let mut memoised = fig7_scenario(wan.clone(), snr_db, days, config.clone());
             let metrics = Arc::new(rwc_obs::MetricsObserver::new());
-            cached.set_observer(metrics.clone());
+            memoised.set_observer(metrics.clone());
             let mut reference = fig7_scenario(wan, snr_db, days, config);
-            reference.forget_caches = true;
-            let ra = cached.run(horizon, &SwanTe::default()).unwrap();
+            reference.forget_static_memo = true;
+            let ra = memoised.run(horizon, &SwanTe::default()).unwrap();
             let rb = reference.run(horizon, &SwanTe::default()).unwrap();
             assert_eq!(
                 serde_json::to_string(&ra).unwrap(),
                 serde_json::to_string(&rb).unwrap(),
-                "{name}: incremental and from-scratch engines diverged"
+                "{name}: memoised and re-solving engines diverged"
             );
-            // The cached arm really hit its caches; the reference arm
-            // rebuilt in every round that got as far as augmenting.
-            let stats = cached.network().augment_stats();
-            assert_eq!(stats.full_rebuilds, 1, "{name}: {stats:?}");
-            assert!(stats.in_place_patches + stats.suffix_rebuilds > 0, "{name}: {stats:?}");
+            // The memoised arm really hit its memo.
             let counters = metrics.snapshot().counters;
             assert!(counters["te.static_memo.hits"] > 0, "{name}: {counters:?}");
-            assert!(counters["scenario.counterfactual.hits"] > 0, "{name}: {counters:?}");
-            let rebuilt = reference.network().augment_stats();
-            let rounds = rb.samples.len() as u64;
-            assert!(rebuilt.full_rebuilds + rb.te_fallbacks as u64 >= rounds, "{name}: {rebuilt:?}");
-            assert_eq!(rebuilt.in_place_patches + rebuilt.suffix_rebuilds, 0, "{name}");
         }
     }
 

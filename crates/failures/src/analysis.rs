@@ -14,7 +14,6 @@ use crate::rootcause::RootCause;
 use crate::ticket::FailureTicket;
 use rwc_util::stats::{percentage_shares, Ecdf};
 use rwc_util::units::Db;
-use std::sync::OnceLock;
 
 /// Aggregated corpus statistics.
 #[derive(Debug, Clone)]
@@ -25,8 +24,6 @@ pub struct TicketAnalysis {
     pub outage_hours: [f64; 4],
     /// All SNR floors, dB.
     floors: Vec<f64>,
-    /// Lazily built floor ECDF (the corpus is immutable after `new`).
-    floor_ecdf: OnceLock<Ecdf>,
     total_events: usize,
 }
 
@@ -47,7 +44,6 @@ impl TicketAnalysis {
             event_counts,
             outage_hours,
             floors,
-            floor_ecdf: OnceLock::new(),
             total_events: tickets.len(),
         }
     }
@@ -63,10 +59,9 @@ impl TicketAnalysis {
         percentage_shares(&self.outage_hours)
     }
 
-    /// Fig. 4c: ECDF of the lowest SNR during failure events. Built once
-    /// on first call and cached (the corpus never changes after `new`).
-    pub fn floor_ecdf(&self) -> &Ecdf {
-        self.floor_ecdf.get_or_init(|| Ecdf::new(self.floors.clone()))
+    /// Fig. 4c: ECDF of the lowest SNR during failure events.
+    pub fn floor_ecdf(&self) -> Ecdf {
+        Ecdf::new(self.floors.clone())
     }
 
     /// Share of events (0..1) whose floor stayed at or above `floor` — the

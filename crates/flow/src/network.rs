@@ -67,8 +67,7 @@ impl FlowNetwork {
         self.edges[idx]
     }
 
-    /// Updates one edge's capacity in place (for incremental round
-    /// engines that patch dirty links instead of rebuilding the network).
+    /// Updates one edge's capacity in place.
     pub fn set_capacity(&mut self, idx: usize, capacity: f64) {
         assert!(capacity >= 0.0 && capacity.is_finite(), "invalid capacity {capacity}");
         self.edges[idx].capacity = capacity;
@@ -78,13 +77,6 @@ impl FlowNetwork {
     pub fn set_cost(&mut self, idx: usize, cost: f64) {
         assert!(cost.is_finite(), "invalid cost {cost}");
         self.edges[idx].cost = cost;
-    }
-
-    /// Drops every edge with index ≥ `len`, keeping insertion order of the
-    /// rest. Used to rebuild the fake-link suffix of an augmented network
-    /// while leaving the real-edge prefix untouched.
-    pub fn truncate_edges(&mut self, len: usize) {
-        self.edges.truncate(len);
     }
 }
 

@@ -33,14 +33,12 @@ pub const COUNTERS: &[&str] = &[
     "controller.retries",
     "controller.quarantines",
     "controller.stale_holds",
-    // te round engine: solve outcomes and incremental-path hit rates.
+    // te round engine: solve outcomes, static-memo hit rate, rebuilds.
     "te.rounds",
     "te.fallback_rounds",
     "te.static_memo.hits",
     "te.static_memo.misses",
     "te.augment.full_rebuilds",
-    "te.augment.in_place_patches",
-    "te.augment.suffix_rebuilds",
     // TeSolver solves whose verdict was checked against its certificate.
     "te.certified",
     // warm-started exact LP (`rwc_te::TeSolver`).
@@ -82,8 +80,6 @@ pub const COUNTERS: &[&str] = &[
     // scenario driver.
     "scenario.ticks",
     "scenario.runs",
-    "scenario.counterfactual.hits",
-    "scenario.counterfactual.misses",
     "scenario.faults.bvt",
     "scenario.faults.telemetry",
     "scenario.faults.te",

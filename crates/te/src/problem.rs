@@ -80,12 +80,8 @@ impl TeProblem {
     /// model drained or failed links without touching the topology.
     pub fn override_link_capacity(&mut self, link: LinkId, capacity: f64) {
         assert!(2 * link.0 + 1 < self.net.n_edges(), "link out of range");
-        let mut net = FlowNetwork::new(self.net.n_nodes());
-        for (i, e) in self.net.edges().iter().enumerate() {
-            let cap = if i / 2 == link.0 { capacity } else { e.capacity };
-            net.add_edge(e.from, e.to, cap, e.cost);
-        }
-        self.net = net;
+        self.net.set_capacity(2 * link.0, capacity);
+        self.net.set_capacity(2 * link.0 + 1, capacity);
     }
 
     /// Indices of commodities in a priority class.

@@ -54,7 +54,7 @@ pub(crate) const CERTIFY_EVERY: u64 = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmStartPolicy {
     /// Keep the basis: consecutive similar problems warm-resolve. The
-    /// default, and what the incremental round engine wants.
+    /// default, and what the round engine wants.
     #[default]
     Retain,
     /// Reset the engine before every solve: every round is a cold solve.

@@ -13,8 +13,8 @@
 //!
 //! Every class gets a fresh solver and a cold solve. Among degenerate
 //! optima a warm simplex returns the vertex its history leads to, and the
-//! round engine's memo and counterfactual caches need `try_solve` to be a
-//! pure function of the problem.
+//! round engine's static memo needs `try_solve` to be a pure function of
+//! the problem.
 
 use crate::demand::Priority;
 use crate::problem::{TeProblem, TeSolution};

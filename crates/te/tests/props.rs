@@ -1,7 +1,8 @@
 //! Property tests: every TE solver emits feasible, demand-capped solutions
-//! on random topologies and workloads, and the solver hierarchy holds; and
-//! a `TeSolver` that keeps its LP across a drift sequence answers exactly
-//! as a fresh lowering of every step would.
+//! on random topologies and workloads, and the solver hierarchy holds; a
+//! `TeSolver` that keeps its LP across a drift sequence answers exactly
+//! as a fresh lowering of every step would; and a consistent-update plan
+//! never routes more over a changing link than the change leaves it.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -10,9 +11,13 @@ use rwc_te::b4::B4Te;
 use rwc_te::cspf::CspfTe;
 use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::problem::{EdgeOrigin, TeProblem};
+use rwc_optics::Modulation;
 use rwc_te::swan::SwanTe;
+use rwc_te::updates::{try_plan_capacity_changes, CapacityChange};
 use rwc_te::{TeAlgorithm, TeFormulation, TeObjective, TeSolver};
+use rwc_topology::builders::{fig7_example, scaled_mesh};
 use rwc_topology::random::{waxman, WaxmanConfig};
+use rwc_topology::wan::LinkId;
 use rwc_topology::{NodeId, WanTopology};
 use rwc_util::units::Gbps;
 
@@ -270,5 +275,86 @@ proptest! {
         drive(TeObjective::CapacityReduction, p, &steps, |p, _, (_, at, factor)| {
             common_drift(p, (0, at, factor));
         })?;
+    }
+}
+
+/// A WAN (Waxman, a one- or two-replica `scaled_mesh`, or Fig. 7) with
+/// every link on a seeded rung, gravity demands, and a change set of one
+/// to three distinct links, each moving one rung up or down (the other
+/// way at either end of the ladder).
+fn arb_plan_case() -> impl Strategy<Value = (WanTopology, DemandMatrix, Vec<CapacityChange>)> {
+    (
+        (0u8..4, 4usize..8, 0u64..200),
+        (50.0f64..900.0, 0u64..50),
+        proptest::collection::vec(0usize..6, 8),
+        proptest::collection::vec((0usize..1000, proptest::bool::ANY), 1..4),
+    )
+        .prop_map(|((kind, n, seed), (volume, dseed), rungs, picks)| {
+            let mut wan = match kind {
+                0 => fig7_example(),
+                1 | 2 => scaled_mesh(kind as usize, 100.0),
+                _ => waxman(&WaxmanConfig { n_nodes: n, seed, ..Default::default() }),
+            };
+            for l in 0..wan.n_links() {
+                wan.set_modulation(LinkId(l), Modulation::LADDER[rungs[l % rungs.len()]]);
+            }
+            let dm = DemandMatrix::gravity(&wan, Gbps(volume), dseed);
+            let top = Modulation::LADDER.len() - 1;
+            let mut changes: Vec<CapacityChange> = Vec::new();
+            for (pick, up) in picks {
+                let link = LinkId(pick % wan.n_links());
+                if changes.iter().any(|c| c.link == link) {
+                    continue;
+                }
+                let rung = Modulation::LADDER
+                    .iter()
+                    .position(|&m| m == wan.link(link).modulation)
+                    .unwrap();
+                let to = if (up && rung < top) || rung == 0 { rung + 1 } else { rung - 1 };
+                changes.push(CapacityChange { link, to: Modulation::LADDER[to] });
+            }
+            (wan, dm, changes)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Update-plan safety: the interim allocation is feasible with every
+    /// changing link at its transition capacity (the lesser of the two
+    /// rates when hitless, 0 under the legacy procedure) — so it is safe
+    /// whichever changes land — and the final allocation is feasible on
+    /// the changed WAN and routes no less than the interim.
+    #[test]
+    fn update_plan_interim_fits_every_transition(
+        (wan, dm, changes) in arb_plan_case(),
+        hitless in proptest::bool::ANY,
+    ) {
+        let plan = try_plan_capacity_changes(
+            &wan, &dm, &changes, &TeSolver::default(), hitless, None,
+        ).expect("plan");
+
+        let mut transition = TeProblem::from_wan(&wan, &dm);
+        let mut changed = wan.clone();
+        for c in &changes {
+            let old = wan.link(c.link).capacity().value();
+            let cap = if hitless { old.min(c.to.capacity().value()) } else { 0.0 };
+            transition.override_link_capacity(c.link, cap);
+            changed.set_modulation(c.link, c.to);
+            for e in [2 * c.link.0, 2 * c.link.0 + 1] {
+                let flow = plan.interim.edge_flows[e];
+                prop_assert!(flow <= cap + 1e-6,
+                    "edge {e} carries {flow} in the interim, transition capacity {cap}");
+            }
+        }
+        let interim = plan.interim.validate(&transition);
+        prop_assert!(interim.is_ok(), "interim: {interim:?}");
+        let final_check = plan.final_solution.validate(&TeProblem::from_wan(&changed, &dm));
+        prop_assert!(final_check.is_ok(), "final: {final_check:?}");
+        prop_assert!(plan.final_solution.total >= plan.interim.total - 1e-6,
+            "final {} below interim {}", plan.final_solution.total, plan.interim.total);
+        for churn in [plan.churn_into_interim, plan.churn_into_final] {
+            prop_assert!(churn.is_finite() && churn >= 0.0, "churn {churn}");
+        }
     }
 }

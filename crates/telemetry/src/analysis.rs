@@ -24,8 +24,7 @@ use rwc_optics::{Modulation, ModulationTable};
 use rwc_util::stats::Ecdf;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::{Db, Gbps};
-use serde::{Content, Deserialize, Serialize};
-use std::sync::OnceLock;
+use serde::{Deserialize, Serialize};
 
 /// A maximal run of consecutive samples below a threshold — one link
 /// failure at the corresponding capacity.
@@ -184,19 +183,17 @@ type RungStats = (Modulation, Vec<f64>, Vec<f64>, Vec<f64>);
 ///
 /// Push one [`LinkAnalysis`] per link (the generator materialises links one
 /// at a time), then read off the figure series. The ECDF views are built
-/// lazily on first access and cached until the next `push`/`merge`, so
-/// repeated reads (Fig. 2's several series, Fig. 4's floor scans) stop
-/// cloning and re-sorting the full per-link vectors each call.
-#[derive(Debug, Clone, Default)]
+/// on each call: Fig. 2 reads each of them once or twice per run.
+///
+/// The serialized form is the accumulated fields in declaration order;
+/// the serve daemon's checkpoints carry it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FleetAccumulator {
     hdr_widths: Vec<f64>,
     ranges: Vec<f64>,
     feasible_caps: Vec<f64>,
     gains: Vec<f64>,
     per_rung: Vec<RungStats>,
-    hdr_width_ecdf: OnceLock<Ecdf>,
-    range_ecdf: OnceLock<Ecdf>,
-    feasible_capacity_ecdf: OnceLock<Ecdf>,
 }
 
 impl FleetAccumulator {
@@ -217,7 +214,6 @@ impl FleetAccumulator {
 
     /// Folds one link into the fleet statistics.
     pub fn push(&mut self, link: &LinkAnalysis) {
-        self.invalidate_ecdfs();
         self.hdr_widths.push(link.hdr.width().value());
         self.ranges.push(link.range.value());
         self.feasible_caps.push(link.feasible_capacity.value());
@@ -246,29 +242,19 @@ impl FleetAccumulator {
         }
     }
 
-    /// Drops the cached ECDF views; called by every mutation.
-    fn invalidate_ecdfs(&mut self) {
-        self.hdr_width_ecdf = OnceLock::new();
-        self.range_ecdf = OnceLock::new();
-        self.feasible_capacity_ecdf = OnceLock::new();
+    /// ECDF of 95% HDR widths (Fig. 2a red curve).
+    pub fn hdr_width_ecdf(&self) -> Ecdf {
+        Ecdf::new(self.hdr_widths.clone())
     }
 
-    /// ECDF of 95% HDR widths (Fig. 2a red curve). Built once, cached
-    /// until the next `push`/`merge`.
-    pub fn hdr_width_ecdf(&self) -> &Ecdf {
-        self.hdr_width_ecdf.get_or_init(|| Ecdf::new(self.hdr_widths.clone()))
+    /// ECDF of SNR ranges (Fig. 2a blue curve).
+    pub fn range_ecdf(&self) -> Ecdf {
+        Ecdf::new(self.ranges.clone())
     }
 
-    /// ECDF of SNR ranges (Fig. 2a blue curve). Cached like
-    /// [`hdr_width_ecdf`](Self::hdr_width_ecdf).
-    pub fn range_ecdf(&self) -> &Ecdf {
-        self.range_ecdf.get_or_init(|| Ecdf::new(self.ranges.clone()))
-    }
-
-    /// ECDF of feasible capacities in Gbps (Fig. 2b). Cached like
-    /// [`hdr_width_ecdf`](Self::hdr_width_ecdf).
-    pub fn feasible_capacity_ecdf(&self) -> &Ecdf {
-        self.feasible_capacity_ecdf.get_or_init(|| Ecdf::new(self.feasible_caps.clone()))
+    /// ECDF of feasible capacities in Gbps (Fig. 2b).
+    pub fn feasible_capacity_ecdf(&self) -> Ecdf {
+        Ecdf::new(self.feasible_caps.clone())
     }
 
     /// Per-link feasible capacities (Gbps) in push order. A single-link
@@ -313,7 +299,6 @@ impl FleetAccumulator {
     /// one. Both must have been fed links analysed against the same
     /// modulation table.
     pub fn merge(&mut self, other: FleetAccumulator) {
-        self.invalidate_ecdfs();
         self.hdr_widths.extend(other.hdr_widths);
         self.ranges.extend(other.ranges);
         self.feasible_caps.extend(other.feasible_caps);
@@ -329,46 +314,6 @@ impl FleetAccumulator {
                 slot.3.extend(o.3);
             }
         }
-    }
-}
-
-/// Hand-written because the lazy ECDF caches are derived state that must
-/// stay out of the serialized form (and the vendored `serde_derive` has no
-/// `#[serde(skip)]`). Serializes exactly the accumulated data fields, so
-/// two accumulators with equal contents — however their caches differ —
-/// produce identical bytes. That is what the kernel-vs-oracle byte-identity
-/// tests compare.
-impl Serialize for FleetAccumulator {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("hdr_widths".into(), self.hdr_widths.to_content()),
-            ("ranges".into(), self.ranges.to_content()),
-            ("feasible_caps".into(), self.feasible_caps.to_content()),
-            ("gains".into(), self.gains.to_content()),
-            ("per_rung".into(), self.per_rung.to_content()),
-        ])
-    }
-}
-
-/// The inverse of the hand-written [`Serialize`]: restores the accumulated
-/// data fields and leaves the ECDF caches cold, so serializing a restored
-/// accumulator reproduces the original bytes exactly. This is what lets
-/// checkpointed chunk partials resume byte-identically (rwc-harness).
-impl Deserialize for FleetAccumulator {
-    fn from_content(content: &Content) -> Result<Self, serde::DeError> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::DeError::expected("map", "FleetAccumulator"))?;
-        Ok(Self {
-            hdr_widths: Deserialize::from_content(serde::map_field(map, "hdr_widths"))?,
-            ranges: Deserialize::from_content(serde::map_field(map, "ranges"))?,
-            feasible_caps: Deserialize::from_content(serde::map_field(map, "feasible_caps"))?,
-            gains: Deserialize::from_content(serde::map_field(map, "gains"))?,
-            per_rung: Deserialize::from_content(serde::map_field(map, "per_rung"))?,
-            hdr_width_ecdf: OnceLock::new(),
-            range_ecdf: OnceLock::new(),
-            feasible_capacity_ecdf: OnceLock::new(),
-        })
     }
 }
 
@@ -511,8 +456,6 @@ mod tests {
         s1.extend([0.2, 0.2, 0.2]);
         acc.push(&LinkAnalysis::new(&trace(s1), &table));
         acc.push(&LinkAnalysis::new(&trace(vec![8.4; 100]), &table));
-        // Touch an ECDF cache: derived state must not leak into the bytes.
-        let _ = acc.hdr_width_ecdf();
         let json = serde_json::to_string(&acc).unwrap();
         let back: FleetAccumulator = serde_json::from_str(&json).expect("round trip");
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
@@ -521,6 +464,15 @@ mod tests {
         assert_eq!(
             back.failure_durations_hours(Modulation::DpQpsk100),
             acc.failure_durations_hours(Modulation::DpQpsk100)
+        );
+    }
+
+    #[test]
+    fn accumulator_serializes_its_fields_in_declaration_order() {
+        // The checkpoint format: field names and order are part of it.
+        assert_eq!(
+            serde_json::to_string(&FleetAccumulator::new()).unwrap(),
+            r#"{"hdr_widths":[],"ranges":[],"feasible_caps":[],"gains":[],"per_rung":[]}"#
         );
     }
 
