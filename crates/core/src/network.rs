@@ -404,6 +404,7 @@ impl DynamicCapacityNetwork {
                 // rate).
                 translation.upgrades = committed;
                 translation.real_edge_flows = plan.interim.edge_flows.clone();
+                translation.routed = plan.interim.routed.clone();
                 throughput = plan.interim.total;
             }
             Some(plan)
@@ -538,6 +539,29 @@ mod tests {
         assert!(round.update_plan.is_none());
         assert_eq!(round.reconfig_downtime, SimDuration::ZERO);
         assert!((round.gain()).abs() < 0.01);
+    }
+
+    #[test]
+    fn a_rolled_back_round_reports_the_interim_per_commodity() {
+        for algorithm in [&SwanTe::default() as &dyn TeAlgorithm, &rwc_te::TeSolver::default()] {
+            let mut net = fig7_network();
+            net.controller = Controller::new(
+                ControllerConfig { max_retries: 0, ..ControllerConfig::default() },
+                net.wan.n_links(),
+                1,
+            );
+            net.inject_bvt_fault(LinkId(0), BvtFault::RelockFailure);
+            let demands = fig7_demands(net.wan(), 180.0);
+            let round = net.te_round(&demands, algorithm, SimTime::EPOCH);
+            assert_eq!(round.rolled_back, 1, "{}", algorithm.name());
+            let routed: f64 = round.translation.routed.iter().sum();
+            assert!(
+                (routed - round.throughput).abs() < 1e-6,
+                "{}: routed {routed} vs throughput {}",
+                algorithm.name(),
+                round.throughput
+            );
+        }
     }
 
     #[test]

@@ -288,8 +288,9 @@ impl ScenarioBuilder {
     /// Validates the wiring and binds the scenario.
     ///
     /// The fleet must provide at least as many telemetry streams as the
-    /// topology has links (WAN link `i` replays stream `i`), and the TE
-    /// interval must be a whole number of telemetry ticks.
+    /// topology has links (WAN link `i` replays stream `i`), the TE
+    /// interval must be a positive whole number of telemetry ticks, and
+    /// the controller's upgrade margin must be non-negative.
     pub fn build(self) -> Result<Scenario, RwcError> {
         let Self { wan, fleet, demands, config, obs } = self;
         if fleet.n_links() < wan.n_links() {
@@ -300,12 +301,20 @@ impl ScenarioBuilder {
             )));
         }
         if fleet.tick == SimDuration::ZERO
+            || config.te_interval == SimDuration::ZERO
             || !config.te_interval.as_millis().is_multiple_of(fleet.tick.as_millis())
         {
             return Err(RwcError::Config(format!(
                 "TE interval ({} ms) must be a whole number of telemetry ticks ({} ms)",
                 config.te_interval.as_millis(),
                 fleet.tick.as_millis()
+            )));
+        }
+        // NaN fails too: `Controller::new` asserts `>= 0.0`.
+        let margin = config.controller.upgrade_margin.value();
+        if margin.is_nan() || margin < 0.0 {
+            return Err(RwcError::Config(format!(
+                "upgrade margin ({margin} dB) must be non-negative"
             )));
         }
         let gen = FleetGenerator::new(fleet);
@@ -811,6 +820,24 @@ mod tests {
         assert_eq!(report.outage_link_ticks, 24);
         assert_eq!(report.correlated_outage_link_ticks, 0);
         assert_eq!(report.independent_outage_link_ticks, 24);
+    }
+
+    #[test]
+    fn build_rejects_wiring_that_cannot_run() {
+        let mut configs =
+            vec![ScenarioConfig { te_interval: SimDuration::ZERO, ..ScenarioConfig::default() }];
+        for margin in [f64::NAN, -0.5] {
+            let mut config = ScenarioConfig::default();
+            config.controller.upgrade_margin = Db(margin);
+            configs.push(config);
+        }
+        for config in configs {
+            let wan = builders::fig7_example();
+            let fleet =
+                FleetConfig { n_fibers: 1, wavelengths_per_fiber: 4, ..FleetConfig::paper() };
+            let built = Scenario::builder(wan, fleet, DemandMatrix::new()).config(config).build();
+            assert!(matches!(built, Err(RwcError::Config(_))), "{:?}", built.err());
+        }
     }
 
     #[test]

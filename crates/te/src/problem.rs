@@ -153,6 +153,14 @@ pub enum TeValidationError {
         /// What `routed` actually sums to.
         routed_sum: f64,
     },
+    /// A node's net outflow differs (beyond tolerance) from the volume
+    /// its commodities inject there: routed out of sources, into sinks.
+    Imbalance {
+        /// Offending node.
+        node: usize,
+        /// Net outflow minus injected volume.
+        excess: f64,
+    },
 }
 
 impl fmt::Display for TeValidationError {
@@ -172,6 +180,9 @@ impl fmt::Display for TeValidationError {
             }
             TeValidationError::TotalMismatch { total, routed_sum } => {
                 write!(f, "total {total} but routed sums to {routed_sum}")
+            }
+            TeValidationError::Imbalance { node, excess } => {
+                write!(f, "node {node}: net outflow off its routed volume by {excess}")
             }
         }
     }
@@ -213,6 +224,26 @@ impl TeSolution {
         let declared: f64 = self.routed.iter().sum();
         if (declared - self.total).abs() > 1e-6 {
             return Err(TeValidationError::TotalMismatch { total: self.total, routed_sum: declared });
+        }
+        // Per node: (excess, volume through it), the tolerance scaling
+        // with the volume.
+        let mut balance = vec![(0.0, 0.0); problem.net.n_nodes()];
+        let mut shift = |node: usize, by: f64| {
+            balance[node].0 += by;
+            balance[node].1 += by.abs();
+        };
+        for (&f, e) in self.edge_flows.iter().zip(problem.net.edges()) {
+            shift(e.from, f);
+            shift(e.to, -f);
+        }
+        for (&r, c) in self.routed.iter().zip(&problem.commodities) {
+            shift(c.source, -r);
+            shift(c.sink, r);
+        }
+        for (node, &(excess, volume)) in balance.iter().enumerate() {
+            if excess.abs() > 1e-6 * (1.0 + volume) {
+                return Err(TeValidationError::Imbalance { node, excess });
+            }
         }
         Ok(())
     }
@@ -328,6 +359,12 @@ mod tests {
         assert_eq!(
             sol.validate(&p),
             Err(TeValidationError::TotalMismatch { total: 41.0, routed_sum: 40.0 })
+        );
+        // Routed volume with no flow carrying it leaves its source short.
+        let sol = TeSolution { routed: vec![50.0], edge_flows: vec![0.0; m], total: 50.0 };
+        assert_eq!(
+            sol.validate(&p),
+            Err(TeValidationError::Imbalance { node: a.0, excess: -50.0 })
         );
         let msg = TeValidationError::TotalMismatch { total: 41.0, routed_sum: 40.0 }.to_string();
         assert!(msg.contains("41") && msg.contains("40"), "{msg}");

@@ -3,8 +3,11 @@
 //! §4.2(ii): a flow that may be rerouted but not disrupted is handled with
 //! the consistent-updates toolkit — identify the links to be updated `E_U`,
 //! drain them (recompute TE with their capacity reduced), apply the
-//! reconfiguration, then move to the final allocation. This module builds
-//! that three-step plan and accounts for the churn each step causes.
+//! reconfiguration, then move to the final allocation. Only the first step
+//! needs a solve: by Theorem 1 the final allocation is the translated flow
+//! of the augmented problem, which the caller already holds. This module
+//! solves the drained (interim) allocation and accounts for the churn of
+//! moving into it.
 //!
 //! The drain capacity depends on the BVT procedure: the *legacy* procedure
 //! takes the link fully down (~68 s), so the interim state must treat it
@@ -27,29 +30,18 @@ pub struct CapacityChange {
     pub to: Modulation,
 }
 
-/// A three-step consistent-update plan.
+/// The drain step of a consistent-update plan. The final allocation is
+/// not part of it: it is the translated flow the plan was made for.
 #[derive(Debug, Clone)]
 pub struct UpdatePlan {
     /// Allocation while the changing links are drained/reduced.
     pub interim: TeSolution,
-    /// Allocation after all changes are applied.
-    pub final_solution: TeSolution,
     /// Traffic moved entering the interim state.
     pub churn_into_interim: f64,
-    /// Traffic moved from interim to final.
-    pub churn_into_final: f64,
-    /// Throughput lost during the interim relative to the final state.
-    pub interim_throughput_gap: f64,
 }
 
-impl UpdatePlan {
-    /// Total traffic moved across both transitions.
-    pub fn total_churn(&self) -> f64 {
-        self.churn_into_interim + self.churn_into_final
-    }
-}
-
-/// Builds a consistent-update plan for a set of capacity changes.
+/// Builds a consistent-update plan for a set of capacity changes with one
+/// solve, of the interim problem.
 ///
 /// `current` is the allocation in force before the update (used for churn
 /// accounting of the first transition); pass `None` to start from an idle
@@ -86,23 +78,9 @@ pub fn try_plan_capacity_changes(
     }
     let interim = algorithm.try_solve(&interim_problem)?;
 
-    // Final problem: changes applied.
-    let mut final_wan = wan.clone();
-    for change in changes {
-        final_wan.set_modulation(change.link, change.to);
-    }
-    let final_problem = TeProblem::from_wan(&final_wan, demands);
-    let final_solution = algorithm.try_solve(&final_problem)?;
-
     let zero = vec![0.0; interim.edge_flows.len()];
     let before = current.map(|s| s.edge_flows.as_slice()).unwrap_or(&zero);
-    Ok(UpdatePlan {
-        churn_into_interim: churn(before, &interim.edge_flows),
-        churn_into_final: churn(&interim.edge_flows, &final_solution.edge_flows),
-        interim_throughput_gap: (final_solution.total - interim.total).max(0.0),
-        interim,
-        final_solution,
-    })
+    Ok(UpdatePlan { churn_into_interim: churn(before, &interim.edge_flows), interim })
 }
 
 #[cfg(test)]
@@ -112,6 +90,7 @@ mod tests {
     use crate::swan::SwanTe;
     use rwc_topology::builders;
     use rwc_util::units::Gbps;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup() -> (WanTopology, DemandMatrix, CapacityChange) {
         let wan = builders::fig7_example();
@@ -123,7 +102,36 @@ mod tests {
         (wan, dm, CapacityChange { link: LinkId(0), to: Modulation::Dp16Qam200 })
     }
 
-    use rwc_topology::wan::LinkId;
+    /// Throughput of the final state: every change applied.
+    fn final_total(
+        wan: &WanTopology,
+        dm: &DemandMatrix,
+        changes: &[CapacityChange],
+        algo: &dyn TeAlgorithm,
+    ) -> f64 {
+        let mut upgraded = wan.clone();
+        for change in changes {
+            upgraded.set_modulation(change.link, change.to);
+        }
+        algo.try_solve(&TeProblem::from_wan(&upgraded, dm)).expect("TE solve").total
+    }
+
+    /// Counts the solves it forwards.
+    struct Counting<'a> {
+        inner: &'a dyn TeAlgorithm,
+        solves: AtomicUsize,
+    }
+
+    impl TeAlgorithm for Counting<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn try_solve(&self, problem: &TeProblem) -> Result<TeSolution, TeError> {
+            self.solves.fetch_add(1, Ordering::Relaxed);
+            self.inner.try_solve(problem)
+        }
+    }
 
     #[test]
     fn hitless_keeps_interim_throughput() {
@@ -135,7 +143,7 @@ mod tests {
         // still routes (100 direct + detour).
         assert!(plan.interim.total > 110.0, "interim={}", plan.interim.total);
         // Final: 200 G direct link satisfies everything.
-        assert!((plan.final_solution.total - 120.0).abs() < 2.0);
+        assert!((final_total(&wan, &dm, &[change], &algo) - 120.0).abs() < 2.0);
     }
 
     #[test]
@@ -153,7 +161,11 @@ mod tests {
             legacy.interim.total,
             hitless.interim.total
         );
-        assert!(legacy.interim_throughput_gap > hitless.interim_throughput_gap);
+        // So the legacy procedure loses more throughput on the way to the
+        // same final state.
+        let final_total = final_total(&wan, &dm, &[change], &algo);
+        let gap = |interim: f64| (final_total - interim).max(0.0);
+        assert!(gap(legacy.interim.total) > gap(hitless.interim.total));
     }
 
     #[test]
@@ -164,13 +176,10 @@ mod tests {
         let current = algo.try_solve(&TeProblem::from_wan(&wan, &dm)).expect("TE solve");
         let plan = try_plan_capacity_changes(&wan, &dm, &[change], &algo, true, Some(&current))
             .expect("plan");
-        assert!(plan.total_churn() >= 0.0);
-        assert_eq!(
-            plan.total_churn(),
-            plan.churn_into_interim + plan.churn_into_final
-        );
+        assert!(plan.churn_into_interim >= 0.0);
+        assert_eq!(plan.churn_into_interim, churn(&current.edge_flows, &plan.interim.edge_flows));
         // Final state routes at least as much as the start.
-        assert!(plan.final_solution.total >= current.total - 1e-6);
+        assert!(final_total(&wan, &dm, &[change], &algo) >= current.total - 1e-6);
     }
 
     #[test]
@@ -184,7 +193,23 @@ mod tests {
         let plan = try_plan_capacity_changes(&wan, &dm, &changes, &algo, false, None).expect("plan");
         // Both links dark in the interim: solution must still validate.
         assert!(plan.interim.total >= 0.0);
-        assert!(plan.final_solution.total >= plan.interim.total);
+        assert!(final_total(&wan, &dm, &changes, &algo) >= plan.interim.total);
+    }
+
+    #[test]
+    fn a_plan_makes_one_solve() {
+        let (wan, dm, _) = setup();
+        let swan = SwanTe::default();
+        let algo = Counting { inner: &swan, solves: AtomicUsize::new(0) };
+        let changes = [
+            CapacityChange { link: LinkId(0), to: Modulation::Dp16Qam200 },
+            CapacityChange { link: LinkId(1), to: Modulation::Hybrid175 },
+        ];
+        for (n, hitless) in [(1, true), (2, false)] {
+            try_plan_capacity_changes(&wan, &dm, &changes[..n], &algo, hitless, None)
+                .expect("plan");
+        }
+        assert_eq!(algo.solves.load(Ordering::Relaxed), 2, "one solve per plan");
     }
 
     #[test]

@@ -323,8 +323,8 @@ proptest! {
     /// Update-plan safety: the interim allocation is feasible with every
     /// changing link at its transition capacity (the lesser of the two
     /// rates when hitless, 0 under the legacy procedure) — so it is safe
-    /// whichever changes land — and the final allocation is feasible on
-    /// the changed WAN and routes no less than the interim.
+    /// whichever changes land. The final allocation is the caller's
+    /// translated flow (Theorem 1); the plan does not solve it.
     #[test]
     fn update_plan_interim_fits_every_transition(
         (wan, dm, changes) in arb_plan_case(),
@@ -335,12 +335,10 @@ proptest! {
         ).expect("plan");
 
         let mut transition = TeProblem::from_wan(&wan, &dm);
-        let mut changed = wan.clone();
         for c in &changes {
             let old = wan.link(c.link).capacity().value();
             let cap = if hitless { old.min(c.to.capacity().value()) } else { 0.0 };
             transition.override_link_capacity(c.link, cap);
-            changed.set_modulation(c.link, c.to);
             for e in [2 * c.link.0, 2 * c.link.0 + 1] {
                 let flow = plan.interim.edge_flows[e];
                 prop_assert!(flow <= cap + 1e-6,
@@ -349,12 +347,7 @@ proptest! {
         }
         let interim = plan.interim.validate(&transition);
         prop_assert!(interim.is_ok(), "interim: {interim:?}");
-        let final_check = plan.final_solution.validate(&TeProblem::from_wan(&changed, &dm));
-        prop_assert!(final_check.is_ok(), "final: {final_check:?}");
-        prop_assert!(plan.final_solution.total >= plan.interim.total - 1e-6,
-            "final {} below interim {}", plan.final_solution.total, plan.interim.total);
-        for churn in [plan.churn_into_interim, plan.churn_into_final] {
-            prop_assert!(churn.is_finite() && churn >= 0.0, "churn {churn}");
-        }
+        let churn = plan.churn_into_interim;
+        prop_assert!(churn.is_finite() && churn >= 0.0, "churn {churn}");
     }
 }

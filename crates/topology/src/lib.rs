@@ -5,9 +5,7 @@
 //! The paper's abstraction operates on an IP-layer topology whose links are
 //! optical wavelengths (one wavelength = one IP link). This crate provides:
 //!
-//! - [`graph`]: a minimal directed **multigraph** — parallel edges are
-//!   first-class because Algorithm 1's fake links are exactly parallel
-//!   edges next to their real counterparts;
+//! - [`graph`]: the [`NodeId`] every layer indexes sites by;
 //! - [`wan`]: the WAN model: named sites, fiber cables, and wavelength
 //!   links with lengths, SNR and current modulation;
 //! - [`builders`]: hard-coded research topologies (Abilene, a B4-like
@@ -28,5 +26,5 @@ pub mod paths;
 pub mod random;
 pub mod wan;
 
-pub use graph::{EdgeId, Graph, NodeId};
+pub use graph::NodeId;
 pub use wan::{WanLink, WanNode, WanTopology};

@@ -71,16 +71,6 @@ impl WanLink {
     }
 }
 
-/// Payload of the directed expansion produced by `WanTopology::to_graph`.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct DirectedLink {
-    /// The undirected link this edge came from.
-    pub link: LinkId,
-    /// Capacity in the edge's direction.
-    pub capacity: Gbps,
-}
-
 /// A wide-area network topology.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct WanTopology {
@@ -184,25 +174,25 @@ impl WanTopology {
         self.links.iter().map(WanLink::capacity).sum()
     }
 
-    /// Expands to a directed multigraph: two directed edges per link.
-    #[cfg(test)]
-    pub(crate) fn to_graph(&self) -> crate::graph::Graph<WanNode, DirectedLink> {
-        let mut g = crate::graph::Graph::new();
-        for n in &self.nodes {
-            g.add_node(n.clone());
-        }
-        for (id, l) in self.links() {
-            let payload = DirectedLink { link: id, capacity: l.capacity() };
-            g.add_edge(l.a, l.b, payload);
-            g.add_edge(l.b, l.a, payload);
-        }
-        g
-    }
-
     /// True if the topology is one connected component.
     #[cfg(test)]
     pub(crate) fn is_connected(&self) -> bool {
-        self.to_graph().is_connected_undirected()
+        let mut reached = vec![false; self.nodes.len()];
+        if let Some(first) = reached.first_mut() {
+            *first = true;
+        }
+        // Sweep the links until no link reaches a new node.
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for (_, l) in self.links() {
+                if reached[l.a.0] != reached[l.b.0] {
+                    (reached[l.a.0], reached[l.b.0]) = (true, true);
+                    grew = true;
+                }
+            }
+        }
+        reached.into_iter().all(|r| r)
     }
 
     /// Serialises to JSON.
@@ -270,20 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn directed_expansion() {
-        let (wan, a, b, l) = two_node();
-        let g = wan.to_graph();
-        assert_eq!(g.n_nodes(), 2);
-        assert_eq!(g.n_edges(), 2);
-        let forward = g.edges_between(a, b);
-        let backward = g.edges_between(b, a);
-        assert_eq!(forward.len(), 1);
-        assert_eq!(backward.len(), 1);
-        assert_eq!(g.edge(forward[0]).payload.link, l);
-        assert_eq!(g.edge(forward[0]).payload.capacity, Gbps(100.0));
-    }
-
-    #[test]
     fn opposite_endpoint() {
         let (wan, a, b, l) = two_node();
         assert_eq!(wan.link(l).opposite(a), b);
@@ -320,6 +296,7 @@ mod tests {
         disc.add_node("X", None);
         disc.add_node("Y", None);
         assert!(!disc.is_connected());
+        assert!(WanTopology::new().is_connected());
     }
 
     #[test]

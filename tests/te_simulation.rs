@@ -112,11 +112,18 @@ fn consistent_updates_bound_interim_damage() {
     // Hitless: the interim keeps the link alive, so it cannot do worse
     // than the drained interim.
     assert!(hitless.interim.total >= legacy.interim.total - 1.0);
-    // Both end in the same final state.
-    assert!((hitless.final_solution.total - legacy.final_solution.total).abs() < 1.0);
+    // Both end in the same final state, the upgraded WAN's allocation,
+    // and neither interim routes more than it.
+    let mut upgraded = wan.clone();
+    upgraded.set_modulation(link, change.to);
+    let final_total =
+        algo.try_solve(&TeProblem::from_wan(&upgraded, &dm)).expect("TE solve").total;
+    for interim in [&hitless.interim, &legacy.interim] {
+        assert!(interim.total <= final_total + 1e-6, "interim {} above final", interim.total);
+    }
     // Churn is accounted and finite.
-    assert!(hitless.total_churn().is_finite());
-    assert!(legacy.total_churn() >= 0.0);
+    assert!(hitless.churn_into_interim.is_finite());
+    assert!(legacy.churn_into_interim >= 0.0);
 }
 
 #[test]
