@@ -96,9 +96,7 @@ impl ServeConfig {
         if self.queue_capacity == 0 {
             return Err(ServeError::Config("queue_capacity must be at least 1".into()));
         }
-        if self.n_links() == 0 {
-            return Err(ServeError::Config("fleet has no links".into()));
-        }
+        self.fleet.validate().map_err(ServeError::Config)?;
         if self.controller.table.entries().is_empty() {
             return Err(ServeError::Config("modulation table has no rungs".into()));
         }
@@ -125,6 +123,7 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rwc_util::time::SimDuration;
 
     #[test]
     fn small_config_validates() {
@@ -149,5 +148,28 @@ mod tests {
         c.checkpoint =
             Some(ServeCheckpointConfig { dir: std::env::temp_dir(), every_links: 0 });
         assert!(matches!(c.validate(), Err(ServeError::Config(_))));
+        // Fleets the generator would panic on, in the caller or in every
+        // shard's first link.
+        type Breakage = (&'static str, fn(&mut FleetConfig));
+        let fleets: [Breakage; 13] = [
+            ("zero tick", |f| f.tick = SimDuration::ZERO),
+            ("horizon below a tick", |f| f.horizon = SimDuration::from_millis(1)),
+            ("noisy fraction 2.0", |f| f.noisy_link_fraction = 2.0),
+            ("noisy fraction -0.1", |f| f.noisy_link_fraction = -0.1),
+            ("noisy fraction NaN", |f| f.noisy_link_fraction = f64::NAN),
+            ("clamp reversed", |f| f.baseline_clamp_db = (17.0, 8.0)),
+            ("clamp NaN", |f| f.baseline_clamp_db = (f64::NAN, 17.0)),
+            ("negative quiet sigma", |f| f.quiet_sigma_db = -0.35),
+            ("negative noisy sigma", |f| f.noisy_sigma_db = (-1.2, -0.55)),
+            ("NaN noisy sigma", |f| f.noisy_sigma_db = (0.55, f64::NAN)),
+            ("infinite jitter", |f| f.wavelength_jitter_sd_db = f64::INFINITY),
+            ("negative event rate", |f| f.deep_dip_rate = -0.8),
+            ("NaN event rate", |f| f.fiber_cut_rate = f64::NAN),
+        ];
+        for (what, break_fleet) in fleets {
+            let mut c = ServeConfig::small();
+            break_fleet(&mut c.fleet);
+            assert!(matches!(c.validate(), Err(ServeError::Config(_))), "{what}");
+        }
     }
 }

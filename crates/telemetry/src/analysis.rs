@@ -21,6 +21,7 @@
 use crate::hdr::{Hdr, PAPER_COVERAGE};
 use crate::trace::SnrTrace;
 use rwc_optics::{Modulation, ModulationTable};
+pub(crate) use rwc_util::simd::GRID_BINS;
 use rwc_util::stats::Ecdf;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::{Db, Gbps};
@@ -38,19 +39,13 @@ pub struct FailureEpisode {
     pub floor: Db,
 }
 
-/// Bins on the 0.1 dB instrument grid: 0.0 to 63.9 dB.
-pub(crate) const GRID_BINS: usize = 640;
-
 /// The grid bin of a reading, `min(⌊10·v + 0.5⌋, 639)`: the nearest
 /// 0.1 dB step, halves rounding up. NaN and negatives land in bin 0.
+/// One definition ([`rwc_util::simd::grid_bin`]) serves this oracle and
+/// the vector binning the fleet kernel runs.
 #[inline]
 pub fn grid_bin(v: f64) -> usize {
-    // Clamped by comparisons (NaN fails `> 0`), so the cast never
-    // saturates and compiles to one conversion.
-    let x = 10.0 * v + 0.5;
-    let x = if x > 0.0 { x } else { 0.0 };
-    let x = if x < (GRID_BINS - 1) as f64 { x } else { (GRID_BINS - 1) as f64 };
-    x as u32 as usize
+    rwc_util::simd::grid_bin(v) as usize
 }
 
 /// The SNR a grid bin stands for.

@@ -123,6 +123,53 @@ impl FleetConfig {
         self.n_fibers * self.wavelengths_per_fiber
     }
 
+    /// Refuses a fleet the generator cannot sample: an empty fleet, a zero
+    /// tick or a horizon shorter than one, a noisy fraction outside
+    /// `[0, 1]`, an unordered baseline clamp, a non-finite baseline mean,
+    /// and a spread (every standard deviation and OU sigma) or an event
+    /// rate that is negative or not finite. NaN fails every check. Each
+    /// of these would otherwise panic or loop while the first link is
+    /// generated. (The OU relaxation is a fixed six hours, not a field.)
+    pub fn validate(&self) -> Result<(), String> {
+        let non_negative = |name: &str, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{name} must be finite and non-negative, got {v}"))
+            }
+        };
+        if self.n_links() == 0 {
+            return Err("fleet has no links".into());
+        }
+        if self.tick == SimDuration::ZERO {
+            return Err("tick must be positive".into());
+        }
+        if self.horizon < self.tick {
+            return Err("horizon shorter than a tick".into());
+        }
+        if !(0.0..=1.0).contains(&self.noisy_link_fraction) {
+            return Err(format!("noisy_link_fraction {} outside [0, 1]", self.noisy_link_fraction));
+        }
+        let (lo, hi) = self.baseline_clamp_db;
+        if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
+            return Err(format!("baseline_clamp_db ({lo}, {hi}) is not an ordered range"));
+        }
+        if !self.fiber_baseline_mean_db.is_finite() {
+            return Err("fiber_baseline_mean_db must be finite".into());
+        }
+        non_negative("fiber_baseline_sd_db", self.fiber_baseline_sd_db)?;
+        non_negative("wavelength_jitter_sd_db", self.wavelength_jitter_sd_db)?;
+        non_negative("quiet_sigma_db", self.quiet_sigma_db)?;
+        non_negative("noisy_sigma_db.0", self.noisy_sigma_db.0)?;
+        non_negative("noisy_sigma_db.1", self.noisy_sigma_db.1)?;
+        non_negative("shallow_dip_rate", self.shallow_dip_rate)?;
+        non_negative("deep_dip_rate", self.deep_dip_rate)?;
+        non_negative("step_rate", self.step_rate)?;
+        non_negative("link_lol_rate", self.link_lol_rate)?;
+        non_negative("fiber_cut_rate", self.fiber_cut_rate)?;
+        non_negative("maintenance_rate", self.maintenance_rate)
+    }
+
     fn scale(&self, rate_per_paper_horizon: f64) -> f64 {
         rate_per_paper_horizon * self.horizon.as_days_f64() / PAPER_HORIZON.as_days_f64()
     }
@@ -183,12 +230,12 @@ pub struct FleetGenerator {
 }
 
 impl FleetGenerator {
-    /// Validates and wraps a configuration.
+    /// Wraps a configuration; panics if [`FleetConfig::validate`] refuses
+    /// it.
     pub fn new(config: FleetConfig) -> Self {
-        assert!(config.n_fibers > 0 && config.wavelengths_per_fiber > 0, "empty fleet");
-        assert!(config.horizon >= config.tick, "horizon shorter than a tick");
-        assert!((0.0..=1.0).contains(&config.noisy_link_fraction));
-        assert!(config.baseline_clamp_db.0 < config.baseline_clamp_db.1);
+        if let Err(why) = config.validate() {
+            panic!("invalid fleet configuration: {why}");
+        }
         let fiber_cache = Arc::new((0..config.n_fibers).map(|_| OnceLock::new()).collect());
         Self { config, fiber_cache }
     }

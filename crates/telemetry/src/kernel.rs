@@ -3,17 +3,20 @@
 //! [`LinkAnalysis::new`] is correct but wasteful on the fleet path: it
 //! needs the whole trace, bins and sorts it for the HDR, then rescans it
 //! once per modulation rung for episode detection. [`FleetKernel`]
-//! computes the identical result in **one scan that never holds the
-//! trace**:
+//! computes the identical result in **one pass per generated group that
+//! never holds the trace**:
 //!
 //! - [`FleetGenerator`] hands the kernel each group of up to four
 //!   1,024-reading blocks as soon as it is generated and event-patched;
 //!   the kernel folds the group and clears it for the next one, so a
 //!   913-day link costs the same memory as a 7-day one;
-//! - each reading becomes its bin on the 0.1 dB instrument grid
-//!   ([`grid_bin`]) and one increment of a 640-bin histogram. The sum, the
-//!   extremes and the 95% HDR come from the counts at the end
-//!   ([`hdi_of_counts`]), in integer arithmetic;
+//! - each group is first binned onto the 0.1 dB instrument grid into a
+//!   reused `u16` buffer ([`bin_grid`], eight readings per vector on
+//!   AVX-512, the same bins as
+//!   [`grid_bin`](crate::analysis::grid_bin) everywhere); each bin is then
+//!   one increment of a 640-bin histogram. The sum, the extremes and the
+//!   95% HDR come from the counts at the end ([`hdi_of_counts`]), in
+//!   integer arithmetic;
 //! - failure episodes for **all** rungs come out of the same scan: the
 //!   threshold ladder is strictly ascending, so the rungs a reading fails
 //!   are always the suffix `f..R` of the ladder. A per-bin table holds `f`,
@@ -29,13 +32,14 @@
 //! by the byte-identity tests in `tests/kernel_equivalence.rs`, which run
 //! at the paper's 913-day length — but no fleet path calls it.
 
-use crate::analysis::{grid_bin, grid_db, FailureEpisode, LinkAnalysis, GRID_BINS};
+use crate::analysis::{grid_db, FailureEpisode, LinkAnalysis, GRID_BINS};
 use crate::generator::FleetGenerator;
 use crate::hdr::{Hdr, PAPER_COVERAGE};
 use crate::process::BatchScratch;
 use crate::trace::SnrTrace;
 use rwc_obs::{Event as ObsEvent, Observer};
 use rwc_optics::{Modulation, ModulationTable};
+use rwc_util::simd::bin_grid;
 use rwc_util::stats::hdi_of_counts;
 use rwc_util::time::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -69,10 +73,11 @@ pub struct FleetKernel {
     /// Time of the link's first reading and the reading interval.
     start: SimTime,
     tick: SimDuration,
-    /// Generation scratch (innovation block, event segments) and the
-    /// block of readings being folded, reused across links.
+    /// Generation scratch (innovation block, event segments), the block
+    /// of readings being folded and its grid bins, reused across links.
     batch_scratch: BatchScratch,
     block: Vec<f64>,
+    bins: Vec<u16>,
     /// Observability hooks (episode events, fleet counters).
     obs: Arc<dyn Observer>,
     /// The link id stamped on emitted episode events (set by
@@ -95,6 +100,7 @@ impl Default for FleetKernel {
             tick: SimDuration::TELEMETRY_TICK,
             batch_scratch: BatchScratch::default(),
             block: Vec::new(),
+            bins: Vec::new(),
             obs: rwc_obs::noop(),
             link: 0,
         }
@@ -173,15 +179,19 @@ impl FleetKernel {
         (self.start, self.tick) = (start, tick);
     }
 
-    /// Folds the link's next readings. A healthy reading after a healthy
-    /// one costs its increment and two comparisons; a reading that fails
-    /// the same rungs as the one before lowers the innermost floor.
+    /// Folds the link's next readings: bins them all, then walks the
+    /// bins. A healthy reading after a healthy one costs its increment and
+    /// two comparisons; a reading that fails the same rungs as the one
+    /// before lowers the innermost floor.
     fn fold(&mut self, block: &[f64]) {
         let (rungs, healthy_from) = (self.open.len(), self.healthy_from);
         let first = self.n;
         self.n += block.len();
-        for (i, &v) in block.iter().enumerate() {
-            let bin = grid_bin(v);
+        let mut bins = std::mem::take(&mut self.bins);
+        bins.resize(block.len(), 0);
+        bin_grid(block, &mut bins);
+        for (i, &bin) in bins.iter().enumerate() {
+            let bin = bin as usize;
             self.counts[bin] += 1;
             if bin >= healthy_from && self.prev_f == rungs {
                 continue;
@@ -194,6 +204,7 @@ impl FleetKernel {
                 self.step(f, bin, first + i);
             }
         }
+        self.bins = bins;
     }
 
     /// Moves the ladder from `prev_f` to `f ≠ prev_f`, the first rung that

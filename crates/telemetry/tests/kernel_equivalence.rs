@@ -144,6 +144,41 @@ proptest! {
     }
 }
 
+/// The vector binning takes eight readings per vector and the scalar
+/// definition the rest, so shorter traces never reach it: every edge
+/// reading of `grid_edge_samples` — each half step, each threshold of the
+/// paper's ladder, negatives, −0.0, ±subnormals, ±`f64::MAX`, readings at
+/// and past 64 dB — sits at each lane 0–7 of the first vector of an
+/// 8-reading trace and of the second vector of a 17-reading one.
+#[test]
+fn grid_edges_in_every_lane_are_byte_identical() {
+    let paper = ModulationTable::paper_default();
+    let thresholds: Vec<f64> = paper.entries().iter().map(|(_, t)| t.value()).collect();
+    let edges: Vec<f64> = (0..640)
+        .map(|step| step as f64 / 10.0 + 0.05)
+        .chain(thresholds)
+        .chain([-0.0, 0.0, -0.05, -3.0, 5e-324, -5e-324, f64::MIN_POSITIVE, -f64::MIN_POSITIVE])
+        .chain([f64::MAX, f64::MIN, 63.9, 63.94, 63.95, 64.0, 75.0, 1e300])
+        .collect();
+    let mut kernel = FleetKernel::new();
+    for table in [paper, ModulationTable::with_margin(Db(0.37))] {
+        for &v in &edges {
+            for lane in 0..8 {
+                for (len, at) in [(8, lane), (17, 8 + lane)] {
+                    let mut samples: Vec<f64> = (0..len).map(|i| 10.5 + 0.3 * i as f64).collect();
+                    samples[at] = v;
+                    let trace = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, samples);
+                    assert_eq!(
+                        serde_json::to_string(&kernel.analyze_trace(&trace, &table)).expect("fused serializes"),
+                        serde_json::to_string(&LinkAnalysis::new(&trace, &table)).expect("oracle serializes"),
+                        "{v:e} at index {at} of {len}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Fused and oracle analyses of `samples` serialize to the same bytes.
 fn assert_fused_matches_oracle(samples: Vec<f64>, what: &str) {
     let trace = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, samples);

@@ -14,9 +14,10 @@
 //!   and failure generators must be bit-reproducible across machines and
 //!   crate upgrades, so the generators and all distributions are implemented
 //!   here rather than pulled from `rand_distr`.
-//! - [`simd`]: vectorized bulk-sampling kernels (runtime-dispatched
-//!   AVX2/SSE2 with a bit-identical scalar fallback) for the batch
-//!   generation pipeline.
+//! - [`simd`]: vectorized batch kernels, runtime-dispatched with
+//!   bit-identical scalar definitions: the normal fill of the batch
+//!   generation pipeline (AVX-512, AVX2) and the 0.1 dB grid binning of
+//!   the fleet analysis (AVX-512).
 //! - [`time`]: a simulated clock. Nothing in the workspace reads wall-clock
 //!   time; every experiment is replayable.
 //! - [`units`]: strongly typed decibels ([`units::Db`]) and capacities
