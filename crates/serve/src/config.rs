@@ -151,7 +151,7 @@ mod tests {
         // Fleets the generator would panic on, in the caller or in every
         // shard's first link.
         type Breakage = (&'static str, fn(&mut FleetConfig));
-        let fleets: [Breakage; 13] = [
+        let fleets: [Breakage; 14] = [
             ("zero tick", |f| f.tick = SimDuration::ZERO),
             ("horizon below a tick", |f| f.horizon = SimDuration::from_millis(1)),
             ("noisy fraction 2.0", |f| f.noisy_link_fraction = 2.0),
@@ -159,6 +159,7 @@ mod tests {
             ("noisy fraction NaN", |f| f.noisy_link_fraction = f64::NAN),
             ("clamp reversed", |f| f.baseline_clamp_db = (17.0, 8.0)),
             ("clamp NaN", |f| f.baseline_clamp_db = (f64::NAN, 17.0)),
+            ("clamp narrower than 1 dB", |f| f.baseline_clamp_db = (8.0, 8.5)),
             ("negative quiet sigma", |f| f.quiet_sigma_db = -0.35),
             ("negative noisy sigma", |f| f.noisy_sigma_db = (-1.2, -0.55)),
             ("NaN noisy sigma", |f| f.noisy_sigma_db = (0.55, f64::NAN)),

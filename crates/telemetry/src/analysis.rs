@@ -21,7 +21,7 @@
 use crate::hdr::{Hdr, PAPER_COVERAGE};
 use crate::trace::SnrTrace;
 use rwc_optics::{Modulation, ModulationTable};
-pub(crate) use rwc_util::simd::GRID_BINS;
+use rwc_util::simd::grid_bin;
 use rwc_util::stats::Ecdf;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::{Db, Gbps};
@@ -37,15 +37,6 @@ pub struct FailureEpisode {
     pub duration: SimDuration,
     /// Lowest SNR observed during the episode — Fig. 4c's x-axis.
     pub floor: Db,
-}
-
-/// The grid bin of a reading, `min(⌊10·v + 0.5⌋, 639)`: the nearest
-/// 0.1 dB step, halves rounding up. NaN and negatives land in bin 0.
-/// One definition ([`rwc_util::simd::grid_bin`]) serves this oracle and
-/// the vector binning the fleet kernel runs.
-#[inline]
-pub fn grid_bin(v: f64) -> usize {
-    rwc_util::simd::grid_bin(v) as usize
 }
 
 /// The SNR a grid bin stands for.
@@ -115,7 +106,7 @@ impl LinkAnalysis {
     /// bins' narrowest window, and episodes are found in the trace of
     /// grid values.
     pub fn new(trace: &SnrTrace, table: &ModulationTable) -> Self {
-        let bins: Vec<usize> = trace.values().iter().map(|&v| grid_bin(v)).collect();
+        let bins: Vec<usize> = trace.values().iter().map(|&v| grid_bin(v) as usize).collect();
         let readings = SnrTrace::new(
             trace.start(),
             trace.tick(),

@@ -125,7 +125,8 @@ impl FleetConfig {
 
     /// Refuses a fleet the generator cannot sample: an empty fleet, a zero
     /// tick or a horizon shorter than one, a noisy fraction outside
-    /// `[0, 1]`, an unordered baseline clamp, a non-finite baseline mean,
+    /// `[0, 1]`, a baseline clamp narrower than 1 dB (fiber baselines keep
+    /// 0.5 dB inside each edge) or unordered, a non-finite baseline mean,
     /// and a spread (every standard deviation and OU sigma) or an event
     /// rate that is negative or not finite. NaN fails every check. Each
     /// of these would otherwise panic or loop while the first link is
@@ -150,9 +151,12 @@ impl FleetConfig {
         if !(0.0..=1.0).contains(&self.noisy_link_fraction) {
             return Err(format!("noisy_link_fraction {} outside [0, 1]", self.noisy_link_fraction));
         }
+        // Fiber baselines keep 0.5 dB inside each edge, so the range must
+        // hold that inner one (NaN fails the comparison).
         let (lo, hi) = self.baseline_clamp_db;
-        if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
-            return Err(format!("baseline_clamp_db ({lo}, {hi}) is not an ordered range"));
+        let inner_range_ordered = lo + 0.5 <= hi - 0.5;
+        if !inner_range_ordered {
+            return Err(format!("baseline_clamp_db ({lo}, {hi}) is narrower than 1 dB"));
         }
         if !self.fiber_baseline_mean_db.is_finite() {
             return Err("fiber_baseline_mean_db must be finite".into());

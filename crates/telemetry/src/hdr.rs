@@ -6,8 +6,9 @@
 //! events: a link whose HDR is 1.5 dB wide but whose range is 12 dB is a
 //! stable link that suffered an outage, not a noisy link.
 
-use crate::analysis::{grid_bin, grid_db};
+use crate::analysis::grid_db;
 use crate::trace::SnrTrace;
+use rwc_util::simd::grid_bin;
 use rwc_util::stats::highest_density_interval;
 use rwc_util::units::Db;
 use serde::{Deserialize, Serialize};
@@ -52,7 +53,7 @@ impl Hdr {
     /// whole grid steps, so a 20-step HDR is exactly 2 dB (`16.4 − 14.4`
     /// in `f64` is 1.9999999999999982).
     pub fn width(&self) -> Db {
-        grid_db(grid_bin(self.high.value()) - grid_bin(self.low.value()))
+        grid_db((grid_bin(self.high.value()) - grid_bin(self.low.value())) as usize)
     }
 
     /// The lower edge — the SNR the paper encodes against in Fig. 2b

@@ -13,7 +13,7 @@
 //! - each group is first binned onto the 0.1 dB instrument grid into a
 //!   reused `u16` buffer ([`bin_grid`], eight readings per vector on
 //!   AVX-512, the same bins as
-//!   [`grid_bin`](crate::analysis::grid_bin) everywhere); each bin is then
+//!   [`grid_bin`](rwc_util::simd::grid_bin) everywhere); each bin is then
 //!   one increment of a 640-bin histogram. The sum, the extremes and the
 //!   95% HDR come from the counts at the end ([`hdi_of_counts`]), in
 //!   integer arithmetic;
@@ -32,14 +32,14 @@
 //! by the byte-identity tests in `tests/kernel_equivalence.rs`, which run
 //! at the paper's 913-day length — but no fleet path calls it.
 
-use crate::analysis::{grid_db, FailureEpisode, LinkAnalysis, GRID_BINS};
+use crate::analysis::{grid_db, FailureEpisode, LinkAnalysis};
 use crate::generator::FleetGenerator;
 use crate::hdr::{Hdr, PAPER_COVERAGE};
 use crate::process::BatchScratch;
 use crate::trace::SnrTrace;
 use rwc_obs::{Event as ObsEvent, Observer};
 use rwc_optics::{Modulation, ModulationTable};
-use rwc_util::simd::bin_grid;
+use rwc_util::simd::{bin_grid, GRID_BINS};
 use rwc_util::stats::hdi_of_counts;
 use rwc_util::time::{SimDuration, SimTime};
 use std::sync::Arc;

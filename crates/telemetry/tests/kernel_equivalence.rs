@@ -17,10 +17,11 @@
 
 use proptest::prelude::*;
 use rwc_optics::{Modulation, ModulationTable};
-use rwc_telemetry::analysis::{grid_bin, LinkAnalysis};
+use rwc_telemetry::analysis::LinkAnalysis;
 use rwc_telemetry::trace::SnrTrace;
 use rwc_telemetry::{FleetAccumulator, FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::rng::Xoshiro256;
+use rwc_util::simd::grid_bin;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::Db;
 

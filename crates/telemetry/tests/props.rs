@@ -1,9 +1,10 @@
 //! Property tests for telemetry invariants.
 
 use proptest::prelude::*;
-use rwc_telemetry::analysis::{episodes_below, grid_bin, grid_db};
+use rwc_telemetry::analysis::{episodes_below, grid_db};
 use rwc_telemetry::hdr::Hdr;
 use rwc_telemetry::trace::SnrTrace;
+use rwc_util::simd::grid_bin;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::Db;
 
@@ -40,7 +41,8 @@ proptest! {
     #[test]
     fn hdr_within_range_and_covers(trace in trace_strategy()) {
         let hdr = Hdr::paper(&trace);
-        let grid: Vec<f64> = trace.values().iter().map(|&v| grid_db(grid_bin(v)).value()).collect();
+        let grid: Vec<f64> =
+            trace.values().iter().map(|&v| grid_db(grid_bin(v) as usize).value()).collect();
         let (min, max) = grid.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
         prop_assert!(hdr.low.value() >= min && hdr.high.value() <= max);
         let inside = grid

@@ -160,8 +160,8 @@ mod x86 {
 
     /// AVX-512 path: sixteen pairs per step, as two independent 8-counter
     /// Philox chains whose rounds interleave, then eight Box–Muller pairs
-    /// per vector straight from the Philox lanes. A remainder of eight or
-    /// more pairs takes one chain; the last < 8 pairs are scalar.
+    /// per vector straight from the Philox lanes. The last < 16 pairs are
+    /// scalar.
     ///
     /// # Safety
     ///
@@ -172,7 +172,7 @@ mod x86 {
         let mut i = 0;
         while i + 16 <= n_pairs {
             let ctr = first_pair + i as u64;
-            let [(a0, b0), (a1, b1)] = philox8([ctr, ctr + 8], rng);
+            let [(a0, b0), (a1, b1)] = philox8x2(ctr, rng);
             // SAFETY: `i + 16 <= n_pairs`, so slots `2i .. 2i + 32` are in
             // bounds; each call writes sixteen f64 from its pointer.
             unsafe {
@@ -182,36 +182,31 @@ mod x86 {
             }
             i += 16;
         }
-        if i + 8 <= n_pairs {
-            let [(a, b)] = philox8([first_pair + i as u64], rng);
-            // SAFETY: `i + 8 <= n_pairs`: slots `2i .. 2i + 16` are in bounds.
-            unsafe { box_muller8(a, b, out.as_mut_ptr().add(2 * i)) };
-            i += 8;
-        }
         super::fill_scalar(rng, first_pair + i as u64, &mut out[2 * i..]);
     }
 
-    /// `N` Philox-2×64-10 chains of eight consecutive counters each, from
-    /// `ctr0[c]` on; returns each chain's `(x, y)` words, lane `l` holding
-    /// block `ctr0[c] + l`. The chains share the round keys and their
-    /// rounds interleave, so one chain's multiplies hide the other's.
+    /// Philox-2×64-10 on the sixteen counters `ctr0 .. ctr0 + 16`, as two
+    /// chains of eight: returns each chain's `(x, y)` words, lane `l` of
+    /// chain `c` holding block `ctr0 + 8c + l`. The chains share the round
+    /// keys and their rounds interleave, so one chain's multiplies hide
+    /// the other's.
     #[target_feature(enable = "avx512f,avx512dq")]
     #[inline]
-    fn philox8<const N: usize>(ctr0: [u64; N], rng: &CounterRng) -> [(__m512i, __m512i); N] {
+    fn philox8x2(ctr0: u64, rng: &CounterRng) -> [(__m512i, __m512i); 2] {
         let lanes = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-        let mut x = ctr0.map(|c| _mm512_add_epi64(_mm512_set1_epi64(c as i64), lanes));
-        let mut y = [_mm512_set1_epi64(rng.ctr_hi as i64); N];
+        let mut x = [ctr0, ctr0 + 8].map(|c| _mm512_add_epi64(_mm512_set1_epi64(c as i64), lanes));
+        let mut y = [_mm512_set1_epi64(rng.ctr_hi as i64); 2];
         let mut key = rng.key;
         for _ in 0..PHILOX_ROUNDS {
             let k = _mm512_set1_epi64(key as i64);
-            for c in 0..N {
+            for c in 0..2 {
                 let (hi, lo) = mul_wide8(x[c]);
                 x[c] = _mm512_xor_si512(_mm512_xor_si512(hi, k), y[c]);
                 y[c] = lo;
             }
             key = key.wrapping_add(PHILOX_W);
         }
-        std::array::from_fn(|c| (x[c], y[c]))
+        [(x[0], y[0]), (x[1], y[1])]
     }
 
     /// `(hi, lo)` of `PHILOX_M · x` per 64-bit lane, from the four 32×32→64
