@@ -2,79 +2,67 @@
 //!
 //! With plain augmentation a 200 G *unsplittable* flow cannot cross an
 //! upgradable 100 G link (it would have to split across the real and fake
-//! parallels). The gadget inserts intermediate vertices so a single
+//! parallels). The gadget the solver routes on under
+//! [`TeObjective::Unsplittable`] inserts intermediate vertices so a single
 //! 200 G path exists while total capacity stays capped at 200 G.
 
 use crate::{Report, Scale};
-use rwc_core::augment::{augment, AugmentConfig};
-use rwc_core::gadget::{augment_unsplittable, gadget_upgrades};
-use rwc_core::penalty::PenaltyPolicy;
-use rwc_optics::ModulationTable;
-use rwc_te::demand::DemandMatrix;
+use rwc_core::{augment, translate, AugmentConfig, PenaltyPolicy};
+use rwc_te::demand::{DemandMatrix, Priority};
+use rwc_te::{TeFormulation, TeObjective, TeSolver};
 use rwc_topology::wan::{LinkId, WanTopology};
-use rwc_util::units::Db;
+use rwc_util::units::{Db, Gbps};
 
-fn ab_wan() -> WanTopology {
+/// One A–B link at 100 G whose SNR supports 200 G, and a 200 G A→B demand.
+fn ab_setup() -> (WanTopology, DemandMatrix) {
     let mut wan = WanTopology::new();
     let a = wan.add_node("A", None);
     let b = wan.add_node("B", None);
     wan.add_link(a, b, 400.0);
     wan.set_snr(LinkId(0), Db(13.0));
-    wan
-}
-
-/// Widest single path from 0 to 1: max over paths of min edge capacity.
-fn widest_single_path(net: &rwc_flow::FlowNetwork, src: usize, dst: usize) -> f64 {
-    // Bellman-Ford-style widest path (graphs here are tiny).
-    let mut width = vec![0.0f64; net.n_nodes()];
-    width[src] = f64::INFINITY;
-    for _ in 0..net.n_nodes() {
-        let mut changed = false;
-        for e in net.edges() {
-            let through = width[e.from].min(e.capacity);
-            if through > width[e.to] {
-                width[e.to] = through;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    width[dst]
+    let mut dm = DemandMatrix::new();
+    dm.add(a, b, Gbps(200.0), Priority::Elastic);
+    (wan, dm)
 }
 
 /// Runs the experiment.
 pub fn run(_scale: Scale) -> Report {
     let mut report = Report::new("fig8", "unsplittable 200 G flow via the node-splitting gadget");
-    let wan = ab_wan();
-    let table = ModulationTable::paper_default();
-    let penalty = PenaltyPolicy::paper_example();
+    let (wan, dm) = ab_setup();
+    let cfg = AugmentConfig { penalty: PenaltyPolicy::paper_example(), ..Default::default() };
+    let aug = augment(&wan, &dm, &cfg, &[]);
 
     // Plain augmentation: parallel 100+100 edges — widest single path 100.
-    let plain = augment(&wan, &DemandMatrix::new(), &AugmentConfig::default(), &[]);
-    let plain_width = widest_single_path(&plain.problem.net, 0, 1);
+    let plain_width = rwc_flow::widest_path(&aug.problem.net, 0, 1);
     report.line(format!(
         "plain augmentation: widest single path A→B = {plain_width:.0} G \
          (a 200 G unsplittable flow is UNROUTABLE)"
     ));
 
-    // Gadget: single 200 G path exists, total still capped at 200.
-    let gp = augment_unsplittable(&wan, &DemandMatrix::new(), &table, &penalty, &[]);
-    let gadget_width = widest_single_path(&gp.problem.net, 0, 1);
-    let total = rwc_flow::max_flow(&gp.problem.net, 0, 1).value;
+    // The solver's gadget: single 200 G path exists, total still capped
+    // at 200.
+    let objective = TeObjective::Unsplittable;
+    let lowered = TeFormulation::new(objective.clone()).lower(&aug.problem).expect("lowering");
+    let net = &lowered.routing_problem().net;
+    let gadget_width = rwc_flow::widest_path(net, 0, 1);
+    let total = rwc_flow::max_flow(net, 0, 1).value;
     report.line(format!(
         "gadget: widest single path A→B = {gadget_width:.0} G, total max-flow {total:.0} G \
          (paper: single 200 G path, abstracted link stays at 200 G)"
     ));
 
-    let mc = rwc_flow::min_cost_max_flow(&gp.problem.net, 0, 1);
-    let upgrades = gadget_upgrades(&gp, &wan, &mc.flow.edge_flows);
+    let solve = TeSolver::builder()
+        .objective(objective)
+        .build()
+        .expect("unsplittable TE solver")
+        .solve_detailed(&aug.problem)
+        .expect("TE solve");
+    let tr = translate(&aug, &wan, &solve.solution).expect("translation of solver output");
     report.line(format!(
         "min-cost max-flow pays penalty {:.0} and upgrades {} link(s) to {}",
-        mc.cost,
-        upgrades.len(),
-        upgrades.first().map(|&(_, m)| m.to_string()).unwrap_or_default()
+        tr.penalty_paid,
+        tr.upgrades.len(),
+        tr.upgrades.first().map(|&(_, m)| m.to_string()).unwrap_or_default()
     ));
     report
 }
@@ -85,24 +73,20 @@ mod tests {
 
     #[test]
     fn gadget_enables_single_200g_path() {
-        let wan = ab_wan();
-        let plain = augment(&wan, &DemandMatrix::new(), &AugmentConfig::default(), &[]);
-        assert_eq!(widest_single_path(&plain.problem.net, 0, 1), 100.0);
-        let gp = augment_unsplittable(
-            &wan,
-            &DemandMatrix::new(),
-            &ModulationTable::paper_default(),
-            &PenaltyPolicy::paper_example(),
-            &[],
-        );
-        assert_eq!(widest_single_path(&gp.problem.net, 0, 1), 200.0);
-        assert_eq!(rwc_flow::max_flow(&gp.problem.net, 0, 1).value, 200.0);
+        let (wan, dm) = ab_setup();
+        let aug = augment(&wan, &dm, &AugmentConfig::default(), &[]);
+        assert_eq!(rwc_flow::widest_path(&aug.problem.net, 0, 1), 100.0);
+        let formulation = TeFormulation::new(TeObjective::Unsplittable);
+        let lowered = formulation.lower(&aug.problem).unwrap();
+        let net = &lowered.routing_problem().net;
+        assert_eq!(rwc_flow::widest_path(net, 0, 1), 200.0);
+        assert_eq!(rwc_flow::max_flow(net, 0, 1).value, 200.0);
     }
 
     #[test]
     fn report_renders() {
         let text = run(Scale::Quick).render();
         assert!(text.contains("UNROUTABLE"));
-        assert!(text.contains("200 G"));
+        assert!(text.contains("pays penalty 10000 and upgrades 1 link(s) to DP-16QAM (200G)"));
     }
 }

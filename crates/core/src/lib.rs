@@ -10,8 +10,6 @@
 //!   link whose SNR supports a higher rate, annotated `<capacity, cost>`;
 //! - [`mod@translate`]: step 3 of the Theorem 1 construction — read the TE
 //!   output back as (a) which links to upgrade and (b) the flow paths;
-//! - [`gadget`]: the Fig. 8 node-splitting construction for unsplittable
-//!   flows;
 //! - [`theorem`]: an executable check of Theorem 1 (min-cost max-flow on
 //!   the augmented graph ≡ max-flow on the dynamic-capacity graph);
 //! - [`controller`]: the run/walk/crawl policy — step links up when SNR
@@ -27,6 +25,11 @@
 //!   pinned binary-policy counterfactual;
 //! - [`predictive`]: a forecast-driven controller that walks links down
 //!   *before* the SNR crossing (extension beyond the paper).
+//!
+//! The Fig. 8 node-splitting gadget for unsplittable flows is not built
+//! here: it is how the TE layer lowers an augmented problem under
+//! `rwc_te::TeObjective::Unsplittable`, and [`translate()`] reads its
+//! upgrades like any other solve's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +37,6 @@
 pub mod augment;
 pub mod controller;
 pub mod error;
-pub mod gadget;
 pub mod network;
 pub mod penalty;
 pub mod predictive;
@@ -59,7 +61,7 @@ pub use translate::{translate, Translation};
 /// pulls in the scenario/controller/network types, their builders, the
 /// error hierarchy, and the units/time primitives every experiment needs.
 /// Experiment code should prefer this over a dozen `use` lines; anything
-/// more specialised (gadgets, theorem checks, penalty internals) is still
+/// more specialised (theorem checks, penalty internals) is still
 /// imported explicitly from its module.
 pub mod prelude {
     pub use crate::augment::AugmentConfig;

@@ -36,6 +36,7 @@ use crate::augment::AugmentConfig;
 use crate::controller::ControllerConfig;
 use crate::error::RwcError;
 use crate::network::DynamicCapacityNetwork;
+use crate::penalty::PenaltyPolicy;
 use rwc_faults::{FaultInjector, FaultPlan, TeFault, TelemetryFault};
 use rwc_obs::{Event, FaultDomain, Observer};
 use std::sync::Arc;
@@ -289,8 +290,9 @@ impl ScenarioBuilder {
     ///
     /// The fleet must provide at least as many telemetry streams as the
     /// topology has links (WAN link `i` replays stream `i`), the TE
-    /// interval must be a positive whole number of telemetry ticks, and
-    /// the controller's upgrade margin must be non-negative.
+    /// interval must be a positive whole number of telemetry ticks, the
+    /// controller's upgrade margin must be non-negative, and the penalty
+    /// policy's cost or weight must be finite and non-negative.
     pub fn build(self) -> Result<Scenario, RwcError> {
         let Self { wan, fleet, demands, config, obs } = self;
         if fleet.n_links() < wan.n_links() {
@@ -315,6 +317,17 @@ impl ScenarioBuilder {
         if margin.is_nan() || margin < 0.0 {
             return Err(RwcError::Config(format!(
                 "upgrade margin ({margin} dB) must be non-negative"
+            )));
+        }
+        // `PenaltyPolicy::fake_cost` asserts `>= 0.0` in the first round.
+        let penalty = match config.augment.penalty {
+            PenaltyPolicy::Uniform(cost) => cost,
+            PenaltyPolicy::DisruptionDuration { weight_per_second, .. } => weight_per_second,
+            PenaltyPolicy::CurrentTraffic | PenaltyPolicy::UnitWeights => 0.0,
+        };
+        if !penalty.is_finite() || penalty < 0.0 {
+            return Err(RwcError::Config(format!(
+                "penalty ({penalty} per unit) must be finite and non-negative"
             )));
         }
         let gen = FleetGenerator::new(fleet);
@@ -829,6 +842,19 @@ mod tests {
         for margin in [f64::NAN, -0.5] {
             let mut config = ScenarioConfig::default();
             config.controller.upgrade_margin = Db(margin);
+            configs.push(config);
+        }
+        let downtime = SimDuration::from_secs(1);
+        for penalty in [
+            PenaltyPolicy::Uniform(-1.0),
+            PenaltyPolicy::Uniform(f64::NAN),
+            PenaltyPolicy::DisruptionDuration {
+                weight_per_second: f64::NAN,
+                expected_downtime: downtime,
+            },
+        ] {
+            let mut config = ScenarioConfig::default();
+            config.augment.penalty = penalty;
             configs.push(config);
         }
         for config in configs {

@@ -269,24 +269,31 @@ mod tests {
         // only slightly more than 100.
         dm.add(a, b, Gbps(120.0), Priority::Elastic);
         let aug = augment(&wan, &dm, &cfg, &[]);
-        // Hand-craft a solution: 100 on real direct edge, 20 on the fake
-        // direct edge.
+        // Hand-craft solutions: `real` on the real direct edge, `extra`
+        // on the fake one. A 60 G trickle on the fake edge alone fits the
+        // current 100 G and is no upgrade.
         let fake = aug
             .fake_edges
             .iter()
             .find(|f| f.link.0 == 0 && f.forward)
             .unwrap();
-        let mut flows = vec![0.0; aug.problem.net.n_edges()];
-        flows[0] = 100.0;
-        flows[fake.edge_index] = 20.0;
-        let sol = TeSolution { routed: vec![120.0], edge_flows: flows, total: 120.0 };
-        let tr = translate(&aug, &wan, &sol).unwrap();
-        assert_eq!(
-            tr.upgrade_of(rwc_topology::wan::LinkId(0)),
-            Some(rwc_optics::Modulation::Hybrid125),
-            "120 G needs only the 125 G rung, not 200"
-        );
-        assert!((tr.penalty_paid - 20.0 * 100.0).abs() < 1e-9);
+        use rwc_optics::Modulation::{Dp8Qam150, Hybrid125};
+        for (real, extra, rung) in
+            [(0.0, 60.0, None), (100.0, 20.0, Some(Hybrid125)), (100.0, 40.0, Some(Dp8Qam150))]
+        {
+            let mut flows = vec![0.0; aug.problem.net.n_edges()];
+            flows[0] = real;
+            flows[fake.edge_index] = extra;
+            let total = real + extra;
+            let sol = TeSolution { routed: vec![total], edge_flows: flows, total };
+            let tr = translate(&aug, &wan, &sol).unwrap();
+            assert_eq!(
+                tr.upgrade_of(rwc_topology::wan::LinkId(0)),
+                rung,
+                "{total} G needs the smallest sufficient rung, not 200"
+            );
+            assert!((tr.penalty_paid - extra * 100.0).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -28,11 +28,9 @@
 //! every wavelength on its span together. Each event therefore carries a
 //! [`FaultScope`]:
 //!
-//! - [`FaultScope::Link`] — one wavelength (the PR-1 behaviour);
+//! - [`FaultScope::Link`] — one wavelength;
 //! - [`FaultScope::Srlg`] — every link sharing a fiber segment, matching
-//!   the shared-risk groups `rwc_te::srlg` derives from the topology;
-//! - [`FaultScope::Domain`] — an arbitrary named set of links declared in
-//!   [`FaultPlan::domains`] (e.g. "everything through conduit 7").
+//!   the shared-risk groups `rwc_te::srlg` derives from the topology.
 //!
 //! Severities inside a correlated event are drawn *correlated*: the event
 //! stores one common shock and every covered link sees that shock plus a
@@ -124,8 +122,7 @@ pub enum FaultKind {
     Optical(OpticalFault),
 }
 
-/// *Where* a fault lands: one link, a shared-risk fiber segment, or a
-/// declared multi-link domain.
+/// *Where* a fault lands: one link or a shared-risk fiber segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultScope {
     /// A single wavelength/IP link.
@@ -133,8 +130,6 @@ pub enum FaultScope {
     /// Every link whose `fiber_id` matches — the SRLG of one fiber
     /// segment (see `rwc_te::srlg::shared_risk_groups`).
     Srlg(usize),
-    /// Every link of the domain at this index in [`FaultPlan::domains`].
-    Domain(usize),
 }
 
 impl FaultScope {
@@ -142,17 +137,6 @@ impl FaultScope {
     pub(crate) fn is_correlated(&self) -> bool {
         !matches!(self, FaultScope::Link(_))
     }
-}
-
-/// A named set of links that fail together (a conduit, a degenerate
-/// amplifier chain, a site's patch panel, …). Referenced by index from
-/// [`FaultScope::Domain`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultDomain {
-    /// Human-readable label used in reports.
-    pub name: String,
-    /// Member links.
-    pub links: Vec<LinkId>,
 }
 
 /// One scheduled fault: what, where, when, for how long.
@@ -200,14 +184,6 @@ pub enum FaultPlanError {
         /// Index of the offending event in [`FaultPlan::events`].
         index: usize,
     },
-    /// An event references a domain index that [`FaultPlan::domains`]
-    /// does not define.
-    UnknownDomain {
-        /// Index of the offending event in [`FaultPlan::events`].
-        index: usize,
-        /// The dangling domain index.
-        domain: usize,
-    },
 }
 
 impl fmt::Display for FaultPlanError {
@@ -215,9 +191,6 @@ impl fmt::Display for FaultPlanError {
         match self {
             FaultPlanError::EmptyWindow { index } => {
                 write!(f, "fault event #{index} has an empty window (end <= start)")
-            }
-            FaultPlanError::UnknownDomain { index, domain } => {
-                write!(f, "fault event #{index} references undefined domain #{domain}")
             }
         }
     }
@@ -239,9 +212,6 @@ pub struct FaultPlanCheck {
 pub struct FaultPlan {
     /// All scheduled faults, in no particular order.
     pub events: Vec<FaultEvent>,
-    /// Named multi-link failure domains referenced by
-    /// [`FaultScope::Domain`].
-    pub domains: Vec<FaultDomain>,
 }
 
 impl FaultPlan {
@@ -286,7 +256,7 @@ impl FaultPlan {
     }
 
     /// Structural validation: rejects events that can never fire (empty
-    /// windows, dangling domain references) and warns — via the returned
+    /// windows) and warns — via the returned
     /// [`FaultPlanCheck`] — about overlapping same-scope windows of the
     /// same fault class, whose first-match-wins semantics are usually a
     /// schedule mistake rather than an intent.
@@ -294,11 +264,6 @@ impl FaultPlan {
         for (index, e) in self.events.iter().enumerate() {
             if e.duration == SimDuration::ZERO {
                 return Err(FaultPlanError::EmptyWindow { index });
-            }
-            if let FaultScope::Domain(d) = e.scope {
-                if d >= self.domains.len() {
-                    return Err(FaultPlanError::UnknownDomain { index, domain: d });
-                }
             }
         }
         let mut check = FaultPlanCheck::default();
@@ -376,11 +341,6 @@ impl FaultInjector {
         match event.scope {
             FaultScope::Link(l) => l == link,
             FaultScope::Srlg(fiber) => self.fiber_of(link) == fiber,
-            FaultScope::Domain(d) => self
-                .plan
-                .domains
-                .get(d)
-                .is_some_and(|dom| dom.links.contains(&link)),
         }
     }
 
@@ -431,7 +391,7 @@ impl FaultInjector {
             .sum()
     }
 
-    /// Whether any *correlated* (SRLG- or domain-scoped) fault covers
+    /// Whether any *correlated* (SRLG-scoped) fault covers
     /// `link` at `now` — the attribution bit the availability accounting
     /// uses to split outage time into independent vs correlated.
     pub fn correlated_active(&self, link: LinkId, now: SimTime) -> bool {
@@ -613,7 +573,7 @@ impl FaultPlanConfig {
             events.push(FaultEvent { scope: FaultScope::Srlg(fiber), ..template });
         }
 
-        FaultPlan { events, domains: Vec::new() }
+        FaultPlan { events }
     }
 
     /// Distinct fiber segments implied by the config's link → fiber map
@@ -775,28 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn domain_scope_uses_the_plan_domain_table() {
-        let day = SimDuration::from_days(1);
-        let mut plan = FaultPlan::none();
-        plan.domains.push(FaultDomain {
-            name: "conduit-7".into(),
-            links: vec![LinkId(1), LinkId(3)],
-        });
-        let plan = plan.with(FaultEvent {
-            kind: FaultKind::Telemetry(TelemetryFault::DropSamples),
-            scope: FaultScope::Domain(0),
-            start: SimTime::EPOCH,
-            duration: day,
-        });
-        let inj = FaultInjector::new(plan);
-        let t0 = SimTime::EPOCH;
-        assert_eq!(inj.telemetry_fault(LinkId(1), t0), Some(TelemetryFault::DropSamples));
-        assert_eq!(inj.telemetry_fault(LinkId(3), t0), Some(TelemetryFault::DropSamples));
-        assert_eq!(inj.telemetry_fault(LinkId(0), t0), None);
-        assert!(inj.correlated_active(LinkId(3), t0));
-    }
-
-    #[test]
     fn optical_penalty_is_correlated_not_identical() {
         let day = SimDuration::from_days(1);
         let plan = FaultPlan::none().with(FaultEvent::on_srlg(
@@ -834,20 +772,6 @@ mod tests {
             SimDuration::ZERO,
         ));
         assert_eq!(plan.validate(), Err(FaultPlanError::EmptyWindow { index: 0 }));
-    }
-
-    #[test]
-    fn validate_rejects_dangling_domains() {
-        let plan = FaultPlan::none().with(FaultEvent {
-            kind: FaultKind::Te(TeFault::SolverAbort),
-            scope: FaultScope::Domain(3),
-            start: SimTime::EPOCH,
-            duration: SimDuration::from_hours(1),
-        });
-        assert_eq!(
-            plan.validate(),
-            Err(FaultPlanError::UnknownDomain { index: 0, domain: 3 })
-        );
     }
 
     #[test]
@@ -923,13 +847,12 @@ mod tests {
 
     #[test]
     fn plan_round_trips_through_json() {
-        let mut plan = FaultPlanConfig {
+        let plan = FaultPlanConfig {
             amplifier_rate_per_fiber_day: 0.4,
             fiber_of_link: vec![0, 0, 1, 1, 2, 2, 3, 3],
             ..cfg()
         }
         .generate();
-        plan.domains.push(FaultDomain { name: "conduit".into(), links: vec![LinkId(0)] });
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);

@@ -11,7 +11,7 @@
 //!
 //! - [`network`]: the shared [`network::FlowNetwork`] representation and
 //!   residual graph;
-//! - [`maxflow`]: Dinic's algorithm;
+//! - [`maxflow`]: Dinic's algorithm, and the widest single path;
 //! - [`mincost`]: successive shortest paths with Johnson potentials
 //!   (Bellman–Ford bootstrap, Dijkstra iterations);
 //! - [`decompose`]: flow decomposition into simple paths.
@@ -27,7 +27,7 @@ pub mod maxflow;
 pub mod mincost;
 pub mod network;
 
-pub use maxflow::max_flow;
+pub use maxflow::{max_flow, widest_path};
 pub use mincost::min_cost_max_flow;
 pub use network::FlowNetwork;
 

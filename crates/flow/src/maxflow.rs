@@ -47,6 +47,29 @@ pub fn max_flow(net: &FlowNetwork, source: usize, sink: usize) -> Flow {
     Flow { edge_flows: r.edge_flows(net), value }
 }
 
+/// The widest single `source`→`sink` path: the largest capacity one
+/// path (no splitting) can carry, i.e. the max over paths of the
+/// smallest edge capacity on it (0 if `sink` is unreachable).
+/// Bellman–Ford style, `O(V·E)`.
+pub fn widest_path(net: &FlowNetwork, source: usize, sink: usize) -> f64 {
+    let mut width = vec![0.0f64; net.n_nodes()];
+    width[source] = f64::INFINITY;
+    for _ in 0..net.n_nodes() {
+        let mut changed = false;
+        for e in net.edges() {
+            let through = width[e.from].min(e.capacity);
+            if through > width[e.to] {
+                width[e.to] = through;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    width[sink]
+}
+
 fn dfs(
     r: &mut Residual,
     level: &[i32],

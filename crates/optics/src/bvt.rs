@@ -352,7 +352,6 @@ pub struct Bvt {
     pending_fault: Option<BvtFault>,
     prepared: Option<PreparedChange>,
     reconfig_count: u16,
-    history: Vec<ReconfigReport>,
     registers: BTreeMap<u16, u16>,
     obs: Arc<dyn Observer>,
 }
@@ -385,7 +384,6 @@ impl Bvt {
             pending_fault: None,
             prepared: None,
             reconfig_count: 0,
-            history: Vec::new(),
             registers: BTreeMap::new(),
             obs: rwc_obs::noop(),
         }
@@ -431,11 +429,6 @@ impl Bvt {
     /// Carrier lock state.
     pub fn locked(&self) -> bool {
         self.locked
-    }
-
-    /// All completed reconfigurations.
-    pub fn history(&self) -> &[ReconfigReport] {
-        &self.history
     }
 
     /// Current lifecycle state.
@@ -712,10 +705,7 @@ impl Bvt {
         self.modulation = target;
         self.reconfig_count = self.reconfig_count.wrapping_add(1);
         self.obs.incr("bvt.reconfigs", 1);
-        let report =
-            ReconfigReport { from, to: target, procedure: self.procedure, phases, downtime };
-        self.history.push(report.clone());
-        Ok(report)
+        Ok(ReconfigReport { from, to: target, procedure: self.procedure, phases, downtime })
     }
 
     fn encode_modulation(m: Modulation) -> u16 {
@@ -874,7 +864,7 @@ mod tests {
         let report = bvt.reconfigure(Modulation::DpQpsk100, &mut rng).unwrap();
         assert_eq!(report.downtime, SimDuration::ZERO);
         assert!(report.phases.is_empty());
-        assert_eq!(bvt.history().len(), 0, "no-ops are not recorded");
+        assert_eq!(bvt.mdio_read(regs::RECONFIG_COUNT).unwrap(), 0, "no-ops are not counted");
     }
 
     #[test]
@@ -884,7 +874,7 @@ mod tests {
         let r1 = bvt.reconfigure(Modulation::Hybrid125, &mut rng).unwrap();
         let r2 = bvt.reconfigure(Modulation::DpQpsk100, &mut rng).unwrap();
         assert_eq!(bvt.now(), SimTime::EPOCH + r1.downtime + r2.downtime);
-        assert_eq!(bvt.history().len(), 2);
+        assert_eq!(bvt.mdio_read(regs::RECONFIG_COUNT).unwrap(), 2);
     }
 
     #[test]
@@ -944,7 +934,8 @@ mod tests {
         assert!(!bvt.locked());
         // Legacy DSP reprogram completed before the failure.
         assert_eq!(bvt.modulation(), Modulation::Dp16Qam200);
-        assert!(bvt.history().is_empty(), "failed attempts are not history");
+        let count = bvt.mdio_read(regs::RECONFIG_COUNT).unwrap();
+        assert_eq!(count, 0, "failed attempts are not counted");
         // Faulted bit visible over MDIO.
         assert_eq!(bvt.mdio_read(regs::STATUS).unwrap(), 0b101);
     }
@@ -1040,7 +1031,7 @@ mod tests {
         let mut bvt = Bvt::new(Modulation::DpQpsk100);
         bvt.sync_modulation(Modulation::Dp16Qam200);
         assert_eq!(bvt.modulation(), Modulation::Dp16Qam200);
-        assert!(bvt.history().is_empty());
+        assert_eq!(bvt.mdio_read(regs::RECONFIG_COUNT).unwrap(), 0);
         assert_eq!(bvt.now(), SimTime::EPOCH, "no downtime charged");
     }
 

@@ -70,10 +70,11 @@ pub enum TeObjective {
     /// fatten the total.
     MaxConcurrentFlow,
     /// The paper's Fig. 8 unsplittable-upgrade gadget: every real edge
-    /// with fake upgrade rungs is split through an auxiliary node whose
-    /// guard edge carries the *combined* (current + upgraded) capacity, so
-    /// the LP prices an upgrade as a whole-link decision rather than a
-    /// freely divisible top-up.
+    /// with fake upgrade rungs is split through an auxiliary node, so the
+    /// routed graph holds one edge at each rung's full upgraded rate (a
+    /// single path can carry an unsplittable flow at that rate) while a
+    /// series guard caps the link at its fastest rate. The LP itself
+    /// stays fractional.
     Unsplittable,
     /// Capacity *reduction* (fake-edge deletion instead of addition): the
     /// same max-throughput LP, but the fake edges model currently-lit
@@ -379,7 +380,7 @@ pub struct LoweredTe<'p> {
 impl LoweredTe<'_> {
     /// The problem the LP actually routes on: the gadget expansion for
     /// unsplittable, the original otherwise.
-    pub(crate) fn routing_problem(&self) -> &TeProblem {
+    pub fn routing_problem(&self) -> &TeProblem {
         match &self.gadget {
             Some(g) => &g.inner,
             None => self.problem,
@@ -763,16 +764,19 @@ struct GadgetLowering {
 
 impl GadgetLowering {
     /// Splits every real edge that carries fake upgrade rungs through an
-    /// auxiliary node: a guard `u→w` at the *combined* capacity (current +
-    /// all rungs) with the real edge's cost, a zero-cost internal real
+    /// auxiliary node: a guard `u→w` at the fastest rate (current + all
+    /// increments) with the real edge's cost, a zero-cost internal real
     /// `w→v` at current capacity, and one internal fake `w→v` per rung at
-    /// its capacity and penalty. The guard caps the total so an upgrade
-    /// is priced against the whole link's traffic — the paper's
-    /// unsplittable-upgrade semantics — while edges without rungs copy
-    /// through unchanged. Deterministic: original edge order drives
-    /// construction, so the inner layout (and the LP tie-breaks) never
-    /// depend on map iteration order. The layout depends on the problem's
-    /// shape alone; [`Self::refresh`] writes its values.
+    /// the link's full rate on that rung (current + the increments up to
+    /// it) and the rung's penalty. A single path through the fake rung
+    /// carries the whole upgraded rate and the guard caps the link at
+    /// it — the paper's unsplittable-upgrade construction — while edges
+    /// without rungs copy through unchanged. The LP stays fractional; the
+    /// gadget only makes the single path exist. Deterministic: original
+    /// edge order drives construction, so the inner layout (and the LP
+    /// tie-breaks) never depend on map iteration order. The layout
+    /// depends on the problem's shape alone; [`Self::refresh`] writes its
+    /// values.
     fn build(problem: &TeProblem) -> GadgetLowering {
         // Fake rungs per (link, forward), in original edge order.
         let mut rungs: BTreeMap<(usize, bool), Vec<usize>> = BTreeMap::new();
@@ -849,8 +853,8 @@ impl GadgetLowering {
 
     /// Writes `problem`'s values into the layout [`Self::build`] made for
     /// a problem of the same shape: inner capacities and costs, each
-    /// guard's combined capacity and cost, the `real_cap` / `fake_caps`
-    /// that [`Self::map_back`] reads, and the demands.
+    /// rung's and guard's full rate, the `real_cap` / `fake_caps`
+    /// (increments) that [`Self::map_back`] reads, and the demands.
     fn refresh(&mut self, problem: &TeProblem) {
         let net = &mut self.inner.net;
         for (e, rb) in problem.net.edges().iter().zip(&self.readback) {
@@ -868,12 +872,17 @@ impl GadgetLowering {
                 FlowReadback::GroupFake(gi, slot) => {
                     let g = &mut self.groups[gi];
                     g.fake_caps[slot] = e.capacity;
-                    net.set_capacity(g.fakes[slot], e.capacity);
                     net.set_cost(g.fakes[slot], e.cost);
                 }
             }
         }
+        // After the walk: a group's real edge may follow its rungs.
         for g in &self.groups {
+            let mut rate = g.real_cap;
+            for (&fake, &increment) in g.fakes.iter().zip(&g.fake_caps) {
+                rate += increment;
+                net.set_capacity(fake, rate);
+            }
             net.set_capacity(g.guard, g.real_cap + g.fake_caps.iter().sum::<f64>());
         }
         self.inner.commodities.copy_from_slice(&problem.commodities);
@@ -1039,13 +1048,11 @@ mod tests {
 
     #[test]
     fn unsplittable_gadget_respects_guard_capacity() {
-        // One link A–B (cap 100) with a fake 100-rung at penalty 1/unit:
-        // the splittable LP would route 200; the gadget agrees here (the
-        // guard is 200) — the *difference* shows when the gadget caps the
-        // combined flow below the sum of parallel edges. Build that case:
-        // real cap 100, rung 100, but guard-combined still 200 vs a
-        // 300-unit demand: both objectives route 200, flows must fold back
-        // onto the original edges and validate.
+        // Fig. 7's A–B link (100 G) with a 100 G rung on A→B, and 300 G
+        // demanded A→B. Inside the gadget the internal real (100) and
+        // fake (200) parallels would take 300; the guard holds the link
+        // to 200, so the whole cut (guard 200 + A–C 100) routes 300 with
+        // exactly 200 over A→B.
         let wan = builders::fig7_example();
         let a = wan.node_by_name("A").unwrap();
         let b = wan.node_by_name("B").unwrap();
@@ -1053,23 +1060,108 @@ mod tests {
         dm.add(a, b, Gbps(300.0), Priority::Elastic);
         let mut p = TeProblem::from_wan(&wan, &dm);
         add_fake(&mut p, 0, true, 100.0, 1.0);
+        let lowered = TeFormulation::new(TeObjective::Unsplittable).lower(&p).unwrap();
+        let inner = &lowered.routing_problem().net;
+        let n = p.net.n_nodes();
+        let guard = inner.edges().iter().find(|e| e.from == a.0 && e.to >= n).unwrap();
+        let parallels: f64 =
+            inner.edges().iter().filter(|e| e.from == guard.to).map(|e| e.capacity).sum();
+        assert_eq!((guard.capacity, parallels), (200.0, 300.0));
+
         let s = solve(TeObjective::Unsplittable, &p);
         s.solution.validate(&p).unwrap();
-        // A's outgoing cut is 300 with the rung (A-B 100 + rung 100 + A-C
-        // 100): the whole demand routes, 100 of it on the fake rung.
         assert!((s.solution.total - 300.0).abs() < 1e-6, "total {}", s.solution.total);
         let fake_ei = p.net.n_edges() - 1;
+        let over_ab = s.solution.edge_flows[0] + s.solution.edge_flows[fake_ei];
+        assert!((over_ab - guard.capacity).abs() < 1e-6, "A→B carries {over_ab}");
         assert!((s.solution.edge_flows[fake_ei] - 100.0).abs() < 1e-6);
     }
 
     #[test]
     fn unsplittable_matches_max_throughput_without_fakes() {
-        // With no fake edges the gadget is the identity.
+        // With no fake edges the gadget is the identity: no auxiliary
+        // node, every edge copied through.
         let p = fig7_two_commodities();
+        let lowered = TeFormulation::new(TeObjective::Unsplittable).lower(&p).unwrap();
+        let inner = lowered.routing_problem();
+        assert_eq!(inner.net.n_nodes(), p.net.n_nodes());
+        assert_eq!(inner.net.edges(), p.net.edges());
         let s = solve(TeObjective::Unsplittable, &p);
         let t = solve(TeObjective::MaxThroughput, &p);
         assert!((s.solution.total - t.solution.total).abs() < 1e-6);
         s.solution.validate(&p).unwrap();
+    }
+
+    /// One A–B link at 100 G whose rungs add `increments` (both
+    /// directions, penalty 100 per unit), lowered under the gadget.
+    fn one_link_gadget(increments: &[f64]) -> TeProblem {
+        let mut wan = rwc_topology::wan::WanTopology::new();
+        let a = wan.add_node("A", None);
+        let b = wan.add_node("B", None);
+        wan.add_link(a, b, 400.0);
+        let mut p = TeProblem::from_wan(&wan, &DemandMatrix::new());
+        for &inc in increments {
+            add_fake(&mut p, 0, true, inc, 100.0);
+            add_fake(&mut p, 0, false, inc, 100.0);
+        }
+        let lowered = TeFormulation::new(TeObjective::Unsplittable).lower(&p).unwrap();
+        lowered.routing_problem().clone()
+    }
+
+    /// `(capacity, cost)` of the A→B guard, internal real and internal
+    /// fakes, in that order.
+    fn forward_gadget(g: &TeProblem) -> Vec<(f64, f64)> {
+        let guard = g.net.edges().iter().position(|e| e.from == 0).unwrap();
+        let aux = g.net.edge(guard).to;
+        let mut edges = vec![guard];
+        edges.extend((0..g.net.n_edges()).filter(|&ei| g.net.edge(ei).from == aux));
+        edges.iter().map(|&ei| (g.net.edge(ei).capacity, g.net.edge(ei).cost)).collect()
+    }
+
+    #[test]
+    fn unsplittable_gadget_structure() {
+        // Both directions split: two auxiliary nodes, three edges each.
+        let g = one_link_gadget(&[100.0]);
+        assert_eq!((g.net.n_nodes(), g.net.n_edges()), (4, 6));
+        assert_eq!(forward_gadget(&g), vec![(200.0, 0.0), (100.0, 0.0), (200.0, 100.0)]);
+    }
+
+    #[test]
+    fn unsplittable_gadget_carries_200g_on_one_path() {
+        // Fig. 8's point: plain augmentation's 100 + 100 parallels carry
+        // at most 100 on one path; the gadget has a single 200 G path.
+        let g = one_link_gadget(&[100.0]);
+        assert_eq!(rwc_flow::widest_path(&g.net, 0, 1), 200.0);
+    }
+
+    #[test]
+    fn unsplittable_gadget_caps_link_at_upgraded_rate() {
+        // Max-flow through the gadget is 200, not real 100 + fake 200.
+        let g = one_link_gadget(&[100.0]);
+        let f = rwc_flow::max_flow(&g.net, 0, 1);
+        assert!((f.value - 200.0).abs() < 1e-9, "value={}", f.value);
+    }
+
+    #[test]
+    fn unsplittable_gadget_keeps_light_flow_on_real_edge() {
+        // 80 G fits the current rate: min-cost flow stays on the free
+        // internal real edge and pays nothing.
+        let g = one_link_gadget(&[100.0]);
+        let r = rwc_flow::mincost::min_cost_flow_up_to(&g.net, 0, 1, 80.0);
+        let (guard, real, fake) = (0, 1, 2);
+        assert_eq!(g.net.edge(guard).to, g.net.edge(real).from);
+        assert!((r.flow.edge_flows[real] - 80.0).abs() < 1e-9);
+        assert!(r.flow.edge_flows[fake] < 1e-9);
+        assert_eq!(r.cost, 0.0);
+    }
+
+    #[test]
+    fn unsplittable_gadget_rungs_carry_full_rates() {
+        // 100 → 125 → 150 → 200: each internal rung is the link's whole
+        // rate at that rung; the guard is the fastest.
+        let g = one_link_gadget(&[25.0, 25.0, 50.0]);
+        let caps: Vec<f64> = forward_gadget(&g).iter().map(|&(cap, _)| cap).collect();
+        assert_eq!(caps, vec![200.0, 100.0, 125.0, 150.0, 200.0]);
     }
 
     #[test]

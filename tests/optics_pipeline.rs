@@ -3,7 +3,7 @@
 //! together consistently.
 
 use rwc::optics::ber::{ser_mqam, ser_mpsk};
-use rwc::optics::bvt::{Bvt, ReconfigProcedure};
+use rwc::optics::bvt::{regs, Bvt, ReconfigProcedure};
 use rwc::optics::constellation::{awgn_trial, Constellation};
 use rwc::optics::{LinkBudget, Modulation, ModulationTable};
 use rwc::util::rng::Xoshiro256;
@@ -82,7 +82,7 @@ fn bvt_walks_the_whole_ladder_hitlessly() {
         total_downtime < rwc::util::time::SimDuration::from_secs(1),
         "{total_downtime}"
     );
-    assert_eq!(bvt.history().len(), 5);
+    assert_eq!(bvt.mdio_read(regs::RECONFIG_COUNT).unwrap(), 5);
 }
 
 #[test]
