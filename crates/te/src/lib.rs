@@ -16,7 +16,8 @@
 //!   (sequential, order-dependent);
 //! - [`formulation`]: the TE objective zoo — max-throughput, TROD-style
 //!   min-MLU over traffic-matrix envelopes, max-concurrent-flow fairness,
-//!   the paper's Fig. 8 unsplittable gadget, and capacity reduction —
+//!   the paper's Fig. 8 unsplittable gadget (its node-splitting lowering
+//!   lives in the private `gadget` module), and capacity reduction —
 //!   each lowered to the sparse LP `rwc-lp` solves and certifies;
 //! - [`solver`]: the unified [`solver::TeSolver`] front-end (builder,
 //!   warm-start policy, watchdog, observer) over the whole zoo;
@@ -35,6 +36,7 @@ pub mod demand;
 #[cfg(test)]
 mod flows;
 pub mod formulation;
+mod gadget;
 pub mod metrics;
 pub mod problem;
 pub mod solver;
