@@ -1,7 +1,8 @@
 //! TE objective zoo on the augmented scaled mesh: every [`TeObjective`]
 //! solved on the identical problem, each optimum with its certificate
 //! (primal / dual residual and duality gap), plus the min-MLU
-//! envelope-dominance and warm-drift sub-stage.
+//! envelope-dominance and warm-drift sub-stage: link capacities drift, as
+//! the paper's links do, and so do the traffic matrices.
 
 use crate::{Report, Scale};
 use rwc_te::demand::{DemandMatrix, Priority};
@@ -60,9 +61,26 @@ struct ObjectiveArm {
     certificate_residual: f64,
 }
 
+/// One long-lived min-MLU solver across [`DRIFT_ROUNDS`] drifted rounds.
+#[derive(Debug, Clone)]
+struct DriftPerf {
+    /// Warm starts attempted across the rounds.
+    warm_attempts: u64,
+    /// Warm starts that reached optimality without a cold fallback.
+    warm_hits: u64,
+    /// Basis refactorisations after the first (cold) round: one per round
+    /// on a mapped warm start, only a full eta chain's on the engine's
+    /// fast resolve, which keeps the retained factors.
+    refactorizations: u64,
+}
+
+/// Drift rounds per min-MLU drift arm.
+const DRIFT_ROUNDS: usize = 8;
+
 /// The min-MLU sub-stage: envelope dominance plus warm-start behaviour
-/// under rhs-only traffic-matrix drift (the `MinMlu` twin of the
-/// max-throughput fast-resolve path).
+/// under capacity drift (rhs values and bounds of its `λ`-LP: the fast
+/// resolve) and under traffic-matrix drift (values of its `λ` column: the
+/// mapped warm start).
 #[derive(Debug, Clone)]
 struct MinMluPerf {
     /// Optimal MLU over the whole traffic-matrix envelope.
@@ -71,14 +89,10 @@ struct MinMluPerf {
     /// Must be `<= envelope_mlu + 1e-6`: routing that works for every
     /// matrix at once can never beat routing tuned to one matrix.
     max_single_tm_mlu: f64,
-    /// Drift rounds solved.
-    rounds: u64,
-    /// Warm starts attempted across the drift rounds.
-    warm_attempts: u64,
-    /// Warm starts that reached optimality without a cold fallback.
-    warm_hits: u64,
-    /// `warm_hits / warm_attempts` in `[0, 1]`.
-    warm_hit_rate: f64,
+    /// Every real link's capacity drifting ±9 % per round.
+    capacity_drift: DriftPerf,
+    /// Every traffic matrix scaled by a drifting factor per round.
+    tm_drift: DriftPerf,
 }
 
 /// What `repro objectives` reports: the whole
@@ -133,9 +147,7 @@ fn objectives_perf(scale: Scale) -> ObjectivesPerf {
     let factor = match scale {
         Scale::Quick => 4,
         Scale::Full => 6,
-        // Cold min-MLU is the slow arm (ROADMAP item 2): the stage stays
-        // at a size it finishes regardless of `--scale`.
-        Scale::Scaled(n) => (n as usize).clamp(1, 8),
+        Scale::Scaled(n) => n as usize,
     };
     let (mut wan, dm) = large_te_instance(factor);
     // Alternate SNR so every third link has headroom for upgrade rungs
@@ -205,25 +217,30 @@ fn objectives_perf(scale: Scale) -> ObjectivesPerf {
         .map(|tm| min_mlu_of(problem, vec![tm.clone()]))
         .fold(0.0f64, f64::max);
 
-    // Rhs-only TM drift: the same solver re-targeted each round via
-    // `set_objective` (identical LP pattern, drifted demand rhs). This is
-    // the MinMlu twin of the warm fast-resolve path.
-    const DRIFT_ROUNDS: usize = 8;
-    let drift_tms = |round: usize| -> Vec<Vec<f64>> {
+    // Capacity drift: every real link ±9 % per round on one solver, the
+    // problem's values moving under a fixed LP pattern.
+    let objective = TeObjective::MinMlu { traffic_matrices: tms.clone() };
+    let capacity_drift = drift_perf(objective.clone(), |_, round| {
+        let mut p = problem.clone();
+        for (ei, origin) in problem.origins.iter().enumerate() {
+            if let rwc_te::problem::EdgeOrigin::Real { link, .. } = origin {
+                let drift = 0.91 + 0.03 * ((round * (link.0 + 3)) % 7) as f64;
+                p.net.set_capacity(ei, problem.net.edge(ei).capacity * drift);
+            }
+        }
+        p
+    });
+    // Traffic-matrix drift: the same solver re-targeted each round via
+    // `set_objective` (identical LP pattern, drifted `λ` entries).
+    let tm_drift = drift_perf(objective, |solver, round| {
         let scale = 0.75 + 0.03 * round as f64;
-        tms.iter().map(|tm| tm.iter().map(|d| d * scale).collect()).collect()
-    };
-    let mut drifting = TeSolver::builder()
-        .objective(TeObjective::MinMlu { traffic_matrices: drift_tms(0) })
-        .build()
-        .expect("min-MLU solver config is valid");
-    for round in 0..DRIFT_ROUNDS {
-        drifting
-            .set_objective(TeObjective::MinMlu { traffic_matrices: drift_tms(round) })
+        let traffic_matrices =
+            tms.iter().map(|tm| tm.iter().map(|d| d * scale).collect()).collect();
+        solver
+            .set_objective(TeObjective::MinMlu { traffic_matrices })
             .expect("drifted traffic matrices stay valid");
-        drifting.solve_detailed(problem).expect("drift round solves");
-    }
-    let drift_stats = drifting.warm_stats().unwrap_or_default();
+        problem.clone()
+    });
 
     ObjectivesPerf {
         scale_factor: factor as u64,
@@ -232,14 +249,30 @@ fn objectives_perf(scale: Scale) -> ObjectivesPerf {
         arms,
         all_solved,
         max_certificate_gap,
-        min_mlu: MinMluPerf {
-            envelope_mlu,
-            max_single_tm_mlu,
-            rounds: DRIFT_ROUNDS as u64,
-            warm_attempts: drift_stats.warm_attempts,
-            warm_hits: drift_stats.warm_hits,
-            warm_hit_rate: drift_stats.warm_hit_rate(),
-        },
+        min_mlu: MinMluPerf { envelope_mlu, max_single_tm_mlu, capacity_drift, tm_drift },
+    }
+}
+
+/// Solves [`DRIFT_ROUNDS`] rounds on one min-MLU solver; `round` drifts
+/// the solver's objective and returns that round's problem.
+fn drift_perf(
+    objective: TeObjective,
+    mut round: impl FnMut(&mut TeSolver, usize) -> TeProblem,
+) -> DriftPerf {
+    let mut solver =
+        TeSolver::builder().objective(objective).build().expect("min-MLU solver config is valid");
+    let mut after_cold = None;
+    for r in 0..DRIFT_ROUNDS {
+        let p = round(&mut solver, r);
+        solver.solve_detailed(&p).expect("drift round solves");
+        after_cold.get_or_insert_with(|| solver.warm_stats().unwrap_or_default());
+    }
+    let first = after_cold.unwrap_or_default();
+    let last = solver.warm_stats().unwrap_or_default();
+    DriftPerf {
+        warm_attempts: last.warm_attempts,
+        warm_hits: last.warm_hits,
+        refactorizations: last.refactorizations - first.refactorizations,
     }
 }
 
@@ -274,13 +307,13 @@ fn render(report: &mut Report, perf: &ObjectivesPerf) {
         "min-MLU envelope {:.4} dominates every member optimum (max single-TM {:.4})",
         mm.envelope_mlu, mm.max_single_tm_mlu
     ));
-    report.line(format!(
-        "min-MLU rhs-only TM drift ({} rounds): warm hit rate {:.0}% ({}/{} attempts)",
-        mm.rounds,
-        100.0 * mm.warm_hit_rate,
-        mm.warm_hits,
-        mm.warm_attempts,
-    ));
+    for (what, d) in [("capacity drift ±9 %", &mm.capacity_drift), ("TM drift", &mm.tm_drift)] {
+        report.line(format!(
+            "min-MLU {what} ({DRIFT_ROUNDS} rounds): {}/{} warm hits, \
+             {} refactorisations after the cold round",
+            d.warm_hits, d.warm_attempts, d.refactorizations,
+        ));
+    }
     report.csv(
         "objectives.csv",
         std::iter::once("objective,solved,headline,certificate_gap".to_string())
@@ -318,11 +351,17 @@ mod tests {
             mm.max_single_tm_mlu <= mm.envelope_mlu + 1e-6,
             "envelope dominance broken: {mm:?}"
         );
-        // MinMlu TM drift is demand-rhs-only, so after the first cold
-        // solve every round must warm-start — the same contract as the
-        // MaxThroughput fast-resolve path.
-        assert_eq!(mm.warm_attempts, mm.rounds - 1, "{mm:?}");
-        assert_eq!(mm.warm_hits, mm.warm_attempts, "{mm:?}");
+        // After the first cold solve every drift round warm-starts.
+        // Capacity drift moves only rhs values and bounds, so it is the
+        // fast resolve on the retained factorisation, refactorised only
+        // when its eta chain fills; TM drift rewrites the `λ` column, so
+        // each round refactorises a mapped basis.
+        for d in [&mm.capacity_drift, &mm.tm_drift] {
+            assert_eq!(d.warm_attempts, DRIFT_ROUNDS as u64 - 1, "{mm:?}");
+            assert_eq!(d.warm_hits, d.warm_attempts, "{mm:?}");
+        }
+        assert!(mm.capacity_drift.refactorizations < DRIFT_ROUNDS as u64 - 1, "{mm:?}");
+        assert!(mm.tm_drift.refactorizations >= DRIFT_ROUNDS as u64 - 1, "{mm:?}");
         let mut report = Report::new("objectives", "test");
         render(&mut report, &perf);
     }

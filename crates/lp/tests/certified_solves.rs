@@ -421,9 +421,9 @@ fn zoo(p: &TeProblem) -> Vec<TeObjective> {
     ]
 }
 
-/// Scales every edge capacity by `scale` — rhs-only drift for every
-/// objective except MinMlu (whose MLU column carries capacities), which
-/// drifts its traffic matrices instead.
+/// Scales every edge capacity by `scale` — rhs-and-bounds-only drift for
+/// every objective: capacities are capacity-row rhs values and flow-column
+/// bounds in every lowering.
 fn drift_problem(p: &TeProblem, scale: f64) -> TeProblem {
     let mut q = p.clone();
     for e in 0..q.net.n_edges() {
@@ -433,6 +433,8 @@ fn drift_problem(p: &TeProblem, scale: f64) -> TeProblem {
     q
 }
 
+/// Scales min-MLU's traffic matrices by `scale` (other objectives carry
+/// no volumes of their own).
 fn drift_objective(objective: &TeObjective, scale: f64) -> TeObjective {
     match objective {
         TeObjective::MinMlu { traffic_matrices } => TeObjective::MinMlu {
@@ -466,9 +468,9 @@ proptest! {
     /// Rhs-only drift warm-starts for every objective: a persistent
     /// solver tracks an always-cold one across the drift sequence, both
     /// certified, attempting a warm start at every step. Capacities drift
-    /// for the throughput-family objectives; traffic matrices drift for
-    /// min-MLU (its MLU column carries capacity values, so capacity moves
-    /// are value drift there, not rhs drift).
+    /// for every objective; min-MLU then takes one more step that drifts
+    /// its traffic matrices instead (a value change of its `λ` column,
+    /// which the mapped warm start carries).
     #[test]
     fn warm_rhs_drift_tracks_cold_per_objective(
         p in te_instances(),
@@ -477,14 +479,16 @@ proptest! {
         for objective in zoo(&p) {
             let mut warm = zoo_solver(objective.clone());
             certified_solve(&warm, &p);
-            let tm_drift = matches!(objective, TeObjective::MinMlu { .. });
-            for &scale in &drift {
-                let q = if tm_drift { p.clone() } else { drift_problem(&p, scale) };
-                let drifted = drift_objective(&objective, if tm_drift { scale } else { 1.0 });
-                if tm_drift {
-                    warm.set_objective(drifted.clone())
-                        .expect("drifted objective stays valid");
-                }
+            let min_mlu = matches!(objective, TeObjective::MinMlu { .. });
+            let steps: Vec<(f64, f64)> = drift
+                .iter()
+                .map(|&scale| (scale, 1.0))
+                .chain(min_mlu.then(|| (drift[drift.len() - 1], drift[0])))
+                .collect();
+            for &(scale, tm_scale) in &steps {
+                let q = drift_problem(&p, scale);
+                let drifted = drift_objective(&objective, tm_scale);
+                warm.set_objective(drifted.clone()).expect("drifted objective stays valid");
                 let cold = TeSolver::builder()
                     .objective(drifted)
                     .warm_start(WarmStartPolicy::AlwaysCold)
@@ -501,9 +505,9 @@ proptest! {
                     objective.algorithm_name());
             }
             let stats = warm.warm_stats().expect("TeSolver reports stats");
-            prop_assert!(stats.warm_attempts >= drift.len() as u64,
+            prop_assert!(stats.warm_attempts >= steps.len() as u64,
                 "{}: only {} warm attempts across {} drift steps",
-                objective.algorithm_name(), stats.warm_attempts, drift.len());
+                objective.algorithm_name(), stats.warm_attempts, steps.len());
         }
     }
 }

@@ -22,10 +22,17 @@
 //! | objective            | LP shape                                          |
 //! |----------------------|---------------------------------------------------|
 //! | [`MaxThroughput`]    | today's weighted max-flow MCF                     |
-//! | [`MinMlu`]           | TROD-style min-`mlu` over per-TM envelopes `U`    |
+//! | [`MinMlu`]           | max `λ` with every envelope routed at `λ·U_k`     |
 //! | [`MaxConcurrentFlow`]| max `λ ≤ 1` with every demand routed at `λ·d_k`   |
 //! | [`Unsplittable`]     | the paper's Fig. 8 node-splitting gadget          |
 //! | [`CapacityReduction`]| max-throughput readout of *deletable* fake slices |
+//!
+//! Min-MLU and max-concurrent-flow are one LP shape with different
+//! per-commodity volumes (`U_k` or `d_k`) and a different bound on `λ`
+//! (none or 1): minimising `mlu` with every envelope routed under
+//! `mlu · capacity` is maximising `λ` with `λ · U` routed under the
+//! capacities themselves, at `mlu* = 1/λ*` and flows divided by `λ*`.
+//! Capacities therefore stay rhs values and bounds under every objective.
 //!
 //! [`MaxThroughput`]: TeObjective::MaxThroughput
 //! [`MinMlu`]: TeObjective::MinMlu
@@ -46,6 +53,10 @@ use std::mem::Discriminant;
 /// readouts. Far above simplex tolerance, far below any real allocation.
 const REDUCTION_EPS: f64 = 1e-6;
 
+/// A min-MLU optimum with `λ*` at or below this routes no positive
+/// multiple of the envelope: the revised simplex's primal tolerance.
+const LAMBDA_TOL: f64 = 1e-9;
+
 /// What the TE layer optimises for.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum TeObjective {
@@ -58,8 +69,14 @@ pub enum TeObjective {
     /// traffic matrices, TROD-style: each matrix is a per-commodity volume
     /// vector (parallel to `TeProblem::commodities`), the per-commodity
     /// *envelope* `U_k = max over matrices` is routed exactly, and every
-    /// edge constrains `Σ flow ≤ mlu · capacity`. An empty list means
-    /// "use the problem's own demands as the single matrix".
+    /// edge carries at most `mlu · capacity`. Lowered as its equivalent
+    /// max-concurrent-flow LP: maximise `λ` with `λ · U_k` routed under
+    /// the capacities, then `mlu = 1/λ` and the flows are divided by `λ`.
+    /// An all-zero envelope answers `mlu = 0` with no flow; an envelope
+    /// that no positive multiple of fits (`λ* = 0`, a commodity cut off
+    /// from its sink) is a [`TeError::SolverAbort`] naming the commodity.
+    /// An empty list means "use the problem's own demands as the single
+    /// matrix".
     MinMlu {
         /// Representative traffic matrices; each entry is a volume vector
         /// with one element per commodity.
@@ -103,7 +120,10 @@ pub struct TeSolve {
     /// Flows and routed volumes on the *original* problem's edges (gadget
     /// plumbing is already folded back for [`TeObjective::Unsplittable`]).
     pub solution: TeSolution,
-    /// The optimal maximum link utilisation ([`TeObjective::MinMlu`]).
+    /// The optimal maximum link utilisation ([`TeObjective::MinMlu`]):
+    /// `1/λ*` of its lowering, whose flows are divided by `λ*` so the
+    /// solution routes the envelope itself (under `mlu · capacity`, which
+    /// exceeds a capacity when `mlu > 1`).
     pub mlu: Option<f64>,
     /// The optimal concurrency factor ([`TeObjective::MaxConcurrentFlow`]).
     pub lambda: Option<f64>,
@@ -121,8 +141,8 @@ pub struct TeSolve {
 pub struct TeFormulation {
     /// The objective to lower.
     pub objective: TeObjective,
-    /// Objective weight of the headline quantity (routed unit, `−mlu`,
-    /// `λ`) relative to one unit of edge cost. Must dwarf any plausible
+    /// Objective weight of the headline quantity (routed unit or `λ`)
+    /// relative to one unit of edge cost. Must dwarf any plausible
     /// per-unit cost so costs stay a lexicographic tie-breaker.
     pub throughput_weight: f64,
 }
@@ -224,7 +244,7 @@ impl TeFormulation {
         retained: &'a mut Option<RetainedLp>,
     ) -> Result<(LoweredTe<'a>, &'a SparseLp), TeError> {
         let kind = self.lowered_kind(problem)?;
-        let shape = TeShape::of(&self.objective, problem);
+        let shape = TeShape::of(&self.objective, &kind, problem);
         let kept = match retained.take() {
             Some(mut kept) if kept.shape == shape => {
                 if let Some(g) = &mut kept.gadget {
@@ -292,34 +312,67 @@ impl TeFormulation {
                             })
                     })
                     .collect();
-                LoweredKind::MinMlu { envelopes }
+                LoweredKind::Concurrent { volumes: envelopes, min_mlu: true }
             }
-            TeObjective::MaxConcurrentFlow => LoweredKind::ConcurrentFlow,
+            TeObjective::MaxConcurrentFlow => LoweredKind::Concurrent {
+                volumes: problem.commodities.iter().map(|c| c.demand).collect(),
+                min_mlu: false,
+            },
         })
+    }
+
+    /// The answer to a problem with nothing to route, which never reaches
+    /// the engine: no commodities under any objective, or an all-zero
+    /// min-MLU envelope (its `λ` would be unbounded), which answers
+    /// `mlu = 0` with no flow. `None` when there is an LP to solve.
+    pub(crate) fn idle_solve(&self, problem: &TeProblem) -> Result<Option<TeSolve>, TeError> {
+        let idle = problem.commodities.is_empty()
+            || match self.lowered_kind(problem)? {
+                LoweredKind::Concurrent { volumes, min_mlu: true } => {
+                    volumes.iter().all(|&u| u == 0.0)
+                }
+                _ => false,
+            };
+        if !idle {
+            return Ok(None);
+        }
+        let min_mlu = matches!(self.objective, TeObjective::MinMlu { .. });
+        let solution = TeSolution {
+            routed: vec![0.0; problem.commodities.len()],
+            edge_flows: vec![0.0; problem.net.n_edges()],
+            total: 0.0,
+        };
+        Ok(Some(TeSolve {
+            solution,
+            mlu: min_mlu.then_some(0.0),
+            lambda: None,
+            reductions: None,
+        }))
     }
 }
 
 /// What fixes a lowering's sparsity pattern and, under the Fig. 8 gadget,
 /// its layout: the objective's variant, the node count, each edge's
 /// endpoints and origin, each commodity's endpoints, and the zeros the
-/// scalar column skips — zero capacities under min-MLU, zero demands under
-/// max-concurrent-flow. Everything else is a value
+/// `λ` column skips — zero envelopes under min-MLU, zero demands under
+/// max-concurrent-flow. Everything else, capacities included, is a value
 /// [`LoweredTe::refresh`] rewrites.
 #[derive(Debug, PartialEq)]
 struct TeShape {
     objective: Discriminant<TeObjective>,
     n_nodes: usize,
-    /// `(from, to, origin, zero capacity under min-MLU)` per edge.
-    edges: Vec<(usize, usize, EdgeOrigin, bool)>,
-    /// `(source, sink, zero demand under max-concurrent-flow)` per
-    /// commodity.
+    /// `(from, to, origin)` per edge.
+    edges: Vec<(usize, usize, EdgeOrigin)>,
+    /// `(source, sink, zero volume under the λ column)` per commodity.
     commodities: Vec<(usize, usize, bool)>,
 }
 
 impl TeShape {
-    fn of(objective: &TeObjective, problem: &TeProblem) -> TeShape {
-        let min_mlu = matches!(objective, TeObjective::MinMlu { .. });
-        let concurrent = matches!(objective, TeObjective::MaxConcurrentFlow);
+    fn of(objective: &TeObjective, kind: &LoweredKind, problem: &TeProblem) -> TeShape {
+        let volumes = match kind {
+            LoweredKind::Concurrent { volumes, .. } => volumes.as_slice(),
+            LoweredKind::Throughput { .. } => &[],
+        };
         TeShape {
             objective: std::mem::discriminant(objective),
             n_nodes: problem.net.n_nodes(),
@@ -328,12 +381,13 @@ impl TeShape {
                 .edges()
                 .iter()
                 .zip(&problem.origins)
-                .map(|(e, &origin)| (e.from, e.to, origin, min_mlu && e.capacity == 0.0))
+                .map(|(e, &origin)| (e.from, e.to, origin))
                 .collect(),
             commodities: problem
                 .commodities
                 .iter()
-                .map(|c| (c.source, c.sink, concurrent && c.demand == 0.0))
+                .enumerate()
+                .map(|(ki, c)| (c.source, c.sink, volumes.get(ki) == Some(&0.0)))
                 .collect(),
         }
     }
@@ -357,13 +411,17 @@ enum LoweredKind {
         /// Report deletable fake slices after extraction.
         reduction: bool,
     },
-    /// Scalar `mlu` column plus exact-envelope demand rows.
-    MinMlu {
-        /// `U_k`: the per-commodity max over traffic matrices.
-        envelopes: Vec<f64>,
+    /// Scalar `λ` column tied into the demand row of every commodity
+    /// with a non-zero volume: max-concurrent-flow, or min-MLU over its
+    /// envelope.
+    Concurrent {
+        /// Per commodity, what `λ` scales: the demand `d_k`, or min-MLU's
+        /// envelope `U_k` (the max over its traffic matrices).
+        volumes: Vec<f64>,
+        /// Min-MLU: `λ` has no upper bound (1 otherwise), and the optimum
+        /// reads back as `mlu = 1/λ` with the flows divided by `λ`.
+        min_mlu: bool,
     },
-    /// Scalar `λ` column tied into every demand row.
-    ConcurrentFlow,
 }
 
 /// A problem lowered under one objective: builds the sparse LP and
@@ -387,20 +445,19 @@ impl LoweredTe<'_> {
         }
     }
 
-    /// Leading scalar (non-flow) variables: `mlu` or `λ`.
+    /// Leading scalar (non-flow) variables: `λ`, if any.
     fn scalar_vars(&self) -> usize {
         match self.kind {
             LoweredKind::Throughput { .. } => 0,
-            LoweredKind::MinMlu { .. } | LoweredKind::ConcurrentFlow => 1,
+            LoweredKind::Concurrent { .. } => 1,
         }
     }
 
     /// Lowers straight to sparse computational form: scalar variables
     /// first, then flow variables edge-major at `scalar + ei·k + ki` (the
     /// augmentation-stable order — fake edges append columns and capacity
-    /// rows strictly at the end, so the structural warm key survives
-    /// dirty-link updates; the `mlu` column is the one deliberate
-    /// exception, since it spans every capacity row). The pattern, then
+    /// rows strictly at the end, and `λ` touches only demand rows, so the
+    /// structural warm key survives dirty-link updates). The pattern, then
     /// the values.
     pub fn sparse_lp(&self) -> SparseLp {
         let mut lp = sparse_pattern(self.routing_problem(), &self.kind);
@@ -410,54 +467,42 @@ impl LoweredTe<'_> {
 
     /// The value writer: rewrites every value of `lp` that a problem of
     /// this shape may move — objective, upper bounds, demand- and
-    /// capacity-row rhs, and the scalar column's `−cap_e` (min-MLU) or
-    /// `−d_k` (max-concurrent-flow) entries. `lp` must have been built
-    /// for a problem of the same shape (see `TeShape`).
+    /// capacity-row rhs, and `λ`'s `−d_k` (max-concurrent-flow) or `−U_k`
+    /// (min-MLU) entries. Capacities are only ever capacity-row rhs values
+    /// and flow-column bounds. `lp` must have been built for a problem of
+    /// the same shape (see `TeShape`).
     fn refresh(&self, lp: &mut SparseLp) {
         let rp = self.routing_problem();
         let k = rp.commodities.len();
         let edges = rp.net.edges();
         let weight = self.weight;
-        let cap_base =
-            lp.n_rows() - if has_capacity_rows(rp, &self.kind) { edges.len() } else { 0 };
+        let cap_base = lp.n_rows() - if has_capacity_rows(rp) { edges.len() } else { 0 };
         let demand_base = cap_base - k;
         for (ki, c) in rp.commodities.iter().enumerate() {
             lp.rhs[demand_base + ki] = match &self.kind {
                 LoweredKind::Throughput { .. } => c.demand,
-                LoweredKind::MinMlu { envelopes } => envelopes[ki],
-                LoweredKind::ConcurrentFlow => 0.0,
+                LoweredKind::Concurrent { .. } => 0.0,
             };
         }
-        let min_mlu = matches!(self.kind, LoweredKind::MinMlu { .. });
         for (rhs, e) in lp.rhs[cap_base..].iter_mut().zip(edges) {
-            *rhs = if min_mlu { 0.0 } else { e.capacity };
+            *rhs = e.capacity;
         }
-        // Column 0, if the objective has a scalar: its objective, bound
-        // and entries.
-        match self.kind {
-            LoweredKind::Throughput { .. } => {}
-            LoweredKind::MinMlu { .. } => {
-                (lp.objective[0], lp.upper[0]) = (-weight, f64::INFINITY);
-                let caps = edges.iter().map(|e| e.capacity).filter(|&c| c != 0.0);
-                let entries = lp.a.col_ptr[0]..lp.a.col_ptr[1];
-                for (v, cap) in lp.a.values[entries].iter_mut().zip(caps) {
-                    *v = -cap;
-                }
-            }
-            LoweredKind::ConcurrentFlow => {
-                (lp.objective[0], lp.upper[0]) = (weight, 1.0);
-                let demands = rp.commodities.iter().map(|c| c.demand).filter(|&d| d != 0.0);
-                let entries = lp.a.col_ptr[0]..lp.a.col_ptr[1];
-                for (v, demand) in lp.a.values[entries].iter_mut().zip(demands) {
-                    *v = -demand;
-                }
+        // Column 0, if the objective has `λ`: its objective, bound and
+        // entries.
+        if let LoweredKind::Concurrent { volumes, min_mlu } = &self.kind {
+            let bound = if *min_mlu { f64::INFINITY } else { 1.0 };
+            (lp.objective[0], lp.upper[0]) = (weight, bound);
+            let entries = lp.a.col_ptr[0]..lp.a.col_ptr[1];
+            for (v, volume) in
+                lp.a.values[entries].iter_mut().zip(volumes.iter().filter(|&&u| u != 0.0))
+            {
+                *v = -volume;
             }
         }
         let scalar = self.scalar_vars();
         let throughput = matches!(self.kind, LoweredKind::Throughput { .. });
         for (ei, e) in edges.iter().enumerate() {
             let tie_break = fake_tie_break(rp, ei);
-            let upper = if min_mlu { f64::INFINITY } else { e.capacity };
             let cols = scalar + ei * k..scalar + (ei + 1) * k;
             for ((objective, bound), c) in
                 lp.objective[cols.clone()].iter_mut().zip(&mut lp.upper[cols]).zip(&rp.commodities)
@@ -467,7 +512,7 @@ impl LoweredTe<'_> {
                 } else {
                     -e.cost - tie_break
                 };
-                *bound = upper;
+                *bound = e.capacity;
             }
         }
     }
@@ -497,22 +542,49 @@ impl LoweredTe<'_> {
             }
         };
         let offset = self.scalar_vars();
-        let (routed, inner_flows) = flows_from_point(&point.x, offset, rp);
-        let edge_flows = match &self.gadget {
+        let (mut routed, inner_flows) = flows_from_point(&point.x, offset, rp);
+        let mut edge_flows = match &self.gadget {
             Some(g) => g.map_back(&inner_flows, self.problem),
             None => inner_flows,
         };
+        let (mut mlu, mut lambda, mut reductions) = (None, None, None);
+        match &self.kind {
+            LoweredKind::Throughput { reduction } => {
+                reductions = reduction.then(|| deletable_links(self.problem, &edge_flows));
+            }
+            LoweredKind::Concurrent { min_mlu: false, .. } => lambda = Some(point.x[0]),
+            LoweredKind::Concurrent { volumes, min_mlu: true } => {
+                let lambda = point.x[0];
+                if lambda <= LAMBDA_TOL {
+                    let detail = unroutable(rp, volumes, lambda);
+                    return Err(TeError::SolverAbort { algorithm, detail });
+                }
+                for v in routed.iter_mut().chain(&mut edge_flows) {
+                    *v /= lambda;
+                }
+                mlu = Some(1.0 / lambda);
+            }
+        }
         let total = routed.iter().sum();
         let solution = TeSolution { routed, edge_flows, total };
-        let (mlu, lambda, reductions) = match &self.kind {
-            LoweredKind::Throughput { reduction: false } => (None, None, None),
-            LoweredKind::Throughput { reduction: true } => {
-                (None, None, Some(deletable_links(self.problem, &solution.edge_flows)))
-            }
-            LoweredKind::MinMlu { .. } => (Some(point.x[0]), None, None),
-            LoweredKind::ConcurrentFlow => (None, Some(point.x[0]), None),
-        };
         Ok(TeSolve { solution, mlu, lambda, reductions })
+    }
+}
+
+/// Why a min-MLU optimum at `λ* = 0` is a refusal: the first commodity
+/// with a positive envelope and no path of positive capacity to its sink,
+/// or, if every one has such a path, the optimum itself.
+fn unroutable(rp: &TeProblem, envelopes: &[f64], lambda: f64) -> String {
+    let cut_off = rp.commodities.iter().zip(envelopes).enumerate().find(|(_, (c, &u))| {
+        u > 0.0 && rwc_flow::widest_path(&rp.net, c.source, c.sink) == 0.0
+    });
+    match cut_off {
+        Some((ki, (c, u))) => format!(
+            "commodity {ki} ({} -> {}) has envelope {u} and no path of positive capacity \
+             (lambda* = {lambda})",
+            c.source, c.sink
+        ),
+        None => format!("no positive multiple of the envelope is routable (lambda* = {lambda})"),
     }
 }
 
@@ -588,11 +660,10 @@ fn sparse_conservation_rows(rp: &TeProblem) -> (Vec<usize>, usize) {
     (cons_row, next_row)
 }
 
-/// Whether every edge has a capacity row: always under min-MLU (its `mlu`
-/// column spans them), otherwise only with more than one commodity (one
-/// commodity's capacities are its columns' upper bounds).
-fn has_capacity_rows(rp: &TeProblem, kind: &LoweredKind) -> bool {
-    rp.commodities.len() > 1 || matches!(kind, LoweredKind::MinMlu { .. })
+/// Whether every edge has a capacity row: only with more than one
+/// commodity (one commodity's capacities are its columns' upper bounds).
+fn has_capacity_rows(rp: &TeProblem) -> bool {
+    rp.commodities.len() > 1
 }
 
 /// The deterministic fake-edge tie-break epsilon: prefers earlier-appended
@@ -659,34 +730,32 @@ fn push_flow_col(
 
 /// The pattern writer: row map and relations, column order and entries;
 /// every value the value writer ([`LoweredTe::refresh`]) owns is left at
-/// zero. Rows are `[conservation (=)][demand][capacity (≤)]`: a demand
-/// row is `≤ d_k` under max-throughput, `= U_k` under min-MLU and
-/// `net outflow − λ·d_k = 0` under max-concurrent-flow; capacity rows
-/// exist as `has_capacity_rows` says.
+/// zero. Rows are `[conservation (=)][demand][capacity (≤ cap_e)]`: a
+/// demand row is `≤ d_k` under max-throughput and
+/// `net outflow − λ·v_k = 0` under max-concurrent-flow (`v = d`) and
+/// min-MLU (`v = U`); capacity rows exist as `has_capacity_rows` says.
 ///
-/// Column 0 is the scalar, if any. Min-MLU's `mlu` has an entry in the
-/// capacity row of every edge with non-zero capacity: traffic-matrix
-/// drift only moves demand-row rhs values, so it rides the fast-resolve
-/// warm path; capacity drift rewrites the `mlu` column's values and takes
-/// the structural warm plan instead; augmentation grows the column's
-/// pattern, so augmented rounds go cold by design. Max-concurrent-flow's
-/// `λ` (upper bound 1) has an entry in the demand row of every commodity
-/// with non-zero demand; it touches only demand rows, so — like
-/// max-throughput — that layout is fully augmentation-stable.
+/// Column 0 is `λ`, if any, with an entry in the demand row of every
+/// commodity with a non-zero volume. It touches only demand rows, so —
+/// like max-throughput — the layout is fully augmentation-stable, and
+/// capacities are rhs values and bounds only: capacity drift, crawls and
+/// cuts leave the matrix bit for bit and take the engine's fast resolve.
+/// Traffic-matrix drift under min-MLU rewrites `λ`'s values, so it takes
+/// the structural warm plan instead.
 fn sparse_pattern(rp: &TeProblem, kind: &LoweredKind) -> SparseLp {
     let k = rp.commodities.len();
     let edges = rp.net.edges();
     let (cons_row, n_cons) = sparse_conservation_rows(rp);
     let demand_row = |ki: usize| n_cons + ki;
     let cap_base = n_cons + k;
-    let cap_rows = has_capacity_rows(rp, kind);
+    let cap_rows = has_capacity_rows(rp);
     let n_rows = if cap_rows { cap_base + edges.len() } else { cap_base };
 
     // Capacity rows keep the builder's `≤`.
     let mut b = SparseLpBuilder::new(n_rows);
     let demand_rel = match kind {
         LoweredKind::Throughput { .. } => Relation::Le,
-        LoweredKind::MinMlu { .. } | LoweredKind::ConcurrentFlow => Relation::Eq,
+        LoweredKind::Concurrent { .. } => Relation::Eq,
     };
     for ki in 0..k {
         b.set_row(demand_row(ki), demand_rel, 0.0);
@@ -695,22 +764,9 @@ fn sparse_pattern(rp: &TeProblem, kind: &LoweredKind) -> SparseLp {
         b.set_row(*r, Relation::Eq, 0.0);
     }
 
-    let scalar: Option<Vec<(usize, f64)>> = match kind {
-        LoweredKind::Throughput { .. } => None,
-        LoweredKind::MinMlu { .. } => Some(
-            (0..edges.len())
-                .filter(|&ei| edges[ei].capacity != 0.0)
-                .map(|ei| (cap_base + ei, 0.0))
-                .collect(),
-        ),
-        LoweredKind::ConcurrentFlow => Some(
-            (0..k)
-                .filter(|&ki| rp.commodities[ki].demand != 0.0)
-                .map(|ki| (demand_row(ki), 0.0))
-                .collect(),
-        ),
-    };
-    if let Some(entries) = scalar {
+    if let LoweredKind::Concurrent { volumes, .. } = kind {
+        let entries: Vec<(usize, f64)> =
+            (0..k).filter(|&ki| volumes[ki] != 0.0).map(|ki| (demand_row(ki), 0.0)).collect();
         b.push_col(0.0, 0.0, &entries);
     }
     for ei in 0..edges.len() {

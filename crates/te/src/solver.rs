@@ -195,9 +195,13 @@ impl TeSolver {
     /// Replaces the objective *without* dropping warm-start state — the
     /// round-loop entry point for drifting inputs that live inside the
     /// objective (min-MLU traffic matrices above all). A same-shaped
-    /// objective (e.g. new TM volumes) keeps the fast-resolve path alive;
-    /// a different shape changes the LP layout and the next solve falls
-    /// back to cold via the ordinary structural-mismatch route.
+    /// objective keeps the warm start: new min-MLU volumes rewrite the
+    /// values of the `λ` column, so the next solve maps the saved basis
+    /// through the unchanged pattern (a warm start, not the fast resolve
+    /// that capacity drift takes). A different shape — another objective,
+    /// or an envelope moving to or from 0 — changes the LP layout, and the
+    /// next solve falls back to cold via the ordinary structural-mismatch
+    /// route.
     pub fn set_objective(&mut self, objective: TeObjective) -> Result<(), TeError> {
         let next = TeFormulation { objective, throughput_weight: self.formulation.throughput_weight };
         next.validate()?;
@@ -227,17 +231,7 @@ impl TeSolver {
         problem: &TeProblem,
         force: bool,
     ) -> Result<(TeSolve, Certificate), TeError> {
-        if problem.commodities.is_empty() {
-            let idle = TeSolve {
-                solution: TeSolution {
-                    routed: vec![],
-                    edge_flows: vec![0.0; problem.net.n_edges()],
-                    total: 0.0,
-                },
-                mlu: None,
-                lambda: None,
-                reductions: None,
-            };
+        if let Some(idle) = self.formulation.idle_solve(problem)? {
             return Ok((idle, Certificate::default()));
         }
         let mut retained = self.retained.borrow_mut();
@@ -385,10 +379,13 @@ mod tests {
     }
 
     #[test]
-    fn severed_min_mlu_is_proved_infeasible() {
-        // Both of A's exits at 0 G: min-MLU must carry all 150 G out of A
-        // and cannot at any MLU. The verdict is `Infeasible`, and Phase I's
-        // multipliers prove it: their reach is exactly the stranded demand.
+    fn severed_min_mlu_is_refused_at_a_certified_zero_lambda() {
+        // Both of A's exits at 0 G: no positive multiple of the 150 G A→B
+        // envelope leaves A, so min-MLU refuses with `SolverAbort` and
+        // names the commodity. The proof is the λ-LP's own optimum, λ* = 0,
+        // certified from the engine's primal and dual vectors; with the
+        // cost tie-break dropped the objective is `weight · λ`, and the
+        // duals' bound on it over every feasible point is exactly 0.
         let mut p = fig7_problem(150.0);
         for link in [0, 2] {
             p.override_link_capacity(rwc_topology::wan::LinkId(link), 0.0);
@@ -399,24 +396,35 @@ mod tests {
         let solver = TeSolver::builder().objective(objective).build().unwrap();
         let refused = solver.try_solve(&p);
         assert!(
-            matches!(refused, Err(TeError::SolverAbort { .. })),
+            matches!(&refused, Err(TeError::SolverAbort { detail, .. })
+                if detail.contains("commodity 0")),
             "{refused:?}"
         );
-        let lp = solver.formulation().lower(&p).unwrap().sparse_lp();
-        let mut engine = SparseSimplexSolver::new();
-        assert_eq!(engine.solve_sparse(&lp), LpOutcome::Infeasible);
-        let y = engine.duals();
-        rwc_lp::certify_infeasible(&lp, y).unwrap();
-        let reach: f64 = (0..lp.n_vars())
-            .filter(|&j| lp.upper[j].is_finite())
-            .map(|j| {
-                let (rows, vals) = lp.a.col(j);
-                let ya: f64 = rows.iter().zip(vals).map(|(&r, &v)| y[r] * v).sum();
-                lp.upper[j] * (-ya).max(0.0)
-            })
-            .sum();
-        let yb: f64 = y.iter().zip(&lp.rhs).map(|(yr, b)| yr * b).sum();
-        assert!((yb + reach + 150.0).abs() < 1e-9, "{}", yb + reach);
+        let mut lp = solver.formulation().lower(&p).unwrap().sparse_lp();
+        for costless in [false, true] {
+            if costless {
+                lp.objective[1..].iter_mut().for_each(|c| *c = 0.0);
+            }
+            let mut engine = SparseSimplexSolver::new();
+            let LpOutcome::Optimal(point) = engine.solve_sparse(&lp) else {
+                panic!("the λ-LP always has an optimum")
+            };
+            assert_eq!(point.x[0], 0.0, "λ*");
+            let y = engine.duals();
+            rwc_lp::certify(&lp, &point.x, y).unwrap();
+            // Dual bound on c·x over every feasible x: y·b plus each
+            // bounded column's upper bound times its positive reduced cost.
+            let reach: f64 = (0..lp.n_vars())
+                .filter(|&j| lp.upper[j].is_finite())
+                .map(|j| {
+                    let (rows, vals) = lp.a.col(j);
+                    let ya: f64 = rows.iter().zip(vals).map(|(&r, &v)| y[r] * v).sum();
+                    lp.upper[j] * (lp.objective[j] - ya).max(0.0)
+                })
+                .sum();
+            let yb: f64 = y.iter().zip(&lp.rhs).map(|(yr, b)| yr * b).sum();
+            assert!((yb + reach).abs() < 1e-9, "dual bound {}", yb + reach);
+        }
     }
 
     #[test]
@@ -614,9 +622,11 @@ mod tests {
 
     #[test]
     fn min_mlu_warm_hit_rate_under_tm_drift_matches_fast_resolve() {
-        // Rhs-only traffic-matrix drift must ride the same fast-resolve
-        // path as max-throughput capacity drift: every post-cold round a
-        // warm attempt, every attempt a hit.
+        // Capacities are rhs values and bounds of the λ-LP, so capacity
+        // drift is the engine's fast resolve: a warm hit every round on the
+        // retained factorisation, no refactorisation. Traffic-matrix drift
+        // rewrites λ's values, so it takes the mapped warm start: still a
+        // hit every round, each on a refactorised basis.
         let wan = builders::fig7_example();
         let a = wan.node_by_name("A").unwrap();
         let b = wan.node_by_name("B").unwrap();
@@ -637,18 +647,132 @@ mod tests {
             }
         };
         let mut warm = TeSolver::builder().objective(round_objective(0)).build().unwrap();
+        warm.solve_detailed(&p).unwrap();
+        let cold = warm.warm_stats().unwrap();
+        assert_eq!((cold.cold_solves, cold.warm_attempts), (1, 0), "{cold:?}");
+
+        // Capacity drift, ±9 % per link.
+        for round in 1..rounds {
+            let mut q = p.clone();
+            for l in 0..wan.n_links() {
+                let drift = 0.91 + 0.03 * ((round * (l + 3)) % 7) as f64;
+                let link = rwc_topology::wan::LinkId(l);
+                q.override_link_capacity(link, wan.link(link).capacity().value() * drift);
+            }
+            let mlu = warm.solve_detailed(&q).unwrap().mlu.unwrap();
+            let fresh = TeSolver::builder()
+                .objective(round_objective(0))
+                .warm_start(WarmStartPolicy::AlwaysCold)
+                .build()
+                .unwrap();
+            let want = fresh.solve_detailed(&q).unwrap().mlu.unwrap();
+            assert!((mlu - want).abs() <= 1e-9, "round {round}: warm {mlu} vs cold {want}");
+        }
+        let fast = warm.warm_stats().unwrap();
+        assert_eq!(fast.cold_solves, 1, "capacity drift went cold: {fast:?}");
+        assert_eq!(fast.warm_hits, (rounds - 1) as u64, "{fast:?}");
+        assert_eq!(
+            fast.refactorizations, cold.refactorizations,
+            "capacity drift must fast-resolve on the retained factorisation: {fast:?}"
+        );
+
+        // Traffic-matrix drift on the base capacities.
         let mut results = Vec::new();
         for round in 0..rounds {
             warm.set_objective(round_objective(round)).unwrap();
             results.push(warm.solve_detailed(&p).unwrap().mlu.unwrap());
         }
         let stats = warm.warm_stats().unwrap();
-        assert_eq!(stats.cold_solves, 1, "only the first round may go cold: {stats:?}");
-        assert_eq!(stats.warm_attempts, (rounds - 1) as u64, "{stats:?}");
-        assert_eq!(stats.warm_hits, (rounds - 1) as u64, "tm drift must fast-resolve: {stats:?}");
+        assert_eq!(stats.cold_solves, 1, "tm drift went cold: {stats:?}");
+        assert_eq!(stats.warm_attempts, 2 * (rounds - 1) as u64 + 1, "{stats:?}");
+        assert_eq!(stats.warm_hits, stats.warm_attempts, "tm drift must stay warm: {stats:?}");
         // And the answers track the drift (monotone non-decreasing load).
         for w in results.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "mlu should grow with the load: {results:?}");
         }
+    }
+
+    #[test]
+    fn min_mlu_survives_a_failure_state_stream() {
+        // One long-lived min-MLU solver over four chunks of a capacity
+        // stream on `scaled_mesh(4)` with upgrade rungs on every third
+        // link: the base state, 24 states of ±9 % drift, then 8 failure
+        // states with two links crawling to 50 G, the last of them also
+        // cutting a link to 0. Every state is answered warm, within the
+        // watchdog, and as an always-cold solver answers it.
+        let wan = builders::scaled_mesh(4, 500.0);
+        let pick = |name: String| wan.node_by_name(&name).unwrap();
+        let mut dm = DemandMatrix::new();
+        for i in 0..4 {
+            let (s, t) = (pick(format!("S{i}-{}", 3 + i % 3)), pick(format!("S{}-4", (i + 1) % 4)));
+            dm.add(s, t, Gbps(60.0), Priority::Elastic);
+        }
+        dm.add(pick("S0-5".into()), pick("S3-5".into()), Gbps(80.0), Priority::Elastic);
+        let mut base = TeProblem::from_wan(&wan, &dm);
+        let n_links = wan.n_links();
+        for l in (0..n_links).step_by(3) {
+            for forward in [true, false] {
+                let real = base.net.edge(2 * l + usize::from(!forward));
+                base.net.add_edge(real.from, real.to, real.capacity, real.cost + 1.0);
+                let link = rwc_topology::wan::LinkId(l);
+                base.origins.push(crate::problem::EdgeOrigin::Fake { link, forward });
+            }
+        }
+        let volumes: Vec<f64> = base.commodities.iter().map(|c| c.demand).collect();
+        let traffic_matrices = (0..3)
+            .map(|j| {
+                let phase = |i: usize| 0.7 + 0.15 * j as f64 + 0.1 * ((i + j) % 3) as f64;
+                volumes.iter().enumerate().map(|(i, v)| v * phase(i)).collect()
+            })
+            .collect();
+        let objective = TeObjective::MinMlu { traffic_matrices };
+        // Real edge capacities mapped through `cap(link, capacity)`.
+        let state = |cap: &dyn Fn(usize, f64) -> f64| {
+            let mut p = base.clone();
+            for (ei, origin) in base.origins.iter().enumerate() {
+                if let crate::problem::EdgeOrigin::Real { link, .. } = origin {
+                    p.net.set_capacity(ei, cap(link.0, base.net.edge(ei).capacity));
+                }
+            }
+            p
+        };
+        let mut states = Vec::new();
+        for chunk in 0..4 {
+            states.push(base.clone());
+            for d in chunk * 24..(chunk + 1) * 24 {
+                states.push(state(&|l, c| c * (0.91 + 0.03 * ((d * (l + 3)) % 7) as f64)));
+            }
+            for f in chunk * 8..(chunk + 1) * 8 {
+                let crawl = [(7 * f + 1) % n_links, (13 * f + 5) % n_links];
+                let cut = (f % 8 == 7).then_some((29 * f + 11) % n_links);
+                states.push(state(&|l, c| match l {
+                    _ if cut == Some(l) => 0.0,
+                    _ if crawl.contains(&l) => c.min(50.0),
+                    _ => c,
+                }));
+            }
+        }
+        let timeout = Duration::from_secs(2);
+        let warm = TeSolver::builder()
+            .objective(objective.clone())
+            .solve_timeout(timeout)
+            .build()
+            .unwrap();
+        let cold = TeSolver::builder()
+            .objective(objective)
+            .solve_timeout(timeout)
+            .warm_start(WarmStartPolicy::AlwaysCold)
+            .build()
+            .unwrap();
+        for (i, p) in states.iter().enumerate() {
+            let w = warm.solve_detailed(p).unwrap_or_else(|e| panic!("state {i}: {e}"));
+            let c = cold.solve_detailed(p).unwrap_or_else(|e| panic!("state {i}, cold: {e}"));
+            let (w, c) = (w.mlu.unwrap(), c.mlu.unwrap());
+            assert!((w - c).abs() <= 1e-6 * (1.0 + c), "state {i}: warm {w} vs cold {c}");
+        }
+        let stats = warm.warm_stats().unwrap();
+        assert_eq!(stats.watchdog_aborts, 0, "{stats:?}");
+        assert!(stats.warm_hit_rate() >= 0.95, "{stats:?}");
+        assert_eq!(stats.warm_attempts, states.len() as u64 - 1, "{stats:?}");
     }
 }

@@ -14,7 +14,7 @@ use rwc_te::problem::{EdgeOrigin, TeProblem};
 use rwc_optics::Modulation;
 use rwc_te::swan::SwanTe;
 use rwc_te::updates::{try_plan_capacity_changes, CapacityChange};
-use rwc_te::{TeAlgorithm, TeFormulation, TeObjective, TeSolver};
+use rwc_te::{TeAlgorithm, TeError, TeFormulation, TeObjective, TeSolver};
 use rwc_topology::builders::{fig7_example, scaled_mesh};
 use rwc_topology::random::{waxman, WaxmanConfig};
 use rwc_topology::wan::LinkId;
@@ -228,8 +228,12 @@ proptest! {
     }
 
     /// Min-MLU: the same drifts, traffic-matrix drift through
-    /// `set_objective`, and an edge cut to 0 and restored, which takes it
-    /// out of (and back into) the `mlu` column's pattern.
+    /// `set_objective`, an edge cut to 0 and restored (a value change:
+    /// capacities are rhs values and bounds), and a commodity's envelope
+    /// cut to 0 and restored, which takes it out of (and back into) the
+    /// `λ` column's pattern. Commodity 0 keeps its envelope: an all-zero
+    /// envelope never reaches a `TeSolver`'s engine, while the raw engine
+    /// here would be handed an unbounded `λ`.
     #[test]
     fn min_mlu_retained_lp_matches_fresh(p in arb_small_problem(), steps in arb_steps()) {
         let k = p.commodities.len();
@@ -239,11 +243,17 @@ proptest! {
             let TeObjective::MinMlu { traffic_matrices } = objective else { unreachable!() };
             match what {
                 4 => traffic_matrices[at % 2].iter_mut().for_each(|v| *v *= factor),
-                _ => {
-                    let e = at % p.net.n_edges();
+                _ if at % 2 == 0 => {
+                    let e = at / 2 % p.net.n_edges();
                     let mut cap = p.net.edge(e).capacity;
                     toggle_zero(&mut cap, 100.0 * factor);
                     p.net.set_capacity(e, cap);
+                }
+                _ => {
+                    let ki = 1 + at / 2 % (k - 1);
+                    for tm in traffic_matrices.iter_mut() {
+                        toggle_zero(&mut tm[ki], 50.0 * factor);
+                    }
                 }
             }
         })?;
@@ -275,6 +285,113 @@ proptest! {
         drive(TeObjective::CapacityReduction, p, &steps, |p, _, (_, at, factor)| {
             common_drift(p, (0, at, factor));
         })?;
+    }
+}
+
+/// A WAN (Waxman, or a one- or two-replica `scaled_mesh`) whose directed
+/// edges carry non-uniform capacities (each × [0.3, 1.7], some links cut
+/// to 0), one to four commodities, and one to three traffic matrices over
+/// them (a volume may be 0).
+fn arb_min_mlu_case() -> impl Strategy<Value = (TeProblem, Vec<Vec<f64>>)> {
+    // One volume in five is 0, one link in ten is cut.
+    let volume = (0u8..5, 1.0f64..400.0).prop_map(|(zero, v)| if zero == 0 { 0.0 } else { v });
+    (
+        (0u8..3, 4usize..9, 0u64..200),
+        proptest::collection::vec((0.3f64..1.7, 0u8..10), 64),
+        proptest::collection::vec((0usize..1000, 0usize..1000), 1..5),
+        proptest::collection::vec(proptest::collection::vec(volume, 4), 1..4),
+    )
+        .prop_map(|((kind, n, seed), scales, pairs, tms)| {
+            let wan = match kind {
+                0 => waxman(&WaxmanConfig { n_nodes: n, seed, ..Default::default() }),
+                replicas => scaled_mesh(replicas as usize, 100.0),
+            };
+            let nodes = wan.n_nodes();
+            let mut dm = DemandMatrix::new();
+            for &(from, step) in &pairs {
+                let from = from % nodes;
+                let to = (from + 1 + step % (nodes - 1)) % nodes;
+                dm.add(NodeId(from), NodeId(to), Gbps(1.0), Priority::Elastic);
+            }
+            let mut p = TeProblem::from_wan(&wan, &dm);
+            for e in 0..p.net.n_edges() {
+                let (scale, _) = scales[e % scales.len()];
+                let (_, cut) = scales[(e / 2) % scales.len()];
+                let cap = if cut == 0 { 0.0 } else { p.net.edge(e).capacity * scale };
+                p.net.set_capacity(e, cap);
+            }
+            let k = pairs.len();
+            (p, tms.into_iter().map(|tm| tm[..k].to_vec()).collect())
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Min-MLU against lowerings that share none of its code: its envelope
+    /// is routed exactly and fits the capacities scaled by `mlu*`; the
+    /// max-throughput LP routes the whole envelope just above `mlu*` and
+    /// measurably less just below it; with one commodity `mlu*` is the
+    /// envelope over Dinic's max-flow. A refusal is a commodity that Dinic
+    /// cannot move a unit of.
+    #[test]
+    fn min_mlu_agrees_with_independent_lowerings((p, tms) in arb_min_mlu_case()) {
+        let k = p.commodities.len();
+        let envelope: Vec<f64> =
+            (0..k).map(|ki| tms.iter().map(|tm| tm[ki]).fold(0.0, f64::max)).collect();
+        let total: f64 = envelope.iter().sum();
+        let dinic = |ki: usize| {
+            let c = &p.commodities[ki];
+            rwc_flow::max_flow(&p.net, c.source, c.sink).value
+        };
+        // The problem with the envelope as its demands and every capacity
+        // scaled by `s`.
+        let scaled = |s: f64| {
+            let mut q = p.clone();
+            for e in 0..q.net.n_edges() {
+                q.net.set_capacity(e, q.net.edge(e).capacity * s);
+            }
+            for (c, &u) in q.commodities.iter_mut().zip(&envelope) {
+                c.demand = u;
+            }
+            q
+        };
+        let solver = TeSolver::builder()
+            .objective(TeObjective::MinMlu { traffic_matrices: tms.clone() })
+            .build()
+            .unwrap();
+        let solve = match solver.solve_detailed(&p) {
+            Ok(solve) => solve,
+            Err(e) => {
+                prop_assert!(matches!(e, TeError::SolverAbort { .. }), "{e}");
+                prop_assert!((0..k).any(|ki| envelope[ki] > 0.0 && dinic(ki) == 0.0),
+                    "refused, yet every envelope has a path: {e}");
+                return Ok(());
+            }
+        };
+        let mlu = solve.mlu.expect("min-MLU reports its MLU");
+        for (ki, (&r, &u)) in solve.solution.routed.iter().zip(&envelope).enumerate() {
+            prop_assert!((r - u).abs() <= 1e-6 * (1.0 + u), "commodity {ki} routed {r} of {u}");
+        }
+        let fits = solve.solution.validate(&scaled(mlu));
+        prop_assert!(fits.is_ok(), "at mlu* = {mlu}: {fits:?}");
+        if total == 0.0 {
+            prop_assert_eq!(mlu, 0.0);
+            return Ok(());
+        }
+        let throughput = |s: f64| {
+            TeSolver::default().try_solve(&scaled(mlu * s)).expect("max-throughput solves").total
+        };
+        let above = throughput(1.0 + 1e-7);
+        prop_assert!((above - total).abs() <= 1e-6 * (1.0 + total),
+            "capacities x mlu*(1+1e-7) route {above} of {total}");
+        let below = throughput(1.0 - 1e-4);
+        prop_assert!(total - below > 1e-7 * total,
+            "capacities x mlu*(1-1e-4) still route {below} of {total}");
+        if k == 1 {
+            let want = total / dinic(0);
+            prop_assert!((mlu - want).abs() <= 1e-9 * want, "mlu* {mlu} vs Dinic {want}");
+        }
     }
 }
 
