@@ -1,9 +1,10 @@
 //! The documents name files, Rust items and experiment ids; these tests
 //! keep the names real. Deliberately narrow: only what can be checked
 //! without judgement — a backticked repository path exists, a backticked
-//! `Type::name` still names a type and a member the sources define, a file
-//! the results table lists is there (or the row says it is not committed),
-//! an experiment id in the README's table is one `repro` accepts.
+//! `Type::name` still names a type and a member the sources define, a
+//! backticked `snake_case` name still occurs in some source, a file the
+//! results table lists is there (or the row says it is not committed), an
+//! experiment id in the README's table is one `repro` accepts.
 
 use rwc_bench::experiments;
 use std::collections::HashSet;
@@ -73,29 +74,32 @@ fn backticked_repo_paths_exist() {
     assert!(missing.is_empty(), "documents name paths that do not exist:\n{}", missing.join("\n"));
 }
 
-/// Every identifier that occurs in a `.rs` file under `crates/*/src`.
-fn source_identifiers() -> HashSet<String> {
-    fn walk(dir: &Path, idents: &mut HashSet<String>) {
-        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
-            let path = entry.expect("directory entry").path();
-            if path.is_dir() {
-                walk(&path, idents);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let text = std::fs::read_to_string(&path).expect("source file");
-                idents.extend(
-                    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                        .filter(|w| !w.is_empty())
-                        .map(str::to_owned),
-                );
-            }
+/// Adds every identifier-like word (string contents included) of every
+/// `.rs` file under `dir` to `idents`.
+fn collect_identifiers(dir: &Path, idents: &mut HashSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            collect_identifiers(&path, idents);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("source file");
+            idents.extend(
+                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .filter(|w| !w.is_empty())
+                    .map(str::to_owned),
+            );
         }
     }
+}
+
+/// Every identifier that occurs in a `.rs` file under `crates/*/src`.
+fn source_identifiers() -> HashSet<String> {
     let mut idents = HashSet::new();
     let crates = repo_root().join("crates");
     for entry in std::fs::read_dir(&crates).expect("crates/") {
         let src = entry.expect("directory entry").path().join("src");
         if src.is_dir() {
-            walk(&src, &mut idents);
+            collect_identifiers(&src, &mut idents);
         }
     }
     idents
@@ -133,6 +137,44 @@ fn backticked_rust_paths_exist() {
     assert!(
         missing.is_empty(),
         "documents name Rust items the sources no longer define:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// `snake_case` or `snake_case()`: lowercase ASCII, digits and at least
+/// one `_`, so that plain words in backticks are not taken for names.
+fn snake_case(span: &str) -> Option<&str> {
+    let name = span.strip_suffix("()").unwrap_or(span);
+    (name.starts_with(|c: char| c.is_ascii_lowercase())
+        && name.contains('_')
+        && name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+    .then_some(name)
+}
+
+#[test]
+fn backticked_identifiers_exist() {
+    // Functions, fields and tests live under the Rust trees; workload and
+    // metric names are strings in `benchmark/src/`.
+    let mut idents = HashSet::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        collect_identifiers(&repo_root().join(dir), &mut idents);
+    }
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = read(doc);
+        for name in code_spans(&text).into_iter().filter_map(snake_case) {
+            checked += 1;
+            if !idents.contains(name) {
+                missing.push(format!("{doc}: `{name}`"));
+            }
+        }
+    }
+    println!("docs: {checked} backticked snake_case names checked");
+    assert!(checked > 0, "the span scanner found no snake_case name to check");
+    assert!(
+        missing.is_empty(),
+        "documents name identifiers no source contains:\n{}",
         missing.join("\n")
     );
 }

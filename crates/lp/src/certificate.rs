@@ -1,41 +1,27 @@
-//! LP certificates: a proof for every verdict the solver reaches but
-//! `Stalled`, checked from the solver's own vectors with no second solver.
+//! The LP certificate: the proof of an optimum, checked from the solver's
+//! own vectors with no second solver. Every program the engine accepts is
+//! feasible at the origin and every verdict but `Stalled` is an optimum,
+//! so this is the one proof there is.
 //!
-//! For `max c·x  s.t.  A x {≤,=,≥} b,  0 ≤ x ≤ u`:
+//! For `max c·x  s.t.  A x {≤,=} b,  0 ≤ x ≤ u`, [`certify`]`(lp, x, y)`
+//! holds when
+//! 1. *primal feasibility*: every row by its relation, `0 ≤ x ≤ u`;
+//! 2. *dual feasibility*: `y_r ≥ 0` on `≤` rows, and the reduced cost
+//!    `d_j = c_j − y·A_j` is `≤ 0` where `x_j` rests at zero, `≥ 0` where
+//!    it rests at `u_j`, and zero strictly between (the bound status is
+//!    read off `x` itself, not taken on trust);
+//! 3. *no duality gap*: `c·x = y·b + Σ_j u_j·max(d_j, 0)`.
 //!
-//! - **Optimal** — [`certify`]`(lp, x, y)` holds when
-//!   1. *primal feasibility*: every row by its relation, `0 ≤ x ≤ u`;
-//!   2. *dual feasibility*: `y_r ≥ 0` on `≤` rows, `≤ 0` on `≥` rows, and
-//!      the reduced cost `d_j = c_j − y·A_j` is `≤ 0` where `x_j` rests at
-//!      zero, `≥ 0` where it rests at `u_j`, and zero strictly between
-//!      (the bound status is read off `x` itself, not taken on trust);
-//!   3. *no duality gap*: `c·x = y·b + Σ_j u_j·max(d_j, 0)`.
-//! - **Infeasible** — [`certify_infeasible`]`(lp, y)`, a Farkas vector: the
-//!   dual side of 2–3 with `c = 0`. `y` signed by relation as above,
-//!   `−y·A_j ≤ 0` wherever `u_j = ∞`, and the *reach*
-//!   `y·b + Σ_j u_j·max(−y·A_j, 0) < 0`. Every feasible `x` has
-//!   `y·A x ≤ y·b`, yet every `x` in the box has
-//!   `y·A x ≥ −Σ_j u_j·max(−y·A_j, 0) > y·b`: no `x` is both.
-//! - **Unbounded** — [`certify_unbounded`]`(lp, x, d)`, a ray: `x` feasible,
-//!   `d ≥ 0` with `d_j = 0` wherever `u_j` is finite, `A d` `≤ 0`, `≥ 0` or
-//!   `= 0` by row relation, and `c·d > 0`: `x + t·d` stays feasible for
-//!   every `t ≥ 0` while its objective grows without bound.
-//!
-//! All three are plain loops over the CSC columns — O(nnz), no
-//! factorisation, no solver state — and the first two share the dual-side
-//! loop. Residuals are *relative*. [`certify`] scales rows to `1 + |b_r|`,
-//! bounds to `1 + u_j`, multipliers and reduced costs to `1 + ‖c‖∞`, and
-//! the gap to one plus the magnitudes both objectives are summed from:
-//! `|c_j·x_j|`, `|y_r·b_r|`, and for each bound term `u_j·d_j` the
-//! magnitudes `|c_j|` and `|y_r·a_rj|` its reduced cost cancels. The TE
-//! objectives weigh their headline quantity at `1e6`, so an absolute
-//! tolerance would either refuse every correct solve or accept wrong
-//! ones; nor may the gap's scale shrink with `c·x`, since at a zero
-//! optimum the bound terms still round to `1e-16·1e6`, not 0. A Farkas
-//! vector and a ray have no scale of their own, so each of their sums is
-//! measured against `‖y‖∞` (or `‖d‖∞`) plus the magnitudes of its terms:
-//! the verdict does not move when either vector is multiplied by a
-//! positive constant.
+//! It is one plain loop over the CSC columns and one over the rows —
+//! O(nnz), no factorisation, no solver state. Residuals are *relative*:
+//! rows are scaled to `1 + |b_r|`, bounds to `1 + u_j`, multipliers and
+//! reduced costs to `1 + ‖c‖∞`, and the gap to one plus the magnitudes
+//! both objectives are summed from: `|c_j·x_j|`, `|y_r·b_r|`, and for each
+//! bound term `u_j·d_j` the magnitudes `|c_j|` and `|y_r·a_rj|` its reduced
+//! cost cancels. The TE objectives weigh their headline quantity at `1e6`,
+//! so an absolute tolerance would either refuse every correct solve or
+//! accept wrong ones; nor may the gap's scale shrink with `c·x`, since at
+//! a zero optimum the bound terms still round to `1e-16·1e6`, not 0.
 
 use crate::sparse::{Relation, SparseLp};
 use std::fmt;
@@ -44,19 +30,15 @@ use std::fmt;
 /// lands three to six orders of magnitude below it on every TE fixture.
 pub const CERTIFICATE_TOL: f64 = 1e-9;
 
-/// The worst relative residuals of a checked certificate and its
-/// objective test.
+/// The worst relative residuals of a checked certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Certificate {
-    /// Worst row or bound violation: of `x`, and for a ray of `d` as well.
+    /// Worst row or bound violation of `x`.
     pub primal: f64,
     /// Worst multiplier-sign or reduced-cost violation.
     pub dual: f64,
-    /// The objective test, relative. [`certify`]: the duality gap
-    /// `|c·x − (y·b + Σ u_j·max(d_j, 0))|` over the magnitudes both sides
-    /// are summed from, at most the tolerance.
-    /// [`certify_infeasible`]: the reach, below minus the tolerance.
-    /// [`certify_unbounded`]: the ascent `c·d`, above the tolerance.
+    /// The duality gap `|c·x − (y·b + Σ u_j·max(d_j, 0))|` over the
+    /// magnitudes both sides are summed from, at most the tolerance.
     pub gap: f64,
 }
 
@@ -72,40 +54,32 @@ impl fmt::Display for Certificate {
 
 /// Why a certificate is refused. The residual-carrying variants hold all
 /// three residuals; the variant names the first test that failed, in the
-/// order primal → dual → objective.
+/// order primal → dual → gap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CertificateError {
     /// A vector has the wrong length for the program.
     Shape {
-        /// `"x"`, `"y"` or `"d"`.
+        /// `"x"` or `"y"`.
         vector: &'static str,
-        /// Columns (for `x`, `d`) or rows (for `y`) of the program.
+        /// Columns (for `x`) or rows (for `y`) of the program.
         expected: usize,
         /// Length received.
         got: usize,
     },
     /// A vector holds a NaN or an infinity.
     NonFinite {
-        /// `"x"`, `"y"` or `"d"`.
+        /// `"x"` or `"y"`.
         vector: &'static str,
         /// First offending index.
         index: usize,
     },
-    /// A row or a bound is violated: `x` is not a feasible point, or `x + t·d`
-    /// leaves the feasible set.
+    /// A row or a bound is violated: `x` is not a feasible point.
     PrimalInfeasible(Certificate),
     /// A multiplier has the wrong sign for its row, or a reduced cost the
-    /// wrong sign for where `x_j` rests (for a Farkas vector: is positive
-    /// on a column without an upper bound).
+    /// wrong sign for where `x_j` rests.
     DualInfeasible(Certificate),
     /// Both sides are feasible but their objectives differ.
     Gap(Certificate),
-    /// The reach of a Farkas vector is not negative: `y` does not separate
-    /// `b` from what `0 ≤ x ≤ u` can reach, so it proves nothing.
-    NotSeparating(Certificate),
-    /// `c·d` is not positive: moving along the ray does not raise the
-    /// objective.
-    NoAscent(Certificate),
 }
 
 impl fmt::Display for CertificateError {
@@ -124,8 +98,6 @@ impl fmt::Display for CertificateError {
             CertificateError::PrimalInfeasible(c) => write!(f, "primal infeasible ({c})"),
             CertificateError::DualInfeasible(c) => write!(f, "dual infeasible ({c})"),
             CertificateError::Gap(c) => write!(f, "duality gap open ({c})"),
-            CertificateError::NotSeparating(c) => write!(f, "reach not negative ({c})"),
-            CertificateError::NoAscent(c) => write!(f, "ray does not ascend ({c})"),
         }
     }
 }
@@ -146,111 +118,6 @@ fn check_vector(vector: &'static str, v: &[f64], expected: usize) -> Result<(), 
     }
 }
 
-/// `‖v‖∞`, never zero, so that it can divide.
-fn scale_of(v: &[f64]) -> f64 {
-    v.iter().fold(f64::MIN_POSITIVE, |s, e| s.max(e.abs()))
-}
-
-/// How far a row whose `a·x − b` is `over` breaks `rel`.
-fn violation(rel: Relation, over: f64) -> f64 {
-    match rel {
-        Relation::Le => over.max(0.0),
-        Relation::Ge => (-over).max(0.0),
-        Relation::Eq => over.abs(),
-    }
-}
-
-/// Scatters `x_j·A_j` into `ax` and returns how far `x_j` leaves
-/// `[0, u_j]`, relative to `1 + u_j`. Inlined for the reason
-/// [`dual_side`] is.
-#[inline(always)]
-fn primal_column(lp: &SparseLp, j: usize, xj: f64, ax: &mut [f64]) -> f64 {
-    let (rows, vals) = lp.a.col(j);
-    for (&r, &v) in rows.iter().zip(vals) {
-        ax[r] += v * xj;
-    }
-    let u = lp.upper[j];
-    if u.is_finite() {
-        (-xj).max((xj - u) / (1.0 + u))
-    } else {
-        -xj
-    }
-}
-
-/// Worst row violation of a point whose `A x` is `ax`, relative to
-/// `1 + |b_r|`.
-fn primal_rows(lp: &SparseLp, ax: &[f64]) -> f64 {
-    ax.iter().enumerate().fold(0.0f64, |worst, (r, &a)| {
-        let b = lp.rhs[r];
-        worst.max(violation(lp.rel[r], a - b) / (1.0 + b.abs()))
-    })
-}
-
-/// The dual side of a program, as [`dual_side`] measures it.
-struct DualSide {
-    /// Worst wrong-signed multiplier, absolute.
-    wrong_sign: f64,
-    /// The dual objective `y·b + Σ_j u_j·max(d_j, 0)`.
-    objective: f64,
-    /// The sum of the magnitudes of `objective`'s terms.
-    magnitude: f64,
-    /// `magnitude` with each bound term `u_j·d_j` counted at the
-    /// magnitudes its reduced cost is summed from,
-    /// `u_j·(|c_j| + Σ_r |y_r·a_rj|)`: what rounding in `objective` scales
-    /// with when `d_j` cancels large numbers.
-    summands: f64,
-}
-
-/// What [`certify`] (objective `c`) and [`certify_infeasible`] (`c = 0`,
-/// `objective` is `None`) share: one walk over the columns, handing
-/// `column(j, d_j)` each reduced cost `d_j = c_j − y·A_j`, then one over
-/// the rows. Inlined so that the closure's accumulators stay in
-/// registers: as a call it costs `certify` a quarter of its time.
-#[inline(always)]
-fn dual_side(
-    lp: &SparseLp,
-    objective: Option<&[f64]>,
-    y: &[f64],
-    mut column: impl FnMut(usize, f64),
-) -> DualSide {
-    let mut side = DualSide {
-        wrong_sign: 0.0,
-        objective: 0.0,
-        magnitude: 0.0,
-        summands: 0.0,
-    };
-    for j in 0..lp.n_vars() {
-        let (rows, vals) = lp.a.col(j);
-        let mut d = objective.map_or(0.0, |c| c[j]);
-        let mut terms = d.abs();
-        for (&r, &v) in rows.iter().zip(vals) {
-            d -= y[r] * v;
-            terms += (y[r] * v).abs();
-        }
-        let u = lp.upper[j];
-        if u.is_finite() {
-            side.objective += u * d.max(0.0);
-            side.magnitude += u * d.max(0.0);
-            if d > 0.0 {
-                side.summands += u * terms;
-            }
-        }
-        column(j, d);
-    }
-    for (r, &yr) in y.iter().enumerate() {
-        let wrong = match lp.rel[r] {
-            Relation::Le => (-yr).max(0.0),
-            Relation::Ge => yr.max(0.0),
-            Relation::Eq => 0.0,
-        };
-        side.wrong_sign = side.wrong_sign.max(wrong);
-        side.objective += yr * lp.rhs[r];
-        side.magnitude += (yr * lp.rhs[r]).abs();
-        side.summands += (yr * lp.rhs[r]).abs();
-    }
-    side
-}
-
 /// Checks that `x` (one value per column) is an optimal point of `lp` and
 /// `y` (one multiplier per row) proves it; see the module docs for the
 /// three conditions and their scaling. `lp` must pass
@@ -258,15 +125,42 @@ fn dual_side(
 pub fn certify(lp: &SparseLp, x: &[f64], y: &[f64]) -> Result<Certificate, CertificateError> {
     check_vector("x", x, lp.n_vars())?;
     check_vector("y", y, lp.n_rows())?;
-    let c_scale = 1.0 + lp.objective.iter().fold(0.0f64, |s, c| s.max(c.abs()));
+    let c = &lp.objective;
+    let c_scale = 1.0 + c.iter().fold(0.0f64, |s, c| s.max(c.abs()));
     let mut ax = vec![0.0; lp.n_rows()];
     let (mut primal, mut dual) = (0.0f64, 0.0f64);
     let (mut primal_objective, mut primal_summands) = (0.0, 0.0);
-    let side = dual_side(lp, Some(&lp.objective), y, |j, d| {
+    // The dual objective `y·b + Σ_j u_j·max(d_j, 0)`, and its summands with
+    // each bound term counted at the magnitudes its reduced cost is summed
+    // from, `u_j·(|c_j| + Σ_r |y_r·a_rj|)`: what rounding in it scales with
+    // when `d_j` cancels large numbers.
+    let (mut dual_objective, mut dual_summands) = (0.0, 0.0);
+    for j in 0..lp.n_vars() {
+        let (rows, vals) = lp.a.col(j);
         let (xj, u) = (x[j], lp.upper[j]);
-        primal = primal.max(primal_column(lp, j, xj, &mut ax));
-        primal_objective += lp.objective[j] * xj;
-        primal_summands += (lp.objective[j] * xj).abs();
+        let mut d = c[j];
+        let mut terms = d.abs();
+        for (&r, &v) in rows.iter().zip(vals) {
+            d -= y[r] * v;
+            terms += (y[r] * v).abs();
+        }
+        if u.is_finite() {
+            dual_objective += u * d.max(0.0);
+            if d > 0.0 {
+                dual_summands += u * terms;
+            }
+        }
+        for (&r, &v) in rows.iter().zip(vals) {
+            ax[r] += v * xj;
+        }
+        let off_bounds = if u.is_finite() {
+            (-xj).max((xj - u) / (1.0 + u))
+        } else {
+            -xj
+        };
+        primal = primal.max(off_bounds);
+        primal_objective += c[j] * xj;
+        primal_summands += (c[j] * xj).abs();
         let at_lower = xj <= CERTIFICATE_TOL;
         let at_upper = u.is_finite() && xj >= u - CERTIFICATE_TOL * (1.0 + u);
         let wrong = match (at_lower, at_upper) {
@@ -276,13 +170,28 @@ pub fn certify(lp: &SparseLp, x: &[f64], y: &[f64]) -> Result<Certificate, Certi
             (false, false) => d.abs(),
         };
         dual = dual.max(wrong / c_scale);
-    });
-    let primal = primal.max(primal_rows(lp, &ax));
+    }
+    let mut wrong_sign = 0.0f64;
+    for (r, &yr) in y.iter().enumerate() {
+        if lp.rel[r] == Relation::Le {
+            wrong_sign = wrong_sign.max((-yr).max(0.0));
+        }
+        dual_objective += yr * lp.rhs[r];
+        dual_summands += (yr * lp.rhs[r]).abs();
+    }
+    for (r, &a) in ax.iter().enumerate() {
+        let (b, over) = (lp.rhs[r], a - lp.rhs[r]);
+        let violation = match lp.rel[r] {
+            Relation::Le => over.max(0.0),
+            Relation::Eq => over.abs(),
+        };
+        primal = primal.max(violation / (1.0 + b.abs()));
+    }
     let cert = Certificate {
         primal,
-        dual: dual.max(side.wrong_sign / c_scale),
-        gap: (primal_objective - side.objective).abs()
-            / (1.0 + primal_summands + side.summands),
+        dual: dual.max(wrong_sign / c_scale),
+        gap: (primal_objective - dual_objective).abs()
+            / (1.0 + primal_summands + dual_summands),
     };
     if cert.primal > CERTIFICATE_TOL {
         Err(CertificateError::PrimalInfeasible(cert))
@@ -290,91 +199,6 @@ pub fn certify(lp: &SparseLp, x: &[f64], y: &[f64]) -> Result<Certificate, Certi
         Err(CertificateError::DualInfeasible(cert))
     } else if cert.gap > CERTIFICATE_TOL || cert.gap.is_nan() {
         Err(CertificateError::Gap(cert))
-    } else {
-        Ok(cert)
-    }
-}
-
-/// Checks that `y` (one multiplier per row) is a Farkas vector proving
-/// `lp` has no feasible point; see the module docs. Signs are measured
-/// against `‖y‖∞` plus the magnitudes of the column's terms `|y_r·a_rj|`,
-/// the reach against the magnitudes of its own terms.
-pub fn certify_infeasible(lp: &SparseLp, y: &[f64]) -> Result<Certificate, CertificateError> {
-    check_vector("y", y, lp.n_rows())?;
-    let scale = scale_of(y);
-    let mut dual = 0.0f64;
-    let side = dual_side(lp, None, y, |j, d| {
-        if lp.upper[j].is_infinite() && d > 0.0 {
-            let (rows, vals) = lp.a.col(j);
-            let terms: f64 = rows.iter().zip(vals).map(|(&r, &v)| (y[r] * v).abs()).sum();
-            dual = dual.max(d / (scale + terms));
-        }
-    });
-    let reach = if side.magnitude > 0.0 {
-        side.objective / side.magnitude
-    } else {
-        0.0
-    };
-    let cert = Certificate {
-        primal: 0.0,
-        dual: dual.max(side.wrong_sign / scale),
-        gap: reach,
-    };
-    if cert.dual > CERTIFICATE_TOL {
-        Err(CertificateError::DualInfeasible(cert))
-    } else if cert.gap >= -CERTIFICATE_TOL || cert.gap.is_nan() {
-        Err(CertificateError::NotSeparating(cert))
-    } else {
-        Ok(cert)
-    }
-}
-
-/// Checks that `x` is a feasible point of `lp` and `d` (one entry per
-/// column) a ray from it along which the objective grows without bound;
-/// see the module docs. `x` is scaled as in [`certify`]; the bounds on `d`
-/// against `‖d‖∞`, each row of `A d` and the ascent `c·d` against `‖d‖∞`
-/// plus the magnitudes of their terms.
-pub fn certify_unbounded(
-    lp: &SparseLp,
-    x: &[f64],
-    d: &[f64],
-) -> Result<Certificate, CertificateError> {
-    check_vector("x", x, lp.n_vars())?;
-    check_vector("d", d, lp.n_vars())?;
-    let scale = scale_of(d);
-    let mut ax = vec![0.0; lp.n_rows()];
-    let mut ad = vec![0.0; lp.n_rows()];
-    let mut ad_terms = vec![0.0; lp.n_rows()];
-    let (mut primal, mut ascent, mut ascent_terms) = (0.0f64, 0.0, 0.0);
-    for (j, &dj) in d.iter().enumerate() {
-        primal = primal.max(primal_column(lp, j, x[j], &mut ax));
-        let (rows, vals) = lp.a.col(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            ad[r] += v * dj;
-            ad_terms[r] += (v * dj).abs();
-        }
-        ascent += lp.objective[j] * dj;
-        ascent_terms += (lp.objective[j] * dj).abs();
-        let off_bounds = if lp.upper[j].is_finite() {
-            dj.abs()
-        } else {
-            (-dj).max(0.0)
-        };
-        primal = primal.max(off_bounds / scale);
-    }
-    primal = primal.max(primal_rows(lp, &ax));
-    for (r, (&a, &terms)) in ad.iter().zip(&ad_terms).enumerate() {
-        primal = primal.max(violation(lp.rel[r], a) / (scale + terms));
-    }
-    let cert = Certificate {
-        primal,
-        dual: 0.0,
-        gap: ascent / (scale + ascent_terms),
-    };
-    if cert.primal > CERTIFICATE_TOL {
-        Err(CertificateError::PrimalInfeasible(cert))
-    } else if cert.gap <= CERTIFICATE_TOL || cert.gap.is_nan() {
-        Err(CertificateError::NoAscent(cert))
     } else {
         Ok(cert)
     }
@@ -572,131 +396,6 @@ mod tests {
         assert!(
             repaired.repair_pivots > 0 && repaired.repair_aborts == 0,
             "{repaired:?}"
-        );
-    }
-
-    /// `x ≤ 1, x + z ≥ 6` with `z ≤ 3` and `x` unbounded: `x + z` reaches 4
-    /// at most. `y = (1, −1)` prices `x` at 0 and `z` at 1, so its reach is
-    /// `y·b + 3·1 = −5 + 3 = −2`, over the magnitudes `1 + 6 + 3`.
-    fn stranded(rhs: f64) -> (SparseLp, Vec<f64>) {
-        let mut b = SparseLpBuilder::new(2);
-        b.set_row(0, Relation::Le, 1.0);
-        b.set_row(1, Relation::Ge, rhs);
-        b.push_col(0.0, f64::INFINITY, &[(0, 1.0), (1, 1.0)]);
-        b.push_col(0.0, 3.0, &[(1, 1.0)]);
-        (b.build(), vec![1.0, -1.0])
-    }
-
-    #[test]
-    fn hand_farkas_vector_certifies() {
-        let (lp, y) = stranded(6.0);
-        let proof = certify_infeasible(&lp, &y).unwrap();
-        assert_eq!((proof.primal, proof.dual), (0.0, 0.0));
-        assert!((proof.gap + 0.2).abs() < 1e-15, "{proof}");
-        // Any positive multiple proves the same.
-        assert_eq!(certify_infeasible(&lp, &[1e6, -1e6]), Ok(proof));
-    }
-
-    #[test]
-    fn tampered_farkas_vectors_are_refused() {
-        let (lp, _) = stranded(6.0);
-        // A flipped sign on the `≤` row.
-        assert!(matches!(
-            certify_infeasible(&lp, &[-1.0, -1.0]),
-            Err(CertificateError::DualInfeasible(c)) if c.dual == 1.0
-        ));
-        // Right signs, but prices the unbounded `x` above zero: x → ∞
-        // escapes the bound the reach assumes.
-        assert!(matches!(
-            certify_infeasible(&lp, &[0.0, -1.0]),
-            Err(CertificateError::DualInfeasible(_))
-        ));
-        // y = 0, and a program that is feasible after all (x + z ≥ 4).
-        for (rhs, y) in [(6.0, [0.0, 0.0]), (4.0, [1.0, -1.0])] {
-            let (lp, _) = stranded(rhs);
-            assert!(matches!(
-                certify_infeasible(&lp, &y),
-                Err(CertificateError::NotSeparating(c)) if c.gap == 0.0
-            ));
-        }
-    }
-
-    /// `max 2x − w  s.t.  x − w ≤ 1,  x + z ≥ 1` with `z ≤ 2`: from
-    /// `x = (1, 0, 0)` the ray `d = (1, 0, 1)` keeps both rows and every
-    /// bound and gains `c·d = 1` per step, over the magnitudes `1 + 2 + 1`.
-    fn runaway() -> (SparseLp, Vec<f64>, Vec<f64>) {
-        let mut b = SparseLpBuilder::new(2);
-        b.set_row(0, Relation::Le, 1.0);
-        b.set_row(1, Relation::Ge, 1.0);
-        b.push_col(2.0, f64::INFINITY, &[(0, 1.0), (1, 1.0)]);
-        b.push_col(0.0, 2.0, &[(1, 1.0)]);
-        b.push_col(-1.0, f64::INFINITY, &[(0, -1.0)]);
-        (b.build(), vec![1.0, 0.0, 0.0], vec![1.0, 0.0, 1.0])
-    }
-
-    #[test]
-    fn hand_ray_certifies() {
-        let (lp, x, d) = runaway();
-        let proof = certify_unbounded(&lp, &x, &d).unwrap();
-        assert_eq!((proof.primal, proof.dual, proof.gap), (0.0, 0.0, 0.25));
-        assert_eq!(certify_unbounded(&lp, &x, &[3.0, 0.0, 3.0]), Ok(proof));
-    }
-
-    #[test]
-    fn tampered_rays_are_refused() {
-        let (lp, x, _) = runaway();
-        let refused = |d: &[f64]| certify_unbounded(&lp, &x, d).unwrap_err();
-        // w outruns x: feasible, but c·d = 0.
-        assert!(matches!(refused(&[1.0, 0.0, 2.0]), CertificateError::NoAscent(c) if c.gap == 0.0));
-        // z has a finite bound, so it cannot move along a ray.
-        assert!(matches!(
-            refused(&[1.0, 1.0, 1.0]),
-            CertificateError::PrimalInfeasible(c) if c.primal == 1.0
-        ));
-        // A flipped sign, and a direction that breaks the `≤` row.
-        for d in [[-1.0, 0.0, -1.0], [1.0, 0.0, 0.0]] {
-            assert!(matches!(refused(&d), CertificateError::PrimalInfeasible(_)));
-        }
-        // The start is not feasible.
-        assert!(matches!(
-            certify_unbounded(&lp, &[2.0, 0.0, 0.0], &[1.0, 0.0, 1.0]),
-            Err(CertificateError::PrimalInfeasible(_))
-        ));
-    }
-
-    #[test]
-    fn malformed_proofs_are_typed_errors() {
-        let (lp, _) = stranded(6.0);
-        assert_eq!(
-            certify_infeasible(&lp, &[1.0]),
-            Err(CertificateError::Shape {
-                vector: "y",
-                expected: 2,
-                got: 1
-            })
-        );
-        assert_eq!(
-            certify_infeasible(&lp, &[1.0, f64::NAN]),
-            Err(CertificateError::NonFinite {
-                vector: "y",
-                index: 1
-            })
-        );
-        let (lp, x, _) = runaway();
-        assert_eq!(
-            certify_unbounded(&lp, &x, &[1.0, 0.0]),
-            Err(CertificateError::Shape {
-                vector: "d",
-                expected: 3,
-                got: 2
-            })
-        );
-        assert_eq!(
-            certify_unbounded(&lp, &x, &[1.0, 0.0, f64::INFINITY]),
-            Err(CertificateError::NonFinite {
-                vector: "d",
-                index: 2
-            })
         );
     }
 }

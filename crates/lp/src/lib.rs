@@ -1,8 +1,8 @@
 //! # rwc-lp
 //!
 //! A small, exact linear-programming solver — a sparse revised simplex
-//! with bounded variables, LU-factorised bases and warm starts — plus an
-//! optimality-certificate checker.
+//! with bounded variables, LU-factorised bases and warm starts — for the
+//! programs TE lowers, plus an optimality-certificate checker.
 //!
 //! Why build one: the reproduction's headline theorem says min-cost
 //! max-flow on the augmented graph equals max-flow on the dynamic-capacity
@@ -13,16 +13,19 @@
 //! optimisation offerings are thin, so this is written from scratch on
 //! `std` only).
 //!
+//! Every program is feasible at `x = 0`: `≤` rows with rhs ≥ 0, `=` rows
+//! with rhs 0, as every TE lowering is. [`SparseLp::validate`] refuses
+//! anything else, so a cold solve starts at the origin with no Phase I, and
+//! the only verdicts are [`LpOutcome::Optimal`] and [`LpOutcome::Stalled`].
+//!
 //! - [`sparse`]: the one LP model, [`SparseLp`] (CSC matrix over bounded
 //!   variables), built with [`SparseLpBuilder`];
 //! - [`revised`]: the sparse revised-simplex solver and its result types;
-//! - [`certificate`]: one proof per verdict, each checked in O(nnz) from
-//!   the solver's own vectors — [`certify`] an optimum from its
-//!   multipliers, [`certify_infeasible`] a Farkas vector (Phase I's final
-//!   multipliers), [`certify_unbounded`] a ray.
+//! - [`certificate`]: [`certify`], the proof of an optimum, checked in
+//!   O(nnz) from the solver's own multipliers.
 //!
-//! There is one engine and no second solver: every outcome but
-//! [`LpOutcome::Stalled`] is believed on its certificate alone.
+//! There is one engine and no second solver: an optimum is believed on
+//! its certificate alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +36,6 @@ mod pricing;
 pub mod revised;
 pub mod sparse;
 
-pub use certificate::{
-    certify, certify_infeasible, certify_unbounded, Certificate, CertificateError,
-    CERTIFICATE_TOL,
-};
+pub use certificate::{certify, Certificate, CertificateError, CERTIFICATE_TOL};
 pub use revised::{LpOutcome, Solution, SolverStats, SparseSimplexSolver};
 pub use sparse::{CscMatrix, Relation, SparseLp, SparseLpBuilder};

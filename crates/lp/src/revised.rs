@@ -7,16 +7,20 @@
 //! anti-cycling, a stride-64 solve watchdog) only ever touches:
 //!
 //! - the CSC constraint matrix ([`crate::sparse::SparseLp`]), read-only;
-//! - a sparse LU factorisation of the `m × m` basis
-//!   ([`crate::lu::LuFactors`]) plus a chain of product-form eta updates,
-//!   refactorised every [`REFACTOR_EVERY`] pivots;
+//! - a sparse LU factorisation of the `m × m` basis plus a chain of
+//!   product-form eta updates, refactorised every `REFACTOR_EVERY` pivots;
 //! - O(m) dense work vectors for ftran/btran.
 //!
 //! Variables are *bounded* (`0 ≤ x_j ≤ u_j`): capacity rows become plain
 //! bounds in the lowering, so a bound-flip pivot costs one vector update
 //! and no basis change at all. Entering columns come from candidate-list
-//! partial pricing ([`crate::pricing::CandidateList`]) instead of a full
-//! Dantzig scan.
+//! partial pricing (`CandidateList`) instead of a full Dantzig scan.
+//!
+//! Every program starts feasible at `x = 0` ([`SparseLp::validate`] refuses
+//! one that does not), so the all-logical basis is a feasible vertex and a
+//! cold solve is Phase II from it: there is no Phase I. Nor is there an
+//! unbounded verdict: a ratio test that nothing blocks is a numerical or
+//! lowering fault and ends the solve as [`LpOutcome::Stalled`].
 //!
 //! A program whose matrix and objective equal the last optimal solve's
 //! (compared entry by entry; rhs and bounds may drift) is a fast resolve
@@ -62,9 +66,6 @@ const DUAL_FEAS_TOL: f64 = 1e-7;
 const REFACTOR_EVERY: usize = 64;
 /// Entries below this are dropped from eta columns.
 const ETA_DROP_TOL: f64 = 1e-12;
-/// Residual Phase-I infeasibility above which the program is declared
-/// infeasible.
-const PHASE1_TOL: f64 = 1e-7;
 
 /// An optimal solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,13 +81,10 @@ pub struct Solution {
 pub enum LpOutcome {
     /// An optimum was found.
     Optimal(Solution),
-    /// No feasible point exists.
-    Infeasible,
-    /// The objective is unbounded above.
-    Unbounded,
-    /// The pivot budget ran out before reaching optimality (numerical
-    /// stall or pathological degeneracy). Callers should treat this as
-    /// a solver failure, not a property of the model.
+    /// No optimum was reached: the pivot budget ran out, the watchdog
+    /// fired, the cold basis did not factorise, or a ratio test found no
+    /// blocking row. Every program starts feasible, so none of these is a
+    /// property of the model; callers should treat it as a solver failure.
     Stalled,
 }
 
@@ -104,14 +102,14 @@ impl LpOutcome {
 /// factorisation behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Solves that ran the cold two-phase path (including warm-start
-    /// fallbacks).
+    /// Solves that ran the cold path, Phase II from the all-logical
+    /// basis (including warm-start fallbacks).
     pub cold_solves: u64,
     /// Solves that attempted a warm start from the saved basis.
     pub warm_attempts: u64,
     /// Warm attempts that reached optimality without falling back.
     pub warm_hits: u64,
-    /// Total pivots performed (both phases, all solves).
+    /// Total pivots performed (all solves, dual repair included).
     pub pivots: u64,
     /// Solve attempts aborted by the wall-clock watchdog (each warm or
     /// cold attempt that hit its deadline counts once).
@@ -177,13 +175,6 @@ struct SavedBasis {
     at_upper: Vec<SavedRef>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OptOutcome {
-    Optimal,
-    Unbounded,
-    Stalled,
-}
-
 /// A reusable sparse revised-simplex engine: scratch buffers, the LU
 /// factors and the last optimal basis persist across solves, so a
 /// sequence of drifting TE rounds pays for factorisation once, not per
@@ -193,22 +184,18 @@ pub struct SparseSimplexSolver {
     // --- problem of the solve in flight (set by `load`) ---------------
     n: usize,
     m: usize,
-    /// Structural + logical (+ artificial, cold path only) column count.
+    /// Structural + logical column count, `n + m`.
     n_total: usize,
     /// Unified CSC over all columns: structurals, then one +1 logical
-    /// per row, then any artificials the cold path appends.
+    /// per row.
     col_ptr: Vec<usize>,
     col_rows: Vec<usize>,
     col_vals: Vec<f64>,
-    lower: Vec<f64>,
+    /// Upper bound per column; every lower bound is 0 (a `≤` logical
+    /// ranges over `[0, ∞)`, an `=` logical is fixed at 0).
     upper: Vec<f64>,
-    /// Real objective (zero on logicals/artificials).
-    obj_real: Vec<f64>,
-    /// Objective of the phase in flight.
+    /// Objective per column (zero on logicals).
     cost: Vec<f64>,
-    /// Columns eligible to enter (artificials are frozen).
-    enterable: Vec<bool>,
-    rels: Vec<Relation>,
     rhs: Vec<f64>,
     // --- basis state (persists across loads for fast resolves) --------
     /// basis[slot] = column index of the basic variable.
@@ -227,9 +214,6 @@ pub struct SparseSimplexSolver {
     w_col: Vec<f64>,
     /// Dual multipliers, row space.
     y_rows: Vec<f64>,
-    /// The point and direction of the last unbounded exit, see `ray`.
-    ray_x: Vec<f64>,
-    ray_d: Vec<f64>,
     /// btran image of a unit slot vector (dual repair), row space.
     rho_rows: Vec<f64>,
     /// Dual repair: reduced costs and the pivot row, column space.
@@ -248,7 +232,7 @@ pub struct SparseSimplexSolver {
     saved: Option<SavedBasis>,
     /// True while `basis`/`vstat`/`lu`/`etas` still describe the final
     /// state of the last optimal solve — and, until the next `load`, the
-    /// column arrays and `obj_real` its matrix and objective, which the
+    /// column arrays and `cost` its matrix and objective, which the
     /// fast-resolve check compares against (rhs and bounds excluded on
     /// purpose: capacity drift moves those every round).
     fact_valid: bool,
@@ -285,24 +269,11 @@ impl SparseSimplexSolver {
 
     /// Row multipliers `y = B⁻ᵀ c_B` of the last solve, one per row of the
     /// program it was given. After [`LpOutcome::Optimal`] they are the
-    /// optimal dual solution [`crate::certify`] checks `x` against; after
-    /// [`LpOutcome::Infeasible`] they are Phase I's final multipliers, the
-    /// Farkas vector [`crate::certify_infeasible`] checks. Free either way:
-    /// the last pricing pass of the phase computes them to find nothing to
-    /// enter. Meaningless after the other outcomes.
+    /// optimal dual solution [`crate::certify`] checks `x` against — free:
+    /// the last pricing pass computes them to find nothing to enter.
+    /// Meaningless after [`LpOutcome::Stalled`].
     pub fn duals(&self) -> &[f64] {
         &self.y_rows[..self.m]
-    }
-
-    /// The ray `(x, d)` of the last solve, one entry per column each —
-    /// meaningful only when that solve returned [`LpOutcome::Unbounded`]:
-    /// the vertex the solve stood on and the direction of the entering
-    /// column nothing blocked (`1` on the column itself if structural,
-    /// `−dir·B⁻¹A_j` on the basic structurals), which
-    /// [`crate::certify_unbounded`] checks. Recorded at the exit, whichever
-    /// attempt (fast, warm or cold) took it.
-    pub fn ray(&self) -> (&[f64], &[f64]) {
-        (&self.ray_x, &self.ray_d)
     }
 
     /// Drops the saved basis; the next solve runs cold.
@@ -351,10 +322,12 @@ impl SparseSimplexSolver {
         self.solve_sparse_with_budget(lp, default_budget(lp))
     }
 
-    /// Solves `lp` with an explicit per-phase pivot budget, warm-starting
-    /// from the previous solve's basis when the structural pattern allows
-    /// it. A spent budget is [`LpOutcome::Stalled`], which callers should
-    /// surface as a solver error.
+    /// Solves `lp` with an explicit pivot budget per attempt (dual repair
+    /// plus Phase II), warm-starting from the previous solve's basis when
+    /// the structural pattern allows it. A spent budget is
+    /// [`LpOutcome::Stalled`], which callers should surface as a solver
+    /// error. `lp` must pass [`SparseLp::validate`]; a program that does
+    /// not, one infeasible at the origin included, panics.
     pub(crate) fn solve_sparse_with_budget(
         &mut self,
         lp: &SparseLp,
@@ -404,8 +377,7 @@ impl SparseSimplexSolver {
     /// Builds the unified column arrays, bounds and rhs for `lp`. Never
     /// touches `basis`/`vstat`/`lu`/`etas` — the fast path retains them.
     /// With `same_matrix` the column arrays already hold `lp`'s matrix
-    /// and its logicals, and only the artificials a cold solve appended
-    /// are dropped.
+    /// and its logicals.
     fn load(&mut self, lp: &SparseLp, same_matrix: bool) {
         let n = lp.n_vars();
         let m = lp.n_rows();
@@ -413,12 +385,7 @@ impl SparseSimplexSolver {
         self.m = m;
         self.n_total = n + m;
 
-        if same_matrix {
-            let end = self.col_ptr[n + m];
-            self.col_ptr.truncate(n + m + 1);
-            self.col_rows.truncate(end);
-            self.col_vals.truncate(end);
-        } else {
+        if !same_matrix {
             self.col_ptr.clear();
             self.col_rows.clear();
             self.col_vals.clear();
@@ -432,31 +399,18 @@ impl SparseSimplexSolver {
             }
         }
 
-        self.lower.clear();
         self.upper.clear();
-        self.lower.resize(n, 0.0);
         self.upper.extend_from_slice(&lp.upper);
-        for r in 0..m {
-            // `a·x + s = b` with the logical's bounds encoding the
-            // relation: ≤ → s ∈ [0, ∞), ≥ → s ∈ (−∞, 0], = → s fixed.
-            let (lo, hi) = match lp.rel[r] {
-                Relation::Le => (0.0, f64::INFINITY),
-                Relation::Ge => (f64::NEG_INFINITY, 0.0),
-                Relation::Eq => (0.0, 0.0),
-            };
-            self.lower.push(lo);
-            self.upper.push(hi);
-        }
+        // `a·x + s = b` with the logical's upper bound encoding the
+        // relation: ≤ → s ∈ [0, ∞), = → s fixed at 0.
+        self.upper.extend(lp.rel.iter().map(|rel| match rel {
+            Relation::Le => f64::INFINITY,
+            Relation::Eq => 0.0,
+        }));
 
-        self.obj_real.clear();
-        self.obj_real.extend_from_slice(&lp.objective);
-        self.obj_real.resize(self.n_total, 0.0);
         self.cost.clear();
+        self.cost.extend_from_slice(&lp.objective);
         self.cost.resize(self.n_total, 0.0);
-        self.enterable.clear();
-        self.enterable.resize(self.n_total, true);
-        self.rels.clear();
-        self.rels.extend_from_slice(&lp.rel);
         self.rhs.clear();
         self.rhs.extend_from_slice(&lp.rhs);
 
@@ -494,11 +448,10 @@ impl SparseSimplexSolver {
     fn compute_xb(&mut self) {
         self.work_rows.copy_from_slice(&self.rhs);
         for j in 0..self.n_total {
-            let v = match self.vstat[j] {
-                VStat::Basic => continue,
-                VStat::AtLower => self.lower[j],
-                VStat::AtUpper => self.upper[j],
-            };
+            if self.vstat[j] != VStat::AtUpper {
+                continue;
+            }
+            let v = self.upper[j];
             debug_assert!(v.is_finite(), "nonbasic at an infinite bound");
             if v != 0.0 {
                 for e in self.col_ptr[j]..self.col_ptr[j + 1] {
@@ -526,7 +479,7 @@ impl SparseSimplexSolver {
         }
     }
 
-    /// `y = B⁻ᵀ c_B` (row space) for the phase cost in flight.
+    /// `y = B⁻ᵀ c_B` (row space).
     fn compute_duals(&mut self) {
         for s in 0..self.m {
             self.work_slots[s] = self.cost[self.basis[s]];
@@ -548,11 +501,9 @@ impl SparseSimplexSolver {
 
     // --- primal simplex -------------------------------------------------
 
-    /// Nonbasic, enterable and not fixed (Eq logicals, frozen artificials).
+    /// Nonbasic and not fixed (`=` logicals, zero-capacity columns).
     fn may_enter(&self, j: usize) -> bool {
-        self.vstat[j] != VStat::Basic
-            && self.enterable[j]
-            && self.upper[j] - self.lower[j] > 0.0
+        self.vstat[j] != VStat::Basic && self.upper[j] > 0.0
     }
 
     /// Violation magnitude of column `j` if it is eligible to enter.
@@ -583,16 +534,17 @@ impl SparseSimplexSolver {
         pick
     }
 
-    /// Runs bounded-variable primal simplex to optimality on the phase
-    /// cost in flight.
-    fn optimise(&mut self, max_pivots: u64) -> OptOutcome {
+    /// Runs bounded-variable primal simplex from a feasible basis; `true`
+    /// at optimality, `false` when it stalls (budget, watchdog, a singular
+    /// refactorisation, or an entering column that nothing blocks).
+    fn optimise(&mut self, max_pivots: u64) -> bool {
         self.pricing.invalidate();
         let mut pivots = 0u64;
         let mut streak = 0u64;
         loop {
             pivots += 1;
             if pivots > max_pivots {
-                return OptOutcome::Stalled;
+                return false;
             }
             if let Some(delay) = self.pivot_delay {
                 std::thread::sleep(delay);
@@ -600,12 +552,12 @@ impl SparseSimplexSolver {
             if (self.pivot_delay.is_some() || pivots & (WATCHDOG_STRIDE - 1) == 0)
                 && self.deadline_expired()
             {
-                return OptOutcome::Stalled;
+                return false;
             }
             self.compute_duals();
             let bland = streak >= DEGENERATE_STREAK;
             let Some(j) = self.select_entering(bland) else {
-                return OptOutcome::Optimal;
+                return true;
             };
             // Direction the entering variable moves off its bound.
             let dir = if self.vstat[j] == VStat::AtLower { 1.0 } else { -1.0 };
@@ -621,11 +573,7 @@ impl SparseSimplexSolver {
                 let rate = dir * w;
                 let jb = self.basis[s];
                 let (t, to_upper) = if rate > PIVOT_TOL {
-                    let lb = self.lower[jb];
-                    if !lb.is_finite() {
-                        continue;
-                    }
-                    (((self.xb[s] - lb) / rate).max(0.0), false)
+                    ((self.xb[s] / rate).max(0.0), false)
                 } else if rate < -PIVOT_TOL {
                     let ub = self.upper[jb];
                     if !ub.is_finite() {
@@ -650,23 +598,12 @@ impl SparseSimplexSolver {
                     b_to_upper = to_upper;
                 }
             }
-            let span = self.upper[j] - self.lower[j];
+            let span = self.upper[j];
             if span <= bt {
                 if span.is_infinite() {
-                    // Nothing blocks. Grey-zone entries in (TOL, PIVOT_TOL]
-                    // against a finite bound mean we cannot honestly
-                    // certify unboundedness.
-                    let murky = (0..self.m).any(|s| {
-                        let rate = dir * self.w_col[s];
-                        let jb = self.basis[s];
-                        (rate > TOL && self.lower[jb].is_finite())
-                            || (rate < -TOL && self.upper[jb].is_finite())
-                    });
-                    if murky {
-                        return OptOutcome::Stalled;
-                    }
-                    self.record_ray(j, dir);
-                    return OptOutcome::Unbounded;
+                    // Nothing blocks: a program bounded by construction
+                    // has lost its way numerically, or was lowered wrong.
+                    return false;
                 }
                 // Bound flip: the entering variable crosses its whole
                 // range before anything blocks — no basis change, no eta.
@@ -684,7 +621,7 @@ impl SparseSimplexSolver {
             for s in 0..self.m {
                 self.xb[s] -= dir * self.w_col[s] * t;
             }
-            let from = if dir > 0.0 { self.lower[j] } else { self.upper[j] };
+            let from = if dir > 0.0 { 0.0 } else { self.upper[j] };
             let leaving = self.basis[p];
             self.vstat[leaving] = if b_to_upper { VStat::AtUpper } else { VStat::AtLower };
             self.vstat[j] = VStat::Basic;
@@ -694,28 +631,10 @@ impl SparseSimplexSolver {
             streak = if t <= TOL { streak + 1 } else { 0 };
             if self.etas.len() >= REFACTOR_EVERY {
                 if self.refactorize().is_err() {
-                    return OptOutcome::Stalled;
+                    return false;
                 }
                 self.compute_xb();
             }
-        }
-    }
-
-    /// Records the ray of an unbounded exit: the current vertex, and the
-    /// motion of entering column `j` (moving `dir`) with `w_col` its
-    /// ftran image — `j` itself at `dir`, basic `s` at `−dir·w[s]`.
-    fn record_ray(&mut self, j: usize, dir: f64) {
-        self.ray_x = self.vertex();
-        self.ray_d.clear();
-        self.ray_d.resize(self.n, 0.0);
-        for s in 0..self.m {
-            let jb = self.basis[s];
-            if jb < self.n {
-                self.ray_d[jb] = -dir * self.w_col[s];
-            }
-        }
-        if j < self.n {
-            self.ray_d[j] = dir;
         }
     }
 
@@ -740,7 +659,7 @@ impl SparseSimplexSolver {
         let mut v = 0.0f64;
         for s in 0..self.m {
             let j = self.basis[s];
-            v = v.max(self.lower[j] - self.xb[s]).max(self.xb[s] - self.upper[j]);
+            v = v.max(-self.xb[s]).max(self.xb[s] - self.upper[j]);
         }
         v
     }
@@ -749,12 +668,12 @@ impl SparseSimplexSolver {
     fn clamp_basics(&mut self) {
         for s in 0..self.m {
             let j = self.basis[s];
-            self.xb[s] = self.xb[s].clamp(self.lower[j], self.upper[j]);
+            self.xb[s] = self.xb[s].clamp(0.0, self.upper[j]);
         }
     }
 
-    /// Reduced costs of every column against fresh duals of the phase
-    /// cost in flight, into `d_cols` (zero on basic columns).
+    /// Reduced costs of every column against fresh duals, into `d_cols`
+    /// (zero on basic columns).
     fn compute_reduced_costs(&mut self) {
         self.compute_duals();
         self.d_cols.resize(self.n_total, 0.0);
@@ -806,9 +725,8 @@ impl SparseSimplexSolver {
     /// basis is not dual-feasible or the repair gives up (counted in
     /// `repair_aborts`) — the caller goes cold.
     fn dual_repair(&mut self, max_pivots: u64) -> bool {
-        self.cost.copy_from_slice(&self.obj_real);
         self.compute_reduced_costs();
-        // Dual-feasibility precheck against the real costs: a violated
+        // Dual-feasibility precheck: a violated
         // reduced cost means the matrix/objective changed, not just the
         // rhs — repair would chase a moving target, go cold instead.
         for j in 0..self.n_total {
@@ -848,7 +766,7 @@ impl SparseSimplexSolver {
             let mut below = false;
             for s in 0..self.m {
                 let jb = self.basis[s];
-                let vb = self.lower[jb] - self.xb[s];
+                let vb = -self.xb[s];
                 let va = self.xb[s] - self.upper[jb];
                 if vb > worst {
                     worst = vb;
@@ -948,13 +866,13 @@ impl SparseSimplexSolver {
                 return false;
             }
             let jb = self.basis[p];
-            let target = if below { self.lower[jb] } else { self.upper[jb] };
+            let target = if below { 0.0 } else { self.upper[jb] };
             let delta = (self.xb[p] - target) / alpha;
             for s in 0..self.m {
                 self.xb[s] -= self.w_col[s] * delta;
             }
             let from = if self.vstat[enter] == VStat::AtLower {
-                self.lower[enter]
+                0.0
             } else {
                 self.upper[enter]
             };
@@ -993,7 +911,7 @@ impl SparseSimplexSolver {
             && self.col_ptr[..=n] == lp.a.col_ptr[..]
             && self.col_rows[..nnz] == lp.a.row_idx[..]
             && bits(&self.col_vals[..nnz]).eq(bits(&lp.a.values))
-            && self.obj_real[..n] == lp.objective[..]
+            && self.cost[..n] == lp.objective[..]
     }
 
     /// Resolves an rhs/bounds-only change on the retained basis: recompute
@@ -1001,8 +919,6 @@ impl SparseSimplexSolver {
     /// (usually zero pivots). `None` = repair failed, caller goes cold.
     fn try_fast_resolve(&mut self, lp: &SparseLp, max_pivots: u64) -> Option<LpOutcome> {
         self.fact_valid = false;
-        // The previous cold solve may have appended artificial entries.
-        self.vstat.truncate(self.n_total);
         for j in 0..self.n_total {
             if self.vstat[j] == VStat::AtUpper && !self.upper[j].is_finite() {
                 self.vstat[j] = VStat::AtLower;
@@ -1089,11 +1005,6 @@ impl SparseSimplexSolver {
         let (basis_cols, at_upper_cols) = plan;
         self.vstat.clear();
         self.vstat.resize(self.n_total, VStat::AtLower);
-        for r in 0..self.m {
-            if self.rels[r] == Relation::Ge {
-                self.vstat[self.n + r] = VStat::AtUpper;
-            }
-        }
         for &j in &at_upper_cols {
             if self.upper[j].is_finite() {
                 self.vstat[j] = VStat::AtUpper;
@@ -1117,25 +1028,8 @@ impl SparseSimplexSolver {
 
     // --- cold path -------------------------------------------------------
 
-    /// Appends an artificial column `±e_row` (enterable never, used only
-    /// to host an rhs the row's logical cannot).
-    fn push_artificial(&mut self, row: usize, sign: f64) -> usize {
-        let j = self.n_total;
-        self.col_rows.push(row);
-        self.col_vals.push(sign);
-        self.col_ptr.push(self.col_rows.len());
-        self.lower.push(0.0);
-        self.upper.push(f64::INFINITY);
-        self.obj_real.push(0.0);
-        self.cost.push(0.0);
-        self.enterable.push(false);
-        self.vstat.push(VStat::Basic);
-        self.n_total += 1;
-        j
-    }
-
-    /// Cold path: all-logical start, Phase I drives artificials out of
-    /// rows whose logical cannot host the rhs, Phase II optimises.
+    /// Cold path: the all-logical basis is the origin, feasible by
+    /// [`SparseLp::validate`], so Phase II starts from it.
     fn cold(&mut self, lp: &SparseLp, hashes: Option<&[u64]>, max_pivots: u64) -> LpOutcome {
         self.stats.cold_solves += 1;
         self.fact_valid = false;
@@ -1148,54 +1042,8 @@ impl SparseSimplexSolver {
             self.vstat[n + s] = VStat::Basic;
         }
         self.xb.copy_from_slice(&self.rhs);
-        let mut artificial_rows = Vec::new();
-        for r in 0..m {
-            let b = self.rhs[r];
-            let logical = n + r;
-            let hostable = b >= self.lower[logical] - TOL && b <= self.upper[logical] + TOL;
-            if hostable {
-                continue;
-            }
-            let sign = if b >= 0.0 { 1.0 } else { -1.0 };
-            let ac = self.push_artificial(r, sign);
-            artificial_rows.push(r);
-            self.basis[r] = ac;
-            self.xb[r] = b.abs();
-            // Park the displaced logical at its natural (finite) bound.
-            self.vstat[logical] = if self.rels[r] == Relation::Ge {
-                VStat::AtUpper
-            } else {
-                VStat::AtLower
-            };
-        }
         if self.refactorize().is_err() {
             return LpOutcome::Stalled;
-        }
-        if !artificial_rows.is_empty() {
-            // Phase I: maximise −Σ artificials.
-            for c in &mut self.cost {
-                *c = 0.0;
-            }
-            for j in (n + m)..self.n_total {
-                self.cost[j] = -1.0;
-            }
-            match self.optimise(max_pivots) {
-                OptOutcome::Optimal => {}
-                // Phase I is bounded by construction; Unbounded here is a
-                // numerical artifact — treat it as a stall.
-                OptOutcome::Unbounded | OptOutcome::Stalled => return LpOutcome::Stalled,
-            }
-            let infeas: f64 = (0..m)
-                .filter(|&s| self.basis[s] >= n + m)
-                .map(|s| self.xb[s].max(0.0))
-                .sum();
-            if infeas > PHASE1_TOL {
-                return LpOutcome::Infeasible;
-            }
-            // Freeze: any artificial still basic is pinned at zero.
-            for j in (n + m)..self.n_total {
-                self.upper[j] = 0.0;
-            }
         }
         self.phase_two(lp, hashes, max_pivots)
     }
@@ -1205,17 +1053,13 @@ impl SparseSimplexSolver {
     /// `hashes` are `lp`'s column pattern hashes, `None` when `lp` has the
     /// saved pattern (see `save_state`).
     fn phase_two(&mut self, lp: &SparseLp, hashes: Option<&[u64]>, max_pivots: u64) -> LpOutcome {
-        self.cost.copy_from_slice(&self.obj_real);
-        match self.optimise(max_pivots) {
-            OptOutcome::Unbounded => LpOutcome::Unbounded,
-            OptOutcome::Stalled => LpOutcome::Stalled,
-            OptOutcome::Optimal => {
-                let x = self.vertex();
-                let objective = x.iter().zip(&lp.objective).map(|(xi, ci)| xi * ci).sum();
-                self.save_state(lp, hashes);
-                LpOutcome::Optimal(Solution { x, objective })
-            }
+        if !self.optimise(max_pivots) {
+            return LpOutcome::Stalled;
         }
+        let x = self.vertex();
+        let objective = x.iter().zip(&lp.objective).map(|(xi, ci)| xi * ci).sum();
+        self.save_state(lp, hashes);
+        LpOutcome::Optimal(Solution { x, objective })
     }
 
     /// The structural values of the current vertex: nonbasic columns at
@@ -1236,19 +1080,12 @@ impl SparseSimplexSolver {
         x
     }
 
-    /// Retains the optimal basis + fingerprint for warm starts. A basis
-    /// still containing an artificial (degenerate Phase I leftover)
-    /// cannot seed a Phase-II-only restart and is not saved. Without
+    /// Retains the optimal basis + fingerprint for warm starts. Without
     /// `hashes`, `lp` is the saved pattern solved again (a fast resolve,
     /// or the cold fallback after one): its hashes and relations carry
     /// over.
     fn save_state(&mut self, lp: &SparseLp, hashes: Option<&[u64]>) {
         let (n, m) = (self.n, self.m);
-        if self.basis.iter().any(|&j| j >= n + m) {
-            self.saved = None;
-            self.fact_valid = false;
-            return;
-        }
         let (col_hashes, rels) = match hashes {
             Some(hashes) => (hashes.to_vec(), lp.rel.clone()),
             None => {
@@ -1280,7 +1117,7 @@ impl SparseSimplexSolver {
     }
 }
 
-/// Pivot budget scaled to the problem size. Generous: typical solves take
+/// Pivot budget per attempt, scaled to the problem size. Generous: typical solves take
 /// O(m) pivots; the budget only trips on numerical stalls or adversarial
 /// degeneracy.
 fn default_budget(lp: &SparseLp) -> u64 {
@@ -1317,56 +1154,56 @@ pub(crate) mod tests {
 
     #[test]
     fn equality_constraints() {
-        // max x + y st x + y = 5, x ≤ 3 (a bound).
+        // max 2x + y st x + y − z = 0, x ≤ 3, z ≤ 5 (bounds): a
+        // conservation row, rhs 0 like every `=` row the engine takes.
         let mut b = SparseLpBuilder::new(1);
-        b.set_row(0, Relation::Eq, 5.0);
-        b.push_col(1.0, 3.0, &[(0, 1.0)]);
+        b.set_row(0, Relation::Eq, 0.0);
+        b.push_col(2.0, 3.0, &[(0, 1.0)]);
         b.push_col(1.0, INF, &[(0, 1.0)]);
+        b.push_col(0.0, 5.0, &[(0, -1.0)]);
         let s = solve(&b.build()).expect_optimal();
-        assert_near(s.objective, 5.0);
-        assert_near(s.x[0] + s.x[1], 5.0);
+        assert_near(s.objective, 8.0);
+        assert_near(s.x[0], 3.0);
+        assert_near(s.x[0] + s.x[1], s.x[2]);
     }
 
     #[test]
     fn ge_constraints() {
-        // min x + 2y st x + y >= 4, y >= 1 (as max of negation).
+        // `≥` rows reach the engine negated, rhs 0: min x + 2w − 4y st
+        // x + w ≥ y, w ≥ y/4 as y − x − w ≤ 0, y − 4w ≤ 0, with y ≤ 4.
         let mut b = SparseLpBuilder::new(2);
-        b.set_row(0, Relation::Ge, 4.0);
-        b.set_row(1, Relation::Ge, 1.0);
-        b.push_col(-1.0, INF, &[(0, 1.0)]);
-        b.push_col(-2.0, INF, &[(0, 1.0), (1, 1.0)]);
+        b.set_row(0, Relation::Le, 0.0);
+        b.set_row(1, Relation::Le, 0.0);
+        b.push_col(-1.0, INF, &[(0, -1.0)]);
+        b.push_col(-2.0, INF, &[(0, -1.0), (1, -4.0)]);
+        b.push_col(4.0, 4.0, &[(0, 1.0), (1, 1.0)]);
         let s = solve(&b.build()).expect_optimal();
-        assert_near(s.objective, -5.0);
+        assert_near(s.objective, 11.0);
         assert_near(s.x[0], 3.0);
         assert_near(s.x[1], 1.0);
     }
 
     #[test]
     fn infeasible_detected() {
-        // x ≥ 2 against the bound x ≤ 1.
+        // `x = 2` does not hold at x = 0: refused, not searched.
         let mut b = SparseLpBuilder::new(1);
-        b.set_row(0, Relation::Ge, 2.0);
+        b.set_row(0, Relation::Eq, 0.0);
         b.push_col(1.0, 1.0, &[(0, 1.0)]);
-        assert_eq!(solve(&b.build()), LpOutcome::Infeasible);
+        let mut lp = b.build();
+        lp.rhs[0] = 2.0;
+        let refused = lp.validate().unwrap_err();
+        assert!(refused.contains("not feasible at the origin"), "{refused}");
+        assert!(std::panic::catch_unwind(|| solve(&lp)).is_err(), "the engine must refuse it");
     }
 
     #[test]
     fn unbounded_detected() {
+        // Nothing blocks x: no program the engine accepts is unbounded by
+        // design, so the unblocked ratio test stalls.
         let mut b = SparseLpBuilder::new(1);
         b.set_row(0, Relation::Le, 1.0);
         b.push_col(1.0, INF, &[(0, -1.0)]);
-        assert_eq!(solve(&b.build()), LpOutcome::Unbounded);
-    }
-
-    #[test]
-    fn negative_rhs_normalised() {
-        // -x <= -2 means x >= 2; max -x → x = 2.
-        let mut b = SparseLpBuilder::new(1);
-        b.set_row(0, Relation::Le, -2.0);
-        b.push_col(-1.0, INF, &[(0, -1.0)]);
-        let s = solve(&b.build()).expect_optimal();
-        assert_near(s.x[0], 2.0);
-        assert_near(s.objective, -2.0);
+        assert_eq!(solve(&b.build()), LpOutcome::Stalled);
     }
 
     #[test]
@@ -1399,12 +1236,17 @@ pub(crate) mod tests {
 
     #[test]
     fn zero_objective_finds_feasible_point() {
+        // The origin is feasible and, with nothing to gain, optimal: the
+        // cold start answers it without a pivot.
         let mut b = SparseLpBuilder::new(1);
-        b.set_row(0, Relation::Eq, 7.0);
+        b.set_row(0, Relation::Eq, 0.0);
         b.push_col(0.0, INF, &[(0, 1.0)]);
-        let s = solve(&b.build()).expect_optimal();
-        assert_near(s.x[0], 7.0);
-        assert_near(s.objective, 0.0);
+        b.push_col(0.0, 7.0, &[(0, -1.0)]);
+        let mut solver = SparseSimplexSolver::new();
+        let s = solver.solve_sparse(&b.build()).expect_optimal();
+        assert_eq!(s.x, [0.0, 0.0]);
+        assert_eq!(s.objective, 0.0);
+        assert_eq!(solver.stats().pivots, 0);
     }
 
     #[test]
@@ -1421,16 +1263,18 @@ pub(crate) mod tests {
 
     #[test]
     fn solution_satisfies_all_constraints() {
-        // x0 + x1 + x2 ≤ 10, x2 + 2x3 ≤ 8, x0 − x3 ≥ 1, x1 + x2 = 4.
+        // x0 + x1 + x2 ≤ 10, x2 + 2x3 ≤ 8, x3 − x0 ≤ 0, x1 + x2 − x4 = 0,
+        // x4 ≤ 4.
         let mut b = SparseLpBuilder::new(4);
         b.set_row(0, Relation::Le, 10.0);
         b.set_row(1, Relation::Le, 8.0);
-        b.set_row(2, Relation::Ge, 1.0);
-        b.set_row(3, Relation::Eq, 4.0);
-        b.push_col(2.0, INF, &[(0, 1.0), (2, 1.0)]);
+        b.set_row(2, Relation::Le, 0.0);
+        b.set_row(3, Relation::Eq, 0.0);
+        b.push_col(2.0, INF, &[(0, 1.0), (2, -1.0)]);
         b.push_col(-1.0, INF, &[(0, 1.0), (3, 1.0)]);
         b.push_col(3.0, INF, &[(0, 1.0), (1, 1.0), (3, 1.0)]);
-        b.push_col(0.5, INF, &[(1, 2.0), (2, -1.0)]);
+        b.push_col(0.5, INF, &[(1, 2.0), (2, 1.0)]);
+        b.push_col(0.0, 4.0, &[(3, -1.0)]);
         let lp = b.build();
         let s = solve(&lp).expect_optimal();
         let mut ax = vec![0.0; lp.n_rows()];
@@ -1443,7 +1287,6 @@ pub(crate) mod tests {
         for (r, (&lhs, &rhs)) in ax.iter().zip(&lp.rhs).enumerate() {
             match lp.rel[r] {
                 Relation::Le => assert!(lhs <= rhs + 1e-6, "{lhs} <= {rhs}"),
-                Relation::Ge => assert!(lhs >= rhs - 1e-6, "{lhs} >= {rhs}"),
                 Relation::Eq => assert!((lhs - rhs).abs() < 1e-6, "{lhs} = {rhs}"),
             }
         }
@@ -1465,12 +1308,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn random_programs_certify_in_every_outcome_class() {
-        // Every verdict but `Stalled` carries its own proof: the optimum
-        // its multipliers, `Infeasible` Phase I's final multipliers as a
-        // Farkas vector, `Unbounded` the ray it left by. Pseudo-random
-        // programs with `≤`, `≥` and `=` rows, negative coefficients and
-        // finite and infinite bounds; all three classes must turn up.
+    fn random_origin_feasible_programs_certify() {
+        // Pseudo-random programs of the class the engine takes: `≤` rows
+        // with rhs ≥ 0, `=` rows with rhs 0, negative coefficients, and
+        // every column boxed, so each has an optimum and its multipliers
+        // prove it.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1478,47 +1320,34 @@ pub(crate) mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut seen = [0usize; 3];
+        let mut moved = 0;
         for _ in 0..400 {
             let (n, m) = (2 + (next() * 5.0) as usize, 1 + (next() * 5.0) as usize);
             let mut b = SparseLpBuilder::new(m);
             for r in 0..m {
-                let rel = [Relation::Le, Relation::Le, Relation::Ge, Relation::Eq]
-                    [(next() * 4.0) as usize];
-                b.set_row(r, rel, next() * 25.0 - 5.0);
+                if next() < 0.25 {
+                    b.set_row(r, Relation::Eq, 0.0);
+                } else {
+                    b.set_row(r, Relation::Le, next() * 20.0);
+                }
             }
             for _ in 0..n {
-                let upper = if next() < 0.3 {
-                    1.0 + next() * 9.0
-                } else {
-                    f64::INFINITY
-                };
                 let mut entries = Vec::new();
                 for r in 0..m {
                     if next() < 0.7 {
                         entries.push((r, next() * 4.0 - 1.0));
                     }
                 }
-                b.push_col(next() * 4.0 - 1.0, upper, &entries);
+                b.push_col(next() * 4.0 - 1.0, 1.0 + next() * 9.0, &entries);
             }
             let lp = b.build();
             let mut solver = SparseSimplexSolver::new();
-            let (class, verdict) = match solver.solve_sparse(&lp) {
-                LpOutcome::Optimal(s) => (0, crate::certify(&lp, &s.x, solver.duals())),
-                LpOutcome::Infeasible => (1, crate::certify_infeasible(&lp, solver.duals())),
-                LpOutcome::Unbounded => {
-                    let (x, d) = solver.ray();
-                    (2, crate::certify_unbounded(&lp, x, d))
-                }
-                LpOutcome::Stalled => panic!("stalled on {lp:?}"),
-            };
-            verdict.unwrap_or_else(|refused| panic!("{refused} on {lp:?}"));
-            seen[class] += 1;
+            let s = solver.solve_sparse(&lp).expect_optimal();
+            crate::certify(&lp, &s.x, solver.duals())
+                .unwrap_or_else(|refused| panic!("{refused} on {lp:?}"));
+            moved += usize::from(s.x.iter().any(|&v| v != 0.0));
         }
-        assert!(
-            seen.iter().all(|&k| k > 0),
-            "optimal / infeasible / unbounded: {seen:?}"
-        );
+        assert!(moved > 100, "only {moved} of 400 optima left the origin");
     }
 
     // --- warm-start behaviour ----------------------------------------
@@ -1575,17 +1404,18 @@ pub(crate) mod tests {
 
     #[test]
     fn warm_resolve_with_equalities() {
-        // max x + y st x + y = 5, x ≤ cap (a bound).
+        // max 2x + y st x + y − z = 0, x ≤ cap, z ≤ 5 (bounds).
         let build = |cap: f64| {
             let mut b = SparseLpBuilder::new(1);
-            b.set_row(0, Relation::Eq, 5.0);
-            b.push_col(1.0, cap, &[(0, 1.0)]);
+            b.set_row(0, Relation::Eq, 0.0);
+            b.push_col(2.0, cap, &[(0, 1.0)]);
             b.push_col(1.0, INF, &[(0, 1.0)]);
+            b.push_col(0.0, 5.0, &[(0, -1.0)]);
             b.build()
         };
         let mut solver = SparseSimplexSolver::new();
         let first = solver.solve_sparse(&build(3.0)).expect_optimal();
-        assert_near(first.objective, 5.0);
+        assert_near(first.objective, 8.0);
         for cap in [2.5, 2.0, 3.5, 1.0] {
             let warm = solver.solve_sparse(&build(cap)).expect_optimal();
             let cold = solve(&build(cap)).expect_optimal();
@@ -1784,39 +1614,6 @@ pub(crate) mod tests {
         assert_eq!(stats.repair_pivots, lp.n_rows() as u64, "the bound is m: {stats:?}");
         assert_eq!(stats.repair_aborts, 1);
         assert_eq!((stats.warm_attempts, stats.warm_hits, stats.cold_solves), (1, 0, 2));
-    }
-
-    #[test]
-    fn fast_resolve_after_artificials_drops_them_and_can_go_cold_again() {
-        // `x + y = b0` and `x − y ≥ 1` need an artificial each on a cold
-        // start. The fast resolve after it reuses the loaded matrix and
-        // must drop those columns; a fast attempt that fails (nothing
-        // reaches `x + y = −6`) falls back cold on the same load and
-        // appends an artificial of the other sign, which a stale column
-        // would shadow.
-        let lp = |b0: f64, upper: f64| {
-            let mut b = SparseLpBuilder::new(2);
-            b.set_row(0, Relation::Eq, b0);
-            b.set_row(1, Relation::Ge, 1.0);
-            b.push_col(1.0, upper, &[(0, 1.0), (1, 1.0)]);
-            b.push_col(2.0, upper, &[(0, 1.0), (1, -1.0)]);
-            b.build()
-        };
-        let mut solver = SparseSimplexSolver::new();
-        let first = solver.solve_sparse(&lp(5.0, f64::INFINITY)).expect_optimal();
-        assert_near(first.objective, 7.0);
-        assert!(solver.col_ptr.len() > 2 + 2 + 1, "the cold solve appended artificials");
-        let drifted = lp(6.0, f64::INFINITY);
-        let fast = solver.solve_sparse(&drifted).expect_optimal();
-        assert_eq!(solver.col_ptr.len(), 2 + 2 + 1);
-        assert_eq!(solver.stats().warm_hits, 1);
-        crate::certify(&drifted, &fast.x, solver.duals()).unwrap();
-        assert_near(fast.objective, 8.5);
-        let negative = lp(-6.0, 2.0);
-        assert_eq!(solver.solve_sparse(&negative), LpOutcome::Infeasible);
-        crate::certify_infeasible(&negative, solver.duals()).unwrap();
-        let stats = solver.stats();
-        assert_eq!((stats.warm_attempts, stats.warm_hits, stats.cold_solves), (2, 1, 2));
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! of the basis the LU factorisation has to carry. Nothing rewrites rows
 //! into bounds afterwards; there is no presolve.
 //!
+//! Every program is feasible at `x = 0`: a `≤` row has rhs ≥ 0 and an `=`
+//! row rhs 0, which [`SparseLp::validate`] checks. That is the class the
+//! TE lowering builds (conservation and concurrent demand rows are `= 0`,
+//! capacity and throughput demand rows `≤` a non-negative amount), and it
+//! lets the engine start every cold solve at the origin. A `≥` row is
+//! written negated, `−a·x ≤ 0`, when its rhs is 0, and cannot be written
+//! otherwise.
+//!
 //! The per-column *pattern hashes* ([`SparseLp::column_pattern_hashes`])
 //! are the mapped warm start's key: a saved basis is reusable when the
 //! structural sparsity pattern of the common column prefix is unchanged,
@@ -19,12 +27,10 @@
 /// Constraint relation of a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
-    /// `≤`
+    /// `≤`, with rhs ≥ 0.
     Le,
-    /// `=`
+    /// `=`, with rhs 0.
     Eq,
-    /// `≥`
-    Ge,
 }
 
 /// A compressed-sparse-column matrix.
@@ -87,7 +93,8 @@ impl CscMatrix {
 }
 
 /// A bounded-variable LP in computational form:
-/// `max c·x  s.t.  A x {≤,=,≥} b,  0 ≤ x ≤ u` (`u_j = ∞` allowed).
+/// `max c·x  s.t.  A x {≤,=} b,  0 ≤ x ≤ u` (`u_j = ∞` allowed), feasible
+/// at `x = 0`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseLp {
     /// Objective coefficients, length `a.n_cols`.
@@ -113,7 +120,9 @@ impl SparseLp {
         self.a.n_rows
     }
 
-    /// Validates dimensional consistency, finiteness and bound signs.
+    /// Validates dimensional consistency, finiteness, bound signs and
+    /// feasibility at the origin: a `≤` row's rhs is not negative and an
+    /// `=` row's is 0.
     pub fn validate(&self) -> Result<(), String> {
         if self.a.n_cols == 0 {
             return Err("LP with no variables".into());
@@ -138,6 +147,15 @@ impl SparseLp {
         }
         if self.upper.iter().any(|&u| u.is_nan() || u < 0.0) {
             return Err("upper bound negative or NaN".into());
+        }
+        for (r, (&rel, &b)) in self.rel.iter().zip(&self.rhs).enumerate() {
+            let at_origin = match rel {
+                Relation::Le => b >= 0.0,
+                Relation::Eq => b == 0.0,
+            };
+            if !at_origin {
+                return Err(format!("row {r} ({rel:?}, rhs {b}) is not feasible at the origin"));
+            }
         }
         Ok(())
     }
@@ -232,6 +250,42 @@ mod tests {
         lp.validate().unwrap();
         assert_eq!(lp.n_vars(), 2);
         assert_eq!(lp.a.nnz(), 3);
+    }
+
+    #[test]
+    fn validate_refuses_what_the_engine_cannot_start_from() {
+        // One `≤` row (rhs 5) and one `=` row (rhs 0) over two columns; each
+        // case breaks one thing.
+        let good = || {
+            let mut b = SparseLpBuilder::new(2);
+            b.set_row(0, Relation::Le, 5.0);
+            b.set_row(1, Relation::Eq, 0.0);
+            b.push_col(1.0, 10.0, &[(0, 1.0), (1, 1.0)]);
+            b.push_col(1.0, f64::INFINITY, &[(0, 1.0), (1, -1.0)]);
+            b.build()
+        };
+        good().validate().unwrap();
+        type Break = fn(&mut SparseLp);
+        let cases: [(&str, Break); 8] = [
+            ("not feasible at the origin", |lp| lp.rhs[0] = -1e-12),
+            ("not feasible at the origin", |lp| lp.rhs[1] = 1e-12),
+            ("not feasible at the origin", |lp| lp.rhs[1] = -3.0),
+            ("non-finite rhs", |lp| lp.rhs[0] = f64::NAN),
+            ("non-finite matrix entry", |lp| lp.a.values[1] = f64::NAN),
+            ("non-finite objective coefficient", |lp| lp.objective[0] = f64::INFINITY),
+            ("upper bound negative or NaN", |lp| lp.upper[0] = -1.0),
+            ("upper bound negative or NaN", |lp| lp.upper[1] = f64::NAN),
+        ];
+        for (why, break_it) in cases {
+            let mut lp = good();
+            break_it(&mut lp);
+            let refused = lp.validate().unwrap_err();
+            assert!(refused.contains(why), "{refused:?} should say {why:?}");
+        }
+        // A zero of either sign is at the origin.
+        let mut lp = good();
+        (lp.rhs[0], lp.rhs[1]) = (0.0, -0.0);
+        lp.validate().unwrap();
     }
 
     #[test]

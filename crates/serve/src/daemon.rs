@@ -22,7 +22,7 @@
 //! merged or written to disk — result slots, pipeline metrics, checkpoint
 //! files — has exactly one owner (the collector), so a panicking shard
 //! can never poison state another thread will later lock. Each link is
-//! processed by [`crate::shard::process_link`], which is a pure function of
+//! processed by `shard::process_link`, which is a pure function of
 //! `(seed, link)` — so the slot-ordered final merge is byte-identical to
 //! [`crate::batch_reference`] no matter how work was sharded, shed,
 //! requeued, restarted, or resumed.

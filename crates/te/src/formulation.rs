@@ -279,9 +279,18 @@ impl TeFormulation {
     }
 
     /// Validates the configuration against `problem` and resolves the LP
-    /// kind (and min-MLU's envelopes).
+    /// kind (and min-MLU's envelopes). A negative or non-finite demand is
+    /// refused here: it would put the LP's demand row outside the class
+    /// the engine accepts (infeasible at the origin, or not finite).
     fn lowered_kind(&self, problem: &TeProblem) -> Result<LoweredKind, TeError> {
         self.validate()?;
+        let hostile = |d: f64| !(d.is_finite() && d >= 0.0);
+        if let Some((ki, c)) = problem.commodities.iter().enumerate().find(|(_, c)| hostile(c.demand)) {
+            return Err(TeError::InvalidConfig {
+                algorithm: self.name(),
+                detail: format!("commodity {ki} has invalid demand {}", c.demand),
+            });
+        }
         Ok(match &self.objective {
             TeObjective::MaxThroughput => LoweredKind::Throughput { reduction: false },
             TeObjective::CapacityReduction => LoweredKind::Throughput { reduction: true },
@@ -530,14 +539,9 @@ impl LoweredTe<'_> {
                 return Err(TeError::SolverTimeout {
                     algorithm,
                     detail: format!(
-                        "simplex exhausted its pivot budget ({k} commodities, {m} edges)"
+                        "simplex stalled: pivot budget, watchdog, singular cold basis or \
+                         unblocked ratio test ({k} commodities, {m} edges)"
                     ),
-                })
-            }
-            other => {
-                return Err(TeError::SolverAbort {
-                    algorithm,
-                    detail: format!("LP not optimal: {other:?}"),
                 })
             }
         };
@@ -1039,5 +1043,36 @@ mod tests {
         let wrong_k =
             TeFormulation::new(TeObjective::MinMlu { traffic_matrices: vec![vec![1.0]] });
         assert!(matches!(wrong_k.lower(&p), Err(TeError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn hostile_demands_are_refused_before_the_engine() {
+        // A negative demand would put a max-throughput demand row outside
+        // the origin-feasible class; NaN and ∞ would not be finite. Every
+        // objective refuses each one as a configuration error naming the
+        // commodity, before anything is lowered or solved.
+        let objectives = [
+            TeObjective::MaxThroughput,
+            TeObjective::MinMlu { traffic_matrices: vec![] },
+            TeObjective::MaxConcurrentFlow,
+            TeObjective::Unsplittable,
+            TeObjective::CapacityReduction,
+        ];
+        for objective in objectives {
+            for bad in [-5.0, f64::NAN, f64::INFINITY] {
+                let mut p = fig7_two_commodities();
+                p.commodities[1].demand = bad;
+                let name = objective.algorithm_name();
+                let solver = TeSolver::builder().objective(objective.clone()).build().unwrap();
+                match solver.solve_detailed(&p) {
+                    Err(TeError::InvalidConfig { detail, .. }) => {
+                        assert!(detail.contains("commodity 1"), "{name}, {bad}: {detail}")
+                    }
+                    other => panic!("{name}, {bad}: expected InvalidConfig, got {other:?}"),
+                }
+                let lowered = TeFormulation::new(objective.clone()).lower(&p);
+                assert!(matches!(lowered, Err(TeError::InvalidConfig { .. })), "{name}, {bad}");
+            }
+        }
     }
 }

@@ -58,16 +58,18 @@ use std::fmt;
 /// variant carries enough context to log the decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TeError {
-    /// The optimiser exhausted its iteration/pivot budget without
-    /// converging (e.g. simplex stalling on a degenerate basis).
+    /// The optimiser stopped without converging: its iteration/pivot
+    /// budget ran out, the watchdog fired, or the simplex stalled on a
+    /// numerical fault (a singular cold basis, a ratio test nothing
+    /// blocked).
     SolverTimeout {
         /// Name of the algorithm that timed out.
         algorithm: &'static str,
         /// Human-readable context.
         detail: String,
     },
-    /// The solver aborted: the instance was infeasible or unbounded, or an
-    /// internal invariant failed.
+    /// The solver aborted: the optimum answers nothing (a min-MLU envelope
+    /// with no path, `λ* = 0`), or an internal invariant failed.
     SolverAbort {
         /// Name of the algorithm that aborted.
         algorithm: &'static str,

@@ -25,14 +25,14 @@
 //! rewritten in place rather than its LP rebuilt. A debug build checks the
 //! result against a fresh lowering on every solve.
 //!
-//! Every verdict but `Stalled` is checked against its own certificate
-//! before it is returned — an optimum by [`rwc_lp::certify`], `Infeasible`
-//! by [`rwc_lp::certify_infeasible`], `Unbounded` by
-//! [`rwc_lp::certify_unbounded`] — in a debug build on every solve, in a
-//! release build on the 1st, 65th, 129th … solve of each solver (its own
-//! solve count modulo `CERTIFY_EVERY` = 64, so a run is as deterministic as
-//! its inputs); [`TeSolver::solve_certified`] checks in any build and
-//! hands the residuals back. Each check run counts `te.certified`. A
+//! Every lowering is feasible at the origin and bounded, so the engine
+//! answers an optimum or `Stalled`. An optimum is checked against its
+//! certificate ([`rwc_lp::certify`]) before it is returned — in a debug
+//! build on every solve, in a release build on the 1st, 65th, 129th …
+//! solve of each solver (its own solve count modulo `CERTIFY_EVERY` = 64,
+//! so a run is as deterministic as its inputs);
+//! [`TeSolver::solve_certified`] checks in any build and hands the
+//! residuals back. Each check run counts `te.certified`. A
 //! refused certificate panics with the objective and the residuals, in
 //! every build: it is a solver bug, like a failed `assert!`, not a
 //! property of the problem.
@@ -251,27 +251,18 @@ impl TeSolver {
         // the solves before this one.
         let sampled = (before.cold_solves + before.warm_hits).is_multiple_of(CERTIFY_EVERY);
         let checked = match &outcome {
-            _ if !(force || sampled || cfg!(debug_assertions)) => None,
-            LpOutcome::Optimal(point) => {
-                Some(("optimality", rwc_lp::certify(sp, &point.x, solver.duals())))
+            LpOutcome::Optimal(point) if force || sampled || cfg!(debug_assertions) => {
+                Some(rwc_lp::certify(sp, &point.x, solver.duals()))
             }
-            LpOutcome::Infeasible => Some((
-                "infeasibility",
-                rwc_lp::certify_infeasible(sp, solver.duals()),
-            )),
-            LpOutcome::Unbounded => {
-                let (x, d) = solver.ray();
-                Some(("unboundedness", rwc_lp::certify_unbounded(sp, x, d)))
-            }
-            LpOutcome::Stalled => None,
+            _ => None,
         };
         let after = solver.stats();
         drop(solver);
         let certificate = match checked {
-            Some((_, Ok(certificate))) => certificate,
-            Some((verdict, Err(refused))) => {
+            Some(Ok(certificate)) => certificate,
+            Some(Err(refused)) => {
                 panic!(
-                    "{}: {verdict} certificate refused: {refused}",
+                    "{}: optimality certificate refused: {refused}",
                     self.formulation.name()
                 )
             }

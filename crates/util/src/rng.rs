@@ -416,7 +416,7 @@ impl CounterRng {
     /// The canonical batch normal pair at `counter`: a pair-consuming
     /// Box–Muller over the block's two uniforms, `(r·cos, r·sin)`.
     ///
-    /// Uses [`fast_ln`] / [`fast_sincos_turn`] (absolute error < 1e-8 on
+    /// Uses `fast_ln` / `fast_sincos_turn` (absolute error < 1e-8 on
     /// the resulting normals) so the vector paths in [`crate::simd`] can
     /// reproduce it bit-for-bit.
     #[inline]
