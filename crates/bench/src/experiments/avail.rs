@@ -14,6 +14,7 @@ use crate::parallel::parallel_arms;
 use crate::{Report, Scale};
 use rwc_core::controller::{Controller, ControllerConfig};
 use rwc_failures::availability::AvailabilityReport;
+use rwc_failures::reliability::nines;
 use rwc_failures::TicketGenerator;
 use rwc_optics::bvt::ReconfigProcedure;
 use rwc_optics::ModulationTable;
@@ -54,19 +55,13 @@ pub fn run(scale: Scale) -> Report {
         replay.binary_availability(window, n_links),
         replay.dynamic_availability(window, n_links)
     ));
-    let binary_rel =
-        rwc_failures::reliability::binary_reliability(&tickets, window, n_links);
-    let dynamic_rel =
-        rwc_failures::reliability::dynamic_reliability(&tickets, &table, window, n_links);
+    let (binary_mtbf, binary_mttr, binary) = replay.binary_mtbf_mttr(window, n_links);
+    let (dynamic_mtbf, dynamic_mttr, dynamic) = replay.dynamic_mtbf_mttr(window, n_links);
     report.line(format!(
-        "per-link reliability: MTBF {} / MTTR {} ({:.2} nines) binary → MTBF {} / MTTR {} \
-         ({:.2} nines) dynamic",
-        binary_rel.mtbf,
-        binary_rel.mttr,
-        rwc_failures::reliability::nines(binary_rel.availability),
-        dynamic_rel.mtbf,
-        dynamic_rel.mttr,
-        rwc_failures::reliability::nines(dynamic_rel.availability),
+        "per-link reliability: MTBF {binary_mtbf} / MTTR {binary_mttr} ({:.2} nines) binary → \
+         MTBF {dynamic_mtbf} / MTTR {dynamic_mttr} ({:.2} nines) dynamic",
+        nines(binary),
+        nines(dynamic),
     ));
 
     // --- Controller replay ---------------------------------------------

@@ -10,63 +10,32 @@
 //! much of the resulting imperfection the pipeline rode out as degraded
 //! capacity versus hard downtime.
 
+use super::scenario::Fig7Campaign;
 use crate::report::series_csv;
 use crate::{Report, Scale};
 use rwc_core::prelude::*;
 use rwc_faults::{FaultPlan, FaultPlanConfig};
-use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::swan::SwanTe;
-use rwc_telemetry::FleetConfig;
-use rwc_topology::builders;
 
 fn build(scale: Scale) -> (Scenario, SimDuration, FaultPlan) {
-    let wan = builders::fig7_example();
-    let n_links = wan.n_links();
-    let a = wan.node_by_name("A").unwrap();
-    let b = wan.node_by_name("B").unwrap();
-    let c = wan.node_by_name("C").unwrap();
-    let d = wan.node_by_name("D").unwrap();
-    let mut dm = DemandMatrix::new();
-    dm.add(a, b, Gbps(120.0), Priority::Elastic);
-    dm.add(c, d, Gbps(120.0), Priority::Elastic);
-    let horizon = match scale {
-        Scale::Quick => SimDuration::from_days(7),
-        Scale::Full | Scale::Scaled(_) => SimDuration::from_days(60),
-    };
-    // Marginal baselines: SNR regularly crosses rung thresholds, so the
-    // fault plan lands on a fleet that is already walking and crawling.
-    let fleet = FleetConfig {
-        n_fibers: 1,
-        wavelengths_per_fiber: 4,
-        horizon: horizon + SimDuration::from_days(1),
-        fiber_baseline_mean_db: 12.6,
-        fiber_baseline_sd_db: 0.4,
-        wavelength_jitter_sd_db: 0.6,
-        ..FleetConfig::paper()
-    };
-    let plan = FaultPlanConfig {
-        n_links,
-        horizon,
-        bvt_rate_per_link_day: 2.0,
-        telemetry_rate_per_link_day: 1.0,
-        te_rate_per_day: 1.0,
-        // Long armed windows so flaky hardware overlaps the (hourly at
-        // best) reconfiguration attempts.
-        bvt_mean_duration: SimDuration::from_hours(8),
-        seed: 0xFA_017,
-        ..FaultPlanConfig::default()
+    Fig7Campaign {
+        // Marginal baselines: SNR regularly crosses rung thresholds, so the
+        // fault plan lands on a fleet that is already walking and crawling.
+        snr_db: (12.6, 0.4, 0.6),
+        faults: Some(FaultPlanConfig {
+            bvt_rate_per_link_day: 2.0,
+            telemetry_rate_per_link_day: 1.0,
+            te_rate_per_day: 1.0,
+            // Long armed windows so flaky hardware overlaps the (hourly at
+            // best) reconfiguration attempts.
+            bvt_mean_duration: SimDuration::from_hours(8),
+            seed: 0xFA_017,
+            ..FaultPlanConfig::default()
+        }),
+        shared_fiber: false,
+        make_before_break: true,
     }
-    .generate();
-    let config = ScenarioConfig {
-        fault_plan: Some(plan.clone()),
-        ..ScenarioConfig::default()
-    };
-    let scenario = Scenario::builder(wan, fleet, dm)
-        .config(config)
-        .observer(super::observer())
-        .build()
-        .expect("fault campaign wiring is valid");
-    (scenario, horizon, plan)
+    .build(scale)
 }
 
 /// Runs the experiment.

@@ -17,73 +17,37 @@
 //! with the legacy break-then-make path, then reports the outage split
 //! (correlated vs independent link-ticks) and the rollback accounting.
 
+use super::scenario::Fig7Campaign;
 use crate::parallel::parallel_pair;
 use crate::report::series_csv;
 use crate::{Report, Scale};
 use rwc_core::prelude::*;
 use rwc_faults::{FaultPlan, FaultPlanConfig};
-use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::swan::SwanTe;
-use rwc_telemetry::FleetConfig;
-use rwc_topology::builders;
 
 /// Fig. 7 fleet with links 0 and 2 sharing one fiber segment — the SRLG
 /// an amplifier event takes down in a single shot.
 fn build(scale: Scale, make_before_break: bool) -> (Scenario, SimDuration, FaultPlan) {
-    let mut wan = builders::fig7_example();
-    let shared = wan.link(LinkId(0)).fiber_id;
-    wan.link_mut(LinkId(2)).fiber_id = shared;
-    let fiber_of_link: Vec<usize> =
-        wan.links().map(|(_, link)| link.fiber_id).collect();
-    let a = wan.node_by_name("A").unwrap();
-    let b = wan.node_by_name("B").unwrap();
-    let c = wan.node_by_name("C").unwrap();
-    let d = wan.node_by_name("D").unwrap();
-    let mut dm = DemandMatrix::new();
-    dm.add(a, b, Gbps(120.0), Priority::Elastic);
-    dm.add(c, d, Gbps(120.0), Priority::Elastic);
-    let horizon = match scale {
-        Scale::Quick => SimDuration::from_days(7),
-        Scale::Full | Scale::Scaled(_) => SimDuration::from_days(60),
-    };
-    // Marginal SNR baselines so the fleet is already walking between
-    // rungs when the amplifier events land.
-    let fleet = FleetConfig {
-        n_fibers: 1,
-        wavelengths_per_fiber: 4,
-        horizon: horizon + SimDuration::from_days(1),
-        fiber_baseline_mean_db: 12.8,
-        fiber_baseline_sd_db: 0.3,
-        wavelength_jitter_sd_db: 0.4,
-        ..FleetConfig::paper()
-    };
-    let plan = FaultPlanConfig {
-        n_links: wan.n_links(),
-        horizon,
-        // Enough transceiver flakiness that staged commits fail mid-way
-        // and the rollback path gets exercised.
-        bvt_rate_per_link_day: 1.5,
-        bvt_mean_duration: SimDuration::from_hours(8),
-        // The SRLG layer: amplifier-span outages per *fiber segment*.
-        amplifier_rate_per_fiber_day: 0.25,
-        amplifier_mean_duration: SimDuration::from_hours(2),
-        amplifier_mean_severity_db: 14.0,
-        fiber_of_link,
-        seed: 0x5A16,
-        ..FaultPlanConfig::default()
-    }
-    .generate();
-    let config = ScenarioConfig {
-        fault_plan: Some(plan.clone()),
+    Fig7Campaign {
+        // Marginal SNR baselines so the fleet is already walking between
+        // rungs when the amplifier events land.
+        snr_db: (12.8, 0.3, 0.4),
+        faults: Some(FaultPlanConfig {
+            // Enough transceiver flakiness that staged commits fail mid-way
+            // and the rollback path gets exercised.
+            bvt_rate_per_link_day: 1.5,
+            bvt_mean_duration: SimDuration::from_hours(8),
+            // The SRLG layer: amplifier-span outages per *fiber segment*.
+            amplifier_rate_per_fiber_day: 0.25,
+            amplifier_mean_duration: SimDuration::from_hours(2),
+            amplifier_mean_severity_db: 14.0,
+            seed: 0x5A16,
+            ..FaultPlanConfig::default()
+        }),
+        shared_fiber: true,
         make_before_break,
-        ..ScenarioConfig::default()
-    };
-    let scenario = Scenario::builder(wan, fleet, dm)
-        .config(config)
-        .observer(super::observer())
-        .build()
-        .expect("SRLG campaign wiring is valid");
-    (scenario, horizon, plan)
+    }
+    .build(scale)
 }
 
 fn run_arm(scale: Scale, make_before_break: bool) -> (ScenarioReport, FaultPlan, SimDuration) {

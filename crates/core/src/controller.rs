@@ -98,6 +98,22 @@ impl Default for ControllerConfig {
     }
 }
 
+impl ControllerConfig {
+    /// Refuses a config the controller cannot run: an empty modulation
+    /// ladder, or an upgrade margin that is negative or not finite (NaN
+    /// fails too).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.table.entries().is_empty() {
+            return Err("modulation table has no rungs".into());
+        }
+        let margin = self.upgrade_margin.value();
+        if !margin.is_finite() || margin < 0.0 {
+            return Err(format!("upgrade margin ({margin} dB) must be finite and non-negative"));
+        }
+        Ok(())
+    }
+}
+
 /// What the controller decided for one link at one tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Decision {
@@ -209,8 +225,14 @@ pub struct Controller {
 
 impl Controller {
     /// Creates a controller for `n_links` links.
+    ///
+    /// # Panics
+    ///
+    /// If [`ControllerConfig::validate`] refuses `config`.
     pub fn new(config: ControllerConfig, n_links: usize, seed: u64) -> Self {
-        assert!(config.upgrade_margin.value() >= 0.0, "negative margin");
+        if let Err(e) = config.validate() {
+            panic!("invalid controller config: {e}");
+        }
         let bvts = (0..n_links)
             .map(|_| {
                 let mut bvt = Bvt::new(Modulation::DpQpsk100);

@@ -48,6 +48,22 @@ impl PenaltyPolicy {
         PenaltyPolicy::Uniform(100.0)
     }
 
+    /// Refuses a cost or weight that is negative or not finite (NaN fails
+    /// too); [`Self::fake_cost`] asserts it non-negative when a round first
+    /// prices an upgrade.
+    pub fn validate(&self) -> Result<(), String> {
+        let penalty = match *self {
+            PenaltyPolicy::Uniform(cost) => cost,
+            PenaltyPolicy::DisruptionDuration { weight_per_second, .. } => weight_per_second,
+            PenaltyPolicy::CurrentTraffic | PenaltyPolicy::UnitWeights => 0.0,
+        };
+        if penalty.is_finite() && penalty >= 0.0 {
+            Ok(())
+        } else {
+            Err(format!("penalty ({penalty} per unit) must be finite and non-negative"))
+        }
+    }
+
     /// Cost per unit flow on a fake link upgrading `link` to `target`.
     ///
     /// `current_traffic` is the flow the physical link carries right now

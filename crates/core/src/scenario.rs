@@ -36,7 +36,6 @@ use crate::augment::AugmentConfig;
 use crate::controller::ControllerConfig;
 use crate::error::RwcError;
 use crate::network::DynamicCapacityNetwork;
-use crate::penalty::PenaltyPolicy;
 use rwc_faults::{FaultInjector, FaultPlan, TeFault, TelemetryFault};
 use rwc_obs::{Event, FaultDomain, Observer};
 use std::sync::Arc;
@@ -290,9 +289,10 @@ impl ScenarioBuilder {
     ///
     /// The fleet must provide at least as many telemetry streams as the
     /// topology has links (WAN link `i` replays stream `i`), the TE
-    /// interval must be a positive whole number of telemetry ticks, the
-    /// controller's upgrade margin must be non-negative, and the penalty
-    /// policy's cost or weight must be finite and non-negative.
+    /// interval must be a positive whole number of telemetry ticks, and
+    /// [`ControllerConfig::validate`] and
+    /// [`PenaltyPolicy::validate`](crate::penalty::PenaltyPolicy::validate) must
+    /// accept the controller and penalty configs.
     pub fn build(self) -> Result<Scenario, RwcError> {
         let Self { wan, fleet, demands, config, obs } = self;
         if fleet.n_links() < wan.n_links() {
@@ -312,24 +312,8 @@ impl ScenarioBuilder {
                 fleet.tick.as_millis()
             )));
         }
-        // NaN fails too: `Controller::new` asserts `>= 0.0`.
-        let margin = config.controller.upgrade_margin.value();
-        if margin.is_nan() || margin < 0.0 {
-            return Err(RwcError::Config(format!(
-                "upgrade margin ({margin} dB) must be non-negative"
-            )));
-        }
-        // `PenaltyPolicy::fake_cost` asserts `>= 0.0` in the first round.
-        let penalty = match config.augment.penalty {
-            PenaltyPolicy::Uniform(cost) => cost,
-            PenaltyPolicy::DisruptionDuration { weight_per_second, .. } => weight_per_second,
-            PenaltyPolicy::CurrentTraffic | PenaltyPolicy::UnitWeights => 0.0,
-        };
-        if !penalty.is_finite() || penalty < 0.0 {
-            return Err(RwcError::Config(format!(
-                "penalty ({penalty} per unit) must be finite and non-negative"
-            )));
-        }
+        config.controller.validate().map_err(RwcError::Config)?;
+        config.augment.penalty.validate().map_err(RwcError::Config)?;
         let gen = FleetGenerator::new(fleet);
         let telemetry: Vec<LinkTelemetry> =
             (0..wan.n_links()).map(|i| gen.link(i)).collect();
@@ -591,6 +575,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::penalty::PenaltyPolicy;
     use rwc_faults::{BvtFault, FaultEvent, FaultKind, FaultPlanConfig, OpticalFault};
     use rwc_te::demand::Priority;
     use rwc_te::swan::SwanTe;
@@ -844,6 +829,11 @@ mod tests {
             config.controller.upgrade_margin = Db(margin);
             configs.push(config);
         }
+        // An empty ladder, which only a deserialised table can be
+        // (`ServeConfig::validate` refuses it too).
+        let mut config = ScenarioConfig::default();
+        config.controller.table = serde_json::from_str(r#"{"entries":[]}"#).unwrap();
+        configs.push(config);
         let downtime = SimDuration::from_secs(1);
         for penalty in [
             PenaltyPolicy::Uniform(-1.0),

@@ -6,6 +6,7 @@
 //! of a failure. This module replays a ticket corpus under both policies
 //! and reports the difference.
 
+use crate::reliability::mtbf_mttr;
 use crate::ticket::FailureTicket;
 use rwc_optics::ModulationTable;
 use rwc_util::time::SimDuration;
@@ -30,6 +31,10 @@ pub struct AvailabilityReport {
     /// policy: 1.0 would mean no capacity was lost at all. Uses the rate
     /// feasible at each event's floor, relative to the 100 G static rate.
     pub delivered_fraction_during_events: f64,
+    /// `binary_outage` and `dynamic_outage` in hours, summed event by event
+    /// (the repair time MTBF and MTTR divide up).
+    binary_outage_hours: f64,
+    dynamic_outage_hours: f64,
 }
 
 impl AvailabilityReport {
@@ -51,6 +56,7 @@ impl AvailabilityReport {
         let mut dynamic = SimDuration::ZERO;
         let mut delivered_x_hours = 0.0;
         let mut total_hours = 0.0;
+        let mut hard_hours = 0.0;
         for t in tickets {
             binary += t.duration;
             total_hours += t.duration.as_hours_f64();
@@ -61,6 +67,7 @@ impl AvailabilityReport {
             } else {
                 hard += 1;
                 dynamic += t.duration;
+                hard_hours += t.duration.as_hours_f64();
             }
         }
         Self {
@@ -70,6 +77,8 @@ impl AvailabilityReport {
             binary_outage: binary,
             dynamic_outage: dynamic,
             delivered_fraction_during_events: delivered_x_hours / total_hours,
+            binary_outage_hours: total_hours,
+            dynamic_outage_hours: hard_hours,
         }
     }
 
@@ -93,6 +102,26 @@ impl AvailabilityReport {
     /// Availability over a window under the dynamic policy.
     pub fn dynamic_availability(&self, window: SimDuration, n_links: usize) -> f64 {
         availability(self.dynamic_outage, window, n_links)
+    }
+
+    /// Per-link `(MTBF, MTTR, MTBF / (MTBF + MTTR))` over a window under
+    /// the binary policy, where every event is a failure.
+    pub fn binary_mtbf_mttr(
+        &self,
+        window: SimDuration,
+        n_links: usize,
+    ) -> (SimDuration, SimDuration, f64) {
+        mtbf_mttr(self.total_events, self.binary_outage_hours, window, n_links)
+    }
+
+    /// Per-link `(MTBF, MTTR, MTBF / (MTBF + MTTR))` over a window under
+    /// the dynamic policy, where only hard outages are failures.
+    pub fn dynamic_mtbf_mttr(
+        &self,
+        window: SimDuration,
+        n_links: usize,
+    ) -> (SimDuration, SimDuration, f64) {
+        mtbf_mttr(self.hard_outages, self.dynamic_outage_hours, window, n_links)
     }
 }
 

@@ -1,82 +1,40 @@
-//! Reliability metrics from ticket corpora: MTBF, MTTR, availability.
+//! Reliability metrics of a replayed corpus: MTBF, MTTR, availability.
 //!
 //! The operator-facing summary of §2.2: how often links fail (mean time
 //! between failures), how long repairs take (mean time to repair), and the
-//! steady-state availability `MTBF / (MTBF + MTTR)` — computed for the
-//! binary policy and for the dynamic policy where flap-able events don't
-//! count as failures at all.
+//! steady-state availability `MTBF / (MTBF + MTTR)` — for the binary
+//! policy and for the dynamic policy where flap-able events don't count as
+//! failures at all. [`AvailabilityReport::replay`] sorts the events and
+//! sums their outage time once; its `binary_mtbf_mttr` and
+//! `dynamic_mtbf_mttr` turn those sums into the figures here.
+//!
+//! [`AvailabilityReport::replay`]: crate::AvailabilityReport::replay
 
-use crate::ticket::FailureTicket;
-use rwc_optics::ModulationTable;
 use rwc_util::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
-/// Classic reliability summary of a link population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Reliability {
-    /// Mean time between failures (per link).
-    pub mtbf: SimDuration,
-    /// Mean time to repair.
-    pub mttr: SimDuration,
-    /// Steady-state availability `MTBF / (MTBF + MTTR)`.
-    pub availability: f64,
-    /// Failures counted.
-    pub failures: usize,
-}
-
-/// Computes reliability for a population of `n_links` observed over
-/// `window`, counting every ticket as a failure (the binary policy).
-pub fn binary_reliability(
-    tickets: &[FailureTicket],
+/// Per-link `(MTBF, MTTR, MTBF / (MTBF + MTTR))` of `failures` outages
+/// lasting `repair_hours` in all, across `n_links` links observed over
+/// `window`.
+pub(crate) fn mtbf_mttr(
+    failures: usize,
+    repair_hours: f64,
     window: SimDuration,
     n_links: usize,
-) -> Reliability {
-    let outages: Vec<&FailureTicket> = tickets.iter().collect();
-    reliability_of(&outages, window, n_links)
-}
-
-/// Computes reliability under the dynamic policy: events whose SNR floor
-/// still supports some rung become flaps, not failures.
-pub fn dynamic_reliability(
-    tickets: &[FailureTicket],
-    table: &ModulationTable,
-    window: SimDuration,
-    n_links: usize,
-) -> Reliability {
-    let outages: Vec<&FailureTicket> = tickets
-        .iter()
-        .filter(|t| table.feasible(t.lowest_snr).is_none())
-        .collect();
-    reliability_of(&outages, window, n_links)
-}
-
-fn reliability_of(
-    outages: &[&FailureTicket],
-    window: SimDuration,
-    n_links: usize,
-) -> Reliability {
+) -> (SimDuration, SimDuration, f64) {
     assert!(n_links > 0, "no links");
     assert!(window > SimDuration::ZERO, "empty window");
-    let total_link_time = window.as_hours_f64() * n_links as f64;
-    let total_repair: f64 = outages.iter().map(|t| t.duration.as_hours_f64()).sum();
-    let failures = outages.len();
     if failures == 0 {
-        return Reliability {
-            mtbf: window * n_links as u64,
-            mttr: SimDuration::ZERO,
-            availability: 1.0,
-            failures: 0,
-        };
+        return (window * n_links as u64, SimDuration::ZERO, 1.0);
     }
-    let uptime = (total_link_time - total_repair).max(0.0);
+    let total_link_time = window.as_hours_f64() * n_links as f64;
+    let uptime = (total_link_time - repair_hours).max(0.0);
     let mtbf_h = uptime / failures as f64;
-    let mttr_h = total_repair / failures as f64;
-    Reliability {
-        mtbf: SimDuration::from_hours_f64(mtbf_h),
-        mttr: SimDuration::from_hours_f64(mttr_h),
-        availability: mtbf_h / (mtbf_h + mttr_h),
-        failures,
-    }
+    let mttr_h = repair_hours / failures as f64;
+    (
+        SimDuration::from_hours_f64(mtbf_h),
+        SimDuration::from_hours_f64(mttr_h),
+        mtbf_h / (mtbf_h + mttr_h),
+    )
 }
 
 /// Converts an availability fraction into "nines" (0.999 → 3.0).
@@ -94,8 +52,11 @@ mod tests {
     use super::*;
     use crate::generator::{TicketConfig, TicketGenerator};
     use crate::rootcause::RootCause;
+    use crate::ticket::FailureTicket;
+    use crate::AvailabilityReport;
+    use rwc_optics::ModulationTable;
     use rwc_util::time::SimTime;
-    use rwc_util::units::Db;
+    use rwc_util::units::{Db, Gbps};
 
     fn ticket(hours: u64, snr: f64) -> FailureTicket {
         FailureTicket {
@@ -108,37 +69,43 @@ mod tests {
         }
     }
 
+    fn replay(tickets: &[FailureTicket]) -> AvailabilityReport {
+        AvailabilityReport::replay(tickets, &ModulationTable::paper_default(), Gbps(100.0))
+    }
+
     #[test]
     fn hand_computed_mtbf_mttr() {
         // 1 link, 100 h window, two 10 h outages: uptime 80 h.
-        let tickets = vec![ticket(10, 0.1), ticket(10, 0.2)];
-        let r = binary_reliability(&tickets, SimDuration::from_hours(100), 1);
-        assert_eq!(r.failures, 2);
-        assert!((r.mtbf.as_hours_f64() - 40.0).abs() < 1e-9);
-        assert!((r.mttr.as_hours_f64() - 10.0).abs() < 1e-9);
-        assert!((r.availability - 0.8).abs() < 1e-9);
+        let r = replay(&[ticket(10, 0.1), ticket(10, 0.2)]);
+        assert_eq!(r.total_events, 2);
+        let (mtbf, mttr, availability) = r.binary_mtbf_mttr(SimDuration::from_hours(100), 1);
+        assert!((mtbf.as_hours_f64() - 40.0).abs() < 1e-9);
+        assert!((mttr.as_hours_f64() - 10.0).abs() < 1e-9);
+        assert!((availability - 0.8).abs() < 1e-9);
     }
 
     #[test]
     fn dynamic_discounts_flapable_events() {
-        let table = ModulationTable::paper_default();
         // One hard outage (0.1 dB) and one flap-able event (4 dB).
-        let tickets = vec![ticket(10, 0.1), ticket(10, 4.0)];
+        let r = replay(&[ticket(10, 0.1), ticket(10, 4.0)]);
         let window = SimDuration::from_hours(100);
-        let binary = binary_reliability(&tickets, window, 1);
-        let dynamic = dynamic_reliability(&tickets, &table, window, 1);
-        assert_eq!(binary.failures, 2);
-        assert_eq!(dynamic.failures, 1);
-        assert!(dynamic.availability > binary.availability);
-        assert!(dynamic.mtbf > binary.mtbf);
+        let (binary_mtbf, _, binary) = r.binary_mtbf_mttr(window, 1);
+        let (dynamic_mtbf, _, dynamic) = r.dynamic_mtbf_mttr(window, 1);
+        assert_eq!(r.total_events, 2);
+        assert_eq!(r.hard_outages, 1);
+        assert!(dynamic > binary);
+        assert!(dynamic_mtbf > binary_mtbf);
     }
 
     #[test]
     fn no_failures_is_perfect() {
-        let r = binary_reliability(&[], SimDuration::from_days(30), 10);
-        assert_eq!(r.availability, 1.0);
-        assert_eq!(r.failures, 0);
-        assert_eq!(nines(r.availability), f64::INFINITY);
+        // A single flap-able event: no failure under the dynamic policy.
+        let r = replay(&[ticket(10, 4.0)]);
+        let window = SimDuration::from_days(30);
+        let (mtbf, mttr, availability) = r.dynamic_mtbf_mttr(window, 10);
+        assert_eq!(r.hard_outages, 0);
+        assert_eq!((mtbf, mttr, availability), (window * 10, SimDuration::ZERO, 1.0));
+        assert_eq!(nines(availability), f64::INFINITY);
     }
 
     #[test]
@@ -151,18 +118,12 @@ mod tests {
     #[test]
     fn paper_corpus_gains_fraction_of_a_nine() {
         let cfg = TicketConfig::paper();
-        let tickets = TicketGenerator::new(cfg.clone()).generate();
-        let table = ModulationTable::paper_default();
-        let binary = binary_reliability(&tickets, cfg.window, cfg.n_links);
-        let dynamic = dynamic_reliability(&tickets, &table, cfg.window, cfg.n_links);
-        assert!(binary.availability > 0.999, "fleet-wide: {}", binary.availability);
-        assert!(
-            nines(dynamic.availability) > nines(binary.availability),
-            "dynamic {} vs binary {}",
-            dynamic.availability,
-            binary.availability
-        );
+        let r = replay(&TicketGenerator::new(cfg.clone()).generate());
+        let (_, _, binary) = r.binary_mtbf_mttr(cfg.window, cfg.n_links);
+        let (_, _, dynamic) = r.dynamic_mtbf_mttr(cfg.window, cfg.n_links);
+        assert!(binary > 0.999, "fleet-wide: {binary}");
+        assert!(nines(dynamic) > nines(binary), "dynamic {dynamic} vs binary {binary}");
         // A visible fraction of events is discounted.
-        assert!(dynamic.failures < binary.failures * 9 / 10);
+        assert!(r.hard_outages < r.total_events * 9 / 10);
     }
 }

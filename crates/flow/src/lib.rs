@@ -13,8 +13,7 @@
 //!   residual graph;
 //! - [`maxflow`]: Dinic's algorithm, and the widest single path;
 //! - [`mincost`]: successive shortest paths with Johnson potentials
-//!   (Bellman–Ford bootstrap, Dijkstra iterations);
-//! - [`decompose`]: flow decomposition into simple paths.
+//!   (Bellman–Ford bootstrap, Dijkstra iterations).
 //!
 //! All capacities/costs are `f64`; comparisons use the crate-wide
 //! [`EPS`].
@@ -22,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decompose;
 pub mod maxflow;
 pub mod mincost;
 pub mod network;

@@ -1,7 +1,6 @@
 //! Property tests for flow-algorithm invariants on random networks.
 
 use proptest::prelude::*;
-use rwc_flow::decompose::decompose;
 use rwc_flow::network::FlowNetwork;
 use rwc_flow::{max_flow, min_cost_max_flow};
 
@@ -50,34 +49,5 @@ proptest! {
         prop_assert!((mc.flow.value - dinic.value).abs() < 1e-6);
         prop_assert!(mc.cost <= dinic.cost(&net) + 1e-6,
             "min-cost {} beat by dinic {}", mc.cost, dinic.cost(&net));
-    }
-
-    /// Path decomposition conserves value, uses only forward edges with
-    /// flow, and every path is simple source→sink.
-    #[test]
-    fn decomposition_invariants(net in arb_network()) {
-        let flow = max_flow(&net, 0, 6);
-        let paths = decompose(&net, &flow, 0, 6);
-        let total: f64 = paths.iter().map(|p| p.amount).sum();
-        prop_assert!((total - flow.value).abs() < 1e-6);
-        for p in &paths {
-            prop_assert!(p.amount > 0.0);
-            prop_assert_eq!(p.nodes[0], 0);
-            prop_assert_eq!(*p.nodes.last().unwrap(), 6);
-            let mut sorted = p.nodes.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(sorted.len(), p.nodes.len(), "loop in {:?}", p.nodes);
-        }
-        // Per-edge: decomposed usage never exceeds the flow on that edge.
-        let mut used = vec![0.0; net.n_edges()];
-        for p in &paths {
-            for &e in &p.edges {
-                used[e] += p.amount;
-            }
-        }
-        for (u, f) in used.iter().zip(&flow.edge_flows) {
-            prop_assert!(u <= &(f + 1e-6));
-        }
     }
 }

@@ -97,14 +97,7 @@ impl ServeConfig {
             return Err(ServeError::Config("queue_capacity must be at least 1".into()));
         }
         self.fleet.validate().map_err(ServeError::Config)?;
-        if self.controller.table.entries().is_empty() {
-            return Err(ServeError::Config("modulation table has no rungs".into()));
-        }
-        // NaN fails too: `Controller::new` asserts `>= 0.0`.
-        let margin = self.controller.upgrade_margin.value();
-        if margin.is_nan() || margin < 0.0 {
-            return Err(ServeError::Config("upgrade_margin must be non-negative".into()));
-        }
+        self.controller.validate().map_err(ServeError::Config)?;
         if !(0.0..=1.0).contains(&self.restart.jitter) {
             return Err(ServeError::Config(format!(
                 "restart jitter {} outside [0, 1]",

@@ -10,105 +10,37 @@
 //! Tunnels are computed on the *flow network* (not the WAN), so the solver
 //! remains oblivious to fake upgrade edges — the property §4 requires.
 
+use crate::path_search::HopGraph;
 use crate::problem::{TeProblem, TeSolution};
 use crate::{TeAlgorithm, TeError};
 use rwc_flow::EPS;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// B4-style solver configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct B4Te {
-    /// Tunnels per commodity.
-    pub k_tunnels: usize,
-    /// Allocation quantum (Gbps per filling round).
-    pub quantum: f64,
-}
+/// Tunnels per commodity.
+const K_TUNNELS: usize = 4;
 
-impl Default for B4Te {
-    fn default() -> Self {
-        Self { k_tunnels: 4, quantum: 1.0 }
-    }
-}
+/// Allocation quantum (Gbps per filling round).
+const QUANTUM: f64 = 1.0;
 
-#[derive(PartialEq)]
-struct Entry {
-    dist: f64,
-    node: usize,
-}
+/// The B4-style solver: max-min fair filling of four tunnels per commodity,
+/// 1 G at a time. Nothing to configure; braced rather than a unit struct so
+/// that `B4Te::default()` stays lint-clean.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct B4Te {}
 
-impl Eq for Entry {}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.node.cmp(&other.node))
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Edge-disjoint-ish k shortest paths by hop count: repeated Dijkstra,
-/// suppressing the previous path's edges. (Cheaper than full Yen on flow
-/// networks and gives well-spread tunnels, which is what B4 wants.)
-fn tunnels(
-    n: usize,
-    edges: &[(usize, usize)],
-    adj: &[Vec<usize>],
-    usable: &[bool],
-    src: usize,
-    dst: usize,
-    k: usize,
-) -> Vec<Vec<usize>> {
-    let mut suppressed = vec![false; edges.len()];
+/// Edge-disjoint-ish k shortest paths by hop count: repeated shortest-path
+/// searches, suppressing the previous paths' edges. (Cheaper than full Yen
+/// on flow networks and gives well-spread tunnels, which is what B4 wants.)
+fn tunnels(graph: &HopGraph, usable: &[bool], src: usize, dst: usize) -> Vec<Vec<usize>> {
+    let mut suppressed = vec![false; usable.len()];
     let mut found = Vec::new();
-    for _ in 0..k {
-        // Dijkstra by hop count over non-suppressed, usable edges.
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src] = 0.0;
-        heap.push(Entry { dist: 0.0, node: src });
-        while let Some(Entry { dist: d, node: u }) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            for &ei in &adj[u] {
-                if suppressed[ei] || !usable[ei] {
-                    continue;
-                }
-                let v = edges[ei].1;
-                if d + 1.0 < dist[v] {
-                    dist[v] = d + 1.0;
-                    parent[v] = Some(ei);
-                    heap.push(Entry { dist: d + 1.0, node: v });
-                }
-            }
-        }
-        if !dist[dst].is_finite() {
+    for _ in 0..K_TUNNELS {
+        let Some(path) = graph.shortest_path(src, dst, |ei| !suppressed[ei] && usable[ei])
+        else {
             break;
-        }
-        let mut path = Vec::new();
-        let mut v = dst;
-        let mut complete = true;
-        while v != src {
-            let Some(ei) = parent[v] else {
-                complete = false;
-                break;
-            };
-            path.push(ei);
+        };
+        for &ei in &path {
             suppressed[ei] = true;
-            v = edges[ei].0;
         }
-        if !complete {
-            break;
-        }
-        path.reverse();
         found.push(path);
     }
     found
@@ -120,32 +52,15 @@ impl TeAlgorithm for B4Te {
     }
 
     fn try_solve(&self, problem: &TeProblem) -> Result<TeSolution, TeError> {
-        if self.k_tunnels == 0 {
-            return Err(TeError::InvalidConfig {
-                algorithm: self.name(),
-                detail: "need at least one tunnel".into(),
-            });
-        }
-        if self.quantum <= 0.0 {
-            return Err(TeError::InvalidConfig {
-                algorithm: self.name(),
-                detail: format!("quantum must be positive, got {}", self.quantum),
-            });
-        }
         let net = &problem.net;
-        let n = net.n_nodes();
-        let edges: Vec<(usize, usize)> = net.edges().iter().map(|e| (e.from, e.to)).collect();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &(u, _)) in edges.iter().enumerate() {
-            adj[u].push(i);
-        }
+        let graph = HopGraph::new(net);
         let usable: Vec<bool> = net.edges().iter().map(|e| e.capacity > EPS).collect();
 
         // Tunnel groups per commodity.
         let groups: Vec<Vec<Vec<usize>>> = problem
             .commodities
             .iter()
-            .map(|c| tunnels(n, &edges, &adj, &usable, c.source, c.sink, self.k_tunnels))
+            .map(|c| tunnels(&graph, &usable, c.source, c.sink))
             .collect();
 
         let mut residual: Vec<f64> = net.edges().iter().map(|e| e.capacity).collect();
@@ -163,7 +78,7 @@ impl TeAlgorithm for B4Te {
                 if frozen[ki] {
                     continue;
                 }
-                let want = (c.demand - routed[ki]).min(self.quantum);
+                let want = (c.demand - routed[ki]).min(QUANTUM);
                 if want <= EPS {
                     frozen[ki] = true;
                     continue;
@@ -270,15 +185,16 @@ mod tests {
 
     #[test]
     fn more_tunnels_never_hurt() {
+        // A→D has two edge-disjoint two-hop paths, A→B→D and A→C→D, of
+        // 100 G each: the tunnels after the first carry the second 100 G.
         let wan = builders::fig7_example();
         let a = wan.node_by_name("A").unwrap();
         let d = wan.node_by_name("D").unwrap();
         let mut dm = DemandMatrix::new();
         dm.add(a, d, Gbps(400.0), Priority::Elastic);
         let p = TeProblem::from_wan(&wan, &dm);
-        let one = B4Te { k_tunnels: 1, quantum: 1.0 }.try_solve(&p).expect("TE solve");
-        let four = B4Te { k_tunnels: 4, quantum: 1.0 }.try_solve(&p).expect("TE solve");
-        assert!(four.total >= one.total - 1e-9, "k=4 {} vs k=1 {}", four.total, one.total);
-        assert!(four.total > one.total + 10.0, "extra tunnels should add capacity");
+        let sol = B4Te::default().try_solve(&p).expect("TE solve");
+        sol.validate(&p).unwrap();
+        assert_eq!(sol.total, 200.0);
     }
 }

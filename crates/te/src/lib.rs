@@ -10,10 +10,11 @@
 //! - [`swan`]: SWAN-style priority-class multicommodity allocation
 //!   (interactive > elastic > background), each class solved as MCF on the
 //!   residual of the classes above it;
-//! - [`b4`]: B4-style max-min fair allocation over k-shortest-path tunnel
-//!   groups with quantised progressive filling;
+//! - [`b4`]: B4-style max-min fair allocation over four shortest-path
+//!   tunnels per commodity with quantised progressive filling;
 //! - [`cspf`]: an MPLS-TE-like constrained-shortest-path-first baseline
-//!   (sequential, order-dependent);
+//!   (sequential, order-dependent), on the same hop-count path search as
+//!   [`b4`] (the private `path_search` module);
 //! - [`formulation`]: the TE objective zoo — max-throughput, TROD-style
 //!   min-MLU over traffic-matrix envelopes, max-concurrent-flow fairness,
 //!   the paper's Fig. 8 unsplittable gadget (its node-splitting lowering
@@ -38,6 +39,7 @@ mod flows;
 pub mod formulation;
 mod gadget;
 pub mod metrics;
+mod path_search;
 pub mod problem;
 pub mod solver;
 pub mod srlg;

@@ -5,8 +5,8 @@
 //! cargo run --example topology_tools
 //! ```
 
-use rwc::failures::reliability::{binary_reliability, dynamic_reliability, nines};
-use rwc::failures::{TicketConfig, TicketGenerator};
+use rwc::failures::reliability::nines;
+use rwc::failures::{AvailabilityReport, TicketConfig, TicketGenerator};
 use rwc::optics::ModulationTable;
 use rwc::te::srlg::{cut_impact, shared_risk_groups, srlg_disjoint_paths};
 use rwc::te::{DemandMatrix, TeAlgorithm};
@@ -69,13 +69,13 @@ fn main() {
     // --- Reliability bookkeeping ------------------------------------------
     let cfg = TicketConfig::paper();
     let tickets = TicketGenerator::new(cfg.clone()).generate();
-    let b = binary_reliability(&tickets, cfg.window, cfg.n_links);
-    let d = dynamic_reliability(&tickets, &table, cfg.window, cfg.n_links);
+    let replay = AvailabilityReport::replay(&tickets, &table, Gbps(100.0));
+    let (_, binary_mttr, binary) = replay.binary_mtbf_mttr(cfg.window, cfg.n_links);
+    let (_, dynamic_mttr, dynamic) = replay.dynamic_mtbf_mttr(cfg.window, cfg.n_links);
     println!(
-        "\nfleet reliability: binary {:.2} nines (MTTR {}) → dynamic {:.2} nines (MTTR {})",
-        nines(b.availability),
-        b.mttr,
-        nines(d.availability),
-        d.mttr
+        "\nfleet reliability: binary {:.2} nines (MTTR {binary_mttr}) → dynamic {:.2} nines \
+         (MTTR {dynamic_mttr})",
+        nines(binary),
+        nines(dynamic),
     );
 }

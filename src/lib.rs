@@ -20,7 +20,7 @@
 //! | [`failures`] | failure-ticket corpus + root-cause/availability analyses |
 //! | [`faults`] | deterministic fault injection: BVT/telemetry/TE fault plans |
 //! | [`topology`] | WAN graphs: Abilene, B4-like, Waxman, the paper's Fig. 7 |
-//! | [`flow`] | Dinic, min-cost max-flow, path decomposition |
+//! | [`flow`] | Dinic, min-cost max-flow |
 //! | [`lp`] | sparse revised simplex over `SparseLp`, with a certificate per verdict |
 //! | [`te`] | SWAN-, B4-, CSPF-style TE + consistent updates |
 //! | [`core`] | **the paper's contribution**: Algorithm 1 augmentation, Theorem 1, the run/walk/crawl controller |
