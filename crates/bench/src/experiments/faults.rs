@@ -10,32 +10,16 @@
 //! much of the resulting imperfection the pipeline rode out as degraded
 //! capacity versus hard downtime.
 
-use super::scenario::Fig7Campaign;
+use super::scenario::build_campaign;
 use crate::report::series_csv;
 use crate::{Report, Scale};
 use rwc_core::prelude::*;
-use rwc_faults::{FaultPlan, FaultPlanConfig};
+use rwc_core::scenario::Fig7Campaign;
+use rwc_faults::FaultPlan;
 use rwc_te::swan::SwanTe;
 
 fn build(scale: Scale) -> (Scenario, SimDuration, FaultPlan) {
-    Fig7Campaign {
-        // Marginal baselines: SNR regularly crosses rung thresholds, so the
-        // fault plan lands on a fleet that is already walking and crawling.
-        snr_db: (12.6, 0.4, 0.6),
-        faults: Some(FaultPlanConfig {
-            bvt_rate_per_link_day: 2.0,
-            telemetry_rate_per_link_day: 1.0,
-            te_rate_per_day: 1.0,
-            // Long armed windows so flaky hardware overlaps the (hourly at
-            // best) reconfiguration attempts.
-            bvt_mean_duration: SimDuration::from_hours(8),
-            seed: 0xFA_017,
-            ..FaultPlanConfig::default()
-        }),
-        shared_fiber: false,
-        make_before_break: true,
-    }
-    .build(scale)
+    build_campaign(Fig7Campaign::faults(), scale)
 }
 
 /// Runs the experiment.

@@ -17,41 +17,18 @@
 //! with the legacy break-then-make path, then reports the outage split
 //! (correlated vs independent link-ticks) and the rollback accounting.
 
-use super::scenario::Fig7Campaign;
+use super::scenario::build_campaign;
 use crate::parallel::parallel_pair;
 use crate::report::series_csv;
 use crate::{Report, Scale};
 use rwc_core::prelude::*;
-use rwc_faults::{FaultPlan, FaultPlanConfig};
+use rwc_core::scenario::Fig7Campaign;
+use rwc_faults::FaultPlan;
 use rwc_te::swan::SwanTe;
 
-/// Fig. 7 fleet with links 0 and 2 sharing one fiber segment — the SRLG
-/// an amplifier event takes down in a single shot.
-fn build(scale: Scale, make_before_break: bool) -> (Scenario, SimDuration, FaultPlan) {
-    Fig7Campaign {
-        // Marginal SNR baselines so the fleet is already walking between
-        // rungs when the amplifier events land.
-        snr_db: (12.8, 0.3, 0.4),
-        faults: Some(FaultPlanConfig {
-            // Enough transceiver flakiness that staged commits fail mid-way
-            // and the rollback path gets exercised.
-            bvt_rate_per_link_day: 1.5,
-            bvt_mean_duration: SimDuration::from_hours(8),
-            // The SRLG layer: amplifier-span outages per *fiber segment*.
-            amplifier_rate_per_fiber_day: 0.25,
-            amplifier_mean_duration: SimDuration::from_hours(2),
-            amplifier_mean_severity_db: 14.0,
-            seed: 0x5A16,
-            ..FaultPlanConfig::default()
-        }),
-        shared_fiber: true,
-        make_before_break,
-    }
-    .build(scale)
-}
-
 fn run_arm(scale: Scale, make_before_break: bool) -> (ScenarioReport, FaultPlan, SimDuration) {
-    let (mut scenario, horizon, plan) = build(scale, make_before_break);
+    let (mut scenario, horizon, plan) =
+        build_campaign(Fig7Campaign::srlg(make_before_break), scale);
     let result = scenario
         .run(horizon, &SwanTe::default())
         .expect("SRLG campaign horizon fits its telemetry");

@@ -2,9 +2,10 @@
 //! keep the names real. Deliberately narrow: only what can be checked
 //! without judgement — a backticked repository path exists, a backticked
 //! `Type::name` still names a type and a member the sources define, a
-//! backticked `snake_case` name still occurs in some source, a file the
-//! results table lists is there (or the row says it is not committed), an
-//! experiment id in the README's table is one `repro` accepts.
+//! backticked `snake_case` name still occurs in some source, a backticked
+//! dotted metric name is still a string some source spells out, a file
+//! the results table lists is there (or the row says it is not committed),
+//! an experiment id in the README's table is one `repro` accepts.
 
 use rwc_bench::experiments;
 use std::collections::HashSet;
@@ -74,21 +75,29 @@ fn backticked_repo_paths_exist() {
     assert!(missing.is_empty(), "documents name paths that do not exist:\n{}", missing.join("\n"));
 }
 
-/// Adds every identifier-like word (string contents included) of every
-/// `.rs` file under `dir` to `idents`.
-fn collect_identifiers(dir: &Path, idents: &mut HashSet<String>) {
+/// Adds the text of every `.rs` file under `dir` to `sources`.
+fn collect_sources(dir: &Path, sources: &mut Vec<String>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
-            collect_identifiers(&path, idents);
+            collect_sources(&path, sources);
         } else if path.extension().is_some_and(|e| e == "rs") {
-            let text = std::fs::read_to_string(&path).expect("source file");
-            idents.extend(
-                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                    .filter(|w| !w.is_empty())
-                    .map(str::to_owned),
-            );
+            sources.push(std::fs::read_to_string(&path).expect("source file"));
         }
+    }
+}
+
+/// Adds every identifier-like word (string contents included) of every
+/// `.rs` file under `dir` to `idents`.
+fn collect_identifiers(dir: &Path, idents: &mut HashSet<String>) {
+    let mut sources = Vec::new();
+    collect_sources(dir, &mut sources);
+    for text in &sources {
+        idents.extend(
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .map(str::to_owned),
+        );
     }
 }
 
@@ -175,6 +184,73 @@ fn backticked_identifiers_exist() {
     assert!(
         missing.is_empty(),
         "documents name identifiers no source contains:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// The `"name"` values of `BENCHMARK.json`: its workloads and metrics.
+fn benchmark_names() -> Vec<String> {
+    read("BENCHMARK.json")
+        .split("\"name\"")
+        .skip(1)
+        .filter_map(|rest| {
+            let value = rest.trim_start_matches([' ', ':']).strip_prefix('"')?;
+            value.split('"').next().map(str::to_owned)
+        })
+        .collect()
+}
+
+/// A dotted metric name: `^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`, not ending
+/// in a file extension, whose first segment is in `namespaces`.
+fn dotted_metric<'a>(span: &'a str, namespaces: &HashSet<&str>) -> Option<&'a str> {
+    const EXTENSIONS: [&str; 9] = ["rs", "md", "csv", "json", "toml", "dot", "txt", "lock", "ckpt"];
+    let segments: Vec<&str> = span.split('.').collect();
+    let well_formed = segments.len() > 1
+        && span.starts_with(|c: char| c.is_ascii_lowercase())
+        && segments.iter().all(|s| {
+            !s.is_empty()
+                && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        });
+    (well_formed
+        && !EXTENSIONS.contains(segments.last().expect("split yields one item"))
+        && namespaces.contains(segments[0]))
+    .then_some(span)
+}
+
+#[test]
+fn backticked_metric_names_exist() {
+    // A metric namespace is the first segment of a dotted name the
+    // catalogue registers or the benchmark reports.
+    let bench = benchmark_names();
+    let names = rwc_obs::names::COUNTERS
+        .iter()
+        .chain(rwc_obs::names::GAUGES)
+        .chain(rwc_obs::names::HISTOGRAMS)
+        .copied()
+        .chain(bench.iter().map(String::as_str));
+    let namespaces: HashSet<&str> =
+        names.filter_map(|name| name.split_once('.')).map(|(ns, _)| ns).collect();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        collect_sources(&repo_root().join(dir), &mut sources);
+    }
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = read(doc);
+        for name in code_spans(&text).into_iter().filter_map(|s| dotted_metric(s, &namespaces)) {
+            checked += 1;
+            let literal = format!("\"{name}\"");
+            if !sources.iter().any(|source| source.contains(&literal)) {
+                missing.push(format!("{doc}: `{name}`"));
+            }
+        }
+    }
+    println!("docs: {checked} backticked metric names checked");
+    assert!(checked > 0, "the span scanner found no metric name to check");
+    assert!(
+        missing.is_empty(),
+        "documents name metrics no source spells out as a string:\n{}",
         missing.join("\n")
     );
 }

@@ -100,8 +100,10 @@ pub fn augment(
 ) -> AugmentedProblem {
     let mut problem = TeProblem::from_wan(wan, demands);
     let n_real_edges = problem.net.n_edges();
-    for i in 0..n_real_edges {
-        problem.net.set_cost(i, config.penalty.real_cost(wan.link(LinkId(i / 2))));
+    for (id, link) in wan.links() {
+        for e in TeProblem::link_edges(id) {
+            problem.net.set_cost(e, config.penalty.real_cost(link));
+        }
     }
 
     let mut fake_edges = Vec::new();

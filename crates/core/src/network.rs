@@ -355,8 +355,8 @@ impl DynamicCapacityNetwork {
                     // Drained-headroom check: the interim flow on the link
                     // must fit the transition capacity (the lesser of old
                     // and new), else committing would drop live traffic.
-                    let fwd = plan.interim.edge_flows[2 * change.link.0];
-                    let bwd = plan.interim.edge_flows[2 * change.link.0 + 1];
+                    let [fwd, bwd] =
+                        TeProblem::link_edges(change.link).map(|e| plan.interim.edge_flows[e]);
                     let transition_cap = self
                         .wan
                         .link(change.link)
@@ -417,8 +417,7 @@ impl DynamicCapacityNetwork {
             .map(|prev| metrics::churn(prev, &translation.real_edge_flows))
             .unwrap_or(0.0);
         for (id, _) in self.wan.links() {
-            let fwd = translation.real_edge_flows[2 * id.0];
-            let bwd = translation.real_edge_flows[2 * id.0 + 1];
+            let [fwd, bwd] = TeProblem::link_edges(id).map(|e| translation.real_edge_flows[e]);
             self.link_traffic[id.0] = fwd.max(bwd);
         }
         self.previous_flows = Some(translation.real_edge_flows.clone());

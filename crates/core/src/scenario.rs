@@ -36,16 +36,17 @@ use crate::augment::AugmentConfig;
 use crate::controller::ControllerConfig;
 use crate::error::RwcError;
 use crate::network::DynamicCapacityNetwork;
-use rwc_faults::{FaultInjector, FaultPlan, TeFault, TelemetryFault};
+use rwc_faults::{FaultInjector, FaultPlan, FaultPlanConfig, TeFault, TelemetryFault};
 use rwc_obs::{Event, FaultDomain, Observer};
 use std::sync::Arc;
-use rwc_te::demand::DemandMatrix;
+use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::problem::TeProblem;
 use rwc_te::{TeAlgorithm, TeError, TeSolution};
 use rwc_telemetry::{FleetConfig, FleetGenerator, LinkTelemetry};
+use rwc_topology::builders;
 use rwc_topology::wan::{LinkId, WanTopology};
 use rwc_util::time::{SimDuration, SimTime};
-use rwc_util::units::Db;
+use rwc_util::units::{Db, Gbps};
 use serde::Serialize;
 
 /// Scenario wiring.
@@ -572,32 +573,115 @@ impl Scenario {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::penalty::PenaltyPolicy;
-    use rwc_faults::{BvtFault, FaultEvent, FaultKind, FaultPlanConfig, OpticalFault};
-    use rwc_te::demand::Priority;
-    use rwc_te::swan::SwanTe;
-    use rwc_topology::builders;
-    use rwc_util::units::Gbps;
+/// The Fig. 7 campaign that the `scenario`, `faults` and `srlg`
+/// experiments run: 120 G elastic demands A→B and C→D over a one-fiber,
+/// four-wavelength fleet.
+#[derive(Debug, Clone)]
+pub struct Fig7Campaign {
+    /// Fiber baseline SNR mean and spread, and per-wavelength jitter (dB).
+    snr_db: (f64, f64, f64),
+    /// Fault rates and seed; the campaign fills in the links, the horizon
+    /// and each link's fiber. `None` injects nothing.
+    faults: Option<FaultPlanConfig>,
+    /// Puts links 0 and 2 on one fiber segment: the SRLG an amplifier
+    /// event takes down in a single shot.
+    shared_fiber: bool,
+    /// Make-before-break reconfiguration, or break-then-make.
+    make_before_break: bool,
+}
 
-    fn scenario(days_capacity: u64) -> Scenario {
-        scenario_with(days_capacity, ScenarioConfig::default())
+impl Fig7Campaign {
+    /// The `scenario` experiment's campaign: healthy baselines, no faults.
+    pub fn scenario() -> Self {
+        Self {
+            snr_db: (13.2, 0.2, 0.4),
+            faults: None,
+            shared_fiber: false,
+            make_before_break: true,
+        }
     }
 
-    fn scenario_with(days_capacity: u64, config: ScenarioConfig) -> Scenario {
-        fig7_scenario(builders::fig7_example(), (13.5, 0.2, 0.3), days_capacity, config)
+    /// The `faults` experiment's campaign: transceiver, telemetry and TE
+    /// solver faults on a fleet that is already walking and crawling.
+    pub fn faults() -> Self {
+        Self {
+            // Marginal baselines: SNR regularly crosses rung thresholds.
+            snr_db: (12.6, 0.4, 0.6),
+            faults: Some(FaultPlanConfig {
+                bvt_rate_per_link_day: 2.0,
+                telemetry_rate_per_link_day: 1.0,
+                te_rate_per_day: 1.0,
+                // Long armed windows so flaky hardware overlaps the (hourly
+                // at best) reconfiguration attempts.
+                bvt_mean_duration: SimDuration::from_hours(8),
+                seed: 0xFA_017,
+                ..FaultPlanConfig::default()
+            }),
+            shared_fiber: false,
+            make_before_break: true,
+        }
     }
 
-    /// Two overloading demands on a Fig. 7 topology whose one fiber has
-    /// SNR statistics `(baseline mean, baseline sd, wavelength jitter sd)`.
-    fn fig7_scenario(
-        wan: WanTopology,
-        snr_db: (f64, f64, f64),
-        days_capacity: u64,
-        config: ScenarioConfig,
-    ) -> Scenario {
+    /// The `srlg` experiment's campaign under one change procedure:
+    /// amplifier-span outages on the fiber that links 0 and 2 share,
+    /// layered over per-link transceiver faults.
+    pub fn srlg(make_before_break: bool) -> Self {
+        Self {
+            // Marginal baselines, so the fleet is already walking between
+            // rungs when the amplifier events land.
+            snr_db: (12.8, 0.3, 0.4),
+            faults: Some(FaultPlanConfig {
+                // Enough transceiver flakiness that staged commits fail
+                // mid-way and the rollback path gets exercised.
+                bvt_rate_per_link_day: 1.5,
+                bvt_mean_duration: SimDuration::from_hours(8),
+                // The SRLG layer: amplifier-span outages per fiber segment.
+                amplifier_rate_per_fiber_day: 0.25,
+                amplifier_mean_duration: SimDuration::from_hours(2),
+                amplifier_mean_severity_db: 14.0,
+                seed: 0x5A16,
+                ..FaultPlanConfig::default()
+            }),
+            shared_fiber: true,
+            make_before_break,
+        }
+    }
+
+    /// Builds the scenario for `horizon`, with a day of telemetry to
+    /// spare, and returns it with the fault plan it replays (empty without
+    /// faults). The scenario has no observer; attach one with
+    /// [`Scenario::set_observer`].
+    pub fn build(self, horizon: SimDuration) -> (Scenario, FaultPlan) {
+        let (wan, fleet, dm) = self.parts(horizon + SimDuration::from_days(1));
+        let plan = self.faults.map(|faults| {
+            FaultPlanConfig {
+                n_links: wan.n_links(),
+                horizon,
+                fiber_of_link: wan.links().map(|(_, link)| link.fiber_id).collect(),
+                ..faults
+            }
+            .generate()
+        });
+        let config = ScenarioConfig {
+            fault_plan: plan.clone(),
+            make_before_break: self.make_before_break,
+            ..ScenarioConfig::default()
+        };
+        let scenario = Scenario::builder(wan, fleet, dm)
+            .config(config)
+            .build()
+            .expect("Fig. 7 campaign wiring is valid");
+        (scenario, plan.unwrap_or_else(FaultPlan::none))
+    }
+
+    /// The topology, a fleet with `telemetry` worth of readings, and the
+    /// demands.
+    fn parts(&self, telemetry: SimDuration) -> (WanTopology, FleetConfig, DemandMatrix) {
+        let mut wan = builders::fig7_example();
+        if self.shared_fiber {
+            let shared = wan.link(LinkId(0)).fiber_id;
+            wan.link_mut(LinkId(2)).fiber_id = shared;
+        }
         let a = wan.node_by_name("A").unwrap();
         let b = wan.node_by_name("B").unwrap();
         let c = wan.node_by_name("C").unwrap();
@@ -605,15 +689,48 @@ mod tests {
         let mut dm = DemandMatrix::new();
         dm.add(a, b, Gbps(120.0), Priority::Elastic);
         dm.add(c, d, Gbps(120.0), Priority::Elastic);
+        let (mean, sd, jitter) = self.snr_db;
         let fleet = FleetConfig {
             n_fibers: 1,
             wavelengths_per_fiber: 4,
-            horizon: SimDuration::from_days(days_capacity),
-            fiber_baseline_mean_db: snr_db.0,
-            fiber_baseline_sd_db: snr_db.1,
-            wavelength_jitter_sd_db: snr_db.2,
+            horizon: telemetry,
+            fiber_baseline_mean_db: mean,
+            fiber_baseline_sd_db: sd,
+            wavelength_jitter_sd_db: jitter,
             ..FleetConfig::paper()
         };
+        (wan, fleet, dm)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::penalty::PenaltyPolicy;
+    use rwc_faults::{BvtFault, FaultEvent, FaultKind, OpticalFault};
+    use rwc_te::swan::SwanTe;
+
+    /// The Fig. 7 campaign's demands on a fiber with ≈13.5 dB baselines.
+    fn healthy() -> Fig7Campaign {
+        Fig7Campaign { snr_db: (13.5, 0.2, 0.3), ..Fig7Campaign::scenario() }
+    }
+
+    fn scenario(days_capacity: u64) -> Scenario {
+        scenario_with(days_capacity, ScenarioConfig::default())
+    }
+
+    fn scenario_with(days_capacity: u64, config: ScenarioConfig) -> Scenario {
+        campaign_with(healthy(), days_capacity, config)
+    }
+
+    /// `campaign`'s topology, fleet and demands with `days_capacity` days
+    /// of telemetry, under `config` instead of the campaign's own.
+    fn campaign_with(
+        campaign: Fig7Campaign,
+        days_capacity: u64,
+        config: ScenarioConfig,
+    ) -> Scenario {
+        let (wan, fleet, dm) = campaign.parts(SimDuration::from_days(days_capacity));
         Scenario::builder(wan, fleet, dm).config(config).build().unwrap()
     }
 
@@ -757,14 +874,7 @@ mod tests {
     /// Fig. 7 fleet with links 0 and 2 riding the same fiber segment —
     /// the SRLG an amplifier event takes down in one shot.
     fn srlg_scenario_with(days_capacity: u64, config: ScenarioConfig) -> Scenario {
-        fig7_scenario(srlg_wan(), (13.5, 0.2, 0.3), days_capacity, config)
-    }
-
-    fn srlg_wan() -> WanTopology {
-        let mut wan = builders::fig7_example();
-        let shared = wan.link(LinkId(0)).fiber_id;
-        wan.link_mut(LinkId(2)).fiber_id = shared;
-        wan
+        campaign_with(Fig7Campaign { shared_fiber: true, ..healthy() }, days_capacity, config)
     }
 
     #[test]
@@ -882,58 +992,29 @@ mod tests {
         // change a single byte of the report relative to a run that
         // forgets it before every round, fault plan and all.
         // Inputs: a light two-day plan, then the `faults` and `srlg`
-        // experiments' week-long campaigns (marginal SNR, so the fleet is
-        // already walking when the faults land) — the SRLG one under both
+        // experiments' own week-long campaigns — the SRLG one under both
         // change procedures.
-        let light = FaultPlanConfig {
-            n_links: 4,
-            horizon: SimDuration::from_days(2),
-            bvt_rate_per_link_day: 1.0,
-            telemetry_rate_per_link_day: 1.0,
-            seed: 0xC0FFEE,
-            ..FaultPlanConfig::default()
+        let light = Fig7Campaign {
+            faults: Some(FaultPlanConfig {
+                bvt_rate_per_link_day: 1.0,
+                telemetry_rate_per_link_day: 1.0,
+                seed: 0xC0FFEE,
+                ..FaultPlanConfig::default()
+            }),
+            ..healthy()
         };
         let week = SimDuration::from_days(7);
-        let faults = FaultPlanConfig {
-            n_links: builders::fig7_example().n_links(),
-            horizon: week,
-            bvt_rate_per_link_day: 2.0,
-            telemetry_rate_per_link_day: 1.0,
-            te_rate_per_day: 1.0,
-            bvt_mean_duration: SimDuration::from_hours(8),
-            seed: 0xFA_017,
-            ..FaultPlanConfig::default()
-        };
-        let srlg = FaultPlanConfig {
-            n_links: srlg_wan().n_links(),
-            horizon: week,
-            bvt_rate_per_link_day: 1.5,
-            bvt_mean_duration: SimDuration::from_hours(8),
-            amplifier_rate_per_fiber_day: 0.25,
-            amplifier_mean_duration: SimDuration::from_hours(2),
-            amplifier_mean_severity_db: 14.0,
-            fiber_of_link: srlg_wan().links().map(|(_, link)| link.fiber_id).collect(),
-            seed: 0x5A16,
-            ..FaultPlanConfig::default()
-        };
         let cases = [
-            ("light", builders::fig7_example(), (13.5, 0.2, 0.3), light, true),
-            ("faults", builders::fig7_example(), (12.6, 0.4, 0.6), faults, true),
-            ("srlg", srlg_wan(), (12.8, 0.3, 0.4), srlg.clone(), true),
-            ("srlg, break-then-make", srlg_wan(), (12.8, 0.3, 0.4), srlg, false),
+            ("light", light, SimDuration::from_days(2)),
+            ("faults", Fig7Campaign::faults(), week),
+            ("srlg", Fig7Campaign::srlg(true), week),
+            ("srlg, break-then-make", Fig7Campaign::srlg(false), week),
         ];
-        for (name, wan, snr_db, plan, make_before_break) in cases {
-            let horizon = plan.horizon;
-            let config = ScenarioConfig {
-                fault_plan: Some(plan.generate()),
-                make_before_break,
-                ..ScenarioConfig::default()
-            };
-            let days = 8; // telemetry for the longest horizon and a day to spare
-            let mut memoised = fig7_scenario(wan.clone(), snr_db, days, config.clone());
+        for (name, campaign, horizon) in cases {
+            let (mut memoised, _) = campaign.clone().build(horizon);
             let metrics = Arc::new(rwc_obs::MetricsObserver::new());
             memoised.set_observer(metrics.clone());
-            let mut reference = fig7_scenario(wan, snr_db, days, config);
+            let (mut reference, _) = campaign.build(horizon);
             reference.forget_static_memo = true;
             let ra = memoised.run(horizon, &SwanTe::default()).unwrap();
             let rb = reference.run(horizon, &SwanTe::default()).unwrap();

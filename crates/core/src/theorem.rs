@@ -13,9 +13,9 @@
 //! the translated solution is verified feasible on the upgraded topology.
 
 use crate::augment::{augment, AugmentConfig};
-use crate::translate::translate;
+use crate::translate::{translate, Translation};
 use rwc_te::demand::DemandMatrix;
-use rwc_te::problem::TeSolution;
+use rwc_te::problem::{TeProblem, TeSolution};
 use rwc_topology::graph::NodeId;
 use rwc_topology::wan::WanTopology;
 
@@ -37,8 +37,33 @@ pub struct TheoremReport {
 }
 
 fn max_flow_value(wan: &WanTopology, src: NodeId, dst: NodeId) -> f64 {
-    let problem = rwc_te::problem::TeProblem::from_wan(wan, &DemandMatrix::new());
+    let problem = TeProblem::from_wan(wan, &DemandMatrix::new());
     rwc_flow::max_flow(&problem.net, src.0, dst.0).value
+}
+
+/// `wan` with every SNR-feasible upgrade applied: G's side of the theorem.
+fn fully_upgraded(wan: &WanTopology, config: &AugmentConfig) -> WanTopology {
+    let mut upgraded = wan.clone();
+    for (id, link) in wan.links() {
+        if let Some(&fastest) = config.table.upgrades(link.snr, link.modulation).last() {
+            upgraded.set_modulation(id, fastest);
+        }
+    }
+    upgraded
+}
+
+/// Panics unless the translated flow is feasible on the topology its own
+/// upgrades produce (not just on the fully upgraded one).
+fn assert_translation_fits(wan: &WanTopology, translation: &Translation) {
+    let mut translated_wan = wan.clone();
+    for &(id, m) in &translation.upgrades {
+        translated_wan.set_modulation(id, m);
+    }
+    for (id, link) in translated_wan.links() {
+        let cap = link.capacity().value() + 1e-6;
+        let [fwd, bwd] = TeProblem::link_edges(id).map(|e| translation.real_edge_flows[e]);
+        assert!(fwd <= cap && bwd <= cap, "translated flow infeasible on link {id:?}");
+    }
 }
 
 /// Runs the theorem for one source–sink pair.
@@ -63,29 +88,9 @@ pub fn check_single_commodity(
         translate(&aug, wan, &te_solution).expect("theorem translation on solver output");
 
     // Right side: max-flow on G with every feasible upgrade applied.
-    let mut upgraded = wan.clone();
-    for (id, link) in wan.links() {
-        if let Some(&fastest) = config.table.upgrades(link.snr, link.modulation).last() {
-            upgraded.set_modulation(id, fastest);
-        }
-    }
-    let upgraded_value = max_flow_value(&upgraded, src, dst);
+    let upgraded_value = max_flow_value(&fully_upgraded(wan, config), src, dst);
     let static_value = max_flow_value(wan, src, dst);
-
-    // Verify the translated flow is feasible on the *translated-upgrade*
-    // topology (not just the fully upgraded one).
-    let mut translated_wan = wan.clone();
-    for &(id, m) in &translation.upgrades {
-        translated_wan.set_modulation(id, m);
-    }
-    for (id, link) in translated_wan.links() {
-        let fwd = translation.real_edge_flows[2 * id.0];
-        let bwd = translation.real_edge_flows[2 * id.0 + 1];
-        assert!(
-            fwd <= link.capacity().value() + 1e-6 && bwd <= link.capacity().value() + 1e-6,
-            "translated flow infeasible on link {id:?}"
-        );
-    }
+    assert_translation_fits(wan, &translation);
 
     TheoremReport {
         augmented_value: mcmf.flow.value,
@@ -125,30 +130,12 @@ pub fn check_multicommodity(
     let augmented = exact.try_solve(&aug.problem).expect("TE solve");
     // Translation must stay feasible (exercises the full pipeline).
     let tr = translate(&aug, wan, &augmented).expect("theorem translation on solver output");
-    let mut translated_wan = wan.clone();
-    for &(id, m) in &tr.upgrades {
-        translated_wan.set_modulation(id, m);
-    }
-    for (id, link) in translated_wan.links() {
-        let cap = link.capacity().value() + 1e-6;
-        assert!(tr.real_edge_flows[2 * id.0] <= cap, "infeasible translation");
-        assert!(tr.real_edge_flows[2 * id.0 + 1] <= cap, "infeasible translation");
-    }
+    assert_translation_fits(wan, &tr);
 
-    let mut upgraded = wan.clone();
-    for (id, link) in wan.links() {
-        if let Some(&fastest) = config.table.upgrades(link.snr, link.modulation).last() {
-            upgraded.set_modulation(id, fastest);
-        }
-    }
-    let upgraded_total = exact
-        .try_solve(&rwc_te::problem::TeProblem::from_wan(&upgraded, demands))
-        .expect("TE solve")
-        .total;
-    let static_total = exact
-        .try_solve(&rwc_te::problem::TeProblem::from_wan(wan, demands))
-        .expect("TE solve")
-        .total;
+    let upgraded = fully_upgraded(wan, config);
+    let upgraded_total =
+        exact.try_solve(&TeProblem::from_wan(&upgraded, demands)).expect("TE solve").total;
+    let static_total = exact.try_solve(&TeProblem::from_wan(wan, demands)).expect("TE solve").total;
     McTheoremReport {
         augmented_total: augmented.total,
         upgraded_total,

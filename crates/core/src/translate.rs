@@ -11,7 +11,7 @@
 use crate::augment::AugmentedProblem;
 use crate::error::RwcError;
 use rwc_optics::Modulation;
-use rwc_te::problem::{EdgeOrigin, TeSolution};
+use rwc_te::problem::{EdgeOrigin, TeProblem, TeSolution};
 use rwc_te::TeError;
 use rwc_topology::wan::LinkId;
 
@@ -76,14 +76,13 @@ pub fn translate(
     let mut real_edge_flows: Vec<f64> = solution.edge_flows[..aug.n_real_edges].to_vec();
     let mut penalty_paid = 0.0;
 
-    // Fold fake flow onto the real directed edges. Real edges from
-    // TeProblem::from_wan are laid out as (2·link + forward?0:1).
+    // Fold fake flow onto the real directed edges.
     for fake in &aug.fake_edges {
         let flow = solution.edge_flows[fake.edge_index];
         if flow <= EPS {
             continue;
         }
-        let real_index = 2 * fake.link.0 + usize::from(!fake.forward);
+        let real_index = TeProblem::link_edges(fake.link)[usize::from(!fake.forward)];
         real_edge_flows[real_index] += flow;
         penalty_paid += flow * fake.penalty;
     }
@@ -95,8 +94,7 @@ pub fn translate(
     let mut upgrades = Vec::new();
     let mut effective_penalty = 0.0;
     for (id, link) in wan.links() {
-        let fwd = real_edge_flows[2 * id.0];
-        let bwd = real_edge_flows[2 * id.0 + 1];
+        let [fwd, bwd] = TeProblem::link_edges(id).map(|e| real_edge_flows[e]);
         let needed = fwd.max(bwd);
         let mut overflow = needed - link.capacity().value();
         if overflow > EPS {
@@ -213,8 +211,7 @@ mod tests {
         // both; the penalty-aware check uses min-cost flow in theorem.rs.
         // Here we verify the translation mechanics: upgrades cover flows.
         for (id, link) in wan.links() {
-            let fwd = tr.real_edge_flows[2 * id.0];
-            let bwd = tr.real_edge_flows[2 * id.0 + 1];
+            let [fwd, bwd] = TeProblem::link_edges(id).map(|e| tr.real_edge_flows[e]);
             let cap = tr
                 .upgrade_of(id)
                 .map(|m| m.capacity().value())

@@ -29,8 +29,8 @@
 //! [`FaultScope`]:
 //!
 //! - [`FaultScope::Link`] — one wavelength;
-//! - [`FaultScope::Srlg`] — every link sharing a fiber segment, matching
-//!   the shared-risk groups `rwc_te::srlg` derives from the topology.
+//! - [`FaultScope::Srlg`] — every link sharing a fiber segment: the links
+//!   of the topology whose `fiber_id` is the segment's.
 //!
 //! Severities inside a correlated event are drawn *correlated*: the event
 //! stores one common shock and every covered link sees that shock plus a
@@ -128,7 +128,7 @@ pub enum FaultScope {
     /// A single wavelength/IP link.
     Link(LinkId),
     /// Every link whose `fiber_id` matches — the SRLG of one fiber
-    /// segment (see `rwc_te::srlg::shared_risk_groups`).
+    /// segment.
     Srlg(usize),
 }
 

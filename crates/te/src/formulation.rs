@@ -57,11 +57,16 @@ const REDUCTION_EPS: f64 = 1e-6;
 /// multiple of the envelope: the revised simplex's primal tolerance.
 const LAMBDA_TOL: f64 = 1e-9;
 
+/// Objective weight of the headline quantity (routed unit or `λ`)
+/// relative to one unit of edge cost. Dwarfs any plausible per-unit cost,
+/// so costs stay a lexicographic tie-breaker.
+const THROUGHPUT_WEIGHT: f64 = 1e6;
+
 /// What the TE layer optimises for.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum TeObjective {
     /// Maximise total routed volume (the original shape): throughput is
-    /// rewarded at `throughput_weight` per unit, edge costs act as a
+    /// rewarded at a fixed weight (`1e6`) per unit, edge costs act as a
     /// lexicographic tie-breaker.
     #[default]
     MaxThroughput,
@@ -134,17 +139,13 @@ pub struct TeSolve {
     pub reductions: Option<Vec<LinkId>>,
 }
 
-/// A TE objective plus the lowering knobs: builds the LP and translates
-/// its solution back. Stateless — the solver owns the simplex engine and
-/// the LP it last lowered, the formulation owns the shapes.
+/// A TE objective and its lowering: builds the LP and translates its
+/// solution back. Stateless — the solver owns the simplex engine and the
+/// LP it last lowered, the formulation owns the shapes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TeFormulation {
     /// The objective to lower.
     pub objective: TeObjective,
-    /// Objective weight of the headline quantity (routed unit or `λ`)
-    /// relative to one unit of edge cost. Must dwarf any plausible
-    /// per-unit cost so costs stay a lexicographic tie-breaker.
-    pub throughput_weight: f64,
 }
 
 impl Default for TeFormulation {
@@ -154,9 +155,9 @@ impl Default for TeFormulation {
 }
 
 impl TeFormulation {
-    /// A formulation with the default throughput weight (`1e6`).
+    /// A formulation of `objective`.
     pub fn new(objective: TeObjective) -> Self {
-        Self { objective, throughput_weight: 1e6 }
+        Self { objective }
     }
 
     /// Stable algorithm name for reports, memo keys and error contexts.
@@ -164,19 +165,13 @@ impl TeFormulation {
         self.objective.algorithm_name()
     }
 
-    /// Problem-independent configuration checks: finite positive weight,
-    /// self-consistent traffic matrices. (Per-problem shape checks happen
-    /// in [`TeFormulation::lower`].)
+    /// Problem-independent configuration checks: self-consistent traffic
+    /// matrices. (Per-problem shape checks happen in
+    /// [`TeFormulation::lower`].)
     pub fn validate(&self) -> Result<(), TeError> {
         let fail = |detail: String| {
             Err(TeError::InvalidConfig { algorithm: self.name(), detail })
         };
-        if !self.throughput_weight.is_finite() || self.throughput_weight <= 0.0 {
-            return fail(format!(
-                "throughput_weight must be finite and positive, got {}",
-                self.throughput_weight
-            ));
-        }
         if let TeObjective::MinMlu { traffic_matrices } = &self.objective {
             for (i, tm) in traffic_matrices.iter().enumerate() {
                 if tm.len() != traffic_matrices[0].len() {
@@ -195,7 +190,7 @@ impl TeFormulation {
     }
 
     /// A 64-bit FNV-1a fingerprint of everything that changes what a solve
-    /// *means*: objective discriminant, weight, and (for min-MLU) the full
+    /// *means*: objective discriminant and (for min-MLU) the full
     /// traffic-matrix contents. The round engine folds this into its memo
     /// key so cached baselines never leak across objectives.
     pub fn fingerprint(&self) -> u64 {
@@ -204,7 +199,6 @@ impl TeFormulation {
             h ^= v;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        fold(self.throughput_weight.to_bits());
         match &self.objective {
             TeObjective::MaxThroughput => fold(1),
             TeObjective::MinMlu { traffic_matrices } => {
@@ -230,7 +224,7 @@ impl TeFormulation {
     pub fn lower<'p>(&self, problem: &'p TeProblem) -> Result<LoweredTe<'p>, TeError> {
         let kind = self.lowered_kind(problem)?;
         let gadget = self.gadget(problem).map(Cow::Owned);
-        Ok(LoweredTe { problem, gadget, kind, weight: self.throughput_weight, name: self.name() })
+        Ok(LoweredTe { problem, gadget, kind, name: self.name() })
     }
 
     /// [`Self::lower`] into a lowering kept from an earlier solve: when the
@@ -266,7 +260,6 @@ impl TeFormulation {
             problem,
             gadget: gadget.as_ref().map(Cow::Borrowed),
             kind,
-            weight: self.throughput_weight,
             name: self.name(),
         };
         lowered.refresh(lp);
@@ -440,7 +433,6 @@ pub struct LoweredTe<'p> {
     problem: &'p TeProblem,
     gadget: Option<Cow<'p, GadgetLowering>>,
     kind: LoweredKind,
-    weight: f64,
     name: &'static str,
 }
 
@@ -484,7 +476,6 @@ impl LoweredTe<'_> {
         let rp = self.routing_problem();
         let k = rp.commodities.len();
         let edges = rp.net.edges();
-        let weight = self.weight;
         let cap_base = lp.n_rows() - if has_capacity_rows(rp) { edges.len() } else { 0 };
         let demand_base = cap_base - k;
         for (ki, c) in rp.commodities.iter().enumerate() {
@@ -500,7 +491,7 @@ impl LoweredTe<'_> {
         // entries.
         if let LoweredKind::Concurrent { volumes, min_mlu } = &self.kind {
             let bound = if *min_mlu { f64::INFINITY } else { 1.0 };
-            (lp.objective[0], lp.upper[0]) = (weight, bound);
+            (lp.objective[0], lp.upper[0]) = (THROUGHPUT_WEIGHT, bound);
             let entries = lp.a.col_ptr[0]..lp.a.col_ptr[1];
             for (v, volume) in
                 lp.a.values[entries].iter_mut().zip(volumes.iter().filter(|&&u| u != 0.0))
@@ -517,7 +508,7 @@ impl LoweredTe<'_> {
                 lp.objective[cols.clone()].iter_mut().zip(&mut lp.upper[cols]).zip(&rp.commodities)
             {
                 *objective = if throughput {
-                    outflow_of(e.from, e.to, c.source) * weight - e.cost - tie_break
+                    outflow_of(e.from, e.to, c.source) * THROUGHPUT_WEIGHT - e.cost - tie_break
                 } else {
                     -e.cost - tie_break
                 };
@@ -802,9 +793,9 @@ mod tests {
         TeProblem::from_wan(&wan, &dm)
     }
 
-    /// Adds a fake upgrade rung parallel to real edge `2·link + dir`.
+    /// Adds a fake upgrade rung parallel to one direction of `link`.
     fn add_fake(p: &mut TeProblem, link: usize, forward: bool, capacity: f64, cost: f64) {
-        let ei = 2 * link + usize::from(!forward);
+        let ei = TeProblem::link_edges(LinkId(link))[usize::from(!forward)];
         let e = p.net.edge(ei);
         p.net.add_edge(e.from, e.to, capacity, cost);
         p.origins.push(EdgeOrigin::Fake { link: LinkId(link), forward });
@@ -1035,9 +1026,6 @@ mod tests {
             traffic_matrices: vec![vec![-1.0]],
         });
         assert!(matches!(negative.validate(), Err(TeError::InvalidConfig { .. })));
-        let bad_weight =
-            TeFormulation { objective: TeObjective::MaxThroughput, throughput_weight: f64::NAN };
-        assert!(matches!(bad_weight.validate(), Err(TeError::InvalidConfig { .. })));
         // Shape mismatch against a concrete problem surfaces at lower().
         let p = fig7_two_commodities();
         let wrong_k =

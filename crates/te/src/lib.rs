@@ -42,7 +42,6 @@ pub mod metrics;
 mod path_search;
 pub mod problem;
 pub mod solver;
-pub mod srlg;
 pub mod swan;
 pub mod updates;
 

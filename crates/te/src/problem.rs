@@ -75,13 +75,22 @@ impl TeProblem {
         TeProblem { net, origins, commodities, demands: demands.demands().to_vec() }
     }
 
-    /// Overrides the capacity of both directed edges of a WAN link
-    /// (edges `2·link` and `2·link + 1` in the `from_wan` layout). Used to
-    /// model drained or failed links without touching the topology.
+    /// The two directed flow edges `[a→b, b→a]` of WAN link `link` in the
+    /// [`Self::from_wan`] layout: link `l` is edges `2l` and `2l + 1`, and
+    /// fake and auxiliary edges are appended after every real one. One
+    /// direction is `link_edges(link)[usize::from(!forward)]`.
+    pub fn link_edges(link: LinkId) -> [usize; 2] {
+        [2 * link.0, 2 * link.0 + 1]
+    }
+
+    /// Overrides the capacity of both directed edges of a WAN link (its
+    /// [`Self::link_edges`]). Used to model drained or failed links
+    /// without touching the topology.
     pub fn override_link_capacity(&mut self, link: LinkId, capacity: f64) {
-        assert!(2 * link.0 + 1 < self.net.n_edges(), "link out of range");
-        self.net.set_capacity(2 * link.0, capacity);
-        self.net.set_capacity(2 * link.0 + 1, capacity);
+        let [fwd, bwd] = Self::link_edges(link);
+        assert!(bwd < self.net.n_edges(), "link out of range");
+        self.net.set_capacity(fwd, capacity);
+        self.net.set_capacity(bwd, capacity);
     }
 
     /// Indices of commodities in a priority class.

@@ -1,6 +1,6 @@
 //! The unified TE solver front-end.
 //!
-//! [`TeSolver::builder()`] collects every knob (objective, weight,
+//! [`TeSolver::builder()`] collects every knob (objective,
 //! watchdog, warm-start policy, observer) in one validating builder:
 //!
 //! ```
@@ -67,7 +67,6 @@ pub enum WarmStartPolicy {
 #[derive(Debug, Clone)]
 pub struct TeSolverBuilder {
     objective: TeObjective,
-    throughput_weight: f64,
     solve_timeout: Option<Duration>,
     warm_start: WarmStartPolicy,
     observer: Arc<dyn Observer>,
@@ -77,7 +76,6 @@ impl Default for TeSolverBuilder {
     fn default() -> Self {
         Self {
             objective: TeObjective::MaxThroughput,
-            throughput_weight: 1e6,
             solve_timeout: None,
             warm_start: WarmStartPolicy::Retain,
             observer: rwc_obs::noop(),
@@ -89,13 +87,6 @@ impl TeSolverBuilder {
     /// Sets the objective (default [`TeObjective::MaxThroughput`]).
     pub fn objective(mut self, objective: TeObjective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Sets the headline-quantity weight relative to one unit of edge
-    /// cost (default `1e6`). Validated finite and positive.
-    pub fn throughput_weight(mut self, weight: f64) -> Self {
-        self.throughput_weight = weight;
         self
     }
 
@@ -123,10 +114,7 @@ impl TeSolverBuilder {
 
     /// Validates the configuration and builds the solver.
     pub fn build(self) -> Result<TeSolver, TeError> {
-        let formulation = TeFormulation {
-            objective: self.objective,
-            throughput_weight: self.throughput_weight,
-        };
+        let formulation = TeFormulation::new(self.objective);
         formulation.validate()?;
         let solver = TeSolver {
             formulation,
@@ -160,8 +148,8 @@ impl Default for TeSolver {
 }
 
 impl TeSolver {
-    /// Starts a builder with the defaults: max-throughput objective,
-    /// weight `1e6`, no watchdog, warm starts retained.
+    /// Starts a builder with the defaults: max-throughput objective, no
+    /// watchdog, warm starts retained.
     pub fn builder() -> TeSolverBuilder {
         TeSolverBuilder::default()
     }
@@ -171,7 +159,7 @@ impl TeSolver {
         &self.formulation.objective
     }
 
-    /// The formulation (objective + weight) this solver lowers through.
+    /// The formulation this solver lowers through.
     pub fn formulation(&self) -> &TeFormulation {
         &self.formulation
     }
@@ -203,7 +191,7 @@ impl TeSolver {
     /// next solve falls back to cold via the ordinary structural-mismatch
     /// route.
     pub fn set_objective(&mut self, objective: TeObjective) -> Result<(), TeError> {
-        let next = TeFormulation { objective, throughput_weight: self.formulation.throughput_weight };
+        let next = TeFormulation::new(objective);
         next.validate()?;
         self.formulation = next;
         Ok(())
@@ -456,17 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_invalid_weight() {
-        for w in [f64::NAN, 0.0, -3.0, f64::INFINITY] {
-            let res = TeSolver::builder().throughput_weight(w).build();
-            assert!(
-                matches!(res, Err(TeError::InvalidConfig { .. })),
-                "weight {w} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn builder_rejects_ragged_traffic_matrices() {
         let res = TeSolver::builder()
             .objective(TeObjective::MinMlu {
@@ -543,7 +520,7 @@ mod tests {
         let mut augmented = base.clone();
         for (id, _) in wan.links() {
             for forward in [true, false] {
-                let real = base.net.edge(2 * id.0 + usize::from(!forward));
+                let real = base.net.edge(TeProblem::link_edges(id)[usize::from(!forward)]);
                 augmented.net.add_edge(real.from, real.to, real.capacity, real.cost + 1.0);
                 augmented.origins.push(crate::problem::EdgeOrigin::Fake { link: id, forward });
             }
@@ -600,11 +577,9 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_depend_on_objective_and_weight() {
+    fn fingerprints_depend_on_objective() {
         let a = TeSolver::builder().build().unwrap();
-        let b = TeSolver::builder().throughput_weight(1e5).build().unwrap();
         let c = TeSolver::builder().objective(TeObjective::MaxConcurrentFlow).build().unwrap();
-        assert_ne!(a.solve_fingerprint(), b.solve_fingerprint());
         assert_ne!(a.solve_fingerprint(), c.solve_fingerprint());
         assert_eq!(a.solve_fingerprint(), TeSolver::default().solve_fingerprint());
         // Stateless heuristics keep the default 0.
@@ -703,9 +678,9 @@ mod tests {
         let n_links = wan.n_links();
         for l in (0..n_links).step_by(3) {
             for forward in [true, false] {
-                let real = base.net.edge(2 * l + usize::from(!forward));
-                base.net.add_edge(real.from, real.to, real.capacity, real.cost + 1.0);
                 let link = rwc_topology::wan::LinkId(l);
+                let real = base.net.edge(TeProblem::link_edges(link)[usize::from(!forward)]);
+                base.net.add_edge(real.from, real.to, real.capacity, real.cost + 1.0);
                 base.origins.push(crate::problem::EdgeOrigin::Fake { link, forward });
             }
         }

@@ -13,7 +13,7 @@
 //!   (ring, grid, full mesh);
 //! - [`random`]: Waxman and geometric random WANs over North-America-like
 //!   coordinates;
-//! - [`paths`]: Dijkstra shortest paths and Yen's k-shortest paths;
+//! - [`export`]: Graphviz DOT export;
 //! - JSON import/export via `serde` on all types.
 
 #![forbid(unsafe_code)]
@@ -22,7 +22,6 @@
 pub mod builders;
 pub mod export;
 pub mod graph;
-pub mod paths;
 pub mod random;
 pub mod wan;
 

@@ -9,88 +9,6 @@
 
 use std::fmt;
 
-/// Below this length an LSD radix sort's histogram setup costs more than a
-/// comparison sort of the whole slice; [`sort_f64`] falls back to
-/// `sort_unstable_by(f64::total_cmp)`.
-const RADIX_CUTOFF: usize = 64;
-
-/// Maps an `f64` onto a `u64` key whose unsigned order equals the IEEE-754
-/// *total order* of the float (`-NaN < -inf < … < -0.0 < +0.0 < … < +NaN`):
-/// positive floats get their sign bit flipped, negative floats are fully
-/// inverted. Monotone and invertible, so a radix sort on the keys is an
-/// exact value sort — no epsilon, no NaN panic.
-#[inline]
-const fn total_order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    bits ^ (((bits as i64 >> 63) as u64) | 0x8000_0000_0000_0000)
-}
-
-/// Sorts `values` ascending in IEEE-754 total order.
-///
-/// Equivalent to `sort_unstable_by(f64::total_cmp)` but O(n) instead of
-/// O(n log n): an exact LSD radix sort over the total-order bit keys, one
-/// byte per pass, with uniform-digit passes skipped (SNR data spans a few
-/// dB, so the exponent bytes are nearly constant and most passes vanish).
-/// Unlike the `partial_cmp(..).unwrap()` idiom this never panics on NaN —
-/// NaNs deterministically sort to the ends.
-pub fn sort_f64(values: &mut [f64]) {
-    let mut scratch = Vec::new();
-    sort_f64_with_scratch(values, &mut scratch);
-}
-
-/// [`sort_f64`] with a caller-owned scratch buffer, for hot loops that sort
-/// one trace per link and want zero steady-state allocation. The scratch is
-/// resized to `values.len()` once and reused across calls.
-pub(crate) fn sort_f64_with_scratch(values: &mut [f64], scratch: &mut Vec<f64>) {
-    let n = values.len();
-    if n < RADIX_CUTOFF {
-        values.sort_unstable_by(f64::total_cmp);
-        return;
-    }
-    scratch.clear();
-    scratch.resize(n, 0.0);
-
-    // One prefix scan builds all eight byte histograms, so fully uniform
-    // digits (the common case for the high exponent bytes) are detected and
-    // their passes skipped without touching the data again.
-    let mut hist = [[0usize; 256]; 8];
-    for &v in values.iter() {
-        let key = total_order_key(v);
-        for (byte, h) in hist.iter_mut().enumerate() {
-            h[((key >> (8 * byte)) & 0xFF) as usize] += 1;
-        }
-    }
-
-    // `src` flips between the caller's slice and the scratch each performed
-    // pass; a final copy lands the result back in `values` if needed.
-    let mut in_values = true;
-    for (byte, h) in hist.iter().enumerate() {
-        if h.contains(&n) {
-            continue; // every key shares this byte — nothing to reorder
-        }
-        let mut offsets = [0usize; 256];
-        let mut running = 0usize;
-        for (digit, &count) in h.iter().enumerate() {
-            offsets[digit] = running;
-            running += count;
-        }
-        let (src, dst): (&[f64], &mut [f64]) = if in_values {
-            (&*values, scratch.as_mut_slice())
-        } else {
-            (scratch.as_slice(), &mut *values)
-        };
-        for &v in src.iter() {
-            let digit = ((total_order_key(v) >> (8 * byte)) & 0xFF) as usize;
-            dst[offsets[digit]] = v;
-            offsets[digit] += 1;
-        }
-        in_values = !in_values;
-    }
-    if !in_values {
-        values.copy_from_slice(scratch);
-    }
-}
-
 /// An empirical cumulative distribution function over `f64` samples.
 ///
 /// Construction sorts the samples once; evaluation is a binary search.
@@ -110,7 +28,7 @@ impl Ecdf {
             samples.iter().all(|x| x.is_finite()),
             "ECDF samples must be finite"
         );
-        sort_f64(&mut samples);
+        samples.sort_unstable_by(f64::total_cmp);
         Self { sorted: samples }
     }
 
@@ -402,7 +320,7 @@ mod tests {
         // exactly the Fig. 2a distinction between HDR and range.
         let mut samples: Vec<f64> = (0..95).map(|i| 10.0 + i as f64 * 0.01).collect();
         samples.extend([0.1, 0.2, 0.3, 0.2, 0.1]);
-        sort_f64(&mut samples);
+        samples.sort_unstable_by(f64::total_cmp);
         let (lo, hi) = highest_density_interval(&samples, 0.95);
         assert!(lo >= 10.0 && hi <= 10.94 + 1e-9, "({lo},{hi})");
         assert!(hi - lo < 1.0);
@@ -436,69 +354,6 @@ mod tests {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         (z as f64 / u64::MAX as f64 - 0.5) * 2e4
-    }
-
-    #[test]
-    fn radix_matches_total_cmp_sort() {
-        // Above and below the small-n comparison fallback, signed values,
-        // duplicates, and signed zeros.
-        for n in [0usize, 1, 2, 17, RADIX_CUTOFF - 1, RADIX_CUTOFF, 500, 4096] {
-            let mut values: Vec<f64> = (0..n as u64).map(mixed).collect();
-            if n > 4 {
-                values[1] = values[3]; // force duplicates
-                values[2] = -0.0;
-                values[4] = 0.0;
-            }
-            let mut expected = values.clone();
-            expected.sort_unstable_by(f64::total_cmp);
-            sort_f64(&mut values);
-            let same = values.iter().zip(&expected).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "radix sort diverged from total_cmp at n={n}");
-        }
-    }
-
-    #[test]
-    fn radix_narrow_band_skips_passes_correctly() {
-        // SNR-like data: a few dB of spread, so every exponent byte is
-        // uniform and most radix passes are skipped. The skip logic must
-        // still produce a fully sorted slice.
-        let mut values: Vec<f64> = (0..2000u64).map(|i| 11.0 + (mixed(i).abs() % 3.0)).collect();
-        let mut expected = values.clone();
-        expected.sort_unstable_by(f64::total_cmp);
-        sort_f64(&mut values);
-        assert_eq!(values, expected);
-    }
-
-    #[test]
-    fn radix_handles_nan_and_infinities_without_panicking() {
-        // The partial_cmp idiom this replaces panicked here.
-        let mut values: Vec<f64> = (0..200u64).map(mixed).collect();
-        values[10] = f64::NAN;
-        values[20] = -f64::NAN;
-        values[30] = f64::INFINITY;
-        values[40] = f64::NEG_INFINITY;
-        let mut expected = values.clone();
-        expected.sort_unstable_by(f64::total_cmp);
-        sort_f64(&mut values);
-        let same = values.iter().zip(&expected).all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "NaN/inf placement diverged from total order");
-        assert!(values[0].is_nan() && values[0].is_sign_negative());
-        assert!(values[199].is_nan() && values[199].is_sign_positive());
-    }
-
-    #[test]
-    fn radix_scratch_reuse_is_clean() {
-        // A dirty, oversized scratch from a previous (larger, NaN-laden)
-        // sort must not leak into a later, smaller sort.
-        let mut scratch = vec![f64::NAN; 1000];
-        let mut first: Vec<f64> = (0..600u64).map(mixed).collect();
-        first[13] = f64::NAN;
-        sort_f64_with_scratch(&mut first, &mut scratch);
-        let mut second: Vec<f64> = (0..100u64).map(|i| mixed(i + 7)).collect();
-        let mut expected = second.clone();
-        expected.sort_unstable_by(f64::total_cmp);
-        sort_f64_with_scratch(&mut second, &mut scratch);
-        assert_eq!(second, expected);
     }
 
     /// Readings `counts` stands for, ascending, as `f64`.
@@ -553,31 +408,5 @@ mod tests {
             counts[b] += 1;
         }
         assert_eq!(hdi_of_counts(&counts, 0.95), (1000, 1094));
-    }
-
-    #[test]
-    fn total_order_key_is_monotone_on_boundary_values() {
-        let ordered = [
-            f64::NEG_INFINITY,
-            f64::MIN,
-            -1.5,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.5,
-            f64::MAX,
-            f64::INFINITY,
-        ];
-        for pair in ordered.windows(2) {
-            assert!(
-                total_order_key(pair[0]) <= total_order_key(pair[1]),
-                "key order broke between {} and {}",
-                pair[0],
-                pair[1]
-            );
-        }
-        // -0.0 and +0.0 are *distinct* in total order — the keys must be too.
-        assert!(total_order_key(-0.0) < total_order_key(0.0));
     }
 }

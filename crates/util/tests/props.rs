@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rwc_util::special::{q_function, q_inverse};
-use rwc_util::stats::{hdi_of_counts, highest_density_interval, sort_f64, Ecdf, Summary};
+use rwc_util::stats::{hdi_of_counts, highest_density_interval, Ecdf, Summary};
 use rwc_util::units::{Db, Gbps};
 
 /// Grid histograms for `hdi_of_counts`: up to 700 bins, each empty, thin
@@ -73,7 +73,7 @@ proptest! {
         mut samples in proptest::collection::vec(-1e3f64..1e3, 3..200),
         c1 in 0.2f64..0.9,
     ) {
-        sort_f64(&mut samples);
+        samples.sort_unstable_by(f64::total_cmp);
         let c2 = (c1 + 0.1).min(1.0);
         let (lo1, hi1) = highest_density_interval(&samples, c1);
         let (lo2, hi2) = highest_density_interval(&samples, c2);

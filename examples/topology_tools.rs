@@ -1,5 +1,5 @@
-//! Operator tooling tour: JSON interchange, Graphviz export, shared-risk
-//! analysis and reliability accounting.
+//! Operator tooling tour: JSON interchange, Graphviz export, the TE cost
+//! of a fiber cut and reliability accounting.
 //!
 //! ```text
 //! cargo run --example topology_tools
@@ -8,10 +8,11 @@
 use rwc::failures::reliability::nines;
 use rwc::failures::{AvailabilityReport, TicketConfig, TicketGenerator};
 use rwc::optics::ModulationTable;
-use rwc::te::srlg::{cut_impact, shared_risk_groups, srlg_disjoint_paths};
-use rwc::te::{DemandMatrix, TeAlgorithm};
+use rwc::te::swan::SwanTe;
+use rwc::te::{DemandMatrix, TeAlgorithm, TeProblem};
 use rwc::topology::builders;
 use rwc::topology::export::to_dot;
+use rwc::topology::wan::LinkId;
 use rwc::topology::WanTopology;
 use rwc::util::units::Gbps;
 
@@ -31,39 +32,39 @@ fn main() {
     std::fs::write("results/abilene.dot", &dot).unwrap();
     println!("wrote results/abilene.dot  (render: dot -Tsvg -Kneato results/abilene.dot)");
 
-    // --- Shared-risk groups ----------------------------------------------
-    // Put the two Chicago-area routes on one conduit to make it interesting.
-    let ipl_chi = rwc::topology::wan::LinkId(9);
-    let chi_nyc = rwc::topology::wan::LinkId(11);
-    let shared_fiber = wan.link(ipl_chi).fiber_id;
-    wan.link_mut(chi_nyc).fiber_id = shared_fiber;
-    let groups = shared_risk_groups(&wan);
-    println!("\n{} fiber conduits carry {} links", groups.len(), wan.n_links());
+    // --- What does cutting a fiber cost? ----------------------------------
+    // Put the two Chicago-area routes on one conduit: its shared-risk group
+    // is every link whose `fiber_id` is the cut fiber, and a cut darkens
+    // them together.
+    let ipl_chi = LinkId(9);
+    let chi_nyc = LinkId(11);
+    let cut_fiber = wan.link(ipl_chi).fiber_id;
+    wan.link_mut(chi_nyc).fiber_id = cut_fiber;
+    let dark: Vec<LinkId> =
+        wan.links().filter(|(_, l)| l.fiber_id == cut_fiber).map(|(id, _)| id).collect();
 
-    let sea = wan.node_by_name("SEA").unwrap();
-    let nyc = wan.node_by_name("NYC").unwrap();
-    match srlg_disjoint_paths(&wan, sea, nyc, 8) {
-        Some((primary, backup)) => println!(
-            "SEA→NYC fiber-disjoint pair: primary {:.0} km over {} hops, backup {:.0} km over {} hops",
-            primary.weight,
-            primary.len(),
-            backup.weight,
-            backup.len()
-        ),
-        None => println!("SEA→NYC has no fiber-disjoint pair!"),
-    }
-
-    // --- What does cutting that conduit cost? -----------------------------
+    // Re-solve TE on the failure state: the same demands and algorithm,
+    // the dark links' capacity zeroed.
     let dm = DemandMatrix::gravity(&wan, Gbps(800.0), 5);
-    let problem = rwc::te::problem::TeProblem::from_wan(&wan, &dm);
-    let sol = rwc::te::swan::SwanTe::default().try_solve(&problem).expect("TE solve");
-    let impact = cut_impact(&wan, &problem, &sol, shared_fiber);
+    let swan = SwanTe::default();
+    let mut problem = TeProblem::from_wan(&wan, &dm);
+    let before = swan.try_solve(&problem).expect("TE solve").total;
+    for &id in &dark {
+        problem.override_link_capacity(id, 0.0);
+    }
+    let after = swan.try_solve(&problem).expect("TE solve on the cut state").total;
+    let names: Vec<String> = dark
+        .iter()
+        .map(|&id| {
+            let link = wan.link(id);
+            format!("{}-{}", wan.node(link.a).name, wan.node(link.b).name)
+        })
+        .collect();
     println!(
-        "cutting conduit {}: {} links dark, {} of capacity gone, {:.0} G of live traffic stranded",
-        shared_fiber,
-        impact.links_down.len(),
-        impact.capacity_lost,
-        impact.traffic_stranded
+        "\ncutting fiber {cut_fiber}: {} links dark ({}), TE throughput {before:.0} G → \
+         {after:.0} G",
+        dark.len(),
+        names.join(", ")
     );
 
     // --- Reliability bookkeeping ------------------------------------------
