@@ -3,9 +3,11 @@
 //! without judgement — a backticked repository path exists, a backticked
 //! `Type::name` still names a type and a member the sources define, a
 //! backticked `snake_case` name still occurs in some source, a backticked
-//! dotted metric name is still a string some source spells out, a file
-//! the results table lists is there (or the row says it is not committed),
-//! an experiment id in the README's table is one `repro` accepts.
+//! dotted metric name or `--flag` is still a string some source spells
+//! out, a file the results table lists is there (or the row says it is not
+//! committed), an experiment id in the README's table is one `repro`
+//! accepts. Code spans pair within a paragraph, so one that wraps a line
+//! is checked like any other.
 
 use rwc_bench::experiments;
 use std::collections::HashSet;
@@ -24,18 +26,62 @@ fn read(doc: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Inline code spans of a markdown document, fenced blocks skipped.
-fn code_spans(text: &str) -> Vec<&str> {
-    let mut spans = Vec::new();
+/// The paragraphs of a markdown document outside fenced blocks: runs of
+/// lines up to a blank line or a fence, each line trimmed, joined by `\n`.
+fn paragraphs(text: &str) -> Vec<String> {
+    let mut paragraphs = vec![String::new()];
     let mut fenced = false;
     for line in text.lines() {
-        if line.trim_start().starts_with("```") {
-            fenced = !fenced;
+        let fence = line.trim_start().starts_with("```");
+        if fence || line.trim().is_empty() {
+            paragraphs.push(String::new());
+            fenced ^= fence;
         } else if !fenced {
-            spans.extend(line.split('`').skip(1).step_by(2));
+            let paragraph = paragraphs.last_mut().expect("starts with one");
+            if !paragraph.is_empty() {
+                paragraph.push('\n');
+            }
+            paragraph.push_str(line.trim());
         }
     }
-    spans
+    paragraphs.retain(|p| !p.is_empty());
+    paragraphs
+}
+
+/// Inline code spans of a markdown document, fenced blocks skipped. A span
+/// may wrap a line, so backticks pair within a paragraph, and a line break
+/// inside a span reads as one space, as markdown renders it.
+fn code_spans(text: &str) -> Vec<String> {
+    paragraphs(text)
+        .iter()
+        .flat_map(|p| p.split('`').skip(1).step_by(2).map(|span| span.replace('\n', " ")))
+        .collect()
+}
+
+#[test]
+fn code_spans_pair_within_paragraphs() {
+    let text = "a `x` b `wraps\n  a line` c\n\n`y`\n```sh\necho `z`\n```\n`w` and `v`";
+    assert_eq!(code_spans(text), ["x", "wraps a line", "y", "w", "v"]);
+    let mut unpaired = Vec::new();
+    for doc in DOCS {
+        let paragraphs = paragraphs(&read(doc));
+        let (mut spans, mut wrapped) = (0, 0);
+        for p in &paragraphs {
+            if p.matches('`').count() % 2 == 1 {
+                unpaired.push(format!("{doc}: {}", p.lines().next().expect("non-empty")));
+            }
+            for span in p.split('`').skip(1).step_by(2) {
+                spans += 1;
+                wrapped += usize::from(span.contains('\n'));
+            }
+        }
+        println!("docs: {doc}: {spans} code spans, {wrapped} of them wrap a line");
+    }
+    assert!(
+        unpaired.is_empty(),
+        "paragraphs with an unpaired backtick (first line shown):\n{}",
+        unpaired.join("\n")
+    );
 }
 
 /// First-column cells of the markdown table whose header row starts with
@@ -56,7 +102,7 @@ fn backticked_repo_paths_exist() {
     let mut missing = Vec::new();
     for doc in DOCS {
         let text = read(doc);
-        for span in code_spans(&text) {
+        for span in &code_spans(&text) {
             if !PATH_PREFIXES.iter().any(|p| span.starts_with(p))
                 || span.contains(['*', '{', '<', '…'])
             {
@@ -134,7 +180,7 @@ fn backticked_rust_paths_exist() {
     let mut missing = Vec::new();
     for doc in DOCS {
         let text = read(doc);
-        for (ty, name) in code_spans(&text).into_iter().filter_map(type_member) {
+        for (ty, name) in code_spans(&text).iter().filter_map(|s| type_member(s)) {
             checked += 1;
             if !idents.contains(ty) || !idents.contains(name) {
                 missing.push(format!("{doc}: `{ty}::{name}`"));
@@ -172,7 +218,7 @@ fn backticked_identifiers_exist() {
     let mut missing = Vec::new();
     for doc in DOCS {
         let text = read(doc);
-        for name in code_spans(&text).into_iter().filter_map(snake_case) {
+        for name in code_spans(&text).iter().filter_map(|s| snake_case(s)) {
             checked += 1;
             if !idents.contains(name) {
                 missing.push(format!("{doc}: `{name}`"));
@@ -238,7 +284,7 @@ fn backticked_metric_names_exist() {
     let mut missing = Vec::new();
     for doc in DOCS {
         let text = read(doc);
-        for name in code_spans(&text).into_iter().filter_map(|s| dotted_metric(s, &namespaces)) {
+        for name in code_spans(&text).iter().filter_map(|s| dotted_metric(s, &namespaces)) {
             checked += 1;
             let literal = format!("\"{name}\"");
             if !sources.iter().any(|source| source.contains(&literal)) {
@@ -251,6 +297,48 @@ fn backticked_metric_names_exist() {
     assert!(
         missing.is_empty(),
         "documents name metrics no source spells out as a string:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// Flags that cargo and libtest parse, not this repository's programs.
+const CARGO_FLAGS: [&str; 6] =
+    ["--locked", "--offline", "--release", "--nocapture", "--test-threads", "--manifest-path"];
+
+/// The flag a span starts with: its first word, up to any `=`, when that
+/// begins with `--`.
+fn leading_flag(span: &str) -> Option<&str> {
+    let word = span.split_whitespace().next()?;
+    let flag = word.split('=').next().expect("split yields one item");
+    (flag.len() > 2 && flag.starts_with("--")).then_some(flag)
+}
+
+#[test]
+fn backticked_flags_exist() {
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        collect_sources(&repo_root().join(dir), &mut sources);
+    }
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = read(doc);
+        for flag in code_spans(&text).iter().filter_map(|s| leading_flag(s)) {
+            if CARGO_FLAGS.contains(&flag) {
+                continue;
+            }
+            checked += 1;
+            let literal = format!("\"{flag}\"");
+            if !sources.iter().any(|source| source.contains(&literal)) {
+                missing.push(format!("{doc}: `{flag}`"));
+            }
+        }
+    }
+    println!("docs: {checked} backticked flags checked");
+    assert!(checked > 0, "the span scanner found no flag to check");
+    assert!(
+        missing.is_empty(),
+        "documents name flags no source spells out as a string:\n{}",
         missing.join("\n")
     );
 }

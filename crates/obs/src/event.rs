@@ -6,7 +6,10 @@
 //! per-tick samples. Emitters hand a borrowed [`Event`] to
 //! [`crate::Observer::event`]; the default observer drops it without
 //! looking, [`crate::MetricsObserver`] counts it under `events.*`, and
-//! [`crate::ConsoleSink`] pretty-prints the salient ones.
+//! [`crate::ConsoleSink`] pretty-prints the salient ones. Per-sample
+//! work is not an event: failure episodes, thousands per 913-day link,
+//! reach the observer as per-link counts and one
+//! [`crate::Observer::record_each`] batch.
 //!
 //! The payloads are deliberately primitive (`u64` link ids, `f64` Gbps,
 //! micros) so this crate sits below every pipeline crate without
@@ -108,25 +111,6 @@ pub enum Event {
         /// The layer the fault hits.
         domain: FaultDomain,
     },
-    /// The fleet kernel opened a failure episode (SNR fell below a rung's
-    /// floor).
-    EpisodeOpened {
-        /// Link the episode is on.
-        link: u64,
-        /// The rung whose floor was crossed, Gbps.
-        rung_gbps: f64,
-        /// Sample index at which it opened.
-        at_tick: u64,
-    },
-    /// The fleet kernel closed a failure episode (SNR recovered).
-    EpisodeClosed {
-        /// Link the episode was on.
-        link: u64,
-        /// The rung whose floor was crossed, Gbps.
-        rung_gbps: f64,
-        /// Episode length in samples.
-        ticks: u64,
-    },
     /// The daemon wrote a shard checkpoint atomically.
     CheckpointWritten {
         /// Chunks (links) the checkpoint holds.
@@ -184,8 +168,6 @@ impl Event {
             Event::WarmSolve { .. } => "events.warm_solve",
             Event::ColdFallback { .. } => "events.cold_fallback",
             Event::FaultInjected { .. } => "events.fault_injected",
-            Event::EpisodeOpened { .. } => "events.episode_opened",
-            Event::EpisodeClosed { .. } => "events.episode_closed",
             Event::CheckpointWritten { .. } => "events.checkpoint_written",
             Event::ResumeVerified { .. } => "events.resume_verified",
             Event::WatchdogAbort { .. } => "events.watchdog_abort",
@@ -211,8 +193,6 @@ mod tests {
             Event::WarmSolve { pivots: 3 },
             Event::ColdFallback { pivots: 40, reason: ColdReason::Singular },
             Event::FaultInjected { link: Some(2), domain: FaultDomain::Bvt },
-            Event::EpisodeOpened { link: 1, rung_gbps: 200.0, at_tick: 5 },
-            Event::EpisodeClosed { link: 1, rung_gbps: 200.0, ticks: 9 },
             Event::CheckpointWritten { completed_chunks: 4 },
             Event::ResumeVerified { restored_chunks: 4 },
             Event::WatchdogAbort { pivots: 512 },

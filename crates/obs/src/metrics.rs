@@ -77,6 +77,20 @@ fn atomic_f64_max(cell: &AtomicU64, v: f64) {
     }
 }
 
+/// A recorded value as the histogram keeps it: NaN and negatives are 0.
+fn clamp(v: f64) -> f64 {
+    if v.is_nan() || v < 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// A kept value's contribution to the integer sum.
+fn sum_units(v: f64) -> u64 {
+    v.round().min(u64::MAX as f64) as u64
+}
+
 /// One log-linear histogram: bucket counts plus count/sum/min/max.
 #[derive(Debug)]
 struct Histogram {
@@ -103,12 +117,45 @@ impl Histogram {
     }
 
     fn record(&self, v: f64) {
-        let v = if v.is_nan() || v < 0.0 { 0.0 } else { v };
+        let v = clamp(v);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v.round().min(u64::MAX as f64) as u64, Ordering::Relaxed);
+        self.sum.fetch_add(sum_units(v), Ordering::Relaxed);
         atomic_f64_min(&self.min_bits, v);
         atomic_f64_max(&self.max_bits, v);
+    }
+
+    /// [`Histogram::record`] of every value in turn, folded locally
+    /// first: one atomic add per touched bucket, then one each for the
+    /// count and the (wrapping, like the atomic's) sum, and one min and
+    /// one max update. The strict comparisons keep the first of equal
+    /// extremes, as the atomic loops do, so the cells end bit-identical.
+    fn record_each(&self, values: &[f64]) {
+        if values.is_empty() {
+            return;
+        }
+        let mut buckets = [0u64; N_BUCKETS];
+        let (mut sum, mut min, mut max) = (0u64, f64::INFINITY, f64::NEG_INFINITY);
+        for &v in values {
+            let v = clamp(v);
+            buckets[bucket_index(v)] += 1;
+            sum = sum.wrapping_add(sum_units(v));
+            if v < min {
+                min = v;
+            }
+            if v > max {
+                max = v;
+            }
+        }
+        for (cell, &c) in self.buckets.iter().zip(&buckets) {
+            if c > 0 {
+                cell.fetch_add(c, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(values.len() as u64, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        atomic_f64_min(&self.min_bits, min);
+        atomic_f64_max(&self.max_bits, max);
     }
 
     fn absorb(&self, snap: &HistogramSnapshot) {
@@ -438,6 +485,15 @@ impl MetricsRegistry {
         }
     }
 
+    /// Records every value of `values` into a histogram: one name
+    /// lookup for the batch, and the same cells as [`Self::record`] per
+    /// value would leave.
+    pub fn record_each(&self, name: &str, values: &[f64]) {
+        if let Some(i) = Self::slot(&self.catalogue.histograms, name) {
+            self.histograms[i].record_each(values);
+        }
+    }
+
     /// Digest of one histogram (empty snapshot for unknown names).
     pub fn histogram(&self, name: &str) -> HistogramSnapshot {
         Self::slot(&self.catalogue.histograms, name)
@@ -506,8 +562,7 @@ mod tests {
     #[test]
     fn bucket_zero_catches_subunit_negative_and_nan() {
         for v in [0.0, 0.5, 0.999, -3.0, f64::NAN, f64::NEG_INFINITY] {
-            let v = if v.is_nan() || v < 0.0 { 0.0 } else { v };
-            assert_eq!(bucket_index(v), 0, "{v}");
+            assert_eq!(bucket_index(clamp(v)), 0, "{v}");
         }
         assert_eq!(bucket_lower(0), 0.0);
     }

@@ -13,7 +13,10 @@
 //! Naming convention: `<subsystem>.<noun>[.<qualifier>]`, lower-case,
 //! dot-separated. Histogram names say their unit in the last segment
 //! (`_millis`, `_micros`, `_ticks`). `events.*` counters are maintained by
-//! [`crate::MetricsObserver`] itself, one per [`crate::Event`] variant.
+//! [`crate::MetricsObserver`] itself, one per [`crate::Event`] variant,
+//! except `events.episode_opened` / `events.episode_closed`: the fleet
+//! kernel adds each link's episode count to them once, when the link is
+//! finished, rather than raising an event per episode.
 
 /// Monotonic counters, incremented via [`crate::Observer::incr`].
 pub const COUNTERS: &[&str] = &[
@@ -87,7 +90,8 @@ pub const COUNTERS: &[&str] = &[
     "fleet.links",
     "fleet.samples",
     "fleet.episodes",
-    // one per Event variant, maintained by MetricsObserver::event.
+    // one per Event variant, maintained by MetricsObserver::event; the
+    // fleet kernel adds a link's episode count to the two episode ones.
     "events.reconfig_started",
     "events.reconfig_committed",
     "events.reconfig_aborted",

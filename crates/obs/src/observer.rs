@@ -7,12 +7,15 @@ use std::sync::{Arc, OnceLock};
 
 /// The hook surface instrumented components call into.
 ///
-/// Every method has an empty default body and [`Observer::enabled`]
-/// defaults to `false`, so a no-op implementation is literally the empty
-/// `impl`. Hot paths that would do work *before* calling a hook (reading
-/// a clock, computing a delta) guard it on `enabled()`; plain counter
-/// bumps just call through — the virtual call to an empty body is the
-/// whole cost.
+/// Every method has an empty default body — but [`Observer::record_each`],
+/// which hands each value to [`Observer::record`] — and
+/// [`Observer::enabled`] defaults to `false`, so a no-op implementation
+/// is literally the empty `impl`. Hot paths that would do work *before*
+/// calling a hook (reading a clock, computing a delta, filling a batch)
+/// guard it on `enabled()`; plain counter bumps just call through — the
+/// virtual call to an empty body is the whole cost. A component that
+/// produces many samples per unit of work publishes them once per unit
+/// (the fleet kernel: once per link), not once per sample.
 pub trait Observer: fmt::Debug + Send + Sync {
     /// Whether this observer records anything. Components skip
     /// measurement setup (clock reads, stat deltas) when `false`.
@@ -33,6 +36,16 @@ pub trait Observer: fmt::Debug + Send + Sync {
     /// Records one `value` into the histogram `name`.
     fn record(&self, name: &'static str, value: f64) {
         let _ = (name, value);
+    }
+
+    /// Records every value of `values` into the histogram `name`, in
+    /// order — what calling [`Observer::record`] once per value does, and
+    /// the default does exactly that. A collecting observer overrides it
+    /// to look `name` up once and publish the batch in one pass.
+    fn record_each(&self, name: &'static str, values: &[f64]) {
+        for &value in values {
+            self.record(name, value);
+        }
     }
 
     /// Delivers one pipeline event.
@@ -105,6 +118,10 @@ impl Observer for MetricsObserver {
         self.registry.record(name, value);
     }
 
+    fn record_each(&self, name: &'static str, values: &[f64]) {
+        self.registry.record_each(name, values);
+    }
+
     fn event(&self, event: &Event) {
         self.registry.incr(event.counter_name(), 1);
         if let Some(sink) = &self.forward {
@@ -154,5 +171,47 @@ mod tests {
         o.event(&Event::Quarantine { link: 3, until_millis: 99 });
         assert_eq!(sink.0.load(std::sync::atomic::Ordering::Relaxed), 1);
         assert_eq!(o.snapshot().counters["events.quarantine"], 1);
+    }
+
+    /// Edge values for the histogram path: NaN, negatives and zeros clamp
+    /// into the catch-all bucket, huge values saturate the last one.
+    const EDGE: [f64; 12] =
+        [3.0, f64::NAN, -7.5, 0.0, -0.0, 0.4, 1.0, 1e300, f64::INFINITY, f64::MAX, 2.5e19, 17.0];
+
+    #[test]
+    fn record_each_equals_repeated_record() {
+        let batched = MetricsObserver::new();
+        let single = MetricsObserver::new();
+        for values in [&EDGE[..], &[], &[12.0, 12.0, 90.0], &[f64::NAN], &[-1.0, 0.0]] {
+            batched.record_each("fleet.episode_ticks", values);
+            for &v in values {
+                single.record("fleet.episode_ticks", v);
+            }
+            let (b, s) = (batched.snapshot(), single.snapshot());
+            assert_eq!(b, s);
+            assert_eq!(b.to_json(), s.to_json());
+        }
+        assert_eq!(batched.snapshot().histograms["fleet.episode_ticks"].count, 18);
+    }
+
+    #[test]
+    fn default_record_each_hands_every_value_on_in_order() {
+        #[derive(Debug, Default)]
+        struct Recording(std::sync::Mutex<Vec<(&'static str, u64)>>);
+        impl Observer for Recording {
+            fn record(&self, name: &'static str, value: f64) {
+                self.0.lock().unwrap().push((name, value.to_bits()));
+            }
+        }
+        let o = Recording::default();
+        o.record_each("fleet.episode_ticks", &EDGE);
+        o.record_each("te.solve_micros", &[]);
+        o.record_each("te.solve_micros", &[5.0, 4.0]);
+        let expected: Vec<(&str, u64)> = EDGE
+            .iter()
+            .map(|v| ("fleet.episode_ticks", v.to_bits()))
+            .chain([5.0f64, 4.0].map(|v| ("te.solve_micros", v.to_bits())))
+            .collect();
+        assert_eq!(*o.0.lock().unwrap(), expected);
     }
 }

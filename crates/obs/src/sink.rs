@@ -42,8 +42,8 @@ impl Observer for ConsoleSink {
         if self.quiet {
             return;
         }
-        // Only the operator-salient transitions; per-solve and per-episode
-        // events would flood a terminal at fleet scale.
+        // Only the operator-salient transitions; per-solve events would
+        // flood a terminal at fleet scale.
         match event {
             Event::ReconfigAborted { link, to_gbps, rolled_back } => {
                 println!(

@@ -37,7 +37,7 @@ use crate::generator::FleetGenerator;
 use crate::hdr::{Hdr, PAPER_COVERAGE};
 use crate::process::BatchScratch;
 use crate::trace::SnrTrace;
-use rwc_obs::{Event as ObsEvent, Observer};
+use rwc_obs::Observer;
 use rwc_optics::{Modulation, ModulationTable};
 use rwc_util::simd::{bin_grid, GRID_BINS};
 use rwc_util::stats::hdi_of_counts;
@@ -78,11 +78,11 @@ pub struct FleetKernel {
     batch_scratch: BatchScratch,
     block: Vec<f64>,
     bins: Vec<u16>,
-    /// Observability hooks (episode events, fleet counters).
+    /// Observability hooks (fleet counters, episode lengths).
     obs: Arc<dyn Observer>,
-    /// The link id stamped on emitted episode events (set by
-    /// [`FleetKernel::analyze_generated`]).
-    link: u64,
+    /// The finished link's episode lengths in ticks, handed to the
+    /// observer in one batch; reused across links.
+    episode_ticks: Vec<f64>,
 }
 
 impl Default for FleetKernel {
@@ -102,7 +102,7 @@ impl Default for FleetKernel {
             block: Vec::new(),
             bins: Vec::new(),
             obs: rwc_obs::noop(),
-            link: 0,
+            episode_ticks: Vec::new(),
         }
     }
 }
@@ -113,9 +113,10 @@ impl FleetKernel {
         Self::default()
     }
 
-    /// A kernel publishing fleet counters and episode events to `obs` —
+    /// A kernel publishing fleet counters and episode lengths to `obs` —
     /// typically one collecting registry per worker, merged after the
-    /// sweep.
+    /// sweep. The observer hears from the kernel once per link, when the
+    /// link is finished, never per reading or per episode.
     pub fn with_observer(obs: Arc<dyn Observer>) -> Self {
         Self { obs, ..Self::default() }
     }
@@ -135,7 +136,6 @@ impl FleetKernel {
         link_id: usize,
         table: &ModulationTable,
     ) -> LinkAnalysis {
-        self.link = link_id as u64;
         self.begin(SimTime::EPOCH, gen.config().tick, table);
         let (mut scratch, mut block) =
             (std::mem::take(&mut self.batch_scratch), std::mem::take(&mut self.block));
@@ -215,15 +215,6 @@ impl FleetKernel {
         if f < prev {
             // Ladder dropped: rungs f..prev newly fail, open at (i, bin).
             self.open[f..prev].fill((i, bin));
-            if self.obs.enabled() {
-                for k in f..prev {
-                    self.obs.event(&ObsEvent::EpisodeOpened {
-                        link: self.link,
-                        rung_gbps: self.failures[k].0.capacity().0,
-                        at_tick: i as u64,
-                    });
-                }
-            }
         } else {
             // Ladder recovered: rungs prev..f close at i, and their floor
             // carries out to rung f if that one still fails.
@@ -247,14 +238,6 @@ impl FleetKernel {
                 duration: self.tick * (end - s) as u64,
                 floor: grid_db(floor),
             });
-            if self.obs.enabled() {
-                self.obs.record("fleet.episode_ticks", (end - s) as f64);
-                self.obs.event(&ObsEvent::EpisodeClosed {
-                    link: self.link,
-                    rung_gbps: self.failures[k].0.capacity().0,
-                    ticks: (end - s) as u64,
-                });
-            }
         }
         floor
     }
@@ -267,10 +250,7 @@ impl FleetKernel {
         assert!(n <= u32::MAX as usize, "bin counters hold at most u32::MAX readings");
         self.close(self.prev_f..self.open.len(), n);
         if self.obs.enabled() {
-            let episodes = self.failures.iter().map(|(_, eps)| eps.len() as u64).sum();
-            self.obs.incr("fleet.links", 1);
-            self.obs.incr("fleet.samples", n as u64);
-            self.obs.incr("fleet.episodes", episodes);
+            self.publish(n);
         }
 
         let total = &mut *self.counts;
@@ -282,6 +262,24 @@ impl FleetKernel {
         let hdr = Hdr::of_bins(min + low, min + high, PAPER_COVERAGE);
         let failures = std::mem::take(&mut self.failures);
         LinkAnalysis::on_grid(sum, n, (min, max), hdr, table, failures)
+    }
+
+    /// Publishes the finished link of `n` readings from its episode
+    /// lists: the fleet counters, every episode as opened and closed, and
+    /// every episode's length in ticks as one `fleet.episode_ticks` batch.
+    fn publish(&mut self, n: usize) {
+        let tick = self.tick;
+        self.episode_ticks.clear();
+        self.episode_ticks.extend(
+            self.failures.iter().flat_map(|(_, eps)| eps.iter().map(|e| e.duration.ticks(tick) as f64)),
+        );
+        let episodes = self.episode_ticks.len() as u64;
+        self.obs.incr("fleet.links", 1);
+        self.obs.incr("fleet.samples", n as u64);
+        self.obs.incr("fleet.episodes", episodes);
+        self.obs.incr("events.episode_opened", episodes);
+        self.obs.incr("events.episode_closed", episodes);
+        self.obs.record_each("fleet.episode_ticks", &self.episode_ticks);
     }
 }
 

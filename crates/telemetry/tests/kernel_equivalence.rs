@@ -13,9 +13,11 @@
 //! the top bin and a table whose thresholds sit between grid values. The
 //! randomized cases are short; the paper-length fleet and the crafted
 //! long traces at the end give the HDR thousands-long tails and ties at
-//! the window's edge ranks.
+//! the window's edge ranks. An observed kernel's metrics are pinned
+//! against a per-episode reference built from the analyses it returns.
 
 use proptest::prelude::*;
+use rwc_obs::{MetricsObserver, MetricsRegistry, MetricsSnapshot};
 use rwc_optics::{Modulation, ModulationTable};
 use rwc_telemetry::analysis::LinkAnalysis;
 use rwc_telemetry::trace::SnrTrace;
@@ -24,6 +26,7 @@ use rwc_util::rng::Xoshiro256;
 use rwc_util::simd::grid_bin;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::Db;
+use std::sync::Arc;
 
 /// Readings on the grid's edges: half steps (`x.x5`, which a rounding
 /// slip would move a bin), every threshold of the paper's ladder exactly,
@@ -142,6 +145,57 @@ proptest! {
             serde_json::to_string(&fused).expect("fused serializes"),
             serde_json::to_string(&legacy).expect("legacy serializes")
         );
+    }
+}
+
+/// What an observed kernel must have published after `links`, rebuilt one
+/// episode at a time from the analyses it returned: one `record` per
+/// episode into `fleet.episode_ticks`, and the episode count for
+/// `fleet.episodes` and both `events.episode_*` counters.
+fn per_episode_reference(links: &[(LinkAnalysis, usize, SimDuration)]) -> MetricsSnapshot {
+    let reference = MetricsRegistry::new();
+    for (analysis, samples, tick) in links {
+        let mut episodes = 0;
+        for (_, eps) in &analysis.failures_per_rung {
+            for e in eps {
+                reference.record("fleet.episode_ticks", e.duration.ticks(*tick) as f64);
+                episodes += 1;
+            }
+        }
+        reference.incr("fleet.links", 1);
+        reference.incr("fleet.samples", *samples as u64);
+        reference.incr("fleet.episodes", episodes);
+        reference.incr("events.episode_opened", episodes);
+        reference.incr("events.episode_closed", episodes);
+    }
+    reference.snapshot()
+}
+
+proptest! {
+    /// An observed kernel publishes each link once, from its episode
+    /// lists; over a random fleet's links and a crafted trace, all on one
+    /// reused kernel, its observer ends with the very snapshot a
+    /// per-episode reference builds from the returned analyses.
+    #[test]
+    fn observed_kernel_matches_a_per_episode_reference(
+        cfg in fleet_strategy(),
+        samples in samples_strategy(),
+    ) {
+        let gen = FleetGenerator::new(cfg);
+        let table = ModulationTable::paper_default();
+        let obs = Arc::new(MetricsObserver::new());
+        let mut kernel = FleetKernel::with_observer(obs.clone());
+        let mut links = Vec::new();
+        for link_id in 0..gen.n_links() {
+            let analysis = kernel.analyze_generated(&gen, link_id, &table);
+            links.push((analysis, gen.link(link_id).trace.len(), gen.config().tick));
+        }
+        let trace = SnrTrace::new(SimTime::EPOCH, SimDuration::TELEMETRY_TICK, samples);
+        links.push((kernel.analyze_trace(&trace, &table), trace.len(), trace.tick()));
+        let expected = per_episode_reference(&links);
+        let got = obs.snapshot();
+        prop_assert_eq!(got.to_json(), expected.to_json());
+        prop_assert_eq!(got, expected);
     }
 }
 
