@@ -102,56 +102,6 @@ pub(crate) fn hysteresis_ablation(margins_db: &[f64], ticks: usize) -> Vec<(f64,
     parallel_arms(arms)
 }
 
-/// Reactive vs predictive controller on a slowly decaying link: at-risk
-/// ticks (samples where the configured rate exceeds what the SNR
-/// supports) per forecast horizon. Returns `(horizon, reactive_risk,
-/// predictive_risk)` rows.
-pub(crate) fn predictive_ablation(horizons: &[u64]) -> Vec<(u64, usize, usize)> {
-    use rwc_core::controller::Controller;
-    use rwc_core::predictive::{at_risk_ticks, PredictiveConfig, PredictiveController};
-    use rwc_optics::ModulationTable;
-
-    let table = ModulationTable::paper_default();
-    let readings: Vec<Db> = (0..80).map(|i| Db(14.0 - 0.04 * i as f64)).collect();
-    // One arm per horizon; each arm replays both controllers over shared
-    // read-only readings. Results return in horizon order.
-    let arms = horizons
-        .iter()
-        .map(|&h| {
-            let table = &table;
-            let readings = &readings;
-            Box::new(move || {
-                let run = |predictive: bool| -> usize {
-                let mut wan = rwc_topology::WanTopology::new();
-                let a = wan.add_node("A", None);
-                let b = wan.add_node("B", None);
-                wan.add_link(a, b, 500.0);
-                wan.set_modulation(LinkId(0), rwc_optics::Modulation::Dp16Qam200);
-                let mut reactive = Controller::new(ControllerConfig::default(), 1, 3);
-                let mut pc = PredictiveController::new(
-                    PredictiveConfig { horizon_ticks: h, ..Default::default() },
-                    1,
-                    3,
-                );
-                let mut risk = 0;
-                for (i, &snr) in readings.iter().enumerate() {
-                    let now = SimTime::EPOCH + SimDuration::TELEMETRY_TICK * i as u64;
-                    risk += at_risk_ticks(&wan, table, &[(LinkId(0), snr)]);
-                    if predictive {
-                        pc.sweep(&mut wan, &[(LinkId(0), snr)], now);
-                    } else {
-                        reactive.sweep(&mut wan, &[(LinkId(0), Some(snr))], now);
-                    }
-                }
-                risk
-            };
-                (h, run(false), run(true))
-            }) as Box<dyn FnOnce() -> (u64, usize, usize) + Send>
-        })
-        .collect();
-    parallel_arms(arms)
-}
-
 /// BVT-procedure ablation: interim throughput gap of a consistent update
 /// under hitless (efficient) vs draining (legacy) reconfiguration.
 pub(crate) fn procedure_ablation() -> (f64, f64) {
@@ -208,16 +158,6 @@ pub fn run(scale: Scale) -> Report {
          {legacy_gap:.0} G"
     ));
 
-    report.line("— reactive vs predictive controller (at-risk ticks on a decaying link) —"
-        .to_string());
-    let mut csv = String::from("horizon_ticks,reactive_risk,predictive_risk\n");
-    for (h, reactive, predictive) in predictive_ablation(&[1, 2, 4, 8]) {
-        report.line(format!(
-            "horizon {h} ticks: reactive {reactive} at-risk ticks → predictive {predictive}"
-        ));
-        let _ = writeln!(csv, "{h},{reactive},{predictive}");
-    }
-    report.csv("ablation_predictive.csv", csv);
     report
 }
 
@@ -250,19 +190,5 @@ mod tests {
     fn legacy_drain_loses_more_interim_throughput() {
         let (hitless, legacy) = procedure_ablation();
         assert!(legacy > hitless, "legacy {legacy} vs hitless {hitless}");
-    }
-
-    #[test]
-    fn prediction_reduces_at_risk_exposure() {
-        for (h, reactive, predictive) in predictive_ablation(&[2, 4]) {
-            assert!(
-                predictive <= reactive,
-                "horizon {h}: predictive {predictive} > reactive {reactive}"
-            );
-        }
-        // With a decent horizon, exposure goes to zero.
-        let rows = predictive_ablation(&[4]);
-        assert_eq!(rows[0].2, 0, "{rows:?}");
-        assert!(rows[0].1 >= 1, "reactive must incur some exposure: {rows:?}");
     }
 }

@@ -13,10 +13,10 @@
 use super::scenario::build_campaign;
 use crate::report::series_csv;
 use crate::{Report, Scale};
-use rwc_core::prelude::*;
-use rwc_core::scenario::Fig7Campaign;
+use rwc_core::scenario::{Fig7Campaign, Scenario};
 use rwc_faults::FaultPlan;
 use rwc_te::swan::SwanTe;
+use rwc_util::time::SimDuration;
 
 fn build(scale: Scale) -> (Scenario, SimDuration, FaultPlan) {
     build_campaign(Fig7Campaign::faults(), scale)

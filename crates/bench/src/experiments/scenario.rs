@@ -5,10 +5,10 @@
 
 use crate::report::series_csv;
 use crate::{Report, Scale};
-use rwc_core::prelude::*;
-use rwc_core::scenario::Fig7Campaign;
+use rwc_core::scenario::{Fig7Campaign, Scenario};
 use rwc_faults::FaultPlan;
 use rwc_te::swan::SwanTe;
+use rwc_util::time::SimDuration;
 
 /// Builds `campaign` for a week (60 days at full scale) with the
 /// experiments' observer attached; returns it with its horizon and the

@@ -21,10 +21,10 @@ use super::scenario::build_campaign;
 use crate::parallel::parallel_pair;
 use crate::report::series_csv;
 use crate::{Report, Scale};
-use rwc_core::prelude::*;
-use rwc_core::scenario::Fig7Campaign;
+use rwc_core::scenario::{Fig7Campaign, ScenarioReport};
 use rwc_faults::FaultPlan;
 use rwc_te::swan::SwanTe;
+use rwc_util::time::SimDuration;
 
 fn run_arm(scale: Scale, make_before_break: bool) -> (ScenarioReport, FaultPlan, SimDuration) {
     let (mut scenario, horizon, plan) =

@@ -61,8 +61,8 @@ pub fn parallel_arms<T: Send>(arms: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> 
     slots.into_iter().map(|s| s.expect("arm not run")).collect()
 }
 
-/// Two-arm convenience for A/B experiments (MBB vs legacy, reactive vs
-/// predictive): runs both concurrently, returns them as a pair.
+/// Two-arm convenience for A/B experiments (MBB vs legacy): runs both
+/// concurrently, returns them as a pair.
 pub fn parallel_pair<T: Send, A, B>(a: A, b: B) -> (T, T)
 where
     A: FnOnce() -> T + Send,

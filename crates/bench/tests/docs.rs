@@ -121,16 +121,23 @@ fn backticked_repo_paths_exist() {
     assert!(missing.is_empty(), "documents name paths that do not exist:\n{}", missing.join("\n"));
 }
 
-/// Adds the text of every `.rs` file under `dir` to `sources`.
-fn collect_sources(dir: &Path, sources: &mut Vec<String>) {
+/// Adds the path of every `.rs` file under `dir` to `files`.
+fn collect_rust_files(dir: &Path, files: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
-            collect_sources(&path, sources);
+            collect_rust_files(&path, files);
         } else if path.extension().is_some_and(|e| e == "rs") {
-            sources.push(std::fs::read_to_string(&path).expect("source file"));
+            files.push(path);
         }
     }
+}
+
+/// Adds the text of every `.rs` file under `dir` to `sources`.
+fn collect_sources(dir: &Path, sources: &mut Vec<String>) {
+    let mut files = Vec::new();
+    collect_rust_files(dir, &mut files);
+    sources.extend(files.iter().map(|f| std::fs::read_to_string(f).expect("source file")));
 }
 
 /// Adds every identifier-like word (string contents included) of every
@@ -230,6 +237,63 @@ fn backticked_identifiers_exist() {
     assert!(
         missing.is_empty(),
         "documents name identifiers no source contains:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// `seg::seg[::seg…]` or the same with `()`: two or more lowercase
+/// identifiers joined by `::`, outside `std::`. Returns the last segment.
+fn module_path(span: &str) -> Option<&str> {
+    let path = span.strip_suffix("()").unwrap_or(span);
+    let segments: Vec<&str> = path.split("::").collect();
+    let well_formed = segments.len() > 1
+        && segments.iter().all(|s| {
+            s.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+                && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        });
+    (well_formed && segments[0] != "std").then(|| *segments.last().expect("two or more"))
+}
+
+#[test]
+fn backticked_module_paths_exist() {
+    // What a path's last segment can name: a `fn`, a `mod`, or a
+    // `<segment>.rs` file of the Rust trees.
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        collect_rust_files(&repo_root().join(dir), &mut files);
+    }
+    let mut defined: HashSet<String> = HashSet::new();
+    for file in &files {
+        defined.extend(file.file_stem().and_then(|s| s.to_str()).map(str::to_owned));
+        let text = std::fs::read_to_string(file).expect("source file");
+        let words: Vec<&str> = text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        for pair in words.windows(2) {
+            if pair[0] == "fn" || pair[0] == "mod" {
+                defined.insert(pair[1].to_owned());
+            }
+        }
+    }
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = read(doc);
+        for span in &code_spans(&text) {
+            if let Some(last) = module_path(span) {
+                checked += 1;
+                if !defined.contains(last) {
+                    missing.push(format!("{doc}: `{span}`"));
+                }
+            }
+        }
+    }
+    println!("docs: {checked} backticked module paths checked");
+    assert!(checked > 0, "the span scanner found no module path to check");
+    assert!(
+        missing.is_empty(),
+        "documents name module paths whose last segment is no fn, mod or file:\n{}",
         missing.join("\n")
     );
 }
@@ -347,10 +411,10 @@ fn backticked_flags_exist() {
 fn results_table_lists_files_that_are_there() {
     let text = read("results/README.md");
     let results = repo_root().join("results");
-    let mut checked = 0;
+    let mut listed = HashSet::new();
     for (cell, row) in first_column(&text, "| file |") {
         for name in cell.split('`').skip(1).step_by(2) {
-            checked += 1;
+            listed.insert(name);
             assert!(
                 results.join(name).exists() || row.contains("not committed"),
                 "results/README.md lists `{name}`, which is neither in results/ nor marked \
@@ -358,8 +422,18 @@ fn results_table_lists_files_that_are_there() {
             );
         }
     }
-    println!("docs: {checked} results files checked");
-    assert!(checked > 0, "results/README.md has no file table");
+    // And the other way: every file in results/ has a row.
+    let mut files = 0;
+    for entry in std::fs::read_dir(&results).expect("results/") {
+        let name = entry.expect("directory entry").file_name();
+        let name = name.to_str().expect("UTF-8 file name");
+        if name != "README.md" {
+            files += 1;
+            assert!(listed.contains(name), "results/{name} has no row in results/README.md");
+        }
+    }
+    println!("docs: {} results rows checked against {files} files", listed.len());
+    assert!(!listed.is_empty(), "results/README.md has no file table");
 }
 
 #[test]

@@ -4,12 +4,15 @@
 //! decision logic and never touches the RNG stream, so an observed run
 //! and a blind run of the same seeded scenario are the same run.
 
-use rwc_core::prelude::*;
+use rwc_core::scenario::{Scenario, ScenarioConfig, ScenarioReport};
 use rwc_faults::FaultPlanConfig;
+use rwc_obs::{MetricsObserver, Observer};
 use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::swan::SwanTe;
 use rwc_telemetry::FleetConfig;
 use rwc_topology::builders;
+use rwc_util::time::SimDuration;
+use rwc_util::units::Gbps;
 use std::sync::Arc;
 
 fn campaign(obs: Arc<dyn Observer>) -> ScenarioReport {

@@ -22,9 +22,7 @@
 //!   tying telemetry → augmentation → TE → consistent updates → BVT
 //!   reconfiguration;
 //! - [`scenario`]: multi-period simulation of the whole pipeline against a
-//!   pinned binary-policy counterfactual;
-//! - [`predictive`]: a forecast-driven controller that walks links down
-//!   *before* the SNR crossing (extension beyond the paper).
+//!   pinned binary-policy counterfactual.
 //!
 //! The Fig. 8 node-splitting gadget for unsplittable flows is not built
 //! here: it is how the TE layer lowers an augmented problem under
@@ -39,7 +37,6 @@ pub mod controller;
 pub mod error;
 pub mod network;
 pub mod penalty;
-pub mod predictive;
 pub mod scenario;
 pub mod theorem;
 pub mod translate;
@@ -51,29 +48,3 @@ pub use network::DynamicCapacityNetwork;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioConfig, ScenarioReport};
 pub use penalty::PenaltyPolicy;
 pub use translate::{translate, Translation};
-
-/// One-stop imports for driving the pipeline.
-///
-/// ```
-/// use rwc_core::prelude::*;
-/// ```
-///
-/// pulls in the scenario/controller/network types, their builders, the
-/// error hierarchy, and the units/time primitives every experiment needs.
-/// Experiment code should prefer this over a dozen `use` lines; anything
-/// more specialised (theorem checks, penalty internals) is still
-/// imported explicitly from its module.
-pub mod prelude {
-    pub use crate::augment::AugmentConfig;
-    pub use crate::controller::{Controller, ControllerConfig, Decision, LinkHealth, SweepReport};
-    pub use crate::error::RwcError;
-    pub use crate::network::{DynamicCapacityNetwork, TeRound};
-    pub use crate::penalty::PenaltyPolicy;
-    pub use crate::scenario::{
-        Scenario, ScenarioBuilder, ScenarioConfig, ScenarioReport, ScenarioSample,
-    };
-    pub use rwc_obs::{Event, MetricsObserver, MetricsRegistry, NoopObserver, Observer};
-    pub use rwc_topology::wan::{LinkId, WanTopology};
-    pub use rwc_util::time::{SimDuration, SimTime};
-    pub use rwc_util::units::{Db, Gbps};
-}

@@ -77,12 +77,20 @@ fn atomic_f64_max(cell: &AtomicU64, v: f64) {
     }
 }
 
-/// A recorded value as the histogram keeps it: NaN and negatives are 0.
+/// A recorded value as the histogram keeps it: NaN and negatives are 0,
+/// +∞ is `f64::MAX`. `v > 0.0` is false for NaN; on x86-64 the body
+/// compiles to one `maxsd` and one `minsd`, no branch.
 fn clamp(v: f64) -> f64 {
-    if v.is_nan() || v < 0.0 {
+    let kept = if v > 0.0 { v } else { 0.0 };
+    kept.min(f64::MAX)
+}
+
+/// A gauge value as the registry keeps it: NaN is 0, ±∞ is ±`f64::MAX`.
+fn finite(v: f64) -> f64 {
+    if v.is_nan() {
         0.0
     } else {
-        v
+        v.clamp(f64::MIN, f64::MAX)
     }
 }
 
@@ -471,10 +479,10 @@ impl MetricsRegistry {
             .map_or(0, |i| self.counters[i].load(Ordering::Relaxed))
     }
 
-    /// Sets a gauge to `value`.
+    /// Sets a gauge to `value` (NaN stored as 0, ±∞ as ±`f64::MAX`).
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(i) = Self::slot(&self.catalogue.gauges, name) {
-            self.gauges[i].store(value.to_bits(), Ordering::Relaxed);
+            self.gauges[i].store(finite(value).to_bits(), Ordering::Relaxed);
         }
     }
 

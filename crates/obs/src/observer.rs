@@ -29,6 +29,12 @@ pub trait Observer: fmt::Debug + Send + Sync {
     }
 
     /// Sets the gauge `name` to `value`.
+    ///
+    /// Every value a snapshot holds is finite, so it survives JSON (which
+    /// has no NaN or ∞): a collecting observer stores a NaN gauge as 0 and
+    /// ±∞ as ±`f64::MAX`; a histogram ([`Observer::record`],
+    /// [`Observer::record_each`]) keeps NaN and negatives as 0 and +∞ as
+    /// `f64::MAX`.
     fn gauge(&self, name: &'static str, value: f64) {
         let _ = (name, value);
     }
@@ -192,6 +198,29 @@ mod tests {
             assert_eq!(b.to_json(), s.to_json());
         }
         assert_eq!(batched.snapshot().histograms["fleet.episode_ticks"].count, 18);
+    }
+
+    #[test]
+    fn non_finite_values_leave_a_snapshot_json_can_read() {
+        let o = MetricsObserver::new();
+        let odd = [f64::INFINITY, f64::NAN, f64::NEG_INFINITY];
+        for v in odd {
+            o.record("te.solve_micros", v);
+        }
+        o.record_each("fleet.episode_ticks", &odd);
+        o.gauge("te.warm_hit_rate", f64::NAN);
+        o.gauge("scenario.availability", f64::INFINITY);
+        o.gauge("scenario.degraded_share", f64::NEG_INFINITY);
+        let s = o.snapshot();
+        for h in ["te.solve_micros", "fleet.episode_ticks"] {
+            assert_eq!((s.histograms[h].min, s.histograms[h].max), (0.0, f64::MAX), "{h}");
+        }
+        assert_eq!(s.gauges["te.warm_hit_rate"], 0.0);
+        assert_eq!(s.gauges["scenario.availability"], f64::MAX);
+        assert_eq!(s.gauges["scenario.degraded_share"], f64::MIN);
+        let back: MetricsSnapshot =
+            serde_json::from_str(&s.to_json()).expect("snapshot deserializes");
+        assert_eq!(back, s);
     }
 
     #[test]

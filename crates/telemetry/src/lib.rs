@@ -28,7 +28,6 @@
 
 pub mod analysis;
 pub mod events;
-pub mod forecast;
 pub mod generator;
 pub mod hdr;
 pub mod kernel;

@@ -73,17 +73,4 @@ proptest! {
         prop_assert!(d.max() <= trace.max());
         prop_assert_eq!(d.values()[0], trace.values()[0]);
     }
-
-    /// The forecaster's lower bound never exceeds its point forecast.
-    #[test]
-    fn forecaster_bound_ordering(values in proptest::collection::vec(1.0f64..20.0, 2..100),
-                                 steps in 0u64..50, z in 0.0f64..4.0) {
-        let mut f = rwc_telemetry::forecast::SnrForecaster::telemetry_default();
-        for v in values {
-            f.observe(Db(v));
-        }
-        let point = f.predict(steps).unwrap();
-        let lower = f.lower_bound(steps, z).unwrap();
-        prop_assert!(lower <= point);
-    }
 }
