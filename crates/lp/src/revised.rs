@@ -39,8 +39,10 @@
 //! that has not is wandering through dual-degenerate ties and a cold
 //! solve is cheaper), computes the reduced costs once and updates them
 //! from each pivot row, and forms that row from a row-major index of `A`
-//! over the rows `rho` touches. Why an attempt was refused is counted:
-//! [`SolverStats::warm_singular`], [`SolverStats::repair_aborts`],
+//! over the rows `rho` touches. The ratio test and the update walk only
+//! the columns that row touches, in ascending order, so each pivot costs
+//! the row's nonzeros rather than `n + m`. Why an attempt was refused is
+//! counted: [`SolverStats::warm_singular`], [`SolverStats::repair_aborts`],
 //! [`SolverStats::repair_pivots`].
 
 use crate::lu::{Eta, LuFactors};
@@ -216,9 +218,12 @@ pub struct SparseSimplexSolver {
     y_rows: Vec<f64>,
     /// btran image of a unit slot vector (dual repair), row space.
     rho_rows: Vec<f64>,
-    /// Dual repair: reduced costs and the pivot row, column space.
+    /// Dual repair: reduced costs and the pivot row, column space. The
+    /// pivot row is zero outside a repair pivot, as is `touched`, one bit
+    /// per column the pivot row's scan wrote.
     d_cols: Vec<f64>,
     alpha_cols: Vec<f64>,
+    touched: Vec<u64>,
     /// Row-major index of the structural columns, see `ensure_row_major`.
     row_ptr: Vec<usize>,
     row_cols: Vec<u32>,
@@ -725,6 +730,10 @@ impl SparseSimplexSolver {
     /// basis is not dual-feasible or the repair gives up (counted in
     /// `repair_aborts`) — the caller goes cold.
     fn dual_repair(&mut self, max_pivots: u64) -> bool {
+        debug_assert!(
+            self.alpha_cols.iter().all(|&a| a == 0.0) && self.touched.iter().all(|&w| w == 0),
+            "dual repair scratch left dirty"
+        );
         self.compute_reduced_costs();
         // Dual-feasibility precheck: a violated
         // reduced cost means the matrix/objective changed, not just the
@@ -741,8 +750,8 @@ impl SparseSimplexSolver {
             }
         }
         self.ensure_row_major();
-        self.alpha_cols.clear();
         self.alpha_cols.resize(self.n_total, 0.0);
+        self.touched.resize(self.n_total.div_ceil(64), 0);
         let before = self.stats.pivots;
         // A repair that works takes a few dozen pivots; one that has not
         // finished after `m` is stalling, and a cold solve is cheaper.
@@ -804,25 +813,30 @@ impl SparseSimplexSolver {
             }
             self.lu.btran(&self.work_slots, &mut self.rho_rows, &mut self.step_buf);
             // Pivot row alpha_j = rho·A_j, scattered from the rows rho
-            // touches (same summation order as the per-column dot product).
+            // touches (same summation order as the per-column dot product),
+            // marking each column it writes.
             for r in 0..self.m {
                 let rho = self.rho_rows[r];
                 if rho == 0.0 {
                     continue;
                 }
-                self.alpha_cols[self.n + r] = rho;
+                let logical = self.n + r;
+                self.alpha_cols[logical] = rho;
+                self.touched[logical >> 6] |= 1 << (logical & 63);
                 for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                    self.alpha_cols[self.row_cols[i] as usize] +=
-                        rho * self.col_vals[self.row_ents[i] as usize];
+                    let j = self.row_cols[i] as usize;
+                    self.alpha_cols[j] += rho * self.col_vals[self.row_ents[i] as usize];
+                    self.touched[j >> 6] |= 1 << (j & 63);
                 }
             }
-            // Dual ratio test: entering candidates whose alpha sign moves
-            // the leaving variable toward its violated bound while the
-            // entering one moves off its own bound feasibly.
+            // Dual ratio test over the marked columns, ascending: entering
+            // candidates whose alpha sign moves the leaving variable toward
+            // its violated bound while the entering one moves off its own
+            // bound feasibly. A column the row did not touch has alpha 0.
             let mut best_ratio = f64::INFINITY;
             let mut best_abs = 0.0f64;
             let mut enter = usize::MAX;
-            for j in 0..self.n_total {
+            for j in set_bits(&self.touched) {
                 let alpha = self.alpha_cols[j];
                 if alpha == 0.0 || !self.may_enter(j) {
                     continue;
@@ -846,18 +860,20 @@ impl SparseSimplexSolver {
                     enter = j;
                 }
             }
-            if enter == usize::MAX {
-                return false;
-            }
             // Dual step: d_j −= θ·alpha_j zeroes the entering column's
-            // reduced cost and leaves −θ on the leaving one.
-            let theta = self.d_cols[enter] / self.alpha_cols[enter];
-            for j in 0..self.n_total {
+            // reduced cost and leaves −θ on the leaving one. The walk clears
+            // the pivot row and its marks, also when nothing may enter.
+            let theta = (enter != usize::MAX).then(|| self.d_cols[enter] / self.alpha_cols[enter]);
+            for j in set_bits(&self.touched) {
                 let alpha = std::mem::take(&mut self.alpha_cols[j]);
-                if alpha != 0.0 && self.vstat[j] != VStat::Basic {
-                    self.d_cols[j] -= theta * alpha;
+                if let Some(theta) = theta {
+                    if alpha != 0.0 && self.vstat[j] != VStat::Basic {
+                        self.d_cols[j] -= theta * alpha;
+                    }
                 }
             }
+            self.touched.fill(0);
+            let Some(theta) = theta else { return false };
             self.d_cols[enter] = 0.0;
             self.d_cols[self.basis[p]] = -theta;
             self.ftran_col(enter);
@@ -1114,6 +1130,33 @@ impl SparseSimplexSolver {
             at_upper,
         });
         self.fact_valid = true;
+    }
+}
+
+/// Ascending indices of the set bits of a bit set held as `u64` words.
+struct SetBits<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Index of bit 0 of the current word.
+    base: usize,
+    /// The current word's bits not yet yielded.
+    bits: u64,
+}
+
+fn set_bits(words: &[u64]) -> SetBits<'_> {
+    SetBits { words: words.iter(), base: 0usize.wrapping_sub(64), bits: 0 }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base = self.base.wrapping_add(64);
+        }
+        let j = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(j)
     }
 }
 
@@ -1614,6 +1657,68 @@ pub(crate) mod tests {
         assert_eq!(stats.repair_pivots, lp.n_rows() as u64, "the bound is m: {stats:?}");
         assert_eq!(stats.repair_aborts, 1);
         assert_eq!((stats.warm_attempts, stats.warm_hits, stats.cold_solves), (1, 0, 2));
+    }
+
+    /// `n + m = total` columns around one `≤` row, the last, that holds
+    /// every structural: `x0` (cost 1) basic in it; `x1` (cost `c1`, bound
+    /// `u1`, entry `a1`); and pads at cost 0.5, each also in one of the
+    /// `m − 1` pad rows (rhs 1). The main row's logical is column
+    /// `total − 1`, so a pivot row of the main row marks columns
+    /// `0..n` and the bit set's last bit.
+    fn main_row_lp(total: usize, a1: f64, c1: f64, u1: f64, r: f64, u0: f64) -> SparseLp {
+        let m = total / 8;
+        let n = total - m;
+        let main = m - 1;
+        let mut b = SparseLpBuilder::new(m);
+        for row in 0..main {
+            b.set_row(row, Relation::Le, 1.0);
+        }
+        b.set_row(main, Relation::Le, r);
+        b.push_col(1.0, u0, &[(main, 1.0)]);
+        b.push_col(c1, u1, &[(main, a1)]);
+        for j in 2..n {
+            b.push_col(0.5, INF, &[((j - 2) % main, 1.0), (main, 1.0)]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn aborted_repair_leaves_its_scratch_clean_across_word_boundaries() {
+        // A warm basis with `x1` at its upper bound, mapped onto a program
+        // where `x1`'s entry is 5e-8, below the pivot tolerance, and its
+        // reduced cost −5e-8 is inside the dual tolerance. The main row's
+        // basic `x0` reads −5e-7 and nothing eligible can raise it, so the
+        // repair exits with no entering column and the solve goes cold.
+        // The next solve shrinks `x0`'s bound under its value: a repair
+        // that works, on the same engine. Each answer is certified and
+        // equals a fresh engine's at 1e-9, and the repair scratch is
+        // clean after every solve.
+        for total in [63, 64, 65, 127, 128, 129] {
+            let programs = [
+                main_row_lp(total, 1.0, 2.0, 3.0, 10.0, INF),
+                main_row_lp(total, 5e-8, 0.0, 10.0, 0.0, INF),
+                main_row_lp(total, 5e-8, 0.0, 10.0, 4.0, INF),
+                main_row_lp(total, 5e-8, 0.0, 10.0, 4.0, 2.5),
+            ];
+            let mut solver = SparseSimplexSolver::new();
+            for (i, lp) in programs.iter().enumerate() {
+                assert_eq!(lp.n_vars() + lp.n_rows(), total);
+                let warm = solver.solve_sparse(lp).expect_optimal();
+                crate::certify(lp, &warm.x, solver.duals())
+                    .unwrap_or_else(|e| panic!("{total} columns, program {i}: {e}"));
+                let cold = solve(lp).expect_optimal();
+                assert!((warm.objective - cold.objective).abs() <= 1e-9, "{total}: {i}");
+                for (w, c) in warm.x.iter().zip(&cold.x) {
+                    assert!((w - c).abs() <= 1e-9, "{total}, program {i}: {w} vs {c}");
+                }
+                assert!(solver.alpha_cols.iter().all(|&a| a == 0.0), "{total}: {i}");
+                assert!(solver.touched.iter().all(|&w| w == 0), "{total}: {i}");
+            }
+            let stats = solver.stats();
+            assert_eq!(stats.repair_aborts, 1, "{total}: {stats:?}");
+            assert_eq!((stats.warm_attempts, stats.warm_hits), (3, 2), "{total}: {stats:?}");
+            assert!(stats.repair_pivots > 1, "{total}: {stats:?}");
+        }
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub const COUNTERS: &[&str] = &[
     "te.augment.full_rebuilds",
     // TeSolver solves whose verdict was checked against its certificate.
     "te.certified",
+    // TeSolver lowerings that kept their role's last LP shape (values
+    // rewritten in place) or built the LP anew.
+    "te.shape_hits",
+    "te.shape_misses",
     // warm-started exact LP (`rwc_te::TeSolver`).
     "lp.cold_solves",
     "lp.warm_attempts",

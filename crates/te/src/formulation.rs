@@ -230,17 +230,18 @@ impl TeFormulation {
     /// [`Self::lower`] into a lowering kept from an earlier solve: when the
     /// problem has the same [`TeShape`] only the values are rewritten (and
     /// the gadget's capacities and costs), otherwise the LP is built anew.
-    /// Returns the lowering and its LP, which equals
-    /// `self.lower(problem)?.sparse_lp()`.
+    /// Returns the lowering, its LP, which equals
+    /// `self.lower(problem)?.sparse_lp()`, and whether the shape held.
     pub(crate) fn lower_retained<'a>(
         &self,
         problem: &'a TeProblem,
         retained: &'a mut Option<RetainedLp>,
-    ) -> Result<(LoweredTe<'a>, &'a SparseLp), TeError> {
+    ) -> Result<(LoweredTe<'a>, &'a SparseLp, bool), TeError> {
         let kind = self.lowered_kind(problem)?;
         let shape = TeShape::of(&self.objective, &kind, problem);
+        let hit = retained.as_ref().is_some_and(|kept| kept.shape == shape);
         let kept = match retained.take() {
-            Some(mut kept) if kept.shape == shape => {
+            Some(mut kept) if hit => {
                 if let Some(g) = &mut kept.gadget {
                     g.refresh(problem);
                 }
@@ -263,7 +264,7 @@ impl TeFormulation {
             name: self.name(),
         };
         lowered.refresh(lp);
-        Ok((lowered, lp))
+        Ok((lowered, lp, hit))
     }
 
     /// The Fig. 8 expansion, for [`TeObjective::Unsplittable`] only.

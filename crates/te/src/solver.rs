@@ -19,11 +19,18 @@
 //!
 //! One `TeSolver` owns the simplex engine and the warm-start state that
 //! persists across `try_solve` calls, across the whole objective zoo of
-//! [`crate::formulation`]. It also keeps the LP it last solved: lowering is
-//! per shape, so a problem with the last one's shape (same graph and
-//! commodities, only capacities, costs and demands moved) has its values
-//! rewritten in place rather than its LP rebuilt. A debug build checks the
-//! result against a fresh lowering on every solve.
+//! [`crate::formulation`]. It also keeps the last LP it solved for each of
+//! a round's two problem roles: a *from-WAN* problem (no
+//! [`EdgeOrigin::Fake`] edge: the static G and the update plan's interim)
+//! and an *augmented* one (G′). Lowering is per shape, so a problem with
+//! its role's last shape (same graph and commodities, only capacities,
+//! costs and demands moved) has its values rewritten in place rather than
+//! its LP rebuilt, and a round's static solve no longer evicts G′'s LP.
+//! There is still one engine, so the engine sees exactly the programs, in
+//! the order, that fresh lowerings would give it, and the static →
+//! augmented warm chain holds. Each lowering counts `te.shape_hits` or
+//! `te.shape_misses`. A debug build checks the LP against a fresh lowering
+//! on every solve.
 //!
 //! Every lowering is feasible at the origin and bounded, so the engine
 //! answers an optimum or `Stalled`. An optimum is checked against its
@@ -38,7 +45,7 @@
 //! property of the problem.
 
 use crate::formulation::{RetainedLp, TeFormulation, TeObjective, TeSolve};
-use crate::problem::{TeProblem, TeSolution};
+use crate::problem::{EdgeOrigin, TeProblem, TeSolution};
 use crate::{TeAlgorithm, TeError};
 use rwc_lp::{Certificate, LpOutcome, SolverStats, SparseSimplexSolver};
 use rwc_obs::{ColdReason, Event, Observer};
@@ -135,9 +142,10 @@ pub struct TeSolver {
     formulation: TeFormulation,
     warm_start: WarmStartPolicy,
     solver: RefCell<SparseSimplexSolver>,
-    /// The LP of the last solve, refreshed in place while the problem's
-    /// shape holds (see [`TeFormulation::lower_retained`]).
-    retained: RefCell<Option<RetainedLp>>,
+    /// The LP of the last solve of each role, from-WAN then augmented,
+    /// refreshed in place while the problem's shape holds (see
+    /// [`TeFormulation::lower_retained`]).
+    retained: RefCell<[Option<RetainedLp>; 2]>,
     obs: Arc<dyn Observer>,
 }
 
@@ -222,8 +230,11 @@ impl TeSolver {
         if let Some(idle) = self.formulation.idle_solve(problem)? {
             return Ok((idle, Certificate::default()));
         }
+        // Fake edges are appended, so G′ answers at its last edge.
+        let augmented = problem.origins.iter().rev().any(|o| matches!(o, EdgeOrigin::Fake { .. }));
         let mut retained = self.retained.borrow_mut();
-        let (lowered, sp) = self.formulation.lower_retained(problem, &mut retained)?;
+        let (lowered, sp, shape_hit) =
+            self.formulation.lower_retained(problem, &mut retained[usize::from(augmented)])?;
         debug_assert!(
             *sp == self.formulation.lower(problem)?.sparse_lp(),
             "{}: the LP refreshed in place differs from a fresh lowering",
@@ -257,6 +268,8 @@ impl TeSolver {
             None => Certificate::default(),
         };
         if self.obs.enabled() {
+            let shape = if shape_hit { "te.shape_hits" } else { "te.shape_misses" };
+            self.obs.incr(shape, 1);
             self.publish_solve(before, after);
             if checked.is_some() {
                 self.obs.incr("te.certified", 1);

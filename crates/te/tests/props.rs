@@ -288,6 +288,51 @@ proptest! {
     }
 }
 
+/// A round's three problem roles on one solver, as the round engine makes
+/// them: the static G, the augmented G′ (a fake edge pair on every link)
+/// and the update plan's interim (G with two links at a transition
+/// capacity), over drifting capacities and demands. The solver keeps one
+/// LP per role, from-WAN and augmented, so each is lowered once; its one
+/// engine still sees the programs fresh lowerings give, in the same order,
+/// so every answer is bit-equal to a raw engine fed those.
+#[test]
+fn a_round_lowers_each_role_once() {
+    let wan = scaled_mesh(2, 500.0);
+    let dm = DemandMatrix::gravity(&wan, Gbps(4000.0), 7);
+    let metrics = std::sync::Arc::new(rwc_obs::MetricsObserver::new());
+    let solver = TeSolver::builder().observer(metrics.clone()).build().unwrap();
+    let mut raw = SparseSimplexSolver::new();
+    let rounds = 8;
+    for round in 0..rounds {
+        let mut g = TeProblem::from_wan(&wan, &dm.scaled(0.8 + 0.05 * (round % 5) as f64));
+        for (id, link) in wan.links() {
+            let drift = 0.85 + 0.03 * ((round * (id.0 + 3)) % 11) as f64;
+            g.override_link_capacity(id, link.capacity().value() * drift);
+        }
+        let mut augmented = g.clone();
+        for (id, _) in wan.links() {
+            for forward in [true, false] {
+                let real = g.net.edge(TeProblem::link_edges(id)[usize::from(!forward)]);
+                let rung = 50.0 + 10.0 * ((round + id.0) % 4) as f64;
+                augmented.net.add_edge(real.from, real.to, rung, real.cost + 1.0);
+                augmented.origins.push(EdgeOrigin::Fake { link: id, forward });
+            }
+        }
+        let mut interim = g.clone();
+        for l in [round % wan.n_links(), (3 * round + 1) % wan.n_links()] {
+            interim.override_link_capacity(LinkId(l), 40.0);
+        }
+        for (role, problem) in [("static", &g), ("augmented", &augmented), ("interim", &interim)] {
+            let lowered = solver.formulation().lower(problem).unwrap();
+            let fresh = lowered.extract_sparse(raw.solve_sparse(&lowered.sparse_lp()));
+            assert_eq!(solver.solve_detailed(problem), fresh, "round {round}, {role}");
+        }
+    }
+    let counters = metrics.snapshot().counters;
+    assert_eq!(counters["te.shape_misses"], 2);
+    assert_eq!(counters["te.shape_hits"], 3 * rounds as u64 - 2);
+}
+
 /// A WAN (Waxman, or a one- or two-replica `scaled_mesh`) whose directed
 /// edges carry non-uniform capacities (each × [0.3, 1.7], some links cut
 /// to 0), one to four commodities, and one to three traffic matrices over
