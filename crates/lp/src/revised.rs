@@ -41,9 +41,14 @@
 //! from each pivot row, and forms that row from a row-major index of `A`
 //! over the rows `rho` touches. The ratio test and the update walk only
 //! the columns that row touches, in ascending order, so each pivot costs
-//! the row's nonzeros rather than `n + m`. Why an attempt was refused is
-//! counted: [`SolverStats::warm_singular`], [`SolverStats::repair_aborts`],
-//! [`SolverStats::repair_pivots`].
+//! the row's nonzeros rather than `n + m`. Eligibility is one signed
+//! comparison per touched column (`alpha` times the sign its rest side
+//! and the leaving side give, against `PIVOT_TOL`), written branch-free
+//! into a candidate list that the ratio rule then reads. Most repair
+//! pivots are dual-degenerate, θ = 0: those skip the update walk, which
+//! would move no reduced cost, and clear the pivot row in one sweep. Why
+//! an attempt was refused is counted: [`SolverStats::warm_singular`],
+//! [`SolverStats::repair_aborts`], [`SolverStats::repair_pivots`].
 
 use crate::lu::{Eta, LuFactors};
 use crate::pricing::CandidateList;
@@ -144,12 +149,16 @@ impl SolverStats {
     }
 }
 
-/// Where a nonbasic variable currently rests.
+/// Where a nonbasic variable currently rests. The discriminant is the
+/// direction a nonbasic variable can move off its bound (0 for a basic
+/// one): dual repair's eligibility test and reduced-cost update multiply
+/// by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(i8)]
 enum VStat {
-    Basic,
-    AtLower,
-    AtUpper,
+    Basic = 0,
+    AtLower = 1,
+    AtUpper = -1,
 }
 
 /// A saved basis member, stored structurally so it can be re-mapped onto
@@ -224,10 +233,12 @@ pub struct SparseSimplexSolver {
     d_cols: Vec<f64>,
     alpha_cols: Vec<f64>,
     touched: Vec<u64>,
+    /// Dual repair: the marked columns that pass the eligibility test.
+    enter_cands: Vec<u32>,
     /// Row-major index of the structural columns, see `ensure_row_major`.
     row_ptr: Vec<usize>,
     row_cols: Vec<u32>,
-    row_ents: Vec<u32>,
+    row_vals: Vec<f64>,
     rows_built: bool,
     fact_ptr: Vec<usize>,
     fact_rows: Vec<usize>,
@@ -247,6 +258,9 @@ pub struct SparseSimplexSolver {
     deadline: Option<Instant>,
     deadline_hit: bool,
     pivot_delay: Option<Duration>,
+    /// Repair pivots checked against the reference dual step, by kind.
+    #[cfg(test)]
+    repair_tally: RepairTally,
 }
 
 impl SparseSimplexSolver {
@@ -689,18 +703,21 @@ impl SparseSimplexSolver {
     }
 
     /// Row-major index of the structural columns (logicals are unit
-    /// columns and need none): per row, each entry's column and its
-    /// position in `col_vals`, ascending by column — 8 bytes an entry, not
-    /// a second copy of the values. Dual repair forms a pivot row from the
+    /// columns and need none): per row, each entry's column and value,
+    /// ascending by column — 12 bytes an entry. A copy of the values, not
+    /// their positions in `col_vals`: the scatter reads them in sequence
+    /// instead of gathering them. Dual repair forms a pivot row from the
     /// rows `rho` touches instead of one dot product per column. Built on
-    /// first use per loaded matrix.
+    /// first use per loaded matrix, and kept only while the matrix is
+    /// bit-identical (a fast resolve).
     fn ensure_row_major(&mut self) {
         if self.rows_built {
             return;
         }
         let m = self.m;
         let nnz = self.col_ptr[self.n];
-        assert!(nnz <= u32::MAX as usize, "matrix too large for the row index");
+        // Columns are held as `u32` here and in `enter_cands`.
+        assert!(self.n_total <= u32::MAX as usize, "too many columns for the row index");
         self.row_ptr.clear();
         self.row_ptr.resize(m + 1, 0);
         for &r in &self.col_rows[..nnz] {
@@ -710,13 +727,13 @@ impl SparseSimplexSolver {
             self.row_ptr[r + 1] += self.row_ptr[r];
         }
         self.row_cols.resize(nnz, 0);
-        self.row_ents.resize(nnz, 0);
+        self.row_vals.resize(nnz, 0.0);
         // Fill with `row_ptr[r]` as row r's cursor, then shift it back.
         for j in 0..self.n {
             for e in self.col_ptr[j]..self.col_ptr[j + 1] {
                 let at = &mut self.row_ptr[self.col_rows[e]];
                 self.row_cols[*at] = j as u32;
-                self.row_ents[*at] = e as u32;
+                self.row_vals[*at] = self.col_vals[e];
                 *at += 1;
             }
         }
@@ -752,6 +769,7 @@ impl SparseSimplexSolver {
         self.ensure_row_major();
         self.alpha_cols.resize(self.n_total, 0.0);
         self.touched.resize(self.n_total.div_ceil(64), 0);
+        self.enter_cands.resize(self.n_total, 0);
         let before = self.stats.pivots;
         // A repair that works takes a few dozen pivots; one that has not
         // finished after `m` is stalling, and a cold solve is cheaper.
@@ -825,54 +843,75 @@ impl SparseSimplexSolver {
                 self.touched[logical >> 6] |= 1 << (logical & 63);
                 for i in self.row_ptr[r]..self.row_ptr[r + 1] {
                     let j = self.row_cols[i] as usize;
-                    self.alpha_cols[j] += rho * self.col_vals[self.row_ents[i] as usize];
+                    self.alpha_cols[j] += rho * self.row_vals[i];
                     self.touched[j >> 6] |= 1 << (j & 63);
                 }
             }
-            // Dual ratio test over the marked columns, ascending: entering
-            // candidates whose alpha sign moves the leaving variable toward
-            // its violated bound while the entering one moves off its own
-            // bound feasibly. A column the row did not touch has alpha 0.
+            // Dual ratio test over the marked columns, ascending. A column
+            // may enter when its alpha, signed by where it rests (the
+            // `VStat` discriminant) and by the side the leaving variable
+            // violates, exceeds PIVOT_TOL: then its move off its bound
+            // carries the leaving variable toward that bound. One
+            // comparison per column, which a basic column (sign 0) and one
+            // the row missed (alpha 0) both fail, and no branch: every
+            // column is written to the candidate list and only one that
+            // passes advances it.
+            let toward = if below { -1.0 } else { 1.0 };
+            let mut eligible = 0;
+            for j in set_bits(&self.touched) {
+                let side = f64::from(self.vstat[j] as i8) * toward;
+                self.enter_cands[eligible] = j as u32;
+                eligible += (self.alpha_cols[j] * side > PIVOT_TOL) as usize;
+            }
+            // The ratio rule over the candidates, still ascending; a fixed
+            // column (`upper` 0) may not enter.
             let mut best_ratio = f64::INFINITY;
             let mut best_abs = 0.0f64;
             let mut enter = usize::MAX;
-            for j in set_bits(&self.touched) {
+            for &j in &self.enter_cands[..eligible] {
+                let j = j as usize;
+                if self.upper[j] <= 0.0 {
+                    continue;
+                }
                 let alpha = self.alpha_cols[j];
-                if alpha == 0.0 || !self.may_enter(j) {
-                    continue;
-                }
-                let eligible = if below {
-                    (self.vstat[j] == VStat::AtLower && alpha < -PIVOT_TOL)
-                        || (self.vstat[j] == VStat::AtUpper && alpha > PIVOT_TOL)
-                } else {
-                    (self.vstat[j] == VStat::AtLower && alpha > PIVOT_TOL)
-                        || (self.vstat[j] == VStat::AtUpper && alpha < -PIVOT_TOL)
-                };
-                if !eligible {
-                    continue;
-                }
+                // Leaving above its bound, every eligible `d_j / alpha` is
+                // ≤ 0 (dual feasibility signs `d_j` against alpha), so
+                // `.max(0.0)` reads 0 for all of them and the largest
+                // |alpha| wins. Kept on purpose: the true ratio costs
+                // pivots (ROADMAP "Dead ends", under 2(d)).
                 let ratio = (self.d_cols[j] / alpha).max(0.0);
-                if ratio < best_ratio - TOL
-                    || (ratio < best_ratio + TOL && alpha.abs() > best_abs)
+                if ratio < best_ratio - TOL || (ratio < best_ratio + TOL && alpha.abs() > best_abs)
                 {
                     best_ratio = ratio;
                     best_abs = alpha.abs();
                     enter = j;
                 }
             }
-            // Dual step: d_j −= θ·alpha_j zeroes the entering column's
-            // reduced cost and leaves −θ on the leaving one. The walk clears
-            // the pivot row and its marks, also when nothing may enter.
+            // Dual step: d_j −= θ·alpha_j on the nonbasic columns zeroes the
+            // entering column's reduced cost and leaves −θ on the leaving
+            // one. A basic column's reduced cost is 0 and stays 0, so the
+            // walk subtracts θ·alpha_j·0 there instead of branching; that,
+            // like a column the row missed, moves at most the sign of a
+            // zero, which no test or ratio reads. At θ = 0 (most repair
+            // pivots are dual-degenerate) nothing moves, so the walk is
+            // skipped; with no entering column there is nothing to move.
+            // Every exit clears the pivot row and its marks.
             let theta = (enter != usize::MAX).then(|| self.d_cols[enter] / self.alpha_cols[enter]);
-            for j in set_bits(&self.touched) {
-                let alpha = std::mem::take(&mut self.alpha_cols[j]);
-                if let Some(theta) = theta {
-                    if alpha != 0.0 && self.vstat[j] != VStat::Basic {
-                        self.d_cols[j] -= theta * alpha;
+            #[cfg(test)]
+            let reference = self.reference_dual_step(below);
+            match theta {
+                Some(theta) if theta != 0.0 => {
+                    for j in set_bits(&self.touched) {
+                        let alpha = std::mem::take(&mut self.alpha_cols[j]);
+                        let nonbasic = f64::from((self.vstat[j] as i8).abs());
+                        self.d_cols[j] -= theta * alpha * nonbasic;
                     }
                 }
+                _ => self.alpha_cols.fill(0.0),
             }
             self.touched.fill(0);
+            #[cfg(test)]
+            self.check_dual_step(reference, below, enter, theta);
             let Some(theta) = theta else { return false };
             self.d_cols[enter] = 0.0;
             self.d_cols[self.basis[p]] = -theta;
@@ -897,6 +936,8 @@ impl SparseSimplexSolver {
             self.basis[p] = enter;
             self.xb[p] = from + delta;
             self.push_eta(p);
+            #[cfg(test)]
+            self.check_reduced_costs();
             if self.etas.len() >= REFACTOR_EVERY {
                 if self.refactorize().is_err() {
                     return false;
@@ -1167,6 +1208,117 @@ fn default_budget(lp: &SparseLp) -> u64 {
     let m = lp.n_rows() as u64;
     let n = lp.n_vars() as u64;
     100_000u64.max(50 * (m + n))
+}
+
+/// Repair pivots the test build checked against
+/// [`SparseSimplexSolver::reference_dual_step`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct RepairTally {
+    /// Leaving variable below its lower bound.
+    below: u64,
+    /// Leaving variable above its upper bound.
+    above: u64,
+    /// An entering column was found and θ was exactly 0.
+    theta_zero: u64,
+    /// An entering column was found and θ was not 0.
+    theta_moved: u64,
+}
+
+/// The test build's oracle for `repair_pivots`: the dual ratio test and
+/// update walk in their direct form, a four-way eligibility test per
+/// column and an update walk on every pivot. Every repair pivot of a test
+/// build runs both and checks that they agree.
+#[cfg(test)]
+impl SparseSimplexSolver {
+    /// The entering column, θ and the updated reduced costs (before the
+    /// entering and leaving columns' are set), from the marked pivot row.
+    /// Leaves the solver untouched.
+    fn reference_dual_step(&self, below: bool) -> (usize, Option<f64>, Vec<f64>) {
+        let mut best_ratio = f64::INFINITY;
+        let mut best_abs = 0.0f64;
+        let mut enter = usize::MAX;
+        for j in set_bits(&self.touched) {
+            let alpha = self.alpha_cols[j];
+            if alpha == 0.0 || !self.may_enter(j) {
+                continue;
+            }
+            let eligible = if below {
+                (self.vstat[j] == VStat::AtLower && alpha < -PIVOT_TOL)
+                    || (self.vstat[j] == VStat::AtUpper && alpha > PIVOT_TOL)
+            } else {
+                (self.vstat[j] == VStat::AtLower && alpha > PIVOT_TOL)
+                    || (self.vstat[j] == VStat::AtUpper && alpha < -PIVOT_TOL)
+            };
+            if !eligible {
+                continue;
+            }
+            let ratio = (self.d_cols[j] / alpha).max(0.0);
+            if ratio < best_ratio - TOL || (ratio < best_ratio + TOL && alpha.abs() > best_abs) {
+                best_ratio = ratio;
+                best_abs = alpha.abs();
+                enter = j;
+            }
+        }
+        let theta = (enter != usize::MAX).then(|| self.d_cols[enter] / self.alpha_cols[enter]);
+        let mut d_cols = self.d_cols.clone();
+        if let Some(theta) = theta {
+            for j in set_bits(&self.touched) {
+                let alpha = self.alpha_cols[j];
+                if alpha != 0.0 && self.vstat[j] != VStat::Basic {
+                    d_cols[j] -= theta * alpha;
+                }
+            }
+        }
+        (enter, theta, d_cols)
+    }
+
+    /// Asserts that the shipped dual step chose what the reference did:
+    /// the same entering column, θ bit for bit, and the same reduced costs
+    /// up to the sign of a zero.
+    fn check_dual_step(
+        &mut self,
+        reference: (usize, Option<f64>, Vec<f64>),
+        below: bool,
+        enter: usize,
+        theta: Option<f64>,
+    ) {
+        let (ref_enter, ref_theta, ref_d) = reference;
+        assert_eq!(enter, ref_enter, "entering column differs from the reference");
+        assert_eq!(theta.map(f64::to_bits), ref_theta.map(f64::to_bits), "θ differs");
+        for (j, (&d, &r)) in self.d_cols.iter().zip(&ref_d).enumerate() {
+            assert!(
+                d.to_bits() == r.to_bits() || (d == 0.0 && r == 0.0),
+                "reduced cost {j}: {d:e} vs the reference's {r:e}"
+            );
+        }
+        assert!(self.alpha_cols.iter().all(|&a| a == 0.0), "pivot row left dirty");
+        assert!(self.touched.iter().all(|&w| w == 0), "marks left dirty");
+        let tally = &mut self.repair_tally;
+        *(if below { &mut tally.below } else { &mut tally.above }) += 1;
+        if let Some(t) = theta {
+            *(if t == 0.0 { &mut tally.theta_zero } else { &mut tally.theta_moved }) += 1;
+        }
+    }
+
+    /// Asserts that the maintained reduced costs match fresh ones,
+    /// `c_j − y·A_j` against the new basis, within 1e-7 on every nonbasic
+    /// column. Restores the duals it recomputes.
+    fn check_reduced_costs(&mut self) {
+        let y = self.y_rows.clone();
+        self.compute_duals();
+        for j in 0..self.n_total {
+            if self.vstat[j] != VStat::Basic {
+                let fresh = self.reduced_cost(j);
+                assert!(
+                    (self.d_cols[j] - fresh).abs() <= 1e-7,
+                    "reduced cost {j}: maintained {:e}, fresh {fresh:e}",
+                    self.d_cols[j]
+                );
+            }
+        }
+        self.y_rows = y;
+    }
 }
 
 #[cfg(test)]
@@ -1632,6 +1784,63 @@ pub(crate) mod tests {
         assert_eq!(stats.warm_hits, 0);
     }
 
+    /// One engine down a drifting chain of [`mcf`] programs whose matrix
+    /// stays put, so every step after the first is a fast resolve, most
+    /// with dual repair: step
+    /// `i` redraws every fifth capacity (from the `i`-th) over the rungs
+    /// and scales the demands by `grows[i]`. Shrunken capacities leave
+    /// basic flows above their bounds, shrunken demands leave demand
+    /// logicals below zero. Each answer equals a fresh engine's; the test
+    /// build checks every repair pivot against the reference dual step
+    /// (`check_dual_step`, `check_reduced_costs`).
+    fn repair_drift_chain(nodes: usize, k: usize, seed: u64, grows: &[f64]) -> RepairTally {
+        let (demands, mut caps, fakes) = mcf_inputs(nodes, k, seed);
+        let mut solver = SparseSimplexSolver::new();
+        for (i, &grow) in grows.iter().enumerate() {
+            let (_, redrawn, _) = mcf_inputs(nodes, k, seed ^ ((i as u64 + 1) << 32));
+            for e in (i % 5..caps.len()).step_by(5) {
+                caps[e] = redrawn[e];
+            }
+            let grown: Vec<f64> = demands.iter().map(|d| d * grow).collect();
+            let lp = mcf(nodes, &grown, &caps, &fakes);
+            let warm = solver.solve_sparse(&lp).expect_optimal();
+            let cold = solve(&lp).expect_optimal();
+            let gap = (warm.objective - cold.objective).abs();
+            assert!(gap <= 1e-6 * (1.0 + cold.objective.abs()), "seed {seed}, step {i}: {gap:e}");
+        }
+        solver.repair_tally
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// On every repair pivot of random drifting chains the shipped
+        /// dual step and the reference agree (asserted inside the engine).
+        #[test]
+        fn repair_pivots_match_the_reference_dual_step(
+            seed in 0u64..1_000_000,
+            grows in proptest::collection::vec(0.5f64..1.6, 3..8),
+        ) {
+            repair_drift_chain(6, 4, seed, &grows);
+        }
+    }
+
+    #[test]
+    fn drift_chains_reach_every_kind_of_repair_pivot() {
+        // The property above only means something if its chains leave on
+        // both sides of a bound and take both kinds of dual step.
+        let mut total = RepairTally::default();
+        for seed in 0..8 {
+            let t = repair_drift_chain(6, 4, seed, &[0.7, 1.3, 0.6, 1.5, 0.8]);
+            total.below += t.below;
+            total.above += t.above;
+            total.theta_zero += t.theta_zero;
+            total.theta_moved += t.theta_moved;
+        }
+        assert!(total.below > 0 && total.above > 0, "{total:?}");
+        assert!(total.theta_zero > 0 && total.theta_moved > 0, "{total:?}");
+    }
+
     #[test]
     fn stalling_repair_gives_up_within_m_pivots() {
         // Dual-degenerate (nearly every column is zero-cost, so nearly
@@ -1719,6 +1928,25 @@ pub(crate) mod tests {
             assert_eq!((stats.warm_attempts, stats.warm_hits), (3, 2), "{total}: {stats:?}");
             assert!(stats.repair_pivots > 1, "{total}: {stats:?}");
         }
+    }
+
+    #[test]
+    fn an_entry_just_above_the_pivot_tolerance_may_enter() {
+        // The warm basis again, now with `x1`'s entry and cost both 2e-7:
+        // its reduced cost is 0 and `x0` reads −2e-6. `x1` rests at its
+        // upper bound with alpha 2e-7 > PIVOT_TOL, so it is the one
+        // eligible column and the repair is one θ = 0 pivot, not an abort.
+        let programs =
+            [main_row_lp(64, 1.0, 2.0, 3.0, 10.0, INF), main_row_lp(64, 2e-7, 2e-7, 10.0, 0.0, INF)];
+        let mut solver = SparseSimplexSolver::new();
+        for lp in &programs {
+            let warm = solver.solve_sparse(lp).expect_optimal();
+            crate::certify(lp, &warm.x, solver.duals()).unwrap();
+            assert_near(warm.objective, solve(lp).expect_optimal().objective);
+        }
+        let stats = solver.stats();
+        assert_eq!((stats.repair_pivots, stats.repair_aborts), (1, 0), "{stats:?}");
+        assert_eq!(solver.repair_tally.theta_zero, 1);
     }
 
     #[test]
