@@ -22,6 +22,21 @@
 //! `revised.rs` — [`crate::revised`]) which refactorises when the chain
 //! gets long enough that accumulated fill or drift would cost more than
 //! a fresh factorisation.
+//!
+//! `ftran` is hypersparse: an entering column's image is a few percent
+//! nonzero on the TE programs, so the triangular solves visit only the
+//! steps the right-hand side reaches. A bit set over the steps is the
+//! frontier, seeded from the rhs's nonzero rows. The L solve walks it
+//! ascending and marks the step of every row it updates; L's column `k`
+//! holds rows eliminated after step `k`, so a mark lands ahead of the
+//! cursor and the walk re-reads the current word after each step. The U
+//! solve walks it descending; U's column `k` holds earlier steps, so its
+//! marks land below the cursor. No depth-first search and no sort. Each
+//! reached step does the dense solve's arithmetic in the dense order,
+//! and a slot no step reaches gets the signed zero the dense solve
+//! leaves there, `0.0 / u_diag[k]` (a zero template built by
+//! `factorize`), so the image equals the dense one bit for bit, signs of
+//! zeros included. `btran` stays dense.
 
 /// Threshold-pivoting slack: candidate pivot rows must be within this
 /// factor of the column's max magnitude. 1.0 would be strict partial
@@ -47,12 +62,15 @@ pub(crate) struct Eta {
 }
 
 impl Eta {
-    /// Applies `E⁻¹` in place (ftran direction), slot space.
-    pub fn ftran(&self, x: &mut [f64]) {
+    /// Applies `E⁻¹` in place (ftran direction), slot space, marking in
+    /// `nz` every slot it updates. `x[slot]` ends nonzero only if it
+    /// started so, and then it is marked already.
+    pub fn ftran(&self, x: &mut [f64], nz: &mut [u64]) {
         let xp = x[self.slot] / self.dp;
         if xp != 0.0 {
             for &(i, di) in &self.d {
                 x[i] -= di * xp;
+                set_bit(nz, i);
             }
         }
         x[self.slot] = xp;
@@ -92,6 +110,14 @@ pub(crate) struct LuFactors {
     row_step: Vec<usize>,
     /// step → basis slot eliminated at that step.
     col_order: Vec<usize>,
+    /// The signed zero a dense ftran leaves in each slot its rhs does not
+    /// reach: `0.0 / u_diag[k]` at slot `col_order[k]`.
+    zero_slots: Vec<f64>,
+    // --- ftran scratch, zero between calls ------------------------------
+    /// The image in step space.
+    ftran_steps: Vec<f64>,
+    /// The frontier: one bit per step the solve reaches.
+    frontier: Vec<u64>,
     // --- factorisation scratch (kept to amortise allocation) ----------
     work: Vec<f64>,
     mark: Vec<u32>,
@@ -238,6 +264,15 @@ impl LuFactors {
             self.col_order.push(slot);
             self.clear_work();
         }
+        self.zero_slots.clear();
+        self.zero_slots.resize(m, 0.0);
+        for (k, &slot) in self.col_order.iter().enumerate() {
+            self.zero_slots[slot] = 0.0 / self.u_diag[k];
+        }
+        self.ftran_steps.clear();
+        self.ftran_steps.resize(m, 0.0);
+        self.frontier.clear();
+        self.frontier.resize(m.div_ceil(64), 0);
         Ok(())
     }
 
@@ -279,36 +314,80 @@ impl LuFactors {
         }
     }
 
-    /// Solves `B x = b`. Input: `rhs_rows` dense in row space (consumed as
-    /// scratch). Output: `out_slots` dense in slot space. `step_buf` is
-    /// caller-provided scratch of length ≥ m.
-    pub fn ftran(&self, rhs_rows: &mut [f64], out_slots: &mut [f64], step_buf: &mut [f64]) {
-        let m = self.m;
-        // L solve, in row space.
-        for k in 0..m {
-            let yk = rhs_rows[self.pivot_row[k]];
-            if yk != 0.0 {
-                for li in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    rhs_rows[self.l_row[li]] -= self.l_val[li] * yk;
-                }
+    /// Solves `B x = b` over the steps `b` reaches. Input: `b` in
+    /// `rhs_rows` (row space), `+0.0` on every row outside `rhs_nz`; all
+    /// of it is `+0.0` again on return. Output: `out_slots` in slot space,
+    /// fully overwritten, and `out_nz` cleared, then marked at every slot
+    /// where `out_slots` may be nonzero. The same bits as the dense
+    /// triangular solves.
+    pub fn ftran(
+        &mut self,
+        rhs_rows: &mut [f64],
+        rhs_nz: impl IntoIterator<Item = usize>,
+        out_slots: &mut [f64],
+        out_nz: &mut [u64],
+    ) {
+        let frontier = &mut self.frontier;
+        let steps = &mut self.ftran_steps;
+        // Seeds: every entry that is not `+0.0`. A `-0.0` counts, its sign
+        // can reach the image.
+        for r in rhs_nz {
+            if rhs_rows[r].to_bits() != 0 {
+                set_bit(frontier, self.row_step[r]);
             }
         }
-        // Gather into step space, then U back-substitution.
-        for k in 0..m {
-            step_buf[k] = rhs_rows[self.pivot_row[k]];
-        }
-        for k in (0..m).rev() {
-            let xk = step_buf[k] / self.u_diag[k];
-            step_buf[k] = xk;
-            if xk != 0.0 {
-                for ui in self.u_colptr[k]..self.u_colptr[k + 1] {
-                    step_buf[self.u_step[ui]] -= self.u_val[ui] * xk;
+        // L solve, ascending, in row space. Step `k`'s row is final when
+        // the cursor reaches it: gather it into step space there, before
+        // any U update lands on it, and clear it.
+        for w in 0..frontier.len() {
+            let mut bits = frontier[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                let k = w * 64 + b as usize;
+                let yk = std::mem::take(&mut rhs_rows[self.pivot_row[k]]);
+                steps[k] = yk;
+                if yk != 0.0 {
+                    for li in self.l_colptr[k]..self.l_colptr[k + 1] {
+                        let r = self.l_row[li];
+                        rhs_rows[r] -= self.l_val[li] * yk;
+                        set_bit(frontier, self.row_step[r]);
+                    }
                 }
+                // Marks land after step `k`, this word included.
+                bits = frontier[w] & (!1u64 << b);
             }
         }
-        // Scatter to slots.
-        for k in 0..m {
-            out_slots[self.col_order[k]] = step_buf[k];
+        // U back-substitution, descending, in step space.
+        for w in (0..frontier.len()).rev() {
+            let mut bits = frontier[w];
+            while bits != 0 {
+                let b = 63 - bits.leading_zeros();
+                let k = w * 64 + b as usize;
+                let xk = steps[k] / self.u_diag[k];
+                steps[k] = xk;
+                if xk != 0.0 {
+                    for ui in self.u_colptr[k]..self.u_colptr[k + 1] {
+                        let s = self.u_step[ui];
+                        steps[s] -= self.u_val[ui] * xk;
+                        set_bit(frontier, s);
+                    }
+                }
+                // Marks land before step `k`, this word included.
+                bits = frontier[w] & ((1u64 << b) - 1);
+            }
+        }
+        // Scatter the reached steps to slots; the rest keep their zero.
+        out_slots.copy_from_slice(&self.zero_slots);
+        out_nz.fill(0);
+        for (w, word) in frontier.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = self.col_order[k];
+                out_slots[slot] = std::mem::take(&mut steps[k]);
+                set_bit(out_nz, slot);
+            }
         }
     }
 
@@ -334,6 +413,43 @@ impl LuFactors {
                 acc -= self.l_val[li] * out_rows[self.l_row[li]];
             }
             out_rows[self.pivot_row[k]] = acc;
+        }
+    }
+}
+
+/// Sets bit `i` of a bit set held as `u64` words.
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i >> 6] |= 1 << (i & 63);
+}
+
+/// The test build's oracle for [`LuFactors::ftran`]: both triangular
+/// solves over every step.
+#[cfg(test)]
+impl LuFactors {
+    /// Solves `B x = b` densely. `rhs_rows` is consumed as scratch,
+    /// `out_slots` fully overwritten.
+    pub fn ftran_dense(&self, rhs_rows: &mut [f64], out_slots: &mut [f64]) {
+        let m = self.m;
+        for k in 0..m {
+            let yk = rhs_rows[self.pivot_row[k]];
+            if yk != 0.0 {
+                for li in self.l_colptr[k]..self.l_colptr[k + 1] {
+                    rhs_rows[self.l_row[li]] -= self.l_val[li] * yk;
+                }
+            }
+        }
+        let mut steps: Vec<f64> = self.pivot_row.iter().map(|&r| rhs_rows[r]).collect();
+        for k in (0..m).rev() {
+            let xk = steps[k] / self.u_diag[k];
+            steps[k] = xk;
+            if xk != 0.0 {
+                for ui in self.u_colptr[k]..self.u_colptr[k + 1] {
+                    steps[self.u_step[ui]] -= self.u_val[ui] * xk;
+                }
+            }
+        }
+        for k in 0..m {
+            out_slots[self.col_order[k]] = steps[k];
         }
     }
 }
@@ -365,8 +481,8 @@ mod tests {
         lu.factorize(m, &cp, &r, &v).expect("nonsingular");
         let mut rhs = b.to_vec();
         let mut out = vec![0.0; m];
-        let mut scratch = vec![0.0; m];
-        lu.ftran(&mut rhs, &mut out, &mut scratch);
+        let mut nz = vec![0; m.div_ceil(64)];
+        lu.ftran(&mut rhs, 0..m, &mut out, &mut nz);
         out
     }
 
@@ -434,7 +550,7 @@ mod tests {
         let eta = Eta { slot: 0, d: vec![(1, 1.0)], dp: 3.0 };
         // ftran: solve B_new x = [6, 5] → x = [2, 3].
         let mut x = vec![6.0, 5.0];
-        eta.ftran(&mut x);
+        eta.ftran(&mut x, &mut [0b1]);
         assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12, "{x:?}");
         // btran: solve B_newᵀ y = [7, 2] → y = [(7 - 2)/3, 2] = [5/3, 2].
         let mut y = vec![7.0, 2.0];
@@ -468,6 +584,100 @@ mod tests {
         for r in 0..m {
             let got: f64 = (0..m).map(|c| cols[c][r] * x[c]).sum();
             assert!((got - b[r]).abs() < 1e-8, "row {r}: {got} vs {}", b[r]);
+        }
+    }
+
+    #[test]
+    fn an_unreached_slot_keeps_the_dense_solves_signed_zero() {
+        // B = diag(-2, 3), b = (0, 6): slot 0 is never reached, and the
+        // dense solve leaves `0.0 / -2.0 = -0.0` there.
+        let x = solve_roundtrip(2, &[&[-2.0, 0.0], &[0.0, 3.0]], &[0.0, 6.0]);
+        assert_eq!(x[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(x[1], 2.0);
+        // A `-0.0` in the rhs is a seed: `-0.0 / -2.0 = +0.0`.
+        let x = solve_roundtrip(2, &[&[-2.0, 0.0], &[0.0, 3.0]], &[-0.0, 6.0]);
+        assert_eq!(x[0].to_bits(), 0);
+    }
+
+    /// A random sparse basis of order `m` in CSC form: column `j` has
+    /// its diagonal at row `perm[j]`, of magnitude 4–5 and negative with
+    /// probability `neg`, and up to three off-diagonal entries in
+    /// `[-1, 1]`, so it is column diagonally dominant, hence nonsingular.
+    fn random_basis(m: usize, neg: f64, next: &mut impl FnMut() -> f64) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let mut perm: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            perm.swap(i, (next() * (i + 1) as f64) as usize);
+        }
+        let mut colptr = vec![0];
+        let (mut rows, mut vals) = (Vec::new(), Vec::new());
+        for &diag_row in &perm {
+            let start = rows.len();
+            let sign = if next() < neg { -1.0 } else { 1.0 };
+            rows.push(diag_row);
+            vals.push(sign * (4.0 + next()));
+            for _ in 0..(next() * 4.0) as usize {
+                let r = (next() * m as f64) as usize;
+                if !rows[start..].contains(&r) {
+                    rows.push(r);
+                    vals.push(2.0 * next() - 1.0);
+                }
+            }
+            colptr.push(rows.len());
+        }
+        (colptr, rows, vals)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The frontier ftran against the dense solves on random sparse
+        /// bases: the image bit for bit (signed zeros included), every
+        /// nonzero slot marked, and the rhs and the solver's scratch left
+        /// at `+0.0` (one factorisation serves every rhs of a case). The
+        /// rhs hold one to four entries, some `-0.0`, some an explicit
+        /// `+0.0`, listed as the nonzero rows; the last is seeded from
+        /// every row, as `compute_xb` does.
+        #[test]
+        fn frontier_ftran_matches_the_dense_solves_bit_for_bit(
+            m in 1usize..200,
+            neg in 0.0f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let (cp, r, v) = random_basis(m, neg, &mut next);
+            let mut lu = LuFactors::default();
+            lu.factorize(m, &cp, &r, &v).expect("diagonally dominant");
+            let mut rhs = vec![0.0; m];
+            let mut out = vec![f64::NAN; m];
+            let mut nz = vec![u64::MAX; m.div_ceil(64)];
+            for case in 0..12 {
+                let mut rows = Vec::new();
+                for _ in 0..1 + (next() * 4.0) as usize {
+                    let row = (next() * m as f64) as usize;
+                    let pick = next();
+                    rhs[row] = if pick < 0.2 { -0.0 } else if pick < 0.3 { 0.0 } else { 4.0 * next() - 2.0 };
+                    rows.push(row);
+                }
+                let mut dense_rhs = rhs.clone();
+                let mut want = vec![0.0; m];
+                lu.ftran_dense(&mut dense_rhs, &mut want);
+                if case == 11 {
+                    lu.ftran(&mut rhs, 0..m, &mut out, &mut nz);
+                } else {
+                    lu.ftran(&mut rhs, rows.iter().copied(), &mut out, &mut nz);
+                }
+                for s in 0..m {
+                    proptest::prop_assert_eq!(out[s].to_bits(), want[s].to_bits(), "slot {} of {}", s, m);
+                    proptest::prop_assert!(out[s] == 0.0 || nz[s >> 6] >> (s & 63) & 1 == 1, "slot {} unmarked", s);
+                }
+                proptest::prop_assert!(rhs.iter().all(|x| x.to_bits() == 0), "rhs left dirty");
+                proptest::prop_assert!(lu.ftran_steps.iter().all(|x| x.to_bits() == 0), "steps left dirty");
+                proptest::prop_assert!(lu.frontier.iter().all(|&w| w == 0), "frontier left dirty");
+            }
         }
     }
 }

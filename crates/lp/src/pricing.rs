@@ -24,6 +24,8 @@ const SECTION: usize = 256;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CandidateList {
     candidates: Vec<usize>,
+    /// The next column a refill examines; below the column count, which
+    /// stays fixed between `invalidate` calls.
     cursor: usize,
     /// Cyclic refill scans performed (drained into `SolverStats`).
     pub scans: u64,
@@ -69,7 +71,10 @@ impl CandidateList {
             let section_end = (examined + SECTION).min(n_cols);
             while examined < section_end {
                 let j = self.cursor;
-                self.cursor = (self.cursor + 1) % n_cols;
+                self.cursor += 1;
+                if self.cursor == n_cols {
+                    self.cursor = 0;
+                }
                 examined += 1;
                 if let Some(v) = eligible(j) {
                     self.candidates.push(j);

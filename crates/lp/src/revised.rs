@@ -9,7 +9,11 @@
 //! - the CSC constraint matrix ([`crate::sparse::SparseLp`]), read-only;
 //! - a sparse LU factorisation of the `m × m` basis plus a chain of
 //!   product-form eta updates, refactorised every `REFACTOR_EVERY` pivots;
-//! - O(m) dense work vectors for ftran/btran.
+//! - O(m) work vectors: btran runs dense, ftran visits only the steps its
+//!   rhs reaches and marks the slots of its image that may be nonzero
+//!   (`w_nz`), and Phase II's ratio test and eta capture walk only those.
+//!   The `x_B` updates stay dense: skipping a zero there could flip the
+//!   sign of a zero `x_B`, which the vertex hands out.
 //!
 //! Variables are *bounded* (`0 ≤ x_j ≤ u_j`): capacity rows become plain
 //! bounds in the lowering, so a bound-flip pivot costs one vector update
@@ -223,6 +227,9 @@ pub struct SparseSimplexSolver {
     step_buf: Vec<f64>,
     /// ftran image of the entering column, slot space.
     w_col: Vec<f64>,
+    /// One bit per slot where the last ftran's image may be nonzero:
+    /// `w_col`'s after `ftran_col`, `xb`'s after `compute_xb`.
+    w_nz: Vec<u64>,
     /// Dual multipliers, row space.
     y_rows: Vec<f64>,
     /// btran image of a unit slot vector (dual repair), row space.
@@ -437,6 +444,7 @@ impl SparseSimplexSolver {
         self.work_slots.resize(m, 0.0);
         self.step_buf.resize(m, 0.0);
         self.w_col.resize(m, 0.0);
+        self.w_nz.resize(m.div_ceil(64), 0);
         self.y_rows.resize(m, 0.0);
         self.rho_rows.resize(m, 0.0);
         self.xb.resize(m, 0.0);
@@ -465,6 +473,7 @@ impl SparseSimplexSolver {
 
     /// Recomputes `xb = B⁻¹(b − N·x_N)` from the rest positions.
     fn compute_xb(&mut self) {
+        // `work_rows` is zero between ftrans; this overwrites it whole.
         self.work_rows.copy_from_slice(&self.rhs);
         for j in 0..self.n_total {
             if self.vstat[j] != VStat::AtUpper {
@@ -478,24 +487,32 @@ impl SparseSimplexSolver {
                 }
             }
         }
-        self.lu.ftran(&mut self.work_rows, &mut self.xb, &mut self.step_buf);
+        #[cfg(test)]
+        let rhs = self.work_rows.clone();
+        self.lu.ftran(&mut self.work_rows, 0..self.m, &mut self.xb, &mut self.w_nz);
         for eta in &self.etas {
-            eta.ftran(&mut self.xb);
+            eta.ftran(&mut self.xb, &mut self.w_nz);
         }
+        #[cfg(test)]
+        self.check_ftran(rhs, &self.xb);
     }
 
-    /// `w_col = B⁻¹ A_j` (slot space).
+    /// `w_col = B⁻¹ A_j` (slot space), seeded with the column's pattern;
+    /// `w_nz` marks where it may be nonzero.
     fn ftran_col(&mut self, j: usize) {
-        for v in &mut self.work_rows {
-            *v = 0.0;
-        }
-        for e in self.col_ptr[j]..self.col_ptr[j + 1] {
+        let entries = self.col_ptr[j]..self.col_ptr[j + 1];
+        for e in entries.clone() {
             self.work_rows[self.col_rows[e]] = self.col_vals[e];
         }
-        self.lu.ftran(&mut self.work_rows, &mut self.w_col, &mut self.step_buf);
+        #[cfg(test)]
+        let rhs = self.work_rows.clone();
+        let pattern = self.col_rows[entries].iter().copied();
+        self.lu.ftran(&mut self.work_rows, pattern, &mut self.w_col, &mut self.w_nz);
         for eta in &self.etas {
-            eta.ftran(&mut self.w_col);
+            eta.ftran(&mut self.w_col, &mut self.w_nz);
         }
+        #[cfg(test)]
+        self.check_ftran(rhs, &self.w_col);
     }
 
     /// `y = B⁻ᵀ c_B` (row space).
@@ -582,12 +599,14 @@ impl SparseSimplexSolver {
             let dir = if self.vstat[j] == VStat::AtLower { 1.0 } else { -1.0 };
             self.ftran_col(j);
             // Ratio test: basic variable `s` moves at −dir·w[s]; it blocks
-            // at whichever of its bounds that motion runs into.
+            // at whichever of its bounds that motion runs into. Only the
+            // marked slots, ascending: an unmarked one is zero and would
+            // fail both PIVOT_TOL comparisons.
             let mut bt = f64::INFINITY;
             let mut bs = usize::MAX;
             let mut babs = 0.0f64;
             let mut b_to_upper = false;
-            for s in 0..self.m {
+            for s in set_bits(&self.w_nz) {
                 let w = self.w_col[s];
                 let rate = dir * w;
                 let jb = self.basis[s];
@@ -658,11 +677,13 @@ impl SparseSimplexSolver {
     }
 
     /// Records the basis exchange at slot `p` as a product-form eta built
-    /// from the current `w_col` (the entering column's ftran image).
+    /// from the current `w_col` (the entering column's ftran image), over
+    /// the slots `w_nz` marks: an unmarked one is zero and would be
+    /// dropped.
     fn push_eta(&mut self, p: usize) {
         let dp = self.w_col[p];
         debug_assert!(dp.abs() > ETA_DROP_TOL, "eta pivot ~zero");
-        let d: Vec<(usize, f64)> = (0..self.m)
+        let d: Vec<(usize, f64)> = set_bits(&self.w_nz)
             .filter(|&s| s != p && self.w_col[s].abs() > ETA_DROP_TOL)
             .map(|s| (s, self.w_col[s]))
             .collect();
@@ -1225,10 +1246,12 @@ struct RepairTally {
     theta_moved: u64,
 }
 
-/// The test build's oracle for `repair_pivots`: the dual ratio test and
+/// The test build's oracles. For `repair_pivots`: the dual ratio test and
 /// update walk in their direct form, a four-way eligibility test per
 /// column and an update walk on every pivot. Every repair pivot of a test
-/// build runs both and checks that they agree.
+/// build runs both and checks that they agree. For the hypersparse ftran:
+/// the dense triangular solves, against which every `ftran_col` and
+/// `compute_xb` image is checked.
 #[cfg(test)]
 impl SparseSimplexSolver {
     /// The entering column, θ and the updated reduced costs (before the
@@ -1318,6 +1341,25 @@ impl SparseSimplexSolver {
             }
         }
         self.y_rows = y;
+    }
+
+    /// Asserts that `image`, the hypersparse ftran of `rhs` (row space)
+    /// through the LU factors and the eta chain, equals the dense solve's
+    /// bit for bit, that `w_nz` marks every nonzero slot of it, and that
+    /// the ftran left `work_rows` at `+0.0`.
+    fn check_ftran(&self, mut rhs: Vec<f64>, image: &[f64]) {
+        let mut want = vec![0.0; self.m];
+        self.lu.ftran_dense(&mut rhs, &mut want);
+        let mut marks = vec![0; self.w_nz.len()];
+        for eta in &self.etas {
+            eta.ftran(&mut want, &mut marks);
+        }
+        for (s, (&got, &want)) in image.iter().zip(&want).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "slot {s}: {got:e} vs the dense {want:e}");
+            let marked = self.w_nz[s >> 6] >> (s & 63) & 1 == 1;
+            assert!(got == 0.0 || marked, "slot {s} holds {got:e} but is not marked");
+        }
+        assert!(self.work_rows.iter().all(|v| v.to_bits() == 0), "ftran left its rhs dirty");
     }
 }
 
